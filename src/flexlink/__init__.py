@@ -6,8 +6,6 @@ __version__ = "0.1.0"
 from .association import Policy, associate, policy_sweep, rsrp
 from .fixedpoint import (
     FixedPointResult,
-    MonotoneHomogeneous,
-    SifMap,
     check_sif_axioms,
     normalized_fixed_point,
     yates_iteration,

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__, experiments, io
 from .association import Policy, associate
-from .errors import ConfigError, InfeasibleError, ModelError
+from .errors import ConfigError, DomainError, InfeasibleError, ModelError
 from .interference import Problem
 from .model import OVERLAP_NONE, OVERLAP_PAIRWISE, OVERLAP_SPECIFIC
 from .optimizer import SolveOptions, minimize_power, optimize
@@ -281,7 +281,7 @@ def main(argv=None) -> int:
     """Entry point with the documented exit-code contract."""
     try:
         rv = cli.main(args=argv, standalone_mode=False)
-    except (ConfigError, ModelError, InfeasibleError) as exc:
+    except (ConfigError, DomainError, ModelError, InfeasibleError) as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_USAGE
     except click.ClickException as exc:

@@ -18,7 +18,7 @@ import numpy as np
 from .association import COUD, DEUD_O, DEUD_P, Policy, associate, policy_sweep
 from .interference import Problem
 from .model import Scenario
-from .optimizer import SolveOptions, initial_psd, optimize, step3_update_power
+from .optimizer import SolveOptions, initial_psd, initial_psd_cell, optimize, step3_update_power
 from .pf_baseline import pf_allocate
 from .scenario import ScenarioConfig, generate, uniform_overlap
 from .units import dbm_to_watt
@@ -181,9 +181,10 @@ def run_theta_sweep(scenario: Scenario, policy: Policy, thetas,
     budget scale ``theta`` under different noise floors.
 
     For each noise level the bandwidth is first shaped by a full reference
-    solve; the power subproblem is then re-solved from the open-loop PSD for
-    every ``theta``.  The utility is nondecreasing in ``theta`` because the
-    feasible set only grows with the budget.
+    solve; the power subproblem is then re-solved from the open-loop PSD
+    (per transmitter in cell-specific mode) for every ``theta``.  The utility
+    is nondecreasing in ``theta`` because the feasible set only grows with
+    the budget.
     """
     rows = []
     for noise_dbm in noise_dbm_list:
@@ -191,9 +192,10 @@ def run_theta_sweep(scenario: Scenario, policy: Policy, thetas,
         assoc = associate(policy, sc)
         ref = optimize(sc, policy, opts, assoc=assoc)
         p0 = initial_psd(sc, assoc, opts)
+        p_bar0 = initial_psd_cell(sc, assoc, opts) if opts.power_mode == "cell_specific" else None
         for theta in thetas:
             problem = Problem.from_scenario(sc, assoc, theta=theta)
-            step = step3_update_power(problem, ref.w, p0, opts)
+            step = step3_update_power(problem, ref.w, p0, opts, p_bar0=p_bar0)
             rows.append({"noise_dbm": float(noise_dbm), "theta": float(theta),
                          "lam": step.lam, "converged": step.fixed_point.converged})
     return rows

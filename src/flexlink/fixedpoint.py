@@ -16,36 +16,15 @@ for every ``alpha > 1``).  Two iterations are provided:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITER = 10_000
 DIVERGENCE_WINDOW = 50
-
-
-@dataclass(frozen=True)
-class SifMap:
-    """An evaluable interference map with a declared dimension."""
-
-    fn: Callable[[np.ndarray], np.ndarray]
-    dim: int
-
-    def __call__(self, x):
-        return self.fn(x)
-
-
-@dataclass(frozen=True)
-class MonotoneHomogeneous:
-    """A monotone, degree-1 homogeneous functional such as a monotone norm."""
-
-    fn: Callable[[np.ndarray], float]
-    dim: int
-
-    def __call__(self, x):
-        return self.fn(x)
 
 
 @dataclass
@@ -79,7 +58,8 @@ def normalized_fixed_point(
 
     On convergence the eigenvalue field holds ``theta / g(f(x*))``, so that
     ``x* = eigenvalue * f(x*)`` and ``g(x*) = theta`` hold within tolerance.
-    Non-convergence is reported in the result, never raised.
+    Non-convergence is reported in the result, never raised; the run stops
+    on the first non-finite iterate (note ``non-finite``, eigenvalue NaN).
     """
     if theta <= 0:
         raise ValueError("theta must be positive")
@@ -97,6 +77,11 @@ def normalized_fixed_point(
         if callback is not None:
             callback(t, x_next, residual)
         x = x_next
+        if not math.isfinite(residual):
+            return FixedPointResult(
+                x=x, eigenvalue=math.nan, iterations=t, residual=residual,
+                converged=False, note="non-finite", trace=trace,
+            )
         if residual < tol:
             return FixedPointResult(
                 x=x, eigenvalue=theta / float(g(f(x))), iterations=t,
@@ -125,7 +110,8 @@ def yates_iteration(
     smaller scale than the absolute tolerance).  If the residual grows for
     ``divergence_window`` consecutive iterations the run stops early and the
     result is flagged "likely infeasible" (no fixed point exists when no
-    feasible point does).
+    feasible point does).  A non-finite iterate stops the run at once with
+    the note "non-finite".
     """
     x = np.array(x0, dtype=float)
     trace = []
@@ -144,6 +130,11 @@ def yates_iteration(
             rel = np.abs(x_next - x) / np.maximum(np.abs(x_next), 1e-300)
             done = float(np.max(rel)) < rel_tol
         x = x_next
+        if not math.isfinite(residual):
+            return FixedPointResult(
+                x=x, eigenvalue=None, iterations=t, residual=residual,
+                converged=False, note="non-finite", trace=trace,
+            )
         if done:
             return FixedPointResult(
                 x=x, eigenvalue=None, iterations=t, residual=residual,

@@ -87,20 +87,34 @@ def f_load(w, p_fixed, model: CouplingModel, demands, rb_count: int, rb_bandwidt
 
 
 def g1(w, assoc: Association) -> float:
-    """Per-cell load constraint functional ``||A w||_inf``."""
-    return float(np.max(assoc.a @ np.asarray(w)))
+    """Per-cell load constraint functional ``||A w||_inf``; ``A w`` sums each
+    cell's served links."""
+    return float(np.max(np.bincount(assoc.serving, weights=w, minlength=assoc.n_bs)))
 
 
 def g2(w, p, assoc: Association, limits: PowerLimits, rb_count: int) -> float:
     """Per-transmitter power constraint functional
-    ``W0 ||diag(p_ext_max)^-1 A_ext diag(w) p||_inf``."""
-    used = assoc.a_ext @ (np.asarray(w) * np.asarray(p))
+    ``W0 ||diag(p_ext_max)^-1 A_ext diag(w) p||_inf``.
+
+    ``A_ext`` keeps each UE's uplink entry and sums each cell's downlinks.
+    """
+    k = assoc.n_ue
+    wp = np.asarray(w) * np.asarray(p)
+    used = np.concatenate([wp[:k], np.bincount(assoc.b_dl, weights=wp[k:], minlength=assoc.n_bs)])
     return float(rb_count * np.max(used / limits.p_ext_max))
+
+
+def expand_psd(p_bar, assoc: Association) -> np.ndarray:
+    """Per-link PSD ``Lambda p_bar`` of a per-transmitter PSD: uplinks keep
+    their UE's entry, downlinks take their serving cell's."""
+    p_bar = np.asarray(p_bar, dtype=float)
+    k = assoc.n_ue
+    return np.concatenate([p_bar[:k], p_bar[k:][assoc.b_dl]])
 
 
 def g2_bar(w, p_bar, assoc: Association, limits: PowerLimits, rb_count: int) -> float:
     """Power constraint on the per-transmitter PSD, ``g2(w, Lambda p_bar)``."""
-    return g2(w, assoc.lambda_map @ np.asarray(p_bar), assoc, limits, rb_count)
+    return g2(w, expand_psd(p_bar, assoc), assoc, limits, rb_count)
 
 
 def f_power(p, w_fixed, model: CouplingModel, demands, rb_count: int, rb_bandwidth: float):
@@ -127,12 +141,6 @@ def f_power(p, w_fixed, model: CouplingModel, demands, rb_count: int, rb_bandwid
     return out
 
 
-def dl_link_sets(assoc: Association):
-    """Per-cell lists of global link indices of the downlinks it serves."""
-    k = assoc.n_ue
-    return [np.flatnonzero(assoc.b_dl == n) + k for n in range(assoc.n_bs)]
-
-
 def f_power_cell(p_bar, w_fixed, model: CouplingModel, assoc: Association,
                  demands, rb_count: int, rb_bandwidth: float):
     """Per-transmitter power-demand map: UL entries are per-UE rate
@@ -148,12 +156,11 @@ def f_power_cell(p_bar, w_fixed, model: CouplingModel, assoc: Association,
     p_bar = np.asarray(p_bar, dtype=float)
     w_fixed = np.asarray(w_fixed, dtype=float)
     d = np.asarray(demands, dtype=float)
-    k, n_bs = assoc.n_ue, assoc.n_bs
+    k, n_bs, b_dl = assoc.n_ue, assoc.n_bs, assoc.b_dl
     if np.any(w_fixed <= 0):
         raise DomainError("f_power_cell requires strictly positive fixed bandwidth")
 
-    p = assoc.lambda_map @ p_bar
-    ipsd = interference_psd(p, w_fixed, model)
+    ipsd = interference_psd(expand_psd(p_bar, assoc), w_fixed, model)
 
     out = np.empty(k + n_bs)
     # uplink branch
@@ -165,21 +172,21 @@ def f_power_cell(p_bar, w_fixed, model: CouplingModel, assoc: Association,
     if np.any(zero):
         out[:k][zero] = d[:k][zero] * LN2 / (rb_count * rb_bandwidth * w_fixed[:k][zero]) * ipsd[:k][zero]
 
-    # downlink branch: one sum constraint per cell
-    for n, links in enumerate(dl_link_sets(assoc)):
-        j = k + n
-        if links.size == 0:
-            out[j] = EPS_NO_DL
-            continue
-        nu = float(np.sum(w_fixed[links]))
-        if nu <= 0:
-            raise DomainError(f"cell {n} serves downlinks but has zero DL load")
-        q = p_bar[j]
-        if q > 0:
-            r = rb_bandwidth * np.log2(1.0 + q / ipsd[links])
-            out[j] = (q / nu) * float(np.sum(d[links] / (rb_count * r)))
-        else:
-            out[j] = float(np.sum(d[links] * LN2 / (rb_count * rb_bandwidth * nu) * ipsd[links]))
+    # downlink branch: one sum constraint per cell, summed over b_dl
+    served = np.bincount(b_dl, minlength=n_bs) > 0
+    nu = np.bincount(b_dl, weights=w_fixed[k:], minlength=n_bs)
+    starved = served & (nu <= 0)
+    if np.any(starved):
+        raise DomainError(f"cell {int(np.argmax(starved))} serves downlinks but has zero DL load")
+    q = p_bar[k:]
+    q_link, ipsd_dl, d_dl = q[b_dl], ipsd[k:], d[k:]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = rb_bandwidth * np.log2(1.0 + q_link / ipsd_dl)
+        terms = np.where(q_link > 0, d_dl / (rb_count * r),
+                         d_dl * LN2 / (rb_count * rb_bandwidth * nu[b_dl]) * ipsd_dl)
+        sums = np.bincount(b_dl, weights=terms, minlength=n_bs)
+        out[k:] = np.where(q > 0, (q / nu) * sums, sums)
+    out[k:][~served] = EPS_NO_DL
     return out
 
 

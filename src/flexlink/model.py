@@ -144,17 +144,25 @@ class Scenario:
 
 @dataclass(frozen=True)
 class Association:
-    """Serving-BS maps for both directions plus the derived binary matrices.
+    """Serving-BS maps for both directions.
 
-    ``a_ul``/``a_dl`` are N x K with exactly one 1 per column; ``a`` stacks
-    them side by side over the 2K links.  ``a_ext`` maps transmitters
-    (K UEs then N BSs) to links, and ``lambda_map`` expands a per-transmitter
-    PSD vector to a per-link one via ``p = lambda_map @ p_bar``.
+    ``b_ul``/``b_dl`` give the serving BS of each UE's uplink and downlink;
+    ``serving`` concatenates them over the 2K links.  The solver applies the
+    paper's selection operators through these index vectors only (see
+    ``g1``, ``g2`` and ``expand_psd`` in :mod:`flexlink.interference`).
+
+    The dense properties are the paper-notation reference forms, built anew
+    on every access and used only to check the index form: ``a_ul``/``a_dl``
+    are N x K with exactly one 1 per column; ``a`` stacks them side by side
+    over the 2K links.  ``a_ext`` maps transmitters (K UEs then N BSs) to
+    links, and ``lambda_map`` expands a per-transmitter PSD vector to a
+    per-link one via ``p = lambda_map @ p_bar``.
     """
 
     b_ul: np.ndarray
     b_dl: np.ndarray
     n_bs: int
+    serving: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "b_ul", _readonly(self.b_ul, dtype=int))
@@ -164,15 +172,12 @@ class Association:
         for b in (self.b_ul, self.b_dl):
             if np.any(b < 0) or np.any(b >= self.n_bs):
                 raise ModelError("serving BS index out of range")
+        serving = np.concatenate([self.b_ul, self.b_dl])  # every link, uplink block first
+        object.__setattr__(self, "serving", _readonly(serving, dtype=int))
 
     @property
     def n_ue(self) -> int:
         return self.b_ul.shape[0]
-
-    @property
-    def serving(self) -> np.ndarray:
-        """Serving BS of every link, uplink block first."""
-        return np.concatenate([self.b_ul, self.b_dl])
 
     def _onehot(self, b) -> np.ndarray:
         m = np.zeros((self.n_bs, self.n_ue))
@@ -236,9 +241,6 @@ class CouplingModel:
     @property
     def n_links(self) -> int:
         return self.d_diag.shape[0]
-
-    def with_noise(self, noise_psd: float) -> "CouplingModel":
-        return replace(self, sigma_vec=np.full(self.n_links, noise_psd))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError, InfeasibleError
 from .fixedpoint import FixedPointResult, normalized_fixed_point, yates_iteration
-from .interference import Problem
+from .interference import Problem, expand_psd
 from .model import Association, Scenario
 from .units import dbm_to_watt, linear_to_db
 
@@ -92,9 +92,6 @@ class SolveTrace:
 
     def boundary_lambdas(self):
         return [r[2] for r in self.rows if r[6]]
-
-    def lambdas(self):
-        return [r[2] for r in self.rows]
 
     def to_csv(self, path, meta: Optional[dict] = None):
         with open(path, "w") as fh:
@@ -178,12 +175,9 @@ def initial_psd_cell(scenario: Scenario, assoc: Association,
     shared DL entry per cell (the largest open-loop PSD among its downlinks,
     so the weakest served link still meets its target)."""
     p0 = initial_psd(scenario, assoc, opts)
-    k, n = scenario.n_ue, scenario.n_bs
-    q = np.zeros(n)
-    for cell in range(n):
-        served = np.flatnonzero(assoc.b_dl == cell)
-        if served.size:
-            q[cell] = np.max(p0[k + served])
+    k = scenario.n_ue
+    q = np.zeros(scenario.n_bs)
+    np.maximum.at(q, assoc.b_dl, p0[k:])
     return np.concatenate([p0[:k], q])
 
 
@@ -260,7 +254,7 @@ def step3_update_power(problem: Problem, w_fixed, p0, opts: SolveOptions = Solve
         x0 = np.asarray(p_bar0, dtype=float)
         f = lambda pb: problem.f_power_cell(pb, w)
         g = lambda pb: problem.g2_bar(w, pb)
-        expand = lambda pb: problem.assoc.lambda_map @ pb
+        expand = lambda pb: expand_psd(pb, problem.assoc)
     else:
         x0 = np.asarray(p0, dtype=float)
         f = lambda p: problem.f_power(p, w)
@@ -299,7 +293,7 @@ def optimize(scenario: Scenario, policy=None, opts: SolveOptions = SolveOptions(
 
     cell = opts.power_mode == "cell_specific"
     p_bar = initial_psd_cell(scenario, assoc, opts) if cell else None
-    p = assoc.lambda_map @ p_bar if cell else initial_psd(scenario, assoc, opts)
+    p = expand_psd(p_bar, assoc) if cell else initial_psd(scenario, assoc, opts)
 
     trace = SolveTrace()
     trace.record("init", 0, 0.0, 0.0, 0.0, math.nan, boundary=True)

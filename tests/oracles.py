@@ -2,10 +2,14 @@
 
 Each oracle deliberately uses a different computational route than the code
 under test: dense/refined grid search on the constraint set, scalar
-bisections, and direct linear solves.
+bisections, direct linear solves, and the dense selection matrices with a
+per-cell loop for the cell-specific power-demand map.
 """
 
 import numpy as np
+
+from flexlink.errors import DomainError
+from flexlink.interference import EPS_NO_DL, LN2, interference_psd
 
 
 def grid_conditional_eigen(m, b, resolution=1e-4, coarse=0.05, shrink=5.0):
@@ -167,3 +171,50 @@ def max_min_bandwidth_grid(problem, p_fixed, resolution=1e-3, coarse=24):
             if lam > best_lam:
                 best_lam, best_dir = lam, cand / np.sum(cand)
     return best_lam
+
+
+def dl_link_sets(assoc):
+    """Per-cell lists of global link indices of the downlinks it serves."""
+    k = assoc.n_ue
+    return [np.flatnonzero(assoc.b_dl == n) + k for n in range(assoc.n_bs)]
+
+
+def f_power_cell_loop(p_bar, w_fixed, model, assoc, demands, rb_count, rb_bandwidth):
+    """The per-transmitter power-demand map through the dense ``lambda_map``
+    and one Python pass per cell, as ``f_power_cell`` once computed it."""
+    p_bar = np.asarray(p_bar, dtype=float)
+    w_fixed = np.asarray(w_fixed, dtype=float)
+    d = np.asarray(demands, dtype=float)
+    k, n_bs = assoc.n_ue, assoc.n_bs
+    if np.any(w_fixed <= 0):
+        raise DomainError("f_power_cell requires strictly positive fixed bandwidth")
+
+    p = assoc.lambda_map @ p_bar
+    ipsd = interference_psd(p, w_fixed, model)
+
+    out = np.empty(k + n_bs)
+    # uplink branch
+    pu = p_bar[:k]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ru = rb_bandwidth * np.log2(1.0 + pu / ipsd[:k])
+        out[:k] = np.where(pu > 0, (pu / w_fixed[:k]) * d[:k] / (rb_count * ru), 0.0)
+    zero = pu == 0
+    if np.any(zero):
+        out[:k][zero] = d[:k][zero] * LN2 / (rb_count * rb_bandwidth * w_fixed[:k][zero]) * ipsd[:k][zero]
+
+    # downlink branch: one sum constraint per cell
+    for n, links in enumerate(dl_link_sets(assoc)):
+        j = k + n
+        if links.size == 0:
+            out[j] = EPS_NO_DL
+            continue
+        nu = float(np.sum(w_fixed[links]))
+        if nu <= 0:
+            raise DomainError(f"cell {n} serves downlinks but has zero DL load")
+        q = p_bar[j]
+        if q > 0:
+            r = rb_bandwidth * np.log2(1.0 + q / ipsd[links])
+            out[j] = (q / nu) * float(np.sum(d[links] / (rb_count * r)))
+        else:
+            out[j] = float(np.sum(d[links] * LN2 / (rb_count * rb_bandwidth * nu) * ipsd[links]))
+    return out

@@ -117,6 +117,15 @@ def test_solve_theta_monotone(tmp_path, scenario_file):
     assert lams["0.5"] <= lams["1.0"]
 
 
+def test_solve_non_positive_theta_is_one_line_error(tmp_path, scenario_file, capsys):
+    out = tmp_path / "theta0"
+    assert main(["solve", "--scenario", str(scenario_file), "--policy", "deud-p",
+                 "--theta", "0", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: theta must be positive"]
+    assert not out.exists()
+
+
 def test_sweep_csv_and_ranking(tmp_path, scenario_file):
     out = tmp_path / "sweep"
     assert main(["sweep", "--scenario", str(scenario_file), "--out", str(out)]) == 0

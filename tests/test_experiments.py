@@ -1,5 +1,7 @@
 """Monte Carlo harness: determinism, aggregation, confidence intervals."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -56,14 +58,17 @@ def test_study_ci_matches_estimator_on_trial_data():
 
 def test_theta_sweep_rows_cover_grid():
     sc = generate(TINY, seed=1)
-    rows = experiments.run_theta_sweep(sc, Policy("deud_p"), [0.5, 1.0],
-                                       [-100.0, -121.45])
-    assert len(rows) == 4
-    seen = {(r["noise_dbm"], r["theta"]) for r in rows}
-    assert seen == {(-100.0, 0.5), (-100.0, 1.0), (-121.45, 0.5), (-121.45, 1.0)}
-    for noise in (-100.0, -121.45):
-        lams = [r["lam"] for r in rows if r["noise_dbm"] == noise]
-        assert lams[1] >= lams[0] - 1e-12
+    for power_mode in ("per_link", "cell_specific"):
+        opts = dataclasses.replace(experiments.MC_OPTS, power_mode=power_mode)
+        rows = experiments.run_theta_sweep(sc, Policy("deud_p"), [0.5, 1.0],
+                                           [-100.0, -121.45], opts)
+        assert len(rows) == 4
+        seen = {(r["noise_dbm"], r["theta"]) for r in rows}
+        assert seen == {(-100.0, 0.5), (-100.0, 1.0), (-121.45, 0.5), (-121.45, 1.0)}
+        assert all(r["converged"] for r in rows)
+        for noise in (-100.0, -121.45):
+            lams = [r["lam"] for r in rows if r["noise_dbm"] == noise]
+            assert lams[1] >= lams[0] - 1e-12
 
 
 def test_workers_do_not_change_results():

@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flexlink.fixedpoint import (
-    MonotoneHomogeneous,
-    SifMap,
     check_sif_axioms,
     normalized_fixed_point,
     yates_iteration,
@@ -152,6 +150,18 @@ def test_yates_monotone_from_zero_and_from_feasible():
         prev = x
 
 
+def test_non_finite_map_stops_after_one_iteration():
+    nan_map = lambda x: np.full_like(x, np.nan)
+    res = normalized_fixed_point(nan_map, lambda x: float(np.max(x)), 1.0, np.ones(3))
+    assert (res.iterations, res.converged, res.note) == (1, False, "non-finite")
+    res = yates_iteration(nan_map, np.zeros(3))
+    assert (res.iterations, res.converged, res.note) == (1, False, "non-finite")
+    # an infinite step (g of the image is 0) stops the same way
+    with np.errstate(divide="ignore"):
+        res = normalized_fixed_point(lambda x: x + 1.0, lambda x: 0.0, 1.0, np.ones(2))
+    assert (res.iterations, res.note) == (1, "non-finite")
+
+
 def test_yates_divergence_flagged_infeasible():
     res = yates_iteration(lambda x: 2.0 * x + 1.0, np.array([0.0]),
                           divergence_window=10, max_iter=1000)
@@ -160,10 +170,12 @@ def test_yates_divergence_flagged_infeasible():
 
 
 def test_callable_wrappers_carry_dimension(tmp_path):
+    # plain callables: the dimension is carried by the start vector
     m, b = random_affine_sif(2, 3)
-    f = SifMap(fn=lambda x: m @ x + b, dim=3)
-    g = MonotoneHomogeneous(fn=lambda x: float(np.max(x)), dim=3)
-    res = normalized_fixed_point(f, g, 1.0, np.ones(f.dim), tol=1e-10)
+    f = lambda x: m @ x + b
+    g = lambda x: float(np.max(x))
+    res = normalized_fixed_point(f, g, 1.0, np.ones(3), tol=1e-10)
+    assert res.x.shape == (3,)
     assert res.converged and g(res.x) == pytest.approx(1.0, rel=1e-8)
 
     res_tr = normalized_fixed_point(f, g, 1.0, np.ones(3), tol=1e-10, record_trace=True)

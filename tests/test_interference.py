@@ -1,13 +1,17 @@
 """SINR, rates, demand maps and constraint functionals."""
 
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flexlink.errors import DomainError
 from flexlink.interference import (
+    EPS_NO_DL,
     PowerLimits,
+    expand_psd,
     f_load,
     f_power,
     f_power_cell,
@@ -26,10 +30,12 @@ from .helpers import (
     coud_assoc,
     make_scenario,
     random_problem,
+    random_scenario,
     random_wp,
     single_link_scenario,
     two_cell_scenario,
 )
+from .oracles import f_power_cell_loop
 
 
 def _two_cell():
@@ -73,7 +79,7 @@ def test_sinr_jointly_scale_invariant():
     sc, assoc, model = _two_cell()
     w, p = random_wp(2, 4)
     alpha = 7.5
-    scaled = model.with_noise(alpha * sc.noise_psd)
+    scaled = dataclasses.replace(model, sigma_vec=np.full(model.n_links, alpha * sc.noise_psd))
     assert np.allclose(sinr(alpha * p, w, scaled), sinr(p, w, model), rtol=1e-12)
 
 
@@ -224,7 +230,7 @@ def test_f_power_cell_single_downlink_reduces_to_per_link():
     model = build_coupling(sc, assoc)
     w = np.array([0.3, 0.7])
     p_bar = np.array([1e-3, 2e-2])  # UE PSD, cell DL PSD
-    p = assoc.lambda_map @ p_bar
+    p = expand_psd(p_bar, assoc)
     per_link = f_power(p, w, model, sc.demands, sc.rb_count, sc.rb_bandwidth)
     per_cell = f_power_cell(p_bar, w, model, assoc, sc.demands, sc.rb_count, sc.rb_bandwidth)
     assert per_cell[0] == pytest.approx(per_link[0], rel=1e-12)
@@ -238,7 +244,7 @@ def test_f_power_cell_matches_weighted_substitution_oracle():
     w, _ = random_wp(31, 2 * k)
     rng = np.random.default_rng(31)
     p_bar = 10 ** rng.uniform(-4, -2, size=k + n)
-    p = assoc.lambda_map @ p_bar
+    p = expand_psd(p_bar, assoc)
     per_link = problem.f_power(p, w)
     out = problem.f_power_cell(p_bar, w)
     assert np.allclose(out[:k], per_link[:k], rtol=1e-12)
@@ -267,7 +273,7 @@ def test_g2_bar_equals_g2_after_expansion():
     w, _ = random_wp(41, 6)
     rng = np.random.default_rng(41)
     p_bar = 10 ** rng.uniform(-4, -2, size=5)
-    expanded = assoc.lambda_map @ p_bar
+    expanded = expand_psd(p_bar, assoc)
     assert problem.g2_bar(w, p_bar) == problem.g2(w, expanded)
     assert problem.g2_bar(w, np.zeros(5)) == 0.0
     # scaling to exact budget saturation mirrors the g2 construction
@@ -282,3 +288,43 @@ def test_qos_levels_zero_bandwidth_zero_qos():
     q = problem.qos_levels(w, p)
     assert q[0] == 0.0
     assert np.all(q[1:] > 0)
+
+
+# index form of the selection operators against the dense reference matrices
+
+
+@st.composite
+def associations(draw):
+    n_bs = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 8))
+    cells = st.lists(st.integers(0, n_bs - 1), min_size=k, max_size=k)
+    return Association(b_ul=draw(cells), b_dl=draw(cells), n_bs=n_bs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(assoc=associations(), seed=st.integers(0, 10_000))
+# cell 0 serves no downlink, cells 1 and 2 no uplink, cell 3 nothing at all
+@example(assoc=Association(b_ul=[0, 0, 0], b_dl=[1, 1, 2], n_bs=4), seed=0)
+def test_index_selection_matches_dense_matrices(assoc, seed):
+    k, n = assoc.n_ue, assoc.n_bs
+    scenario = random_scenario(seed, n_ue=k, n_bs=n)
+    model = build_coupling(scenario, assoc)
+    w, p = random_wp(seed, 2 * k)
+    rng = np.random.default_rng(seed)
+    p_bar = 10 ** rng.uniform(-5, -1, size=k + n)
+    p_bar[rng.random(k + n) < 0.3] = 0.0  # exercise the zero-PSD limits too
+    limits = PowerLimits(10 ** rng.uniform(-2, 1.5, size=k + n))
+
+    assert np.array_equal(expand_psd(p_bar, assoc), assoc.lambda_map @ p_bar)
+    assert g1(w, assoc) == pytest.approx(float(np.max(assoc.a @ w)), rel=1e-12)
+    dense_g2 = RB_COUNT * np.max(assoc.a_ext @ (w * p) / limits.p_ext_max)
+    assert g2(w, p, assoc, limits, RB_COUNT) == pytest.approx(dense_g2, rel=1e-12)
+    dense_g2_bar = RB_COUNT * np.max(assoc.a_ext @ (w * (assoc.lambda_map @ p_bar))
+                                     / limits.p_ext_max)
+    assert g2_bar(w, p_bar, assoc, limits, RB_COUNT) == pytest.approx(dense_g2_bar, rel=1e-12)
+
+    args = (model, assoc, scenario.demands, scenario.rb_count, scenario.rb_bandwidth)
+    out = f_power_cell(p_bar, w, *args)
+    np.testing.assert_allclose(out, f_power_cell_loop(p_bar, w, *args), rtol=1e-12, atol=0)
+    no_dl = np.bincount(assoc.b_dl, minlength=n) == 0
+    assert np.all(out[k:][no_dl] == EPS_NO_DL)
