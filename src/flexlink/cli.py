@@ -9,7 +9,6 @@ comment line.
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 
@@ -109,8 +108,7 @@ def cmd_generate(config_path, seed, out_path):
 def cmd_solve(scenario_path, policy_text, cell_specific, theta, overlap,
               overlap_load_ul, overlap_load_dl, out_dir):
     """Run the three-step optimizer on a stored scenario."""
-    with open(scenario_path) as fh:
-        scenario_doc = json.load(fh)
+    scenario_doc = io.read_json(scenario_path, "scenario")
     scenario = io.scenario_from_dict(scenario_doc)
     policy = Policy.parse(policy_text)
     assoc = associate(policy, scenario)
@@ -142,8 +140,7 @@ def cmd_solve(scenario_path, policy_text, cell_specific, theta, overlap,
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def cmd_sweep(scenario_path, offsets_text, overlap, overlap_load_ul, overlap_load_dl, out_dir):
     """Sweep cell-selection offsets on one scenario; report the top three."""
-    with open(scenario_path) as fh:
-        scenario_doc = json.load(fh)
+    scenario_doc = io.read_json(scenario_path, "scenario")
     scenario = io.scenario_from_dict(scenario_doc)
     offsets = parse_offsets(offsets_text)
     overlap_model = _overlap_model(overlap, scenario.n_bs, overlap_load_ul, overlap_load_dl)
@@ -214,8 +211,7 @@ def cmd_montecarlo(config_path, trials, seed_base, workers, out_dir):
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def cmd_compare_pf(scenario_path, policy_text, split, out_dir):
     """Joint optimizer versus the QoS-based proportional fairness baseline."""
-    with open(scenario_path) as fh:
-        scenario_doc = json.load(fh)
+    scenario_doc = io.read_json(scenario_path, "scenario")
     scenario = io.scenario_from_dict(scenario_doc)
     policy = Policy.parse(policy_text)
     try:
@@ -245,8 +241,7 @@ def cmd_compare_pf(scenario_path, policy_text, split, out_dir):
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def cmd_minimize_power(solution_path, out_dir):
     """Shrink a strictly feasible solution's power to the utility-1 minimum."""
-    with open(solution_path) as fh:
-        doc = json.load(fh)
+    doc = io.read_json(solution_path, "solution")
     scenario = io.scenario_from_dict(doc["scenario"])
     from .model import Association
 

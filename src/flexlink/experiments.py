@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .association import COUD, DEUD_O, DEUD_P, Policy, associate, policy_sweep
-from .interference import Problem
+from .interference import PowerLimits, Problem
 from .model import Scenario
 from .optimizer import SolveOptions, initial_psd, initial_psd_cell, optimize, step3_update_power
 from .pf_baseline import pf_allocate
@@ -50,12 +50,6 @@ def default_workers() -> int:
     return 1
 
 
-def direction_utilities(problem: Problem, w, p) -> tuple[float, float]:
-    qos = problem.qos_levels(w, p)
-    k = problem.assoc.n_ue
-    return float(np.min(qos[:k])), float(np.min(qos[k:]))
-
-
 def run_trial(config: ScenarioConfig, seed: int,
               history=(DEFAULT_HISTORY_UL, DEFAULT_HISTORY_DL),
               split=DEFAULT_PF_SPLIT, opts: SolveOptions = MC_OPTS) -> dict:
@@ -66,12 +60,9 @@ def run_trial(config: ScenarioConfig, seed: int,
 
     partial = {}
     for pol in policy_sweep():
-        assoc = associate(pol, scenario)
-        problem = Problem.from_scenario(scenario, assoc, overlap=overlap, theta=opts.theta)
-        sol = optimize(scenario, pol, opts, overlap=overlap, assoc=assoc)
-        lam_ul, lam_dl = direction_utilities(problem, sol.w, sol.p)
+        sol = optimize(scenario, pol, opts, overlap=overlap, assoc=associate(pol, scenario))
         partial[f"{pol.offset_db:g}"] = {
-            "lam": sol.lam, "lam_ul": lam_ul, "lam_dl": lam_dl,
+            "lam": sol.lam, "lam_ul": sol.lam_ul, "lam_dl": sol.lam_dl,
             "step": sol.step, "converged": sol.converged,
         }
 
@@ -182,7 +173,8 @@ def run_theta_sweep(scenario: Scenario, policy: Policy, thetas,
 
     For each noise level the bandwidth is first shaped by a full reference
     solve; the power subproblem is then re-solved from the open-loop PSD
-    (per transmitter in cell-specific mode) for every ``theta``.  The utility
+    (per transmitter in cell-specific mode) for every ``theta``, on one
+    coupling per noise level with only the power budgets rescaled.  The utility
     is nondecreasing in ``theta`` because the feasible set only grows with
     the budget.
     """
@@ -193,8 +185,9 @@ def run_theta_sweep(scenario: Scenario, policy: Policy, thetas,
         ref = optimize(sc, policy, opts, assoc=assoc)
         p0 = initial_psd(sc, assoc, opts)
         p_bar0 = initial_psd_cell(sc, assoc, opts) if opts.power_mode == "cell_specific" else None
+        base = Problem.from_scenario(sc, assoc)
         for theta in thetas:
-            problem = Problem.from_scenario(sc, assoc, theta=theta)
+            problem = dataclasses.replace(base, limits=PowerLimits.from_scenario(sc, theta))
             step = step3_update_power(problem, ref.w, p0, opts, p_bar0=p_bar0)
             rows.append({"noise_dbm": float(noise_dbm), "theta": float(theta),
                          "lam": step.lam, "converged": step.fixed_point.converged})
@@ -207,13 +200,11 @@ def compare_pf(scenario: Scenario, policy: Policy, split=DEFAULT_PF_SPLIT,
     """Joint optimizer versus the QoS-based PF baseline on one scenario."""
     assoc = associate(policy, scenario)
     overlap = uniform_overlap(scenario.n_bs, history[0], history[1])
-    problem = Problem.from_scenario(scenario, assoc, overlap=overlap, theta=opts.theta)
     sol = optimize(scenario, policy, opts, overlap=overlap, assoc=assoc)
-    lam_ul, lam_dl = direction_utilities(problem, sol.w, sol.p)
     pf = pf_allocate(scenario, assoc, split=split)
     return {
         "policy": policy.label,
-        "optimizer": {"lam": sol.lam, "lam_ul": lam_ul, "lam_dl": lam_dl,
+        "optimizer": {"lam": sol.lam, "lam_ul": sol.lam_ul, "lam_dl": sol.lam_dl,
                       "converged": sol.converged},
         "pf": pf.to_dict() | {"lambda_min_direction": pf.lam},
     }

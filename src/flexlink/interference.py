@@ -45,8 +45,9 @@ class PowerLimits:
 
 def interference_psd(p, w, model: CouplingModel):
     """Per-link interference-plus-noise PSD normalized by the direct gain:
-    ``[D^-1 (V~ diag(p) w + sigma)]``."""
-    return (model.v_tilde @ (np.asarray(p) * np.asarray(w)) + model.sigma_vec) / model.d_diag
+    ``[D^-1 (V~ diag(p) w + sigma)]``, with ``V~ x = (rows @ x)[rx]``."""
+    heard = model.rows @ (np.asarray(p) * np.asarray(w))
+    return (heard[model.rx] + model.sigma_vec) / model.d_diag
 
 
 def sinr(p, w, model: CouplingModel):

@@ -31,14 +31,18 @@ def canonical_hash(doc) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def load_config(path) -> ScenarioConfig:
-    """Read a generation config (JSON).  Unknown or missing keys are errors."""
+def read_json(path, what: str = "document"):
+    """Parse a JSON file; a malformed one is a ``ConfigError`` naming ``what``."""
     with open(path) as fh:
         try:
-            raw = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return config_from_dict(raw)
+            raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def load_config(path) -> ScenarioConfig:
+    """Read a generation config (JSON).  Unknown or missing keys are errors."""
+    return config_from_dict(read_json(path, "config"))
 
 
 def config_from_dict(raw: dict) -> ScenarioConfig:
@@ -104,6 +108,13 @@ def scenario_to_dict(scenario: Scenario, meta: dict | None = None) -> dict:
 def scenario_from_dict(doc: dict) -> Scenario:
     if doc.get("schema_version") != SCENARIO_SCHEMA_VERSION:
         raise ConfigError("unsupported scenario schema version")
+    try:
+        return _scenario_from_doc(doc)
+    except KeyError as exc:
+        raise ConfigError(f"missing required scenario key: {exc.args[0]}") from exc
+
+
+def _scenario_from_doc(doc: dict) -> Scenario:
     bs_list = [
         BaseStation(
             position=tuple(b["position_m"]),
@@ -146,8 +157,7 @@ def save_scenario(scenario: Scenario, path, meta: dict | None = None) -> dict:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path) as fh:
-        return scenario_from_dict(json.load(fh))
+    return scenario_from_dict(read_json(path, "scenario"))
 
 
 def write_json(doc: dict, path):

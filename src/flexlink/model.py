@@ -1,4 +1,4 @@
-"""Network model: topology, link association matrices and interference coupling.
+"""Network model: topology, link association and interference coupling.
 
 Conventions used throughout the package:
 
@@ -8,6 +8,11 @@ Conventions used throughout the package:
   this ordering, uplink block first.
 * Channel gains are linear amplitude-squared attenuations in ``(0, 1]``.
 * Powers are watts; PSD values are watts per resource block.
+* The 2K x 2K link coupling matrix ``V~`` of the paper is stored in cell-row
+  form, ``V~ = rows[rx]`` with ``rows`` of shape (N+K) x 2K: one receiver
+  row per cell for the uplinks, one per UE for the downlinks.  This is exact
+  because an uplink's row of ``V~`` depends only on its serving cell
+  ``b_ul[k]`` (see :class:`CouplingModel`).
 """
 
 from __future__ import annotations
@@ -118,10 +123,14 @@ class Scenario:
             raise ModelError("demands must have one entry per link (2K)")
         if not np.all(self.demands > 0):
             raise ModelError("demands must be strictly positive")
+        if not np.all(np.isfinite(self.demands)):
+            raise ModelError("demands must be finite")
         if int(self.rb_count) < 1:
             raise ModelError("rb_count must be >= 1")
         if not self.rb_bandwidth > 0 or not self.noise_psd > 0:
             raise ModelError("rb_bandwidth and noise_psd must be positive")
+        if not np.isfinite(self.rb_bandwidth) or not np.isfinite(self.noise_psd):
+            raise ModelError("rb_bandwidth and noise_psd must be finite")
 
     @property
     def n_bs(self) -> int:
@@ -216,23 +225,35 @@ class Association:
 
 @dataclass(frozen=True)
 class CouplingModel:
-    """Link gain coupling between the 2K links.
+    """Link gain coupling between the 2K links in cell-row form.
 
-    ``v`` holds the raw cross gains assembled from the four direction blocks;
-    ``v_tilde`` zeroes every pair served by a common BS (no intra-cell
-    interference) as well as the device self-pair of each UE's own uplink
-    into its own downlink, and carries any overlap adjustment.  ``d_diag``
-    is the direct gain of each link and ``sigma_vec`` the per-link noise PSD.
+    The paper's coupling matrix ``V~`` (2K x 2K, receiver link by
+    transmitter link) is stored as ``V~ = rows[rx]``.  ``rows`` is
+    (N+K) x 2K: row ``n < N`` belongs to cell ``n``'s uplink receiver, row
+    ``N + k`` to UE ``k``'s downlink receiver; ``rx`` maps
+    each link to its receiver row (``b_ul`` for uplinks, ``N + arange(K)``
+    for downlinks).  The identity holds because every uplink row of ``V~``
+    depends only on the serving cell ``b_ul[k]``: the UL<-UL block is
+    ``A_ul^T H0`` and the UL<-DL block ``A_ul^T H1 A_dl``, both functions of
+    the receiving BS, and the same-cell zeroing (below) compares transmitters
+    with that BS alone.  Uplinks sharing a cell therefore share a row, and
+    ``rows`` holds about half the entries of ``V~``.
+
+    Entries whose two links share a serving BS are zero (no intra-cell
+    interference), as is the device self-pair of each UE's own uplink into
+    its own downlink; cross-direction entries carry any overlap adjustment.
+    ``d_diag`` is the direct gain of each link and ``sigma_vec`` the per-link
+    noise PSD.
     """
 
-    v: np.ndarray
-    v_tilde: np.ndarray
+    rows: np.ndarray
+    rx: np.ndarray
     d_diag: np.ndarray
     sigma_vec: np.ndarray
 
     def __post_init__(self):
-        for name in ("v", "v_tilde", "d_diag", "sigma_vec"):
-            object.__setattr__(self, name, _readonly(getattr(self, name)))
+        for arr in (self.rows, self.rx, self.d_diag, self.sigma_vec):
+            arr.setflags(write=False)  # in place: the caller hands them over
         if not np.all(self.d_diag > 0):
             raise ModelError("direct link gains must be strictly positive")
         if not np.all(self.sigma_vec > 0):
@@ -241,6 +262,13 @@ class CouplingModel:
     @property
     def n_links(self) -> int:
         return self.d_diag.shape[0]
+
+    @property
+    def v_tilde(self) -> np.ndarray:
+        """The dense 2K x 2K ``V~ = rows[rx]``, built anew on every access
+        (O((2K)^2) memory).  A reference form for the linear-reformulation
+        cross-check and the tests; the solver never reads it."""
+        return self.rows[self.rx]
 
 
 @dataclass(frozen=True)
@@ -267,17 +295,20 @@ class OverlapModel:
 
 
 def build_coupling(scenario: Scenario, assoc: Association) -> CouplingModel:
-    """Assemble the 2K x 2K link gain coupling matrices for an association.
+    """Assemble the cell-row coupling ``rows``/``rx`` for an association.
 
-    The four blocks are, in receiver-block/transmitter-block order:
+    The four blocks of ``V~`` are, in receiver-block/transmitter-block order:
     UL<-UL ``A_ul^T H0``, UL<-DL ``A_ul^T H1 A_dl``, DL<-UL ``H2`` and
-    DL<-DL ``H0^T A_dl``.  ``v_tilde`` equals ``v`` with every entry whose
-    two links share a serving BS set to zero (own-cell scheduling is
-    orthogonal), which in particular clears the diagonal.  The DL<-UL entry
-    of a UE against itself is also cleared even when its two serving BSs
-    differ: that coupling would be the ``h2`` self-gain of the device, which
-    is not a propagation channel and is never read.  The same UE's UL<-DL
-    entry stays (a real BS-to-BS path when the association is decoupled).
+    DL<-DL ``H0^T A_dl``.  The first two are stored once per receiving cell:
+    cell row ``n`` holds ``h0[n, j]`` in the UL columns and ``h1[n, b_dl[j]]``
+    in the DL columns.  The last two fill the K downlink rows.  Every entry
+    whose two links share a serving BS is zero (own-cell scheduling is
+    orthogonal), which in particular clears the diagonal of ``V~``.  The
+    DL<-UL entry of a UE against itself is also cleared even when its two
+    serving BSs differ: that coupling would be the ``h2`` self-gain of the
+    device, which is not a propagation channel and is never read.  The same
+    UE's UL<-DL entry stays (a real BS-to-BS path when the association is
+    decoupled).
     """
     n, k = scenario.n_bs, scenario.n_ue
     if assoc.n_ue != k or assoc.n_bs != n:
@@ -286,21 +317,22 @@ def build_coupling(scenario: Scenario, assoc: Association) -> CouplingModel:
     b_ul, b_dl = assoc.b_ul, assoc.b_dl
     ue_idx = np.arange(k)
 
-    v = np.empty((2 * k, 2 * k))
-    v[:k, :k] = scenario.h0[b_ul, :]                  # UE j -> BS serving UL k
-    v[:k, k:] = scenario.h1[np.ix_(b_ul, b_dl)]       # BS of DL j -> BS of UL k
-    v[k:, :k] = scenario.h2                           # UE j -> UE k
-    v[k:, k:] = scenario.h0[b_dl, :].T                # BS of DL j -> UE k
+    rows = np.empty((n + k, 2 * k))
+    rows[:n, :k] = scenario.h0                        # UE j -> BS n
+    rows[:n, k:] = scenario.h1[:, b_dl]               # BS of DL j -> BS n
+    rows[b_ul, ue_idx] = 0.0                          # UL j at its own BS
+    rows[b_dl, k + ue_idx] = 0.0                      # DL j at the BS sending it
+    dl_rows = rows[n:]
+    dl_rows[:, :k] = scenario.h2                      # UE j -> UE k
+    dl_rows[:, k:] = scenario.h0.T[:, b_dl]           # BS of DL j -> UE k
+    np.copyto(dl_rows[:, :k], 0.0, where=b_dl[:, None] == b_ul[None, :])
+    np.copyto(dl_rows[:, k:], 0.0, where=b_dl[:, None] == b_dl[None, :])
+    dl_rows[ue_idx, ue_idx] = 0.0  # own-UL into own-DL: h2 self-gain, never read
 
+    rx = np.concatenate([b_ul, n + ue_idx])
     d_diag = np.concatenate([scenario.h0[b_ul, ue_idx], scenario.h0[b_dl, ue_idx]])
-
-    serving = assoc.serving
-    same_bs = serving[:, None] == serving[None, :]
-    v_tilde = np.where(same_bs, 0.0, v)
-    v_tilde[k + ue_idx, ue_idx] = 0.0  # own-UL into own-DL: h2 self-gain, never read
-
     sigma_vec = np.full(2 * k, scenario.noise_psd)
-    return CouplingModel(v=v, v_tilde=v_tilde, d_diag=d_diag, sigma_vec=sigma_vec)
+    return CouplingModel(rows=rows, rx=rx, d_diag=d_diag, sigma_vec=sigma_vec)
 
 
 def pairwise_overlap_factors(load_ul, load_dl):
@@ -341,32 +373,35 @@ def pairwise_overlap_factors(load_ul, load_dl):
 
 
 def apply_overlap(coupling: CouplingModel, overlap: OverlapModel, assoc: Association) -> CouplingModel:
-    """Scale the cross-direction interference blocks of ``v_tilde``.
+    """Scale the cross-direction interference entries of the coupling.
 
     ``cell_pairwise`` lifts the N x N directional factors to links via
     ``A_x^T O A_y`` and multiplies elementwise; ``cell_specific`` scales the
     UL<-DL block by ``c_ul[b_ul[k]] * c_dl[b_dl[j]]`` and the DL<-UL block by
     ``c_dl[b_dl[k]] * c_ul[b_ul[j]]``, with the c vectors taken from the
-    historical loads.  Same-direction blocks are unchanged (factor 1).
+    historical loads.  Both factors of the UL<-DL block depend on the
+    receiver only through its cell, so they scale the cell rows directly.
+    Same-direction blocks are unchanged (factor 1).
     """
     if overlap.scheme == OVERLAP_NONE:
         return coupling
 
-    k = assoc.n_ue
-    if overlap.load_ul.shape[0] != assoc.n_bs or overlap.load_dl.shape[0] != assoc.n_bs:
+    n = assoc.n_bs
+    if overlap.load_ul.shape[0] != n or overlap.load_dl.shape[0] != n:
         raise ModelError("overlap loads must have one entry per BS")
 
-    vt = np.array(coupling.v_tilde)
+    k = assoc.n_ue
+    rows = np.array(coupling.rows)
     b_ul, b_dl = assoc.b_ul, assoc.b_dl
 
     if overlap.scheme == OVERLAP_PAIRWISE:
         fac = pairwise_overlap_factors(overlap.load_ul, overlap.load_dl)
         # lift A_x^T O A_y: entry (k, j) is O[serving_x[k], serving_y[j]]
-        vt[:k, k:] *= fac[("ul", "dl")][np.ix_(b_ul, b_dl)]
-        vt[k:, :k] *= fac[("dl", "ul")][np.ix_(b_dl, b_ul)]
+        rows[:n, k:] *= fac[("ul", "dl")][:, b_dl]
+        rows[n:, :k] *= fac[("dl", "ul")][np.ix_(b_dl, b_ul)]
     else:  # cell_specific
         c_ul, c_dl = overlap.load_ul, overlap.load_dl
-        vt[:k, k:] *= np.outer(c_ul[b_ul], c_dl[b_dl])
-        vt[k:, :k] *= np.outer(c_dl[b_dl], c_ul[b_ul])
+        rows[:n, k:] *= np.outer(c_ul, c_dl[b_dl])
+        rows[n:, :k] *= np.outer(c_dl[b_dl], c_ul[b_ul])
 
-    return replace(coupling, v_tilde=vt)
+    return replace(coupling, rows=rows)

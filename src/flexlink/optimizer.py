@@ -118,14 +118,18 @@ class Solution:
     """Terminal allocation with achieved utility and constraint values.
 
     ``lam`` is the per-link minimum QoS satisfaction of the returned
-    allocation (Eq.-level evaluation); ``lam_solver`` is the solver's
-    terminal utility (identical in per-link mode up to tolerance, and the
+    allocation (Eq.-level evaluation), and ``lam_ul``/``lam_dl`` are the
+    same minimum over the uplinks and the downlinks alone, so
+    ``lam = min(lam_ul, lam_dl)``; ``lam_solver`` is the solver's terminal
+    utility (identical in per-link mode up to tolerance, and the
     per-transmitter-constraint utility in cell-specific mode).
     """
 
     w: np.ndarray
     p: np.ndarray
     lam: float
+    lam_ul: float
+    lam_dl: float
     lam_solver: float
     step: str
     g1: float
@@ -324,8 +328,11 @@ def optimize(scenario: Scenario, policy=None, opts: SolveOptions = SolveOptions(
         trace.record("s3", s3.fixed_point.iterations, lam,
                      problem.g1(w), problem.g2(w, p), s3.fixed_point.residual, boundary=True)
 
+    qos = problem.qos_levels(w, p)
+    k = assoc.n_ue
     return Solution(
-        w=w, p=p, lam=problem.utility(w, p), lam_solver=lam, step=step,
+        w=w, p=p, lam=float(np.min(qos)), lam_ul=float(np.min(qos[:k])),
+        lam_dl=float(np.min(qos[k:])), lam_solver=lam, step=step,
         g1=problem.g1(w), g2=problem.g2(w, p), converged=converged,
         trace=trace, p_bar=p_bar,
         policy_label=policy.label if policy is not None else "custom",

@@ -55,14 +55,14 @@ def _pf_rates(scenario, assoc, p, counts, split):
     sub-band, so the collision probability is ``count / direction_band``.
     Cross-direction interference does not exist under disjoint sub-bands.
     """
-    k = scenario.n_ue
+    n, k = scenario.n_bs, scenario.n_ue
     model = build_coupling(scenario, assoc)
-    v = np.array(model.v_tilde)
-    v[:k, k:] = 0.0
-    v[k:, :k] = 0.0
+    rows = np.array(model.rows)
+    rows[:n, k:] = 0.0
+    rows[n:, :k] = 0.0
     band = np.concatenate([np.full(k, split[0]), np.full(k, split[1])]).astype(float)
     occupancy = counts / band
-    den = (v @ (p * occupancy) + model.sigma_vec) / model.d_diag
+    den = ((rows @ (p * occupancy))[model.rx] + model.sigma_vec) / model.d_diag
     return spectral_efficiency(p / den, scenario.rb_bandwidth)
 
 

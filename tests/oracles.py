@@ -2,14 +2,18 @@
 
 Each oracle deliberately uses a different computational route than the code
 under test: dense/refined grid search on the constraint set, scalar
-bisections, direct linear solves, and the dense selection matrices with a
-per-cell loop for the cell-specific power-demand map.
+bisections, direct linear solves, the dense selection matrices with a
+per-cell loop for the cell-specific power-demand map, and the dense 2K x 2K
+coupling matrices the cell-row coupling model replaced.
 """
+
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from flexlink.errors import DomainError
+from flexlink.errors import DomainError, ModelError
 from flexlink.interference import EPS_NO_DL, LN2, interference_psd
+from flexlink.model import OVERLAP_NONE, OVERLAP_PAIRWISE, pairwise_overlap_factors
 
 
 def grid_conditional_eigen(m, b, resolution=1e-4, coarse=0.05, shrink=5.0):
@@ -218,3 +222,70 @@ def f_power_cell_loop(p_bar, w_fixed, model, assoc, demands, rb_count, rb_bandwi
         else:
             out[j] = float(np.sum(d[links] * LN2 / (rb_count * rb_bandwidth * nu) * ipsd[links]))
     return out
+
+
+@dataclass(frozen=True)
+class DenseCoupling:
+    """The 2K x 2K coupling: ``v`` the raw cross gains of the four direction
+    blocks, ``v_tilde`` with same-BS pairs, the device self-pair and any
+    overlap adjustment applied."""
+
+    v: np.ndarray
+    v_tilde: np.ndarray
+    d_diag: np.ndarray
+    sigma_vec: np.ndarray
+
+
+def dense_coupling(scenario, assoc) -> DenseCoupling:
+    """``build_coupling`` as it assembled the dense matrices: the four blocks
+    UL<-UL ``A_ul^T H0``, UL<-DL ``A_ul^T H1 A_dl``, DL<-UL ``H2`` and DL<-DL
+    ``H0^T A_dl``, then every entry whose two links share a serving BS and
+    every own-UL-into-own-DL entry set to zero."""
+    n, k = scenario.n_bs, scenario.n_ue
+    if assoc.n_ue != k or assoc.n_bs != n:
+        raise ModelError("association does not match scenario dimensions")
+
+    b_ul, b_dl = assoc.b_ul, assoc.b_dl
+    ue_idx = np.arange(k)
+
+    v = np.empty((2 * k, 2 * k))
+    v[:k, :k] = scenario.h0[b_ul, :]                  # UE j -> BS serving UL k
+    v[:k, k:] = scenario.h1[np.ix_(b_ul, b_dl)]       # BS of DL j -> BS of UL k
+    v[k:, :k] = scenario.h2                           # UE j -> UE k
+    v[k:, k:] = scenario.h0[b_dl, :].T                # BS of DL j -> UE k
+
+    d_diag = np.concatenate([scenario.h0[b_ul, ue_idx], scenario.h0[b_dl, ue_idx]])
+
+    serving = assoc.serving
+    same_bs = serving[:, None] == serving[None, :]
+    v_tilde = np.where(same_bs, 0.0, v)
+    v_tilde[k + ue_idx, ue_idx] = 0.0  # own-UL into own-DL: h2 self-gain, never read
+
+    sigma_vec = np.full(2 * k, scenario.noise_psd)
+    return DenseCoupling(v=v, v_tilde=v_tilde, d_diag=d_diag, sigma_vec=sigma_vec)
+
+
+def dense_overlap(coupling: DenseCoupling, overlap, assoc) -> DenseCoupling:
+    """``apply_overlap`` on the dense ``v_tilde``: the UL<-DL and DL<-UL
+    blocks scaled entry by entry by the lifted factors."""
+    if overlap.scheme == OVERLAP_NONE:
+        return coupling
+
+    k = assoc.n_ue
+    if overlap.load_ul.shape[0] != assoc.n_bs or overlap.load_dl.shape[0] != assoc.n_bs:
+        raise ModelError("overlap loads must have one entry per BS")
+
+    vt = np.array(coupling.v_tilde)
+    b_ul, b_dl = assoc.b_ul, assoc.b_dl
+
+    if overlap.scheme == OVERLAP_PAIRWISE:
+        fac = pairwise_overlap_factors(overlap.load_ul, overlap.load_dl)
+        # lift A_x^T O A_y: entry (k, j) is O[serving_x[k], serving_y[j]]
+        vt[:k, k:] *= fac[("ul", "dl")][np.ix_(b_ul, b_dl)]
+        vt[k:, :k] *= fac[("dl", "ul")][np.ix_(b_dl, b_ul)]
+    else:  # cell_specific
+        c_ul, c_dl = overlap.load_ul, overlap.load_dl
+        vt[:k, k:] *= np.outer(c_ul[b_ul], c_dl[b_dl])
+        vt[k:, :k] *= np.outer(c_dl[b_dl], c_ul[b_ul])
+
+    return replace(coupling, v_tilde=vt)

@@ -126,6 +126,23 @@ def test_solve_non_positive_theta_is_one_line_error(tmp_path, scenario_file, cap
     assert not out.exists()
 
 
+def test_solve_malformed_scenario_is_one_line_error(tmp_path, scenario_file, capsys):
+    doc = json.loads(scenario_file.read_text())
+    del doc["base_stations"]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    out = tmp_path / "bad_out"
+    assert main(["solve", "--scenario", str(bad), "--policy", "coud", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: missing required scenario key: base_stations"]
+    assert not out.exists()
+
+    bad.write_text("{not json")
+    assert main(["solve", "--scenario", str(bad), "--policy", "coud", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: scenario is not valid JSON")
+
+
 def test_sweep_csv_and_ranking(tmp_path, scenario_file):
     out = tmp_path / "sweep"
     assert main(["sweep", "--scenario", str(scenario_file), "--out", str(out)]) == 0

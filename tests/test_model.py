@@ -1,13 +1,18 @@
-"""Coupling matrix construction and overlap adjustment."""
+"""Coupling matrix construction and overlap adjustment.
+
+The raw cross gains ``v`` exist only in the dense reference
+(``tests/oracles.py``); the model stores ``V~`` in cell-row form.
+"""
 
 import logging
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flexlink.errors import ModelError
+from flexlink.interference import interference_psd
 from flexlink.model import (
     Association,
     OverlapModel,
@@ -17,6 +22,7 @@ from flexlink.model import (
 )
 
 from .helpers import make_scenario, two_cell_scenario, coud_assoc, random_scenario
+from .oracles import dense_coupling, dense_overlap
 
 
 def test_single_cell_coupling_is_interference_free():
@@ -26,8 +32,9 @@ def test_single_cell_coupling_is_interference_free():
     model = build_coupling(sc, assoc)
     assert np.all(model.v_tilde == 0.0)
     assert np.allclose(model.d_diag, [2e-8, 2e-8])
-    assert model.v.shape == (2, 2)
-    assert np.all(model.v > 0)
+    dense = dense_coupling(sc, assoc)
+    assert dense.v.shape == (2, 2)
+    assert np.all(dense.v > 0)
 
 
 def test_two_cell_coud_blocks_match_hand_expansion():
@@ -44,7 +51,7 @@ def test_two_cell_coud_blocks_match_hand_expansion():
         [h2[0, 0], h2[0, 1], h0[0, 0], h0[1, 0]],   # DL of UE0
         [h2[1, 0], h2[1, 1], h0[0, 1], h0[1, 1]],   # DL of UE1
     ])
-    assert np.array_equal(model.v, expected_v)
+    assert np.array_equal(dense_coupling(sc, assoc).v, expected_v)
 
     expected_vt = np.array([
         [0.0, h0[0, 1], 0.0, h1[0, 1]],
@@ -94,15 +101,18 @@ def test_coupling_permutation_equivariant(seed):
     rng = np.random.default_rng(seed + 1)
     b_ul = rng.integers(0, 2, size=4)
     b_dl = rng.integers(0, 2, size=4)
-    model = build_coupling(sc, Association(b_ul=b_ul, b_dl=b_dl, n_bs=2))
+    assoc = Association(b_ul=b_ul, b_dl=b_dl, n_bs=2)
+    model = build_coupling(sc, assoc)
 
     perm = rng.permutation(4)
     sc_p = make_scenario(sc.h0[:, perm], sc.h1, sc.h2[np.ix_(perm, perm)],
                          np.concatenate([sc.demands[:4][perm], sc.demands[4:][perm]]))
-    model_p = build_coupling(sc_p, Association(b_ul=b_ul[perm], b_dl=b_dl[perm], n_bs=2))
+    assoc_p = Association(b_ul=b_ul[perm], b_dl=b_dl[perm], n_bs=2)
+    model_p = build_coupling(sc_p, assoc_p)
 
     link_perm = np.concatenate([perm, perm + 4])
-    assert np.array_equal(model_p.v, model.v[np.ix_(link_perm, link_perm)])
+    v, v_p = dense_coupling(sc, assoc).v, dense_coupling(sc_p, assoc_p).v
+    assert np.array_equal(v_p, v[np.ix_(link_perm, link_perm)])
     assert np.array_equal(model_p.v_tilde, model.v_tilde[np.ix_(link_perm, link_perm)])
     assert np.array_equal(model_p.d_diag, model.d_diag[link_perm])
 
@@ -139,7 +149,11 @@ def test_scheme_none_is_identity():
     model = build_coupling(sc, assoc)
     out = apply_overlap(model, OverlapModel(scheme="none"), assoc)
     assert np.array_equal(out.v_tilde, model.v_tilde)
-    assert np.array_equal(out.v, model.v)
+    assert np.array_equal(out.rows, model.rows)
+    dense = dense_coupling(sc, assoc)
+    dense_out = dense_overlap(dense, OverlapModel(scheme="none"), assoc)
+    assert np.array_equal(dense_out.v_tilde, dense.v_tilde)
+    assert np.array_equal(dense_out.v, dense.v)
 
 
 def test_zero_historical_load_gives_zero_factor_and_diagnostic(caplog):
@@ -165,6 +179,57 @@ def test_overlap_never_increases_coupling(seed, scheme):
     # same-direction blocks untouched
     assert np.array_equal(adjusted.v_tilde[:4, :4], model.v_tilde[:4, :4])
     assert np.array_equal(adjusted.v_tilde[4:, 4:], model.v_tilde[4:, 4:])
+
+
+@st.composite
+def coupling_cases(draw):
+    """Small scenarios with arbitrary associations, so some cells serve no
+    uplink or no downlink, under each overlap scheme."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 8))
+    b = st.lists(st.integers(0, n - 1), min_size=k, max_size=k)
+    assoc = Association(b_ul=draw(b), b_dl=draw(b), n_bs=n)
+    seed = draw(st.integers(0, 10_000))
+    scheme = draw(st.sampled_from(["none", "cell_pairwise", "cell_specific"]))
+    return random_scenario(seed, n_ue=k, n_bs=n), assoc, scheme, seed
+
+
+def _empty_cell_case(scheme):
+    # cell 1 serves only uplinks, cell 2 only downlinks, cell 0 nothing
+    assoc = Association(b_ul=[1, 1, 1], b_dl=[2, 2, 2], n_bs=3)
+    return random_scenario(3, n_ue=3, n_bs=3), assoc, scheme, 3
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=coupling_cases())
+@example(case=_empty_cell_case("cell_pairwise"))
+@example(case=_empty_cell_case("cell_specific"))
+def test_cell_row_coupling_matches_dense_reference(case):
+    sc, assoc, scheme, seed = case
+    n, k = sc.n_bs, sc.n_ue
+    rng = np.random.default_rng(seed)
+    overlap = OverlapModel(scheme=scheme, load_ul=rng.uniform(0, 1, n),
+                           load_dl=rng.uniform(0, 1, n))
+    model = apply_overlap(build_coupling(sc, assoc), overlap, assoc)
+    dense = dense_overlap(dense_coupling(sc, assoc), overlap, assoc)
+
+    assert model.rows.shape == (n + k, 2 * k)
+    assert np.array_equal(model.v_tilde, dense.v_tilde)
+    assert np.array_equal(model.d_diag, dense.d_diag)
+    assert np.array_equal(model.sigma_vec, dense.sigma_vec)
+
+    w = rng.uniform(0.01, 1.0, 2 * k)
+    p = 10 ** rng.uniform(-6, -1, 2 * k)
+    expected = (dense.v_tilde @ (p * w) + dense.sigma_vec) / dense.d_diag
+    assert np.allclose(interference_psd(p, w, model), expected, rtol=1e-12, atol=0.0)
+
+
+def test_coupling_arrays_are_read_only():
+    sc = two_cell_scenario()
+    model = build_coupling(sc, coud_assoc(sc))
+    for arr in (model.rows, model.rx, model.d_diag, model.sigma_vec):
+        with pytest.raises(ValueError):
+            arr[0] = 0
 
 
 def test_association_matrices_have_block_structure():

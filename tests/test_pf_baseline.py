@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from flexlink.errors import ConfigError
-from flexlink.experiments import MC_OPTS, compare_pf, direction_utilities
+from flexlink.experiments import MC_OPTS, compare_pf
 from flexlink.model import Association
 from flexlink.optimizer import optimize
 from flexlink.pf_baseline import pf_allocate
@@ -69,8 +69,12 @@ def test_joint_optimizer_beats_pf_min_direction(seed):
     scenario, assoc, problem = random_problem(seed, n_ue=4, n_bs=2, coud=True)
     pf = pf_allocate(scenario, assoc)
     sol = optimize(scenario, None, MC_OPTS, assoc=assoc)
-    lam_ul, lam_dl = direction_utilities(problem, sol.w, sol.p)
-    assert min(lam_ul, lam_dl) >= pf.lam
+    # the per-direction utilities split the QoS vector the solution's lam is taken from
+    qos = problem.qos_levels(sol.w, sol.p)
+    k = scenario.n_ue
+    assert (sol.lam_ul, sol.lam_dl) == (float(np.min(qos[:k])), float(np.min(qos[k:])))
+    assert sol.lam == min(sol.lam_ul, sol.lam_dl)
+    assert min(sol.lam_ul, sol.lam_dl) >= pf.lam
 
 
 def test_compare_pf_reports_both_sides():

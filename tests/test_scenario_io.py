@@ -146,3 +146,27 @@ def test_canonical_hash_stability():
     doc = {"b": 1.5, "a": [1, 2]}
     assert io.canonical_hash(doc) == io.canonical_hash({"a": [1, 2], "b": 1.5})
     assert io.canonical_hash(doc) != io.canonical_hash({"a": [1, 2], "b": 1.6})
+
+
+def test_scenario_missing_key_is_config_error_naming_it():
+    doc = io.scenario_to_dict(generate(ScenarioConfig(n_ue=4), seed=3))
+    for key in ("base_stations", "pathloss_db", "noise_psd_dbm"):
+        broken = {k: v for k, v in doc.items() if k != key}
+        with pytest.raises(ConfigError, match=key):
+            io.scenario_from_dict(broken)
+    nested = json.loads(json.dumps(doc))
+    del nested["user_terminals"][0]["demand_dl_mbps"]
+    with pytest.raises(ConfigError, match="demand_dl_mbps"):
+        io.scenario_from_dict(nested)
+
+
+@pytest.mark.parametrize("field", ["demands", "noise_psd", "rb_bandwidth"])
+def test_scenario_rejects_non_finite_values(field):
+    import dataclasses
+
+    from flexlink.errors import ModelError
+
+    sc = generate(ScenarioConfig(n_ue=4), seed=3)
+    bad = np.full_like(sc.demands, np.inf) if field == "demands" else np.inf
+    with pytest.raises(ModelError, match="finite"):
+        dataclasses.replace(sc, **{field: bad})
