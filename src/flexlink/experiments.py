@@ -18,7 +18,7 @@ import numpy as np
 from .association import COUD, DEUD_O, DEUD_P, Policy, associate, policy_sweep
 from .interference import PowerLimits, Problem
 from .model import Scenario
-from .optimizer import SolveOptions, initial_psd, initial_psd_cell, optimize, step3_update_power
+from .optimizer import SolveOptions, initial_power_state, optimize, step3_update_power
 from .pf_baseline import pf_allocate
 from .scenario import ScenarioConfig, generate, uniform_overlap
 from .units import dbm_to_watt
@@ -183,12 +183,11 @@ def run_theta_sweep(scenario: Scenario, policy: Policy, thetas,
         sc = dataclasses.replace(scenario, noise_psd=float(dbm_to_watt(noise_dbm)))
         assoc = associate(policy, sc)
         ref = optimize(sc, policy, opts, assoc=assoc)
-        p0 = initial_psd(sc, assoc, opts)
-        p_bar0 = initial_psd_cell(sc, assoc, opts) if opts.power_mode == "cell_specific" else None
+        x0 = initial_power_state(sc, assoc, opts.power_mode)
         base = Problem.from_scenario(sc, assoc)
         for theta in thetas:
             problem = dataclasses.replace(base, limits=PowerLimits.from_scenario(sc, theta))
-            step = step3_update_power(problem, ref.w, p0, opts, p_bar0=p_bar0)
+            step = step3_update_power(problem, ref.w, x0, opts)
             rows.append({"noise_dbm": float(noise_dbm), "theta": float(theta),
                          "lam": step.lam, "converged": step.fixed_point.converged})
     return rows

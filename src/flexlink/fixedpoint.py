@@ -35,13 +35,6 @@ class FixedPointResult:
     residual: float
     converged: bool
     note: str = ""
-    trace: list = field(default_factory=list)  # rows (iteration, residual, g_value)
-
-    def trace_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("iteration,residual,g_value\n")
-            for it, res, gval in self.trace:
-                fh.write(f"{it},{res!r},{gval!r}\n")
 
 
 def normalized_fixed_point(
@@ -52,7 +45,6 @@ def normalized_fixed_point(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     callback=None,
-    record_trace: bool = False,
 ) -> FixedPointResult:
     """Iterate ``x <- theta * f(x) / g(f(x))`` until the sup-norm step is < tol.
 
@@ -64,7 +56,6 @@ def normalized_fixed_point(
     if theta <= 0:
         raise ValueError("theta must be positive")
     x = np.array(x0, dtype=float)
-    trace = []
     residual = np.inf
     gf = None
     for t in range(1, max_iter + 1):
@@ -72,24 +63,22 @@ def normalized_fixed_point(
         gf = g(fx)
         x_next = theta * fx / gf
         residual = float(np.max(np.abs(x_next - x)))
-        if record_trace:
-            trace.append((t, residual, float(g(x))))
         if callback is not None:
             callback(t, x_next, residual)
         x = x_next
         if not math.isfinite(residual):
             return FixedPointResult(
                 x=x, eigenvalue=math.nan, iterations=t, residual=residual,
-                converged=False, note="non-finite", trace=trace,
+                converged=False, note="non-finite",
             )
         if residual < tol:
             return FixedPointResult(
                 x=x, eigenvalue=theta / float(g(f(x))), iterations=t,
-                residual=residual, converged=True, trace=trace,
+                residual=residual, converged=True,
             )
     return FixedPointResult(
         x=x, eigenvalue=(theta / float(gf) if gf else None), iterations=max_iter,
-        residual=residual, converged=False, note="max_iter exceeded", trace=trace,
+        residual=residual, converged=False, note="max_iter exceeded",
     )
 
 
@@ -100,7 +89,6 @@ def yates_iteration(
     max_iter: int = DEFAULT_MAX_ITER,
     divergence_window: int = DIVERGENCE_WINDOW,
     callback=None,
-    record_trace: bool = False,
     rel_tol: Optional[float] = None,
 ) -> FixedPointResult:
     """Iterate ``x <- f(x)`` until the sup-norm step is < tol.
@@ -114,15 +102,12 @@ def yates_iteration(
     the note "non-finite".
     """
     x = np.array(x0, dtype=float)
-    trace = []
     residual = np.inf
     growing = 0
     for t in range(1, max_iter + 1):
         x_next = f(x)
         prev_residual = residual
         residual = float(np.max(np.abs(x_next - x)))
-        if record_trace:
-            trace.append((t, residual, float("nan")))
         if callback is not None:
             callback(t, x_next, residual)
         done = residual < tol
@@ -133,22 +118,22 @@ def yates_iteration(
         if not math.isfinite(residual):
             return FixedPointResult(
                 x=x, eigenvalue=None, iterations=t, residual=residual,
-                converged=False, note="non-finite", trace=trace,
+                converged=False, note="non-finite",
             )
         if done:
             return FixedPointResult(
                 x=x, eigenvalue=None, iterations=t, residual=residual,
-                converged=True, trace=trace,
+                converged=True,
             )
         growing = growing + 1 if residual > prev_residual else 0
         if growing >= divergence_window:
             return FixedPointResult(
                 x=x, eigenvalue=None, iterations=t, residual=residual,
-                converged=False, note="likely infeasible", trace=trace,
+                converged=False, note="likely infeasible",
             )
     return FixedPointResult(
         x=x, eigenvalue=None, iterations=max_iter, residual=residual,
-        converged=False, note="max_iter exceeded", trace=trace,
+        converged=False, note="max_iter exceeded",
     )
 
 

@@ -147,48 +147,21 @@ def f_power_cell(p_bar, w_fixed, model: CouplingModel, assoc: Association,
     """Per-transmitter power-demand map: UL entries are per-UE rate
     constraints, DL entries per-cell sum rate constraints.
 
-    Entry ``j < K`` equals ``f_power`` of uplink ``j`` evaluated at
-    ``p = Lambda p_bar``.  Entry ``K + n`` is
-    ``(p_bar_j / nu_n) * sum_{l in DL_n} d_l / (W0 r_l)`` with
-    ``nu_n = sum_{l in DL_n} w_l``, continued at ``p_bar_j = 0`` via the
-    ``ln 2`` limit.  Cells serving no downlink get a tiny positive constant
-    so the map stays a valid SIF; those entries never bind.
+    With ``f' = f_power(Lambda p_bar, w)``, entry ``j < K`` is ``f'_j`` and
+    entry ``K + n`` is the load-weighted mean
+    ``sum_{l in DL_n} w_l f'_l / nu_n`` with ``nu_n = sum_{l in DL_n} w_l``,
+    which equals ``(p_bar_{K+n} / nu_n) sum_{l in DL_n} d_l / (W0 r_l)``.
+    Cells serving no downlink get a tiny positive constant so the map stays
+    a valid SIF; those entries never bind.
     """
-    p_bar = np.asarray(p_bar, dtype=float)
     w_fixed = np.asarray(w_fixed, dtype=float)
-    d = np.asarray(demands, dtype=float)
+    f = f_power(expand_psd(p_bar, assoc), w_fixed, model, demands, rb_count, rb_bandwidth)
     k, n_bs, b_dl = assoc.n_ue, assoc.n_bs, assoc.b_dl
-    if np.any(w_fixed <= 0):
-        raise DomainError("f_power_cell requires strictly positive fixed bandwidth")
-
-    ipsd = interference_psd(expand_psd(p_bar, assoc), w_fixed, model)
-
-    out = np.empty(k + n_bs)
-    # uplink branch
-    pu = p_bar[:k]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ru = rb_bandwidth * np.log2(1.0 + pu / ipsd[:k])
-        out[:k] = np.where(pu > 0, (pu / w_fixed[:k]) * d[:k] / (rb_count * ru), 0.0)
-    zero = pu == 0
-    if np.any(zero):
-        out[:k][zero] = d[:k][zero] * LN2 / (rb_count * rb_bandwidth * w_fixed[:k][zero]) * ipsd[:k][zero]
-
-    # downlink branch: one sum constraint per cell, summed over b_dl
-    served = np.bincount(b_dl, minlength=n_bs) > 0
+    load_f = np.bincount(b_dl, weights=w_fixed[k:] * f[k:], minlength=n_bs)
     nu = np.bincount(b_dl, weights=w_fixed[k:], minlength=n_bs)
-    starved = served & (nu <= 0)
-    if np.any(starved):
-        raise DomainError(f"cell {int(np.argmax(starved))} serves downlinks but has zero DL load")
-    q = p_bar[k:]
-    q_link, ipsd_dl, d_dl = q[b_dl], ipsd[k:], d[k:]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = rb_bandwidth * np.log2(1.0 + q_link / ipsd_dl)
-        terms = np.where(q_link > 0, d_dl / (rb_count * r),
-                         d_dl * LN2 / (rb_count * rb_bandwidth * nu[b_dl]) * ipsd_dl)
-        sums = np.bincount(b_dl, weights=terms, minlength=n_bs)
-        out[k:] = np.where(q > 0, (q / nu) * sums, sums)
-    out[k:][~served] = EPS_NO_DL
-    return out
+    dl = np.full(n_bs, EPS_NO_DL)
+    np.divide(load_f, nu, out=dl, where=nu > 0)
+    return np.concatenate([f[:k], dl])
 
 
 @dataclass(frozen=True)

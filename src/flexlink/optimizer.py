@@ -14,9 +14,12 @@ The solver maximizes the minimum per-link QoS satisfaction
   ``g2 < 1``): it solves the power subproblem by the normalized iteration on
   the power-demand map, raising the utility strictly.
 
-``cell_specific`` mode optimizes one shared DL PSD per cell (the state is the
-per-transmitter vector ``p_bar``), swapping the power-demand map and power
-constraint for their per-transmitter forms.
+Every stage iterates one power state ``x``.  In ``per_link`` mode ``x`` is
+the per-link PSD ``p``; in ``cell_specific`` mode (one shared DL PSD per cell)
+it is the per-transmitter PSD ``p_bar`` and the solver works on the per-link
+problem restricted to ``p = Lambda p_bar``.  :func:`power_maps` is the one
+place that decides the mode: it returns the expansion to per-link PSDs, the
+power-demand map and the power constraint on the state.
 """
 
 from __future__ import annotations
@@ -28,37 +31,34 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, InfeasibleError
-from .fixedpoint import FixedPointResult, normalized_fixed_point, yates_iteration
+from .fixedpoint import DEFAULT_TOL, FixedPointResult, normalized_fixed_point, yates_iteration
 from .interference import Problem, expand_psd
 from .model import Association, Scenario
 from .units import dbm_to_watt, linear_to_db
 
 W_FLOOR = 1e-12  # bandwidth clamp before dividing in the power-demand map
+TOL_OUTER = 1e-7  # S2 stops once 1 - g1(w) falls below this
+MAX_SCALING_ROUNDS = 500
+TIGHT_TOL = 1e-6  # a constraint with g >= 1 - TIGHT_TOL counts as tight
+
+# open-loop initial PSD: min{PSD_max, SNR_target + P_noise + alpha PL} (dBm per RB)
+PSD_MAX_DBM = 12.0
+SNR_TARGET_DB = 12.2
+PL_ALPHA = 1.0
+NOISE_FLOOR_DBM = -121.45
 
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Tolerances and knobs for :func:`optimize`.
+    """Knobs for :func:`optimize`.
 
-    ``tol_w``/``tol_p`` stop the inner fixed points on the sup-norm step;
-    ``tol_outer`` terminates the S2 scaling loop on ``1 - g1``.  ``theta``
-    scales every transmitter's power budget.  The ``psd_*`` fields define the
-    open-loop initial PSD ``min{PSD_max, SNR_target + P_noise + alpha PL}``
-    (dBm per RB).
+    ``theta`` scales every transmitter's power budget; ``trace_mode``
+    ``"boundary"`` records only the stage boundaries.  The inner fixed points
+    stop on a sup-norm step below ``fixedpoint.DEFAULT_TOL``.
     """
 
-    tol_w: float = 1e-7
-    tol_p: float = 1e-7
-    tol_outer: float = 1e-7
-    max_iter: int = 10_000
-    max_scaling_rounds: int = 500
     power_mode: str = "per_link"  # or "cell_specific"
     theta: float = 1.0
-    psd_max_dbm: float = 12.0
-    snr_target_db: float = 12.2
-    pl_alpha: float = 1.0
-    noise_floor_dbm: float = -121.45
-    tight_tol: float = 1e-6
     trace_mode: str = "full"  # or "boundary"
 
     def __post_init__(self):
@@ -109,7 +109,7 @@ class StepResult:
     p: np.ndarray
     lam: float
     fixed_point: Optional[FixedPointResult] = None
-    p_bar: Optional[np.ndarray] = None
+    x: Optional[np.ndarray] = None  # power state; p = expand(x)
     rounds: int = 0
 
 
@@ -158,7 +158,7 @@ class Solution:
         return out
 
 
-def initial_psd(scenario: Scenario, assoc: Association, opts: SolveOptions = SolveOptions()) -> np.ndarray:
+def initial_psd(scenario: Scenario, assoc: Association) -> np.ndarray:
     """Open-loop initial PSD per link (watts/RB).
 
     ``PSD_l = min{PSD_max, SNR_target + P_noise + alpha * PL_l}`` in dBm,
@@ -168,21 +168,31 @@ def initial_psd(scenario: Scenario, assoc: Association, opts: SolveOptions = Sol
     ue = np.arange(k)
     direct = np.concatenate([scenario.h0[assoc.b_ul, ue], scenario.h0[assoc.b_dl, ue]])
     pl_db = -linear_to_db(direct)
-    psd_dbm = np.minimum(opts.psd_max_dbm,
-                         opts.snr_target_db + opts.noise_floor_dbm + opts.pl_alpha * pl_db)
+    psd_dbm = np.minimum(PSD_MAX_DBM, SNR_TARGET_DB + NOISE_FLOOR_DBM + PL_ALPHA * pl_db)
     return dbm_to_watt(psd_dbm)
 
 
-def initial_psd_cell(scenario: Scenario, assoc: Association,
-                     opts: SolveOptions = SolveOptions()) -> np.ndarray:
-    """Per-transmitter initial PSD: UE entries as in :func:`initial_psd`, one
-    shared DL entry per cell (the largest open-loop PSD among its downlinks,
-    so the weakest served link still meets its target)."""
-    p0 = initial_psd(scenario, assoc, opts)
+def initial_power_state(scenario: Scenario, assoc: Association, power_mode: str) -> np.ndarray:
+    """Initial power state of ``power_mode``: the open-loop per-link PSD, or
+    per transmitter its UE entries and one shared DL entry per cell (the
+    largest open-loop PSD among its downlinks, so the weakest served link
+    still meets its target)."""
+    p0 = initial_psd(scenario, assoc)
+    if power_mode != "cell_specific":
+        return p0
     k = scenario.n_ue
     q = np.zeros(scenario.n_bs)
     np.maximum.at(q, assoc.b_dl, p0[k:])
     return np.concatenate([p0[:k], q])
+
+
+def power_maps(problem: Problem, power_mode: str):
+    """``(expand, f, g)`` for the power state ``x`` of ``power_mode``: the
+    per-link PSD ``expand(x)``, the power-demand map ``f(x, w)`` and the power
+    constraint ``g(w, x)``."""
+    if power_mode == "cell_specific":
+        return (lambda x: expand_psd(x, problem.assoc)), problem.f_power_cell, problem.g2_bar
+    return (lambda x: x), problem.f_power, problem.g2
 
 
 def step1_update_bandwidth(problem: Problem, p_fixed, opts: SolveOptions = SolveOptions(),
@@ -205,31 +215,29 @@ def step1_update_bandwidth(problem: Problem, p_fixed, opts: SolveOptions = Solve
             trace.record("s1", t, problem.utility(w_t, p_fixed),
                          problem.g1(w_t), problem.g2(w_t, p_fixed), residual)
 
-    res = normalized_fixed_point(f, g, 1.0, x0, tol=opts.tol_w,
-                                 max_iter=opts.max_iter, callback=callback)
+    res = normalized_fixed_point(f, g, 1.0, x0, callback=callback)
     return StepResult(w=res.x, p=p_fixed, lam=float(res.eigenvalue), fixed_point=res)
 
 
-def step2_power_scaling(problem: Problem, w0, p0, opts: SolveOptions = SolveOptions(),
-                        trace: Optional[SolveTrace] = None, p_bar0=None) -> StepResult:
+def step2_power_scaling(problem: Problem, w0, x0, opts: SolveOptions = SolveOptions(),
+                        trace: Optional[SolveTrace] = None) -> StepResult:
     """Power scaling toward the full-load condition.
 
-    Entered with ``g1(w) < 1`` and ``g2 = 1``: repeatedly shrink the power by
-    the current load ``p <- g1(w) p`` and re-solve the bandwidth subproblem.
-    The utility after each round increases strictly until ``g1(w) = 1``.
-    Returns the input unchanged when the band is already full.
+    Entered with ``g1(w) < 1`` and ``g2 = 1``: repeatedly shrink the power
+    state by the current load ``x <- g1(w) x`` and re-solve the bandwidth
+    subproblem.  The utility after each round increases strictly until
+    ``g1(w) = 1``.  Returns the input unchanged when the band is already full.
     """
+    expand, _, _ = power_maps(problem, opts.power_mode)
     w = np.asarray(w0, dtype=float)
-    p = np.asarray(p0, dtype=float)
-    p_bar = None if p_bar0 is None else np.asarray(p_bar0, dtype=float)
+    x = np.asarray(x0, dtype=float)
+    p = expand(x)
     lam = 1.0 / max(problem.g1(w), problem.g2(w, p))
     rounds = 0
     last = None
-    while problem.g1(w) < 1.0 - opts.tol_outer and rounds < opts.max_scaling_rounds:
-        scale = problem.g1(w)
-        p = scale * p
-        if p_bar is not None:
-            p_bar = scale * p_bar
+    while problem.g1(w) < 1.0 - TOL_OUTER and rounds < MAX_SCALING_ROUNDS:
+        x = problem.g1(w) * x
+        p = expand(x)
         last = step1_update_bandwidth(problem, p, opts, w_start=w, trace=trace)
         w, lam = last.w, last.lam
         rounds += 1
@@ -237,33 +245,21 @@ def step2_power_scaling(problem: Problem, w0, p0, opts: SolveOptions = SolveOpti
             trace.record("s2", rounds, lam, problem.g1(w), problem.g2(w, p),
                          last.fixed_point.residual, boundary=True)
     return StepResult(w=w, p=p, lam=lam, fixed_point=last.fixed_point if last else None,
-                      p_bar=p_bar, rounds=rounds)
+                      x=x, rounds=rounds)
 
 
-def step3_update_power(problem: Problem, w_fixed, p0, opts: SolveOptions = SolveOptions(),
-                       trace: Optional[SolveTrace] = None, p_bar0=None) -> StepResult:
+def step3_update_power(problem: Problem, w_fixed, x0, opts: SolveOptions = SolveOptions(),
+                       trace: Optional[SolveTrace] = None) -> StepResult:
     """Power subproblem at fixed bandwidth: normalized fixed point of the
     power-demand map under the power constraint.
 
     Entered from a full-load state with ``g2 < 1``; keeps the allocation
     unchanged when entered with ``g2 = 1`` and strictly raises the utility
-    otherwise.  In cell-specific mode pass the per-transmitter state via
-    ``p_bar0``; the returned ``p`` is the expanded per-link PSD either way.
+    otherwise.  ``x0`` is the power state of ``opts.power_mode``; the
+    returned ``p`` is the expanded per-link PSD either way.
     """
     w = np.maximum(np.asarray(w_fixed, dtype=float), W_FLOOR)
-    cell = opts.power_mode == "cell_specific"
-    if cell:
-        if p_bar0 is None:
-            raise DomainError("cell_specific power update needs p_bar0")
-        x0 = np.asarray(p_bar0, dtype=float)
-        f = lambda pb: problem.f_power_cell(pb, w)
-        g = lambda pb: problem.g2_bar(w, pb)
-        expand = lambda pb: expand_psd(pb, problem.assoc)
-    else:
-        x0 = np.asarray(p0, dtype=float)
-        f = lambda p: problem.f_power(p, w)
-        g = lambda p: problem.g2(w, p)
-        expand = lambda p: p
+    expand, f, g = power_maps(problem, opts.power_mode)
 
     callback = None
     if trace is not None and opts.trace_mode == "full":
@@ -272,11 +268,10 @@ def step3_update_power(problem: Problem, w_fixed, p0, opts: SolveOptions = Solve
             trace.record("s3", t, problem.utility(w, p_t),
                          problem.g1(w), problem.g2(w, p_t), residual)
 
-    res = normalized_fixed_point(f, g, 1.0, x0, tol=opts.tol_p,
-                                 max_iter=opts.max_iter, callback=callback)
-    p_new = expand(res.x)
-    return StepResult(w=w, p=p_new, lam=float(res.eigenvalue), fixed_point=res,
-                      p_bar=res.x if cell else None)
+    res = normalized_fixed_point(lambda x: f(x, w), lambda x: g(w, x), 1.0,
+                                 np.asarray(x0, dtype=float), callback=callback)
+    return StepResult(w=w, p=expand(res.x), lam=float(res.eigenvalue), fixed_point=res,
+                      x=res.x)
 
 
 def optimize(scenario: Scenario, policy=None, opts: SolveOptions = SolveOptions(),
@@ -295,9 +290,9 @@ def optimize(scenario: Scenario, policy=None, opts: SolveOptions = SolveOptions(
         assoc = associate(policy, scenario)
     problem = Problem.from_scenario(scenario, assoc, overlap=overlap, theta=opts.theta)
 
-    cell = opts.power_mode == "cell_specific"
-    p_bar = initial_psd_cell(scenario, assoc, opts) if cell else None
-    p = expand_psd(p_bar, assoc) if cell else initial_psd(scenario, assoc, opts)
+    expand, _, _ = power_maps(problem, opts.power_mode)
+    x = initial_power_state(scenario, assoc, opts.power_mode)
+    p = expand(x)
 
     trace = SolveTrace()
     trace.record("init", 0, 0.0, 0.0, 0.0, math.nan, boundary=True)
@@ -309,11 +304,11 @@ def optimize(scenario: Scenario, policy=None, opts: SolveOptions = SolveOptions(
                  problem.g1(w), problem.g2(w, p), s1.fixed_point.residual, boundary=True)
     step = "s1"
 
-    tight = lambda v: v >= 1.0 - opts.tight_tol
+    tight = lambda v: v >= 1.0 - TIGHT_TOL
 
     if converged and not tight(problem.g1(w)) and tight(problem.g2(w, p)):
-        s2 = step2_power_scaling(problem, w, p, opts, trace=trace, p_bar0=p_bar)
-        w, p, lam, p_bar = s2.w, s2.p, s2.lam, s2.p_bar
+        s2 = step2_power_scaling(problem, w, x, opts, trace=trace)
+        w, p, lam, x = s2.w, s2.p, s2.lam, s2.x
         if s2.rounds:
             step = "s2"
             if s2.fixed_point is not None:
@@ -321,8 +316,8 @@ def optimize(scenario: Scenario, policy=None, opts: SolveOptions = SolveOptions(
             converged = converged and tight(problem.g1(w))
 
     if converged and tight(problem.g1(w)) and not tight(problem.g2(w, p)):
-        s3 = step3_update_power(problem, w, p, opts, trace=trace, p_bar0=p_bar)
-        p, lam, p_bar = s3.p, s3.lam, s3.p_bar
+        s3 = step3_update_power(problem, w, x, opts, trace=trace)
+        p, lam, x = s3.p, s3.lam, s3.x
         converged = converged and s3.fixed_point.converged
         step = "s3"
         trace.record("s3", s3.fixed_point.iterations, lam,
@@ -334,7 +329,7 @@ def optimize(scenario: Scenario, policy=None, opts: SolveOptions = SolveOptions(
         w=w, p=p, lam=float(np.min(qos)), lam_ul=float(np.min(qos[:k])),
         lam_dl=float(np.min(qos[k:])), lam_solver=lam, step=step,
         g1=problem.g1(w), g2=problem.g2(w, p), converged=converged,
-        trace=trace, p_bar=p_bar,
+        trace=trace, p_bar=x if opts.power_mode == "cell_specific" else None,
         policy_label=policy.label if policy is not None else "custom",
         theta=opts.theta,
     )
@@ -350,8 +345,7 @@ class PowerMinResult:
     fixed_point: FixedPointResult
 
 
-def minimize_power(problem: Problem, w_star, p_star, opts: SolveOptions = SolveOptions(),
-                   psi=None) -> PowerMinResult:
+def minimize_power(problem: Problem, w_star, p_star, psi=None) -> PowerMinResult:
     """Shrink the power so every link sits exactly at its demand.
 
     Requires a strictly feasible allocation (utility > 1).  The plain Yates
@@ -372,8 +366,7 @@ def minimize_power(problem: Problem, w_star, p_star, opts: SolveOptions = SolveO
     f = lambda p: problem.f_power(p, w_star)
     # watts-scale fixed points sit far below the absolute tolerance, so the
     # stopping rule is additionally made relative
-    res = yates_iteration(f, np.zeros(problem.n_links), tol=opts.tol_p,
-                          max_iter=opts.max_iter, rel_tol=opts.tol_p)
+    res = yates_iteration(f, np.zeros(problem.n_links), rel_tol=DEFAULT_TOL)
     p_min = res.x
     return PowerMinResult(
         p_min=p_min,

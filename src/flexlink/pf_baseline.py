@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConfigError
 from .interference import spectral_efficiency
 from .model import Association, Scenario, build_coupling
-from .optimizer import SolveOptions, initial_psd
+from .optimizer import initial_psd
 
 EPS_PF = 1e-3  # smoothing constant in the PF priority ratio
 
@@ -66,40 +66,35 @@ def _pf_rates(scenario, assoc, p, counts, split):
     return spectral_efficiency(p / den, scenario.rb_bandwidth)
 
 
-def pf_allocate(scenario: Scenario, assoc: Association, split=(9, 16),
-                p_init=None, rounds: int = 1) -> PfAllocation:
+def pf_allocate(scenario: Scenario, assoc: Association, split=(9, 16)) -> PfAllocation:
     """Allocate the split band greedily per cell and direction.
 
     ``split`` is (UL RBs, DL RBs) and must sum to the scenario's RB count.
-    ``rounds`` repeats the allocation with interference re-estimated from the
-    previous round (round one sees no inter-cell interference yet).
+    The per-RB gains come from the rates at zero occupancy (no inter-cell
+    interference yet); the returned QoS levels use the rates of the final
+    allocation.
     """
     ul_rbs, dl_rbs = split
     if ul_rbs + dl_rbs != scenario.rb_count or ul_rbs < 0 or dl_rbs < 0:
         raise ConfigError(f"split {split} does not partition {scenario.rb_count} RBs")
-    if rounds < 1:
-        raise ConfigError("rounds must be >= 1")
 
     k, n = scenario.n_ue, scenario.n_bs
-    p = initial_psd(scenario, assoc, SolveOptions()) if p_init is None else np.asarray(p_init, dtype=float)
+    p = initial_psd(scenario, assoc)
     demands = scenario.demands
 
     budgets = (ul_rbs, dl_rbs)
+    gain = _pf_rates(scenario, assoc, p, np.zeros(2 * k), split) / demands  # QoS per RB
     counts = np.zeros(2 * k)
-    for _ in range(rounds):
-        rates = _pf_rates(scenario, assoc, p, counts, split)
-        gain = rates / demands  # QoS satisfaction added by one more RB
-        counts = np.zeros(2 * k)
-        for cell in range(n):
-            for direction, served in enumerate((assoc.b_ul, assoc.b_dl)):
-                links = np.flatnonzero(served == cell) + direction * k
-                if links.size == 0:
-                    continue
-                qos = np.zeros(links.size)
-                for _rb in range(budgets[direction]):
-                    pick = int(np.argmax(gain[links] / (qos + EPS_PF)))
-                    counts[links[pick]] += 1
-                    qos[pick] += gain[links[pick]]
+    for cell in range(n):
+        for direction, served in enumerate((assoc.b_ul, assoc.b_dl)):
+            links = np.flatnonzero(served == cell) + direction * k
+            if links.size == 0:
+                continue
+            qos = np.zeros(links.size)
+            for _rb in range(budgets[direction]):
+                pick = int(np.argmax(gain[links] / (qos + EPS_PF)))
+                counts[links[pick]] += 1
+                qos[pick] += gain[links[pick]]
 
     rates = _pf_rates(scenario, assoc, p, counts, split)
     qos = counts * rates / demands

@@ -11,7 +11,7 @@ the seed.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -180,18 +180,6 @@ def generate(config: ScenarioConfig, seed: int) -> Scenario:
     )
 
 
-@dataclass(frozen=True)
-class LoadHistory:
-    """A sequence of per-cell (UL, DL) load snapshots."""
-
-    snapshots: tuple = field(default_factory=tuple)  # of (load_ul, load_dl) pairs
-
-    def averages(self):
-        ul = np.mean([np.asarray(s[0], dtype=float) for s in self.snapshots], axis=0)
-        dl = np.mean([np.asarray(s[1], dtype=float) for s in self.snapshots], axis=0)
-        return ul, dl
-
-
 def estimate_overlap(history, scheme: str = "cell_pairwise") -> OverlapModel:
     """Average historical per-cell loads into an overlap model.
 
@@ -204,7 +192,8 @@ def estimate_overlap(history, scheme: str = "cell_pairwise") -> OverlapModel:
     if not snaps:
         log.warning("empty load history: falling back to full overlap")
         return OverlapModel(scheme=OVERLAP_NONE)
-    ul, dl = LoadHistory(snapshots=snaps).averages()
+    ul = np.mean([np.asarray(s[0], dtype=float) for s in snaps], axis=0)
+    dl = np.mean([np.asarray(s[1], dtype=float) for s in snaps], axis=0)
     return OverlapModel(scheme=scheme, load_ul=ul, load_dl=dl)
 
 

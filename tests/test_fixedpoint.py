@@ -169,7 +169,7 @@ def test_yates_divergence_flagged_infeasible():
     assert res.note == "likely infeasible"
 
 
-def test_callable_wrappers_carry_dimension(tmp_path):
+def test_callable_wrappers_carry_dimension():
     # plain callables: the dimension is carried by the start vector
     m, b = random_affine_sif(2, 3)
     f = lambda x: m @ x + b
@@ -177,13 +177,6 @@ def test_callable_wrappers_carry_dimension(tmp_path):
     res = normalized_fixed_point(f, g, 1.0, np.ones(3), tol=1e-10)
     assert res.x.shape == (3,)
     assert res.converged and g(res.x) == pytest.approx(1.0, rel=1e-8)
-
-    res_tr = normalized_fixed_point(f, g, 1.0, np.ones(3), tol=1e-10, record_trace=True)
-    path = tmp_path / "trace.csv"
-    res_tr.trace_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "iteration,residual,g_value"
-    assert len(lines) == res_tr.iterations + 1
 
 
 # axiom checker

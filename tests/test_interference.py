@@ -268,6 +268,15 @@ def test_f_power_cell_empty_cell_entry_is_tiny_positive():
     assert out[3] > 0 and out[3] < 1e-12
 
 
+@pytest.mark.parametrize("link, value", [(0, -0.1), (3, 0.0)])
+def test_f_power_cell_rejects_non_positive_bandwidth(link, value):
+    sc, assoc, model = _two_cell()
+    w = np.full(4, 0.2)
+    w[link] = value
+    with pytest.raises(DomainError):
+        f_power_cell(np.full(4, 1e-3), w, model, assoc, sc.demands, sc.rb_count, sc.rb_bandwidth)
+
+
 def test_g2_bar_equals_g2_after_expansion():
     scenario, assoc, problem = random_problem(41, n_ue=3, n_bs=2, coud=True)
     w, _ = random_wp(41, 6)

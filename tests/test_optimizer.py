@@ -1,13 +1,16 @@
 """Three-step optimizer, power minimization, linear-reformulation check."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from flexlink.errors import InfeasibleError
-from flexlink.interference import Problem
+from flexlink.interference import Problem, expand_psd
 from flexlink.model import Association
 from flexlink.optimizer import (
     SolveOptions,
+    initial_power_state,
     initial_psd,
     linear_reformulation_check,
     minimize_power,
@@ -27,6 +30,7 @@ from .helpers import (
 from .oracles import max_min_bandwidth_grid
 
 OPTS = SolveOptions(trace_mode="boundary")
+CELL_OPTS = SolveOptions(trace_mode="boundary", power_mode="cell_specific")
 
 
 def _single_link_problem(ue_power_w=0.1585, bs_power_w=19.95, **kw):
@@ -212,9 +216,7 @@ def test_cell_specific_never_beats_per_link():
     for seed in (11, 12, 13):
         scenario, assoc, _ = random_problem(seed, n_ue=4, n_bs=2, coud=True)
         per_link = optimize(scenario, None, OPTS, assoc=assoc)
-        cell = optimize(scenario, None,
-                        SolveOptions(trace_mode="boundary", power_mode="cell_specific"),
-                        assoc=assoc)
+        cell = optimize(scenario, None, CELL_OPTS, assoc=assoc)
         assert cell.lam <= per_link.lam * (1.0 + 1e-6)
         assert cell.p_bar is not None
         # expanded PSD is shared within each cell's downlinks
@@ -227,13 +229,42 @@ def test_cell_specific_never_beats_per_link():
 
 def test_optimize_cell_specific_terminates_tight():
     scenario, assoc, _ = random_problem(17, n_ue=4, n_bs=2, coud=True)
-    sol = optimize(scenario, None,
-                   SolveOptions(trace_mode="boundary", power_mode="cell_specific"),
-                   assoc=assoc)
+    sol = optimize(scenario, None, CELL_OPTS, assoc=assoc)
     assert sol.converged
     assert abs(max(sol.g1, sol.g2) - 1.0) <= 1e-5
     lams = sol.trace.boundary_lambdas()
     assert all(b >= a - 1e-9 for a, b in zip(lams, lams[1:]))
+
+
+def _both_tight_after_s1_theta(scenario, assoc):
+    """Budget scale at which the cell-specific S1 fixed point has
+    ``g1 = g2 = 1``, so the solve ends in S1."""
+    problem = Problem.from_scenario(scenario, assoc)
+    p0 = expand_psd(initial_power_state(scenario, assoc, "cell_specific"), assoc)
+    w = step1_update_bandwidth(problem, p0, CELL_OPTS).w
+    return problem.g2(w, p0) / problem.g1(w)
+
+
+def test_cell_specific_power_is_the_expanded_state():
+    scenario, assoc, _ = random_problem(0, n_ue=4, n_bs=2, coud=True)
+    for theta, step in ((_both_tight_after_s1_theta(scenario, assoc), "s1"),
+                        (1e-6, "s2"), (1.0, "s3")):
+        sol = optimize(scenario, None, dataclasses.replace(CELL_OPTS, theta=theta), assoc=assoc)
+        assert (sol.step, sol.converged) == (step, True)
+        assert np.array_equal(sol.p, expand_psd(sol.p_bar, assoc))
+    assert optimize(scenario, None, OPTS, assoc=assoc).p_bar is None
+
+
+def test_step3_cell_specific_from_the_per_transmitter_state():
+    scenario, assoc, problem = random_problem(0, n_ue=4, n_bs=2, coud=True)
+    sol = optimize(scenario, None, CELL_OPTS, assoc=assoc)
+    # init, S1 and S3 boundary rows only: S3 started from the initial state
+    assert sol.step == "s3" and len(sol.trace.rows) == 3
+    s3 = step3_update_power(problem, sol.w, initial_power_state(scenario, assoc, "cell_specific"),
+                            CELL_OPTS)
+    assert s3.lam == sol.lam_solver
+    assert np.array_equal(s3.p, sol.p)
+    assert np.array_equal(s3.x, sol.p_bar)
 
 
 # power minimization
