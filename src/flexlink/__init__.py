@@ -11,7 +11,6 @@ from .fixedpoint import (
     yates_iteration,
 )
 from .interference import (
-    PowerLimits,
     Problem,
     f_load,
     f_power,

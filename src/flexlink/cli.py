@@ -19,7 +19,7 @@ from . import __version__, experiments, io
 from .association import Policy, associate
 from .errors import ConfigError, DomainError, InfeasibleError, ModelError
 from .interference import Problem
-from .model import OVERLAP_NONE, OVERLAP_PAIRWISE, OVERLAP_SPECIFIC
+from .model import OVERLAP_NONE, OVERLAP_PAIRWISE, OVERLAP_SPECIFIC, Association
 from .optimizer import SolveOptions, minimize_power, optimize
 from .scenario import generate, uniform_overlap
 
@@ -69,9 +69,13 @@ def _overlap_model(name, n_bs, load_ul, load_dl):
     return uniform_overlap(n_bs, load_ul, load_dl, scheme=scheme)
 
 
-def _solve_options(cell_specific, theta, trace_mode="full"):
-    return SolveOptions(power_mode="cell_specific" if cell_specific else "per_link",
-                        theta=theta, trace_mode=trace_mode)
+def _read_scenario(path):
+    """The scenario document at ``path``, its scenario, and the ``seed`` and
+    ``config_hash`` meta that every output derived from it carries."""
+    doc = io.read_json(path, "scenario")
+    source = doc.get("meta", {})
+    return doc, io.scenario_from_dict(doc), {"seed": source.get("seed"),
+                                             "config_hash": source.get("config_hash")}
 
 
 @click.group()
@@ -108,21 +112,21 @@ def cmd_generate(config_path, seed, out_path):
 def cmd_solve(scenario_path, policy_text, cell_specific, theta, overlap,
               overlap_load_ul, overlap_load_dl, out_dir):
     """Run the three-step optimizer on a stored scenario."""
-    scenario_doc = io.read_json(scenario_path, "scenario")
-    scenario = io.scenario_from_dict(scenario_doc)
+    scenario_doc, scenario, source = _read_scenario(scenario_path)
     policy = Policy.parse(policy_text)
     assoc = associate(policy, scenario)
     overlap_model = _overlap_model(overlap, scenario.n_bs, overlap_load_ul, overlap_load_dl)
-    opts = _solve_options(cell_specific, theta)
+    opts = SolveOptions(power_mode="cell_specific" if cell_specific else "per_link",
+                        theta=theta)
 
     solution = optimize(scenario, policy, opts, overlap=overlap_model, assoc=assoc)
 
     os.makedirs(out_dir, exist_ok=True)
     meta = {"policy": policy.label, "theta": theta, "overlap": overlap,
-            "tool_version": __version__,
-            "seed": scenario_doc.get("meta", {}).get("seed"),
-            "config_hash": scenario_doc.get("meta", {}).get("config_hash")}
-    doc = io.solution_to_dict(solution, assoc, scenario_doc, meta=meta)
+            "tool_version": __version__, **source}
+    # the loads let minimize-power rebuild this solve's coupling
+    loads = {"overlap_load_ul": overlap_load_ul, "overlap_load_dl": overlap_load_dl}
+    doc = io.solution_to_dict(solution, assoc, scenario_doc, meta=meta | loads)
     io.write_json(doc, os.path.join(out_dir, "solution.json"))
     solution.trace.to_csv(os.path.join(out_dir, "trace.csv"), meta=meta)
     click.echo(f"lambda={solution.lam:.6g} step={solution.step} "
@@ -140,8 +144,7 @@ def cmd_solve(scenario_path, policy_text, cell_specific, theta, overlap,
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def cmd_sweep(scenario_path, offsets_text, overlap, overlap_load_ul, overlap_load_dl, out_dir):
     """Sweep cell-selection offsets on one scenario; report the top three."""
-    scenario_doc = io.read_json(scenario_path, "scenario")
-    scenario = io.scenario_from_dict(scenario_doc)
+    _, scenario, source = _read_scenario(scenario_path)
     offsets = parse_offsets(offsets_text)
     overlap_model = _overlap_model(overlap, scenario.n_bs, overlap_load_ul, overlap_load_dl)
     opts = SolveOptions(trace_mode="boundary")
@@ -156,9 +159,7 @@ def cmd_sweep(scenario_path, offsets_text, overlap, overlap_load_ul, overlap_loa
         all_converged &= sol.converged
 
     os.makedirs(out_dir, exist_ok=True)
-    meta = {"tool_version": __version__, "overlap": overlap,
-            "seed": scenario_doc.get("meta", {}).get("seed"),
-            "config_hash": scenario_doc.get("meta", {}).get("config_hash")}
+    meta = {"tool_version": __version__, "overlap": overlap, **source}
     io.write_csv(os.path.join(out_dir, "sweep.csv"),
                  ("offset_db", "lam", "g1", "g2", "step", "converged", "equivalent"),
                  rows, meta=meta)
@@ -211,8 +212,7 @@ def cmd_montecarlo(config_path, trials, seed_base, workers, out_dir):
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def cmd_compare_pf(scenario_path, policy_text, split, out_dir):
     """Joint optimizer versus the QoS-based proportional fairness baseline."""
-    scenario_doc = io.read_json(scenario_path, "scenario")
-    scenario = io.scenario_from_dict(scenario_doc)
+    _, scenario, source = _read_scenario(scenario_path)
     policy = Policy.parse(policy_text)
     try:
         ul_rbs, dl_rbs = (int(x) for x in split.split(":"))
@@ -222,9 +222,7 @@ def cmd_compare_pf(scenario_path, policy_text, split, out_dir):
     result = experiments.compare_pf(scenario, policy, split=(ul_rbs, dl_rbs))
 
     os.makedirs(out_dir, exist_ok=True)
-    meta = {"tool_version": __version__, "policy": policy.label,
-            "seed": scenario_doc.get("meta", {}).get("seed"),
-            "config_hash": scenario_doc.get("meta", {}).get("config_hash")}
+    meta = {"tool_version": __version__, "policy": policy.label, **source}
     opt, pf = result["optimizer"], result["pf"]
     io.write_csv(os.path.join(out_dir, "compare_pf.csv"),
                  ("algorithm", "lam_min_direction", "lam_ul", "lam_dl"),
@@ -243,13 +241,19 @@ def cmd_minimize_power(solution_path, out_dir):
     """Shrink a strictly feasible solution's power to the utility-1 minimum."""
     doc = io.read_json(solution_path, "solution")
     scenario = io.scenario_from_dict(doc["scenario"])
-    from .model import Association
-
     assoc = Association(b_ul=np.array(doc["association"]["b_ul"]),
                         b_dl=np.array(doc["association"]["b_dl"]),
                         n_bs=doc["association"]["n_bs"])
     theta = float(doc["solution"].get("theta", 1.0))
-    problem = Problem.from_scenario(scenario, assoc, theta=theta)
+    solve_meta = doc.get("meta", {})
+    overlap = solve_meta.get("overlap", "none")
+    loads = (solve_meta.get("overlap_load_ul"), solve_meta.get("overlap_load_dl"))
+    if overlap not in OVERLAP_CHOICES:
+        raise ConfigError(f"unknown overlap {overlap!r} in the solution meta")
+    if overlap != "none" and None in loads:
+        raise ConfigError(f"the solution meta names overlap {overlap!r} but not its loads")
+    overlap_model = _overlap_model(overlap, scenario.n_bs, *loads)
+    problem = Problem.from_scenario(scenario, assoc, overlap=overlap_model, theta=theta)
     w_star = np.array(doc["solution"]["w"], dtype=float)
     p_star = np.array(doc["solution"]["p"], dtype=float)
 
@@ -264,8 +268,8 @@ def cmd_minimize_power(solution_path, out_dir):
         "saving_ratio": result.saving_ratio,
         "meta": {"tool_version": __version__,
                  "scenario_hash": io.canonical_hash(doc["scenario"]),
-                 "seed": doc.get("meta", {}).get("seed"),
-                 "config_hash": doc.get("meta", {}).get("config_hash")},
+                 "seed": solve_meta.get("seed"),
+                 "config_hash": solve_meta.get("config_hash")},
     }
     io.write_json(out, os.path.join(out_dir, "minpower.json"))
     click.echo(f"lambda={result.lam:.6g} saving_ratio={result.saving_ratio:.4f}")

@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .association import COUD, DEUD_O, DEUD_P, Policy, associate, policy_sweep
-from .interference import PowerLimits, Problem
+from .interference import Problem
 from .model import Scenario
 from .optimizer import SolveOptions, initial_power_state, optimize, step3_update_power
 from .pf_baseline import pf_allocate
@@ -60,7 +60,7 @@ def run_trial(config: ScenarioConfig, seed: int,
 
     partial = {}
     for pol in policy_sweep():
-        sol = optimize(scenario, pol, opts, overlap=overlap, assoc=associate(pol, scenario))
+        sol = optimize(scenario, pol, opts, overlap=overlap)
         partial[f"{pol.offset_db:g}"] = {
             "lam": sol.lam, "lam_ul": sol.lam_ul, "lam_dl": sol.lam_dl,
             "step": sol.step, "converged": sol.converged,
@@ -186,7 +186,7 @@ def run_theta_sweep(scenario: Scenario, policy: Policy, thetas,
         x0 = initial_power_state(sc, assoc, opts.power_mode)
         base = Problem.from_scenario(sc, assoc)
         for theta in thetas:
-            problem = dataclasses.replace(base, limits=PowerLimits.from_scenario(sc, theta))
+            problem = dataclasses.replace(base, p_ext_max=base.p_ext_max * theta)
             step = step3_update_power(problem, ref.w, x0, opts)
             rows.append({"noise_dbm": float(noise_dbm), "theta": float(theta),
                          "lam": step.lam, "converged": step.fixed_point.converged})

@@ -4,6 +4,13 @@ All operations are pure functions of immutable inputs.  ``w`` is the per-link
 fraction of the band's ``rb_count`` resource blocks, ``p`` the per-link PSD in
 watts per RB, and ``p_bar`` the per-transmitter PSD (K uplink entries followed
 by N cell-specific downlink entries).
+
+The model-level functions (``interference_psd``, ``sinr``, ``link_rates``,
+``spectral_efficiency``, ``expand_psd``) take a coupling model or an
+association.  The problem functionals (``f_load``, ``f_power``,
+``f_power_cell``, ``g1``, ``g2``, ``g2_bar``, ``qos_levels``, ``utility``)
+take their math arguments followed by the :class:`Problem` they are
+evaluated on.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .model import Association, CouplingModel, Scenario
+from .model import Association, CouplingModel, Scenario, _readonly, apply_overlap, build_coupling
 
 LN2 = float(np.log(2.0))
 
@@ -23,24 +30,46 @@ EPS_NO_DL = 1e-15
 
 
 @dataclass(frozen=True)
-class PowerLimits:
-    """Per-transmitter power budgets over the whole band, UEs then BSs."""
+class Problem:
+    """Everything the functionals evaluate: coupling, association, demands,
+    band geometry and the per-transmitter power budgets ``p_ext_max`` over
+    the whole band (``[p_max^UL; q_max^DL]``, UEs then BSs)."""
 
+    model: CouplingModel
+    assoc: Association
+    demands: np.ndarray
     p_ext_max: np.ndarray
+    rb_count: int
+    rb_bandwidth: float
 
     def __post_init__(self):
-        arr = np.array(self.p_ext_max, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "p_ext_max", arr)
+        object.__setattr__(self, "demands", _readonly(self.demands))
+        object.__setattr__(self, "p_ext_max", _readonly(self.p_ext_max))
         if not np.all(self.p_ext_max > 0):
-            raise DomainError("power limits must be strictly positive")
+            raise DomainError("power budgets must be strictly positive")
 
     @classmethod
-    def from_scenario(cls, scenario: Scenario, theta: float = 1.0) -> "PowerLimits":
-        """Budgets ``[p_max^UL; q_max^DL]``, optionally scaled by ``theta``."""
+    def from_scenario(cls, scenario: Scenario, assoc: Association,
+                      overlap=None, theta: float = 1.0) -> "Problem":
+        """The problem of ``scenario`` under ``assoc``, with the overlap
+        adjustment applied and every power budget scaled by ``theta``."""
         if theta <= 0:
             raise DomainError("theta must be positive")
-        return cls(np.concatenate([scenario.ue_max_powers(), scenario.bs_max_powers()]) * theta)
+        model = build_coupling(scenario, assoc)
+        if overlap is not None:
+            model = apply_overlap(model, overlap, assoc)
+        return cls(
+            model=model,
+            assoc=assoc,
+            demands=scenario.demands,
+            p_ext_max=np.concatenate([scenario.ue_max_powers(), scenario.bs_max_powers()]) * theta,
+            rb_count=scenario.rb_count,
+            rb_bandwidth=scenario.rb_bandwidth,
+        )
+
+    @property
+    def n_links(self) -> int:
+        return self.model.n_links
 
 
 def interference_psd(p, w, model: CouplingModel):
@@ -64,17 +93,18 @@ def link_rates(p, w, model: CouplingModel, rb_bandwidth: float):
     return spectral_efficiency(sinr(p, w, model), rb_bandwidth)
 
 
-def qos_levels(w, p, model: CouplingModel, demands, rb_count: int, rb_bandwidth: float):
+def qos_levels(w, p, problem: Problem):
     """Per-link QoS satisfaction ``W0 w_l r_l / d_l``."""
-    return rb_count * np.asarray(w) * link_rates(p, w, model, rb_bandwidth) / np.asarray(demands)
+    rates = link_rates(p, w, problem.model, problem.rb_bandwidth)
+    return problem.rb_count * np.asarray(w) * rates / problem.demands
 
 
-def utility(w, p, model: CouplingModel, demands, rb_count: int, rb_bandwidth: float) -> float:
+def utility(w, p, problem: Problem) -> float:
     """Minimum QoS satisfaction level over all links."""
-    return float(np.min(qos_levels(w, p, model, demands, rb_count, rb_bandwidth)))
+    return float(np.min(qos_levels(w, p, problem)))
 
 
-def f_load(w, p_fixed, model: CouplingModel, demands, rb_count: int, rb_bandwidth: float):
+def f_load(w, p_fixed, problem: Problem):
     """Bandwidth-demand map ``f_l = d_l / (W0 r_l(p', w))`` at fixed power.
 
     A standard interference function of ``w`` for any strictly positive fixed
@@ -83,26 +113,28 @@ def f_load(w, p_fixed, model: CouplingModel, demands, rb_count: int, rb_bandwidt
     p_fixed = np.asarray(p_fixed, dtype=float)
     if np.any(p_fixed <= 0):
         raise DomainError("f_load requires strictly positive fixed power")
-    r = link_rates(p_fixed, w, model, rb_bandwidth)
-    return np.asarray(demands) / (rb_count * r)
+    r = link_rates(p_fixed, w, problem.model, problem.rb_bandwidth)
+    return problem.demands / (problem.rb_count * r)
 
 
-def g1(w, assoc: Association) -> float:
+def g1(w, problem: Problem) -> float:
     """Per-cell load constraint functional ``||A w||_inf``; ``A w`` sums each
     cell's served links."""
+    assoc = problem.assoc
     return float(np.max(np.bincount(assoc.serving, weights=w, minlength=assoc.n_bs)))
 
 
-def g2(w, p, assoc: Association, limits: PowerLimits, rb_count: int) -> float:
+def g2(w, p, problem: Problem) -> float:
     """Per-transmitter power constraint functional
     ``W0 ||diag(p_ext_max)^-1 A_ext diag(w) p||_inf``.
 
     ``A_ext`` keeps each UE's uplink entry and sums each cell's downlinks.
     """
+    assoc = problem.assoc
     k = assoc.n_ue
     wp = np.asarray(w) * np.asarray(p)
     used = np.concatenate([wp[:k], np.bincount(assoc.b_dl, weights=wp[k:], minlength=assoc.n_bs)])
-    return float(rb_count * np.max(used / limits.p_ext_max))
+    return float(problem.rb_count * np.max(used / problem.p_ext_max))
 
 
 def expand_psd(p_bar, assoc: Association) -> np.ndarray:
@@ -113,12 +145,12 @@ def expand_psd(p_bar, assoc: Association) -> np.ndarray:
     return np.concatenate([p_bar[:k], p_bar[k:][assoc.b_dl]])
 
 
-def g2_bar(w, p_bar, assoc: Association, limits: PowerLimits, rb_count: int) -> float:
+def g2_bar(w, p_bar, problem: Problem) -> float:
     """Power constraint on the per-transmitter PSD, ``g2(w, Lambda p_bar)``."""
-    return g2(w, expand_psd(p_bar, assoc), assoc, limits, rb_count)
+    return g2(w, expand_psd(p_bar, problem.assoc), problem)
 
 
-def f_power(p, w_fixed, model: CouplingModel, demands, rb_count: int, rb_bandwidth: float):
+def f_power(p, w_fixed, problem: Problem):
     """Power-demand map for fixed bandwidth: ``f'_l = (p_l / w_l) d_l / (W0 r_l)``.
 
     At ``p_l = 0`` the map continues with its limit
@@ -128,10 +160,10 @@ def f_power(p, w_fixed, model: CouplingModel, demands, rb_count: int, rb_bandwid
     """
     p = np.asarray(p, dtype=float)
     w_fixed = np.asarray(w_fixed, dtype=float)
-    d = np.asarray(demands, dtype=float)
+    d, rb_count, rb_bandwidth = problem.demands, problem.rb_count, problem.rb_bandwidth
     if np.any(w_fixed <= 0):
         raise DomainError("f_power requires strictly positive fixed bandwidth")
-    ipsd = interference_psd(p, w_fixed, model)
+    ipsd = interference_psd(p, w_fixed, problem.model)
     nz = p > 0
     with np.errstate(divide="ignore", invalid="ignore"):
         r = rb_bandwidth * np.log2(1.0 + p / ipsd)
@@ -142,8 +174,7 @@ def f_power(p, w_fixed, model: CouplingModel, demands, rb_count: int, rb_bandwid
     return out
 
 
-def f_power_cell(p_bar, w_fixed, model: CouplingModel, assoc: Association,
-                 demands, rb_count: int, rb_bandwidth: float):
+def f_power_cell(p_bar, w_fixed, problem: Problem):
     """Per-transmitter power-demand map: UL entries are per-UE rate
     constraints, DL entries per-cell sum rate constraints.
 
@@ -154,75 +185,12 @@ def f_power_cell(p_bar, w_fixed, model: CouplingModel, assoc: Association,
     Cells serving no downlink get a tiny positive constant so the map stays
     a valid SIF; those entries never bind.
     """
+    assoc = problem.assoc
     w_fixed = np.asarray(w_fixed, dtype=float)
-    f = f_power(expand_psd(p_bar, assoc), w_fixed, model, demands, rb_count, rb_bandwidth)
+    f = f_power(expand_psd(p_bar, assoc), w_fixed, problem)
     k, n_bs, b_dl = assoc.n_ue, assoc.n_bs, assoc.b_dl
     load_f = np.bincount(b_dl, weights=w_fixed[k:] * f[k:], minlength=n_bs)
     nu = np.bincount(b_dl, weights=w_fixed[k:], minlength=n_bs)
     dl = np.full(n_bs, EPS_NO_DL)
     np.divide(load_f, nu, out=dl, where=nu > 0)
     return np.concatenate([f[:k], dl])
-
-
-@dataclass(frozen=True)
-class Problem:
-    """Bundle of everything the solvers evaluate: coupling, association,
-    demands, band geometry and power budgets."""
-
-    model: CouplingModel
-    assoc: Association
-    demands: np.ndarray
-    limits: PowerLimits
-    rb_count: int
-    rb_bandwidth: float
-
-    def __post_init__(self):
-        arr = np.array(self.demands, dtype=float)
-        arr.setflags(write=False)
-        object.__setattr__(self, "demands", arr)
-
-    @classmethod
-    def from_scenario(cls, scenario: Scenario, assoc: Association,
-                      overlap=None, theta: float = 1.0) -> "Problem":
-        from .model import apply_overlap, build_coupling
-
-        model = build_coupling(scenario, assoc)
-        if overlap is not None:
-            model = apply_overlap(model, overlap, assoc)
-        return cls(
-            model=model,
-            assoc=assoc,
-            demands=scenario.demands,
-            limits=PowerLimits.from_scenario(scenario, theta=theta),
-            rb_count=scenario.rb_count,
-            rb_bandwidth=scenario.rb_bandwidth,
-        )
-
-    @property
-    def n_links(self) -> int:
-        return self.model.n_links
-
-    def f_load(self, w, p_fixed):
-        return f_load(w, p_fixed, self.model, self.demands, self.rb_count, self.rb_bandwidth)
-
-    def f_power(self, p, w_fixed):
-        return f_power(p, w_fixed, self.model, self.demands, self.rb_count, self.rb_bandwidth)
-
-    def f_power_cell(self, p_bar, w_fixed):
-        return f_power_cell(p_bar, w_fixed, self.model, self.assoc, self.demands,
-                            self.rb_count, self.rb_bandwidth)
-
-    def g1(self, w) -> float:
-        return g1(w, self.assoc)
-
-    def g2(self, w, p) -> float:
-        return g2(w, p, self.assoc, self.limits, self.rb_count)
-
-    def g2_bar(self, w, p_bar) -> float:
-        return g2_bar(w, p_bar, self.assoc, self.limits, self.rb_count)
-
-    def utility(self, w, p) -> float:
-        return utility(w, p, self.model, self.demands, self.rb_count, self.rb_bandwidth)
-
-    def qos_levels(self, w, p):
-        return qos_levels(w, p, self.model, self.demands, self.rb_count, self.rb_bandwidth)

@@ -336,40 +336,31 @@ def build_coupling(scenario: Scenario, assoc: Association) -> CouplingModel:
 
 
 def pairwise_overlap_factors(load_ul, load_dl):
-    """Cell-pairwise directional overlap factors from per-cell loads.
+    """Cell-pairwise cross-direction overlap factors from per-cell loads.
 
-    For opposite directions the factor is ``max{0, (v_j^Y + v_i^X - 1)/v_i^X}``,
-    the fraction of receiver-cell-i band in direction X that cell j's
-    direction-Y band must overlap.  Same-direction factors are clamped to 1
-    (the raw ratio ``v_j/v_i`` can exceed 1 and carries no extra information
-    for a probability; it is logged at DEBUG).  A zero load in a denominator
-    yields factor 0 and a diagnostic.
+    The factor of receiver cell i in direction X against cell j in the
+    opposite direction Y is ``max{0, (v_j^Y + v_i^X - 1)/v_i^X}``, the
+    fraction of cell i's direction-X band that cell j's direction-Y band must
+    overlap.  A zero load in a denominator yields factor 0 and a warning.
+    Same-direction interference is not scaled (factor 1).
 
-    Returns a dict keyed by ("ul"/"dl" receiver, "ul"/"dl" interferer) of
-    N x N factor matrices.
+    Returns ``(ul_dl, dl_ul)``: the N x N factors of uplink receivers against
+    downlink interferers, and of downlink receivers against uplink
+    interferers.
     """
-    loads = {"ul": np.asarray(load_ul, dtype=float), "dl": np.asarray(load_dl, dtype=float)}
-    n = loads["ul"].shape[0]
-    factors = {}
-    for rx in ("ul", "dl"):
-        for tx in ("ul", "dl"):
-            vi = loads[rx][:, None]
-            vj = loads[tx][None, :]
-            if rx == tx:
-                raw = np.divide(vj, vi, out=np.zeros((n, n)), where=vi > 0)
-                log.debug("same-direction raw overlap ratios (%s): %s", rx, raw)
-                fac = np.ones((n, n))
-            else:
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    fac = (vj + vi - 1.0) / vi
-                fac = np.where(vi > 0, np.clip(fac, 0.0, 1.0), 0.0)
-                if np.any(loads[rx] == 0):
-                    log.warning(
-                        "zero historical %s load in %d cell(s); overlap factor set to 0",
-                        rx, int(np.sum(loads[rx] == 0)),
-                    )
-            factors[(rx, tx)] = fac
-    return factors
+    load_ul = np.asarray(load_ul, dtype=float)
+    load_dl = np.asarray(load_dl, dtype=float)
+
+    def cross(rx_name, rx, tx):
+        vi, vj = rx[:, None], tx[None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fac = (vj + vi - 1.0) / vi
+        if np.any(rx == 0):
+            log.warning("zero historical %s load in %d cell(s); overlap factor set to 0",
+                        rx_name, int(np.sum(rx == 0)))
+        return np.where(vi > 0, np.clip(fac, 0.0, 1.0), 0.0)
+
+    return cross("ul", load_ul, load_dl), cross("dl", load_dl, load_ul)
 
 
 def apply_overlap(coupling: CouplingModel, overlap: OverlapModel, assoc: Association) -> CouplingModel:
@@ -395,10 +386,10 @@ def apply_overlap(coupling: CouplingModel, overlap: OverlapModel, assoc: Associa
     b_ul, b_dl = assoc.b_ul, assoc.b_dl
 
     if overlap.scheme == OVERLAP_PAIRWISE:
-        fac = pairwise_overlap_factors(overlap.load_ul, overlap.load_dl)
+        ul_dl, dl_ul = pairwise_overlap_factors(overlap.load_ul, overlap.load_dl)
         # lift A_x^T O A_y: entry (k, j) is O[serving_x[k], serving_y[j]]
-        rows[:n, k:] *= fac[("ul", "dl")][:, b_dl]
-        rows[n:, :k] *= fac[("dl", "ul")][np.ix_(b_dl, b_ul)]
+        rows[:n, k:] *= ul_dl[:, b_dl]
+        rows[n:, :k] *= dl_ul[np.ix_(b_dl, b_ul)]
     else:  # cell_specific
         c_ul, c_dl = overlap.load_ul, overlap.load_dl
         rows[:n, k:] *= np.outer(c_ul, c_dl[b_dl])

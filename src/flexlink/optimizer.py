@@ -30,9 +30,12 @@ from typing import Optional
 
 import numpy as np
 
+from .association import associate
 from .errors import DomainError, InfeasibleError
 from .fixedpoint import DEFAULT_TOL, FixedPointResult, normalized_fixed_point, yates_iteration
-from .interference import Problem, expand_psd
+from .interference import (Problem, expand_psd, f_load, f_power, f_power_cell, g1, g2,
+                           g2_bar, qos_levels, utility)
+from .io import write_csv
 from .model import Association, Scenario
 from .units import dbm_to_watt, linear_to_db
 
@@ -94,13 +97,7 @@ class SolveTrace:
         return [r[2] for r in self.rows if r[6]]
 
     def to_csv(self, path, meta: Optional[dict] = None):
-        with open(path, "w") as fh:
-            if meta:
-                pairs = " ".join(f"{k}={v}" for k, v in meta.items())
-                fh.write(f"# {pairs}\n")
-            fh.write(",".join(self.COLUMNS) + "\n")
-            for step, it, lam, a, b, res, bnd in self.rows:
-                fh.write(f"{step},{it},{lam!r},{a!r},{b!r},{res!r},{int(bnd)}\n")
+        write_csv(path, self.COLUMNS, [row[:6] + (int(row[6]),) for row in self.rows], meta=meta)
 
 
 @dataclass
@@ -188,11 +185,11 @@ def initial_power_state(scenario: Scenario, assoc: Association, power_mode: str)
 
 def power_maps(problem: Problem, power_mode: str):
     """``(expand, f, g)`` for the power state ``x`` of ``power_mode``: the
-    per-link PSD ``expand(x)``, the power-demand map ``f(x, w)`` and the power
-    constraint ``g(w, x)``."""
+    per-link PSD ``expand(x)``, the power-demand map ``f(x, w, problem)`` and
+    the power constraint ``g(w, x, problem)``."""
     if power_mode == "cell_specific":
-        return (lambda x: expand_psd(x, problem.assoc)), problem.f_power_cell, problem.g2_bar
-    return (lambda x: x), problem.f_power, problem.g2
+        return (lambda x: expand_psd(x, problem.assoc)), f_power_cell, g2_bar
+    return (lambda x: x), f_power, g2
 
 
 def step1_update_bandwidth(problem: Problem, p_fixed, opts: SolveOptions = SolveOptions(),
@@ -205,15 +202,15 @@ def step1_update_bandwidth(problem: Problem, p_fixed, opts: SolveOptions = Solve
     ``lam = 1 / max{g1, g2}(f(w))``.
     """
     p_fixed = np.asarray(p_fixed, dtype=float)
-    f = lambda w: problem.f_load(w, p_fixed)
-    g = lambda w: max(problem.g1(w), problem.g2(w, p_fixed))
+    f = lambda w: f_load(w, p_fixed, problem)
+    g = lambda w: max(g1(w, problem), g2(w, p_fixed, problem))
     x0 = np.zeros(problem.n_links) if w_start is None else w_start
 
     callback = None
     if trace is not None and opts.trace_mode == "full":
         def callback(t, w_t, residual):
-            trace.record("s1", t, problem.utility(w_t, p_fixed),
-                         problem.g1(w_t), problem.g2(w_t, p_fixed), residual)
+            trace.record("s1", t, utility(w_t, p_fixed, problem),
+                         g1(w_t, problem), g2(w_t, p_fixed, problem), residual)
 
     res = normalized_fixed_point(f, g, 1.0, x0, callback=callback)
     return StepResult(w=res.x, p=p_fixed, lam=float(res.eigenvalue), fixed_point=res)
@@ -232,17 +229,17 @@ def step2_power_scaling(problem: Problem, w0, x0, opts: SolveOptions = SolveOpti
     w = np.asarray(w0, dtype=float)
     x = np.asarray(x0, dtype=float)
     p = expand(x)
-    lam = 1.0 / max(problem.g1(w), problem.g2(w, p))
+    lam = 1.0 / max(g1(w, problem), g2(w, p, problem))
     rounds = 0
     last = None
-    while problem.g1(w) < 1.0 - TOL_OUTER and rounds < MAX_SCALING_ROUNDS:
-        x = problem.g1(w) * x
+    while g1(w, problem) < 1.0 - TOL_OUTER and rounds < MAX_SCALING_ROUNDS:
+        x = g1(w, problem) * x
         p = expand(x)
         last = step1_update_bandwidth(problem, p, opts, w_start=w, trace=trace)
         w, lam = last.w, last.lam
         rounds += 1
         if trace is not None:
-            trace.record("s2", rounds, lam, problem.g1(w), problem.g2(w, p),
+            trace.record("s2", rounds, lam, g1(w, problem), g2(w, p, problem),
                          last.fixed_point.residual, boundary=True)
     return StepResult(w=w, p=p, lam=lam, fixed_point=last.fixed_point if last else None,
                       x=x, rounds=rounds)
@@ -265,10 +262,10 @@ def step3_update_power(problem: Problem, w_fixed, x0, opts: SolveOptions = Solve
     if trace is not None and opts.trace_mode == "full":
         def callback(t, x_t, residual):
             p_t = expand(x_t)
-            trace.record("s3", t, problem.utility(w, p_t),
-                         problem.g1(w), problem.g2(w, p_t), residual)
+            trace.record("s3", t, utility(w, p_t, problem),
+                         g1(w, problem), g2(w, p_t, problem), residual)
 
-    res = normalized_fixed_point(lambda x: f(x, w), lambda x: g(w, x), 1.0,
+    res = normalized_fixed_point(lambda x: f(x, w, problem), lambda x: g(w, x, problem), 1.0,
                                  np.asarray(x0, dtype=float), callback=callback)
     return StepResult(w=w, p=expand(res.x), lam=float(res.eigenvalue), fixed_point=res,
                       x=res.x)
@@ -282,8 +279,6 @@ def optimize(scenario: Scenario, policy=None, opts: SolveOptions = SolveOptions(
     power constraint binds first, then S3 if band fills with power to spare.
     Any state with both constraints tight is terminal (local optimum).
     """
-    from .association import associate
-
     if assoc is None:
         if policy is None:
             raise DomainError("either a policy or an association is required")
@@ -301,34 +296,34 @@ def optimize(scenario: Scenario, policy=None, opts: SolveOptions = SolveOptions(
     w, lam = s1.w, s1.lam
     converged = s1.fixed_point.converged
     trace.record("s1", s1.fixed_point.iterations, lam,
-                 problem.g1(w), problem.g2(w, p), s1.fixed_point.residual, boundary=True)
+                 g1(w, problem), g2(w, p, problem), s1.fixed_point.residual, boundary=True)
     step = "s1"
 
     tight = lambda v: v >= 1.0 - TIGHT_TOL
 
-    if converged and not tight(problem.g1(w)) and tight(problem.g2(w, p)):
+    if converged and not tight(g1(w, problem)) and tight(g2(w, p, problem)):
         s2 = step2_power_scaling(problem, w, x, opts, trace=trace)
         w, p, lam, x = s2.w, s2.p, s2.lam, s2.x
         if s2.rounds:
             step = "s2"
             if s2.fixed_point is not None:
                 converged = converged and s2.fixed_point.converged
-            converged = converged and tight(problem.g1(w))
+            converged = converged and tight(g1(w, problem))
 
-    if converged and tight(problem.g1(w)) and not tight(problem.g2(w, p)):
+    if converged and tight(g1(w, problem)) and not tight(g2(w, p, problem)):
         s3 = step3_update_power(problem, w, x, opts, trace=trace)
         p, lam, x = s3.p, s3.lam, s3.x
         converged = converged and s3.fixed_point.converged
         step = "s3"
         trace.record("s3", s3.fixed_point.iterations, lam,
-                     problem.g1(w), problem.g2(w, p), s3.fixed_point.residual, boundary=True)
+                     g1(w, problem), g2(w, p, problem), s3.fixed_point.residual, boundary=True)
 
-    qos = problem.qos_levels(w, p)
+    qos = qos_levels(w, p, problem)
     k = assoc.n_ue
     return Solution(
         w=w, p=p, lam=float(np.min(qos)), lam_ul=float(np.min(qos[:k])),
         lam_dl=float(np.min(qos[k:])), lam_solver=lam, step=step,
-        g1=problem.g1(w), g2=problem.g2(w, p), converged=converged,
+        g1=g1(w, problem), g2=g2(w, p, problem), converged=converged,
         trace=trace, p_bar=x if opts.power_mode == "cell_specific" else None,
         policy_label=policy.label if policy is not None else "custom",
         theta=opts.theta,
@@ -356,21 +351,21 @@ def minimize_power(problem: Problem, w_star, p_star, psi=None) -> PowerMinResult
     """
     w_star = np.maximum(np.asarray(w_star, dtype=float), W_FLOOR)
     p_star = np.asarray(p_star, dtype=float)
-    lam_star = problem.utility(w_star, p_star)
+    lam_star = utility(w_star, p_star, problem)
     if lam_star <= 1.0:
         raise InfeasibleError(
             f"power minimization requires utility > 1, got {lam_star:.6g}")
     if psi is None:
         psi = lambda p: float(np.sum(w_star * p))
 
-    f = lambda p: problem.f_power(p, w_star)
+    f = lambda p: f_power(p, w_star, problem)
     # watts-scale fixed points sit far below the absolute tolerance, so the
     # stopping rule is additionally made relative
     res = yates_iteration(f, np.zeros(problem.n_links), rel_tol=DEFAULT_TOL)
     p_min = res.x
     return PowerMinResult(
         p_min=p_min,
-        lam=problem.utility(w_star, p_min),
+        lam=utility(w_star, p_min, problem),
         psi_before=psi(p_star),
         psi_after=psi(p_min),
         saving_ratio=psi(p_min) / psi(p_star),
@@ -429,9 +424,9 @@ def linear_reformulation_check(problem: Problem, w_fixed, p_candidate,
 
     def budget(lam: float) -> float:
         p = solve_min_power(lam)
-        return np.inf if p is None else problem.g2(w, p)
+        return np.inf if p is None else g2(w, p, problem)
 
-    lam_cand = problem.utility(w, p_candidate)
+    lam_cand = utility(w, p_candidate, problem)
     lo = hi = max(lam_cand, 1e-12)
     if budget(lo) <= 1.0:
         while budget(hi) <= 1.0:

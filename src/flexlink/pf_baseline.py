@@ -12,12 +12,12 @@ definition; there is no time-domain averaging window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError
-from .interference import spectral_efficiency
+from .interference import link_rates
 from .model import Association, Scenario, build_coupling
 from .optimizer import initial_psd
 
@@ -62,8 +62,7 @@ def _pf_rates(scenario, assoc, p, counts, split):
     rows[n:, :k] = 0.0
     band = np.concatenate([np.full(k, split[0]), np.full(k, split[1])]).astype(float)
     occupancy = counts / band
-    den = ((rows @ (p * occupancy))[model.rx] + model.sigma_vec) / model.d_diag
-    return spectral_efficiency(p / den, scenario.rb_bandwidth)
+    return link_rates(p, occupancy, replace(model, rows=rows), scenario.rb_bandwidth)
 
 
 def pf_allocate(scenario: Scenario, assoc: Association, split=(9, 16)) -> PfAllocation:

@@ -75,6 +75,12 @@ def random_problem(seed, n_ue=4, n_bs=2, coud=False, **kw):
     return scenario, assoc, Problem.from_scenario(scenario, assoc)
 
 
+def assoc_problem(assoc, seed=0):
+    """The problem of a random scenario under a given association."""
+    scenario = random_scenario(seed, n_ue=assoc.n_ue, n_bs=assoc.n_bs)
+    return Problem.from_scenario(scenario, assoc)
+
+
 def random_wp(seed, n_links, w_lo=0.02, w_hi=0.6, p_lo=1e-5, p_hi=1e-2):
     rng = np.random.default_rng(seed)
     w = rng.uniform(w_lo, w_hi, size=n_links)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from flexlink.errors import DomainError, ModelError
-from flexlink.interference import EPS_NO_DL, LN2, interference_psd
+from flexlink.interference import EPS_NO_DL, LN2, g1, g2, interference_psd, utility
 from flexlink.model import OVERLAP_NONE, OVERLAP_PAIRWISE, pairwise_overlap_factors
 
 
@@ -155,9 +155,9 @@ def max_min_bandwidth_grid(problem, p_fixed, resolution=1e-3, coarse=24):
 
     def lam_on_surface(direction):
         d = direction / np.sum(direction)
-        scale = max(problem.g1(d), problem.g2(d, p_fixed))
+        scale = max(g1(d, problem), g2(d, p_fixed, problem))
         w = d / scale
-        return problem.utility(w, p_fixed)
+        return utility(w, p_fixed, problem)
 
     rng = np.random.default_rng(0)
     dirs = rng.dirichlet(np.ones(n), size=coarse ** 2)
@@ -183,12 +183,13 @@ def dl_link_sets(assoc):
     return [np.flatnonzero(assoc.b_dl == n) + k for n in range(assoc.n_bs)]
 
 
-def f_power_cell_loop(p_bar, w_fixed, model, assoc, demands, rb_count, rb_bandwidth):
+def f_power_cell_loop(p_bar, w_fixed, problem):
     """The per-transmitter power-demand map through the dense ``lambda_map``
     and one Python pass per cell, as ``f_power_cell`` once computed it."""
+    model, assoc, d = problem.model, problem.assoc, problem.demands
+    rb_count, rb_bandwidth = problem.rb_count, problem.rb_bandwidth
     p_bar = np.asarray(p_bar, dtype=float)
     w_fixed = np.asarray(w_fixed, dtype=float)
-    d = np.asarray(demands, dtype=float)
     k, n_bs = assoc.n_ue, assoc.n_bs
     if np.any(w_fixed <= 0):
         raise DomainError("f_power_cell requires strictly positive fixed bandwidth")
@@ -279,10 +280,10 @@ def dense_overlap(coupling: DenseCoupling, overlap, assoc) -> DenseCoupling:
     b_ul, b_dl = assoc.b_ul, assoc.b_dl
 
     if overlap.scheme == OVERLAP_PAIRWISE:
-        fac = pairwise_overlap_factors(overlap.load_ul, overlap.load_dl)
+        ul_dl, dl_ul = pairwise_overlap_factors(overlap.load_ul, overlap.load_dl)
         # lift A_x^T O A_y: entry (k, j) is O[serving_x[k], serving_y[j]]
-        vt[:k, k:] *= fac[("ul", "dl")][np.ix_(b_ul, b_dl)]
-        vt[k:, :k] *= fac[("dl", "ul")][np.ix_(b_dl, b_ul)]
+        vt[:k, k:] *= ul_dl[np.ix_(b_ul, b_dl)]
+        vt[k:, :k] *= dl_ul[np.ix_(b_dl, b_ul)]
     else:  # cell_specific
         c_ul, c_dl = overlap.load_ul, overlap.load_dl
         vt[:k, k:] *= np.outer(c_ul[b_ul], c_dl[b_dl])

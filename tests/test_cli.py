@@ -3,10 +3,17 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from flexlink.association import Policy, associate
 from flexlink.cli import main, parse_offsets
 from flexlink.errors import ConfigError
+from flexlink.experiments import DEFAULT_HISTORY_DL
+from flexlink.interference import Problem
+from flexlink.io import load_scenario
+from flexlink.optimizer import SolveTrace, minimize_power
+from flexlink.scenario import uniform_overlap
 
 CONFIG = {
     "macro_rows": 2,
@@ -234,6 +241,42 @@ def test_minimize_power_cli_and_preconditions(tmp_path, config_file):
     assert code == 1
 
 
+def test_minimize_power_uses_the_solve_overlap(tmp_path, capsys):
+    light = dict(CONFIG, macro_rows=1, macro_cols=2, n_pico=1, n_ue=4,
+                 service_mix=[0.0, 0.0, 0.0, 0.0, 1.0])
+    cfg = tmp_path / "light.json"
+    cfg.write_text(json.dumps(light))
+    scen = tmp_path / "scenario.json"
+    assert main(["generate", "--config", str(cfg), "--seed", "3", "--out", str(scen)]) == 0
+    sol_dir = tmp_path / "sol"
+    assert main(["solve", "--scenario", str(scen), "--policy", "deud-o:21", "--overlap",
+                 "pairwise", "--overlap-load-ul", "0.3", "--out", str(sol_dir)]) == 0
+    doc = json.loads((sol_dir / "solution.json").read_text())
+    assert doc["meta"]["overlap_load_ul"] == 0.3
+    assert doc["meta"]["overlap_load_dl"] == DEFAULT_HISTORY_DL
+    out = tmp_path / "minpower"
+    assert main(["minimize-power", "--solution", str(sol_dir / "solution.json"),
+                 "--out", str(out)]) == 0
+
+    # the same minimization on the coupling the solve used
+    scenario = load_scenario(scen)
+    overlap = uniform_overlap(scenario.n_bs, 0.3, DEFAULT_HISTORY_DL)
+    problem = Problem.from_scenario(scenario, associate(Policy.parse("deud-o:21"), scenario),
+                                    overlap=overlap)
+    expected = minimize_power(problem, np.array(doc["solution"]["w"]),
+                              np.array(doc["solution"]["p"]))
+    assert json.loads((out / "minpower.json").read_text())["p_min"] == expected.p_min.tolist()
+
+    # a document that names an overlap scheme without its loads is refused
+    del doc["meta"]["overlap_load_dl"]
+    bad = tmp_path / "no_loads.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["minimize-power", "--solution", str(bad), "--out", str(tmp_path / "mp2")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "pairwise" in err[0]
+
+
 def test_solve_cell_specific_mode(tmp_path, scenario_file):
     out = tmp_path / "cell"
     assert main(["solve", "--scenario", str(scenario_file), "--policy", "deud-p",
@@ -259,6 +302,18 @@ def test_trace_csv_columns_frozen(tmp_path, scenario_file):
     # boundary rows carry a nondecreasing utility column
     lams = [float(l.split(",")[2]) for l in lines[2:] if l.split(",")[6] == "1"]
     assert all(b >= a - 1e-9 for a, b in zip(lams, lams[1:]))
+
+
+def test_trace_csv_text_is_pinned(tmp_path):
+    trace = SolveTrace()
+    trace.record("init", 0, 0.0, 0.0, 0.0, float("nan"), boundary=True)
+    trace.record("s1", 7, 1.25, 0.5, 1.0, 3e-08)
+    path = tmp_path / "trace.csv"
+    trace.to_csv(path, meta={"policy": "coud", "theta": 1.0})
+    assert path.read_text() == ("# policy=coud theta=1.0\n"
+                                "step,iteration,lam,g1,g2,residual,boundary\n"
+                                "init,0,0.0,0.0,0.0,nan,1\n"
+                                "s1,7,1.25,0.5,1.0,3e-08,0\n")
 
 
 def test_unknown_flag_is_usage_error(tmp_path):

@@ -10,6 +10,7 @@ from flexlink.fixedpoint import (
     normalized_fixed_point,
     yates_iteration,
 )
+from flexlink.interference import f_load, f_power
 
 from .helpers import random_problem, random_wp
 from .oracles import (
@@ -123,7 +124,7 @@ def test_yates_two_link_power_control_matches_coordinate_bisection():
 
     scenario, assoc, problem = random_problem(21, n_ue=1, n_bs=2, demand_scale=2e6)
     w = np.array([0.5, 0.5])
-    f = lambda p: problem.f_power(p, w)
+    f = lambda p: f_power(p, w, problem)
     res = yates_iteration(f, np.zeros(2), tol=1e-12)
     assert res.converged
     oracle = coordinate_bisection_fixed_point(f, 2, upper=1.0, tol=1e-10)
@@ -133,7 +134,7 @@ def test_yates_two_link_power_control_matches_coordinate_bisection():
 def test_yates_monotone_from_zero_and_from_feasible():
     scenario, assoc, problem = random_problem(33, n_ue=2, n_bs=2, demand_scale=2e6)
     w = np.full(4, 0.4)
-    f = lambda p: problem.f_power(p, w)
+    f = lambda p: f_power(p, w, problem)
 
     iterates = []
     yates_iteration(f, np.zeros(4), callback=lambda t, x, r: iterates.append(x.copy()))
@@ -207,7 +208,7 @@ def test_axioms_fail_scalability_for_square():
 def test_axioms_pass_for_bandwidth_demand_map():
     scenario, assoc, problem = random_problem(8, n_ue=2, n_bs=2)
     _, p = random_wp(8, 4)
-    f = lambda w: problem.f_load(w, p)
+    f = lambda w: f_load(w, p, problem)
     rng = np.random.default_rng(8)
     pairs = [(x, y) for x, y in zip(rng.uniform(0, 1, (1000, 4)),
                                     rng.uniform(0, 1, (1000, 4)) + rng.uniform(0, 1, (1000, 4)))]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from flexlink.errors import DomainError
 from flexlink.interference import (
     EPS_NO_DL,
-    PowerLimits,
+    Problem,
     expand_psd,
     f_load,
     f_power,
@@ -27,10 +27,10 @@ from flexlink.model import Association, build_coupling
 from .helpers import (
     RB_BW,
     RB_COUNT,
+    assoc_problem,
     coud_assoc,
     make_scenario,
     random_problem,
-    random_scenario,
     random_wp,
     single_link_scenario,
     two_cell_scenario,
@@ -97,16 +97,16 @@ def test_f_load_unit_band_identity():
     sc = single_link_scenario(demand_ul=RB_COUNT * RB_BW, demand_dl=RB_COUNT * RB_BW,
                               gain_ul=1e-8)
     assoc = Association(b_ul=[0], b_dl=[0], n_bs=1)
-    model = build_coupling(sc, assoc)
-    p_unit = sc.noise_psd / model.d_diag  # SINR = 1 per link
-    out = f_load(np.zeros(2), p_unit, model, sc.demands, sc.rb_count, sc.rb_bandwidth)
+    problem = Problem.from_scenario(sc, assoc)
+    p_unit = sc.noise_psd / problem.model.d_diag  # SINR = 1 per link
+    out = f_load(np.zeros(2), p_unit, problem)
     assert np.allclose(out, 1.0)
 
 
 def test_f_load_matches_hand_two_link_evaluation():
     sc, assoc, model = _two_cell()
     w, p = random_wp(4, 4)
-    out = f_load(w, p, model, sc.demands, sc.rb_count, sc.rb_bandwidth)
+    out = f_load(w, p, Problem.from_scenario(sc, assoc))
     s = sinr(p, w, model)
     for l in range(4):
         expected = sc.demands[l] / (sc.rb_count * sc.rb_bandwidth * np.log2(1.0 + s[l]))
@@ -116,27 +116,27 @@ def test_f_load_matches_hand_two_link_evaluation():
 def test_f_load_rejects_zero_power():
     sc, assoc, model = _two_cell()
     with pytest.raises(DomainError):
-        f_load(np.full(4, 0.1), np.array([1e-3, 0.0, 1e-3, 1e-3]), model,
-               sc.demands, sc.rb_count, sc.rb_bandwidth)
+        f_load(np.full(4, 0.1), np.array([1e-3, 0.0, 1e-3, 1e-3]),
+               Problem.from_scenario(sc, assoc))
 
 
 def test_g1_reference_values():
-    assoc = Association(b_ul=[0, 0], b_dl=[0, 0], n_bs=1)
-    assert g1(np.zeros(4), assoc) == 0.0
-    assert g1(np.array([0.2, 0.3, 0.2, 0.1]), assoc) == pytest.approx(0.8)
-    two = Association(b_ul=[0, 1], b_dl=[0, 1], n_bs=2)
+    one = assoc_problem(Association(b_ul=[0, 0], b_dl=[0, 0], n_bs=1))
+    assert g1(np.zeros(4), one) == 0.0
+    assert g1(np.array([0.2, 0.3, 0.2, 0.1]), one) == pytest.approx(0.8)
+    two = assoc_problem(Association(b_ul=[0, 1], b_dl=[0, 1], n_bs=2))
     assert g1(np.array([0.1, 0.4, 0.3, 0.5]), two) == pytest.approx(0.9)
 
 
 def test_g2_reference_values():
     sc, assoc, model = _two_cell()
-    limits = PowerLimits.from_scenario(sc)
-    assert g2(np.full(4, 0.5), np.zeros(4), assoc, limits, sc.rb_count) == 0.0
+    problem = Problem.from_scenario(sc, assoc)
+    assert g2(np.full(4, 0.5), np.zeros(4), problem) == 0.0
 
     # one UE using half the band at 1/W0 of its power budget -> UL ratio 0.5
     w = np.array([0.5, 0.0, 0.0, 0.0])
     p = np.array([sc.ue_list[0].max_power_w / sc.rb_count, 0.0, 0.0, 0.0])
-    assert g2(w, p, assoc, limits, sc.rb_count) == pytest.approx(0.5)
+    assert g2(w, p, problem) == pytest.approx(0.5)
 
 
 def test_g2_full_band_full_budget_is_one():
@@ -145,20 +145,33 @@ def test_g2_full_band_full_budget_is_one():
     sc = make_scenario(h0, np.array([[1.0]]), np.eye(2) * 0.5 + 0.5,
                        [1e6, 1e6, 1e6, 1e6], bs_power_w=8.0)
     assoc = Association(b_ul=[0, 0], b_dl=[0, 0], n_bs=1)
-    limits = PowerLimits.from_scenario(sc)
+    problem = Problem.from_scenario(sc, assoc)
     q_rb = 8.0 / sc.rb_count
     w = np.array([0.0, 0.0, 0.5, 0.5])
     p = np.array([0.0, 0.0, q_rb, q_rb])
-    assert g2(w, p, assoc, limits, sc.rb_count) == pytest.approx(1.0)
+    assert g2(w, p, problem) == pytest.approx(1.0)
 
 
 def test_g2_elementwise_product_order_is_bit_identical():
     sc, assoc, model = _two_cell()
-    limits = PowerLimits.from_scenario(sc)
+    problem = Problem.from_scenario(sc, assoc)
     w, p = random_wp(9, 4)
-    a = g2(w, p, assoc, limits, sc.rb_count)
-    b = g2(p, w, assoc, limits, sc.rb_count)  # diag(w)p == diag(p)w
+    a = g2(w, p, problem)
+    b = g2(p, w, problem)  # diag(w)p == diag(p)w
     assert a == b
+
+
+@pytest.mark.parametrize("budget", [0.0, -1.0, np.nan])
+def test_problem_rejects_non_positive_budget(budget):
+    sc, assoc, _ = _two_cell()
+    problem = Problem.from_scenario(sc, assoc)
+    assert not problem.p_ext_max.flags.writeable
+    p_ext_max = np.array(problem.p_ext_max)
+    p_ext_max[3] = budget
+    with pytest.raises(DomainError, match="power budgets must be strictly positive"):
+        dataclasses.replace(problem, p_ext_max=p_ext_max)
+    with pytest.raises(DomainError):
+        Problem.from_scenario(sc, assoc, theta=budget)
 
 
 @settings(max_examples=25, deadline=None)
@@ -166,9 +179,9 @@ def test_g2_elementwise_product_order_is_bit_identical():
 def test_g1_g2_homogeneous_degree_one(seed, alpha):
     scenario, assoc, problem = random_problem(seed)
     w, p = random_wp(seed, problem.n_links)
-    assert problem.g1(alpha * w) == pytest.approx(alpha * problem.g1(w), rel=1e-12)
-    assert problem.g2(alpha * w, p) == pytest.approx(alpha * problem.g2(w, p), rel=1e-12)
-    assert problem.g2(w, alpha * p) == pytest.approx(alpha * problem.g2(w, p), rel=1e-12)
+    assert g1(alpha * w, problem) == pytest.approx(alpha * g1(w, problem), rel=1e-12)
+    assert g2(alpha * w, p, problem) == pytest.approx(alpha * g2(w, p, problem), rel=1e-12)
+    assert g2(w, alpha * p, problem) == pytest.approx(alpha * g2(w, p, problem), rel=1e-12)
 
 
 # power-demand map
@@ -179,25 +192,25 @@ def test_f_power_continuous_at_zero_power():
     w, p = random_wp(12, problem.n_links)
     p0 = p.copy()
     p0[2] = 0.0
-    base = problem.f_power(p0, w)
+    base = f_power(p0, w, problem)
     p_eps = p0.copy()
     p_eps[2] = 1e-12
-    near = problem.f_power(p_eps, w)
+    near = f_power(p_eps, w, problem)
     assert near[2] == pytest.approx(base[2], rel=1e-6)
 
 
 def test_f_power_single_link_closed_form_fixed_point():
     sc = single_link_scenario(demand_ul=3e6, demand_dl=8e6, gain_ul=1e-8)
     assoc = Association(b_ul=[0], b_dl=[0], n_bs=1)
-    model = build_coupling(sc, assoc)
+    problem = Problem.from_scenario(sc, assoc)
     w = np.array([0.4, 0.6])
-    f = lambda p: f_power(p, w, model, sc.demands, sc.rb_count, sc.rb_bandwidth)
+    f = lambda p: f_power(p, w, problem)
 
     from flexlink.fixedpoint import yates_iteration
 
     res = yates_iteration(f, np.zeros(2), tol=1e-14)
     assert res.converged
-    gain = model.d_diag
+    gain = problem.model.d_diag
     expected = (2.0 ** (sc.demands / (sc.rb_count * w * sc.rb_bandwidth)) - 1.0) \
         * sc.noise_psd / gain
     assert np.allclose(res.x, expected, rtol=1e-9)
@@ -206,10 +219,10 @@ def test_f_power_single_link_closed_form_fixed_point():
 def test_f_power_decreases_when_interferers_back_off():
     scenario, assoc, problem = random_problem(23, n_ue=3, n_bs=2)
     w, p = random_wp(23, problem.n_links)
-    base = problem.f_power(p, w)
+    base = f_power(p, w, problem)
     damped = p.copy()
     damped[1:] *= 0.25  # keep own power of link 0
-    out = problem.f_power(damped, w)
+    out = f_power(damped, w, problem)
     assert out[0] < base[0]
 
 
@@ -218,7 +231,7 @@ def test_f_power_requires_positive_bandwidth():
     w, p = random_wp(5, problem.n_links)
     w[0] = 0.0
     with pytest.raises(DomainError):
-        problem.f_power(p, w)
+        f_power(p, w, problem)
 
 
 # per-transmitter (cell-specific) variant
@@ -227,12 +240,12 @@ def test_f_power_requires_positive_bandwidth():
 def test_f_power_cell_single_downlink_reduces_to_per_link():
     sc = single_link_scenario(demand_ul=2e6, demand_dl=9e6)
     assoc = Association(b_ul=[0], b_dl=[0], n_bs=1)
-    model = build_coupling(sc, assoc)
+    problem = Problem.from_scenario(sc, assoc)
     w = np.array([0.3, 0.7])
     p_bar = np.array([1e-3, 2e-2])  # UE PSD, cell DL PSD
     p = expand_psd(p_bar, assoc)
-    per_link = f_power(p, w, model, sc.demands, sc.rb_count, sc.rb_bandwidth)
-    per_cell = f_power_cell(p_bar, w, model, assoc, sc.demands, sc.rb_count, sc.rb_bandwidth)
+    per_link = f_power(p, w, problem)
+    per_cell = f_power_cell(p_bar, w, problem)
     assert per_cell[0] == pytest.approx(per_link[0], rel=1e-12)
     assert per_cell[1] == pytest.approx(per_link[1], rel=1e-12)
 
@@ -245,8 +258,8 @@ def test_f_power_cell_matches_weighted_substitution_oracle():
     rng = np.random.default_rng(31)
     p_bar = 10 ** rng.uniform(-4, -2, size=k + n)
     p = expand_psd(p_bar, assoc)
-    per_link = problem.f_power(p, w)
-    out = problem.f_power_cell(p_bar, w)
+    per_link = f_power(p, w, problem)
+    out = f_power_cell(p_bar, w, problem)
     assert np.allclose(out[:k], per_link[:k], rtol=1e-12)
     for cell in range(n):
         links = np.flatnonzero(assoc.b_dl == cell) + k
@@ -260,11 +273,9 @@ def test_f_power_cell_matches_weighted_substitution_oracle():
 def test_f_power_cell_empty_cell_entry_is_tiny_positive():
     scenario = two_cell_scenario()
     assoc = Association(b_ul=[0, 0], b_dl=[0, 0], n_bs=2)  # BS1 serves nothing
-    model = build_coupling(scenario, assoc)
     w = np.full(4, 0.2)
     p_bar = np.array([1e-3, 1e-3, 1e-2, 0.0])
-    out = f_power_cell(p_bar, w, model, assoc, scenario.demands,
-                       scenario.rb_count, scenario.rb_bandwidth)
+    out = f_power_cell(p_bar, w, Problem.from_scenario(scenario, assoc))
     assert out[3] > 0 and out[3] < 1e-12
 
 
@@ -274,7 +285,7 @@ def test_f_power_cell_rejects_non_positive_bandwidth(link, value):
     w = np.full(4, 0.2)
     w[link] = value
     with pytest.raises(DomainError):
-        f_power_cell(np.full(4, 1e-3), w, model, assoc, sc.demands, sc.rb_count, sc.rb_bandwidth)
+        f_power_cell(np.full(4, 1e-3), w, Problem.from_scenario(sc, assoc))
 
 
 def test_g2_bar_equals_g2_after_expansion():
@@ -283,18 +294,18 @@ def test_g2_bar_equals_g2_after_expansion():
     rng = np.random.default_rng(41)
     p_bar = 10 ** rng.uniform(-4, -2, size=5)
     expanded = expand_psd(p_bar, assoc)
-    assert problem.g2_bar(w, p_bar) == problem.g2(w, expanded)
-    assert problem.g2_bar(w, np.zeros(5)) == 0.0
+    assert g2_bar(w, p_bar, problem) == g2(w, expanded, problem)
+    assert g2_bar(w, np.zeros(5), problem) == 0.0
     # scaling to exact budget saturation mirrors the g2 construction
-    scale = 1.0 / problem.g2_bar(w, p_bar)
-    assert problem.g2_bar(w, scale * p_bar) == pytest.approx(1.0, rel=1e-12)
+    scale = 1.0 / g2_bar(w, p_bar, problem)
+    assert g2_bar(w, scale * p_bar, problem) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_qos_levels_zero_bandwidth_zero_qos():
     scenario, assoc, problem = random_problem(51)
     w, p = random_wp(51, problem.n_links)
     w[0] = 0.0
-    q = problem.qos_levels(w, p)
+    q = qos_levels(w, p, problem)
     assert q[0] == 0.0
     assert np.all(q[1:] > 0)
 
@@ -316,24 +327,22 @@ def associations(draw):
 @example(assoc=Association(b_ul=[0, 0, 0], b_dl=[1, 1, 2], n_bs=4), seed=0)
 def test_index_selection_matches_dense_matrices(assoc, seed):
     k, n = assoc.n_ue, assoc.n_bs
-    scenario = random_scenario(seed, n_ue=k, n_bs=n)
-    model = build_coupling(scenario, assoc)
     w, p = random_wp(seed, 2 * k)
     rng = np.random.default_rng(seed)
     p_bar = 10 ** rng.uniform(-5, -1, size=k + n)
     p_bar[rng.random(k + n) < 0.3] = 0.0  # exercise the zero-PSD limits too
-    limits = PowerLimits(10 ** rng.uniform(-2, 1.5, size=k + n))
+    problem = dataclasses.replace(assoc_problem(assoc, seed),
+                                  p_ext_max=10 ** rng.uniform(-2, 1.5, size=k + n))
 
     assert np.array_equal(expand_psd(p_bar, assoc), assoc.lambda_map @ p_bar)
-    assert g1(w, assoc) == pytest.approx(float(np.max(assoc.a @ w)), rel=1e-12)
-    dense_g2 = RB_COUNT * np.max(assoc.a_ext @ (w * p) / limits.p_ext_max)
-    assert g2(w, p, assoc, limits, RB_COUNT) == pytest.approx(dense_g2, rel=1e-12)
+    assert g1(w, problem) == pytest.approx(float(np.max(assoc.a @ w)), rel=1e-12)
+    dense_g2 = RB_COUNT * np.max(assoc.a_ext @ (w * p) / problem.p_ext_max)
+    assert g2(w, p, problem) == pytest.approx(dense_g2, rel=1e-12)
     dense_g2_bar = RB_COUNT * np.max(assoc.a_ext @ (w * (assoc.lambda_map @ p_bar))
-                                     / limits.p_ext_max)
-    assert g2_bar(w, p_bar, assoc, limits, RB_COUNT) == pytest.approx(dense_g2_bar, rel=1e-12)
+                                     / problem.p_ext_max)
+    assert g2_bar(w, p_bar, problem) == pytest.approx(dense_g2_bar, rel=1e-12)
 
-    args = (model, assoc, scenario.demands, scenario.rb_count, scenario.rb_bandwidth)
-    out = f_power_cell(p_bar, w, *args)
-    np.testing.assert_allclose(out, f_power_cell_loop(p_bar, w, *args), rtol=1e-12, atol=0)
+    out = f_power_cell(p_bar, w, problem)
+    np.testing.assert_allclose(out, f_power_cell_loop(p_bar, w, problem), rtol=1e-12, atol=0)
     no_dl = np.bincount(assoc.b_dl, minlength=n) == 0
     assert np.all(out[k:][no_dl] == EPS_NO_DL)

@@ -122,12 +122,9 @@ def test_coupling_permutation_equivariant(seed):
 
 def test_pairwise_factors_match_worked_example():
     # cell i: (UL, DL) = (0.3, 0.7); cell j: (0.7, 0.3)
-    fac = pairwise_overlap_factors(load_ul=[0.3, 0.7], load_dl=[0.7, 0.3])
-    assert fac[("dl", "ul")][0, 1] == pytest.approx(0.57, abs=0.005)
-    assert fac[("ul", "dl")][0, 1] == 0.0
-    # same-direction factors clamp to one
-    assert np.all(fac[("ul", "ul")] == 1.0)
-    assert np.all(fac[("dl", "dl")] == 1.0)
+    ul_dl, dl_ul = pairwise_overlap_factors(load_ul=[0.3, 0.7], load_dl=[0.7, 0.3])
+    assert dl_ul[0, 1] == pytest.approx(0.57, abs=0.005)
+    assert ul_dl[0, 1] == 0.0
 
 
 def test_cell_specific_products_match_worked_example():
@@ -158,8 +155,8 @@ def test_scheme_none_is_identity():
 
 def test_zero_historical_load_gives_zero_factor_and_diagnostic(caplog):
     with caplog.at_level(logging.WARNING, logger="flexlink.model"):
-        fac = pairwise_overlap_factors(load_ul=[0.0, 0.5], load_dl=[0.6, 0.6])
-    assert np.all(fac[("ul", "dl")][0, :] == 0.0)
+        ul_dl, _ = pairwise_overlap_factors(load_ul=[0.0, 0.5], load_dl=[0.6, 0.6])
+    assert np.all(ul_dl[0, :] == 0.0)
     assert any("overlap factor set to 0" in r.message for r in caplog.records)
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from flexlink.errors import InfeasibleError
-from flexlink.interference import Problem, expand_psd
+from flexlink.interference import Problem, expand_psd, f_load, f_power, g1, g2, utility
 from flexlink.model import Association
 from flexlink.optimizer import (
     SolveOptions,
@@ -55,7 +55,7 @@ def test_step1_single_cell_closed_form():
     assert res.lam == pytest.approx(1.0 / g, rel=1e-10)
     # binding constraint identified analytically: load for these numbers
     assert g_load > g_pow
-    assert problem.g1(res.w) == pytest.approx(1.0, abs=1e-12)
+    assert g1(res.w, problem) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_step1_demand_scaling_leaves_w_and_divides_lam():
@@ -63,9 +63,7 @@ def test_step1_demand_scaling_leaves_w_and_divides_lam():
     p = initial_psd(scenario, assoc)
     base = step1_update_bandwidth(problem, p, OPTS)
 
-    scaled = Problem(model=problem.model, assoc=assoc, demands=3.0 * problem.demands,
-                     limits=problem.limits, rb_count=problem.rb_count,
-                     rb_bandwidth=problem.rb_bandwidth)
+    scaled = dataclasses.replace(problem, demands=3.0 * problem.demands)
     res = step1_update_bandwidth(scaled, p, OPTS)
     assert np.allclose(res.w, base.w, rtol=1e-12)
     assert res.lam == pytest.approx(base.lam / 3.0, rel=1e-12)
@@ -84,12 +82,12 @@ def test_step1_minimality_downward_perturbation_infeasible():
     scenario, assoc, problem = random_problem(81, n_ue=3, n_bs=2)
     p = initial_psd(scenario, assoc)
     res = step1_update_bandwidth(problem, p, OPTS)
-    f_at = problem.f_load(res.w, p)
+    f_at = f_load(res.w, p, problem)
     assert np.all(res.w >= res.lam * f_at - 1e-7 * np.maximum(res.w, 1e-12))
     for l in range(problem.n_links):
         w_down = res.w.copy()
         w_down[l] *= 0.999
-        violated = np.any(w_down < res.lam * problem.f_load(w_down, p) * (1 - 1e-12))
+        violated = np.any(w_down < res.lam * f_load(w_down, p, problem) * (1 - 1e-12))
         assert violated
 
 
@@ -97,7 +95,7 @@ def test_step2_noop_when_band_already_full():
     scenario, assoc, problem = random_problem(91, n_ue=3, n_bs=2)
     p = initial_psd(scenario, assoc)
     s1 = step1_update_bandwidth(problem, p, OPTS)
-    if problem.g1(s1.w) < 1.0 - 1e-6:
+    if g1(s1.w, problem) < 1.0 - 1e-6:
         pytest.skip("instance is power-bound; no-op guard not exercised")
     s2 = step2_power_scaling(problem, s1.w, p, OPTS)
     assert s2.rounds == 0
@@ -124,15 +122,15 @@ def test_step2_reaches_full_load_with_increasing_utility():
     sc, assoc, problem = _power_bound_problem()
     p0 = initial_psd(sc, assoc)
     s1 = step1_update_bandwidth(problem, p0, OPTS)
-    assert problem.g2(s1.w, p0) == pytest.approx(1.0, abs=1e-9)
-    assert problem.g1(s1.w) < 1.0 - 1e-6
+    assert g2(s1.w, p0, problem) == pytest.approx(1.0, abs=1e-9)
+    assert g1(s1.w, problem) < 1.0 - 1e-6
 
     from flexlink.optimizer import SolveTrace
 
     trace = SolveTrace()
     s2 = step2_power_scaling(problem, s1.w, p0, OPTS, trace=trace)
-    assert problem.g1(s2.w) == pytest.approx(1.0, abs=1e-6)
-    assert problem.g2(s2.w, s2.p) <= 1.0 + 1e-9
+    assert g1(s2.w, problem) == pytest.approx(1.0, abs=1e-6)
+    assert g2(s2.w, s2.p, problem) <= 1.0 + 1e-9
     lams = [s1.lam] + trace.boundary_lambdas()
     assert all(b > a - 1e-12 for a, b in zip(lams, lams[1:]))
     assert s2.lam > s1.lam
@@ -142,7 +140,7 @@ def test_step3_identity_when_power_already_binding():
     sc, assoc, problem = _power_bound_problem(111)
     p0 = initial_psd(sc, assoc)
     s1 = step1_update_bandwidth(problem, p0, OPTS)
-    assert problem.g2(s1.w, p0) == pytest.approx(1.0, abs=1e-9)
+    assert g2(s1.w, p0, problem) == pytest.approx(1.0, abs=1e-9)
     s3 = step3_update_power(problem, s1.w, p0, OPTS)
     assert np.max(np.abs(s3.p - p0)) <= 1e-8
     assert abs(s3.lam - s1.lam) <= 1e-8
@@ -152,12 +150,12 @@ def test_step3_strictly_improves_when_power_is_slack():
     scenario, assoc, problem = random_problem(121, n_ue=3, n_bs=2)
     p0 = initial_psd(scenario, assoc)
     s1 = step1_update_bandwidth(problem, p0, OPTS)
-    g2_entry = problem.g2(s1.w, p0)
-    assert problem.g1(s1.w) == pytest.approx(1.0, abs=1e-9)
+    g2_entry = g2(s1.w, p0, problem)
+    assert g1(s1.w, problem) == pytest.approx(1.0, abs=1e-9)
     assert g2_entry <= 0.9
     s3 = step3_update_power(problem, s1.w, p0, OPTS)
     assert s3.lam > s1.lam
-    assert problem.g2(s1.w, s3.p) == pytest.approx(1.0, abs=1e-9)
+    assert g2(s1.w, s3.p, problem) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_step3_single_cell_closed_form_saturates_budget():
@@ -184,7 +182,7 @@ def test_step3_single_cell_closed_form_saturates_budget():
             hi = mid
     lam_closed = 0.5 * (lo + hi)
     assert s3.lam == pytest.approx(lam_closed, rel=1e-8)
-    assert problem.g2(w, s3.p) == pytest.approx(1.0, abs=1e-12)
+    assert g2(w, s3.p, problem) == pytest.approx(1.0, abs=1e-12)
 
 
 # full pipeline
@@ -199,7 +197,7 @@ def test_optimize_monotone_boundaries_and_tight_termination():
         assert all(b >= a - 1e-9 for a, b in zip(lams, lams[1:]))
         assert abs(max(sol.g1, sol.g2) - 1.0) <= 1e-5
         # terminal feasibility w >= lam f(w) within 10 tol
-        f_at = Problem.from_scenario(scenario, assoc).f_load(sol.w, sol.p)
+        f_at = f_load(sol.w, sol.p, Problem.from_scenario(scenario, assoc))
         assert np.all(sol.w >= sol.lam * f_at - 10 * 1e-7)
 
 
@@ -242,7 +240,7 @@ def _both_tight_after_s1_theta(scenario, assoc):
     problem = Problem.from_scenario(scenario, assoc)
     p0 = expand_psd(initial_power_state(scenario, assoc, "cell_specific"), assoc)
     w = step1_update_bandwidth(problem, p0, CELL_OPTS).w
-    return problem.g2(w, p0) / problem.g1(w)
+    return g2(w, p0, problem) / g1(w, problem)
 
 
 def test_cell_specific_power_is_the_expanded_state():
@@ -290,7 +288,7 @@ def _feasible_candidates(problem, w_star, p_min, count=100, seed=0):
             cand = p_min * rng.uniform(1.0, 5.0)
         else:
             cand = p_min * (1.0 + rng.uniform(0.0, 2.0, size=p_min.shape))
-        if problem.utility(w_star, cand) >= 1.0:
+        if utility(w_star, cand, problem) >= 1.0:
             out.append(cand)
     return out
 
@@ -301,7 +299,7 @@ def test_minimize_power_yates_minimality_against_feasible_points():
     assert sol.lam > 1.0, "instance must be strictly feasible"
     res = minimize_power(problem, sol.w, sol.p)
     assert res.lam == pytest.approx(1.0, abs=1e-4)
-    assert problem.g2(sol.w, res.p_min) <= 1.0 + 1e-9
+    assert g2(sol.w, res.p_min, problem) <= 1.0 + 1e-9
     psi = lambda p: float(np.sum(sol.w * p))
     for cand in _feasible_candidates(problem, sol.w, res.p_min):
         assert np.all(res.p_min <= cand + 1e-12)
@@ -314,7 +312,7 @@ def test_minimize_power_nonincreasing_from_feasible_start():
     from flexlink.fixedpoint import yates_iteration
 
     iterates = []
-    yates_iteration(lambda p: problem.f_power(p, sol.w), sol.p,
+    yates_iteration(lambda p: f_power(p, sol.w, problem), sol.p,
                     callback=lambda t, x, r: iterates.append(x.copy()))
     prev = sol.p
     for x in iterates:
@@ -338,7 +336,7 @@ def test_linear_reformulation_agrees_with_power_update(seed):
     scenario, assoc, problem = random_problem(seed, n_ue=3, n_bs=2)
     p0 = initial_psd(scenario, assoc)
     s1 = step1_update_bandwidth(problem, p0, OPTS)
-    assert problem.g1(s1.w) == pytest.approx(1.0, abs=1e-9)
+    assert g1(s1.w, problem) == pytest.approx(1.0, abs=1e-9)
     s3 = step3_update_power(problem, s1.w, p0, OPTS)
     report = linear_reformulation_check(problem, s1.w, s3.p)
     assert report.ok, f"relative gap {report.rel_diff:.2e}"

@@ -5,6 +5,7 @@ import pytest
 
 from flexlink.errors import ConfigError
 from flexlink.experiments import MC_OPTS, compare_pf
+from flexlink.interference import qos_levels
 from flexlink.model import Association
 from flexlink.optimizer import optimize
 from flexlink.pf_baseline import pf_allocate
@@ -70,7 +71,7 @@ def test_joint_optimizer_beats_pf_min_direction(seed):
     pf = pf_allocate(scenario, assoc)
     sol = optimize(scenario, None, MC_OPTS, assoc=assoc)
     # the per-direction utilities split the QoS vector the solution's lam is taken from
-    qos = problem.qos_levels(sol.w, sol.p)
+    qos = qos_levels(sol.w, sol.p, problem)
     k = scenario.n_ue
     assert (sol.lam_ul, sol.lam_dl) == (float(np.min(qos[:k])), float(np.min(qos[k:])))
     assert sol.lam == min(sol.lam_ul, sol.lam_dl)

@@ -83,9 +83,9 @@ def test_estimate_overlap_averaging_and_edge_cases(caplog):
     zero = estimate_overlap([([0.0, 0.0], [0.0, 0.0])])
     from flexlink.model import pairwise_overlap_factors
 
-    fac = pairwise_overlap_factors(zero.load_ul, zero.load_dl)
-    assert np.all(fac[("ul", "dl")] == 0.0)
-    assert np.all(fac[("dl", "ul")] == 0.0)
+    ul_dl, dl_ul = pairwise_overlap_factors(zero.load_ul, zero.load_dl)
+    assert np.all(ul_dl == 0.0)
+    assert np.all(dl_ul == 0.0)
 
     import logging
 
