@@ -240,11 +240,16 @@ def cmd_compare_pf(scenario_path, policy_text, split, out_dir):
 def cmd_minimize_power(solution_path, out_dir):
     """Shrink a strictly feasible solution's power to the utility-1 minimum."""
     doc = io.read_json(solution_path, "solution")
-    scenario = io.scenario_from_dict(doc["scenario"])
-    assoc = Association(b_ul=np.array(doc["association"]["b_ul"]),
-                        b_dl=np.array(doc["association"]["b_dl"]),
-                        n_bs=doc["association"]["n_bs"])
-    theta = float(doc["solution"].get("theta", 1.0))
+    try:
+        scenario_doc, assoc_doc, solved = doc["scenario"], doc["association"], doc["solution"]
+        assoc = Association(b_ul=np.array(assoc_doc["b_ul"]), b_dl=np.array(assoc_doc["b_dl"]),
+                            n_bs=assoc_doc["n_bs"])
+        w_star = np.array(solved["w"], dtype=float)
+        p_star = np.array(solved["p"], dtype=float)
+    except KeyError as exc:
+        raise ConfigError(f"missing required solution key: {exc.args[0]}") from exc
+    scenario = io.scenario_from_dict(scenario_doc)
+    theta = float(solved.get("theta", 1.0))
     solve_meta = doc.get("meta", {})
     overlap = solve_meta.get("overlap", "none")
     loads = (solve_meta.get("overlap_load_ul"), solve_meta.get("overlap_load_dl"))
@@ -254,8 +259,6 @@ def cmd_minimize_power(solution_path, out_dir):
         raise ConfigError(f"the solution meta names overlap {overlap!r} but not its loads")
     overlap_model = _overlap_model(overlap, scenario.n_bs, *loads)
     problem = Problem.from_scenario(scenario, assoc, overlap=overlap_model, theta=theta)
-    w_star = np.array(doc["solution"]["w"], dtype=float)
-    p_star = np.array(doc["solution"]["p"], dtype=float)
 
     result = minimize_power(problem, w_star, p_star)
 
@@ -267,7 +270,7 @@ def cmd_minimize_power(solution_path, out_dir):
         "psi_after": result.psi_after,
         "saving_ratio": result.saving_ratio,
         "meta": {"tool_version": __version__,
-                 "scenario_hash": io.canonical_hash(doc["scenario"]),
+                 "scenario_hash": io.canonical_hash(scenario_doc),
                  "seed": solve_meta.get("seed"),
                  "config_hash": solve_meta.get("config_hash")},
     }

@@ -16,6 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .association import COUD, DEUD_O, DEUD_P, Policy, associate, policy_sweep
+from .errors import ConfigError
 from .interference import Problem
 from .model import Scenario
 from .optimizer import SolveOptions, initial_power_state, optimize, step3_update_power
@@ -46,7 +47,10 @@ STUDY_CONFIG = ScenarioConfig(
 def default_workers() -> int:
     env = os.environ.get("FLEXLINK_WORKERS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError(f"FLEXLINK_WORKERS must be an integer, got {env!r}") from None
     return 1
 
 

@@ -17,7 +17,7 @@ for every ``alpha > 1``).  Two iterations are provided:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -136,53 +136,3 @@ def yates_iteration(
         converged=False, note="max_iter exceeded",
     )
 
-
-@dataclass
-class SifAxiomReport:
-    """Outcome of sampling-based SIF axiom checks.
-
-    ``monotonicity_violations`` holds tuples ``(x, y, index, gap)`` for pairs
-    ``x <= y`` where some component of ``f(x)`` exceeds ``f(y)`` by more than
-    the slack; ``scalability_violations`` holds ``(x, alpha, index, gap)``
-    where ``alpha * f(x) - f(alpha x)`` fails to be strictly positive.
-    """
-
-    n_monotonicity: int = 0
-    n_scalability: int = 0
-    monotonicity_violations: list = field(default_factory=list)
-    scalability_violations: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.monotonicity_violations and not self.scalability_violations
-
-
-def check_sif_axioms(f, sample_pairs, alpha_samples, slack: float = 0.0) -> SifAxiomReport:
-    """Check monotonicity and scalability of ``f`` on explicit samples.
-
-    ``sample_pairs`` is an iterable of ``(x, y)`` with ``x <= y`` componentwise
-    (pairs not satisfying this are skipped); ``alpha_samples`` are scalars > 1
-    applied to the first element of each pair.  ``slack`` absorbs floating
-    point noise: a violation is only reported if it exceeds the slack.
-    """
-    report = SifAxiomReport()
-    for x, y in sample_pairs:
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if not np.all(x <= y):
-            continue
-        report.n_monotonicity += 1
-        fx, fy = f(x), f(y)
-        gap = fx - fy
-        worst = int(np.argmax(gap))
-        if gap[worst] > slack:
-            report.monotonicity_violations.append((x, y, worst, float(gap[worst])))
-        for alpha in alpha_samples:
-            if alpha <= 1:
-                raise ValueError("alpha samples must be > 1")
-            report.n_scalability += 1
-            margin = alpha * fx - f(alpha * x)
-            worst = int(np.argmin(margin))
-            if margin[worst] <= -slack:
-                report.scalability_violations.append((x, float(alpha), worst, float(margin[worst])))
-    return report

@@ -45,7 +45,7 @@ class Problem:
     def __post_init__(self):
         object.__setattr__(self, "demands", _readonly(self.demands))
         object.__setattr__(self, "p_ext_max", _readonly(self.p_ext_max))
-        if not np.all(self.p_ext_max > 0):
+        if not np.all((self.p_ext_max > 0) & (self.p_ext_max < np.inf)):
             raise DomainError("power budgets must be strictly positive")
 
     @classmethod
@@ -53,7 +53,7 @@ class Problem:
                       overlap=None, theta: float = 1.0) -> "Problem":
         """The problem of ``scenario`` under ``assoc``, with the overlap
         adjustment applied and every power budget scaled by ``theta``."""
-        if theta <= 0:
+        if not 0 < theta < np.inf:
             raise DomainError("theta must be positive")
         model = build_coupling(scenario, assoc)
         if overlap is not None:

@@ -161,7 +161,9 @@ class Association:
     ``g1``, ``g2`` and ``expand_psd`` in :mod:`flexlink.interference`).
 
     The dense properties are the paper-notation reference forms, built anew
-    on every access and used only to check the index form: ``a_ul``/``a_dl``
+    on every access.  The package never reads them; they stay only for the
+    benchmark tracer, which wraps them by name, and for the tests, which
+    check the index form against them: ``a_ul``/``a_dl``
     are N x K with exactly one 1 per column; ``a`` stacks them side by side
     over the 2K links.  ``a_ext`` maps transmitters (K UEs then N BSs) to
     links, and ``lambda_map`` expands a per-transmitter PSD vector to a
@@ -263,13 +265,6 @@ class CouplingModel:
     def n_links(self) -> int:
         return self.d_diag.shape[0]
 
-    @property
-    def v_tilde(self) -> np.ndarray:
-        """The dense 2K x 2K ``V~ = rows[rx]``, built anew on every access
-        (O((2K)^2) memory).  A reference form for the linear-reformulation
-        cross-check and the tests; the solver never reads it."""
-        return self.rows[self.rx]
-
 
 @dataclass(frozen=True)
 class OverlapModel:
@@ -290,7 +285,7 @@ class OverlapModel:
         object.__setattr__(self, "load_ul", _readonly(self.load_ul))
         object.__setattr__(self, "load_dl", _readonly(self.load_dl))
         for v in (self.load_ul, self.load_dl):
-            if v.size and (np.any(v < 0) or np.any(v > 1)):
+            if not np.all((v >= 0) & (v <= 1)):
                 raise ModelError("historical loads must lie in [0, 1]")
 
 

@@ -69,7 +69,7 @@ class SolveOptions:
             raise DomainError(f"unknown power mode: {self.power_mode!r}")
         if self.trace_mode not in ("full", "boundary"):
             raise DomainError(f"unknown trace mode: {self.trace_mode!r}")
-        if self.theta <= 0:
+        if not 0 < self.theta < math.inf:
             raise DomainError("theta must be positive")
 
 
@@ -372,84 +372,3 @@ def minimize_power(problem: Problem, w_star, p_star, psi=None) -> PowerMinResult
         fixed_point=res,
     )
 
-
-@dataclass
-class LinearCheckReport:
-    lam_candidate: float
-    lam_affine: float
-    rel_diff: float
-    ok: bool
-    p_affine: np.ndarray
-
-
-def linear_reformulation_check(problem: Problem, w_fixed, p_candidate,
-                               rel_tol: float = 1e-4) -> LinearCheckReport:
-    """Cross-check the power-update utility through the linear-in-power route.
-
-    The rate constraints at fixed bandwidth are equivalent to the linear
-    system ``p >= eta_l(lam) * [D^-1 (V~ diag(w) p + sigma)]_l`` with
-    ``eta_l(lam) = 2^{lam d_l / (W0 B w_l)} - 1``.  For each trial ``lam``
-    the right-hand side is an affine interference map whose minimal fixed
-    point is a direct linear solve (it exists exactly when the weighted
-    coupling has spectral radius below one); the largest ``lam`` whose fixed
-    point respects the power budget is located by bisection, and the SINRs
-    realized there invert back through ``eta``.  The report compares that
-    utility against the utility of the candidate power vector.
-    """
-    w = np.maximum(np.asarray(w_fixed, dtype=float), W_FLOOR)
-    p_candidate = np.asarray(p_candidate, dtype=float)
-    d = problem.demands
-    w0b = problem.rb_count * problem.rb_bandwidth
-    model = problem.model
-    k = problem.n_links
-
-    m_aff = (model.v_tilde * w[None, :]) / model.d_diag[:, None]
-    c_aff = model.sigma_vec / model.d_diag
-    eta = lambda lam: np.exp2(lam * d / (w0b * w)) - 1.0
-
-    def solve_min_power(lam: float):
-        """Minimal fixed point of p = eta(lam) * (M p + c), or None when the
-        target is infeasible (spectral radius >= 1 or eta overflows)."""
-        with np.errstate(over="ignore"):
-            e = eta(lam)
-        if not np.all(np.isfinite(e)):
-            return None
-        em = e[:, None] * m_aff
-        if np.max(np.abs(np.linalg.eigvals(em))) >= 1.0 - 1e-12:
-            return None
-        p = np.linalg.solve(np.eye(k) - em, e * c_aff)
-        if np.any(p <= 0):
-            return None
-        return p
-
-    def budget(lam: float) -> float:
-        p = solve_min_power(lam)
-        return np.inf if p is None else g2(w, p, problem)
-
-    lam_cand = utility(w, p_candidate, problem)
-    lo = hi = max(lam_cand, 1e-12)
-    if budget(lo) <= 1.0:
-        while budget(hi) <= 1.0:
-            hi *= 2.0
-    else:
-        while budget(lo) > 1.0:
-            lo /= 2.0
-            if lo < 1e-30:
-                raise DomainError("no feasible utility found in linear reformulation")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if budget(mid) <= 1.0:
-            lo = mid
-        else:
-            hi = mid
-        if (hi - lo) <= 1e-12 * max(1.0, lo):
-            break
-
-    p_aff = solve_min_power(lo)
-    realized_sinr = p_aff / (m_aff @ p_aff + c_aff)
-    lam_affine = float(np.min(w0b * w / d * np.log2(1.0 + realized_sinr)))
-    rel_diff = abs(lam_affine - lam_cand) / max(abs(lam_cand), 1e-300)
-    return LinearCheckReport(
-        lam_candidate=lam_cand, lam_affine=lam_affine, rel_diff=rel_diff,
-        ok=rel_diff <= rel_tol, p_affine=p_aff,
-    )

@@ -4,16 +4,23 @@ Each oracle deliberately uses a different computational route than the code
 under test: dense/refined grid search on the constraint set, scalar
 bisections, direct linear solves, the dense selection matrices with a
 per-cell loop for the cell-specific power-demand map, and the dense 2K x 2K
-coupling matrices the cell-row coupling model replaced.
+coupling matrices the cell-row coupling model replaced.  ``check_sif_axioms``
+samples the SIF axioms (Yates 1995); ``linear_reformulation_check`` recovers
+the power-update utility through the O((2K)^3) linear-in-power route.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from flexlink.errors import DomainError, ModelError
 from flexlink.interference import EPS_NO_DL, LN2, g1, g2, interference_psd, utility
 from flexlink.model import OVERLAP_NONE, OVERLAP_PAIRWISE, pairwise_overlap_factors
+from flexlink.optimizer import W_FLOOR
+
+
+def v_tilde(model):
+    return model.rows[model.rx]  # the dense 2K x 2K V~ of a cell-row model
 
 
 def grid_conditional_eigen(m, b, resolution=1e-4, coarse=0.05, shrink=5.0):
@@ -290,3 +297,129 @@ def dense_overlap(coupling: DenseCoupling, overlap, assoc) -> DenseCoupling:
         vt[k:, :k] *= np.outer(c_dl[b_dl], c_ul[b_ul])
 
     return replace(coupling, v_tilde=vt)
+
+
+@dataclass
+class SifAxiomReport:
+    """Outcome of sampling-based SIF axiom checks.
+
+    ``monotonicity_violations`` holds tuples ``(x, y, index, gap)`` for pairs
+    ``x <= y`` where some component of ``f(x)`` exceeds ``f(y)`` by more than
+    the slack; ``scalability_violations`` holds ``(x, alpha, index, gap)``
+    where ``alpha * f(x) - f(alpha x)`` fails to be strictly positive.
+    """
+
+    n_monotonicity: int = 0
+    n_scalability: int = 0
+    monotonicity_violations: list = field(default_factory=list)
+    scalability_violations: list = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return not self.monotonicity_violations and not self.scalability_violations
+
+
+def check_sif_axioms(f, sample_pairs, alpha_samples, slack: float = 0.0) -> SifAxiomReport:
+    """Check monotonicity and scalability of ``f`` on explicit samples.
+
+    ``sample_pairs`` is an iterable of ``(x, y)`` with ``x <= y`` componentwise
+    (pairs not satisfying this are skipped); ``alpha_samples`` are scalars > 1
+    applied to the first element of each pair.  ``slack`` absorbs floating
+    point noise: a violation is only reported if it exceeds the slack.
+    """
+    report = SifAxiomReport()
+    for x, y in sample_pairs:
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if not np.all(x <= y):
+            continue
+        report.n_monotonicity += 1
+        fx, fy = f(x), f(y)
+        gap = fx - fy
+        worst = int(np.argmax(gap))
+        if gap[worst] > slack:
+            report.monotonicity_violations.append((x, y, worst, float(gap[worst])))
+        for alpha in alpha_samples:
+            if alpha <= 1:
+                raise ValueError("alpha samples must be > 1")
+            report.n_scalability += 1
+            margin = alpha * fx - f(alpha * x)
+            worst = int(np.argmin(margin))
+            if margin[worst] <= -slack:
+                report.scalability_violations.append((x, float(alpha), worst, float(margin[worst])))
+    return report
+
+
+@dataclass
+class LinearCheckReport:
+    lam_affine: float
+    rel_diff: float
+    ok: bool  # rel_diff <= 1e-4
+
+
+def linear_reformulation_check(problem, w_fixed, p_candidate) -> LinearCheckReport:
+    """Cross-check the power-update utility through the linear-in-power route.
+
+    The rate constraints at fixed bandwidth are equivalent to the linear
+    system ``p >= eta_l(lam) * [D^-1 (V~ diag(w) p + sigma)]_l`` with
+    ``eta_l(lam) = 2^{lam d_l / (W0 B w_l)} - 1``.  For each trial ``lam``
+    the right-hand side is an affine interference map whose minimal fixed
+    point is a direct linear solve (it exists exactly when the weighted
+    coupling has spectral radius below one); the largest ``lam`` whose fixed
+    point respects the power budget is located by bisection, and the SINRs
+    realized there invert back through ``eta``.  The report compares that
+    utility against the utility of the candidate power vector.
+    """
+    w = np.maximum(np.asarray(w_fixed, dtype=float), W_FLOOR)
+    d = problem.demands
+    w0b = problem.rb_count * problem.rb_bandwidth
+    model = problem.model
+    k = problem.n_links
+
+    m_aff = (v_tilde(model) * w[None, :]) / model.d_diag[:, None]
+    c_aff = model.sigma_vec / model.d_diag
+    eta = lambda lam: np.exp2(lam * d / (w0b * w)) - 1.0
+
+    def solve_min_power(lam: float):
+        """Minimal fixed point of p = eta(lam) * (M p + c), or None when the
+        target is infeasible (spectral radius >= 1 or eta overflows)."""
+        with np.errstate(over="ignore"):
+            e = eta(lam)
+        if not np.all(np.isfinite(e)):
+            return None
+        em = e[:, None] * m_aff
+        if np.max(np.abs(np.linalg.eigvals(em))) >= 1.0 - 1e-12:
+            return None
+        p = np.linalg.solve(np.eye(k) - em, e * c_aff)
+        if np.any(p <= 0):
+            return None
+        return p
+
+    def budget(lam: float) -> float:
+        p = solve_min_power(lam)
+        return np.inf if p is None else g2(w, p, problem)
+
+    lam_cand = utility(w, p_candidate, problem)
+    lo = hi = max(lam_cand, 1e-12)
+    if budget(lo) <= 1.0:
+        while budget(hi) <= 1.0:
+            hi *= 2.0
+    else:
+        while budget(lo) > 1.0:
+            lo /= 2.0
+            if lo < 1e-30:
+                raise DomainError("no feasible utility found in linear reformulation")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if budget(mid) <= 1.0:
+            lo = mid
+        else:
+            hi = mid
+        if (hi - lo) <= 1e-12 * max(1.0, lo):
+            break
+
+    p_aff = solve_min_power(lo)
+    realized_sinr = p_aff / (m_aff @ p_aff + c_aff)
+    lam_affine = float(np.min(w0b * w / d * np.log2(1.0 + realized_sinr)))
+    rel_diff = abs(lam_affine - lam_cand) / max(abs(lam_cand), 1e-300)
+    return LinearCheckReport(lam_affine=lam_affine, rel_diff=rel_diff, ok=rel_diff <= 1e-4)

@@ -12,13 +12,12 @@ import pytest
 
 import flexlink.experiments as experiments
 from flexlink.association import Policy, associate
-from flexlink.fixedpoint import check_sif_axioms, normalized_fixed_point
+from flexlink.fixedpoint import normalized_fixed_point
 from flexlink.interference import f_load, f_power, f_power_cell, g1, g2, utility
 from flexlink.model import pairwise_overlap_factors
 from flexlink.optimizer import (
     SolveOptions,
     initial_psd,
-    linear_reformulation_check,
     minimize_power,
     optimize,
     step1_update_bandwidth,
@@ -27,7 +26,7 @@ from flexlink.optimizer import (
 from flexlink.scenario import ScenarioConfig, generate
 
 from .helpers import random_problem, random_wp
-from .oracles import grid_conditional_eigen
+from .oracles import check_sif_axioms, grid_conditional_eigen, linear_reformulation_check
 from .test_optimizer import _power_bound_problem
 
 OPTS = SolveOptions(trace_mode="boundary")

@@ -125,11 +125,23 @@ def test_solve_theta_monotone(tmp_path, scenario_file):
 
 
 def test_solve_non_positive_theta_is_one_line_error(tmp_path, scenario_file, capsys):
-    out = tmp_path / "theta0"
-    assert main(["solve", "--scenario", str(scenario_file), "--policy", "deud-p",
-                 "--theta", "0", "--out", str(out)]) == 1
-    err = capsys.readouterr().err
-    assert err.splitlines() == ["error: theta must be positive"]
+    for theta in ("0", "inf", "nan"):
+        out = tmp_path / f"theta{theta}"
+        assert main(["solve", "--scenario", str(scenario_file), "--policy", "deud-p",
+                     "--theta", theta, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: theta must be positive"]
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("scheme", ["pairwise", "specific"])
+@pytest.mark.parametrize("direction", ["ul", "dl"])
+def test_solve_nan_overlap_load_is_one_line_error(tmp_path, scenario_file, capsys,
+                                                  scheme, direction):
+    out = tmp_path / "out"
+    assert main(["solve", "--scenario", str(scenario_file), "--policy", "coud",
+                 "--overlap", scheme, f"--overlap-load-{direction}", "nan",
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: historical loads must lie in [0, 1]"]
     assert not out.exists()
 
 
@@ -189,6 +201,15 @@ def test_montecarlo_single_trial_equals_solve(tmp_path, config_file):
     row0 = [l for l in trials_csv if l.startswith("0,7,0")][0]
     assert float(row0.split(",")[3]) == pytest.approx(lam_solve, rel=1e-12)
     assert summary["aggregate"]["mean_coud"] == pytest.approx(lam_solve, rel=1e-12)
+
+
+def test_montecarlo_bad_workers_env_is_one_line_error(tmp_path, config_file, capsys,
+                                                      monkeypatch):
+    monkeypatch.setenv("FLEXLINK_WORKERS", "abc")
+    assert main(["montecarlo", "--config", str(config_file), "--trials", "1",
+                 "--seed-base", "7", "--out", str(tmp_path / "mc")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: FLEXLINK_WORKERS")
 
 
 def test_compare_pf_csv(tmp_path, scenario_file):
@@ -275,6 +296,24 @@ def test_minimize_power_uses_the_solve_overlap(tmp_path, capsys):
     assert main(["minimize-power", "--solution", str(bad), "--out", str(tmp_path / "mp2")]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ") and "pairwise" in err[0]
+
+
+@pytest.mark.parametrize("key", ["scenario", "association", "association.b_ul",
+                                 "association.b_dl", "association.n_bs", "solution",
+                                 "solution.w", "solution.p"])
+def test_minimize_power_missing_key_is_one_line_error(tmp_path, scenario_file, capsys, key):
+    assert main(["solve", "--scenario", str(scenario_file), "--policy", "coud",
+                 "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "solution.json").read_text())
+    *outer, name = key.split(".")
+    del (doc[outer[0]] if outer else doc)[name]
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "minpower"
+    assert main(["minimize-power", "--solution", str(tmp_path / "bad.json"),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: missing required solution key: {name}"]
+    assert not out.exists()
 
 
 def test_solve_cell_specific_mode(tmp_path, scenario_file):

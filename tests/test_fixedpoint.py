@@ -5,15 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flexlink.fixedpoint import (
-    check_sif_axioms,
-    normalized_fixed_point,
-    yates_iteration,
-)
+from flexlink.fixedpoint import normalized_fixed_point, yates_iteration
 from flexlink.interference import f_load, f_power
 
 from .helpers import random_problem, random_wp
 from .oracles import (
+    check_sif_axioms,
     dense_conditional_eigen_2d,
     grid_conditional_eigen,
     linear_solve_conditional_eigen,

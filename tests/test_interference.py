@@ -161,7 +161,7 @@ def test_g2_elementwise_product_order_is_bit_identical():
     assert a == b
 
 
-@pytest.mark.parametrize("budget", [0.0, -1.0, np.nan])
+@pytest.mark.parametrize("budget", [0.0, -1.0, np.nan, np.inf])
 def test_problem_rejects_non_positive_budget(budget):
     sc, assoc, _ = _two_cell()
     problem = Problem.from_scenario(sc, assoc)

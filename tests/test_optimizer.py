@@ -12,7 +12,6 @@ from flexlink.optimizer import (
     SolveOptions,
     initial_power_state,
     initial_psd,
-    linear_reformulation_check,
     minimize_power,
     optimize,
     step1_update_bandwidth,
@@ -20,14 +19,8 @@ from flexlink.optimizer import (
     step3_update_power,
 )
 
-from .helpers import (
-    coud_assoc,
-    make_scenario,
-    random_problem,
-    single_link_scenario,
-    two_cell_scenario,
-)
-from .oracles import max_min_bandwidth_grid
+from .helpers import random_problem, single_link_scenario
+from .oracles import linear_reformulation_check, max_min_bandwidth_grid
 
 OPTS = SolveOptions(trace_mode="boundary")
 CELL_OPTS = SolveOptions(trace_mode="boundary", power_mode="cell_specific")
