@@ -9,6 +9,7 @@ results are reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,8 @@ class Policy:
     def __post_init__(self):
         if self.kind not in (COUD, DEUD_O, DEUD_P):
             raise ConfigError(f"unknown association policy: {self.kind!r}")
+        if not math.isfinite(self.offset_db):
+            raise ConfigError(f"policy offset must be finite, got {self.offset_db!r} dB")
 
     @property
     def label(self) -> str:
@@ -64,9 +67,10 @@ class Policy:
             return cls(DEUD_P)
         if text.startswith("deud-o:"):
             try:
-                return cls(DEUD_O, offset_db=float(text.split(":", 1)[1]))
+                offset_db = float(text.split(":", 1)[1])
             except ValueError as exc:
                 raise ConfigError(f"bad offset in policy {text!r}") from exc
+            return cls(DEUD_O, offset_db=offset_db)
         raise ConfigError(f"cannot parse policy {text!r}")
 
 

@@ -9,6 +9,7 @@ comment line.
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 
@@ -48,7 +49,7 @@ def parse_offsets(text: str) -> list[float]:
                 lo, hi, step = float(lo_txt), float(rest), float(step_txt)
             except ValueError as exc:
                 raise ConfigError(f"bad offset range {token!r}") from exc
-            if step <= 0 or hi < lo:
+            if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
                 raise ConfigError(f"bad offset range {token!r}")
             val = lo
             while val <= hi + 1e-9:
@@ -56,9 +57,12 @@ def parse_offsets(text: str) -> list[float]:
                 val += step
         else:
             try:
-                out.append(float(token))
+                val = float(token)
             except ValueError as exc:
                 raise ConfigError(f"bad offset {token!r}") from exc
+            if not math.isfinite(val):
+                raise ConfigError(f"bad offset {token!r}")
+            out.append(val)
     return out
 
 
@@ -149,14 +153,11 @@ def cmd_sweep(scenario_path, offsets_text, overlap, overlap_load_ul, overlap_loa
     overlap_model = _overlap_model(overlap, scenario.n_bs, overlap_load_ul, overlap_load_dl)
     opts = SolveOptions(trace_mode="boundary")
 
-    rows = []
-    all_converged = True
-    for off in offsets:
-        policy = Policy("deud_o", offset_db=off)
-        sol = optimize(scenario, policy, opts, overlap=overlap_model)
-        rows.append((off, sol.lam, sol.g1, sol.g2, sol.step, int(sol.converged),
-                     policy.equivalent_to() or ""))
-        all_converged &= sol.converged
+    policies = [Policy("deud_o", offset_db=off) for off in offsets]
+    solutions = experiments.solve_policies(scenario, policies, opts, overlap_model)
+    rows = [(pol.offset_db, sol.lam, sol.g1, sol.g2, sol.step, int(sol.converged),
+             pol.equivalent_to() or "") for pol, sol in zip(policies, solutions)]
+    all_converged = all(sol.converged for sol in solutions)
 
     os.makedirs(out_dir, exist_ok=True)
     meta = {"tool_version": __version__, "overlap": overlap, **source}

@@ -19,7 +19,8 @@ from .association import COUD, DEUD_O, DEUD_P, Policy, associate, policy_sweep
 from .errors import ConfigError
 from .interference import Problem
 from .model import Scenario
-from .optimizer import SolveOptions, initial_power_state, optimize, step3_update_power
+from .optimizer import (Solution, SolveOptions, initial_power_state, optimize,
+                        step3_update_power)
 from .pf_baseline import pf_allocate
 from .scenario import ScenarioConfig, generate, uniform_overlap
 from .units import dbm_to_watt
@@ -54,6 +55,28 @@ def default_workers() -> int:
     return 1
 
 
+def solve_policies(scenario: Scenario, policies, opts: SolveOptions,
+                   overlap=None) -> list[Solution]:
+    """``optimize`` for each policy on one scenario, one ``Solution`` per policy.
+
+    A policy only shapes the problem through its association, and the solver
+    is deterministic, so each distinct ``(b_ul, b_dl)`` is solved once.  A
+    policy that repeats an earlier association gets that solution relabelled
+    with its own policy; the copies share their arrays.
+    """
+    solved = {}
+    out = []
+    for pol in policies:
+        assoc = associate(pol, scenario)
+        key = (assoc.b_ul.tobytes(), assoc.b_dl.tobytes())
+        if key in solved:
+            out.append(dataclasses.replace(solved[key], policy_label=pol.label))
+        else:
+            solved[key] = optimize(scenario, pol, opts, overlap=overlap, assoc=assoc)
+            out.append(solved[key])
+    return out
+
+
 def run_trial(config: ScenarioConfig, seed: int,
               history=(DEFAULT_HISTORY_UL, DEFAULT_HISTORY_DL),
               split=DEFAULT_PF_SPLIT, opts: SolveOptions = MC_OPTS) -> dict:
@@ -62,23 +85,21 @@ def run_trial(config: ScenarioConfig, seed: int,
     scenario = generate(config, seed)
     overlap = uniform_overlap(scenario.n_bs, history[0], history[1])
 
-    partial = {}
-    for pol in policy_sweep():
-        sol = optimize(scenario, pol, opts, overlap=overlap)
-        partial[f"{pol.offset_db:g}"] = {
+    sweep = policy_sweep()
+    partial = {
+        f"{pol.offset_db:g}": {
             "lam": sol.lam, "lam_ul": sol.lam_ul, "lam_dl": sol.lam_dl,
             "step": sol.step, "converged": sol.converged,
         }
+        for pol, sol in zip(sweep, solve_policies(scenario, sweep, opts, overlap))
+    }
 
     best_offset = max(partial, key=lambda o: partial[o]["lam"])
 
-    full = {}
-    for label, pol in (
-        ("coud", Policy(COUD)),
-        ("deud_p", Policy(DEUD_P)),
-        ("best", Policy(DEUD_O, offset_db=float(best_offset))),
-    ):
-        full[label] = optimize(scenario, pol, opts).lam
+    labels = ("coud", "deud_p", "best")
+    references = (Policy(COUD), Policy(DEUD_P), Policy(DEUD_O, offset_db=float(best_offset)))
+    full = {label: sol.lam
+            for label, sol in zip(labels, solve_policies(scenario, references, opts))}
 
     pf = {}
     for label, pol in (("coud", Policy(COUD)), ("deud_p", Policy(DEUD_P))):

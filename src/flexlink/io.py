@@ -31,13 +31,17 @@ def canonical_hash(doc) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
-def read_json(path, what: str = "document"):
-    """Parse a JSON file; a malformed one is a ``ConfigError`` naming ``what``."""
+def read_json(path, what: str = "document") -> dict:
+    """Parse a JSON file holding one object; a malformed file or another
+    top-level value is a ``ConfigError`` naming ``what``."""
     with open(path) as fh:
         try:
-            return json.load(fh)
+            doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    return doc
 
 
 def load_config(path) -> ScenarioConfig:

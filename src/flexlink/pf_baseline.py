@@ -68,14 +68,16 @@ def _pf_rates(scenario, assoc, p, counts, split):
 def pf_allocate(scenario: Scenario, assoc: Association, split=(9, 16)) -> PfAllocation:
     """Allocate the split band greedily per cell and direction.
 
-    ``split`` is (UL RBs, DL RBs) and must sum to the scenario's RB count.
+    ``split`` is (UL RBs, DL RBs); each direction gets at least one RB and
+    the two sum to the scenario's RB count.
     The per-RB gains come from the rates at zero occupancy (no inter-cell
     interference yet); the returned QoS levels use the rates of the final
     allocation.
     """
     ul_rbs, dl_rbs = split
-    if ul_rbs + dl_rbs != scenario.rb_count or ul_rbs < 0 or dl_rbs < 0:
-        raise ConfigError(f"split {split} does not partition {scenario.rb_count} RBs")
+    if ul_rbs + dl_rbs != scenario.rb_count or ul_rbs < 1 or dl_rbs < 1:
+        raise ConfigError(f"split {split} must give each direction at least one "
+                          f"of the {scenario.rb_count} RBs")
 
     k, n = scenario.n_ue, scenario.n_bs
     p = initial_psd(scenario, assoc)

@@ -6,17 +6,22 @@ bisections, direct linear solves, the dense selection matrices with a
 per-cell loop for the cell-specific power-demand map, and the dense 2K x 2K
 coupling matrices the cell-row coupling model replaced.  ``check_sif_axioms``
 samples the SIF axioms (Yates 1995); ``linear_reformulation_check`` recovers
-the power-update utility through the O((2K)^3) linear-in-power route.
+the power-update utility through the O((2K)^3) linear-in-power route;
+``run_trial_loop`` is the Monte Carlo trial with one ``optimize`` per policy.
 """
 
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from flexlink.association import COUD, DEUD_O, DEUD_P, Policy, associate, policy_sweep
 from flexlink.errors import DomainError, ModelError
+from flexlink.experiments import DEFAULT_HISTORY_DL, DEFAULT_HISTORY_UL, DEFAULT_PF_SPLIT, MC_OPTS
 from flexlink.interference import EPS_NO_DL, LN2, g1, g2, interference_psd, utility
 from flexlink.model import OVERLAP_NONE, OVERLAP_PAIRWISE, pairwise_overlap_factors
-from flexlink.optimizer import W_FLOOR
+from flexlink.optimizer import W_FLOOR, optimize
+from flexlink.pf_baseline import pf_allocate
+from flexlink.scenario import generate, uniform_overlap
 
 
 def v_tilde(model):
@@ -423,3 +428,33 @@ def linear_reformulation_check(problem, w_fixed, p_candidate) -> LinearCheckRepo
     lam_affine = float(np.min(w0b * w / d * np.log2(1.0 + realized_sinr)))
     rel_diff = abs(lam_affine - lam_cand) / max(abs(lam_cand), 1e-300)
     return LinearCheckReport(lam_affine=lam_affine, rel_diff=rel_diff, ok=rel_diff <= 1e-4)
+
+
+def run_trial_loop(config, seed, history=(DEFAULT_HISTORY_UL, DEFAULT_HISTORY_DL),
+                   split=DEFAULT_PF_SPLIT, opts=MC_OPTS) -> dict:
+    """``experiments.run_trial`` as a plain loop: one ``optimize`` per policy,
+    with no solve shared between policies of the same association."""
+    scenario = generate(config, seed)
+    overlap = uniform_overlap(scenario.n_bs, history[0], history[1])
+
+    partial = {}
+    for pol in policy_sweep():
+        sol = optimize(scenario, pol, opts, overlap=overlap)
+        partial[f"{pol.offset_db:g}"] = {
+            "lam": sol.lam, "lam_ul": sol.lam_ul, "lam_dl": sol.lam_dl,
+            "step": sol.step, "converged": sol.converged,
+        }
+    best_offset = max(partial, key=lambda o: partial[o]["lam"])
+
+    full = {}
+    for label, pol in (("coud", Policy(COUD)), ("deud_p", Policy(DEUD_P)),
+                       ("best", Policy(DEUD_O, offset_db=float(best_offset)))):
+        full[label] = optimize(scenario, pol, opts).lam
+
+    pf = {}
+    for label, pol in (("coud", Policy(COUD)), ("deud_p", Policy(DEUD_P))):
+        alloc = pf_allocate(scenario, associate(pol, scenario), split=split)
+        pf[label] = {"lam_ul": alloc.lam_ul, "lam_dl": alloc.lam_dl, "lam": alloc.lam}
+
+    return {"seed": seed, "partial": partial, "best_offset": best_offset,
+            "full": full, "pf": pf}

@@ -116,5 +116,6 @@ def test_policy_parse_and_label():
     assert p.label == "deud-o:21"
     with pytest.raises(ConfigError):
         Policy.parse("nonsense")
-    with pytest.raises(ConfigError):
-        Policy.parse("deud-o:abc")
+    for bad in ("deud-o:abc", "deud-o:nan", "deud-o:-inf"):
+        with pytest.raises(ConfigError):
+            Policy.parse(bad)

@@ -50,8 +50,9 @@ def test_parse_offsets_paper_set():
     assert offs == [0.0] + [float(o) for o in range(1, 52, 2)]
     assert len(offs) == 27
     assert parse_offsets("2..10:4") == [2.0, 6.0, 10.0]
-    with pytest.raises(ConfigError):
-        parse_offsets("5..1")
+    for bad in ("5..1", "nan", "inf", "0,-inf", "nan..5", "0..5:inf", "0..nan"):
+        with pytest.raises(ConfigError, match="bad offset"):
+            parse_offsets(bad)
 
 
 def test_generate_is_deterministic_by_file_hash(tmp_path, config_file):
@@ -182,6 +183,53 @@ def test_sweep_csv_and_ranking(tmp_path, scenario_file):
         (out2 / "sweep.csv").read_text().splitlines()[1:]
 
 
+def test_sweep_rows_equal_separate_solves(tmp_path, scenario_file):
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--scenario", str(scenario_file), "--offsets", "0,0,13",
+                 "--out", str(out)]) == 0
+    lines = (out / "sweep.csv").read_text().splitlines()
+    header = lines[1].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[2:]]
+    assert [r["offset_db"] for r in rows] == ["0.0", "0.0", "13.0"]
+    assert [r["equivalent"] for r in rows] == ["coud", "coud", "deud_p"]
+    for row in rows:
+        sol_dir = tmp_path / f"solve{row['offset_db']}"
+        assert main(["solve", "--scenario", str(scenario_file), "--policy",
+                     f"deud-o:{row['offset_db']}", "--overlap", "pairwise",
+                     "--out", str(sol_dir)]) == 0
+        solved = json.loads((sol_dir / "solution.json").read_text())["solution"]
+        assert [row["lam"], row["g1"], row["g2"], row["step"], row["converged"]] == [
+            repr(solved["lambda"]), repr(solved["g1"]), repr(solved["g2"]), solved["step"],
+            str(int(solved["converged"]))]
+
+
+@pytest.mark.parametrize("args", [["solve", "--policy", "deud-o:nan"],
+                                  ["solve", "--policy", "deud-o:inf"],
+                                  ["sweep", "--offsets", "nan"],
+                                  ["sweep", "--offsets", "0,inf"]])
+def test_non_finite_offset_is_one_line_error(tmp_path, scenario_file, capsys, args):
+    out = tmp_path / "out"
+    assert main([*args, "--scenario", str(scenario_file), "--out", str(out)]) == 1
+    bad_value = args[-1].split(":")[-1].split(",")[-1]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and bad_value in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flag, what", [
+    ("solve", "--scenario", "scenario"), ("sweep", "--scenario", "scenario"),
+    ("minimize-power", "--solution", "solution"), ("generate", "--config", "config"),
+])
+def test_non_object_document_is_one_line_error(tmp_path, capsys, command, flag, what):
+    doc = tmp_path / "list.json"
+    doc.write_text("[]")
+    extra = {"solve": ["--policy", "coud"], "generate": ["--seed", "1"]}.get(command, [])
+    out = tmp_path / "out"
+    assert main([command, flag, str(doc), *extra, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {what} must be a JSON object"]
+    assert not out.exists()
+
+
 def test_montecarlo_single_trial_equals_solve(tmp_path, config_file):
     out = tmp_path / "mc"
     assert main(["montecarlo", "--config", str(config_file), "--trials", "1",
@@ -226,6 +274,16 @@ def test_compare_pf_csv(tmp_path, scenario_file):
     assert main(["compare-pf", "--scenario", str(scenario_file), "--policy", "coud",
                  "--out", str(out2)]) == 0
     assert (out / "compare_pf.csv").read_text() == (out2 / "compare_pf.csv").read_text()
+
+
+@pytest.mark.parametrize("split", ["0:25", "25:0"])
+def test_compare_pf_empty_direction_is_one_line_error(tmp_path, scenario_file, capsys, split):
+    out = tmp_path / "pf"
+    assert main(["compare-pf", "--scenario", str(scenario_file), "--policy", "coud",
+                 "--split", split, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: split ({split.replace(':', ', ')})")
+    assert not out.exists()
 
 
 def test_minimize_power_cli_and_preconditions(tmp_path, config_file):

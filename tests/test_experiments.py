@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 import flexlink.experiments as experiments
-from flexlink.association import Policy
-from flexlink.scenario import ScenarioConfig, generate
+from flexlink.association import Policy, associate, policy_sweep
+from flexlink.optimizer import optimize
+from flexlink.scenario import ScenarioConfig, generate, uniform_overlap
+
+from .oracles import run_trial_loop
 
 TINY = ScenarioConfig(macro_rows=1, macro_cols=2, n_pico=1, n_ue=6,
                       isd_m=20.0, service_mix=(0.0, 0.2, 0.0, 0.1, 0.7),
@@ -22,6 +25,60 @@ def test_single_trial_structure():
     assert set(res["full"]) == {"coud", "deud_p", "best"}
     assert res["full"]["best"] > 0
     assert all(v["converged"] for v in res["partial"].values())
+
+
+@pytest.mark.parametrize("seed", [1, 2, 2824])
+def test_trial_equals_one_solve_per_policy(seed):
+    assert experiments.run_trial(experiments.STUDY_CONFIG, seed) == \
+        run_trial_loop(experiments.STUDY_CONFIG, seed)
+
+
+def _counting_optimize(monkeypatch):
+    """Replace ``experiments.optimize`` with a wrapper; returns the list of
+    (b_ul, b_dl, overlap given) it is called with."""
+    calls = []
+
+    def counted(scenario, policy, opts, overlap=None, assoc=None):
+        calls.append((tuple(assoc.b_ul), tuple(assoc.b_dl), overlap is not None))
+        return optimize(scenario, policy, opts, overlap=overlap, assoc=assoc)
+
+    monkeypatch.setattr(experiments, "optimize", counted)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_trial_solves_each_association_once_per_arm(monkeypatch, seed):
+    calls = _counting_optimize(monkeypatch)
+    res = experiments.run_trial(experiments.STUDY_CONFIG, seed)
+    scenario = generate(experiments.STUDY_CONFIG, seed)
+    arms = {
+        True: policy_sweep(),  # partial overlap
+        False: [Policy("coud"), Policy("deud_p"),
+                Policy("deud_o", offset_db=float(res["best_offset"]))],
+    }
+    assert len(calls) == len(set(calls))
+    for partial, policies in arms.items():
+        distinct = {(tuple(a.b_ul), tuple(a.b_dl))
+                    for a in (associate(pol, scenario) for pol in policies)}
+        assert {c[:2] for c in calls if c[2] == partial} == distinct
+    assert sum(c[2] for c in calls) < len(arms[True])  # the sweep does repeat
+
+
+def test_solve_policies_relabels_repeats(monkeypatch):
+    calls = _counting_optimize(monkeypatch)
+    scenario = generate(experiments.STUDY_CONFIG, 1)
+    overlap = uniform_overlap(scenario.n_bs, experiments.DEFAULT_HISTORY_UL,
+                              experiments.DEFAULT_HISTORY_DL)
+    # deud-o:0 is coud and deud-o:13 is deud-p: two distinct problems
+    policies = [Policy.parse(t) for t in ("coud", "deud-o:0", "deud-o:13", "deud-p", "coud")]
+    sols = experiments.solve_policies(scenario, policies, experiments.MC_OPTS, overlap)
+    assert len(calls) == 2
+    assert [s.policy_label for s in sols] == ["coud", "deud-o:0", "deud-o:13", "deud-p", "coud"]
+    assert sols[0].lam == sols[1].lam == sols[4].lam
+    assert sols[2].lam == sols[3].lam
+    for pol, sol in zip(policies, sols):
+        alone = optimize(scenario, pol, experiments.MC_OPTS, overlap=overlap)
+        assert sol.to_dict() == alone.to_dict()
 
 
 def test_study_deterministic_given_seed_base():

@@ -53,8 +53,9 @@ def test_bad_split_rejected():
     assoc = coud_assoc(sc)
     with pytest.raises(ConfigError):
         pf_allocate(sc, assoc, split=(9, 17))
-    with pytest.raises(ConfigError):
-        pf_allocate(sc, assoc, split=(-1, 26))
+    for split in ((-1, 26), (0, 25), (25, 0)):
+        with pytest.raises(ConfigError):
+            pf_allocate(sc, assoc, split=split)
 
 
 def test_deterministic():
