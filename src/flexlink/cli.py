@@ -77,7 +77,7 @@ def _read_scenario(path):
     """The scenario document at ``path``, its scenario, and the ``seed`` and
     ``config_hash`` meta that every output derived from it carries."""
     doc = io.read_json(path, "scenario")
-    source = doc.get("meta", {})
+    source = io.as_object(doc.get("meta", {}), "scenario key 'meta'")
     return doc, io.scenario_from_dict(doc), {"seed": source.get("seed"),
                                              "config_hash": source.get("config_hash")}
 
@@ -242,7 +242,8 @@ def cmd_minimize_power(solution_path, out_dir):
     """Shrink a strictly feasible solution's power to the utility-1 minimum."""
     doc = io.read_json(solution_path, "solution")
     try:
-        scenario_doc, assoc_doc, solved = doc["scenario"], doc["association"], doc["solution"]
+        scenario_doc, assoc_doc, solved = (io.as_object(doc[key], f"solution key {key!r}")
+                                           for key in ("scenario", "association", "solution"))
         assoc = Association(b_ul=np.array(assoc_doc["b_ul"]), b_dl=np.array(assoc_doc["b_dl"]),
                             n_bs=assoc_doc["n_bs"])
         w_star = np.array(solved["w"], dtype=float)
@@ -251,7 +252,7 @@ def cmd_minimize_power(solution_path, out_dir):
         raise ConfigError(f"missing required solution key: {exc.args[0]}") from exc
     scenario = io.scenario_from_dict(scenario_doc)
     theta = float(solved.get("theta", 1.0))
-    solve_meta = doc.get("meta", {})
+    solve_meta = io.as_object(doc.get("meta", {}), "solution key 'meta'")
     overlap = solve_meta.get("overlap", "none")
     loads = (solve_meta.get("overlap_load_ul"), solve_meta.get("overlap_load_dl"))
     if overlap not in OVERLAP_CHOICES:

@@ -62,7 +62,7 @@ def normalized_fixed_point(
         fx = f(x)
         gf = g(fx)
         x_next = theta * fx / gf
-        residual = float(np.max(np.abs(x_next - x)))
+        residual = float(np.abs(x_next - x).max())
         if callback is not None:
             callback(t, x_next, residual)
         x = x_next
@@ -107,13 +107,13 @@ def yates_iteration(
     for t in range(1, max_iter + 1):
         x_next = f(x)
         prev_residual = residual
-        residual = float(np.max(np.abs(x_next - x)))
+        residual = float(np.abs(x_next - x).max())
         if callback is not None:
             callback(t, x_next, residual)
         done = residual < tol
         if done and rel_tol is not None:
             rel = np.abs(x_next - x) / np.maximum(np.abs(x_next), 1e-300)
-            done = float(np.max(rel)) < rel_tol
+            done = float(rel.max()) < rel_tol
         x = x_next
         if not math.isfinite(residual):
             return FixedPointResult(

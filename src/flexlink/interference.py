@@ -74,9 +74,11 @@ class Problem:
 
 def interference_psd(p, w, model: CouplingModel):
     """Per-link interference-plus-noise PSD normalized by the direct gain:
-    ``[D^-1 (V~ diag(p) w + sigma)]``, with ``V~ x = (rows @ x)[rx]``."""
-    heard = model.rows @ (np.asarray(p) * np.asarray(w))
-    return (heard[model.rx] + model.sigma_vec) / model.d_diag
+    ``[D^-1 (V~ diag(p) w + sigma)]``.  Each transmitter's ``w p`` is summed
+    over its links first, so ``V~ x = (rows @ sum_tx(x))[rx]``."""
+    sent = np.bincount(model.tx, weights=np.asarray(p) * np.asarray(w),
+                       minlength=model.rows.shape[1])
+    return ((model.rows @ sent)[model.rx] + model.sigma_vec) / model.d_diag
 
 
 def sinr(p, w, model: CouplingModel):
@@ -101,7 +103,7 @@ def qos_levels(w, p, problem: Problem):
 
 def utility(w, p, problem: Problem) -> float:
     """Minimum QoS satisfaction level over all links."""
-    return float(np.min(qos_levels(w, p, problem)))
+    return float(qos_levels(w, p, problem).min())
 
 
 def f_load(w, p_fixed, problem: Problem):
@@ -111,7 +113,7 @@ def f_load(w, p_fixed, problem: Problem):
     power (rates stay positive, interference grows with occupancy).
     """
     p_fixed = np.asarray(p_fixed, dtype=float)
-    if np.any(p_fixed <= 0):
+    if (p_fixed <= 0).any():
         raise DomainError("f_load requires strictly positive fixed power")
     r = link_rates(p_fixed, w, problem.model, problem.rb_bandwidth)
     return problem.demands / (problem.rb_count * r)
@@ -121,7 +123,7 @@ def g1(w, problem: Problem) -> float:
     """Per-cell load constraint functional ``||A w||_inf``; ``A w`` sums each
     cell's served links."""
     assoc = problem.assoc
-    return float(np.max(np.bincount(assoc.serving, weights=w, minlength=assoc.n_bs)))
+    return float(np.bincount(assoc.serving, weights=w, minlength=assoc.n_bs).max())
 
 
 def g2(w, p, problem: Problem) -> float:
@@ -134,7 +136,7 @@ def g2(w, p, problem: Problem) -> float:
     k = assoc.n_ue
     wp = np.asarray(w) * np.asarray(p)
     used = np.concatenate([wp[:k], np.bincount(assoc.b_dl, weights=wp[k:], minlength=assoc.n_bs)])
-    return float(problem.rb_count * np.max(used / problem.p_ext_max))
+    return float(problem.rb_count * (used / problem.p_ext_max).max())
 
 
 def expand_psd(p_bar, assoc: Association) -> np.ndarray:
@@ -161,7 +163,7 @@ def f_power(p, w_fixed, problem: Problem):
     p = np.asarray(p, dtype=float)
     w_fixed = np.asarray(w_fixed, dtype=float)
     d, rb_count, rb_bandwidth = problem.demands, problem.rb_count, problem.rb_bandwidth
-    if np.any(w_fixed <= 0):
+    if (w_fixed <= 0).any():
         raise DomainError("f_power requires strictly positive fixed bandwidth")
     ipsd = interference_psd(p, w_fixed, problem.model)
     nz = p > 0
@@ -169,7 +171,7 @@ def f_power(p, w_fixed, problem: Problem):
         r = rb_bandwidth * np.log2(1.0 + p / ipsd)
         out = np.where(nz, (p / w_fixed) * d / (rb_count * r), 0.0)
     zero = ~nz
-    if np.any(zero):
+    if zero.any():
         out[zero] = d[zero] * LN2 / (rb_count * rb_bandwidth * w_fixed[zero]) * ipsd[zero]
     return out
 

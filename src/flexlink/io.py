@@ -39,9 +39,14 @@ def read_json(path, what: str = "document") -> dict:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
+    return as_object(doc, what)
+
+
+def as_object(value, what: str) -> dict:
+    """``value`` if it is a JSON object, else a ``ConfigError`` naming ``what``."""
+    if not isinstance(value, dict):
         raise ConfigError(f"{what} must be a JSON object")
-    return doc
+    return value
 
 
 def load_config(path) -> ScenarioConfig:

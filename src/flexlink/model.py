@@ -8,11 +8,13 @@ Conventions used throughout the package:
   this ordering, uplink block first.
 * Channel gains are linear amplitude-squared attenuations in ``(0, 1]``.
 * Powers are watts; PSD values are watts per resource block.
-* The 2K x 2K link coupling matrix ``V~`` of the paper is stored in cell-row
-  form, ``V~ = rows[rx]`` with ``rows`` of shape (N+K) x 2K: one receiver
-  row per cell for the uplinks, one per UE for the downlinks.  This is exact
-  because an uplink's row of ``V~`` depends only on its serving cell
-  ``b_ul[k]`` (see :class:`CouplingModel`).
+* The 2K x 2K link coupling matrix ``V~`` of the paper is stored in
+  receiver-row, transmitter-column form, ``V~ = rows[np.ix_(rx, tx)]`` with
+  ``rows`` of shape (N+K) x (K+N): one receiver row per cell for the uplinks
+  and one per UE for the downlinks, one transmitter column per UE and then
+  one per cell.  This is exact because an uplink's row of ``V~`` depends
+  only on its serving cell ``b_ul[k]`` and a downlink's column only on its
+  serving cell ``b_dl[j]`` (see :class:`CouplingModel`).
 """
 
 from __future__ import annotations
@@ -227,19 +229,25 @@ class Association:
 
 @dataclass(frozen=True)
 class CouplingModel:
-    """Link gain coupling between the 2K links in cell-row form.
+    """Link gain coupling between the 2K links by receiver and transmitter.
 
     The paper's coupling matrix ``V~`` (2K x 2K, receiver link by
-    transmitter link) is stored as ``V~ = rows[rx]``.  ``rows`` is
-    (N+K) x 2K: row ``n < N`` belongs to cell ``n``'s uplink receiver, row
-    ``N + k`` to UE ``k``'s downlink receiver; ``rx`` maps
-    each link to its receiver row (``b_ul`` for uplinks, ``N + arange(K)``
-    for downlinks).  The identity holds because every uplink row of ``V~``
-    depends only on the serving cell ``b_ul[k]``: the UL<-UL block is
-    ``A_ul^T H0`` and the UL<-DL block ``A_ul^T H1 A_dl``, both functions of
-    the receiving BS, and the same-cell zeroing (below) compares transmitters
-    with that BS alone.  Uplinks sharing a cell therefore share a row, and
-    ``rows`` holds about half the entries of ``V~``.
+    transmitter link) is stored as ``V~ = rows[np.ix_(rx, tx)]``.  ``rows``
+    is (N+K) x (K+N): row ``n < N`` belongs to cell ``n``'s uplink receiver,
+    row ``N + k`` to UE ``k``'s downlink receiver; column ``j < K`` to UE
+    ``j``'s uplink transmitter, column ``K + n`` to cell ``n``'s downlink
+    transmitter.  ``rx`` maps each link to its receiver row (``b_ul`` for
+    uplinks, ``N + arange(K)`` for downlinks) and ``tx`` to its transmitter
+    column (``arange(K)`` for uplinks, ``K + b_dl`` for downlinks).  The
+    identity holds because every uplink row of ``V~`` depends only on the
+    serving cell ``b_ul[k]`` and every downlink column only on the sending
+    cell ``b_dl[j]``: the UL<-UL block is ``A_ul^T H0``, the UL<-DL block
+    ``A_ul^T H1 A_dl`` and the DL<-DL block ``H0^T A_dl``, and the same-cell
+    zeroing (below) compares a receiving cell with a sending cell alone.
+    Links sharing a serving cell therefore share a row or a column, and
+    ``rows`` holds about a quarter of the entries of ``V~``.  A receiver
+    hears a cell's downlinks only through their summed ``w p``, so
+    ``V~ diag(p) w`` is ``rows`` times the per-transmitter sums.
 
     Entries whose two links share a serving BS are zero (no intra-cell
     interference), as is the device self-pair of each UE's own uplink into
@@ -250,11 +258,12 @@ class CouplingModel:
 
     rows: np.ndarray
     rx: np.ndarray
+    tx: np.ndarray
     d_diag: np.ndarray
     sigma_vec: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.rows, self.rx, self.d_diag, self.sigma_vec):
+        for arr in (self.rows, self.rx, self.tx, self.d_diag, self.sigma_vec):
             arr.setflags(write=False)  # in place: the caller hands them over
         if not np.all(self.d_diag > 0):
             raise ModelError("direct link gains must be strictly positive")
@@ -290,44 +299,47 @@ class OverlapModel:
 
 
 def build_coupling(scenario: Scenario, assoc: Association) -> CouplingModel:
-    """Assemble the cell-row coupling ``rows``/``rx`` for an association.
+    """Assemble the coupling ``rows``/``rx``/``tx`` for an association.
 
     The four blocks of ``V~`` are, in receiver-block/transmitter-block order:
     UL<-UL ``A_ul^T H0``, UL<-DL ``A_ul^T H1 A_dl``, DL<-UL ``H2`` and
-    DL<-DL ``H0^T A_dl``.  The first two are stored once per receiving cell:
-    cell row ``n`` holds ``h0[n, j]`` in the UL columns and ``h1[n, b_dl[j]]``
-    in the DL columns.  The last two fill the K downlink rows.  Every entry
-    whose two links share a serving BS is zero (own-cell scheduling is
-    orthogonal), which in particular clears the diagonal of ``V~``.  The
-    DL<-UL entry of a UE against itself is also cleared even when its two
-    serving BSs differ: that coupling would be the ``h2`` self-gain of the
-    device, which is not a propagation channel and is never read.  The same
-    UE's UL<-DL entry stays (a real BS-to-BS path when the association is
-    decoupled).
+    DL<-DL ``H0^T A_dl``.  Stored once per receiving cell and per sending
+    cell, they are the four blocks of ``rows``: ``h0`` and ``h1`` in the
+    cell rows, ``h2`` and ``h0^T`` in the UE rows.  Every entry whose two
+    links share a serving BS is zero (own-cell scheduling is orthogonal):
+    each UE's uplink cell in the ``h0`` block, the diagonal of the ``h1``
+    block, each UE's downlink cell in the ``h0^T`` block, and the ``h2``
+    entries of UE pairs whose downlink and uplink cells agree.  This in
+    particular clears the diagonal of ``V~``.  The DL<-UL entry of a UE
+    against itself is also cleared even when its two serving BSs differ:
+    that coupling would be the ``h2`` self-gain of the device, which is not
+    a propagation channel and is never read.  The same UE's UL<-DL entry
+    stays (a real BS-to-BS path when the association is decoupled).
     """
     n, k = scenario.n_bs, scenario.n_ue
     if assoc.n_ue != k or assoc.n_bs != n:
         raise ModelError("association does not match scenario dimensions")
 
     b_ul, b_dl = assoc.b_ul, assoc.b_dl
-    ue_idx = np.arange(k)
+    ue_idx, bs_idx = np.arange(k), np.arange(n)
 
-    rows = np.empty((n + k, 2 * k))
+    rows = np.empty((n + k, k + n))
     rows[:n, :k] = scenario.h0                        # UE j -> BS n
-    rows[:n, k:] = scenario.h1[:, b_dl]               # BS of DL j -> BS n
+    rows[:n, k:] = scenario.h1                        # BS m -> BS n
     rows[b_ul, ue_idx] = 0.0                          # UL j at its own BS
-    rows[b_dl, k + ue_idx] = 0.0                      # DL j at the BS sending it
+    rows[bs_idx, k + bs_idx] = 0.0                    # DL of BS n at BS n
     dl_rows = rows[n:]
     dl_rows[:, :k] = scenario.h2                      # UE j -> UE k
-    dl_rows[:, k:] = scenario.h0.T[:, b_dl]           # BS of DL j -> UE k
+    dl_rows[:, k:] = scenario.h0.T                    # BS m -> UE k
     np.copyto(dl_rows[:, :k], 0.0, where=b_dl[:, None] == b_ul[None, :])
-    np.copyto(dl_rows[:, k:], 0.0, where=b_dl[:, None] == b_dl[None, :])
+    dl_rows[ue_idx, k + b_dl] = 0.0                   # DL k from its own BS
     dl_rows[ue_idx, ue_idx] = 0.0  # own-UL into own-DL: h2 self-gain, never read
 
     rx = np.concatenate([b_ul, n + ue_idx])
+    tx = np.concatenate([ue_idx, k + b_dl])
     d_diag = np.concatenate([scenario.h0[b_ul, ue_idx], scenario.h0[b_dl, ue_idx]])
     sigma_vec = np.full(2 * k, scenario.noise_psd)
-    return CouplingModel(rows=rows, rx=rx, d_diag=d_diag, sigma_vec=sigma_vec)
+    return CouplingModel(rows=rows, rx=rx, tx=tx, d_diag=d_diag, sigma_vec=sigma_vec)
 
 
 def pairwise_overlap_factors(load_ul, load_dl):
@@ -365,8 +377,8 @@ def apply_overlap(coupling: CouplingModel, overlap: OverlapModel, assoc: Associa
     ``A_x^T O A_y`` and multiplies elementwise; ``cell_specific`` scales the
     UL<-DL block by ``c_ul[b_ul[k]] * c_dl[b_dl[j]]`` and the DL<-UL block by
     ``c_dl[b_dl[k]] * c_ul[b_ul[j]]``, with the c vectors taken from the
-    historical loads.  Both factors of the UL<-DL block depend on the
-    receiver only through its cell, so they scale the cell rows directly.
+    historical loads.  The UL<-DL block of ``rows`` is indexed by receiving
+    and sending cell, so the N x N factors scale it as they stand.
     Same-direction blocks are unchanged (factor 1).
     """
     if overlap.scheme == OVERLAP_NONE:
@@ -382,12 +394,12 @@ def apply_overlap(coupling: CouplingModel, overlap: OverlapModel, assoc: Associa
 
     if overlap.scheme == OVERLAP_PAIRWISE:
         ul_dl, dl_ul = pairwise_overlap_factors(overlap.load_ul, overlap.load_dl)
-        # lift A_x^T O A_y: entry (k, j) is O[serving_x[k], serving_y[j]]
-        rows[:n, k:] *= ul_dl[:, b_dl]
+        # DL<-UL lifted by A_dl^T O A_ul: entry (k, j) is O[b_dl[k], b_ul[j]]
+        rows[:n, k:] *= ul_dl
         rows[n:, :k] *= dl_ul[np.ix_(b_dl, b_ul)]
     else:  # cell_specific
         c_ul, c_dl = overlap.load_ul, overlap.load_dl
-        rows[:n, k:] *= np.outer(c_ul, c_dl[b_dl])
+        rows[:n, k:] *= np.outer(c_ul, c_dl)
         rows[n:, :k] *= np.outer(c_dl[b_dl], c_ul[b_ul])
 
     return replace(coupling, rows=rows)

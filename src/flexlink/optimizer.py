@@ -321,8 +321,8 @@ def optimize(scenario: Scenario, policy=None, opts: SolveOptions = SolveOptions(
     qos = qos_levels(w, p, problem)
     k = assoc.n_ue
     return Solution(
-        w=w, p=p, lam=float(np.min(qos)), lam_ul=float(np.min(qos[:k])),
-        lam_dl=float(np.min(qos[k:])), lam_solver=lam, step=step,
+        w=w, p=p, lam=float(qos.min()), lam_ul=float(qos[:k].min()),
+        lam_dl=float(qos[k:].min()), lam_solver=lam, step=step,
         g1=g1(w, problem), g2=g2(w, p, problem), converged=converged,
         trace=trace, p_bar=x if opts.power_mode == "cell_specific" else None,
         policy_label=policy.label if policy is not None else "custom",

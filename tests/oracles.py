@@ -4,7 +4,7 @@ Each oracle deliberately uses a different computational route than the code
 under test: dense/refined grid search on the constraint set, scalar
 bisections, direct linear solves, the dense selection matrices with a
 per-cell loop for the cell-specific power-demand map, and the dense 2K x 2K
-coupling matrices the cell-row coupling model replaced.  ``check_sif_axioms``
+coupling matrices the receiver/transmitter coupling model replaced.  ``check_sif_axioms``
 samples the SIF axioms (Yates 1995); ``linear_reformulation_check`` recovers
 the power-update utility through the O((2K)^3) linear-in-power route;
 ``run_trial_loop`` is the Monte Carlo trial with one ``optimize`` per policy.
@@ -25,7 +25,7 @@ from flexlink.scenario import generate, uniform_overlap
 
 
 def v_tilde(model):
-    return model.rows[model.rx]  # the dense 2K x 2K V~ of a cell-row model
+    return model.rows[np.ix_(model.rx, model.tx)]  # the dense 2K x 2K V~ of a model
 
 
 def grid_conditional_eigen(m, b, resolution=1e-4, coarse=0.05, shrink=5.0):

@@ -230,6 +230,32 @@ def test_non_object_document_is_one_line_error(tmp_path, capsys, command, flag, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("document, key", [
+    ("scenario", "meta"), ("solution", "scenario"), ("solution", "association"),
+    ("solution", "solution"), ("solution", "meta"),
+])
+def test_non_object_nested_value_is_one_line_error(tmp_path, scenario_file, capsys,
+                                                   document, key):
+    sol_dir = tmp_path / "sol"
+    assert main(["solve", "--scenario", str(scenario_file), "--policy", "coud",
+                 "--out", str(sol_dir)]) == 0
+    source = scenario_file if document == "scenario" else sol_dir / "solution.json"
+    doc = json.loads(source.read_text())
+    doc[key] = []
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "out"
+    if document == "scenario":
+        args = ["solve", "--scenario", str(bad), "--policy", "coud"]
+    else:
+        args = ["minimize-power", "--solution", str(bad)]
+    assert main([*args, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {document} key {key!r} must be a JSON object"]
+    assert not out.exists()
+
+
 def test_montecarlo_single_trial_equals_solve(tmp_path, config_file):
     out = tmp_path / "mc"
     assert main(["montecarlo", "--config", str(config_file), "--trials", "1",

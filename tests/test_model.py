@@ -1,7 +1,8 @@
 """Coupling matrix construction and overlap adjustment.
 
 The raw cross gains ``v`` exist only in the dense reference
-(``tests/oracles.py``); the model stores ``V~`` in cell-row form.
+(``tests/oracles.py``); the model stores ``V~`` by receiver row and
+transmitter column.
 """
 
 import logging
@@ -210,7 +211,7 @@ def test_cell_row_coupling_matches_dense_reference(case):
     model = apply_overlap(build_coupling(sc, assoc), overlap, assoc)
     dense = dense_overlap(dense_coupling(sc, assoc), overlap, assoc)
 
-    assert model.rows.shape == (n + k, 2 * k)
+    assert model.rows.shape == (n + k, k + n)
     assert np.array_equal(v_tilde(model), dense.v_tilde)
     assert np.array_equal(model.d_diag, dense.d_diag)
     assert np.array_equal(model.sigma_vec, dense.sigma_vec)
@@ -224,7 +225,7 @@ def test_cell_row_coupling_matches_dense_reference(case):
 def test_coupling_arrays_are_read_only():
     sc = two_cell_scenario()
     model = build_coupling(sc, coud_assoc(sc))
-    for arr in (model.rows, model.rx, model.d_diag, model.sigma_vec):
+    for arr in (model.rows, model.rx, model.tx, model.d_diag, model.sigma_vec):
         with pytest.raises(ValueError):
             arr[0] = 0
 

@@ -8,9 +8,10 @@ from flexlink.experiments import MC_OPTS, compare_pf
 from flexlink.interference import qos_levels
 from flexlink.model import Association
 from flexlink.optimizer import optimize
-from flexlink.pf_baseline import pf_allocate
+from flexlink.pf_baseline import _pf_rates, pf_allocate
 
-from .helpers import make_scenario, random_problem, two_cell_scenario, coud_assoc
+from .helpers import make_scenario, random_problem, random_scenario, two_cell_scenario, coud_assoc
+from .oracles import dense_coupling
 
 
 def test_single_link_per_direction_gets_whole_split():
@@ -46,6 +47,29 @@ def test_per_cell_budgets_respected():
         dl = alloc.rb_counts[k:][assoc.b_dl == cell].sum()
         assert ul <= 9 and dl <= 16
         assert ul + dl <= scenario.rb_count
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_split_band_rates_match_dense_reference(seed):
+    # the PF baseline zeroes the cross-direction blocks by slicing the
+    # coupling at the UE/BS transmitter split; the dense V~ zeroes them by link
+    n, k = 3, 7
+    sc = random_scenario(seed, n_ue=k, n_bs=n)
+    rng = np.random.default_rng(seed)
+    assoc = Association(b_ul=rng.integers(0, n, k), b_dl=rng.integers(0, n, k), n_bs=n)
+    p = 10 ** rng.uniform(-6, -1, 2 * k)
+    counts = rng.integers(0, 9, 2 * k).astype(float)
+    split = (9, 16)
+
+    dense = dense_coupling(sc, assoc)
+    vt = np.array(dense.v_tilde)
+    vt[:k, k:] = 0.0
+    vt[k:, :k] = 0.0
+    occupancy = counts / np.repeat(split, k)
+    ipsd = (vt @ (p * occupancy) + dense.sigma_vec) / dense.d_diag
+    expected = sc.rb_bandwidth * np.log2(1.0 + p / ipsd)
+
+    assert np.allclose(_pf_rates(sc, assoc, p, counts, split), expected, rtol=1e-12, atol=0.0)
 
 
 def test_bad_split_rejected():
