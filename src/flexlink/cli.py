@@ -20,7 +20,7 @@ from . import __version__, experiments, io
 from .association import Policy, associate
 from .errors import ConfigError, DomainError, InfeasibleError, ModelError
 from .interference import Problem
-from .model import OVERLAP_NONE, OVERLAP_PAIRWISE, OVERLAP_SPECIFIC, Association
+from .model import OVERLAP_PAIRWISE, OVERLAP_SPECIFIC, Association
 from .optimizer import SolveOptions, minimize_power, optimize
 from .scenario import generate, uniform_overlap
 
@@ -28,8 +28,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NOT_CONVERGED = 2
 
-OVERLAP_CHOICES = {"none": OVERLAP_NONE, "pairwise": OVERLAP_PAIRWISE,
-                   "specific": OVERLAP_SPECIFIC}
+OVERLAP_CHOICES = {"none": None, "pairwise": OVERLAP_PAIRWISE,
+                   "specific": OVERLAP_SPECIFIC}  # none: full overlap, no model
 
 
 def parse_offsets(text: str) -> list[float]:
@@ -68,9 +68,20 @@ def parse_offsets(text: str) -> list[float]:
 
 def _overlap_model(name, n_bs, load_ul, load_dl):
     scheme = OVERLAP_CHOICES[name]
-    if scheme == OVERLAP_NONE:
+    if scheme is None:
         return None
     return uniform_overlap(n_bs, load_ul, load_dl, scheme=scheme)
+
+
+def _link_vector(value, key, n_links):
+    """A solution's per-link ``value`` as floats, else a ``ConfigError``."""
+    try:
+        vec = np.array(value, dtype=float)
+        if vec.shape == (n_links,):
+            return vec
+    except (TypeError, ValueError):
+        pass
+    raise ConfigError(f"solution key {key!r} must be a list of {n_links} numbers")
 
 
 def _read_scenario(path):
@@ -246,11 +257,12 @@ def cmd_minimize_power(solution_path, out_dir):
                                            for key in ("scenario", "association", "solution"))
         assoc = Association(b_ul=np.array(assoc_doc["b_ul"]), b_dl=np.array(assoc_doc["b_dl"]),
                             n_bs=assoc_doc["n_bs"])
-        w_star = np.array(solved["w"], dtype=float)
-        p_star = np.array(solved["p"], dtype=float)
+        w_star, p_star = solved["w"], solved["p"]
     except KeyError as exc:
         raise ConfigError(f"missing required solution key: {exc.args[0]}") from exc
     scenario = io.scenario_from_dict(scenario_doc)
+    w_star = _link_vector(w_star, "w", scenario.n_links)
+    p_star = _link_vector(p_star, "p", scenario.n_links)
     theta = float(solved.get("theta", 1.0))
     solve_meta = io.as_object(doc.get("meta", {}), "solution key 'meta'")
     overlap = solve_meta.get("overlap", "none")

@@ -208,8 +208,8 @@ def run_theta_sweep(scenario: Scenario, policy: Policy, thetas,
         sc = dataclasses.replace(scenario, noise_psd=float(dbm_to_watt(noise_dbm)))
         assoc = associate(policy, sc)
         ref = optimize(sc, policy, opts, assoc=assoc)
-        x0 = initial_power_state(sc, assoc, opts.power_mode)
         base = Problem.from_scenario(sc, assoc)
+        x0 = initial_power_state(base, opts.power_mode)
         for theta in thetas:
             problem = dataclasses.replace(base, p_ext_max=base.p_ext_max * theta)
             step = step3_update_power(problem, ref.w, x0, opts)

@@ -1,16 +1,15 @@
-"""SINR, rate and constraint functionals over a coupling model.
+"""SINR, rate and constraint functionals over a problem instance.
 
 All operations are pure functions of immutable inputs.  ``w`` is the per-link
 fraction of the band's ``rb_count`` resource blocks, ``p`` the per-link PSD in
 watts per RB, and ``p_bar`` the per-transmitter PSD (K uplink entries followed
 by N cell-specific downlink entries).
 
-The model-level functions (``interference_psd``, ``sinr``, ``link_rates``,
-``spectral_efficiency``, ``expand_psd``) take a coupling model or an
-association.  The problem functionals (``f_load``, ``f_power``,
-``f_power_cell``, ``g1``, ``g2``, ``g2_bar``, ``qos_levels``, ``utility``)
-take their math arguments followed by the :class:`Problem` they are
-evaluated on.
+Every functional (``interference_psd``, ``sinr``, ``link_rates``,
+``f_load``, ``f_power``, ``f_power_cell``, ``g1``, ``g2``, ``g2_bar``,
+``qos_levels``, ``utility``) takes its math arguments followed by the
+:class:`Problem` it is evaluated on; ``spectral_efficiency`` and
+``expand_psd`` need only a bandwidth or an association.
 """
 
 from __future__ import annotations
@@ -19,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .model import Association, CouplingModel, Scenario, _readonly, apply_overlap, build_coupling
+from .errors import DomainError, ModelError
+from .model import Association, Scenario, _readonly, apply_overlap, build_coupling
 
 LN2 = float(np.log(2.0))
 
@@ -31,11 +30,29 @@ EPS_NO_DL = 1e-15
 
 @dataclass(frozen=True)
 class Problem:
-    """Everything the functionals evaluate: coupling, association, demands,
-    band geometry and the per-transmitter power budgets ``p_ext_max`` over
-    the whole band (``[p_max^UL; q_max^DL]``, UEs then BSs)."""
+    """One problem instance: everything the functionals evaluate.
 
-    model: CouplingModel
+    The paper's 2K x 2K coupling (receiver link by transmitter link) is
+    ``V~ = rows[np.ix_(assoc.rx, assoc.tx)]``.  ``rows`` is (N+K) x (K+N):
+    one uplink receiver row per cell, then one downlink receiver row per UE;
+    one uplink transmitter column per UE, then one downlink transmitter
+    column per cell.  This is exact because an uplink's row of ``V~``
+    depends only on its serving cell and a downlink's column only on its
+    sending cell (see :func:`flexlink.model.build_coupling`), so ``rows``
+    holds about a quarter of the entries of ``V~`` and ``V~ diag(p) w`` is
+    ``rows`` times the per-transmitter sums of ``w p``.  Cross-direction
+    entries carry any overlap adjustment.
+
+    ``d_diag`` is each link's direct gain ``h0[serving, ue]``, ``noise_psd``
+    the receiver noise per RB and ``p_ext_max`` the per-transmitter power
+    budgets over the whole band (``[p_max^UL; q_max^DL]``, UEs then BSs).
+    ``rows`` and ``d_diag`` are made read-only in place, not copied, because
+    ``dataclasses.replace`` re-runs ``__post_init__`` on every derived problem.
+    """
+
+    rows: np.ndarray
+    d_diag: np.ndarray
+    noise_psd: float
     assoc: Association
     demands: np.ndarray
     p_ext_max: np.ndarray
@@ -43,8 +60,14 @@ class Problem:
     rb_bandwidth: float
 
     def __post_init__(self):
+        self.rows.setflags(write=False)
+        self.d_diag.setflags(write=False)
         object.__setattr__(self, "demands", _readonly(self.demands))
         object.__setattr__(self, "p_ext_max", _readonly(self.p_ext_max))
+        if not np.all(self.d_diag > 0):
+            raise ModelError("direct link gains must be strictly positive")
+        if not self.noise_psd > 0:
+            raise ModelError("noise PSD must be strictly positive")
         if not np.all((self.p_ext_max > 0) & (self.p_ext_max < np.inf)):
             raise DomainError("power budgets must be strictly positive")
 
@@ -52,14 +75,17 @@ class Problem:
     def from_scenario(cls, scenario: Scenario, assoc: Association,
                       overlap=None, theta: float = 1.0) -> "Problem":
         """The problem of ``scenario`` under ``assoc``, with the overlap
-        adjustment applied and every power budget scaled by ``theta``."""
+        adjustment applied (``None``: full overlap) and every power budget
+        scaled by ``theta``."""
         if not 0 < theta < np.inf:
             raise DomainError("theta must be positive")
-        model = build_coupling(scenario, assoc)
+        rows = build_coupling(scenario, assoc)
         if overlap is not None:
-            model = apply_overlap(model, overlap, assoc)
+            rows = apply_overlap(rows, overlap, assoc)
         return cls(
-            model=model,
+            rows=rows,
+            d_diag=scenario.h0[assoc.serving, np.tile(np.arange(assoc.n_ue), 2)],
+            noise_psd=scenario.noise_psd,
             assoc=assoc,
             demands=scenario.demands,
             p_ext_max=np.concatenate([scenario.ue_max_powers(), scenario.bs_max_powers()]) * theta,
@@ -69,21 +95,22 @@ class Problem:
 
     @property
     def n_links(self) -> int:
-        return self.model.n_links
+        return self.d_diag.shape[0]
 
 
-def interference_psd(p, w, model: CouplingModel):
+def interference_psd(p, w, problem: Problem):
     """Per-link interference-plus-noise PSD normalized by the direct gain:
     ``[D^-1 (V~ diag(p) w + sigma)]``.  Each transmitter's ``w p`` is summed
     over its links first, so ``V~ x = (rows @ sum_tx(x))[rx]``."""
-    sent = np.bincount(model.tx, weights=np.asarray(p) * np.asarray(w),
-                       minlength=model.rows.shape[1])
-    return ((model.rows @ sent)[model.rx] + model.sigma_vec) / model.d_diag
+    assoc = problem.assoc
+    sent = np.bincount(assoc.tx, weights=np.asarray(p) * np.asarray(w),
+                       minlength=problem.rows.shape[1])
+    return ((problem.rows @ sent)[assoc.rx] + problem.noise_psd) / problem.d_diag
 
 
-def sinr(p, w, model: CouplingModel):
+def sinr(p, w, problem: Problem):
     """Per-RB SINR of every link; zero power gives zero SINR."""
-    return np.asarray(p) / interference_psd(p, w, model)
+    return np.asarray(p) / interference_psd(p, w, problem)
 
 
 def spectral_efficiency(sinr_values, rb_bandwidth: float):
@@ -91,13 +118,13 @@ def spectral_efficiency(sinr_values, rb_bandwidth: float):
     return rb_bandwidth * np.log2(1.0 + np.asarray(sinr_values))
 
 
-def link_rates(p, w, model: CouplingModel, rb_bandwidth: float):
-    return spectral_efficiency(sinr(p, w, model), rb_bandwidth)
+def link_rates(p, w, problem: Problem):
+    return spectral_efficiency(sinr(p, w, problem), problem.rb_bandwidth)
 
 
 def qos_levels(w, p, problem: Problem):
     """Per-link QoS satisfaction ``W0 w_l r_l / d_l``."""
-    rates = link_rates(p, w, problem.model, problem.rb_bandwidth)
+    rates = link_rates(p, w, problem)
     return problem.rb_count * np.asarray(w) * rates / problem.demands
 
 
@@ -115,7 +142,7 @@ def f_load(w, p_fixed, problem: Problem):
     p_fixed = np.asarray(p_fixed, dtype=float)
     if (p_fixed <= 0).any():
         raise DomainError("f_load requires strictly positive fixed power")
-    r = link_rates(p_fixed, w, problem.model, problem.rb_bandwidth)
+    r = link_rates(p_fixed, w, problem)
     return problem.demands / (problem.rb_count * r)
 
 
@@ -165,7 +192,7 @@ def f_power(p, w_fixed, problem: Problem):
     d, rb_count, rb_bandwidth = problem.demands, problem.rb_count, problem.rb_bandwidth
     if (w_fixed <= 0).any():
         raise DomainError("f_power requires strictly positive fixed bandwidth")
-    ipsd = interference_psd(p, w_fixed, problem.model)
+    ipsd = interference_psd(p, w_fixed, problem)
     nz = p > 0
     with np.errstate(divide="ignore", invalid="ignore"):
         r = rb_bandwidth * np.log2(1.0 + p / ipsd)

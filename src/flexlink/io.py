@@ -15,7 +15,7 @@ import json
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError
+from .errors import ConfigError, ModelError
 from .model import BaseStation, Scenario, UserTerminal
 from .scenario import ScenarioConfig
 from .units import dbm_to_watt, linear_to_db, watt_to_dbm
@@ -121,6 +121,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
         return _scenario_from_doc(doc)
     except KeyError as exc:
         raise ConfigError(f"missing required scenario key: {exc.args[0]}") from exc
+    except ModelError:
+        raise  # a well-formed document describing an invalid scenario
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed scenario: {exc}") from exc
 
 
 def _scenario_from_doc(doc: dict) -> Scenario:

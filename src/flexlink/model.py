@@ -8,19 +8,16 @@ Conventions used throughout the package:
   this ordering, uplink block first.
 * Channel gains are linear amplitude-squared attenuations in ``(0, 1]``.
 * Powers are watts; PSD values are watts per resource block.
-* The 2K x 2K link coupling matrix ``V~`` of the paper is stored in
-  receiver-row, transmitter-column form, ``V~ = rows[np.ix_(rx, tx)]`` with
-  ``rows`` of shape (N+K) x (K+N): one receiver row per cell for the uplinks
-  and one per UE for the downlinks, one transmitter column per UE and then
-  one per cell.  This is exact because an uplink's row of ``V~`` depends
-  only on its serving cell ``b_ul[k]`` and a downlink's column only on its
-  serving cell ``b_dl[j]`` (see :class:`CouplingModel`).
+* :func:`build_coupling` gives the coupling ``rows`` of an association,
+  which :class:`flexlink.interference.Problem` holds with the rest of a
+  solve's instance.  Full band overlap is ``None``, not an
+  :class:`OverlapModel`.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,10 +28,9 @@ log = logging.getLogger(__name__)
 MACRO = "macro"
 PICO = "pico"
 
-OVERLAP_NONE = "none"
 OVERLAP_PAIRWISE = "cell_pairwise"
 OVERLAP_SPECIFIC = "cell_specific"
-OVERLAP_SCHEMES = (OVERLAP_NONE, OVERLAP_PAIRWISE, OVERLAP_SPECIFIC)
+OVERLAP_SCHEMES = (OVERLAP_PAIRWISE, OVERLAP_SPECIFIC)
 
 
 def _readonly(a, dtype=float):
@@ -158,9 +154,12 @@ class Association:
     """Serving-BS maps for both directions.
 
     ``b_ul``/``b_dl`` give the serving BS of each UE's uplink and downlink;
-    ``serving`` concatenates them over the 2K links.  The solver applies the
-    paper's selection operators through these index vectors only (see
-    ``g1``, ``g2`` and ``expand_psd`` in :mod:`flexlink.interference`).
+    ``serving`` concatenates them over the 2K links.  ``rx`` maps each link
+    to its receiver row of the coupling (``b_ul`` for uplinks,
+    ``N + arange(K)`` for downlinks) and ``tx`` to its transmitter column
+    (``arange(K)`` for uplinks, ``K + b_dl`` for downlinks).  The solver
+    applies the paper's selection operators through these index vectors only
+    (see ``g1``, ``g2`` and ``expand_psd`` in :mod:`flexlink.interference`).
 
     The dense properties are the paper-notation reference forms, built anew
     on every access.  The package never reads them; they stay only for the
@@ -176,6 +175,8 @@ class Association:
     b_dl: np.ndarray
     n_bs: int
     serving: np.ndarray = field(init=False, repr=False, compare=False)
+    rx: np.ndarray = field(init=False, repr=False, compare=False)
+    tx: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "b_ul", _readonly(self.b_ul, dtype=int))
@@ -185,8 +186,11 @@ class Association:
         for b in (self.b_ul, self.b_dl):
             if np.any(b < 0) or np.any(b >= self.n_bs):
                 raise ModelError("serving BS index out of range")
-        serving = np.concatenate([self.b_ul, self.b_dl])  # every link, uplink block first
-        object.__setattr__(self, "serving", _readonly(serving, dtype=int))
+        ue = np.arange(self.n_ue)
+        for name, links in (("serving", (self.b_ul, self.b_dl)),  # every link, uplink first
+                            ("rx", (self.b_ul, self.n_bs + ue)),
+                            ("tx", (ue, self.n_ue + self.b_dl))):
+            object.__setattr__(self, name, _readonly(np.concatenate(links), dtype=int))
 
     @property
     def n_ue(self) -> int:
@@ -228,65 +232,17 @@ class Association:
 
 
 @dataclass(frozen=True)
-class CouplingModel:
-    """Link gain coupling between the 2K links by receiver and transmitter.
-
-    The paper's coupling matrix ``V~`` (2K x 2K, receiver link by
-    transmitter link) is stored as ``V~ = rows[np.ix_(rx, tx)]``.  ``rows``
-    is (N+K) x (K+N): row ``n < N`` belongs to cell ``n``'s uplink receiver,
-    row ``N + k`` to UE ``k``'s downlink receiver; column ``j < K`` to UE
-    ``j``'s uplink transmitter, column ``K + n`` to cell ``n``'s downlink
-    transmitter.  ``rx`` maps each link to its receiver row (``b_ul`` for
-    uplinks, ``N + arange(K)`` for downlinks) and ``tx`` to its transmitter
-    column (``arange(K)`` for uplinks, ``K + b_dl`` for downlinks).  The
-    identity holds because every uplink row of ``V~`` depends only on the
-    serving cell ``b_ul[k]`` and every downlink column only on the sending
-    cell ``b_dl[j]``: the UL<-UL block is ``A_ul^T H0``, the UL<-DL block
-    ``A_ul^T H1 A_dl`` and the DL<-DL block ``H0^T A_dl``, and the same-cell
-    zeroing (below) compares a receiving cell with a sending cell alone.
-    Links sharing a serving cell therefore share a row or a column, and
-    ``rows`` holds about a quarter of the entries of ``V~``.  A receiver
-    hears a cell's downlinks only through their summed ``w p``, so
-    ``V~ diag(p) w`` is ``rows`` times the per-transmitter sums.
-
-    Entries whose two links share a serving BS are zero (no intra-cell
-    interference), as is the device self-pair of each UE's own uplink into
-    its own downlink; cross-direction entries carry any overlap adjustment.
-    ``d_diag`` is the direct gain of each link and ``sigma_vec`` the per-link
-    noise PSD.
-    """
-
-    rows: np.ndarray
-    rx: np.ndarray
-    tx: np.ndarray
-    d_diag: np.ndarray
-    sigma_vec: np.ndarray
-
-    def __post_init__(self):
-        for arr in (self.rows, self.rx, self.tx, self.d_diag, self.sigma_vec):
-            arr.setflags(write=False)  # in place: the caller hands them over
-        if not np.all(self.d_diag > 0):
-            raise ModelError("direct link gains must be strictly positive")
-        if not np.all(self.sigma_vec > 0):
-            raise ModelError("noise PSD must be strictly positive")
-
-    @property
-    def n_links(self) -> int:
-        return self.d_diag.shape[0]
-
-
-@dataclass(frozen=True)
 class OverlapModel:
     """UL/DL band-overlap adjustment derived from historical per-cell loads.
 
     ``load_ul``/``load_dl`` are length-N historical load estimates in [0, 1].
-    ``scheme`` selects how cross-direction interference terms are scaled;
-    ``none`` leaves the coupling untouched (full overlap).
+    ``scheme`` selects how cross-direction interference terms are scaled.
+    Full overlap, which leaves the coupling untouched, is no model: ``None``.
     """
 
-    scheme: str = OVERLAP_NONE
-    load_ul: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    load_dl: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    scheme: str
+    load_ul: np.ndarray
+    load_dl: np.ndarray
 
     def __post_init__(self):
         if self.scheme not in OVERLAP_SCHEMES:
@@ -298,8 +254,8 @@ class OverlapModel:
                 raise ModelError("historical loads must lie in [0, 1]")
 
 
-def build_coupling(scenario: Scenario, assoc: Association) -> CouplingModel:
-    """Assemble the coupling ``rows``/``rx``/``tx`` for an association.
+def build_coupling(scenario: Scenario, assoc: Association) -> np.ndarray:
+    """The coupling ``rows`` of an association: ``V~ = rows[np.ix_(rx, tx)]``.
 
     The four blocks of ``V~`` are, in receiver-block/transmitter-block order:
     UL<-UL ``A_ul^T H0``, UL<-DL ``A_ul^T H1 A_dl``, DL<-UL ``H2`` and
@@ -334,12 +290,7 @@ def build_coupling(scenario: Scenario, assoc: Association) -> CouplingModel:
     np.copyto(dl_rows[:, :k], 0.0, where=b_dl[:, None] == b_ul[None, :])
     dl_rows[ue_idx, k + b_dl] = 0.0                   # DL k from its own BS
     dl_rows[ue_idx, ue_idx] = 0.0  # own-UL into own-DL: h2 self-gain, never read
-
-    rx = np.concatenate([b_ul, n + ue_idx])
-    tx = np.concatenate([ue_idx, k + b_dl])
-    d_diag = np.concatenate([scenario.h0[b_ul, ue_idx], scenario.h0[b_dl, ue_idx]])
-    sigma_vec = np.full(2 * k, scenario.noise_psd)
-    return CouplingModel(rows=rows, rx=rx, tx=tx, d_diag=d_diag, sigma_vec=sigma_vec)
+    return rows
 
 
 def pairwise_overlap_factors(load_ul, load_dl):
@@ -370,8 +321,8 @@ def pairwise_overlap_factors(load_ul, load_dl):
     return cross("ul", load_ul, load_dl), cross("dl", load_dl, load_ul)
 
 
-def apply_overlap(coupling: CouplingModel, overlap: OverlapModel, assoc: Association) -> CouplingModel:
-    """Scale the cross-direction interference entries of the coupling.
+def apply_overlap(rows: np.ndarray, overlap: OverlapModel, assoc: Association) -> np.ndarray:
+    """A copy of the coupling ``rows`` with its cross-direction entries scaled.
 
     ``cell_pairwise`` lifts the N x N directional factors to links via
     ``A_x^T O A_y`` and multiplies elementwise; ``cell_specific`` scales the
@@ -381,15 +332,12 @@ def apply_overlap(coupling: CouplingModel, overlap: OverlapModel, assoc: Associa
     and sending cell, so the N x N factors scale it as they stand.
     Same-direction blocks are unchanged (factor 1).
     """
-    if overlap.scheme == OVERLAP_NONE:
-        return coupling
-
     n = assoc.n_bs
     if overlap.load_ul.shape[0] != n or overlap.load_dl.shape[0] != n:
         raise ModelError("overlap loads must have one entry per BS")
 
     k = assoc.n_ue
-    rows = np.array(coupling.rows)
+    rows = np.array(rows)
     b_ul, b_dl = assoc.b_ul, assoc.b_dl
 
     if overlap.scheme == OVERLAP_PAIRWISE:
@@ -401,5 +349,4 @@ def apply_overlap(coupling: CouplingModel, overlap: OverlapModel, assoc: Associa
         c_ul, c_dl = overlap.load_ul, overlap.load_dl
         rows[:n, k:] *= np.outer(c_ul, c_dl)
         rows[n:, :k] *= np.outer(c_dl[b_dl], c_ul[b_ul])
-
-    return replace(coupling, rows=rows)
+    return rows

@@ -155,30 +155,28 @@ class Solution:
         return out
 
 
-def initial_psd(scenario: Scenario, assoc: Association) -> np.ndarray:
+def initial_psd(problem: Problem) -> np.ndarray:
     """Open-loop initial PSD per link (watts/RB).
 
     ``PSD_l = min{PSD_max, SNR_target + P_noise + alpha * PL_l}`` in dBm,
     with ``PL_l`` the pathloss of the serving link.
     """
-    k = scenario.n_ue
-    ue = np.arange(k)
-    direct = np.concatenate([scenario.h0[assoc.b_ul, ue], scenario.h0[assoc.b_dl, ue]])
-    pl_db = -linear_to_db(direct)
+    pl_db = -linear_to_db(problem.d_diag)
     psd_dbm = np.minimum(PSD_MAX_DBM, SNR_TARGET_DB + NOISE_FLOOR_DBM + PL_ALPHA * pl_db)
     return dbm_to_watt(psd_dbm)
 
 
-def initial_power_state(scenario: Scenario, assoc: Association, power_mode: str) -> np.ndarray:
+def initial_power_state(problem: Problem, power_mode: str) -> np.ndarray:
     """Initial power state of ``power_mode``: the open-loop per-link PSD, or
     per transmitter its UE entries and one shared DL entry per cell (the
     largest open-loop PSD among its downlinks, so the weakest served link
     still meets its target)."""
-    p0 = initial_psd(scenario, assoc)
+    p0 = initial_psd(problem)
     if power_mode != "cell_specific":
         return p0
-    k = scenario.n_ue
-    q = np.zeros(scenario.n_bs)
+    assoc = problem.assoc
+    k = assoc.n_ue
+    q = np.zeros(assoc.n_bs)
     np.maximum.at(q, assoc.b_dl, p0[k:])
     return np.concatenate([p0[:k], q])
 
@@ -286,7 +284,7 @@ def optimize(scenario: Scenario, policy=None, opts: SolveOptions = SolveOptions(
     problem = Problem.from_scenario(scenario, assoc, overlap=overlap, theta=opts.theta)
 
     expand, _, _ = power_maps(problem, opts.power_mode)
-    x = initial_power_state(scenario, assoc, opts.power_mode)
+    x = initial_power_state(problem, opts.power_mode)
     p = expand(x)
 
     trace = SolveTrace()
@@ -340,14 +338,14 @@ class PowerMinResult:
     fixed_point: FixedPointResult
 
 
-def minimize_power(problem: Problem, w_star, p_star, psi=None) -> PowerMinResult:
+def minimize_power(problem: Problem, w_star, p_star) -> PowerMinResult:
     """Shrink the power so every link sits exactly at its demand.
 
     Requires a strictly feasible allocation (utility > 1).  The plain Yates
     iteration on the power-demand map from ``p = 0`` converges to the
     componentwise-minimal power meeting all rate constraints with equality
-    (utility 1); any monotone cost ``psi`` (default: band-weighted L1) can
-    only improve.
+    (utility 1), so the band-weighted L1 cost ``psi(p) = sum_l w_l p_l``,
+    like any monotone cost, can only improve.
     """
     w_star = np.maximum(np.asarray(w_star, dtype=float), W_FLOOR)
     p_star = np.asarray(p_star, dtype=float)
@@ -355,8 +353,7 @@ def minimize_power(problem: Problem, w_star, p_star, psi=None) -> PowerMinResult
     if lam_star <= 1.0:
         raise InfeasibleError(
             f"power minimization requires utility > 1, got {lam_star:.6g}")
-    if psi is None:
-        psi = lambda p: float(np.sum(w_star * p))
+    psi = lambda p: float(np.sum(w_star * p))
 
     f = lambda p: f_power(p, w_star, problem)
     # watts-scale fixed points sit far below the absolute tolerance, so the

@@ -17,8 +17,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError
-from .interference import link_rates
-from .model import Association, Scenario, build_coupling
+from .interference import Problem, link_rates
+from .model import Association, Scenario
 from .optimizer import initial_psd
 
 EPS_PF = 1e-3  # smoothing constant in the PF priority ratio
@@ -48,21 +48,25 @@ class PfAllocation:
         }
 
 
-def _pf_rates(scenario, assoc, p, counts, split):
-    """Per-RB rates under the split-band interference model.
+def _split_band(problem: Problem) -> Problem:
+    """The problem under disjoint UL and DL sub-bands: no cross-direction
+    coupling, since uplinks and downlinks never share an RB."""
+    k, n = problem.assoc.n_ue, problem.assoc.n_bs
+    rows = np.array(problem.rows)
+    rows[:n, k:] = 0.0
+    rows[n:, :k] = 0.0
+    return replace(problem, rows=rows)
+
+
+def _pf_rates(problem: Problem, p, counts, split):
+    """Per-RB rates on the split-band problem.
 
     A same-direction interferer occupies its RBs within its direction's
     sub-band, so the collision probability is ``count / direction_band``.
-    Cross-direction interference does not exist under disjoint sub-bands.
     """
-    n, k = scenario.n_bs, scenario.n_ue
-    model = build_coupling(scenario, assoc)
-    rows = np.array(model.rows)
-    rows[:n, k:] = 0.0
-    rows[n:, :k] = 0.0
+    k = problem.assoc.n_ue
     band = np.concatenate([np.full(k, split[0]), np.full(k, split[1])]).astype(float)
-    occupancy = counts / band
-    return link_rates(p, occupancy, replace(model, rows=rows), scenario.rb_bandwidth)
+    return link_rates(p, counts / band, problem)
 
 
 def pf_allocate(scenario: Scenario, assoc: Association, split=(9, 16)) -> PfAllocation:
@@ -80,11 +84,12 @@ def pf_allocate(scenario: Scenario, assoc: Association, split=(9, 16)) -> PfAllo
                           f"of the {scenario.rb_count} RBs")
 
     k, n = scenario.n_ue, scenario.n_bs
-    p = initial_psd(scenario, assoc)
+    problem = _split_band(Problem.from_scenario(scenario, assoc))
+    p = initial_psd(problem)
     demands = scenario.demands
 
     budgets = (ul_rbs, dl_rbs)
-    gain = _pf_rates(scenario, assoc, p, np.zeros(2 * k), split) / demands  # QoS per RB
+    gain = _pf_rates(problem, p, np.zeros(2 * k), split) / demands  # QoS per RB
     counts = np.zeros(2 * k)
     for cell in range(n):
         for direction, served in enumerate((assoc.b_ul, assoc.b_dl)):
@@ -97,7 +102,7 @@ def pf_allocate(scenario: Scenario, assoc: Association, split=(9, 16)) -> PfAllo
                 counts[links[pick]] += 1
                 qos[pick] += gain[links[pick]]
 
-    rates = _pf_rates(scenario, assoc, p, counts, split)
+    rates = _pf_rates(problem, p, counts, split)
     qos = counts * rates / demands
     return PfAllocation(
         w=counts / scenario.rb_count,

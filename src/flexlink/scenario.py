@@ -18,7 +18,6 @@ import numpy as np
 from .errors import ConfigError
 from .model import (
     MACRO,
-    OVERLAP_NONE,
     OVERLAP_SCHEMES,
     PICO,
     BaseStation,
@@ -180,18 +179,18 @@ def generate(config: ScenarioConfig, seed: int) -> Scenario:
     )
 
 
-def estimate_overlap(history, scheme: str = "cell_pairwise") -> OverlapModel:
+def estimate_overlap(history, scheme: str = "cell_pairwise") -> OverlapModel | None:
     """Average historical per-cell loads into an overlap model.
 
     ``history`` is an iterable of ``(load_ul, load_dl)`` snapshots.  An empty
-    history degrades to the full-overlap model with a warning.
+    history degrades to full overlap, ``None``, with a warning.
     """
     if scheme not in OVERLAP_SCHEMES:
         raise ConfigError(f"unknown overlap scheme: {scheme!r}")
     snaps = tuple(history)
     if not snaps:
         log.warning("empty load history: falling back to full overlap")
-        return OverlapModel(scheme=OVERLAP_NONE)
+        return None
     ul = np.mean([np.asarray(s[0], dtype=float) for s in snaps], axis=0)
     dl = np.mean([np.asarray(s[1], dtype=float) for s in snaps], axis=0)
     return OverlapModel(scheme=scheme, load_ul=ul, load_dl=dl)

@@ -4,10 +4,11 @@ Each oracle deliberately uses a different computational route than the code
 under test: dense/refined grid search on the constraint set, scalar
 bisections, direct linear solves, the dense selection matrices with a
 per-cell loop for the cell-specific power-demand map, and the dense 2K x 2K
-coupling matrices the receiver/transmitter coupling model replaced.  ``check_sif_axioms``
-samples the SIF axioms (Yates 1995); ``linear_reformulation_check`` recovers
-the power-update utility through the O((2K)^3) linear-in-power route;
-``run_trial_loop`` is the Monte Carlo trial with one ``optimize`` per policy.
+coupling matrices that the problem's receiver/transmitter rows replaced.
+``check_sif_axioms`` samples the SIF axioms (Yates 1995);
+``linear_reformulation_check`` recovers the power-update utility through the
+O((2K)^3) linear-in-power route; ``run_trial_loop`` is the Monte Carlo trial
+with one ``optimize`` per policy.
 """
 
 from dataclasses import dataclass, field, replace
@@ -18,14 +19,14 @@ from flexlink.association import COUD, DEUD_O, DEUD_P, Policy, associate, policy
 from flexlink.errors import DomainError, ModelError
 from flexlink.experiments import DEFAULT_HISTORY_DL, DEFAULT_HISTORY_UL, DEFAULT_PF_SPLIT, MC_OPTS
 from flexlink.interference import EPS_NO_DL, LN2, g1, g2, interference_psd, utility
-from flexlink.model import OVERLAP_NONE, OVERLAP_PAIRWISE, pairwise_overlap_factors
+from flexlink.model import OVERLAP_PAIRWISE, pairwise_overlap_factors
 from flexlink.optimizer import W_FLOOR, optimize
 from flexlink.pf_baseline import pf_allocate
 from flexlink.scenario import generate, uniform_overlap
 
 
-def v_tilde(model):
-    return model.rows[np.ix_(model.rx, model.tx)]  # the dense 2K x 2K V~ of a model
+def v_tilde(problem):
+    return problem.rows[np.ix_(problem.assoc.rx, problem.assoc.tx)]  # the dense 2K x 2K V~
 
 
 def grid_conditional_eigen(m, b, resolution=1e-4, coarse=0.05, shrink=5.0):
@@ -198,7 +199,7 @@ def dl_link_sets(assoc):
 def f_power_cell_loop(p_bar, w_fixed, problem):
     """The per-transmitter power-demand map through the dense ``lambda_map``
     and one Python pass per cell, as ``f_power_cell`` once computed it."""
-    model, assoc, d = problem.model, problem.assoc, problem.demands
+    assoc, d = problem.assoc, problem.demands
     rb_count, rb_bandwidth = problem.rb_count, problem.rb_bandwidth
     p_bar = np.asarray(p_bar, dtype=float)
     w_fixed = np.asarray(w_fixed, dtype=float)
@@ -207,7 +208,7 @@ def f_power_cell_loop(p_bar, w_fixed, problem):
         raise DomainError("f_power_cell requires strictly positive fixed bandwidth")
 
     p = assoc.lambda_map @ p_bar
-    ipsd = interference_psd(p, w_fixed, model)
+    ipsd = interference_psd(p, w_fixed, problem)
 
     out = np.empty(k + n_bs)
     # uplink branch
@@ -281,7 +282,7 @@ def dense_coupling(scenario, assoc) -> DenseCoupling:
 def dense_overlap(coupling: DenseCoupling, overlap, assoc) -> DenseCoupling:
     """``apply_overlap`` on the dense ``v_tilde``: the UL<-DL and DL<-UL
     blocks scaled entry by entry by the lifted factors."""
-    if overlap.scheme == OVERLAP_NONE:
+    if overlap is None:  # full overlap
         return coupling
 
     k = assoc.n_ue
@@ -378,11 +379,10 @@ def linear_reformulation_check(problem, w_fixed, p_candidate) -> LinearCheckRepo
     w = np.maximum(np.asarray(w_fixed, dtype=float), W_FLOOR)
     d = problem.demands
     w0b = problem.rb_count * problem.rb_bandwidth
-    model = problem.model
     k = problem.n_links
 
-    m_aff = (v_tilde(model) * w[None, :]) / model.d_diag[:, None]
-    c_aff = model.sigma_vec / model.d_diag
+    m_aff = (v_tilde(problem) * w[None, :]) / problem.d_diag[:, None]
+    c_aff = problem.noise_psd / problem.d_diag
     eta = lambda lam: np.exp2(lam * d / (w0b * w)) - 1.0
 
     def solve_min_power(lam: float):

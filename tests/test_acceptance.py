@@ -135,7 +135,7 @@ def test_criterion_4_power_update_dichotomy():
     tight_checked = slack_checked = 0
     for seed in (101, 111, 119, 131):
         sc, assoc, problem = _power_bound_problem(seed)
-        p0 = initial_psd(sc, assoc)
+        p0 = initial_psd(problem)
         s1 = step1_update_bandwidth(problem, p0, OPTS)
         if abs(g2(s1.w, p0, problem) - 1.0) > 1e-9:
             continue
@@ -146,7 +146,7 @@ def test_criterion_4_power_update_dichotomy():
 
     for seed in (121, 122, 123, 124):
         scenario, assoc, problem = random_problem(seed, n_ue=3, n_bs=2)
-        p0 = initial_psd(scenario, assoc)
+        p0 = initial_psd(problem)
         s1 = step1_update_bandwidth(problem, p0, OPTS)
         if g2(s1.w, p0, problem) > 0.9 or g1(s1.w, problem) < 1.0 - 1e-9:
             continue
@@ -168,7 +168,7 @@ def test_criterion_5_linear_reformulation_cross_check():
     while checked < 20:
         seed += 1
         scenario, assoc, problem = random_problem(seed, n_ue=3, n_bs=2)
-        p0 = initial_psd(scenario, assoc)
+        p0 = initial_psd(problem)
         s1 = step1_update_bandwidth(problem, p0, OPTS)
         if g1(s1.w, problem) < 1.0 - 1e-9 or g2(s1.w, p0, problem) > 0.999:
             continue

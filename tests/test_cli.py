@@ -162,6 +162,14 @@ def test_solve_malformed_scenario_is_one_line_error(tmp_path, scenario_file, cap
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: scenario is not valid JSON")
 
+    # wrongly typed fields
+    for key, value in (("rb_count", "x"), ("base_stations", {"id": 0})):
+        bad.write_text(json.dumps(json.loads(scenario_file.read_text()) | {key: value}))
+        assert main(["solve", "--scenario", str(bad), "--policy", "coud", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: malformed scenario: "), err
+    assert not out.exists()
+
 
 def test_sweep_csv_and_ranking(tmp_path, scenario_file):
     out = tmp_path / "sweep"
@@ -397,6 +405,25 @@ def test_minimize_power_missing_key_is_one_line_error(tmp_path, scenario_file, c
     assert main(["minimize-power", "--solution", str(tmp_path / "bad.json"),
                  "--out", str(out)]) == 1
     assert capsys.readouterr().err.splitlines() == [f"error: missing required solution key: {name}"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("w", "abc"), ("p", ["abc"] * 20),
+                                        ("w", [0.1, 0.2, 0.3]), ("p", [[1e-3] * 20])])
+def test_minimize_power_malformed_link_vector_is_one_line_error(tmp_path, scenario_file, capsys,
+                                                                 key, value):
+    assert main(["solve", "--scenario", str(scenario_file), "--policy", "coud",
+                 "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "solution.json").read_text())
+    doc["solution"][key] = value
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "minpower"
+    assert main(["minimize-power", "--solution", str(tmp_path / "bad.json"),
+                 "--out", str(out)]) == 1
+    n_links = 2 * CONFIG["n_ue"]
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: solution key '{key}' must be a list of {n_links} numbers"]
     assert not out.exists()
 
 

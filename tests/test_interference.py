@@ -22,7 +22,7 @@ from flexlink.interference import (
     sinr,
     spectral_efficiency,
 )
-from flexlink.model import Association, build_coupling
+from flexlink.model import Association
 
 from .helpers import (
     RB_BW,
@@ -41,31 +41,31 @@ from .oracles import f_power_cell_loop
 def _two_cell():
     sc = two_cell_scenario()
     assoc = coud_assoc(sc)
-    return sc, assoc, build_coupling(sc, assoc)
+    return sc, assoc, Problem.from_scenario(sc, assoc)
 
 
 def test_sinr_zero_load_is_noise_only():
-    sc, assoc, model = _two_cell()
+    sc, assoc, problem = _two_cell()
     p = np.array([1e-3, 2e-3, 5e-2, 8e-2])
-    out = sinr(p, np.zeros(4), model)
-    assert np.allclose(out, p * model.d_diag / sc.noise_psd)
+    out = sinr(p, np.zeros(4), problem)
+    assert np.allclose(out, p * problem.d_diag / sc.noise_psd)
 
 
 def test_sinr_single_cell_ignores_load():
     sc = single_link_scenario()
     assoc = Association(b_ul=[0], b_dl=[0], n_bs=1)
-    model = build_coupling(sc, assoc)
+    problem = Problem.from_scenario(sc, assoc)
     p = np.array([2e-3, 1e-2])
     for w in (np.zeros(2), np.array([0.4, 0.6]), np.ones(2)):
-        assert np.allclose(sinr(p, w, model), p * model.d_diag / sc.noise_psd)
+        assert np.allclose(sinr(p, w, problem), p * problem.d_diag / sc.noise_psd)
 
 
 def test_sinr_matches_hand_formulas_on_two_cell_instance():
-    sc, assoc, model = _two_cell()
+    sc, assoc, problem = _two_cell()
     h0, h1, h2, s2 = sc.h0, sc.h1, sc.h2, sc.noise_psd
     w = np.array([0.3, 0.5, 0.6, 0.2])
     p = np.array([1e-3, 2e-3, 5e-2, 8e-2])
-    out = sinr(p, w, model)
+    out = sinr(p, w, problem)
 
     # uplink of UE0, served by BS0: hears UE1's UL and BS1's DL
     ul0 = p[0] * h0[0, 0] / (h0[0, 1] * w[1] * p[1] + h1[0, 1] * w[3] * p[3] + s2)
@@ -76,11 +76,11 @@ def test_sinr_matches_hand_formulas_on_two_cell_instance():
 
 
 def test_sinr_jointly_scale_invariant():
-    sc, assoc, model = _two_cell()
+    sc, assoc, problem = _two_cell()
     w, p = random_wp(2, 4)
     alpha = 7.5
-    scaled = dataclasses.replace(model, sigma_vec=np.full(model.n_links, alpha * sc.noise_psd))
-    assert np.allclose(sinr(alpha * p, w, scaled), sinr(p, w, model), rtol=1e-12)
+    scaled = dataclasses.replace(problem, noise_psd=alpha * sc.noise_psd)
+    assert np.allclose(sinr(alpha * p, w, scaled), sinr(p, w, problem), rtol=1e-12)
 
 
 def test_spectral_efficiency_reference_points():
@@ -98,26 +98,25 @@ def test_f_load_unit_band_identity():
                               gain_ul=1e-8)
     assoc = Association(b_ul=[0], b_dl=[0], n_bs=1)
     problem = Problem.from_scenario(sc, assoc)
-    p_unit = sc.noise_psd / problem.model.d_diag  # SINR = 1 per link
+    p_unit = sc.noise_psd / problem.d_diag  # SINR = 1 per link
     out = f_load(np.zeros(2), p_unit, problem)
     assert np.allclose(out, 1.0)
 
 
 def test_f_load_matches_hand_two_link_evaluation():
-    sc, assoc, model = _two_cell()
+    sc, assoc, problem = _two_cell()
     w, p = random_wp(4, 4)
-    out = f_load(w, p, Problem.from_scenario(sc, assoc))
-    s = sinr(p, w, model)
+    out = f_load(w, p, problem)
+    s = sinr(p, w, problem)
     for l in range(4):
         expected = sc.demands[l] / (sc.rb_count * sc.rb_bandwidth * np.log2(1.0 + s[l]))
         assert out[l] == pytest.approx(expected, rel=1e-12)
 
 
 def test_f_load_rejects_zero_power():
-    sc, assoc, model = _two_cell()
+    sc, assoc, problem = _two_cell()
     with pytest.raises(DomainError):
-        f_load(np.full(4, 0.1), np.array([1e-3, 0.0, 1e-3, 1e-3]),
-               Problem.from_scenario(sc, assoc))
+        f_load(np.full(4, 0.1), np.array([1e-3, 0.0, 1e-3, 1e-3]), problem)
 
 
 def test_g1_reference_values():
@@ -129,8 +128,7 @@ def test_g1_reference_values():
 
 
 def test_g2_reference_values():
-    sc, assoc, model = _two_cell()
-    problem = Problem.from_scenario(sc, assoc)
+    sc, assoc, problem = _two_cell()
     assert g2(np.full(4, 0.5), np.zeros(4), problem) == 0.0
 
     # one UE using half the band at 1/W0 of its power budget -> UL ratio 0.5
@@ -153,8 +151,7 @@ def test_g2_full_band_full_budget_is_one():
 
 
 def test_g2_elementwise_product_order_is_bit_identical():
-    sc, assoc, model = _two_cell()
-    problem = Problem.from_scenario(sc, assoc)
+    sc, assoc, problem = _two_cell()
     w, p = random_wp(9, 4)
     a = g2(w, p, problem)
     b = g2(p, w, problem)  # diag(w)p == diag(p)w
@@ -210,7 +207,7 @@ def test_f_power_single_link_closed_form_fixed_point():
 
     res = yates_iteration(f, np.zeros(2), tol=1e-14)
     assert res.converged
-    gain = problem.model.d_diag
+    gain = problem.d_diag
     expected = (2.0 ** (sc.demands / (sc.rb_count * w * sc.rb_bandwidth)) - 1.0) \
         * sc.noise_psd / gain
     assert np.allclose(res.x, expected, rtol=1e-9)
@@ -281,7 +278,7 @@ def test_f_power_cell_empty_cell_entry_is_tiny_positive():
 
 @pytest.mark.parametrize("link, value", [(0, -0.1), (3, 0.0)])
 def test_f_power_cell_rejects_non_positive_bandwidth(link, value):
-    sc, assoc, model = _two_cell()
+    sc, assoc, problem = _two_cell()
     w = np.full(4, 0.2)
     w[link] = value
     with pytest.raises(DomainError):

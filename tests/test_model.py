@@ -1,10 +1,11 @@
 """Coupling matrix construction and overlap adjustment.
 
 The raw cross gains ``v`` exist only in the dense reference
-(``tests/oracles.py``); the model stores ``V~`` by receiver row and
+(``tests/oracles.py``); a ``Problem`` stores ``V~`` by receiver row and
 transmitter column.
 """
 
+import dataclasses
 import logging
 
 import numpy as np
@@ -13,11 +14,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flexlink.errors import ModelError
-from flexlink.interference import interference_psd
+from flexlink.interference import Problem, interference_psd
 from flexlink.model import (
     Association,
     OverlapModel,
-    apply_overlap,
     build_coupling,
     pairwise_overlap_factors,
 )
@@ -30,9 +30,9 @@ def test_single_cell_coupling_is_interference_free():
     h0 = np.array([[2e-8]])
     sc = make_scenario(h0, np.array([[1.0]]), np.array([[1.0]]), [1e6, 2e6])
     assoc = Association(b_ul=[0], b_dl=[0], n_bs=1)
-    model = build_coupling(sc, assoc)
-    assert np.all(v_tilde(model) == 0.0)
-    assert np.allclose(model.d_diag, [2e-8, 2e-8])
+    problem = Problem.from_scenario(sc, assoc)
+    assert np.all(v_tilde(problem) == 0.0)
+    assert np.allclose(problem.d_diag, [2e-8, 2e-8])
     dense = dense_coupling(sc, assoc)
     assert dense.v.shape == (2, 2)
     assert np.all(dense.v > 0)
@@ -42,7 +42,7 @@ def test_two_cell_coud_blocks_match_hand_expansion():
     sc = two_cell_scenario()
     assoc = coud_assoc(sc)
     assert assoc.b_ul.tolist() == [0, 1] and assoc.b_dl.tolist() == [0, 1]
-    model = build_coupling(sc, assoc)
+    problem = Problem.from_scenario(sc, assoc)
     h0, h1, h2 = sc.h0, sc.h1, sc.h2
 
     # receiver-block / transmitter-block entries written out by hand
@@ -60,20 +60,20 @@ def test_two_cell_coud_blocks_match_hand_expansion():
         [0.0, h2[0, 1], 0.0, h0[1, 0]],
         [h2[1, 0], 0.0, h0[0, 1], 0.0],
     ])
-    assert np.array_equal(v_tilde(model), expected_vt)
-    assert np.array_equal(model.d_diag, [h0[0, 0], h0[1, 1], h0[0, 0], h0[1, 1]])
+    assert np.array_equal(v_tilde(problem), expected_vt)
+    assert np.array_equal(problem.d_diag, [h0[0, 0], h0[1, 1], h0[0, 0], h0[1, 1]])
 
 
 def test_decoupled_ue_keeps_bs_to_bs_entry_but_not_self_gain():
     sc = two_cell_scenario()
     # UE0: uplink at BS1, downlink at BS0; UE1 coupled at BS1
     assoc = Association(b_ul=[1, 1], b_dl=[0, 1], n_bs=2)
-    model = build_coupling(sc, assoc)
+    vt = v_tilde(Problem.from_scenario(sc, assoc))
     # own DL (from BS0) interferes own UL (at BS1) through the BS-to-BS channel
-    assert v_tilde(model)[0, 2] == sc.h1[1, 0]
-    assert v_tilde(model)[0, 2] > 0
+    assert vt[0, 2] == sc.h1[1, 0]
+    assert vt[0, 2] > 0
     # own UL never interferes own DL: the h2 self-gain is not a channel
-    assert v_tilde(model)[2, 0] == 0.0
+    assert vt[2, 0] == 0.0
 
 
 def test_coud_cross_blocks_zero_exactly_on_shared_bs():
@@ -81,11 +81,11 @@ def test_coud_cross_blocks_zero_exactly_on_shared_bs():
     rng = np.random.default_rng(5)
     b = rng.integers(0, 3, size=5)
     assoc = Association(b_ul=b, b_dl=b, n_bs=3)
-    model = build_coupling(sc, assoc)
+    vt = v_tilde(Problem.from_scenario(sc, assoc))
     k = 5
     same = b[:, None] == b[None, :]
-    assert np.array_equal(v_tilde(model)[:k, k:] == 0.0, same)
-    assert np.array_equal(v_tilde(model)[k:, :k] == 0.0, same)
+    assert np.array_equal(vt[:k, k:] == 0.0, same)
+    assert np.array_equal(vt[k:, :k] == 0.0, same)
 
 
 def test_dimension_mismatch_raises():
@@ -103,19 +103,19 @@ def test_coupling_permutation_equivariant(seed):
     b_ul = rng.integers(0, 2, size=4)
     b_dl = rng.integers(0, 2, size=4)
     assoc = Association(b_ul=b_ul, b_dl=b_dl, n_bs=2)
-    model = build_coupling(sc, assoc)
+    problem = Problem.from_scenario(sc, assoc)
 
     perm = rng.permutation(4)
     sc_p = make_scenario(sc.h0[:, perm], sc.h1, sc.h2[np.ix_(perm, perm)],
                          np.concatenate([sc.demands[:4][perm], sc.demands[4:][perm]]))
     assoc_p = Association(b_ul=b_ul[perm], b_dl=b_dl[perm], n_bs=2)
-    model_p = build_coupling(sc_p, assoc_p)
+    problem_p = Problem.from_scenario(sc_p, assoc_p)
 
     link_perm = np.concatenate([perm, perm + 4])
     v, v_p = dense_coupling(sc, assoc).v, dense_coupling(sc_p, assoc_p).v
     assert np.array_equal(v_p, v[np.ix_(link_perm, link_perm)])
-    assert np.array_equal(v_tilde(model_p), v_tilde(model)[np.ix_(link_perm, link_perm)])
-    assert np.array_equal(model_p.d_diag, model.d_diag[link_perm])
+    assert np.array_equal(v_tilde(problem_p), v_tilde(problem)[np.ix_(link_perm, link_perm)])
+    assert np.array_equal(problem_p.d_diag, problem.d_diag[link_perm])
 
 
 # overlap adjustment
@@ -131,27 +131,14 @@ def test_pairwise_factors_match_worked_example():
 def test_cell_specific_products_match_worked_example():
     sc = two_cell_scenario()
     assoc = coud_assoc(sc)
-    model = build_coupling(sc, assoc)
     overlap = OverlapModel(scheme="cell_specific", load_ul=[0.3, 0.7], load_dl=[0.7, 0.3])
-    adjusted = apply_overlap(model, overlap, assoc)
+    full = v_tilde(Problem.from_scenario(sc, assoc))
+    adjusted = v_tilde(Problem.from_scenario(sc, assoc, overlap=overlap))
     k = 2
     # DL served by cell 0 hears UL served by cell 1: c_dl[0] * c_ul[1] = 0.49
-    assert v_tilde(adjusted)[k + 0, 1] == pytest.approx(0.49 * v_tilde(model)[k + 0, 1])
+    assert adjusted[k + 0, 1] == pytest.approx(0.49 * full[k + 0, 1])
     # UL served by cell 0 hears DL served by cell 1: c_ul[0] * c_dl[1] = 0.09
-    assert v_tilde(adjusted)[0, k + 1] == pytest.approx(0.09 * v_tilde(model)[0, k + 1])
-
-
-def test_scheme_none_is_identity():
-    sc = two_cell_scenario()
-    assoc = coud_assoc(sc)
-    model = build_coupling(sc, assoc)
-    out = apply_overlap(model, OverlapModel(scheme="none"), assoc)
-    assert np.array_equal(v_tilde(out), v_tilde(model))
-    assert np.array_equal(out.rows, model.rows)
-    dense = dense_coupling(sc, assoc)
-    dense_out = dense_overlap(dense, OverlapModel(scheme="none"), assoc)
-    assert np.array_equal(dense_out.v_tilde, dense.v_tilde)
-    assert np.array_equal(dense_out.v, dense.v)
+    assert adjusted[0, k + 1] == pytest.approx(0.09 * full[0, k + 1])
 
 
 def test_zero_historical_load_gives_zero_factor_and_diagnostic(caplog):
@@ -169,14 +156,14 @@ def test_overlap_never_increases_coupling(seed, scheme):
     rng = np.random.default_rng(seed)
     assoc = Association(b_ul=rng.integers(0, 3, size=4),
                         b_dl=rng.integers(0, 3, size=4), n_bs=3)
-    model = build_coupling(sc, assoc)
     overlap = OverlapModel(scheme=scheme, load_ul=rng.uniform(0, 1, 3),
                            load_dl=rng.uniform(0, 1, 3))
-    adjusted = apply_overlap(model, overlap, assoc)
-    assert np.all(v_tilde(adjusted) <= v_tilde(model) + 1e-300)
+    full = v_tilde(Problem.from_scenario(sc, assoc))
+    adjusted = v_tilde(Problem.from_scenario(sc, assoc, overlap=overlap))
+    assert np.all(adjusted <= full + 1e-300)
     # same-direction blocks untouched
-    assert np.array_equal(v_tilde(adjusted)[:4, :4], v_tilde(model)[:4, :4])
-    assert np.array_equal(v_tilde(adjusted)[4:, 4:], v_tilde(model)[4:, 4:])
+    assert np.array_equal(adjusted[:4, :4], full[:4, :4])
+    assert np.array_equal(adjusted[4:, 4:], full[4:, 4:])
 
 
 @st.composite
@@ -188,7 +175,7 @@ def coupling_cases(draw):
     b = st.lists(st.integers(0, n - 1), min_size=k, max_size=k)
     assoc = Association(b_ul=draw(b), b_dl=draw(b), n_bs=n)
     seed = draw(st.integers(0, 10_000))
-    scheme = draw(st.sampled_from(["none", "cell_pairwise", "cell_specific"]))
+    scheme = draw(st.sampled_from([None, "cell_pairwise", "cell_specific"]))
     return random_scenario(seed, n_ue=k, n_bs=n), assoc, scheme, seed
 
 
@@ -206,28 +193,34 @@ def test_cell_row_coupling_matches_dense_reference(case):
     sc, assoc, scheme, seed = case
     n, k = sc.n_bs, sc.n_ue
     rng = np.random.default_rng(seed)
-    overlap = OverlapModel(scheme=scheme, load_ul=rng.uniform(0, 1, n),
-                           load_dl=rng.uniform(0, 1, n))
-    model = apply_overlap(build_coupling(sc, assoc), overlap, assoc)
+    overlap = None if scheme is None else OverlapModel(
+        scheme=scheme, load_ul=rng.uniform(0, 1, n), load_dl=rng.uniform(0, 1, n))
+    problem = Problem.from_scenario(sc, assoc, overlap=overlap)
     dense = dense_overlap(dense_coupling(sc, assoc), overlap, assoc)
 
-    assert model.rows.shape == (n + k, k + n)
-    assert np.array_equal(v_tilde(model), dense.v_tilde)
-    assert np.array_equal(model.d_diag, dense.d_diag)
-    assert np.array_equal(model.sigma_vec, dense.sigma_vec)
+    assert problem.rows.shape == (n + k, k + n)
+    assert np.array_equal(v_tilde(problem), dense.v_tilde)
+    assert np.array_equal(problem.d_diag, dense.d_diag)
+    assert np.array_equal(np.full(2 * k, problem.noise_psd), dense.sigma_vec)
 
     w = rng.uniform(0.01, 1.0, 2 * k)
     p = 10 ** rng.uniform(-6, -1, 2 * k)
     expected = (dense.v_tilde @ (p * w) + dense.sigma_vec) / dense.d_diag
-    assert np.allclose(interference_psd(p, w, model), expected, rtol=1e-12, atol=0.0)
+    assert np.allclose(interference_psd(p, w, problem), expected, rtol=1e-12, atol=0.0)
 
 
 def test_coupling_arrays_are_read_only():
     sc = two_cell_scenario()
-    model = build_coupling(sc, coud_assoc(sc))
-    for arr in (model.rows, model.rx, model.tx, model.d_diag, model.sigma_vec):
+    assoc = coud_assoc(sc)
+    problem = Problem.from_scenario(sc, assoc)
+    for arr in (problem.rows, problem.d_diag, assoc.rx, assoc.tx):
         with pytest.raises(ValueError):
             arr[0] = 0
+    # marked in place, not copied: a derived problem shares the caller's arrays
+    rows = np.array(problem.rows)
+    derived = dataclasses.replace(problem, rows=rows)
+    assert derived.rows is rows and derived.d_diag is problem.d_diag
+    assert not rows.flags.writeable
 
 
 def test_association_matrices_have_block_structure():

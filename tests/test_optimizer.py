@@ -37,7 +37,7 @@ def test_step1_single_cell_closed_form():
     p = np.array([2e-3, 4e-2])
     # no interference: the demand map is constant in w
     phi = sc.demands / (sc.rb_count * sc.rb_bandwidth
-                        * np.log2(1.0 + p * problem.model.d_diag / sc.noise_psd))
+                        * np.log2(1.0 + p * problem.d_diag / sc.noise_psd))
     g_load = phi.sum()                       # both links share the one cell
     g_pow = sc.rb_count * max(phi[0] * p[0] / 0.1585, phi[1] * p[1] / 19.95)
     g = max(g_load, g_pow)
@@ -53,7 +53,7 @@ def test_step1_single_cell_closed_form():
 
 def test_step1_demand_scaling_leaves_w_and_divides_lam():
     scenario, assoc, problem = random_problem(61, n_ue=3, n_bs=2)
-    p = initial_psd(scenario, assoc)
+    p = initial_psd(problem)
     base = step1_update_bandwidth(problem, p, OPTS)
 
     scaled = dataclasses.replace(problem, demands=3.0 * problem.demands)
@@ -64,7 +64,7 @@ def test_step1_demand_scaling_leaves_w_and_divides_lam():
 
 def test_step1_matches_surface_search_oracle():
     scenario, assoc, problem = random_problem(71, n_ue=2, n_bs=2, coud=True)
-    p = initial_psd(scenario, assoc)
+    p = initial_psd(problem)
     res = step1_update_bandwidth(problem, p, OPTS)
     lam_grid = max_min_bandwidth_grid(problem, p, resolution=1e-3)
     assert lam_grid <= res.lam * (1.0 + 1e-9)
@@ -73,7 +73,7 @@ def test_step1_matches_surface_search_oracle():
 
 def test_step1_minimality_downward_perturbation_infeasible():
     scenario, assoc, problem = random_problem(81, n_ue=3, n_bs=2)
-    p = initial_psd(scenario, assoc)
+    p = initial_psd(problem)
     res = step1_update_bandwidth(problem, p, OPTS)
     f_at = f_load(res.w, p, problem)
     assert np.all(res.w >= res.lam * f_at - 1e-7 * np.maximum(res.w, 1e-12))
@@ -86,7 +86,7 @@ def test_step1_minimality_downward_perturbation_infeasible():
 
 def test_step2_noop_when_band_already_full():
     scenario, assoc, problem = random_problem(91, n_ue=3, n_bs=2)
-    p = initial_psd(scenario, assoc)
+    p = initial_psd(problem)
     s1 = step1_update_bandwidth(problem, p, OPTS)
     if g1(s1.w, problem) < 1.0 - 1e-6:
         pytest.skip("instance is power-bound; no-op guard not exercised")
@@ -113,7 +113,7 @@ def _power_bound_problem(seed=101):
 
 def test_step2_reaches_full_load_with_increasing_utility():
     sc, assoc, problem = _power_bound_problem()
-    p0 = initial_psd(sc, assoc)
+    p0 = initial_psd(problem)
     s1 = step1_update_bandwidth(problem, p0, OPTS)
     assert g2(s1.w, p0, problem) == pytest.approx(1.0, abs=1e-9)
     assert g1(s1.w, problem) < 1.0 - 1e-6
@@ -131,7 +131,7 @@ def test_step2_reaches_full_load_with_increasing_utility():
 
 def test_step3_identity_when_power_already_binding():
     sc, assoc, problem = _power_bound_problem(111)
-    p0 = initial_psd(sc, assoc)
+    p0 = initial_psd(problem)
     s1 = step1_update_bandwidth(problem, p0, OPTS)
     assert g2(s1.w, p0, problem) == pytest.approx(1.0, abs=1e-9)
     s3 = step3_update_power(problem, s1.w, p0, OPTS)
@@ -141,7 +141,7 @@ def test_step3_identity_when_power_already_binding():
 
 def test_step3_strictly_improves_when_power_is_slack():
     scenario, assoc, problem = random_problem(121, n_ue=3, n_bs=2)
-    p0 = initial_psd(scenario, assoc)
+    p0 = initial_psd(problem)
     s1 = step1_update_bandwidth(problem, p0, OPTS)
     g2_entry = g2(s1.w, p0, problem)
     assert g1(s1.w, problem) == pytest.approx(1.0, abs=1e-9)
@@ -158,7 +158,7 @@ def test_step3_single_cell_closed_form_saturates_budget():
     s3 = step3_update_power(problem, w, p0, OPTS)
 
     w0b = sc.rb_count * sc.rb_bandwidth
-    gain = problem.model.d_diag
+    gain = problem.d_diag
     limits = np.array([0.1585, 19.95])
 
     def g2_at(lam):
@@ -231,7 +231,7 @@ def _both_tight_after_s1_theta(scenario, assoc):
     """Budget scale at which the cell-specific S1 fixed point has
     ``g1 = g2 = 1``, so the solve ends in S1."""
     problem = Problem.from_scenario(scenario, assoc)
-    p0 = expand_psd(initial_power_state(scenario, assoc, "cell_specific"), assoc)
+    p0 = expand_psd(initial_power_state(problem, "cell_specific"), assoc)
     w = step1_update_bandwidth(problem, p0, CELL_OPTS).w
     return g2(w, p0, problem) / g1(w, problem)
 
@@ -251,7 +251,7 @@ def test_step3_cell_specific_from_the_per_transmitter_state():
     sol = optimize(scenario, None, CELL_OPTS, assoc=assoc)
     # init, S1 and S3 boundary rows only: S3 started from the initial state
     assert sol.step == "s3" and len(sol.trace.rows) == 3
-    s3 = step3_update_power(problem, sol.w, initial_power_state(scenario, assoc, "cell_specific"),
+    s3 = step3_update_power(problem, sol.w, initial_power_state(problem, "cell_specific"),
                             CELL_OPTS)
     assert s3.lam == sol.lam_solver
     assert np.array_equal(s3.p, sol.p)
@@ -267,7 +267,7 @@ def test_minimize_power_single_link_closed_form():
     assert sol.lam > 1.0
     res = minimize_power(problem, sol.w, sol.p)
     expected = (2.0 ** (sc.demands / (sc.rb_count * sol.w * sc.rb_bandwidth)) - 1.0) \
-        * sc.noise_psd / problem.model.d_diag
+        * sc.noise_psd / problem.d_diag
     assert np.allclose(res.p_min, expected, rtol=1e-8)
     assert res.lam == pytest.approx(1.0, abs=1e-4)
     assert res.saving_ratio < 1.0
@@ -327,7 +327,7 @@ def test_minimize_power_requires_strict_feasibility():
 @pytest.mark.parametrize("seed", [151, 152, 153])
 def test_linear_reformulation_agrees_with_power_update(seed):
     scenario, assoc, problem = random_problem(seed, n_ue=3, n_bs=2)
-    p0 = initial_psd(scenario, assoc)
+    p0 = initial_psd(problem)
     s1 = step1_update_bandwidth(problem, p0, OPTS)
     assert g1(s1.w, problem) == pytest.approx(1.0, abs=1e-9)
     s3 = step3_update_power(problem, s1.w, p0, OPTS)

@@ -5,10 +5,10 @@ import pytest
 
 from flexlink.errors import ConfigError
 from flexlink.experiments import MC_OPTS, compare_pf
-from flexlink.interference import qos_levels
+from flexlink.interference import Problem, qos_levels
 from flexlink.model import Association
 from flexlink.optimizer import optimize
-from flexlink.pf_baseline import _pf_rates, pf_allocate
+from flexlink.pf_baseline import _pf_rates, _split_band, pf_allocate
 
 from .helpers import make_scenario, random_problem, random_scenario, two_cell_scenario, coud_assoc
 from .oracles import dense_coupling
@@ -69,7 +69,8 @@ def test_split_band_rates_match_dense_reference(seed):
     ipsd = (vt @ (p * occupancy) + dense.sigma_vec) / dense.d_diag
     expected = sc.rb_bandwidth * np.log2(1.0 + p / ipsd)
 
-    assert np.allclose(_pf_rates(sc, assoc, p, counts, split), expected, rtol=1e-12, atol=0.0)
+    problem = _split_band(Problem.from_scenario(sc, assoc))
+    assert np.allclose(_pf_rates(problem, p, counts, split), expected, rtol=1e-12, atol=0.0)
 
 
 def test_bad_split_rejected():

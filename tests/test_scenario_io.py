@@ -8,7 +8,6 @@ import pytest
 from flexlink import io
 from flexlink.errors import ConfigError
 from flexlink.experiments import MC_OPTS
-from flexlink.model import OVERLAP_NONE
 from flexlink.optimizer import optimize
 from flexlink.scenario import (
     ScenarioConfig,
@@ -91,7 +90,7 @@ def test_estimate_overlap_averaging_and_edge_cases(caplog):
 
     with caplog.at_level(logging.WARNING, logger="flexlink.scenario"):
         empty = estimate_overlap([])
-    assert empty.scheme == OVERLAP_NONE
+    assert empty is None
     assert any("full overlap" in r.message for r in caplog.records)
 
 
@@ -138,8 +137,9 @@ def test_config_validation_rules():
         ScenarioConfig(macro_rows=0)
     from flexlink.errors import ModelError
 
-    with pytest.raises(ModelError):
-        uniform_overlap(2, 0.5, 0.5, scheme="bogus")
+    for scheme in ("bogus", "none"):  # full overlap is None, not a scheme
+        with pytest.raises(ModelError):
+            uniform_overlap(2, 0.5, 0.5, scheme=scheme)
 
 
 def test_canonical_hash_stability():
