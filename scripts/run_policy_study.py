@@ -17,7 +17,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--trials", type=int, default=50)
     ap.add_argument("--seed-base", type=int, default=0)
-    ap.add_argument("--workers", type=int, default=None)
+    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--out", type=pathlib.Path, default=pathlib.Path("study_out"))
     args = ap.parse_args()
 

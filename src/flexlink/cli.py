@@ -63,6 +63,8 @@ def parse_offsets(text: str) -> list[float]:
             if not math.isfinite(val):
                 raise ConfigError(f"bad offset {token!r}")
             out.append(val)
+    if not out:
+        raise ConfigError(f"no offsets in {text!r}")
     return out
 
 
@@ -187,13 +189,15 @@ def cmd_sweep(scenario_path, offsets_text, overlap, overlap_load_ul, overlap_loa
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--trials", required=True, type=int)
 @click.option("--seed-base", required=True, type=int)
-@click.option("--workers", type=int, default=None,
-              help="Parallel trial workers (default: FLEXLINK_WORKERS or 1).")
+@click.option("--workers", type=int, default=1, show_default=True,
+              help="Parallel trial workers.")
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def cmd_montecarlo(config_path, trials, seed_base, workers, out_dir):
     """Seeded Monte Carlo policy study: offset sweep, overlap arms, PF baseline."""
     if trials < 1:
         raise ConfigError("trials must be >= 1")
+    if workers < 1:
+        raise ConfigError("workers must be >= 1")
     config = io.load_config(config_path)
     study = experiments.run_policy_study(config, trials, seed_base, workers=workers)
 
@@ -239,10 +243,9 @@ def cmd_compare_pf(scenario_path, policy_text, split, out_dir):
     io.write_csv(os.path.join(out_dir, "compare_pf.csv"),
                  ("algorithm", "lam_min_direction", "lam_ul", "lam_dl"),
                  [("joint", min(opt["lam_ul"], opt["lam_dl"]), opt["lam_ul"], opt["lam_dl"]),
-                  ("pf", pf["lambda_min_direction"], pf["lambda_ul"], pf["lambda_dl"])],
+                  ("pf", pf["lam"], pf["lam_ul"], pf["lam_dl"])],
                  meta=meta)
-    click.echo(f"joint lambda={opt['lam']:.6g}  pf min-direction="
-               f"{pf['lambda_min_direction']:.6g}")
+    click.echo(f"joint lambda={opt['lam']:.6g}  pf min-direction={pf['lam']:.6g}")
     return EXIT_OK if opt["converged"] else EXIT_NOT_CONVERGED
 
 
@@ -252,27 +255,24 @@ def cmd_compare_pf(scenario_path, policy_text, split, out_dir):
 def cmd_minimize_power(solution_path, out_dir):
     """Shrink a strictly feasible solution's power to the utility-1 minimum."""
     doc = io.read_json(solution_path, "solution")
-    try:
+    with io.reading("solution"):
         scenario_doc, assoc_doc, solved = (io.as_object(doc[key], f"solution key {key!r}")
                                            for key in ("scenario", "association", "solution"))
         assoc = Association(b_ul=np.array(assoc_doc["b_ul"]), b_dl=np.array(assoc_doc["b_dl"]),
                             n_bs=assoc_doc["n_bs"])
-        w_star, p_star = solved["w"], solved["p"]
-    except KeyError as exc:
-        raise ConfigError(f"missing required solution key: {exc.args[0]}") from exc
-    scenario = io.scenario_from_dict(scenario_doc)
-    w_star = _link_vector(w_star, "w", scenario.n_links)
-    p_star = _link_vector(p_star, "p", scenario.n_links)
-    theta = float(solved.get("theta", 1.0))
-    solve_meta = io.as_object(doc.get("meta", {}), "solution key 'meta'")
-    overlap = solve_meta.get("overlap", "none")
-    loads = (solve_meta.get("overlap_load_ul"), solve_meta.get("overlap_load_dl"))
-    if overlap not in OVERLAP_CHOICES:
-        raise ConfigError(f"unknown overlap {overlap!r} in the solution meta")
-    if overlap != "none" and None in loads:
-        raise ConfigError(f"the solution meta names overlap {overlap!r} but not its loads")
-    overlap_model = _overlap_model(overlap, scenario.n_bs, *loads)
-    problem = Problem.from_scenario(scenario, assoc, overlap=overlap_model, theta=theta)
+        scenario = io.scenario_from_dict(scenario_doc)
+        w_star = _link_vector(solved["w"], "w", scenario.n_links)
+        p_star = _link_vector(solved["p"], "p", scenario.n_links)
+        theta = float(solved.get("theta", 1.0))
+        solve_meta = io.as_object(doc.get("meta", {}), "solution key 'meta'")
+        overlap = solve_meta.get("overlap", "none")
+        loads = (solve_meta.get("overlap_load_ul"), solve_meta.get("overlap_load_dl"))
+        if overlap not in OVERLAP_CHOICES:
+            raise ConfigError(f"unknown overlap {overlap!r} in the solution meta")
+        if overlap != "none" and None in loads:
+            raise ConfigError(f"the solution meta names overlap {overlap!r} but not its loads")
+        overlap_model = _overlap_model(overlap, scenario.n_bs, *loads)
+        problem = Problem.from_scenario(scenario, assoc, overlap=overlap_model, theta=theta)
 
     result = minimize_power(problem, w_star, p_star)
 

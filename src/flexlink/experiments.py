@@ -10,13 +10,11 @@ given the base seed regardless of the worker count.
 from __future__ import annotations
 
 import dataclasses
-import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from .association import COUD, DEUD_O, DEUD_P, Policy, associate, policy_sweep
-from .errors import ConfigError
 from .interference import Problem
 from .model import Scenario
 from .optimizer import (Solution, SolveOptions, initial_power_state, optimize,
@@ -45,16 +43,6 @@ STUDY_CONFIG = ScenarioConfig(
 )
 
 
-def default_workers() -> int:
-    env = os.environ.get("FLEXLINK_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"FLEXLINK_WORKERS must be an integer, got {env!r}") from None
-    return 1
-
-
 def solve_policies(scenario: Scenario, policies, opts: SolveOptions,
                    overlap=None) -> list[Solution]:
     """``optimize`` for each policy on one scenario, one ``Solution`` per policy.
@@ -77,13 +65,12 @@ def solve_policies(scenario: Scenario, policies, opts: SolveOptions,
     return out
 
 
-def run_trial(config: ScenarioConfig, seed: int,
-              history=(DEFAULT_HISTORY_UL, DEFAULT_HISTORY_DL),
-              split=DEFAULT_PF_SPLIT, opts: SolveOptions = MC_OPTS) -> dict:
-    """One Monte Carlo trial: offset sweep (partial overlap), full-overlap
-    reference runs, and the PF baseline under CoUD and DeUD_P."""
+def run_trial(config: ScenarioConfig, seed: int) -> dict:
+    """One Monte Carlo trial: offset sweep (partial overlap at the default
+    historical loads), full-overlap reference runs, and the PF baseline at
+    the default split under CoUD and DeUD_P, all solved with ``MC_OPTS``."""
     scenario = generate(config, seed)
-    overlap = uniform_overlap(scenario.n_bs, history[0], history[1])
+    overlap = uniform_overlap(scenario.n_bs, DEFAULT_HISTORY_UL, DEFAULT_HISTORY_DL)
 
     sweep = policy_sweep()
     partial = {
@@ -91,7 +78,7 @@ def run_trial(config: ScenarioConfig, seed: int,
             "lam": sol.lam, "lam_ul": sol.lam_ul, "lam_dl": sol.lam_dl,
             "step": sol.step, "converged": sol.converged,
         }
-        for pol, sol in zip(sweep, solve_policies(scenario, sweep, opts, overlap))
+        for pol, sol in zip(sweep, solve_policies(scenario, sweep, MC_OPTS, overlap))
     }
 
     best_offset = max(partial, key=lambda o: partial[o]["lam"])
@@ -99,33 +86,26 @@ def run_trial(config: ScenarioConfig, seed: int,
     labels = ("coud", "deud_p", "best")
     references = (Policy(COUD), Policy(DEUD_P), Policy(DEUD_O, offset_db=float(best_offset)))
     full = {label: sol.lam
-            for label, sol in zip(labels, solve_policies(scenario, references, opts))}
+            for label, sol in zip(labels, solve_policies(scenario, references, MC_OPTS))}
 
     pf = {}
     for label, pol in (("coud", Policy(COUD)), ("deud_p", Policy(DEUD_P))):
-        alloc = pf_allocate(scenario, associate(pol, scenario), split=split)
+        alloc = pf_allocate(scenario, associate(pol, scenario), split=DEFAULT_PF_SPLIT)
         pf[label] = {"lam_ul": alloc.lam_ul, "lam_dl": alloc.lam_dl, "lam": alloc.lam}
 
     return {"seed": seed, "partial": partial, "best_offset": best_offset,
             "full": full, "pf": pf}
 
 
-def _trial_star(args):
-    return run_trial(*args)
-
-
 def run_policy_study(config: ScenarioConfig, trials: int, seed_base: int,
-                     history=(DEFAULT_HISTORY_UL, DEFAULT_HISTORY_DL),
-                     split=DEFAULT_PF_SPLIT, opts: SolveOptions = MC_OPTS,
-                     workers: int | None = None) -> dict:
+                     workers: int = 1) -> dict:
     """Run ``trials`` independent seeded trials and aggregate."""
-    workers = default_workers() if workers is None else workers
-    args = [(config, seed_base + t, history, split, opts) for t in range(trials)]
+    seeds = range(seed_base, seed_base + trials)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_trial_star, args))
+            results = list(pool.map(run_trial, [config] * trials, seeds))
     else:
-        results = [run_trial(*a) for a in args]
+        results = list(map(run_trial, [config] * trials, seeds))
     return {"config": dataclasses.asdict(config), "seed_base": seed_base,
             "trials": results, "aggregate": aggregate_policy_study(results)}
 
@@ -218,17 +198,16 @@ def run_theta_sweep(scenario: Scenario, policy: Policy, thetas,
     return rows
 
 
-def compare_pf(scenario: Scenario, policy: Policy, split=DEFAULT_PF_SPLIT,
-               history=(DEFAULT_HISTORY_UL, DEFAULT_HISTORY_DL),
-               opts: SolveOptions = MC_OPTS) -> dict:
-    """Joint optimizer versus the QoS-based PF baseline on one scenario."""
+def compare_pf(scenario: Scenario, policy: Policy, split=DEFAULT_PF_SPLIT) -> dict:
+    """Joint optimizer (partial overlap at the default historical loads)
+    versus the QoS-based PF baseline on one scenario."""
     assoc = associate(policy, scenario)
-    overlap = uniform_overlap(scenario.n_bs, history[0], history[1])
-    sol = optimize(scenario, policy, opts, overlap=overlap, assoc=assoc)
+    overlap = uniform_overlap(scenario.n_bs, DEFAULT_HISTORY_UL, DEFAULT_HISTORY_DL)
+    sol = optimize(scenario, policy, MC_OPTS, overlap=overlap, assoc=assoc)
     pf = pf_allocate(scenario, assoc, split=split)
     return {
         "policy": policy.label,
         "optimizer": {"lam": sol.lam, "lam_ul": sol.lam_ul, "lam_dl": sol.lam_dl,
                       "converged": sol.converged},
-        "pf": pf.to_dict() | {"lambda_min_direction": pf.lam},
+        "pf": {"lam": pf.lam, "lam_ul": pf.lam_ul, "lam_dl": pf.lam_dl},
     }

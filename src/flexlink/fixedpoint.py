@@ -7,6 +7,7 @@ for every ``alpha > 1``).  Two iterations are provided:
 * ``yates_iteration``: the plain update ``x <- f(x)``, converging to the
   unique fixed point whenever a feasible point ``f(x') <= x'`` exists; from
   ``x0 = 0`` the iterates increase monotonically to the minimal solution.
+  It stops on an absolute and a relative step test together.
 * ``normalized_fixed_point``: the conditional-eigenvalue update
   ``x <- theta * f(x) / g(f(x))`` for a monotone, degree-1 homogeneous
   ``g``, converging to the unique eigenvector ``x'`` with
@@ -24,7 +25,7 @@ import numpy as np
 
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITER = 10_000
-DIVERGENCE_WINDOW = 50
+DIVERGENCE_WINDOW = 50  # growing Yates residuals before "likely infeasible"
 
 
 @dataclass
@@ -87,19 +88,16 @@ def yates_iteration(
     x0,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    divergence_window: int = DIVERGENCE_WINDOW,
-    callback=None,
-    rel_tol: Optional[float] = None,
 ) -> FixedPointResult:
-    """Iterate ``x <- f(x)`` until the sup-norm step is < tol.
+    """Iterate ``x <- f(x)`` until both the sup-norm step and the largest
+    componentwise relative step are < tol.
 
-    ``rel_tol``, when given, additionally requires the componentwise relative
-    step to fall below it (needed when the fixed point lives at a much
-    smaller scale than the absolute tolerance).  If the residual grows for
-    ``divergence_window`` consecutive iterations the run stops early and the
-    result is flagged "likely infeasible" (no fixed point exists when no
-    feasible point does).  A non-finite iterate stops the run at once with
-    the note "non-finite".
+    The relative test keeps the rule meaningful when the fixed point lives
+    far below the absolute tolerance (watts-scale PSDs).  If the residual
+    grows for ``DIVERGENCE_WINDOW`` consecutive iterations the run stops
+    early and the result is flagged "likely infeasible" (no fixed point
+    exists when no feasible point does).  A non-finite iterate stops the run
+    at once with the note "non-finite".
     """
     x = np.array(x0, dtype=float)
     residual = np.inf
@@ -107,13 +105,10 @@ def yates_iteration(
     for t in range(1, max_iter + 1):
         x_next = f(x)
         prev_residual = residual
-        residual = float(np.abs(x_next - x).max())
-        if callback is not None:
-            callback(t, x_next, residual)
-        done = residual < tol
-        if done and rel_tol is not None:
-            rel = np.abs(x_next - x) / np.maximum(np.abs(x_next), 1e-300)
-            done = float(rel.max()) < rel_tol
+        step = np.abs(x_next - x)
+        residual = float(step.max())
+        done = (residual < tol
+                and float((step / np.maximum(np.abs(x_next), 1e-300)).max()) < tol)
         x = x_next
         if not math.isfinite(residual):
             return FixedPointResult(
@@ -126,7 +121,7 @@ def yates_iteration(
                 converged=True,
             )
         growing = growing + 1 if residual > prev_residual else 0
-        if growing >= divergence_window:
+        if growing >= DIVERGENCE_WINDOW:
             return FixedPointResult(
                 x=x, eigenvalue=None, iterations=t, residual=residual,
                 converged=False, note="likely infeasible",
@@ -135,4 +130,3 @@ def yates_iteration(
         x=x, eigenvalue=None, iterations=max_iter, residual=residual,
         converged=False, note="max_iter exceeded",
     )
-

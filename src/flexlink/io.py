@@ -8,6 +8,7 @@ tool version, and canonical hashing uses sorted-key compact JSON.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -15,7 +16,7 @@ import json
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, ModelError
+from .errors import ConfigError, DomainError, ModelError
 from .model import BaseStation, Scenario, UserTerminal
 from .scenario import ScenarioConfig
 from .units import dbm_to_watt, linear_to_db, watt_to_dbm
@@ -42,6 +43,22 @@ def read_json(path, what: str = "document") -> dict:
     return as_object(doc, what)
 
 
+@contextlib.contextmanager
+def reading(what: str):
+    """Read a ``what`` document: a missing key or a wrongly typed value met
+    inside the block becomes a ``ConfigError`` naming ``what``.  The package's
+    own errors pass through unchanged, so a well-formed document describing
+    an invalid model keeps its ``ModelError``."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigError(f"missing required {what} key: {exc.args[0]}") from exc
+    except (ConfigError, DomainError, ModelError):
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed {what}: {exc}") from exc
+
+
 def as_object(value, what: str) -> dict:
     """``value`` if it is a JSON object, else a ``ConfigError`` naming ``what``."""
     if not isinstance(value, dict):
@@ -62,11 +79,9 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
     unknown = set(raw) - allowed
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = dict(raw)
-    for tup in ("service_mix", "pico_ring"):
-        if tup in kwargs:
-            kwargs[tup] = tuple(kwargs[tup])
-    return ScenarioConfig(**kwargs)
+    kwargs = {key: tuple(v) if isinstance(v, list) else v for key, v in raw.items()}
+    with reading("config"):
+        return ScenarioConfig(**kwargs)
 
 
 def config_to_dict(config: ScenarioConfig) -> dict:
@@ -117,14 +132,8 @@ def scenario_to_dict(scenario: Scenario, meta: dict | None = None) -> dict:
 def scenario_from_dict(doc: dict) -> Scenario:
     if doc.get("schema_version") != SCENARIO_SCHEMA_VERSION:
         raise ConfigError("unsupported scenario schema version")
-    try:
+    with reading("scenario"):
         return _scenario_from_doc(doc)
-    except KeyError as exc:
-        raise ConfigError(f"missing required scenario key: {exc.args[0]}") from exc
-    except ModelError:
-        raise  # a well-formed document describing an invalid scenario
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"malformed scenario: {exc}") from exc
 
 
 def _scenario_from_doc(doc: dict) -> Scenario:

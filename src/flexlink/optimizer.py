@@ -32,7 +32,7 @@ import numpy as np
 
 from .association import associate
 from .errors import DomainError, InfeasibleError
-from .fixedpoint import DEFAULT_TOL, FixedPointResult, normalized_fixed_point, yates_iteration
+from .fixedpoint import FixedPointResult, normalized_fixed_point, yates_iteration
 from .interference import (Problem, expand_psd, f_load, f_power, f_power_cell, g1, g2,
                            g2_bar, qos_levels, utility)
 from .io import write_csv
@@ -227,7 +227,6 @@ def step2_power_scaling(problem: Problem, w0, x0, opts: SolveOptions = SolveOpti
     w = np.asarray(w0, dtype=float)
     x = np.asarray(x0, dtype=float)
     p = expand(x)
-    lam = 1.0 / max(g1(w, problem), g2(w, p, problem))
     rounds = 0
     last = None
     while g1(w, problem) < 1.0 - TOL_OUTER and rounds < MAX_SCALING_ROUNDS:
@@ -239,6 +238,9 @@ def step2_power_scaling(problem: Problem, w0, x0, opts: SolveOptions = SolveOpti
         if trace is not None:
             trace.record("s2", rounds, lam, g1(w, problem), g2(w, p, problem),
                          last.fixed_point.residual, boundary=True)
+    if last is None:  # no round: S1's utility at its fixed point ``w``
+        fw = f_load(w, p, problem)
+        lam = 1.0 / max(g1(fw, problem), g2(fw, p, problem))
     return StepResult(w=w, p=p, lam=lam, fixed_point=last.fixed_point if last else None,
                       x=x, rounds=rounds)
 
@@ -356,9 +358,7 @@ def minimize_power(problem: Problem, w_star, p_star) -> PowerMinResult:
     psi = lambda p: float(np.sum(w_star * p))
 
     f = lambda p: f_power(p, w_star, problem)
-    # watts-scale fixed points sit far below the absolute tolerance, so the
-    # stopping rule is additionally made relative
-    res = yates_iteration(f, np.zeros(problem.n_links), rel_tol=DEFAULT_TOL)
+    res = yates_iteration(f, np.zeros(problem.n_links))
     p_min = res.x
     return PowerMinResult(
         p_min=p_min,

@@ -37,16 +37,6 @@ class PfAllocation:
     def lam(self) -> float:
         return min(self.lam_ul, self.lam_dl)
 
-    def to_dict(self) -> dict:
-        return {
-            "w": self.w.tolist(),
-            "p": self.p.tolist(),
-            "rb_counts": self.rb_counts.tolist(),
-            "lambda_ul": self.lam_ul,
-            "lambda_dl": self.lam_dl,
-            "lambda": self.lam,
-        }
-
 
 def _split_band(problem: Problem) -> Problem:
     """The problem under disjoint UL and DL sub-bands: no cross-direction

@@ -1,4 +1,4 @@
-"""Synthetic scenario generation and historical-load bookkeeping.
+"""Synthetic scenario generation and the uniform historical-load overlap.
 
 Macros sit on a regular grid, picos on an annulus near the macro cell edge,
 user terminals uniformly over the playground.  Pathloss follows standard
@@ -10,15 +10,15 @@ the seed.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
+from numbers import Integral, Real
 
 import numpy as np
 
 from .errors import ConfigError
 from .model import (
     MACRO,
-    OVERLAP_SCHEMES,
     PICO,
     BaseStation,
     OverlapModel,
@@ -26,8 +26,6 @@ from .model import (
     UserTerminal,
 )
 from .units import db_to_linear, dbm_to_watt
-
-log = logging.getLogger(__name__)
 
 # Service classes: (downlink, uplink) demands in Mbit/s.
 SERVICE_CLASSES_DL_MBPS = (300.0, 25.0, 50.0, 10.0, 0.01)
@@ -66,12 +64,26 @@ class ScenarioConfig:
     min_dist_site_m: float = 10.0
 
     def __post_init__(self):
+        # every field has the type of its default; a tuple also its length
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = type(f.default)
+            if kind is tuple:
+                ok = (isinstance(value, tuple) and len(value) == len(f.default)
+                      and all(map(_finite, value)))
+                what = f"{len(f.default)} finite numbers"
+            elif kind is float:
+                ok, what = _finite(value), "a finite number"
+            elif kind is int:
+                ok, what = isinstance(value, Integral) and type(value) is not bool, "an integer"
+            else:
+                ok, what = isinstance(value, bool), "true or false"
+            if not ok:
+                raise ConfigError(f"{f.name} must be {what}, got {value!r}")
         if self.macro_rows < 1 or self.macro_cols < 1:
             raise ConfigError("need at least one macro cell")
         if self.n_pico < 0 or self.n_ue < 1:
             raise ConfigError("invalid pico/UE counts")
-        if len(self.service_mix) != len(SERVICE_CLASSES_DL_MBPS):
-            raise ConfigError("service_mix must weight all service classes")
         if abs(sum(self.service_mix) - 1.0) > 1e-9 or min(self.service_mix) < 0:
             raise ConfigError("service_mix must be a probability vector")
         if not (0 < self.pico_ring[0] <= self.pico_ring[1] <= 1.0):
@@ -82,6 +94,10 @@ class ScenarioConfig:
     @property
     def playground(self) -> tuple:
         return (self.macro_cols * self.isd_m, self.macro_rows * self.isd_m)
+
+
+def _finite(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def macro_ue_pathloss_db(d_m, min_dist_m=35.0):
@@ -177,23 +193,6 @@ def generate(config: ScenarioConfig, seed: int) -> Scenario:
         rb_count=config.rb_count, rb_bandwidth=config.rb_bandwidth_hz,
         noise_psd=float(dbm_to_watt(config.noise_psd_dbm)),
     )
-
-
-def estimate_overlap(history, scheme: str = "cell_pairwise") -> OverlapModel | None:
-    """Average historical per-cell loads into an overlap model.
-
-    ``history`` is an iterable of ``(load_ul, load_dl)`` snapshots.  An empty
-    history degrades to full overlap, ``None``, with a warning.
-    """
-    if scheme not in OVERLAP_SCHEMES:
-        raise ConfigError(f"unknown overlap scheme: {scheme!r}")
-    snaps = tuple(history)
-    if not snaps:
-        log.warning("empty load history: falling back to full overlap")
-        return None
-    ul = np.mean([np.asarray(s[0], dtype=float) for s in snaps], axis=0)
-    dl = np.mean([np.asarray(s[1], dtype=float) for s in snaps], axis=0)
-    return OverlapModel(scheme=scheme, load_ul=ul, load_dl=dl)
 
 
 def uniform_overlap(n_bs: int, load_ul: float, load_dl: float,

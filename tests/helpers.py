@@ -81,6 +81,14 @@ def assoc_problem(assoc, seed=0):
     return Problem.from_scenario(scenario, assoc)
 
 
+def yates_iterates(f, x0, n):
+    """The ``n`` iterates ``f(x0), f(f(x0)), ...`` of the plain update."""
+    xs = [np.asarray(x0, dtype=float)]
+    for _ in range(n):
+        xs.append(f(xs[-1]))
+    return xs[1:]
+
+
 def random_wp(seed, n_links, w_lo=0.02, w_hi=0.6, p_lo=1e-5, p_hi=1e-2):
     rng = np.random.default_rng(seed)
     w = rng.uniform(w_lo, w_hi, size=n_links)

@@ -430,16 +430,15 @@ def linear_reformulation_check(problem, w_fixed, p_candidate) -> LinearCheckRepo
     return LinearCheckReport(lam_affine=lam_affine, rel_diff=rel_diff, ok=rel_diff <= 1e-4)
 
 
-def run_trial_loop(config, seed, history=(DEFAULT_HISTORY_UL, DEFAULT_HISTORY_DL),
-                   split=DEFAULT_PF_SPLIT, opts=MC_OPTS) -> dict:
+def run_trial_loop(config, seed) -> dict:
     """``experiments.run_trial`` as a plain loop: one ``optimize`` per policy,
     with no solve shared between policies of the same association."""
     scenario = generate(config, seed)
-    overlap = uniform_overlap(scenario.n_bs, history[0], history[1])
+    overlap = uniform_overlap(scenario.n_bs, DEFAULT_HISTORY_UL, DEFAULT_HISTORY_DL)
 
     partial = {}
     for pol in policy_sweep():
-        sol = optimize(scenario, pol, opts, overlap=overlap)
+        sol = optimize(scenario, pol, MC_OPTS, overlap=overlap)
         partial[f"{pol.offset_db:g}"] = {
             "lam": sol.lam, "lam_ul": sol.lam_ul, "lam_dl": sol.lam_dl,
             "step": sol.step, "converged": sol.converged,
@@ -449,11 +448,11 @@ def run_trial_loop(config, seed, history=(DEFAULT_HISTORY_UL, DEFAULT_HISTORY_DL
     full = {}
     for label, pol in (("coud", Policy(COUD)), ("deud_p", Policy(DEUD_P)),
                        ("best", Policy(DEUD_O, offset_db=float(best_offset)))):
-        full[label] = optimize(scenario, pol, opts).lam
+        full[label] = optimize(scenario, pol, MC_OPTS).lam
 
     pf = {}
     for label, pol in (("coud", Policy(COUD)), ("deud_p", Policy(DEUD_P))):
-        alloc = pf_allocate(scenario, associate(pol, scenario), split=split)
+        alloc = pf_allocate(scenario, associate(pol, scenario), split=DEFAULT_PF_SPLIT)
         pf[label] = {"lam_ul": alloc.lam_ul, "lam_dl": alloc.lam_dl, "lam": alloc.lam}
 
     return {"seed": seed, "partial": partial, "best_offset": best_offset,

@@ -75,6 +75,22 @@ def test_generate_missing_key_names_it(tmp_path, capsys):
     assert "n_ue" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("n_ue", "x"), ("n_ue", 2.5), ("isd_m", "x"), ("isd_m", float("nan")),
+    ("macro_power_dbm", "x"), ("service_mix", "abcde"), ("service_mix", 5),
+    ("pico_ring", [0.7]),
+])
+def test_malformed_config_is_one_line_error(tmp_path, capsys, key, value):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(CONFIG | {key: value}))
+    out = tmp_path / "out"
+    for args in (["generate", "--seed", "1"], ["montecarlo", "--trials", "1", "--seed-base", "1"]):
+        assert main([*args, "--config", str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and key in err[0], err
+        assert not out.exists()
+
+
 def test_generated_file_round_trips_through_load(scenario_file):
     from flexlink import io
 
@@ -214,7 +230,8 @@ def test_sweep_rows_equal_separate_solves(tmp_path, scenario_file):
 @pytest.mark.parametrize("args", [["solve", "--policy", "deud-o:nan"],
                                   ["solve", "--policy", "deud-o:inf"],
                                   ["sweep", "--offsets", "nan"],
-                                  ["sweep", "--offsets", "0,inf"]])
+                                  ["sweep", "--offsets", "0,inf"],
+                                  ["sweep", "--offsets", ","]])
 def test_non_finite_offset_is_one_line_error(tmp_path, scenario_file, capsys, args):
     out = tmp_path / "out"
     assert main([*args, "--scenario", str(scenario_file), "--out", str(out)]) == 1
@@ -285,13 +302,16 @@ def test_montecarlo_single_trial_equals_solve(tmp_path, config_file):
     assert summary["aggregate"]["mean_coud"] == pytest.approx(lam_solve, rel=1e-12)
 
 
-def test_montecarlo_bad_workers_env_is_one_line_error(tmp_path, config_file, capsys,
-                                                      monkeypatch):
-    monkeypatch.setenv("FLEXLINK_WORKERS", "abc")
-    assert main(["montecarlo", "--config", str(config_file), "--trials", "1",
-                 "--seed-base", "7", "--out", str(tmp_path / "mc")]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: FLEXLINK_WORKERS")
+@pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--workers", "0"),
+                                         ("--workers", "-3")])
+def test_montecarlo_bad_count_is_one_line_error(tmp_path, config_file, capsys, flag, value):
+    counts = ["--trials", "1", "--workers", "1"]
+    counts[counts.index(flag) + 1] = value
+    out = tmp_path / "mc"
+    assert main(["montecarlo", "--config", str(config_file), "--seed-base", "7",
+                 *counts, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {flag[2:]} must be >= 1"]
+    assert not out.exists()
 
 
 def test_compare_pf_csv(tmp_path, scenario_file):
@@ -424,6 +444,27 @@ def test_minimize_power_malformed_link_vector_is_one_line_error(tmp_path, scenar
     n_links = 2 * CONFIG["n_ue"]
     assert capsys.readouterr().err.splitlines() == [
         f"error: solution key '{key}' must be a list of {n_links} numbers"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("association.b_ul", "abc"), ("association.n_bs", "x"), ("solution.theta", "x"),
+    ("meta.overlap", []), ("meta.overlap_load_ul", "x"),
+])
+def test_minimize_power_malformed_solution_is_one_line_error(tmp_path, scenario_file, capsys,
+                                                              key, value):
+    assert main(["solve", "--scenario", str(scenario_file), "--policy", "coud",
+                 "--overlap", "pairwise", "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "solution.json").read_text())
+    outer, name = key.split(".")
+    doc[outer][name] = value
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "minpower"
+    assert main(["minimize-power", "--solution", str(tmp_path / "bad.json"),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: malformed solution: "), err
     assert not out.exists()
 
 

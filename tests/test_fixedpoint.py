@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flexlink.fixedpoint import normalized_fixed_point, yates_iteration
+from flexlink.fixedpoint import DIVERGENCE_WINDOW, normalized_fixed_point, yates_iteration
 from flexlink.interference import f_load, f_power
 
-from .helpers import random_problem, random_wp
+from .helpers import random_problem, random_wp, yates_iterates
 from .oracles import (
     check_sif_axioms,
     dense_conditional_eigen_2d,
@@ -133,15 +133,17 @@ def test_yates_monotone_from_zero_and_from_feasible():
     w = np.full(4, 0.4)
     f = lambda p: f_power(p, w, problem)
 
-    iterates = []
-    yates_iteration(f, np.zeros(4), callback=lambda t, x, r: iterates.append(x.copy()))
+    res = yates_iteration(f, np.zeros(4))
+    iterates = yates_iterates(f, np.zeros(4), res.iterations)
+    assert np.array_equal(iterates[-1], res.x)
     for a, b in zip(iterates, iterates[1:]):
         assert np.all(b >= a - 1e-15)
 
     p_star = iterates[-1]
     feasible = 2.0 * p_star  # scalability makes any upscaled fixed point feasible
-    down = []
-    yates_iteration(f, feasible, callback=lambda t, x, r: down.append(x.copy()))
+    res = yates_iteration(f, feasible)
+    down = yates_iterates(f, feasible, res.iterations)
+    assert np.array_equal(down[-1], res.x)
     prev = feasible
     for x in down:
         assert np.all(x <= prev + 1e-15)
@@ -161,10 +163,10 @@ def test_non_finite_map_stops_after_one_iteration():
 
 
 def test_yates_divergence_flagged_infeasible():
-    res = yates_iteration(lambda x: 2.0 * x + 1.0, np.array([0.0]),
-                          divergence_window=10, max_iter=1000)
+    res = yates_iteration(lambda x: 2.0 * x + 1.0, np.array([0.0]), max_iter=1000)
     assert not res.converged
     assert res.note == "likely infeasible"
+    assert res.iterations == DIVERGENCE_WINDOW + 1
 
 
 def test_callable_wrappers_carry_dimension():

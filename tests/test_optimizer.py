@@ -19,7 +19,7 @@ from flexlink.optimizer import (
     step3_update_power,
 )
 
-from .helpers import random_problem, single_link_scenario
+from .helpers import random_problem, single_link_scenario, yates_iterates
 from .oracles import linear_reformulation_check, max_min_bandwidth_grid
 
 OPTS = SolveOptions(trace_mode="boundary")
@@ -94,6 +94,7 @@ def test_step2_noop_when_band_already_full():
     assert s2.rounds == 0
     assert np.array_equal(s2.w, s1.w)
     assert np.array_equal(s2.p, p)
+    assert s2.lam == s1.lam
 
 
 def _power_bound_problem(seed=101):
@@ -304,9 +305,10 @@ def test_minimize_power_nonincreasing_from_feasible_start():
     sol = optimize(scenario, None, OPTS, assoc=assoc)
     from flexlink.fixedpoint import yates_iteration
 
-    iterates = []
-    yates_iteration(lambda p: f_power(p, sol.w, problem), sol.p,
-                    callback=lambda t, x, r: iterates.append(x.copy()))
+    f = lambda p: f_power(p, sol.w, problem)
+    res = yates_iteration(f, sol.p)
+    iterates = yates_iterates(f, sol.p, res.iterations)
+    assert np.array_equal(iterates[-1], res.x)
     prev = sol.p
     for x in iterates:
         assert np.all(x <= prev * (1.0 + 1e-12))

@@ -112,6 +112,5 @@ def test_compare_pf_reports_both_sides():
                                  isd_m=100.0), seed=2)
     out = compare_pf(sc, Policy("coud"))
     assert out["optimizer"]["lam"] > 0
-    assert out["pf"]["lambda_min_direction"] == min(out["pf"]["lambda_ul"],
-                                                    out["pf"]["lambda_dl"])
-    assert out["optimizer"]["lam"] >= out["pf"]["lambda_min_direction"]
+    assert out["pf"]["lam"] == min(out["pf"]["lam_ul"], out["pf"]["lam_dl"])
+    assert out["optimizer"]["lam"] >= out["pf"]["lam"]

@@ -1,4 +1,4 @@
-"""Scenario generation, overlap estimation, JSON persistence."""
+"""Scenario generation, config validation, JSON persistence."""
 
 import json
 
@@ -11,7 +11,6 @@ from flexlink.experiments import MC_OPTS
 from flexlink.optimizer import optimize
 from flexlink.scenario import (
     ScenarioConfig,
-    estimate_overlap,
     generate,
     macro_ue_pathloss_db,
     pico_ue_pathloss_db,
@@ -62,36 +61,6 @@ def test_lone_messaging_ue_is_comfortably_feasible():
     sol = optimize(sc, None, MC_OPTS, assoc=__import__("flexlink").associate(
         __import__("flexlink").Policy("coud"), sc))
     assert sol.lam > 100.0
-
-
-def test_estimate_overlap_reproduces_worked_products():
-    history = [([0.3, 0.7], [0.7, 0.3])] * 4  # constant history
-    overlap = estimate_overlap(history, scheme="cell_specific")
-    assert np.allclose(overlap.load_ul, [0.3, 0.7])
-    assert np.allclose(overlap.load_dl, [0.7, 0.3])
-    assert overlap.load_dl[0] * overlap.load_ul[1] == pytest.approx(0.49)
-    assert overlap.load_ul[0] * overlap.load_dl[1] == pytest.approx(0.09)
-
-
-def test_estimate_overlap_averaging_and_edge_cases(caplog):
-    single = estimate_overlap([([0.2, 0.4], [0.6, 0.8])])
-    assert np.allclose(single.load_ul, [0.2, 0.4])
-    two = estimate_overlap([([0.2, 0.4], [0.6, 0.8]), ([0.4, 0.6], [0.8, 1.0])])
-    assert np.allclose(two.load_ul, [0.3, 0.5])
-
-    zero = estimate_overlap([([0.0, 0.0], [0.0, 0.0])])
-    from flexlink.model import pairwise_overlap_factors
-
-    ul_dl, dl_ul = pairwise_overlap_factors(zero.load_ul, zero.load_dl)
-    assert np.all(ul_dl == 0.0)
-    assert np.all(dl_ul == 0.0)
-
-    import logging
-
-    with caplog.at_level(logging.WARNING, logger="flexlink.scenario"):
-        empty = estimate_overlap([])
-    assert empty is None
-    assert any("full overlap" in r.message for r in caplog.records)
 
 
 def test_scenario_json_round_trip(tmp_path):
