@@ -9,20 +9,26 @@ as plot-ready CSV plus a JSON summary.
 import argparse
 import json
 import pathlib
+import sys
 
 from flexlink import experiments, io
+from flexlink.errors import FlexlinkError
 
 
-def main():
+def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--trials", type=int, default=50)
     ap.add_argument("--seed-base", type=int, default=0)
     ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--out", type=pathlib.Path, default=pathlib.Path("study_out"))
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
-    study = experiments.run_policy_study(experiments.STUDY_CONFIG, args.trials,
-                                         args.seed_base, workers=args.workers)
+    try:
+        study = experiments.run_policy_study(experiments.STUDY_CONFIG, args.trials,
+                                             args.seed_base, workers=args.workers)
+    except FlexlinkError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     args.out.mkdir(parents=True, exist_ok=True)
     agg = study["aggregate"]
 
@@ -40,7 +46,8 @@ def main():
     print(f"partial/full (deud_p): {agg['partial_over_full']['deud_p']['ratio']:.3f}")
     print(f"PF win fraction: {agg['pf_win_fraction']}")
     print(f"wrote {args.out}/per_offset.csv and summary.json")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__, experiments, io
 from .association import Policy, associate
-from .errors import ConfigError, DomainError, InfeasibleError, ModelError
+from .errors import ConfigError, FlexlinkError
 from .interference import Problem
 from .model import OVERLAP_PAIRWISE, OVERLAP_SPECIFIC, Association
 from .optimizer import SolveOptions, minimize_power, optimize
@@ -194,10 +194,6 @@ def cmd_sweep(scenario_path, offsets_text, overlap, overlap_load_ul, overlap_loa
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def cmd_montecarlo(config_path, trials, seed_base, workers, out_dir):
     """Seeded Monte Carlo policy study: offset sweep, overlap arms, PF baseline."""
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
-    if workers < 1:
-        raise ConfigError("workers must be >= 1")
     config = io.load_config(config_path)
     study = experiments.run_policy_study(config, trials, seed_base, workers=workers)
 
@@ -297,7 +293,7 @@ def main(argv=None) -> int:
     """Entry point with the documented exit-code contract."""
     try:
         rv = cli.main(args=argv, standalone_mode=False)
-    except (ConfigError, DomainError, ModelError, InfeasibleError) as exc:
+    except FlexlinkError as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_USAGE
     except click.ClickException as exc:

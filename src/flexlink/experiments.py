@@ -15,6 +15,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .association import COUD, DEUD_O, DEUD_P, Policy, associate, policy_sweep
+from .errors import ConfigError
 from .interference import Problem
 from .model import Scenario
 from .optimizer import (Solution, SolveOptions, initial_power_state, optimize,
@@ -100,6 +101,10 @@ def run_trial(config: ScenarioConfig, seed: int) -> dict:
 def run_policy_study(config: ScenarioConfig, trials: int, seed_base: int,
                      workers: int = 1) -> dict:
     """Run ``trials`` independent seeded trials and aggregate."""
+    if trials < 1:
+        raise ConfigError("trials must be >= 1")
+    if workers < 1:
+        raise ConfigError("workers must be >= 1")
     seeds = range(seed_base, seed_base + trials)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

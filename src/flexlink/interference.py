@@ -10,6 +10,13 @@ Every functional (``interference_psd``, ``sinr``, ``link_rates``,
 ``qos_levels``, ``utility``) takes its math arguments followed by the
 :class:`Problem` it is evaluated on; ``spectral_efficiency`` and
 ``expand_psd`` need only a bandwidth or an association.
+
+The solver's fixed-point stages iterate maps built once per stage, at the
+stage's fixed power or bandwidth: :func:`load_maps` (S1),
+:func:`link_power_maps` and :func:`cell_power_maps` (S3).  The conversions,
+domain checks and problem constants are taken there, not per iteration.
+``f_load``, ``f_power``, ``f_power_cell``, ``interference_psd``, ``g2`` and
+``g2_bar`` call those same maps, so each map has one definition.
 """
 
 from __future__ import annotations
@@ -98,14 +105,68 @@ class Problem:
         return self.d_diag.shape[0]
 
 
+def _kernels(problem: Problem):
+    """:func:`interference_psd` and :func:`g2` as maps of ``x = w p``, with
+    the problem's constants read once."""
+    rows, tx, rx, n_tx = problem.rows, problem.assoc.tx, problem.assoc.rx, problem.rows.shape[1]
+    noise_psd, d_diag = problem.noise_psd, problem.d_diag
+    rb_count, p_ext_max = problem.rb_count, problem.p_ext_max
+    ipsd = lambda x: ((rows @ np.bincount(tx, weights=x, minlength=n_tx))[rx] + noise_psd) / d_diag
+    use = lambda x: float(rb_count * (np.bincount(tx, weights=x, minlength=n_tx) / p_ext_max).max())
+    return ipsd, use
+
+
+def _cell_mean(problem: Problem, w_fixed):
+    """:func:`f_power_cell`'s per-transmitter demands from per-link ones."""
+    k, b_dl, n_bs = problem.assoc.n_ue, problem.assoc.b_dl, problem.assoc.n_bs
+    w_dl = np.asarray(w_fixed, dtype=float)[k:]
+    nu = np.bincount(b_dl, weights=w_dl, minlength=n_bs)
+    has_dl = nu > 0
+
+    def mean(f):
+        dl = np.full(n_bs, EPS_NO_DL)
+        np.divide(np.bincount(b_dl, weights=w_dl * f[k:], minlength=n_bs), nu,
+                  out=dl, where=has_dl)
+        return np.concatenate([f[:k], dl])
+    return mean
+
+
+def load_maps(problem: Problem, p_fixed):
+    """S1's maps ``f_load(., p_fixed)`` and ``max{g1, g2(., p_fixed)}``."""
+    p = np.asarray(p_fixed, dtype=float)
+    if (p <= 0).any():
+        raise DomainError("f_load requires strictly positive fixed power")
+    (ipsd, use), d = _kernels(problem), problem.demands
+    rb_count, rb_bandwidth = problem.rb_count, problem.rb_bandwidth
+    f = lambda w: d / (rb_count * (rb_bandwidth * np.log2(1.0 + p / ipsd(p * w))))
+    return f, lambda w: max(g1(w, problem), use(w * p))
+
+
+def link_power_maps(problem: Problem, w_fixed):
+    """S3's maps ``f_power(., w_fixed)`` and ``g2(w_fixed, .)`` on ``p > 0``
+    (the normalized iteration stays positive; a zero PSD gives NaN here)."""
+    w = np.asarray(w_fixed, dtype=float)
+    if (w <= 0).any():
+        raise DomainError("f_power requires strictly positive fixed bandwidth")
+    (ipsd, use), d = _kernels(problem), problem.demands
+    rb_count, rb_bandwidth = problem.rb_count, problem.rb_bandwidth
+    f = lambda p: (p / w) * d / (rb_count * (rb_bandwidth * np.log2(1.0 + p / ipsd(p * w))))
+    return f, lambda p: use(w * p)
+
+
+def cell_power_maps(problem: Problem, w_fixed):
+    """S3's maps ``f_power_cell(., w_fixed)`` and ``g2_bar(w_fixed, .)`` on
+    ``p_bar > 0``."""
+    (f, g), mean = link_power_maps(problem, w_fixed), _cell_mean(problem, w_fixed)
+    assoc = problem.assoc
+    return (lambda x: mean(f(expand_psd(x, assoc)))), (lambda x: g(expand_psd(x, assoc)))
+
+
 def interference_psd(p, w, problem: Problem):
     """Per-link interference-plus-noise PSD normalized by the direct gain:
     ``[D^-1 (V~ diag(p) w + sigma)]``.  Each transmitter's ``w p`` is summed
-    over its links first, so ``V~ x = (rows @ sum_tx(x))[rx]``."""
-    assoc = problem.assoc
-    sent = np.bincount(assoc.tx, weights=np.asarray(p) * np.asarray(w),
-                       minlength=problem.rows.shape[1])
-    return ((problem.rows @ sent)[assoc.rx] + problem.noise_psd) / problem.d_diag
+    over its links first, so ``V~ x = (rows @ A_ext x)[rx]``."""
+    return _kernels(problem)[0](np.asarray(p) * np.asarray(w))
 
 
 def sinr(p, w, problem: Problem):
@@ -139,11 +200,7 @@ def f_load(w, p_fixed, problem: Problem):
     A standard interference function of ``w`` for any strictly positive fixed
     power (rates stay positive, interference grows with occupancy).
     """
-    p_fixed = np.asarray(p_fixed, dtype=float)
-    if (p_fixed <= 0).any():
-        raise DomainError("f_load requires strictly positive fixed power")
-    r = link_rates(p_fixed, w, problem)
-    return problem.demands / (problem.rb_count * r)
+    return load_maps(problem, p_fixed)[0](w)
 
 
 def g1(w, problem: Problem) -> float:
@@ -155,15 +212,9 @@ def g1(w, problem: Problem) -> float:
 
 def g2(w, p, problem: Problem) -> float:
     """Per-transmitter power constraint functional
-    ``W0 ||diag(p_ext_max)^-1 A_ext diag(w) p||_inf``.
-
-    ``A_ext`` keeps each UE's uplink entry and sums each cell's downlinks.
-    """
-    assoc = problem.assoc
-    k = assoc.n_ue
-    wp = np.asarray(w) * np.asarray(p)
-    used = np.concatenate([wp[:k], np.bincount(assoc.b_dl, weights=wp[k:], minlength=assoc.n_bs)])
-    return float(problem.rb_count * (used / problem.p_ext_max).max())
+    ``W0 ||diag(p_ext_max)^-1 A_ext diag(w) p||_inf``; ``A_ext x`` sums each
+    transmitter's links: its UE's uplink, or its cell's downlinks."""
+    return _kernels(problem)[1](np.asarray(w) * np.asarray(p))
 
 
 def expand_psd(p_bar, assoc: Association) -> np.ndarray:
@@ -188,18 +239,13 @@ def f_power(p, w_fixed, problem: Problem):
     A standard interference function of ``p``.
     """
     p = np.asarray(p, dtype=float)
-    w_fixed = np.asarray(w_fixed, dtype=float)
-    d, rb_count, rb_bandwidth = problem.demands, problem.rb_count, problem.rb_bandwidth
-    if (w_fixed <= 0).any():
-        raise DomainError("f_power requires strictly positive fixed bandwidth")
-    ipsd = interference_psd(p, w_fixed, problem)
-    nz = p > 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = rb_bandwidth * np.log2(1.0 + p / ipsd)
-        out = np.where(nz, (p / w_fixed) * d / (rb_count * r), 0.0)
-    zero = ~nz
+        out = link_power_maps(problem, w_fixed)[0](p)
+    zero = ~(p > 0)
     if zero.any():
-        out[zero] = d[zero] * LN2 / (rb_count * rb_bandwidth * w_fixed[zero]) * ipsd[zero]
+        d, w = problem.demands[zero], np.asarray(w_fixed, dtype=float)[zero]
+        ipsd = interference_psd(p, w_fixed, problem)[zero]
+        out[zero] = d * LN2 / (problem.rb_count * problem.rb_bandwidth * w) * ipsd
     return out
 
 
@@ -214,12 +260,5 @@ def f_power_cell(p_bar, w_fixed, problem: Problem):
     Cells serving no downlink get a tiny positive constant so the map stays
     a valid SIF; those entries never bind.
     """
-    assoc = problem.assoc
-    w_fixed = np.asarray(w_fixed, dtype=float)
-    f = f_power(expand_psd(p_bar, assoc), w_fixed, problem)
-    k, n_bs, b_dl = assoc.n_ue, assoc.n_bs, assoc.b_dl
-    load_f = np.bincount(b_dl, weights=w_fixed[k:] * f[k:], minlength=n_bs)
-    nu = np.bincount(b_dl, weights=w_fixed[k:], minlength=n_bs)
-    dl = np.full(n_bs, EPS_NO_DL)
-    np.divide(load_f, nu, out=dl, where=nu > 0)
-    return np.concatenate([f[:k], dl])
+    f = f_power(expand_psd(p_bar, problem.assoc), w_fixed, problem)
+    return _cell_mean(problem, w_fixed)(f)

@@ -16,7 +16,7 @@ import json
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, DomainError, ModelError
+from .errors import ConfigError, FlexlinkError
 from .model import BaseStation, Scenario, UserTerminal
 from .scenario import ScenarioConfig
 from .units import dbm_to_watt, linear_to_db, watt_to_dbm
@@ -53,7 +53,7 @@ def reading(what: str):
         yield
     except KeyError as exc:
         raise ConfigError(f"missing required {what} key: {exc.args[0]}") from exc
-    except (ConfigError, DomainError, ModelError):
+    except FlexlinkError:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed {what}: {exc}") from exc

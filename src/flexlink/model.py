@@ -179,8 +179,12 @@ class Association:
     tx: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "b_ul", _readonly(self.b_ul, dtype=int))
-        object.__setattr__(self, "b_dl", _readonly(self.b_dl, dtype=int))
+        for name in ("b_ul", "b_dl"):
+            b = np.asarray(getattr(self, name))
+            # checked before the cast, which would truncate 1.7 and warn on NaN
+            if b.dtype.kind == "f" and not np.all((b == np.floor(b)) & (b >= 0) & (b < self.n_bs)):
+                raise ModelError(f"{name} must hold integer BS indices in [0, {self.n_bs})")
+            object.__setattr__(self, name, _readonly(b, dtype=int))
         if self.b_ul.ndim != 1 or self.b_ul.shape != self.b_dl.shape:
             raise ModelError("b_ul and b_dl must be 1-d and equally sized")
         for b in (self.b_ul, self.b_dl):

@@ -18,8 +18,8 @@ Every stage iterates one power state ``x``.  In ``per_link`` mode ``x`` is
 the per-link PSD ``p``; in ``cell_specific`` mode (one shared DL PSD per cell)
 it is the per-transmitter PSD ``p_bar`` and the solver works on the per-link
 problem restricted to ``p = Lambda p_bar``.  :func:`power_maps` is the one
-place that decides the mode: it returns the expansion to per-link PSDs, the
-power-demand map and the power constraint on the state.
+place that decides the mode: it returns the expansion to per-link PSDs and
+the builder of the power-demand map and power constraint on the state.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ import numpy as np
 from .association import associate
 from .errors import DomainError, InfeasibleError
 from .fixedpoint import FixedPointResult, normalized_fixed_point, yates_iteration
-from .interference import (Problem, expand_psd, f_load, f_power, f_power_cell, g1, g2,
-                           g2_bar, qos_levels, utility)
+from .interference import (Problem, cell_power_maps, expand_psd, f_power, g1, g2,
+                           link_power_maps, load_maps, qos_levels, utility)
 from .io import write_csv
 from .model import Association, Scenario
 from .units import dbm_to_watt, linear_to_db
@@ -182,12 +182,12 @@ def initial_power_state(problem: Problem, power_mode: str) -> np.ndarray:
 
 
 def power_maps(problem: Problem, power_mode: str):
-    """``(expand, f, g)`` for the power state ``x`` of ``power_mode``: the
-    per-link PSD ``expand(x)``, the power-demand map ``f(x, w, problem)`` and
-    the power constraint ``g(w, x, problem)``."""
+    """``(expand, build)`` for the power state ``x`` of ``power_mode``: the
+    per-link PSD ``expand(x)`` and ``build(problem, w)``, the power-demand map
+    and the power constraint on ``x`` at fixed bandwidth ``w``."""
     if power_mode == "cell_specific":
-        return (lambda x: expand_psd(x, problem.assoc)), f_power_cell, g2_bar
-    return (lambda x: x), f_power, g2
+        return (lambda x: expand_psd(x, problem.assoc)), cell_power_maps
+    return (lambda x: x), link_power_maps
 
 
 def step1_update_bandwidth(problem: Problem, p_fixed, opts: SolveOptions = SolveOptions(),
@@ -200,8 +200,7 @@ def step1_update_bandwidth(problem: Problem, p_fixed, opts: SolveOptions = Solve
     ``lam = 1 / max{g1, g2}(f(w))``.
     """
     p_fixed = np.asarray(p_fixed, dtype=float)
-    f = lambda w: f_load(w, p_fixed, problem)
-    g = lambda w: max(g1(w, problem), g2(w, p_fixed, problem))
+    f, g = load_maps(problem, p_fixed)
     x0 = np.zeros(problem.n_links) if w_start is None else w_start
 
     callback = None
@@ -223,7 +222,7 @@ def step2_power_scaling(problem: Problem, w0, x0, opts: SolveOptions = SolveOpti
     subproblem.  The utility after each round increases strictly until
     ``g1(w) = 1``.  Returns the input unchanged when the band is already full.
     """
-    expand, _, _ = power_maps(problem, opts.power_mode)
+    expand, _ = power_maps(problem, opts.power_mode)
     w = np.asarray(w0, dtype=float)
     x = np.asarray(x0, dtype=float)
     p = expand(x)
@@ -239,8 +238,8 @@ def step2_power_scaling(problem: Problem, w0, x0, opts: SolveOptions = SolveOpti
             trace.record("s2", rounds, lam, g1(w, problem), g2(w, p, problem),
                          last.fixed_point.residual, boundary=True)
     if last is None:  # no round: S1's utility at its fixed point ``w``
-        fw = f_load(w, p, problem)
-        lam = 1.0 / max(g1(fw, problem), g2(fw, p, problem))
+        f, g = load_maps(problem, p)
+        lam = 1.0 / g(f(w))
     return StepResult(w=w, p=p, lam=lam, fixed_point=last.fixed_point if last else None,
                       x=x, rounds=rounds)
 
@@ -256,7 +255,8 @@ def step3_update_power(problem: Problem, w_fixed, x0, opts: SolveOptions = Solve
     returned ``p`` is the expanded per-link PSD either way.
     """
     w = np.maximum(np.asarray(w_fixed, dtype=float), W_FLOOR)
-    expand, f, g = power_maps(problem, opts.power_mode)
+    expand, build = power_maps(problem, opts.power_mode)
+    f, g = build(problem, w)
 
     callback = None
     if trace is not None and opts.trace_mode == "full":
@@ -265,8 +265,8 @@ def step3_update_power(problem: Problem, w_fixed, x0, opts: SolveOptions = Solve
             trace.record("s3", t, utility(w, p_t, problem),
                          g1(w, problem), g2(w, p_t, problem), residual)
 
-    res = normalized_fixed_point(lambda x: f(x, w, problem), lambda x: g(w, x, problem), 1.0,
-                                 np.asarray(x0, dtype=float), callback=callback)
+    with np.errstate(divide="ignore", invalid="ignore"):  # f_power's, entered once per stage
+        res = normalized_fixed_point(f, g, 1.0, np.asarray(x0, dtype=float), callback=callback)
     return StepResult(w=w, p=expand(res.x), lam=float(res.eigenvalue), fixed_point=res,
                       x=res.x)
 
@@ -285,7 +285,7 @@ def optimize(scenario: Scenario, policy=None, opts: SolveOptions = SolveOptions(
         assoc = associate(policy, scenario)
     problem = Problem.from_scenario(scenario, assoc, overlap=overlap, theta=opts.theta)
 
-    expand, _, _ = power_maps(problem, opts.power_mode)
+    expand, _ = power_maps(problem, opts.power_mode)
     x = initial_power_state(problem, opts.power_mode)
     p = expand(x)
 

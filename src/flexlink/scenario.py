@@ -88,8 +88,9 @@ class ScenarioConfig:
             raise ConfigError("service_mix must be a probability vector")
         if not (0 < self.pico_ring[0] <= self.pico_ring[1] <= 1.0):
             raise ConfigError("pico_ring must satisfy 0 < lo <= hi <= 1")
-        if self.isd_m <= 0:
-            raise ConfigError("isd_m must be positive")
+        for name in ("isd_m", "min_dist_macro_ue_m", "min_dist_pico_ue_m", "min_dist_site_m"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive")
 
     @property
     def playground(self) -> tuple:

@@ -5,6 +5,8 @@ under test: dense/refined grid search on the constraint set, scalar
 bisections, direct linear solves, the dense selection matrices with a
 per-cell loop for the cell-specific power-demand map, and the dense 2K x 2K
 coupling matrices that the problem's receiver/transmitter rows replaced.
+The ``*_ref`` functionals are the per-call forms that the stage-built maps
+replaced, kept to check those maps for exact equality.
 ``check_sif_axioms`` samples the SIF axioms (Yates 1995);
 ``linear_reformulation_check`` recovers the power-update utility through the
 O((2K)^3) linear-in-power route; ``run_trial_loop`` is the Monte Carlo trial
@@ -18,7 +20,7 @@ import numpy as np
 from flexlink.association import COUD, DEUD_O, DEUD_P, Policy, associate, policy_sweep
 from flexlink.errors import DomainError, ModelError
 from flexlink.experiments import DEFAULT_HISTORY_DL, DEFAULT_HISTORY_UL, DEFAULT_PF_SPLIT, MC_OPTS
-from flexlink.interference import EPS_NO_DL, LN2, g1, g2, interference_psd, utility
+from flexlink.interference import EPS_NO_DL, LN2, expand_psd, g1, g2, interference_psd, utility
 from flexlink.model import OVERLAP_PAIRWISE, pairwise_overlap_factors
 from flexlink.optimizer import W_FLOOR, optimize
 from flexlink.pf_baseline import pf_allocate
@@ -236,6 +238,65 @@ def f_power_cell_loop(p_bar, w_fixed, problem):
         else:
             out[j] = float(np.sum(d[links] * LN2 / (rb_count * rb_bandwidth * nu) * ipsd[links]))
     return out
+
+
+def interference_psd_ref(p, w, problem):
+    """``interference_psd`` as it read before the stage-built maps."""
+    assoc = problem.assoc
+    sent = np.bincount(assoc.tx, weights=np.asarray(p) * np.asarray(w),
+                       minlength=problem.rows.shape[1])
+    return ((problem.rows @ sent)[assoc.rx] + problem.noise_psd) / problem.d_diag
+
+
+def f_load_ref(w, p_fixed, problem):
+    """``f_load`` as it read before the stage-built maps, with ``link_rates``
+    written out."""
+    p_fixed = np.asarray(p_fixed, dtype=float)
+    if (p_fixed <= 0).any():
+        raise DomainError("f_load requires strictly positive fixed power")
+    sinr = np.asarray(p_fixed) / interference_psd_ref(p_fixed, w, problem)
+    r = problem.rb_bandwidth * np.log2(1.0 + np.asarray(sinr))
+    return problem.demands / (problem.rb_count * r)
+
+
+def g2_ref(w, p, problem) -> float:
+    """``g2`` as it read before the stage-built maps."""
+    assoc = problem.assoc
+    k = assoc.n_ue
+    wp = np.asarray(w) * np.asarray(p)
+    used = np.concatenate([wp[:k], np.bincount(assoc.b_dl, weights=wp[k:], minlength=assoc.n_bs)])
+    return float(problem.rb_count * (used / problem.p_ext_max).max())
+
+
+def f_power_ref(p, w_fixed, problem):
+    """``f_power`` as it read before the stage-built maps."""
+    p = np.asarray(p, dtype=float)
+    w_fixed = np.asarray(w_fixed, dtype=float)
+    d, rb_count, rb_bandwidth = problem.demands, problem.rb_count, problem.rb_bandwidth
+    if (w_fixed <= 0).any():
+        raise DomainError("f_power requires strictly positive fixed bandwidth")
+    ipsd = interference_psd_ref(p, w_fixed, problem)
+    nz = p > 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = rb_bandwidth * np.log2(1.0 + p / ipsd)
+        out = np.where(nz, (p / w_fixed) * d / (rb_count * r), 0.0)
+    zero = ~nz
+    if zero.any():
+        out[zero] = d[zero] * LN2 / (rb_count * rb_bandwidth * w_fixed[zero]) * ipsd[zero]
+    return out
+
+
+def f_power_cell_ref(p_bar, w_fixed, problem):
+    """``f_power_cell`` as it read before the stage-built maps."""
+    assoc = problem.assoc
+    w_fixed = np.asarray(w_fixed, dtype=float)
+    f = f_power_ref(expand_psd(p_bar, assoc), w_fixed, problem)
+    k, n_bs, b_dl = assoc.n_ue, assoc.n_bs, assoc.b_dl
+    load_f = np.bincount(b_dl, weights=w_fixed[k:] * f[k:], minlength=n_bs)
+    nu = np.bincount(b_dl, weights=w_fixed[k:], minlength=n_bs)
+    dl = np.full(n_bs, EPS_NO_DL)
+    np.divide(load_f, nu, out=dl, where=nu > 0)
+    return np.concatenate([f[:k], dl])
 
 
 @dataclass(frozen=True)

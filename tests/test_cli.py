@@ -78,7 +78,8 @@ def test_generate_missing_key_names_it(tmp_path, capsys):
 @pytest.mark.parametrize("key, value", [
     ("n_ue", "x"), ("n_ue", 2.5), ("isd_m", "x"), ("isd_m", float("nan")),
     ("macro_power_dbm", "x"), ("service_mix", "abcde"), ("service_mix", 5),
-    ("pico_ring", [0.7]),
+    ("pico_ring", [0.7]), ("min_dist_site_m", -5.0), ("min_dist_macro_ue_m", 0.0),
+    ("min_dist_pico_ue_m", -1.0),
 ])
 def test_malformed_config_is_one_line_error(tmp_path, capsys, key, value):
     bad = tmp_path / "bad.json"
@@ -465,6 +466,24 @@ def test_minimize_power_malformed_solution_is_one_line_error(tmp_path, scenario_
                  "--out", str(out)]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: malformed solution: "), err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")  # a cast warning before the error line fails too
+@pytest.mark.parametrize("key, index, value", [("b_ul", 0, 1.7), ("b_dl", 1, float("nan"))])
+def test_minimize_power_non_integral_association_is_one_line_error(tmp_path, scenario_file,
+                                                                    capsys, key, index, value):
+    assert main(["solve", "--scenario", str(scenario_file), "--policy", "coud",
+                 "--out", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "solution.json").read_text())
+    doc["association"][key][index] = value
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "minpower"
+    assert main(["minimize-power", "--solution", str(tmp_path / "bad.json"),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {key} must hold integer"), err
     assert not out.exists()
 
 

@@ -88,6 +88,15 @@ def test_coud_cross_blocks_zero_exactly_on_shared_bs():
     assert np.array_equal(vt[k:, :k] == 0.0, same)
 
 
+@pytest.mark.filterwarnings("error")  # a cast warning before the error fails too
+@pytest.mark.parametrize("b_ul, b_dl", [([1.7, 0.2], [0, 0]), ([0, 1], [np.nan, 0]),
+                                        ([0.0, 1.0], [np.inf, 1e300])])
+def test_association_rejects_non_integral_or_non_finite_indices(b_ul, b_dl):
+    with pytest.raises(ModelError, match="integer BS indices"):
+        Association(b_ul=np.array(b_ul), b_dl=np.array(b_dl), n_bs=2)
+    assert Association(b_ul=[1.0, 0.0], b_dl=[0, 1], n_bs=2).b_ul.tolist() == [1, 0]
+
+
 def test_dimension_mismatch_raises():
     sc = two_cell_scenario()
     bad = Association(b_ul=[0, 1, 0], b_dl=[0, 1, 1], n_bs=2)

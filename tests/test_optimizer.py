@@ -1,12 +1,18 @@
 """Three-step optimizer, power minimization, linear-reformulation check."""
 
+import collections
 import dataclasses
 
 import numpy as np
 import pytest
 
+from flexlink import optimizer
+from flexlink.association import policy_sweep
 from flexlink.errors import InfeasibleError
-from flexlink.interference import Problem, expand_psd, f_load, f_power, g1, g2, utility
+from flexlink.experiments import (DEFAULT_HISTORY_DL, DEFAULT_HISTORY_UL, STUDY_CONFIG,
+                                  solve_policies)
+from flexlink.interference import (Problem, expand_psd, f_load, f_power, f_power_cell, g1, g2,
+                                   utility)
 from flexlink.model import Association
 from flexlink.optimizer import (
     SolveOptions,
@@ -18,9 +24,11 @@ from flexlink.optimizer import (
     step2_power_scaling,
     step3_update_power,
 )
+from flexlink.scenario import generate, uniform_overlap
 
 from .helpers import random_problem, single_link_scenario, yates_iterates
-from .oracles import linear_reformulation_check, max_min_bandwidth_grid
+from .oracles import (f_load_ref, f_power_cell_ref, f_power_ref, g2_ref,
+                      linear_reformulation_check, max_min_bandwidth_grid)
 
 OPTS = SolveOptions(trace_mode="boundary")
 CELL_OPTS = SolveOptions(trace_mode="boundary", power_mode="cell_specific")
@@ -336,3 +344,54 @@ def test_linear_reformulation_agrees_with_power_update(seed):
     report = linear_reformulation_check(problem, s1.w, s3.p)
     assert report.ok, f"relative gap {report.rel_diff:.2e}"
     assert report.lam_affine == pytest.approx(s3.lam, rel=1e-4)
+
+
+def test_stage_maps_equal_the_per_call_forms_on_solver_iterates(monkeypatch):
+    """Every S1 and S3 map the solver builds gives exactly (``==``) what the
+    per-call functionals it replaced give, on every iterate of every distinct
+    problem of study seed 3, in both power modes and both overlap arms."""
+    calls, last = collections.Counter(), []
+
+    def checked(stage, build, f_ref, g_ref):
+        def build_checked(problem, fixed):
+            f, g = build(problem, fixed)
+
+            def f_checked(x):
+                out = f(x)
+                assert np.array_equal(out, f_ref(x, fixed, problem)), stage
+                calls[stage] += 1
+                last.append((stage, problem, fixed, x))
+                return out
+
+            def g_checked(x):
+                out = g(x)
+                assert out == g_ref(x, fixed, problem), stage
+                return out
+            return f_checked, g_checked
+        return build_checked
+
+    monkeypatch.setattr(optimizer, "load_maps", checked(
+        "s1", optimizer.load_maps, f_load_ref,
+        lambda w, p, pr: max(g1(w, pr), g2_ref(w, p, pr))))
+    monkeypatch.setattr(optimizer, "link_power_maps", checked(
+        "s3", optimizer.link_power_maps, f_power_ref, lambda p, w, pr: g2_ref(w, p, pr)))
+    monkeypatch.setattr(optimizer, "cell_power_maps", checked(
+        "s3 cell", optimizer.cell_power_maps, f_power_cell_ref,
+        lambda pb, w, pr: g2_ref(w, expand_psd(pb, pr.assoc), pr)))
+
+    scenario = generate(STUDY_CONFIG, 3)
+    partial = uniform_overlap(scenario.n_bs, DEFAULT_HISTORY_UL, DEFAULT_HISTORY_DL)
+    for mode in ("per_link", "cell_specific"):
+        for overlap in (partial, None):
+            solve_policies(scenario, policy_sweep(), dataclasses.replace(OPTS, power_mode=mode),
+                           overlap)
+    assert min(calls["s1"], calls["s3"], calls["s3 cell"]) > 100, calls
+
+    # the module-level maps keep the zero-PSD limit the stage maps leave out
+    for stage, problem, fixed, x in last[::50]:
+        if stage == "s1":
+            continue
+        zeroed = x.copy()
+        zeroed[::3] = 0.0
+        f, f_ref = (f_power, f_power_ref) if stage == "s3" else (f_power_cell, f_power_cell_ref)
+        assert np.array_equal(f(zeroed, fixed, problem), f_ref(zeroed, fixed, problem))
