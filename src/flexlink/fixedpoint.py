@@ -12,7 +12,9 @@ for every ``alpha > 1``).  Two iterations are provided:
   ``x <- theta * f(x) / g(f(x))`` for a monotone, degree-1 homogeneous
   ``g``, converging to the unique eigenvector ``x'`` with
   ``x' = rho * f(x')`` and ``g(x') = theta``, where
-  ``rho = theta / g(f(x'))``.
+  ``rho = theta / g(f(x'))``.  With ``memory > 0`` each step is
+  extrapolated from the last ``memory`` steps (Anderson acceleration) under
+  a safeguard that keeps the utility ``min x / f(x)`` from falling.
 """
 
 from __future__ import annotations
@@ -26,6 +28,10 @@ import numpy as np
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITER = 10_000
 DIVERGENCE_WINDOW = 50  # growing Yates residuals before "likely infeasible"
+# Relative slack of the accelerated run's two safeguard tests.  Near the fixed
+# point u * g(f(x)) tends to theta exactly, and without slack rounding alone
+# would decide between the extrapolated and the plain step.
+ANDERSON_SLACK = 1e-12
 
 
 @dataclass
@@ -35,7 +41,7 @@ class FixedPointResult:
     iterations: int
     residual: float
     converged: bool
-    note: str = ""
+    note: str  # converged, non-finite, max_iter exceeded or likely infeasible
 
 
 def normalized_fixed_point(
@@ -46,26 +52,58 @@ def normalized_fixed_point(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     callback=None,
+    memory: int = 0,
 ) -> FixedPointResult:
-    """Iterate ``x <- theta * f(x) / g(f(x))`` until the sup-norm step is < tol.
+    """Iterate ``x <- G(x) = theta * f(x) / g(f(x))`` until the sup-norm
+    step ``|G(x) - x|`` is < tol, then return ``G(x)``.
 
     On convergence the eigenvalue field holds ``theta / g(f(x*))``, so that
     ``x* = eigenvalue * f(x*)`` and ``g(x*) = theta`` hold within tolerance.
     Non-convergence is reported in the result, never raised; the run stops
     on the first non-finite iterate (note ``non-finite``, eigenvalue NaN).
+
+    ``memory > 0`` extrapolates each step from the last ``memory`` steps
+    (Type-II Anderson acceleration, Walker & Ni 2011).  An extrapolated
+    point is kept only if it is positive, its utility ``min x / f(x)`` has
+    not fallen, and ``G`` of it cannot lower that utility; otherwise the run
+    goes back to the plain step and forgets its history.  ``callback(t, x,
+    residual)`` gets the next plain iterate, or with ``memory`` the point
+    just evaluated, so the utility along its points never falls.
     """
     if theta <= 0:
         raise ValueError("theta must be positive")
     x = np.array(x0, dtype=float)
     residual = np.inf
     gf = None
+    if memory:
+        d_g, d_r = np.zeros((memory, x.size)), np.zeros((memory, x.size))
+        gram = np.zeros((memory, memory))
+        count, last, fallback = 0, None, None
     for t in range(1, max_iter + 1):
         fx = f(x)
         gf = g(fx)
         x_next = theta * fx / gf
+        if memory:
+            u = float((x / fx).min())
+            if fallback is not None and not (u >= u_last * (1 - ANDERSON_SLACK)
+                                             and u * gf <= theta * (1 + ANDERSON_SLACK)):
+                x, count, fallback = fallback, 0, None
+                continue
+            u_last, fallback, r = u, None, x_next - x
+            if last is not None:
+                j, n = count % memory, min(count + 1, memory)
+                d_g[j], d_r[j] = x_next - last[0], r - last[1]
+                gram[j, :n] = gram[:n, j] = d_r[:n] @ d_r[j]
+                count += 1
+                try:
+                    x_acc = x_next - np.linalg.solve(gram[:n, :n], d_r[:n] @ r) @ d_g[:n]
+                    fallback = x_next if (x_acc > 0).all() else None
+                except np.linalg.LinAlgError:
+                    pass
+            last = (x_next, r)
         residual = float(np.abs(x_next - x).max())
         if callback is not None:
-            callback(t, x_next, residual)
+            callback(t, x if memory else x_next, residual)
         x = x_next
         if not math.isfinite(residual):
             return FixedPointResult(
@@ -75,8 +113,10 @@ def normalized_fixed_point(
         if residual < tol:
             return FixedPointResult(
                 x=x, eigenvalue=theta / float(g(f(x))), iterations=t,
-                residual=residual, converged=True,
+                residual=residual, converged=True, note="converged",
             )
+        if memory and fallback is not None:
+            x = x_acc
     return FixedPointResult(
         x=x, eigenvalue=(theta / float(gf) if gf else None), iterations=max_iter,
         residual=residual, converged=False, note="max_iter exceeded",
@@ -118,7 +158,7 @@ def yates_iteration(
         if done:
             return FixedPointResult(
                 x=x, eigenvalue=None, iterations=t, residual=residual,
-                converged=True,
+                converged=True, note="converged",
             )
         growing = growing + 1 if residual > prev_residual else 0
         if growing >= DIVERGENCE_WINDOW:

@@ -43,6 +43,7 @@ W_FLOOR = 1e-12  # bandwidth clamp before dividing in the power-demand map
 TOL_OUTER = 1e-7  # S2 stops once 1 - g1(w) falls below this
 MAX_SCALING_ROUNDS = 500
 TIGHT_TOL = 1e-6  # a constraint with g >= 1 - TIGHT_TOL counts as tight
+ANDERSON_MEMORY = 5  # S3's accelerated steps; S1 stays plain (measured slower there)
 
 # open-loop initial PSD: min{PSD_max, SNR_target + P_noise + alpha PL} (dBm per RB)
 PSD_MAX_DBM = 12.0
@@ -266,7 +267,8 @@ def step3_update_power(problem: Problem, w_fixed, x0, opts: SolveOptions = Solve
                          g1(w, problem), g2(w, p_t, problem), residual)
 
     with np.errstate(divide="ignore", invalid="ignore"):  # f_power's, entered once per stage
-        res = normalized_fixed_point(f, g, 1.0, np.asarray(x0, dtype=float), callback=callback)
+        res = normalized_fixed_point(f, g, 1.0, np.asarray(x0, dtype=float), callback=callback,
+                                     memory=ANDERSON_MEMORY)
     return StepResult(w=w, p=expand(res.x), lam=float(res.eigenvalue), fixed_point=res,
                       x=res.x)
 

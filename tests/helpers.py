@@ -94,3 +94,21 @@ def random_wp(seed, n_links, w_lo=0.02, w_hi=0.6, p_lo=1e-5, p_hi=1e-2):
     w = rng.uniform(w_lo, w_hi, size=n_links)
     p = 10 ** rng.uniform(np.log10(p_lo), np.log10(p_hi), size=n_links)
     return w, p
+
+
+def renumber(scenario, rng):
+    """The same venue with its UEs and BSs renumbered by permutations drawn
+    from ``rng``: an equivalent problem with different input arrays."""
+    k = scenario.n_ue
+    ue = rng.permutation(k)
+    bs = rng.permutation(scenario.n_bs)
+    return Scenario(
+        bs_list=[scenario.bs_list[i] for i in bs],
+        ue_list=[scenario.ue_list[j] for j in ue],
+        h0=scenario.h0[np.ix_(bs, ue)],
+        h1=scenario.h1[np.ix_(bs, bs)],
+        h2=scenario.h2[np.ix_(ue, ue)],
+        demands=np.concatenate([scenario.demands[:k][ue], scenario.demands[k:][ue]]),
+        rb_count=scenario.rb_count, rb_bandwidth=scenario.rb_bandwidth,
+        noise_psd=scenario.noise_psd,
+    )

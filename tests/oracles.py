@@ -6,13 +6,16 @@ bisections, direct linear solves, the dense selection matrices with a
 per-cell loop for the cell-specific power-demand map, and the dense 2K x 2K
 coupling matrices that the problem's receiver/transmitter rows replaced.
 The ``*_ref`` functionals are the per-call forms that the stage-built maps
-replaced, kept to check those maps for exact equality.
+replaced, kept to check those maps for exact equality;
+``normalized_fixed_point_ref`` is the plain normalized iteration as it read
+before Anderson acceleration, kept to check that ``memory=0`` is that loop.
 ``check_sif_axioms`` samples the SIF axioms (Yates 1995);
 ``linear_reformulation_check`` recovers the power-update utility through the
 O((2K)^3) linear-in-power route; ``run_trial_loop`` is the Monte Carlo trial
 with one ``optimize`` per policy.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -20,6 +23,7 @@ import numpy as np
 from flexlink.association import COUD, DEUD_O, DEUD_P, Policy, associate, policy_sweep
 from flexlink.errors import DomainError, ModelError
 from flexlink.experiments import DEFAULT_HISTORY_DL, DEFAULT_HISTORY_UL, DEFAULT_PF_SPLIT, MC_OPTS
+from flexlink.fixedpoint import DEFAULT_MAX_ITER, DEFAULT_TOL, FixedPointResult
 from flexlink.interference import EPS_NO_DL, LN2, expand_psd, g1, g2, interference_psd, utility
 from flexlink.model import OVERLAP_PAIRWISE, pairwise_overlap_factors
 from flexlink.optimizer import W_FLOOR, optimize
@@ -238,6 +242,38 @@ def f_power_cell_loop(p_bar, w_fixed, problem):
         else:
             out[j] = float(np.sum(d[links] * LN2 / (rb_count * rb_bandwidth * nu) * ipsd[links]))
     return out
+
+
+def normalized_fixed_point_ref(f, g, theta, x0, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
+                               callback=None) -> FixedPointResult:
+    """``normalized_fixed_point`` as it read before Anderson acceleration."""
+    if theta <= 0:
+        raise ValueError("theta must be positive")
+    x = np.array(x0, dtype=float)
+    residual = np.inf
+    gf = None
+    for t in range(1, max_iter + 1):
+        fx = f(x)
+        gf = g(fx)
+        x_next = theta * fx / gf
+        residual = float(np.abs(x_next - x).max())
+        if callback is not None:
+            callback(t, x_next, residual)
+        x = x_next
+        if not math.isfinite(residual):
+            return FixedPointResult(
+                x=x, eigenvalue=math.nan, iterations=t, residual=residual,
+                converged=False, note="non-finite",
+            )
+        if residual < tol:
+            return FixedPointResult(
+                x=x, eigenvalue=theta / float(g(f(x))), iterations=t,
+                residual=residual, converged=True, note="",
+            )
+    return FixedPointResult(
+        x=x, eigenvalue=(theta / float(gf) if gf else None), iterations=max_iter,
+        residual=residual, converged=False, note="max_iter exceeded",
+    )
 
 
 def interference_psd_ref(p, w, problem):

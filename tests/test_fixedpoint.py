@@ -92,6 +92,29 @@ def test_uniqueness_from_different_starts(seed):
     assert np.max(np.abs(r1.x - r2.x)) <= 100 * 1e-10
 
 
+def test_anderson_steps_find_the_plain_fixed_point_without_losing_utility():
+    """On affine SIFs with uneven coupling, where extrapolated steps often
+    overshoot, the accelerated run converges to the plain fixed point, and the
+    utility ``min x / f(x)`` of the points it evaluates never falls after its
+    first plain step."""
+    for seed in range(100):
+        rng = np.random.default_rng(seed)
+        k = int(rng.integers(2, 7))
+        m, b = rng.uniform(0.0, 1.0, size=(k, k)) ** 3, rng.uniform(0.1, 1.0, size=k) ** 2
+        f = lambda x: m @ x + b
+        x0 = rng.uniform(0.01, 5.0, k)
+        seen = []
+        plain = normalized_fixed_point(f, MAXNORM, 1.0, x0, tol=1e-12)
+        fast = normalized_fixed_point(f, MAXNORM, 1.0, x0, tol=1e-12, memory=3,
+                                      callback=lambda t, x, residual: seen.append(x.copy()))
+        assert plain.note == fast.note == "converged"
+        assert np.max(np.abs(fast.x - plain.x)) <= 1e-10
+        assert fast.eigenvalue == pytest.approx(plain.eigenvalue, rel=1e-10)
+        utilities = [float((x / f(x)).min()) for x in seen]
+        assert all(v >= u * (1 - 1e-12) for u, v in zip(utilities[1:], utilities[2:])), seed
+    assert yates_iteration(lambda x: x / 2.0 + 1.0, np.array([0.0])).note == "converged"
+
+
 def test_max_iter_exceeded_is_flagged_not_raised():
     # swap map with a tiny offset contracts very slowly
     m = np.array([[0.0, 1.0], [1.0, 0.0]])

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from flexlink import optimizer
-from flexlink.association import policy_sweep
+from flexlink.association import DEUD_P, Policy, policy_sweep
 from flexlink.errors import InfeasibleError
 from flexlink.experiments import (DEFAULT_HISTORY_DL, DEFAULT_HISTORY_UL, STUDY_CONFIG,
                                   solve_policies)
+from flexlink.fixedpoint import normalized_fixed_point
 from flexlink.interference import (Problem, expand_psd, f_load, f_power, f_power_cell, g1, g2,
                                    utility)
 from flexlink.model import Association
@@ -24,11 +25,12 @@ from flexlink.optimizer import (
     step2_power_scaling,
     step3_update_power,
 )
-from flexlink.scenario import generate, uniform_overlap
+from flexlink.scenario import ScenarioConfig, generate, uniform_overlap
 
-from .helpers import random_problem, single_link_scenario, yates_iterates
+from .helpers import random_problem, renumber, single_link_scenario, yates_iterates
 from .oracles import (f_load_ref, f_power_cell_ref, f_power_ref, g2_ref,
-                      linear_reformulation_check, max_min_bandwidth_grid)
+                      linear_reformulation_check, max_min_bandwidth_grid,
+                      normalized_fixed_point_ref)
 
 OPTS = SolveOptions(trace_mode="boundary")
 CELL_OPTS = SolveOptions(trace_mode="boundary", power_mode="cell_specific")
@@ -395,3 +397,85 @@ def test_stage_maps_equal_the_per_call_forms_on_solver_iterates(monkeypatch):
         zeroed[::3] = 0.0
         f, f_ref = (f_power, f_power_ref) if stage == "s3" else (f_power_cell, f_power_cell_ref)
         assert np.array_equal(f(zeroed, fixed, problem), f_ref(zeroed, fixed, problem))
+
+
+def _solution_digest(sol):
+    return repr((sol.w.tobytes(), sol.p.tobytes(), sol.lam, sol.lam_ul, sol.lam_dl,
+                 sol.lam_solver, sol.step, sol.g1, sol.g2, sol.converged, sol.trace.rows))
+
+
+def test_plain_stages_run_the_reference_loop(monkeypatch):
+    """S1 and S2 call ``normalized_fixed_point`` with ``memory=0``, which is
+    the plain loop as it read before Anderson acceleration: running them
+    through that loop instead leaves every solution and every full-trace row
+    (iterates, residuals, iteration counts) of every distinct problem of study
+    seed 3 bit-identical, in both power modes, at a budget that reaches S2."""
+    scenario = generate(STUDY_CONFIG, 3)
+    partial = uniform_overlap(scenario.n_bs, DEFAULT_HISTORY_UL, DEFAULT_HISTORY_DL)
+
+    def solve_all():
+        return [sol for mode in ("per_link", "cell_specific") for theta in (1.0, 3.16e-5)
+                for sol in solve_policies(scenario, policy_sweep(),
+                                          SolveOptions(power_mode=mode, theta=theta), partial)]
+
+    plain = solve_all()
+    assert any(row[0] == "s2" for sol in plain for row in sol.trace.rows)
+    calls = collections.Counter()
+
+    def routed(f, g, theta, x0, memory=0, **kw):
+        calls[memory] += 1
+        if memory:
+            return normalized_fixed_point(f, g, theta, x0, memory=memory, **kw)
+        return normalized_fixed_point_ref(f, g, theta, x0, **kw)
+
+    monkeypatch.setattr(optimizer, "normalized_fixed_point", routed)
+    assert list(map(_solution_digest, solve_all())) == list(map(_solution_digest, plain))
+    assert calls[0] > 50 and calls[optimizer.ANDERSON_MEMORY] > 40, calls
+
+
+def test_s3_lambda_does_not_depend_on_numbering():
+    """The accelerated S3 finds one lambda (to the benchmark's 1e-9 relative)
+    for a K=1000 cell-specific deud-p problem however its UEs and BSs are
+    numbered: the safeguard's slack keeps rounding from deciding between the
+    extrapolated and the plain step."""
+    base = generate(ScenarioConfig(macro_rows=3, macro_cols=4, n_pico=6, n_ue=1000), 2)
+    opts = SolveOptions(power_mode="cell_specific", trace_mode="boundary")
+    sols = [optimize(renumber(base, np.random.default_rng([1, r, 2])), Policy(DEUD_P), opts)
+            for r in range(3)]
+    assert all(sol.step == "s3" and sol.converged for sol in sols)
+    lams = [sol.lam for sol in sols]
+    assert max(lams) / min(lams) - 1.0 <= 1e-9, lams
+
+
+def test_accelerated_s3_takes_fewer_iterations_at_plain_accuracy(monkeypatch):
+    """On the study solves of seeds 0-3 in both power modes, S3 with Anderson
+    steps takes fewer iterations than the plain iteration, and its lambda is
+    within 1e-4 relative of the plain iteration run to tol 1e-13."""
+    entries = []
+    step3 = optimizer.step3_update_power
+
+    def recorded(problem, w_fixed, x0, opts=OPTS, trace=None):
+        out = step3(problem, w_fixed, x0, opts, trace)
+        entries.append((problem, out.w, x0, opts.power_mode, out))
+        return out
+
+    monkeypatch.setattr(optimizer, "step3_update_power", recorded)
+    for seed in range(4):
+        scenario = generate(STUDY_CONFIG, seed)
+        partial = uniform_overlap(scenario.n_bs, DEFAULT_HISTORY_UL, DEFAULT_HISTORY_DL)
+        for mode in ("per_link", "cell_specific"):
+            solve_policies(scenario, policy_sweep(), dataclasses.replace(OPTS, power_mode=mode),
+                           partial)
+    assert len({mode for *_, mode, _ in entries}) == 2 and len(entries) > 50
+
+    iterations = collections.Counter()
+    for problem, w, x0, mode, fast in entries:
+        f, g = optimizer.power_maps(problem, mode)[1](problem, w)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            plain = normalized_fixed_point(f, g, 1.0, x0)
+            tight = normalized_fixed_point(f, g, 1.0, x0, tol=1e-13)
+        assert fast.fixed_point.converged and tight.converged
+        assert fast.lam == pytest.approx(tight.eigenvalue, rel=1e-4)
+        iterations["fast"] += fast.fixed_point.iterations
+        iterations["plain"] += plain.iterations
+    assert iterations["fast"] < iterations["plain"], iterations
