@@ -76,14 +76,15 @@ def _overlap_model(name, n_bs, load_ul, load_dl):
 
 
 def _link_vector(value, key, n_links):
-    """A solution's per-link ``value`` as floats, else a ``ConfigError``."""
+    """A solution's per-link ``value`` as finite non-negative floats, else a
+    ``ConfigError``."""
     try:
         vec = np.array(value, dtype=float)
-        if vec.shape == (n_links,):
+        if vec.shape == (n_links,) and np.all(np.isfinite(vec) & (vec >= 0)):
             return vec
     except (TypeError, ValueError):
         pass
-    raise ConfigError(f"solution key {key!r} must be a list of {n_links} numbers")
+    raise ConfigError(f"solution key {key!r} must be a list of {n_links} non-negative numbers")
 
 
 def _read_scenario(path):

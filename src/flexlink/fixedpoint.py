@@ -9,10 +9,10 @@ for every ``alpha > 1``).  Two iterations are provided:
   ``x0 = 0`` the iterates increase monotonically to the minimal solution.
   It stops on an absolute and a relative step test together.
 * ``normalized_fixed_point``: the conditional-eigenvalue update
-  ``x <- theta * f(x) / g(f(x))`` for a monotone, degree-1 homogeneous
-  ``g``, converging to the unique eigenvector ``x'`` with
-  ``x' = rho * f(x')`` and ``g(x') = theta``, where
-  ``rho = theta / g(f(x'))``.  With ``memory > 0`` each step is
+  ``x <- f(x) / g(f(x))`` for a monotone, degree-1 homogeneous ``g``,
+  converging to the unique eigenvector ``x'`` with ``x' = rho * f(x')`` and
+  ``g(x') = 1``, where ``rho = 1 / g(f(x'))``.  A budget ``theta`` is the
+  constraint ``g / theta``.  With ``memory > 0`` each step is
   extrapolated from the last ``memory`` steps (Anderson acceleration) under
   a safeguard that keeps the utility ``min x / f(x)`` from falling.
 """
@@ -29,7 +29,7 @@ DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITER = 10_000
 DIVERGENCE_WINDOW = 50  # growing Yates residuals before "likely infeasible"
 # Relative slack of the accelerated run's two safeguard tests.  Near the fixed
-# point u * g(f(x)) tends to theta exactly, and without slack rounding alone
+# point u * g(f(x)) tends to 1 exactly, and without slack rounding alone
 # would decide between the extrapolated and the plain step.
 ANDERSON_SLACK = 1e-12
 
@@ -47,18 +47,17 @@ class FixedPointResult:
 def normalized_fixed_point(
     f,
     g,
-    theta: float,
     x0,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     callback=None,
     memory: int = 0,
 ) -> FixedPointResult:
-    """Iterate ``x <- G(x) = theta * f(x) / g(f(x))`` until the sup-norm
-    step ``|G(x) - x|`` is < tol, then return ``G(x)``.
+    """Iterate ``x <- G(x) = f(x) / g(f(x))`` until the sup-norm step
+    ``|G(x) - x|`` is < tol, then return ``G(x)``.
 
-    On convergence the eigenvalue field holds ``theta / g(f(x*))``, so that
-    ``x* = eigenvalue * f(x*)`` and ``g(x*) = theta`` hold within tolerance.
+    On convergence the eigenvalue field holds ``1 / g(f(x*))``, so that
+    ``x* = eigenvalue * f(x*)`` and ``g(x*) = 1`` hold within tolerance.
     Non-convergence is reported in the result, never raised; the run stops
     on the first non-finite iterate (note ``non-finite``, eigenvalue NaN).
 
@@ -70,8 +69,6 @@ def normalized_fixed_point(
     residual)`` gets the next plain iterate, or with ``memory`` the point
     just evaluated, so the utility along its points never falls.
     """
-    if theta <= 0:
-        raise ValueError("theta must be positive")
     x = np.array(x0, dtype=float)
     residual = np.inf
     gf = None
@@ -82,11 +79,11 @@ def normalized_fixed_point(
     for t in range(1, max_iter + 1):
         fx = f(x)
         gf = g(fx)
-        x_next = theta * fx / gf
+        x_next = fx / gf
         if memory:
             u = float((x / fx).min())
             if fallback is not None and not (u >= u_last * (1 - ANDERSON_SLACK)
-                                             and u * gf <= theta * (1 + ANDERSON_SLACK)):
+                                             and u * gf <= 1 + ANDERSON_SLACK):
                 x, count, fallback = fallback, 0, None
                 continue
             u_last, fallback, r = u, None, x_next - x
@@ -112,13 +109,13 @@ def normalized_fixed_point(
             )
         if residual < tol:
             return FixedPointResult(
-                x=x, eigenvalue=theta / float(g(f(x))), iterations=t,
+                x=x, eigenvalue=1.0 / float(g(f(x))), iterations=t,
                 residual=residual, converged=True, note="converged",
             )
         if memory and fallback is not None:
             x = x_acc
     return FixedPointResult(
-        x=x, eigenvalue=(theta / float(gf) if gf else None), iterations=max_iter,
+        x=x, eigenvalue=(1.0 / float(gf) if gf else None), iterations=max_iter,
         residual=residual, converged=False, note="max_iter exceeded",
     )
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -179,6 +180,8 @@ class Association:
     tx: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.n_bs, Integral) or isinstance(self.n_bs, bool) or self.n_bs < 1:
+            raise ModelError(f"n_bs must be an integer >= 1, got {self.n_bs!r}")
         for name in ("b_ul", "b_dl"):
             b = np.asarray(getattr(self, name))
             # checked before the cast, which would truncate 1.7 and warn on NaN

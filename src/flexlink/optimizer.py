@@ -210,7 +210,7 @@ def step1_update_bandwidth(problem: Problem, p_fixed, opts: SolveOptions = Solve
             trace.record("s1", t, utility(w_t, p_fixed, problem),
                          g1(w_t, problem), g2(w_t, p_fixed, problem), residual)
 
-    res = normalized_fixed_point(f, g, 1.0, x0, callback=callback)
+    res = normalized_fixed_point(f, g, x0, callback=callback)
     return StepResult(w=res.x, p=p_fixed, lam=float(res.eigenvalue), fixed_point=res)
 
 
@@ -267,7 +267,7 @@ def step3_update_power(problem: Problem, w_fixed, x0, opts: SolveOptions = Solve
                          g1(w, problem), g2(w, p_t, problem), residual)
 
     with np.errstate(divide="ignore", invalid="ignore"):  # f_power's, entered once per stage
-        res = normalized_fixed_point(f, g, 1.0, np.asarray(x0, dtype=float), callback=callback,
+        res = normalized_fixed_point(f, g, np.asarray(x0, dtype=float), callback=callback,
                                      memory=ANDERSON_MEMORY)
     return StepResult(w=w, p=expand(res.x), lam=float(res.eigenvalue), fixed_point=res,
                       x=res.x)
@@ -354,7 +354,7 @@ def minimize_power(problem: Problem, w_star, p_star) -> PowerMinResult:
     w_star = np.maximum(np.asarray(w_star, dtype=float), W_FLOOR)
     p_star = np.asarray(p_star, dtype=float)
     lam_star = utility(w_star, p_star, problem)
-    if lam_star <= 1.0:
+    if not lam_star > 1.0:  # also a NaN utility
         raise InfeasibleError(
             f"power minimization requires utility > 1, got {lam_star:.6g}")
     psi = lambda p: float(np.sum(w_star * p))

@@ -80,15 +80,15 @@ class ScenarioConfig:
                 ok, what = isinstance(value, bool), "true or false"
             if not ok:
                 raise ConfigError(f"{f.name} must be {what}, got {value!r}")
-        if self.macro_rows < 1 or self.macro_cols < 1:
-            raise ConfigError("need at least one macro cell")
-        if self.n_pico < 0 or self.n_ue < 1:
-            raise ConfigError("invalid pico/UE counts")
+        for name, low in (("macro_rows", 1), ("macro_cols", 1), ("n_pico", 0), ("n_ue", 1)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}")
         if abs(sum(self.service_mix) - 1.0) > 1e-9 or min(self.service_mix) < 0:
             raise ConfigError("service_mix must be a probability vector")
         if not (0 < self.pico_ring[0] <= self.pico_ring[1] <= 1.0):
             raise ConfigError("pico_ring must satisfy 0 < lo <= hi <= 1")
-        for name in ("isd_m", "min_dist_macro_ue_m", "min_dist_pico_ue_m", "min_dist_site_m"):
+        for name in ("isd_m", "rb_bandwidth_hz", "min_dist_macro_ue_m", "min_dist_pico_ue_m",
+                     "min_dist_site_m"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
 

@@ -87,7 +87,7 @@ def test_criterion_2_normalized_iteration_vs_grid_oracle():
         m = rng.uniform(0.05, 1.0, size=(k, k))
         b = rng.uniform(0.1, 1.0, size=k)
         res = normalized_fixed_point(lambda x: m @ x + b, lambda x: float(np.max(x)),
-                                     1.0, np.ones(k), tol=1e-12)
+                                     np.ones(k), tol=1e-12)
         assert res.converged
         x_grid, rho_grid = grid_conditional_eigen(m, b, resolution=1e-4)
         worst_dx = max(worst_dx, float(np.max(np.abs(res.x - x_grid))))

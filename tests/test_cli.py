@@ -2,10 +2,13 @@
 
 import hashlib
 import json
+import shutil
+import warnings
 
 import numpy as np
 import pytest
 
+from flexlink import io
 from flexlink.association import Policy, associate
 from flexlink.cli import main, parse_offsets
 from flexlink.errors import ConfigError
@@ -13,7 +16,7 @@ from flexlink.experiments import DEFAULT_HISTORY_DL
 from flexlink.interference import Problem
 from flexlink.io import load_scenario
 from flexlink.optimizer import SolveTrace, minimize_power
-from flexlink.scenario import uniform_overlap
+from flexlink.scenario import ScenarioConfig, uniform_overlap
 
 CONFIG = {
     "macro_rows": 2,
@@ -66,35 +69,7 @@ def test_generate_is_deterministic_by_file_hash(tmp_path, config_file):
     assert _sha(a) != _sha(c)
 
 
-def test_generate_missing_key_names_it(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({k: v for k, v in CONFIG.items() if k != "n_ue"}))
-    code = main(["generate", "--config", str(bad), "--seed", "1",
-                 "--out", str(tmp_path / "x.json")])
-    assert code == 1
-    assert "n_ue" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("key, value", [
-    ("n_ue", "x"), ("n_ue", 2.5), ("isd_m", "x"), ("isd_m", float("nan")),
-    ("macro_power_dbm", "x"), ("service_mix", "abcde"), ("service_mix", 5),
-    ("pico_ring", [0.7]), ("min_dist_site_m", -5.0), ("min_dist_macro_ue_m", 0.0),
-    ("min_dist_pico_ue_m", -1.0),
-])
-def test_malformed_config_is_one_line_error(tmp_path, capsys, key, value):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(CONFIG | {key: value}))
-    out = tmp_path / "out"
-    for args in (["generate", "--seed", "1"], ["montecarlo", "--trials", "1", "--seed-base", "1"]):
-        assert main([*args, "--config", str(bad), "--out", str(out)]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ") and key in err[0], err
-        assert not out.exists()
-
-
 def test_generated_file_round_trips_through_load(scenario_file):
-    from flexlink import io
-
     sc = io.load_scenario(scenario_file)
     assert sc.n_ue == CONFIG["n_ue"]
     assert sc.n_bs == 9
@@ -142,52 +117,6 @@ def test_solve_theta_monotone(tmp_path, scenario_file):
     assert lams["0.5"] <= lams["1.0"]
 
 
-def test_solve_non_positive_theta_is_one_line_error(tmp_path, scenario_file, capsys):
-    for theta in ("0", "inf", "nan"):
-        out = tmp_path / f"theta{theta}"
-        assert main(["solve", "--scenario", str(scenario_file), "--policy", "deud-p",
-                     "--theta", theta, "--out", str(out)]) == 1
-        assert capsys.readouterr().err.splitlines() == ["error: theta must be positive"]
-        assert not out.exists()
-
-
-@pytest.mark.parametrize("scheme", ["pairwise", "specific"])
-@pytest.mark.parametrize("direction", ["ul", "dl"])
-def test_solve_nan_overlap_load_is_one_line_error(tmp_path, scenario_file, capsys,
-                                                  scheme, direction):
-    out = tmp_path / "out"
-    assert main(["solve", "--scenario", str(scenario_file), "--policy", "coud",
-                 "--overlap", scheme, f"--overlap-load-{direction}", "nan",
-                 "--out", str(out)]) == 1
-    assert capsys.readouterr().err.splitlines() == ["error: historical loads must lie in [0, 1]"]
-    assert not out.exists()
-
-
-def test_solve_malformed_scenario_is_one_line_error(tmp_path, scenario_file, capsys):
-    doc = json.loads(scenario_file.read_text())
-    del doc["base_stations"]
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
-    out = tmp_path / "bad_out"
-    assert main(["solve", "--scenario", str(bad), "--policy", "coud", "--out", str(out)]) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        "error: missing required scenario key: base_stations"]
-    assert not out.exists()
-
-    bad.write_text("{not json")
-    assert main(["solve", "--scenario", str(bad), "--policy", "coud", "--out", str(out)]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: scenario is not valid JSON")
-
-    # wrongly typed fields
-    for key, value in (("rb_count", "x"), ("base_stations", {"id": 0})):
-        bad.write_text(json.dumps(json.loads(scenario_file.read_text()) | {key: value}))
-        assert main(["solve", "--scenario", str(bad), "--policy", "coud", "--out", str(out)]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: malformed scenario: "), err
-    assert not out.exists()
-
-
 def test_sweep_csv_and_ranking(tmp_path, scenario_file):
     out = tmp_path / "sweep"
     assert main(["sweep", "--scenario", str(scenario_file), "--out", str(out)]) == 0
@@ -228,60 +157,6 @@ def test_sweep_rows_equal_separate_solves(tmp_path, scenario_file):
             str(int(solved["converged"]))]
 
 
-@pytest.mark.parametrize("args", [["solve", "--policy", "deud-o:nan"],
-                                  ["solve", "--policy", "deud-o:inf"],
-                                  ["sweep", "--offsets", "nan"],
-                                  ["sweep", "--offsets", "0,inf"],
-                                  ["sweep", "--offsets", ","]])
-def test_non_finite_offset_is_one_line_error(tmp_path, scenario_file, capsys, args):
-    out = tmp_path / "out"
-    assert main([*args, "--scenario", str(scenario_file), "--out", str(out)]) == 1
-    bad_value = args[-1].split(":")[-1].split(",")[-1]
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and bad_value in err[0]
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("command, flag, what", [
-    ("solve", "--scenario", "scenario"), ("sweep", "--scenario", "scenario"),
-    ("minimize-power", "--solution", "solution"), ("generate", "--config", "config"),
-])
-def test_non_object_document_is_one_line_error(tmp_path, capsys, command, flag, what):
-    doc = tmp_path / "list.json"
-    doc.write_text("[]")
-    extra = {"solve": ["--policy", "coud"], "generate": ["--seed", "1"]}.get(command, [])
-    out = tmp_path / "out"
-    assert main([command, flag, str(doc), *extra, "--out", str(out)]) == 1
-    assert capsys.readouterr().err.splitlines() == [f"error: {what} must be a JSON object"]
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("document, key", [
-    ("scenario", "meta"), ("solution", "scenario"), ("solution", "association"),
-    ("solution", "solution"), ("solution", "meta"),
-])
-def test_non_object_nested_value_is_one_line_error(tmp_path, scenario_file, capsys,
-                                                   document, key):
-    sol_dir = tmp_path / "sol"
-    assert main(["solve", "--scenario", str(scenario_file), "--policy", "coud",
-                 "--out", str(sol_dir)]) == 0
-    source = scenario_file if document == "scenario" else sol_dir / "solution.json"
-    doc = json.loads(source.read_text())
-    doc[key] = []
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(doc))
-    capsys.readouterr()
-    out = tmp_path / "out"
-    if document == "scenario":
-        args = ["solve", "--scenario", str(bad), "--policy", "coud"]
-    else:
-        args = ["minimize-power", "--solution", str(bad)]
-    assert main([*args, "--out", str(out)]) == 1
-    assert capsys.readouterr().err.splitlines() == [
-        f"error: {document} key {key!r} must be a JSON object"]
-    assert not out.exists()
-
-
 def test_montecarlo_single_trial_equals_solve(tmp_path, config_file):
     out = tmp_path / "mc"
     assert main(["montecarlo", "--config", str(config_file), "--trials", "1",
@@ -303,18 +178,6 @@ def test_montecarlo_single_trial_equals_solve(tmp_path, config_file):
     assert summary["aggregate"]["mean_coud"] == pytest.approx(lam_solve, rel=1e-12)
 
 
-@pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--workers", "0"),
-                                         ("--workers", "-3")])
-def test_montecarlo_bad_count_is_one_line_error(tmp_path, config_file, capsys, flag, value):
-    counts = ["--trials", "1", "--workers", "1"]
-    counts[counts.index(flag) + 1] = value
-    out = tmp_path / "mc"
-    assert main(["montecarlo", "--config", str(config_file), "--seed-base", "7",
-                 *counts, "--out", str(out)]) == 1
-    assert capsys.readouterr().err.splitlines() == [f"error: {flag[2:]} must be >= 1"]
-    assert not out.exists()
-
-
 def test_compare_pf_csv(tmp_path, scenario_file):
     out = tmp_path / "pf"
     assert main(["compare-pf", "--scenario", str(scenario_file), "--policy", "coud",
@@ -329,16 +192,6 @@ def test_compare_pf_csv(tmp_path, scenario_file):
     assert main(["compare-pf", "--scenario", str(scenario_file), "--policy", "coud",
                  "--out", str(out2)]) == 0
     assert (out / "compare_pf.csv").read_text() == (out2 / "compare_pf.csv").read_text()
-
-
-@pytest.mark.parametrize("split", ["0:25", "25:0"])
-def test_compare_pf_empty_direction_is_one_line_error(tmp_path, scenario_file, capsys, split):
-    out = tmp_path / "pf"
-    assert main(["compare-pf", "--scenario", str(scenario_file), "--policy", "coud",
-                 "--split", split, "--out", str(out)]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: split ({split.replace(':', ', ')})")
-    assert not out.exists()
 
 
 def test_minimize_power_cli_and_preconditions(tmp_path, config_file):
@@ -361,21 +214,8 @@ def test_minimize_power_cli_and_preconditions(tmp_path, config_file):
     assert doc["lambda"] == pytest.approx(1.0, abs=1e-4)
     assert doc["saving_ratio"] < 1.0
 
-    # infeasible input (utility <= 1) is a usage error: exit 1
-    heavy = dict(CONFIG, service_mix=[1.0, 0.0, 0.0, 0.0, 0.0], n_ue=10)
-    cfg3 = tmp_path / "heavy.json"
-    cfg3.write_text(json.dumps(heavy))
-    scen3 = tmp_path / "heavy_scenario.json"
-    assert main(["generate", "--config", str(cfg3), "--seed", "3", "--out", str(scen3)]) == 0
-    sol3 = tmp_path / "sol3"
-    assert main(["solve", "--scenario", str(scen3), "--policy", "coud",
-                 "--out", str(sol3)]) == 0
-    code = main(["minimize-power", "--solution", str(sol3 / "solution.json"),
-                 "--out", str(tmp_path / "mp3")])
-    assert code == 1
 
-
-def test_minimize_power_uses_the_solve_overlap(tmp_path, capsys):
+def test_minimize_power_uses_the_solve_overlap(tmp_path):
     light = dict(CONFIG, macro_rows=1, macro_cols=2, n_pico=1, n_ue=4,
                  service_mix=[0.0, 0.0, 0.0, 0.0, 1.0])
     cfg = tmp_path / "light.json"
@@ -400,91 +240,6 @@ def test_minimize_power_uses_the_solve_overlap(tmp_path, capsys):
     expected = minimize_power(problem, np.array(doc["solution"]["w"]),
                               np.array(doc["solution"]["p"]))
     assert json.loads((out / "minpower.json").read_text())["p_min"] == expected.p_min.tolist()
-
-    # a document that names an overlap scheme without its loads is refused
-    del doc["meta"]["overlap_load_dl"]
-    bad = tmp_path / "no_loads.json"
-    bad.write_text(json.dumps(doc))
-    capsys.readouterr()
-    assert main(["minimize-power", "--solution", str(bad), "--out", str(tmp_path / "mp2")]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: ") and "pairwise" in err[0]
-
-
-@pytest.mark.parametrize("key", ["scenario", "association", "association.b_ul",
-                                 "association.b_dl", "association.n_bs", "solution",
-                                 "solution.w", "solution.p"])
-def test_minimize_power_missing_key_is_one_line_error(tmp_path, scenario_file, capsys, key):
-    assert main(["solve", "--scenario", str(scenario_file), "--policy", "coud",
-                 "--out", str(tmp_path)]) == 0
-    doc = json.loads((tmp_path / "solution.json").read_text())
-    *outer, name = key.split(".")
-    del (doc[outer[0]] if outer else doc)[name]
-    (tmp_path / "bad.json").write_text(json.dumps(doc))
-    capsys.readouterr()
-    out = tmp_path / "minpower"
-    assert main(["minimize-power", "--solution", str(tmp_path / "bad.json"),
-                 "--out", str(out)]) == 1
-    assert capsys.readouterr().err.splitlines() == [f"error: missing required solution key: {name}"]
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("key, value", [("w", "abc"), ("p", ["abc"] * 20),
-                                        ("w", [0.1, 0.2, 0.3]), ("p", [[1e-3] * 20])])
-def test_minimize_power_malformed_link_vector_is_one_line_error(tmp_path, scenario_file, capsys,
-                                                                 key, value):
-    assert main(["solve", "--scenario", str(scenario_file), "--policy", "coud",
-                 "--out", str(tmp_path)]) == 0
-    doc = json.loads((tmp_path / "solution.json").read_text())
-    doc["solution"][key] = value
-    (tmp_path / "bad.json").write_text(json.dumps(doc))
-    capsys.readouterr()
-    out = tmp_path / "minpower"
-    assert main(["minimize-power", "--solution", str(tmp_path / "bad.json"),
-                 "--out", str(out)]) == 1
-    n_links = 2 * CONFIG["n_ue"]
-    assert capsys.readouterr().err.splitlines() == [
-        f"error: solution key '{key}' must be a list of {n_links} numbers"]
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("key, value", [
-    ("association.b_ul", "abc"), ("association.n_bs", "x"), ("solution.theta", "x"),
-    ("meta.overlap", []), ("meta.overlap_load_ul", "x"),
-])
-def test_minimize_power_malformed_solution_is_one_line_error(tmp_path, scenario_file, capsys,
-                                                              key, value):
-    assert main(["solve", "--scenario", str(scenario_file), "--policy", "coud",
-                 "--overlap", "pairwise", "--out", str(tmp_path)]) == 0
-    doc = json.loads((tmp_path / "solution.json").read_text())
-    outer, name = key.split(".")
-    doc[outer][name] = value
-    (tmp_path / "bad.json").write_text(json.dumps(doc))
-    capsys.readouterr()
-    out = tmp_path / "minpower"
-    assert main(["minimize-power", "--solution", str(tmp_path / "bad.json"),
-                 "--out", str(out)]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: malformed solution: "), err
-    assert not out.exists()
-
-
-@pytest.mark.filterwarnings("error")  # a cast warning before the error line fails too
-@pytest.mark.parametrize("key, index, value", [("b_ul", 0, 1.7), ("b_dl", 1, float("nan"))])
-def test_minimize_power_non_integral_association_is_one_line_error(tmp_path, scenario_file,
-                                                                    capsys, key, index, value):
-    assert main(["solve", "--scenario", str(scenario_file), "--policy", "coud",
-                 "--out", str(tmp_path)]) == 0
-    doc = json.loads((tmp_path / "solution.json").read_text())
-    doc["association"][key][index] = value
-    (tmp_path / "bad.json").write_text(json.dumps(doc))
-    capsys.readouterr()
-    out = tmp_path / "minpower"
-    assert main(["minimize-power", "--solution", str(tmp_path / "bad.json"),
-                 "--out", str(out)]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: {key} must hold integer"), err
-    assert not out.exists()
 
 
 def test_solve_cell_specific_mode(tmp_path, scenario_file):
@@ -529,3 +284,168 @@ def test_trace_csv_text_is_pinned(tmp_path):
 def test_unknown_flag_is_usage_error(tmp_path):
     assert main(["solve", "--bogus"]) == 1
     assert main(["no-such-command"]) == 1
+
+
+# The bad-input contract, over every document a subcommand reads: each key
+# and the first element of each list of a valid document, under each mutation.
+MUTATIONS = ("delete", '"x"', "null", "[]", "{}", "NaN", "-1", "0", "true", "2.5")
+# the first command reads the document; the others must reject what it rejects
+COMMANDS = {
+    "config": (["generate", "--seed", "3"], ["montecarlo", "--trials", "1", "--seed-base", "3"]),
+    "scenario": (["solve", "--policy", "coud"], ["sweep"], ["compare-pf", "--policy", "coud"]),
+    "solution": (["minimize-power"],),
+}
+# (document, path, mutation): the error line, or its prefix when it ends in a
+# space.  The empty path is the whole file.
+PINNED = {
+    **{(document, "", "[]"): f"error: {document} must be a JSON object" for document in COMMANDS},
+    ("scenario", "", "{not json"): "error: scenario is not valid JSON: ",
+    ("scenario", "base_stations", "delete"): "error: missing required scenario key: base_stations",
+    ("scenario", "meta", "[]"): "error: scenario key 'meta' must be a JSON object",
+    ("scenario", "rb_count", '"x"'): "error: malformed scenario: ",
+    ("scenario", "base_stations", '{"id": 0}'): "error: malformed scenario: ",
+    **{("solution", key, "delete"): f"error: missing required solution key: {key.split('.')[-1]}"
+       for key in ("scenario", "association", "association.b_ul", "association.b_dl",
+                   "association.n_bs", "solution", "solution.w", "solution.p")},
+    **{("solution", key, "[]"): f"error: solution key '{key}' must be a JSON object"
+       for key in ("scenario", "association", "solution", "meta")},
+    **{("solution", key, value): f"error: solution key '{key[9]}' must be a list of 8 "
+                                 "non-negative numbers"
+       for key, value in (("solution.w", '"x"'), ("solution.w", "[0.1, 0.2, 0.3]"),
+                          ("solution.p.0", '"x"'), ("solution.p", json.dumps([[1e-3] * 8])))},
+    **{("solution", key, value): "error: malformed solution: "
+       for key, value in (("association.b_ul", '"x"'), ("solution.theta", '"x"'),
+                          ("meta.overlap", "[]"), ("meta.overlap_load_ul", '"x"'))},
+    ("solution", "association.n_bs", '"x"'): "error: n_bs must be an integer >= 1, got 'x'",
+    ("solution", "association.b_ul.0", "2.5"): "error: b_ul must hold integer BS indices in [0, 9)",
+    ("solution", "association.b_dl.1", "NaN"): "error: b_dl must hold integer BS indices in [0, 9)",
+    ("solution", "meta.overlap_load_dl", "delete"):
+        "error: the solution meta names overlap 'pairwise' but not its loads",
+    # a demand the solved allocation cannot carry: utility below 1
+    ("solution", "scenario.user_terminals.0.demand_ul_mbps", "2.5"):
+        "error: power minimization requires utility > 1, got ",
+}
+# more inputs the grid does not make
+EXTRA = [("config", "pico_ring", "[0.7]"), ("config", "service_mix", '"abcde"'),
+         ("config", "service_mix", "5")]
+
+
+def _paths(node, prefix=""):
+    """Every key, and the first element of every list, under ``node``."""
+    items = node.items() if isinstance(node, dict) else [("0", node[0])] if node else []
+    for key, value in items:
+        yield prefix + key
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, f"{prefix}{key}.")
+
+
+def _mutated(text, path, mutation):
+    """The JSON ``text`` with ``mutation`` applied at ``path``."""
+    if not path:
+        return mutation
+    doc = node = json.loads(text)
+    *outer, key = [int(k) if k.isdigit() else k for k in path.split(".")]
+    for k in outer:
+        node = node[k]
+    if mutation == "delete":
+        del node[key]
+    else:
+        node[key] = json.loads(mutation)
+    return json.dumps(doc)
+
+
+def _run(argv, out, capsys):
+    """``main`` on ``argv`` writing to ``out``: its error line (None unless it
+    exits 1) and every breach of the bad-input contract."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = main([*argv, "--out", str(out)])
+        except Exception as exc:  # at the shell, a traceback
+            return None, [f"raised {exc!r}"]
+    err = capsys.readouterr().err
+    breaches = [f"warned {w.category.__name__}: {w.message}" for w in caught]
+    if code == 1:
+        lines = err.splitlines()
+        if len(lines) != 1 or not lines[0].startswith("error: ") or out.exists():
+            breaches.append(f"exit 1 with stderr {err!r}, out written: {out.exists()}")
+        return (lines or [""])[0], breaches
+    if code not in (0, 2) or "Traceback" in err:
+        breaches.append(f"exit {code} with stderr {err!r}")
+    if out.is_dir():  # what solve or minimize-power computed
+        for doc in (json.loads(path.read_text()) for path in out.glob("*.json")):
+            breaches += [f"wrote {k} = {v}" for k, v in doc.get("solution", doc).items()
+                         if k not in ("step", "policy", "meta")
+                         and not np.all(np.isfinite(np.asarray(v, dtype=float)))]
+        shutil.rmtree(out)
+    out.unlink(missing_ok=True)
+    return None, breaches
+
+
+@pytest.mark.parametrize("document", ["config", "scenario", "solution"])
+def test_bad_document_keeps_the_contract(tmp_path, capsys, document):
+    """Every mutated document, and the pinned and extra inputs, through every
+    command that reads it: exit 0, 1 or 2, no traceback and no warning.  On
+    exit 1: one ``error:`` line, the same from every command, no output, and
+    for a config the line names the mutated field.  On exit 0 or 2: every
+    number computed is finite."""
+    # light traffic, so the solved utility (about 236) exceeds minimize-power's 1
+    config = io.config_to_dict(ScenarioConfig(n_ue=4, isd_m=20.0, noise_psd_dbm=-112.0,
+                                              service_mix=(0.0, 0.0, 0.0, 0.0, 1.0)))
+    paths = {name: tmp_path / f"{name}.json" for name in COMMANDS}
+    paths["config"].write_text(json.dumps(config))
+    assert main(["generate", "--config", str(paths["config"]), "--seed", "3",
+                 "--out", str(paths["scenario"])]) == 0
+    assert main(["solve", "--scenario", str(paths["scenario"]), "--policy", "coud",
+                 "--overlap", "pairwise", "--out", str(tmp_path)]) == 0
+    text = paths[document].read_text()
+    cases = dict.fromkeys([(document, path, mutation) for path in _paths(json.loads(text))
+                           for mutation in MUTATIONS])
+    cases |= dict.fromkeys(case for case in [*PINNED, *EXTRA] if case[0] == document)
+    source, out = tmp_path / "bad.json", tmp_path / "out"
+    breaches = []
+    for case in cases:
+        source.write_text(_mutated(text, *case[1:]))
+        first, *others = ([*cmd, f"--{document}", str(source)] for cmd in COMMANDS[document])
+        line, found = _run(first, out, capsys)
+        if line is not None:
+            for argv in others:
+                again, more = _run(argv, out, capsys)
+                found += more + ([f"{argv[0]} printed {again!r}"] if again != line else [])
+            if document == "config" and case[1].split(".")[0] not in line:
+                found.append(f"{line!r} does not name the field")
+        want = PINNED.get(case)
+        if want and not (line == want or want.endswith(" ") and str(line).startswith(want)):
+            found.append(f"printed {line!r}, not {want!r}")
+        breaches += [f"{case}: {breach}" for breach in found]
+    assert len(cases) >= {"config": 190, "scenario": 340, "solution": 650}[document]
+    assert not breaches, "\n".join(breaches)
+
+
+BAD_FLAGS = [
+    *((["solve", "--theta", theta], "error: theta must be positive")
+      for theta in ("0", "inf", "nan")),
+    *((["solve", "--overlap", scheme, f"--overlap-load-{direction}", "nan"],
+       "error: historical loads must lie in [0, 1]")
+      for scheme in ("pairwise", "specific") for direction in ("ul", "dl")),
+    (["solve", "--policy", "deud-o:nan"], "error: policy offset must be finite, got nan dB"),
+    (["solve", "--policy", "deud-o:inf"], "error: policy offset must be finite, got inf dB"),
+    (["sweep", "--offsets", "nan"], "error: bad offset 'nan'"),
+    (["sweep", "--offsets", "0,inf"], "error: bad offset 'inf'"),
+    (["sweep", "--offsets", ","], "error: no offsets in ','"),
+    *((["montecarlo", flag, count], f"error: {flag[2:]} must be >= 1")
+      for flag, count in (("--trials", "0"), ("--workers", "0"), ("--workers", "-3"))),
+    *((["compare-pf", "--split", split], f"error: split ({split.replace(':', ', ')}) must give "
+       "each direction at least one of the 25 RBs") for split in ("0:25", "25:0")),
+]
+
+
+@pytest.mark.parametrize("args, line", BAD_FLAGS, ids=[" ".join(args) for args, _ in BAD_FLAGS])
+def test_bad_flag_is_one_line_error(tmp_path, capsys, config_file, scenario_file, args, line):
+    command, *flags = args
+    inputs = {"montecarlo": ["--config", str(config_file), "--trials", "1", "--seed-base", "7"],
+              "sweep": ["--scenario", str(scenario_file)]}
+    # a flag in ``flags`` overrides the same flag given before it
+    argv = [command, *inputs.get(command, ["--scenario", str(scenario_file), "--policy", "coud"]),
+            *flags]
+    assert _run(argv, tmp_path / "out", capsys) == (line, [])

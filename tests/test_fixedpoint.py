@@ -28,7 +28,7 @@ def random_affine_sif(seed, k):
 
 def test_constant_map_converges_in_one_step():
     c = np.array([2.0, 0.5, 1.0])
-    res = normalized_fixed_point(lambda x: c, MAXNORM, 1.0, np.zeros(3))
+    res = normalized_fixed_point(lambda x: c, MAXNORM, np.zeros(3))
     assert res.converged and res.iterations <= 2
     assert np.allclose(res.x, c / 2.0)
     assert res.eigenvalue == pytest.approx(0.5)
@@ -37,7 +37,7 @@ def test_constant_map_converges_in_one_step():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_affine_matches_dense_grid_oracle_2d(seed):
     m, b = random_affine_sif(seed, 2)
-    res = normalized_fixed_point(lambda x: m @ x + b, MAXNORM, 1.0,
+    res = normalized_fixed_point(lambda x: m @ x + b, MAXNORM,
                                  np.ones(2), tol=1e-12)
     x_grid, rho_grid = dense_conditional_eigen_2d(m, b, resolution=1e-4)
     assert np.max(np.abs(res.x - x_grid)) <= 1e-3
@@ -65,15 +65,16 @@ def test_theta_homogeneity_of_update_and_of_homogeneous_limits():
 
     # for a degree-1 homogeneous map the limit itself scales with theta
     lin = lambda x: m @ x
-    r1 = normalized_fixed_point(lin, MAXNORM, 1.0, np.ones(3), tol=1e-13)
-    r3 = normalized_fixed_point(lin, MAXNORM, 3.0, np.ones(3), tol=1e-13)
+    r1 = normalized_fixed_point(lin, MAXNORM, np.ones(3), tol=1e-13)
+    r3 = normalized_fixed_point(lin, lambda x: MAXNORM(x) / 3.0, np.ones(3), tol=1e-13)
     assert np.allclose(r3.x, 3.0 * r1.x, rtol=1e-9)
     assert MAXNORM(r3.x) == pytest.approx(3.0, rel=1e-9)
 
 
 def test_norm_constraint_holds_at_fixed_point():
     m, b = random_affine_sif(11, 4)
-    res = normalized_fixed_point(lambda x: m @ x + b, MAXNORM, 0.7, np.ones(4), tol=1e-10)
+    res = normalized_fixed_point(lambda x: m @ x + b, lambda x: MAXNORM(x) / 0.7, np.ones(4),
+                                 tol=1e-10)
     assert res.converged
     assert MAXNORM(res.x) == pytest.approx(0.7, rel=1e-8)
     # eigen relation x = rho f(x)
@@ -86,8 +87,8 @@ def test_uniqueness_from_different_starts(seed):
     m, b = random_affine_sif(seed, 3)
     f = lambda x: m @ x + b
     rng = np.random.default_rng(seed)
-    r1 = normalized_fixed_point(f, MAXNORM, 1.0, rng.uniform(0.01, 5.0, 3), tol=1e-10)
-    r2 = normalized_fixed_point(f, MAXNORM, 1.0, rng.uniform(0.01, 5.0, 3), tol=1e-10)
+    r1 = normalized_fixed_point(f, MAXNORM, rng.uniform(0.01, 5.0, 3), tol=1e-10)
+    r2 = normalized_fixed_point(f, MAXNORM, rng.uniform(0.01, 5.0, 3), tol=1e-10)
     assert r1.converged and r2.converged
     assert np.max(np.abs(r1.x - r2.x)) <= 100 * 1e-10
 
@@ -104,8 +105,8 @@ def test_anderson_steps_find_the_plain_fixed_point_without_losing_utility():
         f = lambda x: m @ x + b
         x0 = rng.uniform(0.01, 5.0, k)
         seen = []
-        plain = normalized_fixed_point(f, MAXNORM, 1.0, x0, tol=1e-12)
-        fast = normalized_fixed_point(f, MAXNORM, 1.0, x0, tol=1e-12, memory=3,
+        plain = normalized_fixed_point(f, MAXNORM, x0, tol=1e-12)
+        fast = normalized_fixed_point(f, MAXNORM, x0, tol=1e-12, memory=3,
                                       callback=lambda t, x, residual: seen.append(x.copy()))
         assert plain.note == fast.note == "converged"
         assert np.max(np.abs(fast.x - plain.x)) <= 1e-10
@@ -119,7 +120,7 @@ def test_max_iter_exceeded_is_flagged_not_raised():
     # swap map with a tiny offset contracts very slowly
     m = np.array([[0.0, 1.0], [1.0, 0.0]])
     b = np.array([1e-9, 3e-9])
-    res = normalized_fixed_point(lambda x: m @ x + b, MAXNORM, 1.0,
+    res = normalized_fixed_point(lambda x: m @ x + b, MAXNORM,
                                  np.array([0.3, 1.0]), tol=1e-12, max_iter=5)
     assert not res.converged
     assert res.note == "max_iter exceeded"
@@ -175,13 +176,13 @@ def test_yates_monotone_from_zero_and_from_feasible():
 
 def test_non_finite_map_stops_after_one_iteration():
     nan_map = lambda x: np.full_like(x, np.nan)
-    res = normalized_fixed_point(nan_map, lambda x: float(np.max(x)), 1.0, np.ones(3))
+    res = normalized_fixed_point(nan_map, lambda x: float(np.max(x)), np.ones(3))
     assert (res.iterations, res.converged, res.note) == (1, False, "non-finite")
     res = yates_iteration(nan_map, np.zeros(3))
     assert (res.iterations, res.converged, res.note) == (1, False, "non-finite")
     # an infinite step (g of the image is 0) stops the same way
     with np.errstate(divide="ignore"):
-        res = normalized_fixed_point(lambda x: x + 1.0, lambda x: 0.0, 1.0, np.ones(2))
+        res = normalized_fixed_point(lambda x: x + 1.0, lambda x: 0.0, np.ones(2))
     assert (res.iterations, res.note) == (1, "non-finite")
 
 
@@ -197,7 +198,7 @@ def test_callable_wrappers_carry_dimension():
     m, b = random_affine_sif(2, 3)
     f = lambda x: m @ x + b
     g = lambda x: float(np.max(x))
-    res = normalized_fixed_point(f, g, 1.0, np.ones(3), tol=1e-10)
+    res = normalized_fixed_point(f, g, np.ones(3), tol=1e-10)
     assert res.x.shape == (3,)
     assert res.converged and g(res.x) == pytest.approx(1.0, rel=1e-8)
 

@@ -331,6 +331,10 @@ def test_minimize_power_requires_strict_feasibility():
     assert sol.lam <= 1.0
     with pytest.raises(InfeasibleError):
         minimize_power(problem, sol.w, sol.p)
+    p = sol.p.copy()
+    p[0] = np.nan
+    with pytest.raises(InfeasibleError):  # a NaN utility is no utility above 1
+        minimize_power(problem, sol.w, p)
 
 
 # linear-in-power reformulation cross-check
@@ -422,11 +426,11 @@ def test_plain_stages_run_the_reference_loop(monkeypatch):
     assert any(row[0] == "s2" for sol in plain for row in sol.trace.rows)
     calls = collections.Counter()
 
-    def routed(f, g, theta, x0, memory=0, **kw):
+    def routed(f, g, x0, memory=0, **kw):
         calls[memory] += 1
         if memory:
-            return normalized_fixed_point(f, g, theta, x0, memory=memory, **kw)
-        return normalized_fixed_point_ref(f, g, theta, x0, **kw)
+            return normalized_fixed_point(f, g, x0, memory=memory, **kw)
+        return normalized_fixed_point_ref(f, g, 1.0, x0, **kw)
 
     monkeypatch.setattr(optimizer, "normalized_fixed_point", routed)
     assert list(map(_solution_digest, solve_all())) == list(map(_solution_digest, plain))
@@ -472,8 +476,8 @@ def test_accelerated_s3_takes_fewer_iterations_at_plain_accuracy(monkeypatch):
     for problem, w, x0, mode, fast in entries:
         f, g = optimizer.power_maps(problem, mode)[1](problem, w)
         with np.errstate(divide="ignore", invalid="ignore"):
-            plain = normalized_fixed_point(f, g, 1.0, x0)
-            tight = normalized_fixed_point(f, g, 1.0, x0, tol=1e-13)
+            plain = normalized_fixed_point(f, g, x0)
+            tight = normalized_fixed_point(f, g, x0, tol=1e-13)
         assert fast.fixed_point.converged and tight.converged
         assert fast.lam == pytest.approx(tight.eigenvalue, rel=1e-4)
         iterations["fast"] += fast.fixed_point.iterations
