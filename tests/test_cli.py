@@ -295,39 +295,31 @@ COMMANDS = {
     "scenario": (["solve", "--policy", "coud"], ["sweep"], ["compare-pf", "--policy", "coud"]),
     "solution": (["minimize-power"],),
 }
-# (document, path, mutation): the error line, or its prefix when it ends in a
-# space.  The empty path is the whole file.
+# (document, path, mutation) of the grid: the error line, or its prefix when
+# it ends in a space.  The tests after the grid pin the lines of other inputs.
 PINNED = {
-    **{(document, "", "[]"): f"error: {document} must be a JSON object" for document in COMMANDS},
-    ("scenario", "", "{not json"): "error: scenario is not valid JSON: ",
-    ("scenario", "base_stations", "delete"): "error: missing required scenario key: base_stations",
-    ("scenario", "meta", "[]"): "error: scenario key 'meta' must be a JSON object",
-    ("scenario", "rb_count", '"x"'): "error: malformed scenario: ",
-    ("scenario", "base_stations", '{"id": 0}'): "error: malformed scenario: ",
-    **{("solution", key, "delete"): f"error: missing required solution key: {key.split('.')[-1]}"
-       for key in ("scenario", "association", "association.b_ul", "association.b_dl",
-                   "association.n_bs", "solution", "solution.w", "solution.p")},
-    **{("solution", key, "[]"): f"error: solution key '{key}' must be a JSON object"
-       for key in ("scenario", "association", "solution", "meta")},
-    **{("solution", key, value): f"error: solution key '{key[9]}' must be a list of 8 "
-                                 "non-negative numbers"
-       for key, value in (("solution.w", '"x"'), ("solution.w", "[0.1, 0.2, 0.3]"),
-                          ("solution.p.0", '"x"'), ("solution.p", json.dumps([[1e-3] * 8])))},
-    **{("solution", key, value): "error: malformed solution: "
-       for key, value in (("association.b_ul", '"x"'), ("solution.theta", '"x"'),
-                          ("meta.overlap", "[]"), ("meta.overlap_load_ul", '"x"'))},
-    ("solution", "association.n_bs", '"x"'): "error: n_bs must be an integer >= 1, got 'x'",
-    ("solution", "association.b_ul.0", "2.5"): "error: b_ul must hold integer BS indices in [0, 9)",
-    ("solution", "association.b_dl.1", "NaN"): "error: b_dl must hold integer BS indices in [0, 9)",
     ("solution", "meta.overlap_load_dl", "delete"):
         "error: the solution meta names overlap 'pairwise' but not its loads",
     # a demand the solved allocation cannot carry: utility below 1
     ("solution", "scenario.user_terminals.0.demand_ul_mbps", "2.5"):
         "error: power minimization requires utility > 1, got ",
 }
-# more inputs the grid does not make
-EXTRA = [("config", "pico_ring", "[0.7]"), ("config", "service_mix", '"abcde"'),
-         ("config", "service_mix", "5")]
+
+
+@pytest.fixture(scope="module")
+def documents(tmp_path_factory):
+    """A valid config, its scenario and that scenario's solution, as JSON text."""
+    tmp = tmp_path_factory.mktemp("documents")
+    # light traffic, so the solved utility (about 236) exceeds minimize-power's 1
+    config = io.config_to_dict(ScenarioConfig(n_ue=4, isd_m=20.0, noise_psd_dbm=-112.0,
+                                              service_mix=(0.0, 0.0, 0.0, 0.0, 1.0)))
+    paths = {name: tmp / f"{name}.json" for name in COMMANDS}
+    paths["config"].write_text(json.dumps(config))
+    assert main(["generate", "--config", str(paths["config"]), "--seed", "3",
+                 "--out", str(paths["scenario"])]) == 0
+    assert main(["solve", "--scenario", str(paths["scenario"]), "--policy", "coud",
+                 "--overlap", "pairwise", "--out", str(tmp)]) == 0
+    return {name: path.read_text() for name, path in paths.items()}
 
 
 def _paths(node, prefix=""):
@@ -340,7 +332,8 @@ def _paths(node, prefix=""):
 
 
 def _mutated(text, path, mutation):
-    """The JSON ``text`` with ``mutation`` applied at ``path``."""
+    """The JSON ``text`` with ``mutation`` applied at ``path``; the empty path
+    is the whole file."""
     if not path:
         return mutation
     doc = node = json.loads(text)
@@ -382,39 +375,45 @@ def _run(argv, out, capsys):
     return None, breaches
 
 
-@pytest.mark.parametrize("document", ["config", "scenario", "solution"])
-def test_bad_document_keeps_the_contract(tmp_path, capsys, document):
-    """Every mutated document, and the pinned and extra inputs, through every
-    command that reads it: exit 0, 1 or 2, no traceback and no warning.  On
-    exit 1: one ``error:`` line, the same from every command, no output, and
-    for a config the line names the mutated field.  On exit 0 or 2: every
-    number computed is finite."""
-    # light traffic, so the solved utility (about 236) exceeds minimize-power's 1
-    config = io.config_to_dict(ScenarioConfig(n_ue=4, isd_m=20.0, noise_psd_dbm=-112.0,
-                                              service_mix=(0.0, 0.0, 0.0, 0.0, 1.0)))
-    paths = {name: tmp_path / f"{name}.json" for name in COMMANDS}
-    paths["config"].write_text(json.dumps(config))
-    assert main(["generate", "--config", str(paths["config"]), "--seed", "3",
-                 "--out", str(paths["scenario"])]) == 0
-    assert main(["solve", "--scenario", str(paths["scenario"]), "--policy", "coud",
-                 "--overlap", "pairwise", "--out", str(tmp_path)]) == 0
-    text = paths[document].read_text()
-    cases = dict.fromkeys([(document, path, mutation) for path in _paths(json.loads(text))
-                           for mutation in MUTATIONS])
-    cases |= dict.fromkeys(case for case in [*PINNED, *EXTRA] if case[0] == document)
+def _through_readers(documents, document, path, mutation, tmp_path, capsys):
+    """``document`` mutated at ``path`` through every command that reads it:
+    the first command's error line and every breach of the contract.  Each
+    command must print the same line, and a config's line names the field."""
     source, out = tmp_path / "bad.json", tmp_path / "out"
+    source.write_text(_mutated(documents[document], path, mutation))
+    first, *others = ([*cmd, f"--{document}", str(source)] for cmd in COMMANDS[document])
+    line, found = _run(first, out, capsys)
+    if line is not None:
+        for argv in others:
+            again, more = _run(argv, out, capsys)
+            found += more + ([f"{argv[0]} printed {again!r}"] if again != line else [])
+        if document == "config" and path.split(".")[0] not in line:
+            found.append(f"{line!r} does not name the field")
+    return line, found
+
+
+def _rejection(documents, tmp_path, capsys, document, path, value):
+    """The one error line every reader of ``document`` prints when ``path``
+    holds the Python ``value`` (or is deleted), after checking the contract."""
+    mutation = value if value == "delete" or not path else json.dumps(value)
+    line, breaches = _through_readers(documents, document, path, mutation, tmp_path, capsys)
+    assert not breaches, "\n".join(breaches)
+    assert line is not None, f"{document} {path} = {value!r} was accepted"
+    return line
+
+
+@pytest.mark.parametrize("document", ["config", "scenario", "solution"])
+def test_bad_document_keeps_the_contract(tmp_path, capsys, documents, document):
+    """Every mutated document through every command that reads it: exit 0, 1
+    or 2, no traceback and no warning.  On exit 1: one ``error:`` line, the
+    same from every command, no output, and for a config the line names the
+    mutated field.  On exit 0 or 2: every number computed is finite."""
+    cases = [(path, mutation) for path in _paths(json.loads(documents[document]))
+             for mutation in MUTATIONS]
     breaches = []
     for case in cases:
-        source.write_text(_mutated(text, *case[1:]))
-        first, *others = ([*cmd, f"--{document}", str(source)] for cmd in COMMANDS[document])
-        line, found = _run(first, out, capsys)
-        if line is not None:
-            for argv in others:
-                again, more = _run(argv, out, capsys)
-                found += more + ([f"{argv[0]} printed {again!r}"] if again != line else [])
-            if document == "config" and case[1].split(".")[0] not in line:
-                found.append(f"{line!r} does not name the field")
-        want = PINNED.get(case)
+        line, found = _through_readers(documents, document, *case, tmp_path, capsys)
+        want = PINNED.get((document, *case))
         if want and not (line == want or want.endswith(" ") and str(line).startswith(want)):
             found.append(f"printed {line!r}, not {want!r}")
         breaches += [f"{case}: {breach}" for breach in found]
@@ -422,30 +421,140 @@ def test_bad_document_keeps_the_contract(tmp_path, capsys, document):
     assert not breaches, "\n".join(breaches)
 
 
-BAD_FLAGS = [
-    *((["solve", "--theta", theta], "error: theta must be positive")
-      for theta in ("0", "inf", "nan")),
-    *((["solve", "--overlap", scheme, f"--overlap-load-{direction}", "nan"],
-       "error: historical loads must lie in [0, 1]")
-      for scheme in ("pairwise", "specific") for direction in ("ul", "dl")),
+def test_generate_missing_key_names_it(tmp_path, capsys, documents):
+    assert "n_ue" in _rejection(documents, tmp_path, capsys, "config", "n_ue", "delete")
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n_ue", "x"), ("n_ue", 2.5), ("isd_m", "x"), ("isd_m", float("nan")),
+    ("macro_power_dbm", "x"), ("service_mix", "abcde"), ("service_mix", 5),
+    ("pico_ring", [0.7]), ("min_dist_site_m", -5.0), ("min_dist_macro_ue_m", 0.0),
+    ("min_dist_pico_ue_m", -1.0),
+])
+def test_malformed_config_is_one_line_error(tmp_path, capsys, documents, key, value):
+    # _through_readers checks that the line names the key
+    _rejection(documents, tmp_path, capsys, "config", key, value)
+
+
+def test_solve_malformed_scenario_is_one_line_error(tmp_path, capsys, documents):
+    def rejection(path, value):
+        return _rejection(documents, tmp_path, capsys, "scenario", path, value)
+
+    assert rejection("base_stations", "delete") == \
+        "error: missing required scenario key: base_stations"
+    assert rejection("", "{not json").startswith("error: scenario is not valid JSON: ")
+    for path, value in (("rb_count", "x"), ("base_stations", {"id": 0})):
+        assert rejection(path, value).startswith("error: malformed scenario: ")
+
+
+@pytest.mark.parametrize("command, flag, what", [
+    ("solve", "--scenario", "scenario"), ("sweep", "--scenario", "scenario"),
+    ("minimize-power", "--solution", "solution"), ("generate", "--config", "config"),
+    ("compare-pf", "--scenario", "scenario"), ("montecarlo", "--config", "config"),
+])
+def test_non_object_document_is_one_line_error(tmp_path, capsys, command, flag, what):
+    doc = tmp_path / "list.json"
+    doc.write_text("[]")
+    argv = next(cmd for cmds in COMMANDS.values() for cmd in cmds if cmd[0] == command)
+    assert _run([*argv, flag, str(doc)], tmp_path / "out", capsys) == (
+        f"error: {what} must be a JSON object", [])
+
+
+@pytest.mark.parametrize("document, key", [
+    ("scenario", "meta"), ("solution", "scenario"), ("solution", "association"),
+    ("solution", "solution"), ("solution", "meta"),
+])
+def test_non_object_nested_value_is_one_line_error(tmp_path, capsys, documents, document, key):
+    assert _rejection(documents, tmp_path, capsys, document, key, []) == \
+        f"error: {document} key {key!r} must be a JSON object"
+
+
+@pytest.mark.parametrize("key", ["scenario", "association", "association.b_ul",
+                                 "association.b_dl", "association.n_bs", "solution",
+                                 "solution.w", "solution.p"])
+def test_minimize_power_missing_key_is_one_line_error(tmp_path, capsys, documents, key):
+    assert _rejection(documents, tmp_path, capsys, "solution", key, "delete") == \
+        f"error: missing required solution key: {key.split('.')[-1]}"
+
+
+@pytest.mark.parametrize("key, value", [("w", "abc"), ("p", ["abc"] * 8),
+                                        ("w", [0.1, 0.2, 0.3]), ("p", [[1e-3] * 8])])
+def test_minimize_power_malformed_link_vector_is_one_line_error(tmp_path, capsys, documents,
+                                                                 key, value):
+    assert _rejection(documents, tmp_path, capsys, "solution", f"solution.{key}", value) == \
+        f"error: solution key '{key}' must be a list of 8 non-negative numbers"
+
+
+@pytest.mark.parametrize("key, value, line", [
+    ("association.b_ul", "abc", "error: malformed solution: "),
+    ("association.n_bs", "x", "error: n_bs must be an integer >= 1, got 'x'"),
+    ("solution.theta", "x", "error: malformed solution: "),
+    ("meta.overlap", [], "error: malformed solution: "),
+    ("meta.overlap_load_ul", "x", "error: malformed solution: "),
+], ids=["association.b_ul-abc", "association.n_bs-x", "solution.theta-x", "meta.overlap-value3",
+        "meta.overlap_load_ul-x"])
+def test_minimize_power_malformed_solution_is_one_line_error(tmp_path, capsys, documents,
+                                                              key, value, line):
+    got = _rejection(documents, tmp_path, capsys, "solution", key, value)
+    assert got.startswith(line) if line.endswith(" ") else got == line
+
+
+@pytest.mark.parametrize("key, index, value", [("b_ul", 0, 1.7), ("b_dl", 1, float("nan"))])
+def test_minimize_power_non_integral_association_is_one_line_error(tmp_path, capsys, documents,
+                                                                    key, index, value):
+    # _rejection fails on any warning, such as a cast warning before the line
+    assert _rejection(documents, tmp_path, capsys, "solution", f"association.{key}.{index}",
+                      value) == f"error: {key} must hold integer BS indices in [0, 9)"
+
+
+@pytest.fixture()
+def bad_flag(tmp_path, capsys, config_file, scenario_file):
+    """``args`` (a command and its flags) on the CLI fixtures: the error line
+    and every breach of the contract.  A flag in ``args`` overrides the same
+    flag given before it."""
+    def run(args):
+        command, *flags = args
+        inputs = {"montecarlo": ["--config", str(config_file), "--trials", "1",
+                                 "--seed-base", "7"],
+                  "sweep": ["--scenario", str(scenario_file)]}
+        argv = [command,
+                *inputs.get(command, ["--scenario", str(scenario_file), "--policy", "coud"]),
+                *flags]
+        return _run(argv, tmp_path / "out", capsys)
+    return run
+
+
+def test_solve_non_positive_theta_is_one_line_error(bad_flag):
+    for theta in ("0", "inf", "nan"):
+        assert bad_flag(["solve", "--theta", theta]) == ("error: theta must be positive", [])
+
+
+@pytest.mark.parametrize("scheme", ["pairwise", "specific"])
+@pytest.mark.parametrize("direction", ["ul", "dl"])
+def test_solve_nan_overlap_load_is_one_line_error(bad_flag, scheme, direction):
+    assert bad_flag(["solve", "--overlap", scheme, f"--overlap-load-{direction}", "nan"]) == (
+        "error: historical loads must lie in [0, 1]", [])
+
+
+@pytest.mark.parametrize("args, line", [
     (["solve", "--policy", "deud-o:nan"], "error: policy offset must be finite, got nan dB"),
     (["solve", "--policy", "deud-o:inf"], "error: policy offset must be finite, got inf dB"),
     (["sweep", "--offsets", "nan"], "error: bad offset 'nan'"),
     (["sweep", "--offsets", "0,inf"], "error: bad offset 'inf'"),
     (["sweep", "--offsets", ","], "error: no offsets in ','"),
-    *((["montecarlo", flag, count], f"error: {flag[2:]} must be >= 1")
-      for flag, count in (("--trials", "0"), ("--workers", "0"), ("--workers", "-3"))),
-    *((["compare-pf", "--split", split], f"error: split ({split.replace(':', ', ')}) must give "
-       "each direction at least one of the 25 RBs") for split in ("0:25", "25:0")),
-]
+], ids=[f"args{i}" for i in range(5)])
+def test_non_finite_offset_is_one_line_error(bad_flag, args, line):
+    assert bad_flag(args) == (line, [])
 
 
-@pytest.mark.parametrize("args, line", BAD_FLAGS, ids=[" ".join(args) for args, _ in BAD_FLAGS])
-def test_bad_flag_is_one_line_error(tmp_path, capsys, config_file, scenario_file, args, line):
-    command, *flags = args
-    inputs = {"montecarlo": ["--config", str(config_file), "--trials", "1", "--seed-base", "7"],
-              "sweep": ["--scenario", str(scenario_file)]}
-    # a flag in ``flags`` overrides the same flag given before it
-    argv = [command, *inputs.get(command, ["--scenario", str(scenario_file), "--policy", "coud"]),
-            *flags]
-    assert _run(argv, tmp_path / "out", capsys) == (line, [])
+@pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--workers", "0"),
+                                         ("--workers", "-3")])
+def test_montecarlo_bad_count_is_one_line_error(bad_flag, flag, value):
+    assert bad_flag(["montecarlo", flag, value]) == (f"error: {flag[2:]} must be >= 1", [])
+
+
+@pytest.mark.parametrize("split", ["0:25", "25:0"])
+def test_compare_pf_empty_direction_is_one_line_error(bad_flag, split):
+    assert bad_flag(["compare-pf", "--split", split]) == (
+        f"error: split ({split.replace(':', ', ')}) must give each direction at least one "
+        "of the 25 RBs", [])
