@@ -297,8 +297,8 @@ def main(argv=None) -> int:
     except FlexlinkError as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_USAGE
-    except click.ClickException as exc:
-        exc.show()
+    except click.ClickException as exc:  # usage errors too: one line, not click's four
+        click.echo(f"error: {exc.format_message()}", err=True)
         return EXIT_USAGE
     except click.Abort:
         return EXIT_USAGE

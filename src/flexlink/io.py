@@ -12,13 +12,14 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+from numbers import Integral
 
 import numpy as np
 
 from . import __version__
 from .errors import ConfigError, FlexlinkError
 from .model import BaseStation, Scenario, UserTerminal
-from .scenario import ScenarioConfig
+from .scenario import ScenarioConfig, _finite
 from .units import dbm_to_watt, linear_to_db, watt_to_dbm
 
 SCENARIO_SCHEMA_VERSION = 1
@@ -130,10 +131,24 @@ def scenario_to_dict(scenario: Scenario, meta: dict | None = None) -> dict:
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
-    if doc.get("schema_version") != SCENARIO_SCHEMA_VERSION:
-        raise ConfigError("unsupported scenario schema version")
+    version = doc.get("schema_version")
+    if type(version) is bool or version != SCENARIO_SCHEMA_VERSION:
+        raise ConfigError(f"scenario key 'schema_version' must be {SCENARIO_SCHEMA_VERSION}, "
+                          f"got {json.dumps(version)}")
     with reading("scenario"):
         return _scenario_from_doc(doc)
+
+
+def _number(node: dict, key: str, integer: bool = False):
+    """``node[key]`` if it is a number by ``ScenarioConfig``'s rule (finite,
+    and for ``integer`` an ``Integral``; never a ``bool``), else a
+    ``TypeError`` naming the key (``reading`` turns it into a ``ConfigError``)."""
+    value = node[key]
+    if not (isinstance(value, Integral) and type(value) is not bool if integer
+            else _finite(value)):
+        what = "an integer" if integer else "a finite number"
+        raise TypeError(f"key {key!r} must be {what}, got {json.dumps(value)}")
+    return value
 
 
 def _scenario_from_doc(doc: dict) -> Scenario:
@@ -141,22 +156,20 @@ def _scenario_from_doc(doc: dict) -> Scenario:
         BaseStation(
             position=tuple(b["position_m"]),
             kind=b["kind"],
-            max_power_w=float(dbm_to_watt(b["max_power_dbm"])),
+            max_power_w=float(dbm_to_watt(_number(b, "max_power_dbm"))),
         )
         for b in doc["base_stations"]
     ]
     ue_list = [
         UserTerminal(
             position=tuple(u["position_m"]),
-            service_class=int(u["service_class"]),
-            max_power_w=float(dbm_to_watt(u["max_power_dbm"])),
+            service_class=_number(u, "service_class", integer=True),
+            max_power_w=float(dbm_to_watt(_number(u, "max_power_dbm"))),
         )
         for u in doc["user_terminals"]
     ]
-    demands = np.concatenate([
-        np.array([u["demand_ul_mbps"] for u in doc["user_terminals"]]) * 1e6,
-        np.array([u["demand_dl_mbps"] for u in doc["user_terminals"]]) * 1e6,
-    ])
+    demands = np.array([[_number(u, f"demand_{d}_mbps") for u in doc["user_terminals"]]
+                        for d in ("ul", "dl")]).ravel() * 1e6
     pl = doc["pathloss_db"]
     to_gain = lambda m: 10.0 ** (-np.asarray(m, dtype=float) / 10.0)
     return Scenario(
@@ -166,9 +179,9 @@ def _scenario_from_doc(doc: dict) -> Scenario:
         h1=to_gain(pl["bs_to_bs"]),
         h2=to_gain(pl["ue_to_ue"]),
         demands=demands,
-        rb_count=int(doc["rb_count"]),
-        rb_bandwidth=float(doc["rb_bandwidth_hz"]),
-        noise_psd=float(dbm_to_watt(doc["noise_psd_dbm"])),
+        rb_count=_number(doc, "rb_count", integer=True),
+        rb_bandwidth=float(_number(doc, "rb_bandwidth_hz")),
+        noise_psd=float(dbm_to_watt(_number(doc, "noise_psd_dbm"))),
     )
 
 

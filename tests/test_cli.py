@@ -303,6 +303,20 @@ PINNED = {
     # a demand the solved allocation cannot carry: utility below 1
     ("solution", "scenario.user_terminals.0.demand_ul_mbps", "2.5"):
         "error: power minimization requires utility > 1, got ",
+    # scenario numbers follow the config reader's rule: finite, integers
+    # integral, never a bool
+    ("scenario", "rb_count", "2.5"):
+        "error: malformed scenario: key 'rb_count' must be an integer, got 2.5",
+    ("solution", "scenario.rb_count", "2.5"):
+        "error: malformed scenario: key 'rb_count' must be an integer, got 2.5",
+    ("scenario", "noise_psd_dbm", "true"):
+        "error: malformed scenario: key 'noise_psd_dbm' must be a finite number, got true",
+    ("scenario", "user_terminals.0.demand_dl_mbps", "true"):
+        "error: malformed scenario: key 'demand_dl_mbps' must be a finite number, got true",
+    ("scenario", "user_terminals.0.service_class", "2.5"):
+        "error: malformed scenario: key 'service_class' must be an integer, got 2.5",
+    ("scenario", "schema_version", "true"):
+        "error: scenario key 'schema_version' must be 1, got true",
 }
 
 
@@ -419,6 +433,26 @@ def test_bad_document_keeps_the_contract(tmp_path, capsys, documents, document):
         breaches += [f"{case}: {breach}" for breach in found]
     assert len(cases) >= {"config": 190, "scenario": 340, "solution": 650}[document]
     assert not breaches, "\n".join(breaches)
+
+
+@pytest.mark.parametrize("usage", ["unknown flag", "missing option", "missing path"])
+@pytest.mark.parametrize("document, argv", [(doc, cmd) for doc, cmds in COMMANDS.items()
+                                            for cmd in cmds], ids=lambda v: " ".join(v)
+                         if isinstance(v, list) else v)
+def test_usage_error_is_one_line(tmp_path, capsys, documents, usage, document, argv):
+    """Click's usage errors through every command: an unknown flag, its
+    document option left out, or a document path that does not exist."""
+    source = tmp_path / "doc.json"
+    source.write_text(documents[document])
+    flags = {"unknown flag": [f"--{document}", str(source), "--bogus"],
+             "missing option": [],
+             "missing path": [f"--{document}", str(tmp_path / "absent.json")]}[usage]
+    line, breaches = _run([*argv, *flags], tmp_path / "out", capsys)
+    assert not breaches, breaches
+    want = {"unknown flag": "error: No such option '--bogus'",
+            "missing option": f"error: Missing option '--{document}'",
+            "missing path": f"error: Invalid value for '--{document}': Path "}[usage]
+    assert line is not None and line.startswith(want), line
 
 
 def test_generate_missing_key_names_it(tmp_path, capsys, documents):
