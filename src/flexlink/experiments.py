@@ -19,7 +19,7 @@ from .errors import ConfigError
 from .interference import Problem
 from .model import Scenario
 from .optimizer import (Solution, SolveOptions, initial_power_state, optimize,
-                        step3_update_power)
+                        solve_problems, step3_update_power)
 from .pf_baseline import pf_allocate
 from .scenario import ScenarioConfig, generate, uniform_overlap
 from .units import dbm_to_watt
@@ -49,21 +49,22 @@ def solve_policies(scenario: Scenario, policies, opts: SolveOptions,
     """``optimize`` for each policy on one scenario, one ``Solution`` per policy.
 
     A policy only shapes the problem through its association, and the solver
-    is deterministic, so each distinct ``(b_ul, b_dl)`` is solved once.  A
+    is deterministic, so each distinct ``(b_ul, b_dl)`` is solved once, and
+    the distinct problems are solved as one batch (``solve_problems``).  A
     policy that repeats an earlier association gets that solution relabelled
     with its own policy; the copies share their arrays.
     """
-    solved = {}
-    out = []
-    for pol in policies:
-        assoc = associate(pol, scenario)
-        key = (assoc.b_ul.tobytes(), assoc.b_dl.tobytes())
-        if key in solved:
-            out.append(dataclasses.replace(solved[key], policy_label=pol.label))
-        else:
-            solved[key] = optimize(scenario, pol, opts, overlap=overlap, assoc=assoc)
-            out.append(solved[key])
-    return out
+    first = {}  # association key -> index of the first policy with it
+    assocs = [associate(pol, scenario) for pol in policies]
+    keys = [(a.b_ul.tobytes(), a.b_dl.tobytes()) for a in assocs]
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
+    solved = dict(zip(first, solve_problems(
+        [Problem.from_scenario(scenario, assocs[i], overlap=overlap, theta=opts.theta)
+         for i in first.values()], opts, [policies[i].label for i in first.values()])))
+    return [solved[key] if first[key] == i else
+            dataclasses.replace(solved[key], policy_label=pol.label)
+            for i, (pol, key) in enumerate(zip(policies, keys))]
 
 
 def run_trial(config: ScenarioConfig, seed: int) -> dict:

@@ -19,6 +19,7 @@ for every ``alpha > 1``).  Two iterations are provided:
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -68,56 +69,128 @@ def normalized_fixed_point(
     goes back to the plain step and forgets its history.  ``callback(t, x,
     residual)`` gets the next plain iterate, or with ``memory`` the point
     just evaluated, so the utility along its points never falls.
+
+    This is the batch of one of :func:`normalized_fixed_points`.
+    """
+    maps = lambda members: (lambda x: f(x[0])[None], lambda y: np.array([[g(y[0])]], dtype=float))
+    solo = None if callback is None else (lambda b, t, x, residual: callback(t, x, residual))
+    return normalized_fixed_points(maps, np.asarray(x0, dtype=float)[None], tol, max_iter,
+                                   solo, memory)[0]
+
+
+def normalized_fixed_points(maps, x0, tol: float = DEFAULT_TOL,
+                            max_iter: int = DEFAULT_MAX_ITER, callback=None,
+                            memory: int = 0) -> list:
+    """:func:`normalized_fixed_point` of ``B`` problems stacked on a leading
+    axis: one result per row of the ``(B, n)`` start ``x0``.
+
+    ``maps(members)`` returns ``(f, g)`` over the listed members: ``f`` maps
+    their stacked states to their images, ``g`` the images to a column of
+    one value per member.  Each member keeps its own stop rule and Anderson
+    history.  A member that stops leaves the active set once the next
+    evaluation has given its eigenvalue, and the maps are rebuilt without
+    it, so that each member's iterates are bit for bit those of its batch of
+    one.  So that BLAS sees the same shapes in any batch, the history always
+    has ``memory`` rows: unused rows are zero, with the identity in the Gram
+    matrix there.  ``callback(b, t, x, residual)`` is member ``b``'s
+    ``callback(t, x, residual)``.
     """
     x = np.array(x0, dtype=float)
-    residual = np.inf
-    gf = None
-    if memory:
-        d_g, d_r = np.zeros((memory, x.size)), np.zeros((memory, x.size))
-        gram = np.zeros((memory, memory))
-        count, last, fallback = 0, None, None
-    for t in range(1, max_iter + 1):
+    ids, out, stopped, t = list(range(len(x))), [None] * len(x), None, 0
+    f, g = maps(ids)
+    # per member (scalars in lists, so that a batch of one pays no masks):
+    # the residual, the last plain point (also the fallback) and step, the
+    # histories of steps and of their changes, their Gram matrix, the
+    # utility, and whether the point evaluated next is extrapolated
+    res, eye = [math.inf] * len(x), np.eye(max(memory, 1))
+    size = (len(x), len(eye), x.shape[1])
+    last_x, last_r, d_g, d_r = x, x, np.zeros(size), np.zeros(size)
+    gram, u_last, has_fb = np.repeat(eye[None], len(x), 0), res, [False] * len(x)
+    while True:
         fx = f(x)
         gf = g(fx)
+        if stopped is not None:  # settle, then drop, the members that stopped last step
+            keep = [not s for s in stopped]
+            for i, b in enumerate(ids):
+                if stopped[i] and out[b].converged:
+                    out[b].eigenvalue = 1.0 / float(gf[i, 0])
+            if True not in keep:
+                return out
+            pick = lambda values: [v for v, k in zip(values, keep) if k]
+            ids, res, u_last, has_fb = pick(ids), pick(res), pick(u_last), pick(has_fb)
+            x, fx, gf, last_x, last_r, d_g, d_r, gram = (
+                a[keep] for a in (x, fx, gf, last_x, last_r, d_g, d_r, gram))
+            f, g = maps(ids)
+        t += 1
         x_next = fx / gf
+        new, back = x_next, [False]
         if memory:
-            u = float((x / fx).min())
-            if fallback is not None and not (u >= u_last * (1 - ANDERSON_SLACK)
-                                             and u * gf <= 1 + ANDERSON_SLACK):
-                x, count, fallback = fallback, 0, None
-                continue
-            u_last, fallback, r = u, None, x_next - x
-            if last is not None:
-                j, n = count % memory, min(count + 1, memory)
-                d_g[j], d_r[j] = x_next - last[0], r - last[1]
-                gram[j, :n] = gram[:n, j] = d_r[:n] @ d_r[j]
-                count += 1
-                try:
-                    x_acc = x_next - np.linalg.solve(gram[:n, :n], d_r[:n] @ r) @ d_g[:n]
-                    fallback = x_next if (x_acc > 0).all() else None
-                except np.linalg.LinAlgError:
-                    pass
-            last = (x_next, r)
-        residual = float(np.abs(x_next - x).max())
+            u = np.minimum.reduce(x / fx, axis=1).tolist()
+            back = [h and not (v >= v_last * (1 - ANDERSON_SLACK) and v * gv <= 1 + ANDERSON_SLACK)
+                    for h, v, v_last, gv in zip(has_fb, u, u_last, gf[:, 0].tolist())]
+            has_fb = [False] * len(x)
+        if False not in back:  # every member goes back to its fallback: a step with no history
+            new, step_res = last_x, res
+            d_g[:], d_r[:], gram[:] = 0.0, 0.0, eye
+        else:
+            r = x_next - x
+            step_res = np.maximum.reduce(np.abs(r), axis=1).tolist()
+        if memory and False in back:
+            if t > 1:  # every member's step goes to slot j of its history
+                j = (t - 2) % memory
+                d_g[:, j], d_r[:, j] = x_next - last_x, r - last_r
+                row = d_r @ d_r[:, j, :, None]
+                gram[:, :, j:j + 1], gram[:, j] = row, row[..., 0]
+                gamma = _solve(gram, d_r @ r[..., None]).transpose(0, 2, 1)
+                x_acc = x_next - (gamma @ d_g)[:, 0]
+                has_fb = (np.minimum.reduce(x_acc, axis=1) > 0).tolist()
+                if True in has_fb:
+                    new = x_acc if False not in has_fb else np.where(
+                        np.array(has_fb)[:, None], x_acc, x_next)
+            if True in back:  # some members go back to their fallback, with no history
+                mask = np.array(back)
+                where = lambda old, now: np.where(mask[:, None], old, now)
+                new, x_next, r = where(last_x, new), where(last_x, x_next), where(last_r, r)
+                step_res, u = (list(np.where(mask, old, now)) for old, now in ((res, step_res),
+                                                                               (u_last, u)))
+                has_fb = [h and not b for h, b in zip(has_fb, back)]
+                for a, value in ((d_g, 0.0), (d_r, 0.0), (gram, eye)):
+                    np.copyto(a, value, where=mask[:, None, None])
+            last_x, last_r, u_last = x_next, r, u
+        res, stopped = step_res, None
         if callback is not None:
-            callback(t, x if memory else x_next, residual)
-        x = x_next
-        if not math.isfinite(residual):
-            return FixedPointResult(
-                x=x, eigenvalue=math.nan, iterations=t, residual=residual,
-                converged=False, note="non-finite",
-            )
-        if residual < tol:
-            return FixedPointResult(
-                x=x, eigenvalue=1.0 / float(g(f(x))), iterations=t,
-                residual=residual, converged=True, note="converged",
-            )
-        if memory and fallback is not None:
-            x = x_acc
-    return FixedPointResult(
-        x=x, eigenvalue=(1.0 / float(gf) if gf else None), iterations=max_iter,
-        residual=residual, converged=False, note="max_iter exceeded",
-    )
+            for i, b in enumerate(ids):
+                if not back[i % len(back)]:
+                    callback(b, t, (x if memory else x_next)[i].copy(), res[i])
+        if not (min(res) >= tol and math.isfinite(sum(res))) or t == max_iter:
+            stopped = [not tol <= v < math.inf for v in res]
+            for i, b in enumerate(ids):
+                finite = math.isfinite(res[i])
+                if stopped[i] or t == max_iter:
+                    out[b] = FixedPointResult(
+                        x_next[i].copy() if stopped[i] else new[i].copy(),
+                        (None if finite else math.nan) if stopped[i] else
+                        (1.0 / float(gf[i, 0]) if gf[i, 0] else None),
+                        t, res[i], stopped[i] and finite,
+                        "max_iter exceeded" if not stopped[i] else
+                        "converged" if finite else "non-finite")
+            # the next evaluation gives the eigenvalue of a member that stopped
+            new = np.where(np.array(stopped)[:, None], x_next, new)
+            stopped = [True] * len(ids) if t == max_iter else stopped
+        x = new
+
+
+def _solve(a, b):
+    """``np.linalg.solve`` per member; a singular member's solution is NaN,
+    which no extrapolation accepts."""
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        out = np.full(b.shape, np.nan)
+        for i in range(len(a)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                out[i] = np.linalg.solve(a[i], b[i])
+        return out
 
 
 def yates_iteration(

@@ -104,69 +104,122 @@ class Problem:
     def n_links(self) -> int:
         return self.d_diag.shape[0]
 
-
-def _kernels(problem: Problem):
-    """:func:`interference_psd` and :func:`g2` as maps of ``x = w p``, with
-    the problem's constants read once."""
-    rows, tx, rx, n_tx = problem.rows, problem.assoc.tx, problem.assoc.rx, problem.rows.shape[1]
-    noise_psd, d_diag = problem.noise_psd, problem.d_diag
-    rb_count, p_ext_max = problem.rb_count, problem.p_ext_max
-    ipsd = lambda x: ((rows @ np.bincount(tx, weights=x, minlength=n_tx))[rx] + noise_psd) / d_diag
-    use = lambda x: float(rb_count * (np.bincount(tx, weights=x, minlength=n_tx) / p_ext_max).max())
-    return ipsd, use
+    @property
+    def stack(self) -> "ProblemStack":
+        """This problem as a batch of one (built anew: a cached stack would
+        hold its problem in a reference cycle)."""
+        return ProblemStack((self,))
 
 
-def _cell_mean(problem: Problem, w_fixed):
+class ProblemStack:
+    """Problems of one venue on a leading member axis, so that the stage
+    maps evaluate ``B`` members at once.
+
+    ``rows`` is ``(B, N+K, K+N)``: one ``np.matmul`` runs every member's
+    matrix-vector product.  Per-link vectors are stored flat, member after
+    member, and the index vectors are offset by member (member ``b``'s
+    transmitters are bins ``b (K+N) ...``): one ``np.bincount`` sums every
+    member.  A member's values are bit for bit its values alone, since BLAS
+    runs one product per member and a bin adds its own entries in order.
+    A problem's batch of one (``Problem.stack``) views its coupling.
+
+    ``ipsd`` and ``use`` are :func:`interference_psd` and :func:`g2` as maps
+    of the flat ``x = w p``, ``load`` is :func:`g1` of the flat ``w``; the
+    last two give a ``(B, 1)`` column.
+    """
+
+    def __init__(self, problems):
+        self.problems = problems = tuple(problems)
+        first, b = problems[0], len(problems)
+        if len({(pr.noise_psd, pr.rb_count, pr.rb_bandwidth) for pr in problems}) > 1:
+            raise ModelError("stacked problems must share the noise PSD and the band")
+        (n_rx, n_tx), n_bs, self.k, self.n_bs = first.rows.shape, first.assoc.n_bs, first.assoc.n_ue, first.assoc.n_bs
+        flat = lambda get, size=0: np.concatenate([get(pr) + i * size for i, pr in enumerate(problems)])
+        tx, rx = flat(lambda pr: pr.assoc.tx, n_tx), flat(lambda pr: pr.assoc.rx, n_rx)
+        serving, self.b_dl = flat(lambda pr: pr.assoc.serving, n_bs), flat(lambda pr: pr.assoc.b_dl, n_bs)
+        self.d_diag, self.demands = flat(lambda pr: pr.d_diag), flat(lambda pr: pr.demands)
+        p_ext_max = flat(lambda pr: pr.p_ext_max).reshape(b, n_tx)
+        noise, self.rb_count, self.rb_bandwidth = first.noise_psd, first.rb_count, first.rb_bandwidth
+        # one member keeps the plain 2-D product: the same BLAS call, without the stacked loop
+        rows, col = (first.rows, (n_tx,)) if b == 1 else (np.array([pr.rows for pr in problems]),
+                                                            (b, n_tx, 1))
+        d_diag, rb_count, high = self.d_diag, self.rb_count, np.maximum.reduce
+        self.sums = lambda index, x, size: np.bincount(index, x, b * size).reshape(b, size)
+        self.ipsd = lambda x: ((rows @ np.bincount(tx, weights=x, minlength=b * n_tx).reshape(col))
+                               .reshape(-1)[rx] + noise) / d_diag
+        self.use = lambda x: high(np.bincount(tx, x, b * n_tx).reshape(b, n_tx) / p_ext_max,
+                                  axis=1, keepdims=True) * rb_count
+        self.load = lambda w: high(np.bincount(serving, w, b * n_bs).reshape(b, n_bs), axis=1,
+                                   keepdims=True)
+
+    def take(self, members) -> "ProblemStack":
+        """The listed members as a stack (this one when that is all of them)."""
+        if len(members) == len(self.problems):
+            return self
+        return ProblemStack([self.problems[b] for b in members])
+
+    def qos(self, w, p):
+        """:func:`qos_levels` of the flat ``w`` and ``p``."""
+        rates = self.rb_bandwidth * np.log2(1.0 + p / self.ipsd(p * w))
+        return self.rb_count * w * rates / self.demands
+
+    def expand(self, p_bar):
+        """:func:`expand_psd` of every member's row of ``p_bar``."""
+        k = self.k
+        return np.concatenate([p_bar[:, :k], p_bar[:, k:].reshape(-1)[self.b_dl].reshape(-1, k)], 1)
+
+
+def _cell_mean(stack: ProblemStack, w_fixed):
     """:func:`f_power_cell`'s per-transmitter demands from per-link ones."""
-    k, b_dl, n_bs = problem.assoc.n_ue, problem.assoc.b_dl, problem.assoc.n_bs
-    w_dl = np.asarray(w_fixed, dtype=float)[k:]
-    nu = np.bincount(b_dl, weights=w_dl, minlength=n_bs)
-    has_dl = nu > 0
+    k, n_bs = stack.k, stack.n_bs
+    w_dl = np.asarray(w_fixed, dtype=float)[:, k:]
+    nu = stack.sums(stack.b_dl, w_dl.reshape(-1), n_bs)
+    has_dl, floor = nu > 0, np.full(nu.shape, EPS_NO_DL)
 
     def mean(f):
-        dl = np.full(n_bs, EPS_NO_DL)
-        np.divide(np.bincount(b_dl, weights=w_dl * f[k:], minlength=n_bs), nu,
-                  out=dl, where=has_dl)
-        return np.concatenate([f[:k], dl])
+        dl = floor.copy()
+        np.divide(stack.sums(stack.b_dl, (w_dl * f[:, k:]).reshape(-1), n_bs), nu, out=dl,
+                  where=has_dl)
+        return np.concatenate([f[:, :k], dl], axis=1)
     return mean
 
 
-def load_maps(problem: Problem, p_fixed):
-    """S1's maps ``f_load(., p_fixed)`` and ``max{g1, g2(., p_fixed)}``."""
-    p = np.asarray(p_fixed, dtype=float)
+def load_maps(stack: ProblemStack, p_fixed):
+    """S1's maps ``f_load(., p_fixed)`` and ``max{g1, g2(., p_fixed)}`` of
+    every member, on ``(B, 2K)`` bandwidths."""
+    p = np.asarray(p_fixed, dtype=float).reshape(-1)
     if (p <= 0).any():
         raise DomainError("f_load requires strictly positive fixed power")
-    (ipsd, use), d = _kernels(problem), problem.demands
-    rb_count, rb_bandwidth = problem.rb_count, problem.rb_bandwidth
-    f = lambda w: d / (rb_count * (rb_bandwidth * np.log2(1.0 + p / ipsd(p * w))))
-    return f, lambda w: max(g1(w, problem), use(w * p))
+    d, rb_count, rb_bandwidth, ipsd = stack.demands, stack.rb_count, stack.rb_bandwidth, stack.ipsd
+    f = lambda w: (d / (rb_count * (rb_bandwidth * np.log2(1.0 + p / ipsd(p * w.reshape(-1))))))
+    return (lambda w: f(w).reshape(w.shape)), (
+        lambda w: np.maximum(stack.load(w.reshape(-1)), stack.use(w.reshape(-1) * p)))
 
 
-def link_power_maps(problem: Problem, w_fixed):
-    """S3's maps ``f_power(., w_fixed)`` and ``g2(w_fixed, .)`` on ``p > 0``
-    (the normalized iteration stays positive; a zero PSD gives NaN here)."""
-    w = np.asarray(w_fixed, dtype=float)
+def link_power_maps(stack: ProblemStack, w_fixed):
+    """S3's maps ``f_power(., w_fixed)`` and ``g2(w_fixed, .)`` of every
+    member on ``p > 0`` (the normalized iteration stays positive; a zero PSD
+    gives NaN here)."""
+    w = np.asarray(w_fixed, dtype=float).reshape(-1)
     if (w <= 0).any():
         raise DomainError("f_power requires strictly positive fixed bandwidth")
-    (ipsd, use), d = _kernels(problem), problem.demands
-    rb_count, rb_bandwidth = problem.rb_count, problem.rb_bandwidth
+    d, rb_count, rb_bandwidth, ipsd = stack.demands, stack.rb_count, stack.rb_bandwidth, stack.ipsd
     f = lambda p: (p / w) * d / (rb_count * (rb_bandwidth * np.log2(1.0 + p / ipsd(p * w))))
-    return f, lambda p: use(w * p)
+    return (lambda p: f(p.reshape(-1)).reshape(p.shape)), (lambda p: stack.use(w * p.reshape(-1)))
 
 
-def cell_power_maps(problem: Problem, w_fixed):
-    """S3's maps ``f_power_cell(., w_fixed)`` and ``g2_bar(w_fixed, .)`` on
-    ``p_bar > 0``."""
-    (f, g), mean = link_power_maps(problem, w_fixed), _cell_mean(problem, w_fixed)
-    assoc = problem.assoc
-    return (lambda x: mean(f(expand_psd(x, assoc)))), (lambda x: g(expand_psd(x, assoc)))
+def cell_power_maps(stack: ProblemStack, w_fixed):
+    """S3's maps ``f_power_cell(., w_fixed)`` and ``g2_bar(w_fixed, .)`` of
+    every member on ``p_bar > 0``."""
+    (f, g), mean = link_power_maps(stack, w_fixed), _cell_mean(stack, w_fixed)
+    return (lambda x: mean(f(stack.expand(x)))), (lambda x: g(stack.expand(x)))
 
 
 def interference_psd(p, w, problem: Problem):
     """Per-link interference-plus-noise PSD normalized by the direct gain:
     ``[D^-1 (V~ diag(p) w + sigma)]``.  Each transmitter's ``w p`` is summed
     over its links first, so ``V~ x = (rows @ A_ext x)[rx]``."""
-    return _kernels(problem)[0](np.asarray(p) * np.asarray(w))
+    return problem.stack.ipsd(np.asarray(p, dtype=float) * np.asarray(w, dtype=float))
 
 
 def sinr(p, w, problem: Problem):
@@ -185,8 +238,7 @@ def link_rates(p, w, problem: Problem):
 
 def qos_levels(w, p, problem: Problem):
     """Per-link QoS satisfaction ``W0 w_l r_l / d_l``."""
-    rates = link_rates(p, w, problem)
-    return problem.rb_count * np.asarray(w) * rates / problem.demands
+    return problem.stack.qos(np.asarray(w, dtype=float), np.asarray(p, dtype=float))
 
 
 def utility(w, p, problem: Problem) -> float:
@@ -200,21 +252,21 @@ def f_load(w, p_fixed, problem: Problem):
     A standard interference function of ``w`` for any strictly positive fixed
     power (rates stay positive, interference grows with occupancy).
     """
-    return load_maps(problem, p_fixed)[0](w)
+    return load_maps(problem.stack, np.asarray(p_fixed, dtype=float)[None])[0](
+        np.asarray(w, dtype=float)[None])[0]
 
 
 def g1(w, problem: Problem) -> float:
     """Per-cell load constraint functional ``||A w||_inf``; ``A w`` sums each
     cell's served links."""
-    assoc = problem.assoc
-    return float(np.bincount(assoc.serving, weights=w, minlength=assoc.n_bs).max())
+    return float(problem.stack.load(np.asarray(w, dtype=float))[0, 0])
 
 
 def g2(w, p, problem: Problem) -> float:
     """Per-transmitter power constraint functional
     ``W0 ||diag(p_ext_max)^-1 A_ext diag(w) p||_inf``; ``A_ext x`` sums each
     transmitter's links: its UE's uplink, or its cell's downlinks."""
-    return _kernels(problem)[1](np.asarray(w) * np.asarray(p))
+    return float(problem.stack.use(np.asarray(w, dtype=float) * np.asarray(p, dtype=float))[0, 0])
 
 
 def expand_psd(p_bar, assoc: Association) -> np.ndarray:
@@ -240,7 +292,7 @@ def f_power(p, w_fixed, problem: Problem):
     """
     p = np.asarray(p, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = link_power_maps(problem, w_fixed)[0](p)
+        out = link_power_maps(problem.stack, np.asarray(w_fixed, dtype=float)[None])[0](p[None])[0]
     zero = ~(p > 0)
     if zero.any():
         d, w = problem.demands[zero], np.asarray(w_fixed, dtype=float)[zero]
@@ -261,4 +313,4 @@ def f_power_cell(p_bar, w_fixed, problem: Problem):
     a valid SIF; those entries never bind.
     """
     f = f_power(expand_psd(p_bar, problem.assoc), w_fixed, problem)
-    return _cell_mean(problem, w_fixed)(f)
+    return _cell_mean(problem.stack, np.asarray(w_fixed, dtype=float)[None])(f[None])[0]

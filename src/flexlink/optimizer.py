@@ -32,9 +32,9 @@ import numpy as np
 
 from .association import associate
 from .errors import DomainError, InfeasibleError
-from .fixedpoint import FixedPointResult, normalized_fixed_point, yates_iteration
-from .interference import (Problem, cell_power_maps, expand_psd, f_power, g1, g2,
-                           link_power_maps, load_maps, qos_levels, utility)
+from .fixedpoint import FixedPointResult, normalized_fixed_points, yates_iteration
+from .interference import (Problem, ProblemStack, cell_power_maps, f_power, g1, g2,
+                           link_power_maps, load_maps, utility)
 from .io import write_csv
 from .model import Association, Scenario
 from .units import dbm_to_watt, linear_to_db
@@ -110,6 +110,11 @@ class StepResult:
     x: Optional[np.ndarray] = None  # power state; p = expand(x)
     rounds: int = 0
 
+    def member(self, b) -> "StepResult":
+        """Member ``b`` of a result whose fields have a leading member axis."""
+        return StepResult(w=self.w[b], p=self.p[b], lam=float(self.lam[b]),
+                          fixed_point=self.fixed_point[b], x=None if self.x is None else self.x[b])
+
 
 @dataclass
 class Solution:
@@ -182,13 +187,33 @@ def initial_power_state(problem: Problem, power_mode: str) -> np.ndarray:
     return np.concatenate([p0[:k], q])
 
 
-def power_maps(problem: Problem, power_mode: str):
-    """``(expand, build)`` for the power state ``x`` of ``power_mode``: the
-    per-link PSD ``expand(x)`` and ``build(problem, w)``, the power-demand map
-    and the power constraint on ``x`` at fixed bandwidth ``w``."""
+def power_maps(stack: ProblemStack, power_mode: str):
+    """``(expand, build)`` for the power states ``x`` of ``power_mode``: the
+    per-link PSDs ``expand(x)`` of the members of ``stack``, and
+    ``build(stack, w)``, the power-demand map and power constraint on ``x``
+    at fixed bandwidths ``w``."""
     if power_mode == "cell_specific":
-        return (lambda x: expand_psd(x, problem.assoc)), cell_power_maps
+        return stack.expand, cell_power_maps
     return (lambda x: x), link_power_maps
+
+
+def stage1_bandwidth(stack: ProblemStack, p_fixed, opts: SolveOptions = SolveOptions(),
+                     w_start=None, traces=None) -> StepResult:
+    """:func:`step1_update_bandwidth` of every member of ``stack`` at once;
+    the result's fields have a leading member axis."""
+    p = np.asarray(p_fixed, dtype=float)
+    callback = None
+    if traces is not None and opts.trace_mode == "full":
+        def callback(b, t, w_t, residual):
+            problem = stack.problems[b]
+            traces[b].record("s1", t, utility(w_t, p[b], problem),
+                             g1(w_t, problem), g2(w_t, p[b], problem), residual)
+
+    res = normalized_fixed_points(lambda members: load_maps(stack.take(members), p[members]),
+                                  np.zeros(p.shape) if w_start is None else w_start,
+                                  callback=callback)
+    return StepResult(w=np.array([r.x for r in res]), p=p,
+                      lam=np.array([r.eigenvalue for r in res], dtype=float), fixed_point=res)
 
 
 def step1_update_bandwidth(problem: Problem, p_fixed, opts: SolveOptions = SolveOptions(),
@@ -198,20 +223,12 @@ def step1_update_bandwidth(problem: Problem, p_fixed, opts: SolveOptions = Solve
 
     Returns the componentwise-minimal optimal ``w`` with
     ``max{g1(w), g2(w, p)} = 1`` and the achieved utility
-    ``lam = 1 / max{g1, g2}(f(w))``.
+    ``lam = 1 / max{g1, g2}(f(w))``.  The batch of one of
+    :func:`stage1_bandwidth`.
     """
-    p_fixed = np.asarray(p_fixed, dtype=float)
-    f, g = load_maps(problem, p_fixed)
-    x0 = np.zeros(problem.n_links) if w_start is None else w_start
-
-    callback = None
-    if trace is not None and opts.trace_mode == "full":
-        def callback(t, w_t, residual):
-            trace.record("s1", t, utility(w_t, p_fixed, problem),
-                         g1(w_t, problem), g2(w_t, p_fixed, problem), residual)
-
-    res = normalized_fixed_point(f, g, x0, callback=callback)
-    return StepResult(w=res.x, p=p_fixed, lam=float(res.eigenvalue), fixed_point=res)
+    return stage1_bandwidth(problem.stack, np.asarray(p_fixed, dtype=float)[None], opts,
+                            None if w_start is None else np.asarray(w_start)[None],
+                            None if trace is None else [trace]).member(0)
 
 
 def step2_power_scaling(problem: Problem, w0, x0, opts: SolveOptions = SolveOptions(),
@@ -223,15 +240,15 @@ def step2_power_scaling(problem: Problem, w0, x0, opts: SolveOptions = SolveOpti
     subproblem.  The utility after each round increases strictly until
     ``g1(w) = 1``.  Returns the input unchanged when the band is already full.
     """
-    expand, _ = power_maps(problem, opts.power_mode)
+    expand = power_maps(problem.stack, opts.power_mode)[0]
     w = np.asarray(w0, dtype=float)
     x = np.asarray(x0, dtype=float)
-    p = expand(x)
+    p = expand(x[None])[0]
     rounds = 0
     last = None
     while g1(w, problem) < 1.0 - TOL_OUTER and rounds < MAX_SCALING_ROUNDS:
         x = g1(w, problem) * x
-        p = expand(x)
+        p = expand(x[None])[0]
         last = step1_update_bandwidth(problem, p, opts, w_start=w, trace=trace)
         w, lam = last.w, last.lam
         rounds += 1
@@ -239,10 +256,33 @@ def step2_power_scaling(problem: Problem, w0, x0, opts: SolveOptions = SolveOpti
             trace.record("s2", rounds, lam, g1(w, problem), g2(w, p, problem),
                          last.fixed_point.residual, boundary=True)
     if last is None:  # no round: S1's utility at its fixed point ``w``
-        f, g = load_maps(problem, p)
-        lam = 1.0 / g(f(w))
+        f, g = load_maps(problem.stack, p[None])
+        lam = 1.0 / g(f(w[None]))[0, 0]
     return StepResult(w=w, p=p, lam=lam, fixed_point=last.fixed_point if last else None,
                       x=x, rounds=rounds)
+
+
+def stage3_power(stack: ProblemStack, w_fixed, x0, opts: SolveOptions = SolveOptions(),
+                 traces=None) -> StepResult:
+    """:func:`step3_update_power` of every member of ``stack`` at once."""
+    w = np.maximum(np.asarray(w_fixed, dtype=float), W_FLOOR)
+    expand, build = power_maps(stack, opts.power_mode)
+
+    callback = None
+    if traces is not None and opts.trace_mode == "full":
+        def callback(b, t, x_t, residual):
+            problem = stack.problems[b]
+            p_t = power_maps(problem.stack, opts.power_mode)[0](x_t[None])[0]
+            traces[b].record("s3", t, utility(w[b], p_t, problem),
+                             g1(w[b], problem), g2(w[b], p_t, problem), residual)
+
+    with np.errstate(divide="ignore", invalid="ignore"):  # f_power's, entered once per stage
+        res = normalized_fixed_points(lambda members: build(stack.take(members), w[members]),
+                                      np.asarray(x0, dtype=float), callback=callback,
+                                      memory=ANDERSON_MEMORY)
+    x = np.array([r.x for r in res])
+    return StepResult(w=w, p=expand(x), lam=np.array([r.eigenvalue for r in res], dtype=float),
+                      fixed_point=res, x=x)
 
 
 def step3_update_power(problem: Problem, w_fixed, x0, opts: SolveOptions = SolveOptions(),
@@ -253,83 +293,81 @@ def step3_update_power(problem: Problem, w_fixed, x0, opts: SolveOptions = Solve
     Entered from a full-load state with ``g2 < 1``; keeps the allocation
     unchanged when entered with ``g2 = 1`` and strictly raises the utility
     otherwise.  ``x0`` is the power state of ``opts.power_mode``; the
-    returned ``p`` is the expanded per-link PSD either way.
+    returned ``p`` is the expanded per-link PSD either way.  The batch of one
+    of :func:`stage3_power`.
     """
-    w = np.maximum(np.asarray(w_fixed, dtype=float), W_FLOOR)
-    expand, build = power_maps(problem, opts.power_mode)
-    f, g = build(problem, w)
+    return stage3_power(problem.stack, np.asarray(w_fixed, dtype=float)[None],
+                        np.asarray(x0, dtype=float)[None], opts,
+                        None if trace is None else [trace]).member(0)
 
-    callback = None
-    if trace is not None and opts.trace_mode == "full":
-        def callback(t, x_t, residual):
-            p_t = expand(x_t)
-            trace.record("s3", t, utility(w, p_t, problem),
-                         g1(w, problem), g2(w, p_t, problem), residual)
 
-    with np.errstate(divide="ignore", invalid="ignore"):  # f_power's, entered once per stage
-        res = normalized_fixed_point(f, g, np.asarray(x0, dtype=float), callback=callback,
-                                     memory=ANDERSON_MEMORY)
-    return StepResult(w=w, p=expand(res.x), lam=float(res.eigenvalue), fixed_point=res,
-                      x=res.x)
+def solve_problems(problems, opts: SolveOptions = SolveOptions(), labels=None) -> list:
+    """Run the full three-step solve for every problem in ``problems`` (one
+    venue, as under several associations) as one batch.
+
+    Each member starts from the open-loop PSD and ``w = 0``.  S1 runs for
+    all members, S2 for each member whose power constraint binds first, and
+    S3 for the members whose band fills with power to spare.  Any state with
+    both constraints tight is terminal (local optimum).  A member's
+    ``Solution`` is bit for bit its batch of one, :func:`optimize`.
+    """
+    stack = problems[0].stack if len(problems) == 1 else ProblemStack(problems)
+    expand = power_maps(stack, opts.power_mode)[0]
+    x = np.array([initial_power_state(problem, opts.power_mode) for problem in problems])
+    p = expand(x)
+    traces = [SolveTrace() for _ in problems]
+    for trace in traces:
+        trace.record("init", 0, 0.0, 0.0, 0.0, math.nan, boundary=True)
+
+    s1 = stage1_bandwidth(stack, p, opts, traces=traces)
+    w, lam, steps = s1.w, s1.lam, ["s1"] * len(problems)
+    converged = [fp.converged for fp in s1.fixed_point]
+    constraints = lambda: list(zip(stack.load(w.reshape(-1))[:, 0],
+                                   stack.use((w * p).reshape(-1))[:, 0]))
+    tight = lambda v: v >= 1.0 - TIGHT_TOL
+
+    for b, (fp, (load, use)) in enumerate(zip(s1.fixed_point, constraints())):
+        traces[b].record("s1", fp.iterations, lam[b], load, use, fp.residual, boundary=True)
+        if converged[b] and not tight(load) and tight(use):
+            s2 = step2_power_scaling(problems[b], w[b], x[b], opts, trace=traces[b])
+            w[b], p[b], lam[b], x[b] = s2.w, s2.p, s2.lam, s2.x
+            if s2.rounds:
+                steps[b] = "s2"
+                converged[b] = ((s2.fixed_point is None or s2.fixed_point.converged)
+                                and tight(g1(w[b], problems[b])))
+
+    members = [b for b, (load, use) in enumerate(constraints())
+               if converged[b] and tight(load) and not tight(use)]
+    if members:
+        s3 = stage3_power(stack.take(members), w[members], x[members], opts,
+                          [traces[b] for b in members])
+        lam[members], x[members], p[members] = s3.lam, s3.x, s3.p
+    values = constraints()
+    for b, fp in zip(members, s3.fixed_point if members else ()):
+        converged[b], steps[b] = converged[b] and fp.converged, "s3"
+        traces[b].record("s3", fp.iterations, lam[b], *values[b], fp.residual, boundary=True)
+
+    qos, k = stack.qos(w.reshape(-1), p.reshape(-1)).reshape(w.shape), stack.k
+    return [Solution(w=w[b].copy(), p=p[b].copy(), lam=float(qos[b].min()),
+                     lam_ul=float(qos[b, :k].min()), lam_dl=float(qos[b, k:].min()),
+                     lam_solver=float(lam[b]), step=steps[b], g1=float(values[b][0]),
+                     g2=float(values[b][1]), converged=converged[b], trace=traces[b],
+                     p_bar=x[b].copy() if opts.power_mode == "cell_specific" else None,
+                     policy_label="custom" if labels is None else labels[b], theta=opts.theta)
+            for b in range(len(problems))]
 
 
 def optimize(scenario: Scenario, policy=None, opts: SolveOptions = SolveOptions(),
              overlap=None, assoc: Optional[Association] = None) -> Solution:
-    """Run the full three-step solve for one scenario and policy.
-
-    Starts from the open-loop PSD and ``w = 0``, runs S1, then S2 if the
-    power constraint binds first, then S3 if band fills with power to spare.
-    Any state with both constraints tight is terminal (local optimum).
-    """
+    """Run the full three-step solve for one scenario and policy: the batch
+    of one of :func:`solve_problems`."""
     if assoc is None:
         if policy is None:
             raise DomainError("either a policy or an association is required")
         assoc = associate(policy, scenario)
     problem = Problem.from_scenario(scenario, assoc, overlap=overlap, theta=opts.theta)
-
-    expand, _ = power_maps(problem, opts.power_mode)
-    x = initial_power_state(problem, opts.power_mode)
-    p = expand(x)
-
-    trace = SolveTrace()
-    trace.record("init", 0, 0.0, 0.0, 0.0, math.nan, boundary=True)
-
-    s1 = step1_update_bandwidth(problem, p, opts, trace=trace)
-    w, lam = s1.w, s1.lam
-    converged = s1.fixed_point.converged
-    trace.record("s1", s1.fixed_point.iterations, lam,
-                 g1(w, problem), g2(w, p, problem), s1.fixed_point.residual, boundary=True)
-    step = "s1"
-
-    tight = lambda v: v >= 1.0 - TIGHT_TOL
-
-    if converged and not tight(g1(w, problem)) and tight(g2(w, p, problem)):
-        s2 = step2_power_scaling(problem, w, x, opts, trace=trace)
-        w, p, lam, x = s2.w, s2.p, s2.lam, s2.x
-        if s2.rounds:
-            step = "s2"
-            if s2.fixed_point is not None:
-                converged = converged and s2.fixed_point.converged
-            converged = converged and tight(g1(w, problem))
-
-    if converged and tight(g1(w, problem)) and not tight(g2(w, p, problem)):
-        s3 = step3_update_power(problem, w, x, opts, trace=trace)
-        p, lam, x = s3.p, s3.lam, s3.x
-        converged = converged and s3.fixed_point.converged
-        step = "s3"
-        trace.record("s3", s3.fixed_point.iterations, lam,
-                     g1(w, problem), g2(w, p, problem), s3.fixed_point.residual, boundary=True)
-
-    qos = qos_levels(w, p, problem)
-    k = assoc.n_ue
-    return Solution(
-        w=w, p=p, lam=float(qos.min()), lam_ul=float(qos[:k].min()),
-        lam_dl=float(qos[k:].min()), lam_solver=lam, step=step,
-        g1=g1(w, problem), g2=g2(w, p, problem), converged=converged,
-        trace=trace, p_bar=x if opts.power_mode == "cell_specific" else None,
-        policy_label=policy.label if policy is not None else "custom",
-        theta=opts.theta,
-    )
+    label = policy.label if policy is not None else "custom"
+    return solve_problems([problem], opts, [label])[0]
 
 
 @dataclass

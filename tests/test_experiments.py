@@ -7,7 +7,8 @@ import pytest
 
 import flexlink.experiments as experiments
 from flexlink.association import Policy, associate, policy_sweep
-from flexlink.optimizer import optimize
+from flexlink.interference import Problem
+from flexlink.optimizer import optimize, solve_problems
 from flexlink.scenario import ScenarioConfig, generate, uniform_overlap
 
 from .oracles import run_trial_loop
@@ -33,22 +34,22 @@ def test_trial_equals_one_solve_per_policy(seed):
         run_trial_loop(experiments.STUDY_CONFIG, seed)
 
 
-def _counting_optimize(monkeypatch):
-    """Replace ``experiments.optimize`` with a wrapper; returns the list of
-    (b_ul, b_dl, overlap given) it is called with."""
+def _counting_solves(monkeypatch):
+    """Replace ``experiments.solve_problems`` with a wrapper; returns the list
+    of batches it is called with, each a list of problems."""
     calls = []
 
-    def counted(scenario, policy, opts, overlap=None, assoc=None):
-        calls.append((tuple(assoc.b_ul), tuple(assoc.b_dl), overlap is not None))
-        return optimize(scenario, policy, opts, overlap=overlap, assoc=assoc)
+    def counted(problems, opts, labels=None):
+        calls.append(list(problems))
+        return solve_problems(problems, opts, labels)
 
-    monkeypatch.setattr(experiments, "optimize", counted)
+    monkeypatch.setattr(experiments, "solve_problems", counted)
     return calls
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_trial_solves_each_association_once_per_arm(monkeypatch, seed):
-    calls = _counting_optimize(monkeypatch)
+    calls = _counting_solves(monkeypatch)
     res = experiments.run_trial(experiments.STUDY_CONFIG, seed)
     scenario = generate(experiments.STUDY_CONFIG, seed)
     arms = {
@@ -56,23 +57,29 @@ def test_trial_solves_each_association_once_per_arm(monkeypatch, seed):
         False: [Policy("coud"), Policy("deud_p"),
                 Policy("deud_o", offset_db=float(res["best_offset"]))],
     }
-    assert len(calls) == len(set(calls))
+    # one batch per arm; a problem's rows tell whether the overlap model was applied
+    solved = [(tuple(pr.assoc.b_ul), tuple(pr.assoc.b_dl),
+               not np.array_equal(pr.rows, Problem.from_scenario(scenario, pr.assoc).rows))
+              for batch in calls for pr in batch]
+    assert [{c[2] for c in solved[:len(calls[0])]}, {c[2] for c in solved[len(calls[0]):]}] == \
+        [{True}, {False}]
+    assert len(solved) == len(set(solved))
     for partial, policies in arms.items():
         distinct = {(tuple(a.b_ul), tuple(a.b_dl))
                     for a in (associate(pol, scenario) for pol in policies)}
-        assert {c[:2] for c in calls if c[2] == partial} == distinct
-    assert sum(c[2] for c in calls) < len(arms[True])  # the sweep does repeat
+        assert {c[:2] for c in solved if c[2] == partial} == distinct
+    assert sum(c[2] for c in solved) < len(arms[True])  # the sweep does repeat
 
 
 def test_solve_policies_relabels_repeats(monkeypatch):
-    calls = _counting_optimize(monkeypatch)
+    calls = _counting_solves(monkeypatch)
     scenario = generate(experiments.STUDY_CONFIG, 1)
     overlap = uniform_overlap(scenario.n_bs, experiments.DEFAULT_HISTORY_UL,
                               experiments.DEFAULT_HISTORY_DL)
-    # deud-o:0 is coud and deud-o:13 is deud-p: two distinct problems
+    # deud-o:0 is coud and deud-o:13 is deud-p: two distinct problems, one batch
     policies = [Policy.parse(t) for t in ("coud", "deud-o:0", "deud-o:13", "deud-p", "coud")]
     sols = experiments.solve_policies(scenario, policies, experiments.MC_OPTS, overlap)
-    assert len(calls) == 2
+    assert [len(batch) for batch in calls] == [2]
     assert [s.policy_label for s in sols] == ["coud", "deud-o:0", "deud-o:13", "deud-p", "coud"]
     assert sols[0].lam == sols[1].lam == sols[4].lam
     assert sols[2].lam == sols[3].lam

@@ -354,24 +354,27 @@ def test_linear_reformulation_agrees_with_power_update(seed):
 
 def test_stage_maps_equal_the_per_call_forms_on_solver_iterates(monkeypatch):
     """Every S1 and S3 map the solver builds gives exactly (``==``) what the
-    per-call functionals it replaced give, on every iterate of every distinct
-    problem of study seed 3, in both power modes and both overlap arms."""
+    per-call functionals it replaced give, on every iterate of every member
+    of every batch of distinct problems of study seed 3, in both power modes
+    and both overlap arms."""
     calls, last = collections.Counter(), []
 
     def checked(stage, build, f_ref, g_ref):
-        def build_checked(problem, fixed):
-            f, g = build(problem, fixed)
+        def build_checked(stack, fixed):
+            f, g = build(stack, fixed)
 
             def f_checked(x):
                 out = f(x)
-                assert np.array_equal(out, f_ref(x, fixed, problem)), stage
-                calls[stage] += 1
-                last.append((stage, problem, fixed, x))
+                for b, problem in enumerate(stack.problems):
+                    assert np.array_equal(out[b], f_ref(x[b], fixed[b], problem)), stage
+                    calls[stage] += 1
+                    last.append((stage, problem, fixed[b], x[b]))
                 return out
 
             def g_checked(x):
                 out = g(x)
-                assert out == g_ref(x, fixed, problem), stage
+                for b, problem in enumerate(stack.problems):
+                    assert out[b, 0] == g_ref(x[b], fixed[b], problem), stage
                 return out
             return f_checked, g_checked
         return build_checked
@@ -408,12 +411,37 @@ def _solution_digest(sol):
                  sol.lam_solver, sol.step, sol.g1, sol.g2, sol.converged, sol.trace.rows))
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_batch_members_equal_their_batch_of_one(seed):
+    """Every member of a ``solve_policies`` batch is bit for bit its own
+    ``optimize`` (a batch of one): allocation, every utility, constraints,
+    stage, convergence and every full-trace row.  Members stop at different
+    iterations and fall back from extrapolation at different steps, in both
+    power modes, both overlap arms and at a budget that reaches S2."""
+    scenario = generate(STUDY_CONFIG, seed)
+    partial = uniform_overlap(scenario.n_bs, DEFAULT_HISTORY_UL, DEFAULT_HISTORY_DL)
+    steps = collections.Counter()
+    for mode in ("per_link", "cell_specific"):
+        for theta in (1.0, 3.16e-5):
+            opts = SolveOptions(power_mode=mode, theta=theta)
+            for overlap in (partial, None):
+                batch = solve_policies(scenario, policy_sweep(), opts, overlap)
+                for pol, sol in zip(policy_sweep(), batch):
+                    alone = optimize(scenario, pol, opts, overlap=overlap)
+                    assert _solution_digest(sol) == _solution_digest(alone), (pol.label, mode)
+                    assert (sol.p_bar is None) == (alone.p_bar is None)
+                    assert sol.p_bar is None or np.array_equal(sol.p_bar, alone.p_bar)
+                    steps[sol.step] += 1
+    assert steps["s3"] > 0 and (steps["s2"] > 0 or seed == 2), steps  # seed 2 has no S2
+
+
 def test_plain_stages_run_the_reference_loop(monkeypatch):
-    """S1 and S2 call ``normalized_fixed_point`` with ``memory=0``, which is
-    the plain loop as it read before Anderson acceleration: running them
-    through that loop instead leaves every solution and every full-trace row
-    (iterates, residuals, iteration counts) of every distinct problem of study
-    seed 3 bit-identical, in both power modes, at a budget that reaches S2."""
+    """S1 and S2 call ``normalized_fixed_points`` with ``memory=0``, which is
+    the plain loop as it read before Anderson acceleration: running each
+    member of each batch through that loop alone instead leaves every
+    solution and every full-trace row (iterates, residuals, iteration counts)
+    of every distinct problem of study seed 3 bit-identical, in both power
+    modes, at a budget that reaches S2."""
     scenario = generate(STUDY_CONFIG, 3)
     partial = uniform_overlap(scenario.n_bs, DEFAULT_HISTORY_UL, DEFAULT_HISTORY_DL)
 
@@ -425,14 +453,23 @@ def test_plain_stages_run_the_reference_loop(monkeypatch):
     plain = solve_all()
     assert any(row[0] == "s2" for sol in plain for row in sol.trace.rows)
     calls = collections.Counter()
+    batched = optimizer.normalized_fixed_points
 
-    def routed(f, g, x0, memory=0, **kw):
-        calls[memory] += 1
+    def routed(maps, x0, memory=0, callback=None, **kw):
+        calls[memory] += len(x0)  # member fixed points
         if memory:
-            return normalized_fixed_point(f, g, x0, memory=memory, **kw)
-        return normalized_fixed_point_ref(f, g, 1.0, x0, **kw)
+            return batched(maps, x0, memory=memory, callback=callback, **kw)
+        out = []
+        for b in range(len(x0)):  # each member alone, through the reference loop
+            f, g = maps([b])
+            solo = None if callback is None else (
+                lambda t, x, residual, b=b: callback(b, t, x, residual))
+            out.append(normalized_fixed_point_ref(lambda x: f(x[None])[0],
+                                                  lambda y: float(g(y[None])[0, 0]), 1.0,
+                                                  x0[b], callback=solo, **kw))
+        return out
 
-    monkeypatch.setattr(optimizer, "normalized_fixed_point", routed)
+    monkeypatch.setattr(optimizer, "normalized_fixed_points", routed)
     assert list(map(_solution_digest, solve_all())) == list(map(_solution_digest, plain))
     assert calls[0] > 50 and calls[optimizer.ANDERSON_MEMORY] > 40, calls
 
@@ -456,14 +493,15 @@ def test_accelerated_s3_takes_fewer_iterations_at_plain_accuracy(monkeypatch):
     steps takes fewer iterations than the plain iteration, and its lambda is
     within 1e-4 relative of the plain iteration run to tol 1e-13."""
     entries = []
-    step3 = optimizer.step3_update_power
+    stage3 = optimizer.stage3_power
 
-    def recorded(problem, w_fixed, x0, opts=OPTS, trace=None):
-        out = step3(problem, w_fixed, x0, opts, trace)
-        entries.append((problem, out.w, x0, opts.power_mode, out))
+    def recorded(stack, w_fixed, x0, opts=OPTS, traces=None):
+        out = stage3(stack, w_fixed, x0, opts, traces)
+        entries.extend((problem, out.w[b], x0[b], opts.power_mode, out.member(b))
+                       for b, problem in enumerate(stack.problems))
         return out
 
-    monkeypatch.setattr(optimizer, "step3_update_power", recorded)
+    monkeypatch.setattr(optimizer, "stage3_power", recorded)
     for seed in range(4):
         scenario = generate(STUDY_CONFIG, seed)
         partial = uniform_overlap(scenario.n_bs, DEFAULT_HISTORY_UL, DEFAULT_HISTORY_DL)
@@ -474,7 +512,8 @@ def test_accelerated_s3_takes_fewer_iterations_at_plain_accuracy(monkeypatch):
 
     iterations = collections.Counter()
     for problem, w, x0, mode, fast in entries:
-        f, g = optimizer.power_maps(problem, mode)[1](problem, w)
+        f_b, g_b = optimizer.power_maps(problem.stack, mode)[1](problem.stack, w[None])
+        f, g = (lambda x: f_b(x[None])[0]), (lambda y: float(g_b(y[None])[0, 0]))
         with np.errstate(divide="ignore", invalid="ignore"):
             plain = normalized_fixed_point(f, g, x0)
             tight = normalized_fixed_point(f, g, x0, tol=1e-13)
