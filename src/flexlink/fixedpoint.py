@@ -26,6 +26,12 @@ from typing import Optional
 
 import numpy as np
 
+try:  # np.linalg.solve's LAPACK kernel: its bits without its per-call set-up, which
+    # would cost an accelerated step of a small problem a fifth of its time
+    from numpy.linalg._umath_linalg import solve as _lapack_solve
+except ImportError:  # pragma: no cover
+    _lapack_solve = None
+
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITER = 10_000
 DIVERGENCE_WINDOW = 50  # growing Yates residuals before "likely infeasible"
@@ -72,77 +78,81 @@ def normalized_fixed_point(
 
     This is the batch of one of :func:`normalized_fixed_points`.
     """
-    maps = lambda members: (lambda x: f(x[0])[None], lambda y: np.array([[g(y[0])]], dtype=float))
     solo = None if callback is None else (lambda b, t, x, residual: callback(t, x, residual))
-    return normalized_fixed_points(maps, np.asarray(x0, dtype=float)[None], tol, max_iter,
-                                   solo, memory)[0]
+    return normalized_fixed_points(lambda x: f(x[0])[None],
+                                   lambda y: np.array([[g(y[0])]], dtype=float),
+                                   np.asarray(x0, dtype=float)[None], tol, max_iter, solo, memory)[0]
 
 
-def normalized_fixed_points(maps, x0, tol: float = DEFAULT_TOL,
+def normalized_fixed_points(f, g, x0, tol: float = DEFAULT_TOL,
                             max_iter: int = DEFAULT_MAX_ITER, callback=None,
                             memory: int = 0) -> list:
-    """:func:`normalized_fixed_point` of ``B`` problems stacked on a leading
-    axis: one result per row of the ``(B, n)`` start ``x0``.
+    """:func:`normalized_fixed_point` of the ``B`` problems whose starts are
+    the rows of ``x0``: one result per member.
 
-    ``maps(members)`` returns ``(f, g)`` over the listed members: ``f`` maps
-    their stacked states to their images, ``g`` the images to a column of
-    one value per member.  Each member keeps its own stop rule and Anderson
-    history.  A member that stops leaves the active set once the next
-    evaluation has given its eigenvalue, and the maps are rebuilt without
-    it, so that each member's iterates are bit for bit those of its batch of
-    one.  So that BLAS sees the same shapes in any batch, the history always
-    has ``memory`` rows: unused rows are zero, with the identity in the Gram
-    matrix there.  ``callback(b, t, x, residual)`` is member ``b``'s
-    ``callback(t, x, residual)``.
+    ``f`` maps the ``(B, n)`` stacked states to their images and ``g`` the
+    images to a ``(B, 1)`` column, member by member.  Each member has its own
+    stop rule and Anderson history, and leaves the active set once the next
+    evaluation has given its eigenvalue; the maps still see its last point.
+    So each member's iterates are bit for bit those of its batch of one.
+    The history always has ``memory`` rows, zero where unused (the identity
+    in the Gram matrix), so that BLAS sees the same shapes in any batch.
+    ``callback(b, t, x, residual)`` is member ``b``'s callback.
     """
-    x = np.array(x0, dtype=float)
+    with np.errstate(invalid="ignore") if memory else contextlib.nullcontext():
+        return _iterate(f, g, x0, tol, max_iter, callback, memory)
+
+
+def _iterate(f, g, x0, tol, max_iter, callback, memory):
+    x = every = np.array(x0, dtype=float)  # every row a finite point, for the maps
     ids, out, stopped, t = list(range(len(x))), [None] * len(x), None, 0
-    f, g = maps(ids)
-    # per member (scalars in lists, so that a batch of one pays no masks):
-    # the residual, the last plain point (also the fallback) and step, the
-    # histories of steps and of their changes, their Gram matrix, the
-    # utility, and whether the point evaluated next is extrapolated
-    res, eye = [math.inf] * len(x), np.eye(max(memory, 1))
-    size = (len(x), len(eye), x.shape[1])
-    last_x, last_r, d_g, d_r = x, x, np.zeros(size), np.zeros(size)
-    gram, u_last, has_fb = np.repeat(eye[None], len(x), 0), res, [False] * len(x)
+    res = [math.inf] * len(x)  # per-member scalars are lists: a batch of one pays no masks
+    if memory:  # the last plain point (the fallback) and step, the histories of points and
+        # steps, their Gram matrix, the utility, and whether the next point is extrapolated
+        eye, floor, ceiling = np.eye(memory), 1 - ANDERSON_SLACK, 1 + ANDERSON_SLACK
+        last_x, last_r, d_g, d_r = x, x, *np.zeros((2, len(x), memory, x.shape[1]))
+        gram, u_last, has_fb = np.repeat(eye[None], len(x), 0), res, [False] * len(x)
     while True:
-        fx = f(x)
-        gf = g(fx)
+        if len(ids) < len(every):  # the maps see every member, the stopped at their last point
+            every[active] = x
+            fx = f(every)
+            fx, gf = fx[active], g(fx)[active]
+        else:
+            fx = f(x)
+            gf = g(fx)
         if stopped is not None:  # settle, then drop, the members that stopped last step
-            keep = [not s for s in stopped]
             for i, b in enumerate(ids):
                 if stopped[i] and out[b].converged:
                     out[b].eigenvalue = 1.0 / float(gf[i, 0])
-            if True not in keep:
+            if False not in stopped:
                 return out
-            pick = lambda values: [v for v, k in zip(values, keep) if k]
-            ids, res, u_last, has_fb = pick(ids), pick(res), pick(u_last), pick(has_fb)
-            x, fx, gf, last_x, last_r, d_g, d_r, gram = (
-                a[keep] for a in (x, fx, gf, last_x, last_r, d_g, d_r, gram))
-            f, g = maps(ids)
+            keep = [not s for s in stopped]
+            pick = lambda *lists: ([v for v, k in zip(a, keep) if k] for a in lists)
+            (ids, res), x, fx, gf = pick(ids, res), x[keep], fx[keep], gf[keep]
+            active = np.array(ids)
+            if memory:
+                u_last, has_fb = pick(u_last, has_fb)
+                last_x, last_r, d_g, d_r, gram = (a[keep] for a in (last_x, last_r, d_g, d_r, gram))
         t += 1
-        x_next = fx / gf
-        new, back = x_next, [False]
+        x_next, back = fx / gf, [False]
         if memory:
             u = np.minimum.reduce(x / fx, axis=1).tolist()
-            back = [h and not (v >= v_last * (1 - ANDERSON_SLACK) and v * gv <= 1 + ANDERSON_SLACK)
-                    for h, v, v_last, gv in zip(has_fb, u, u_last, gf[:, 0].tolist())]
-            has_fb = [False] * len(x)
-        if False not in back:  # every member goes back to its fallback: a step with no history
-            new, step_res = last_x, res
+            back = [h and not (v >= v_last * floor and v * gv <= ceiling)
+                    for h, v, v_last, gv in zip(has_fb, u, u_last, gf.ravel().tolist())]
+        if False not in back:  # every member goes back to its fallback, with no history
+            new, step_res, has_fb = last_x, res, [False] * len(x)
             d_g[:], d_r[:], gram[:] = 0.0, 0.0, eye
         else:
             r = x_next - x
-            step_res = np.maximum.reduce(np.abs(r), axis=1).tolist()
+            new, step_res = x_next, np.maximum.reduce(np.abs(r), axis=1).tolist()
         if memory and False in back:
             if t > 1:  # every member's step goes to slot j of its history
                 j = (t - 2) % memory
-                d_g[:, j], d_r[:, j] = x_next - last_x, r - last_r
+                np.subtract(x_next, last_x, out=d_g[:, j])
+                np.subtract(r, last_r, out=d_r[:, j])
                 row = d_r @ d_r[:, j, :, None]
                 gram[:, :, j:j + 1], gram[:, j] = row, row[..., 0]
-                gamma = _solve(gram, d_r @ r[..., None]).transpose(0, 2, 1)
-                x_acc = x_next - (gamma @ d_g)[:, 0]
+                x_acc = x_next - (_solve(gram, d_r @ r[..., None]).transpose(0, 2, 1) @ d_g)[:, 0]
                 has_fb = (np.minimum.reduce(x_acc, axis=1) > 0).tolist()
                 if True in has_fb:
                     new = x_acc if False not in has_fb else np.where(
@@ -151,8 +161,8 @@ def normalized_fixed_points(maps, x0, tol: float = DEFAULT_TOL,
                 mask = np.array(back)
                 where = lambda old, now: np.where(mask[:, None], old, now)
                 new, x_next, r = where(last_x, new), where(last_x, x_next), where(last_r, r)
-                step_res, u = (list(np.where(mask, old, now)) for old, now in ((res, step_res),
-                                                                               (u_last, u)))
+                step_res, u = (np.where(mask, old, now).tolist()
+                               for old, now in ((res, step_res), (u_last, u)))
                 has_fb = [h and not b for h, b in zip(has_fb, back)]
                 for a, value in ((d_g, 0.0), (d_r, 0.0), (gram, eye)):
                     np.copyto(a, value, where=mask[:, None, None])
@@ -166,23 +176,24 @@ def normalized_fixed_points(maps, x0, tol: float = DEFAULT_TOL,
             stopped = [not tol <= v < math.inf for v in res]
             for i, b in enumerate(ids):
                 finite = math.isfinite(res[i])
-                if stopped[i] or t == max_iter:
-                    out[b] = FixedPointResult(
-                        x_next[i].copy() if stopped[i] else new[i].copy(),
-                        (None if finite else math.nan) if stopped[i] else
-                        (1.0 / float(gf[i, 0]) if gf[i, 0] else None),
-                        t, res[i], stopped[i] and finite,
-                        "max_iter exceeded" if not stopped[i] else
-                        "converged" if finite else "non-finite")
-            # the next evaluation gives the eigenvalue of a member that stopped
-            new = np.where(np.array(stopped)[:, None], x_next, new)
+                if stopped[i]:  # converged (eigenvalue next evaluation) or non-finite
+                    out[b] = FixedPointResult(x_next[i].copy(), None if finite else math.nan, t,
+                                              res[i], finite, "converged" if finite else "non-finite")
+                elif t == max_iter:
+                    out[b] = FixedPointResult(new[i].copy(), 1.0 / float(gf[i, 0]) if gf[i, 0]
+                                              else None, t, res[i], False, "max_iter exceeded")
+            # evaluated next: a converged member's last iterate, a non-finite one's last finite point
+            new = np.where(np.array(stopped)[:, None], np.where(np.isfinite(x_next), x_next, x), new)
             stopped = [True] * len(ids) if t == max_iter else stopped
         x = new
 
 
 def _solve(a, b):
-    """``np.linalg.solve`` per member; a singular member's solution is NaN,
-    which no extrapolation accepts."""
+    """``np.linalg.solve`` of every member; a singular member's solution is
+    NaN (silently: the accelerated loop ignores invalid-value warnings), which
+    no extrapolation accepts."""
+    if _lapack_solve is not None:
+        return _lapack_solve(a, b, signature="dd->d")
     try:
         return np.linalg.solve(a, b)
     except np.linalg.LinAlgError:

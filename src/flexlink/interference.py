@@ -124,8 +124,9 @@ class ProblemStack:
     A problem's batch of one (``Problem.stack``) views its coupling.
 
     ``ipsd`` and ``use`` are :func:`interference_psd` and :func:`g2` as maps
-    of the flat ``x = w p``, ``load`` is :func:`g1` of the flat ``w``; the
-    last two give a ``(B, 1)`` column.
+    of the flat ``x = w p`` (``use`` gives a ``(B, 1)`` column), and
+    ``levels(w, x)`` is every member's row of cell loads (their max is
+    :func:`g1`) and transmitter uses (their max is :func:`g2`).
     """
 
     def __init__(self, problems):
@@ -134,29 +135,32 @@ class ProblemStack:
         if len({(pr.noise_psd, pr.rb_count, pr.rb_bandwidth) for pr in problems}) > 1:
             raise ModelError("stacked problems must share the noise PSD and the band")
         (n_rx, n_tx), n_bs, self.k, self.n_bs = first.rows.shape, first.assoc.n_bs, first.assoc.n_ue, first.assoc.n_bs
-        flat = lambda get, size=0: np.concatenate([get(pr) + i * size for i, pr in enumerate(problems)])
-        tx, rx = flat(lambda pr: pr.assoc.tx, n_tx), flat(lambda pr: pr.assoc.rx, n_rx)
-        serving, self.b_dl = flat(lambda pr: pr.assoc.serving, n_bs), flat(lambda pr: pr.assoc.b_dl, n_bs)
-        self.d_diag, self.demands = flat(lambda pr: pr.d_diag), flat(lambda pr: pr.demands)
-        p_ext_max = flat(lambda pr: pr.p_ext_max).reshape(b, n_tx)
+        stride = n_bs + n_tx  # a member's bins in levels: its cells, then its transmitters
+        flat = lambda name, size, shift=0: np.concatenate(
+            [getattr(pr.assoc, name) + (shift + i * size) for i, pr in enumerate(problems)])
+        tx, rx, self.b_dl = flat("tx", n_tx), flat("rx", n_rx), flat("b_dl", n_bs)
+        both = np.concatenate([flat("serving", stride), flat("tx", stride, n_bs)])
+        self.d_diag, self.demands = (np.concatenate([getattr(pr, name) for pr in problems])
+                                     for name in ("d_diag", "demands"))
+        p_ext_max = np.array([pr.p_ext_max for pr in problems])
+        scale = np.concatenate([np.ones((b, n_bs)), p_ext_max], axis=1).ravel()
         noise, self.rb_count, self.rb_bandwidth = first.noise_psd, first.rb_count, first.rb_bandwidth
         # one member keeps the plain 2-D product: the same BLAS call, without the stacked loop
-        rows, col = (first.rows, (n_tx,)) if b == 1 else (np.array([pr.rows for pr in problems]),
-                                                            (b, n_tx, 1))
+        rows = first.rows if b == 1 else np.array([pr.rows for pr in problems])
+        product = rows.__matmul__ if b == 1 else (
+            lambda s: (rows @ s.reshape(b, n_tx, 1)).reshape(-1))
         d_diag, rb_count, high = self.d_diag, self.rb_count, np.maximum.reduce
         self.sums = lambda index, x, size: np.bincount(index, x, b * size).reshape(b, size)
-        self.ipsd = lambda x: ((rows @ np.bincount(tx, weights=x, minlength=b * n_tx).reshape(col))
-                               .reshape(-1)[rx] + noise) / d_diag
+        self.ipsd = lambda x: (product(np.bincount(tx, weights=x, minlength=b * n_tx))[rx]
+                               + noise) / d_diag
         self.use = lambda x: high(np.bincount(tx, x, b * n_tx).reshape(b, n_tx) / p_ext_max,
                                   axis=1, keepdims=True) * rb_count
-        self.load = lambda w: high(np.bincount(serving, w, b * n_bs).reshape(b, n_bs), axis=1,
-                                   keepdims=True)
 
-    def take(self, members) -> "ProblemStack":
-        """The listed members as a stack (this one when that is all of them)."""
-        if len(members) == len(self.problems):
-            return self
-        return ProblemStack([self.problems[b] for b in members])
+        def levels(w, x):  # each bin adds its entries in order, as g1's and g2's counts do
+            out = (np.bincount(both, np.concatenate([w, x]), b * stride) / scale).reshape(b, -1)
+            out[:, n_bs:] *= rb_count
+            return out
+        self.levels = levels
 
     def qos(self, w, p):
         """:func:`qos_levels` of the flat ``w`` and ``p``."""
@@ -192,8 +196,8 @@ def load_maps(stack: ProblemStack, p_fixed):
         raise DomainError("f_load requires strictly positive fixed power")
     d, rb_count, rb_bandwidth, ipsd = stack.demands, stack.rb_count, stack.rb_bandwidth, stack.ipsd
     f = lambda w: (d / (rb_count * (rb_bandwidth * np.log2(1.0 + p / ipsd(p * w.reshape(-1))))))
-    return (lambda w: f(w).reshape(w.shape)), (
-        lambda w: np.maximum(stack.load(w.reshape(-1)), stack.use(w.reshape(-1) * p)))
+    g = lambda w: np.maximum.reduce(stack.levels(w, w * p), axis=1, keepdims=True)
+    return (lambda w: f(w).reshape(w.shape)), (lambda w: g(w.reshape(-1)))
 
 
 def link_power_maps(stack: ProblemStack, w_fixed):
@@ -259,7 +263,8 @@ def f_load(w, p_fixed, problem: Problem):
 def g1(w, problem: Problem) -> float:
     """Per-cell load constraint functional ``||A w||_inf``; ``A w`` sums each
     cell's served links."""
-    return float(problem.stack.load(np.asarray(w, dtype=float))[0, 0])
+    w = np.asarray(w, dtype=float)
+    return float(problem.stack.levels(w, w)[0, :problem.assoc.n_bs].max())
 
 
 def g2(w, p, problem: Problem) -> float:

@@ -209,7 +209,7 @@ def stage1_bandwidth(stack: ProblemStack, p_fixed, opts: SolveOptions = SolveOpt
             traces[b].record("s1", t, utility(w_t, p[b], problem),
                              g1(w_t, problem), g2(w_t, p[b], problem), residual)
 
-    res = normalized_fixed_points(lambda members: load_maps(stack.take(members), p[members]),
+    res = normalized_fixed_points(*load_maps(stack, p),
                                   np.zeros(p.shape) if w_start is None else w_start,
                                   callback=callback)
     return StepResult(w=np.array([r.x for r in res]), p=p,
@@ -277,9 +277,8 @@ def stage3_power(stack: ProblemStack, w_fixed, x0, opts: SolveOptions = SolveOpt
                              g1(w[b], problem), g2(w[b], p_t, problem), residual)
 
     with np.errstate(divide="ignore", invalid="ignore"):  # f_power's, entered once per stage
-        res = normalized_fixed_points(lambda members: build(stack.take(members), w[members]),
-                                      np.asarray(x0, dtype=float), callback=callback,
-                                      memory=ANDERSON_MEMORY)
+        res = normalized_fixed_points(*build(stack, w), np.asarray(x0, dtype=float),
+                                      callback=callback, memory=ANDERSON_MEMORY)
     x = np.array([r.x for r in res])
     return StepResult(w=w, p=expand(x), lam=np.array([r.eigenvalue for r in res], dtype=float),
                       fixed_point=res, x=x)
@@ -319,33 +318,34 @@ def solve_problems(problems, opts: SolveOptions = SolveOptions(), labels=None) -
     for trace in traces:
         trace.record("init", 0, 0.0, 0.0, 0.0, math.nan, boundary=True)
 
-    s1 = stage1_bandwidth(stack, p, opts, traces=traces)
-    w, lam, steps = s1.w, s1.lam, ["s1"] * len(problems)
-    converged = [fp.converged for fp in s1.fixed_point]
-    constraints = lambda: list(zip(stack.load(w.reshape(-1))[:, 0],
-                                   stack.use((w * p).reshape(-1))[:, 0]))
+    def constraints():  # g1 and g2 of every member
+        levels = stack.levels(w.reshape(-1), (w * p).reshape(-1))
+        return list(zip(levels[:, :stack.n_bs].max(axis=1), levels[:, stack.n_bs:].max(axis=1)))
     tight = lambda v: v >= 1.0 - TIGHT_TOL
 
-    for b, (fp, (load, use)) in enumerate(zip(s1.fixed_point, constraints())):
+    s1 = stage1_bandwidth(stack, p, opts, traces=traces)
+    w, lam, steps = s1.w, s1.lam, ["s1"] * len(problems)
+    converged, values = [fp.converged for fp in s1.fixed_point], constraints()
+    for b, (fp, (load, use)) in enumerate(zip(s1.fixed_point, values)):
         traces[b].record("s1", fp.iterations, lam[b], load, use, fp.residual, boundary=True)
         if converged[b] and not tight(load) and tight(use):
             s2 = step2_power_scaling(problems[b], w[b], x[b], opts, trace=traces[b])
             w[b], p[b], lam[b], x[b] = s2.w, s2.p, s2.lam, s2.x
-            if s2.rounds:
-                steps[b] = "s2"
-                converged[b] = ((s2.fixed_point is None or s2.fixed_point.converged)
-                                and tight(g1(w[b], problems[b])))
+            steps[b] = "s2" if s2.rounds else "s1"
+            converged[b] = not s2.rounds or ((s2.fixed_point is None or s2.fixed_point.converged)
+                                             and tight(g1(w[b], problems[b])))
+    values = constraints() if "s2" in steps else values
 
-    members = [b for b, (load, use) in enumerate(constraints())
+    members = [b for b, (load, use) in enumerate(values)
                if converged[b] and tight(load) and not tight(use)]
     if members:
-        s3 = stage3_power(stack.take(members), w[members], x[members], opts,
-                          [traces[b] for b in members])
+        sub = stack if len(members) == len(problems) else ProblemStack([problems[b] for b in members])
+        s3 = stage3_power(sub, w[members], x[members], opts, [traces[b] for b in members])
         lam[members], x[members], p[members] = s3.lam, s3.x, s3.p
-    values = constraints()
-    for b, fp in zip(members, s3.fixed_point if members else ()):
-        converged[b], steps[b] = converged[b] and fp.converged, "s3"
-        traces[b].record("s3", fp.iterations, lam[b], *values[b], fp.residual, boundary=True)
+        values = constraints()
+        for b, fp in zip(members, s3.fixed_point):
+            converged[b], steps[b] = converged[b] and fp.converged, "s3"
+            traces[b].record("s3", fp.iterations, lam[b], *values[b], fp.residual, boundary=True)
 
     qos, k = stack.qos(w.reshape(-1), p.reshape(-1)).reshape(w.shape), stack.k
     return [Solution(w=w[b].copy(), p=p[b].copy(), lam=float(qos[b].min()),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flexlink import fixedpoint
 from flexlink.fixedpoint import DIVERGENCE_WINDOW, normalized_fixed_point, yates_iteration
 from flexlink.interference import f_load, f_power
 
@@ -93,17 +94,23 @@ def test_uniqueness_from_different_starts(seed):
     assert np.max(np.abs(r1.x - r2.x)) <= 100 * 1e-10
 
 
+def _uneven_affine(seed):
+    """An affine SIF ``x -> m x + b`` with uneven coupling, 2 to 6 links, and
+    a start."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 7))
+    m, b = rng.uniform(0.0, 1.0, size=(k, k)) ** 3, rng.uniform(0.1, 1.0, size=k) ** 2
+    return m, b, rng.uniform(0.01, 5.0, k)
+
+
 def test_anderson_steps_find_the_plain_fixed_point_without_losing_utility():
     """On affine SIFs with uneven coupling, where extrapolated steps often
     overshoot, the accelerated run converges to the plain fixed point, and the
     utility ``min x / f(x)`` of the points it evaluates never falls after its
     first plain step."""
     for seed in range(100):
-        rng = np.random.default_rng(seed)
-        k = int(rng.integers(2, 7))
-        m, b = rng.uniform(0.0, 1.0, size=(k, k)) ** 3, rng.uniform(0.1, 1.0, size=k) ** 2
+        m, b, x0 = _uneven_affine(seed)
         f = lambda x: m @ x + b
-        x0 = rng.uniform(0.01, 5.0, k)
         seen = []
         plain = normalized_fixed_point(f, MAXNORM, x0, tol=1e-12)
         fast = normalized_fixed_point(f, MAXNORM, x0, tol=1e-12, memory=3,
@@ -114,6 +121,38 @@ def test_anderson_steps_find_the_plain_fixed_point_without_losing_utility():
         utilities = [float((x / f(x)).min()) for x in seen]
         assert all(v >= u * (1 - 1e-12) for u, v in zip(utilities[1:], utilities[2:])), seed
     assert yates_iteration(lambda x: x / 2.0 + 1.0, np.array([0.0])).note == "converged"
+
+
+def test_stacked_members_match_their_runs_alone_on_either_solver(monkeypatch):
+    """A stack of the two-link affine SIFs of the test above (three history
+    rows in two dimensions make many Anderson systems singular; members fall
+    back and stop at different steps) gives every member's solo result bit
+    for bit, whether the systems go to numpy's LAPACK kernel or to
+    ``np.linalg.solve``."""
+    cases = [case for case in (_uneven_affine(seed) for seed in range(100)) if len(case[2]) == 2]
+    m, b, x0 = (np.array(parts) for parts in zip(*cases))
+    f = lambda x: (m @ x[..., None])[..., 0] + b
+    g = lambda y: y.max(axis=1, keepdims=True)
+    digest = lambda r: (r.x.tobytes(), r.eigenvalue, r.iterations, r.residual, r.note)
+    runs, singular = [], []
+    solve = np.linalg.solve
+
+    def counted(a, rhs):
+        try:
+            return solve(a, rhs)
+        except np.linalg.LinAlgError:
+            singular.append(len(a))
+            raise
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    for kernel in (fixedpoint._lapack_solve, None):
+        monkeypatch.setattr(fixedpoint, "_lapack_solve", kernel)
+        stacked = fixedpoint.normalized_fixed_points(f, g, x0, tol=1e-12, memory=3)
+        alone = [normalized_fixed_point(lambda x, i=i: m[i] @ x + b[i], MAXNORM, x0[i],
+                                        tol=1e-12, memory=3) for i in range(len(x0))]
+        assert list(map(digest, stacked)) == list(map(digest, alone))
+        runs.append(list(map(digest, stacked)))
+    assert runs[0] == runs[1] and len({r[2] for r in runs[0]}) > 1 and singular
 
 
 def test_max_iter_exceeded_is_flagged_not_raised():

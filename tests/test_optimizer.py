@@ -455,18 +455,19 @@ def test_plain_stages_run_the_reference_loop(monkeypatch):
     calls = collections.Counter()
     batched = optimizer.normalized_fixed_points
 
-    def routed(maps, x0, memory=0, callback=None, **kw):
+    def routed(f, g, x0, memory=0, callback=None, **kw):
         calls[memory] += len(x0)  # member fixed points
         if memory:
-            return batched(maps, x0, memory=memory, callback=callback, **kw)
-        out = []
-        for b in range(len(x0)):  # each member alone, through the reference loop
-            f, g = maps([b])
+            return batched(f, g, x0, memory=memory, callback=callback, **kw)
+        out, fx0 = [], f(x0)
+        for b in range(len(x0)):  # each member alone, the others held at their start
+            put = lambda rows, v, b=b: np.concatenate([rows[:b], v[None], rows[b + 1:]])
             solo = None if callback is None else (
                 lambda t, x, residual, b=b: callback(b, t, x, residual))
-            out.append(normalized_fixed_point_ref(lambda x: f(x[None])[0],
-                                                  lambda y: float(g(y[None])[0, 0]), 1.0,
-                                                  x0[b], callback=solo, **kw))
+            out.append(normalized_fixed_point_ref(
+                lambda x, b=b, put=put: f(put(x0, x))[b],
+                lambda y, b=b, put=put: float(g(put(fx0, y))[b, 0]), 1.0, x0[b],
+                callback=solo, **kw))
         return out
 
     monkeypatch.setattr(optimizer, "normalized_fixed_points", routed)
