@@ -15,6 +15,9 @@ for every ``alpha > 1``).  Two iterations are provided:
   constraint ``g / theta``.  With ``memory > 0`` each step is
   extrapolated from the last ``memory`` steps (Anderson acceleration) under
   a safeguard that keeps the utility ``min x / f(x)`` from falling.
+  ``normalized_fixed_points`` runs it for a stack of problems at once, each
+  with its own stop rule and history; ``normalized_fixed_point`` is its
+  batch of one.
 """
 
 from __future__ import annotations
@@ -81,7 +84,8 @@ def normalized_fixed_point(
     solo = None if callback is None else (lambda b, t, x, residual: callback(t, x, residual))
     return normalized_fixed_points(lambda x: f(x[0])[None],
                                    lambda y: np.array([[g(y[0])]], dtype=float),
-                                   np.asarray(x0, dtype=float)[None], tol, max_iter, solo, memory)[0]
+                                   np.asarray(x0, dtype=float)[None], tol, max_iter, solo,
+                                   memory)[0]
 
 
 def normalized_fixed_points(f, g, x0, tol: float = DEFAULT_TOL,
@@ -178,12 +182,15 @@ def _iterate(f, g, x0, tol, max_iter, callback, memory):
                 finite = math.isfinite(res[i])
                 if stopped[i]:  # converged (eigenvalue next evaluation) or non-finite
                     out[b] = FixedPointResult(x_next[i].copy(), None if finite else math.nan, t,
-                                              res[i], finite, "converged" if finite else "non-finite")
+                                              res[i], finite,
+                                              "converged" if finite else "non-finite")
                 elif t == max_iter:
                     out[b] = FixedPointResult(new[i].copy(), 1.0 / float(gf[i, 0]) if gf[i, 0]
                                               else None, t, res[i], False, "max_iter exceeded")
-            # evaluated next: a converged member's last iterate, a non-finite one's last finite point
-            new = np.where(np.array(stopped)[:, None], np.where(np.isfinite(x_next), x_next, x), new)
+            # evaluated next: a converged member's last iterate (for its eigenvalue), a
+            # non-finite member's last finite point
+            new = np.where(np.array(stopped)[:, None],
+                           np.where(np.isfinite(x_next), x_next, x), new)
             stopped = [True] * len(ids) if t == max_iter else stopped
         x = new
 

@@ -13,10 +13,13 @@ Every functional (``interference_psd``, ``sinr``, ``link_rates``,
 
 The solver's fixed-point stages iterate maps built once per stage, at the
 stage's fixed power or bandwidth: :func:`load_maps` (S1),
-:func:`link_power_maps` and :func:`cell_power_maps` (S3).  The conversions,
-domain checks and problem constants are taken there, not per iteration.
-``f_load``, ``f_power``, ``f_power_cell``, ``interference_psd``, ``g2`` and
-``g2_bar`` call those same maps, so each map has one definition.
+:func:`link_power_maps` and :func:`cell_power_maps` (S3).  They evaluate a
+:class:`ProblemStack`, problems of one venue on a leading member axis, so
+that one call serves a whole batch (``Problem.stack`` is a problem's batch
+of one).  The conversions, domain checks and problem constants are taken
+there, not per iteration.  ``f_load``, ``f_power``, ``f_power_cell``,
+``interference_psd``, ``g1``, ``g2`` and ``g2_bar`` call those same maps on
+a batch of one, so each map has one definition.
 """
 
 from __future__ import annotations
@@ -112,16 +115,16 @@ class Problem:
 
 
 class ProblemStack:
-    """Problems of one venue on a leading member axis, so that the stage
-    maps evaluate ``B`` members at once.
+    """Problems of one venue (one noise PSD and band) on a leading member
+    axis, so that the stage maps evaluate ``B`` members at once.
 
-    ``rows`` is ``(B, N+K, K+N)``: one ``np.matmul`` runs every member's
-    matrix-vector product.  Per-link vectors are stored flat, member after
-    member, and the index vectors are offset by member (member ``b``'s
-    transmitters are bins ``b (K+N) ...``): one ``np.bincount`` sums every
-    member.  A member's values are bit for bit its values alone, since BLAS
-    runs one product per member and a bin adds its own entries in order.
-    A problem's batch of one (``Problem.stack``) views its coupling.
+    The couplings are stacked ``(B, N+K, K+N)``: one ``matmul`` runs every
+    member's matrix-vector product (a batch of one keeps the plain 2-D
+    product, the same BLAS call).  Per-link vectors are flat, member after
+    member, and the index vectors are offset by member, so one ``bincount``
+    sums every member.  A member's values are bit for bit its values alone:
+    BLAS runs one product per member, and a bin adds its own entries in
+    order.  ``Problem.stack`` is a problem's batch of one.
 
     ``ipsd`` and ``use`` are :func:`interference_psd` and :func:`g2` as maps
     of the flat ``x = w p`` (``use`` gives a ``(B, 1)`` column), and
@@ -134,7 +137,8 @@ class ProblemStack:
         first, b = problems[0], len(problems)
         if len({(pr.noise_psd, pr.rb_count, pr.rb_bandwidth) for pr in problems}) > 1:
             raise ModelError("stacked problems must share the noise PSD and the band")
-        (n_rx, n_tx), n_bs, self.k, self.n_bs = first.rows.shape, first.assoc.n_bs, first.assoc.n_ue, first.assoc.n_bs
+        (n_rx, n_tx), self.k, self.n_bs = first.rows.shape, first.assoc.n_ue, first.assoc.n_bs
+        n_bs = self.n_bs
         stride = n_bs + n_tx  # a member's bins in levels: its cells, then its transmitters
         flat = lambda name, size, shift=0: np.concatenate(
             [getattr(pr.assoc, name) + (shift + i * size) for i, pr in enumerate(problems)])
@@ -144,8 +148,8 @@ class ProblemStack:
                                      for name in ("d_diag", "demands"))
         p_ext_max = np.array([pr.p_ext_max for pr in problems])
         scale = np.concatenate([np.ones((b, n_bs)), p_ext_max], axis=1).ravel()
-        noise, self.rb_count, self.rb_bandwidth = first.noise_psd, first.rb_count, first.rb_bandwidth
-        # one member keeps the plain 2-D product: the same BLAS call, without the stacked loop
+        noise, self.rb_count = first.noise_psd, first.rb_count
+        self.rb_bandwidth = first.rb_bandwidth
         rows = first.rows if b == 1 else np.array([pr.rows for pr in problems])
         product = rows.__matmul__ if b == 1 else (
             lambda s: (rows @ s.reshape(b, n_tx, 1)).reshape(-1))

@@ -20,6 +20,11 @@ it is the per-transmitter PSD ``p_bar`` and the solver works on the per-link
 problem restricted to ``p = Lambda p_bar``.  :func:`power_maps` is the one
 place that decides the mode: it returns the expansion to per-link PSDs and
 the builder of the power-demand map and power constraint on the state.
+
+:func:`solve_problems` solves a batch of problems of one venue (a trial's
+distinct associations) at once: S1 and S3 iterate their members together
+(:func:`stage1_bandwidth`, :func:`stage3_power`), S2 runs member by member.
+:func:`optimize` and the single-problem stages are batches of one.
 """
 
 from __future__ import annotations
@@ -310,6 +315,8 @@ def solve_problems(problems, opts: SolveOptions = SolveOptions(), labels=None) -
     both constraints tight is terminal (local optimum).  A member's
     ``Solution`` is bit for bit its batch of one, :func:`optimize`.
     """
+    if not problems:
+        return []
     stack = problems[0].stack if len(problems) == 1 else ProblemStack(problems)
     expand = power_maps(stack, opts.power_mode)[0]
     x = np.array([initial_power_state(problem, opts.power_mode) for problem in problems])
@@ -339,7 +346,8 @@ def solve_problems(problems, opts: SolveOptions = SolveOptions(), labels=None) -
     members = [b for b, (load, use) in enumerate(values)
                if converged[b] and tight(load) and not tight(use)]
     if members:
-        sub = stack if len(members) == len(problems) else ProblemStack([problems[b] for b in members])
+        sub = (stack if len(members) == len(problems)
+               else ProblemStack([problems[b] for b in members]))
         s3 = stage3_power(sub, w[members], x[members], opts, [traces[b] for b in members])
         lam[members], x[members], p[members] = s3.lam, s3.x, s3.p
         values = constraints()
