@@ -189,8 +189,9 @@ def _iterate(f, g, x0, tol, max_iter, callback, memory):
                                               else None, t, res[i], False, "max_iter exceeded")
             # evaluated next: a converged member's last iterate (for its eigenvalue), a
             # non-finite member's last finite point
-            new = np.where(np.array(stopped)[:, None],
-                           np.where(np.isfinite(x_next), x_next, x), new)
+            done = (x_next if all(map(math.isfinite, res))
+                    else np.where(np.isfinite(x_next), x_next, x))
+            new = done if False not in stopped else np.where(np.array(stopped)[:, None], done, new)
             stopped = [True] * len(ids) if t == max_iter else stopped
         x = new
 

@@ -24,6 +24,8 @@ a batch of one, so each map has one definition.
 
 from __future__ import annotations
 
+import functools
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,10 +109,9 @@ class Problem:
     def n_links(self) -> int:
         return self.d_diag.shape[0]
 
-    @property
+    @functools.cached_property
     def stack(self) -> "ProblemStack":
-        """This problem as a batch of one (built anew: a cached stack would
-        hold its problem in a reference cycle)."""
+        """This problem as a batch of one, built on first use."""
         return ProblemStack((self,))
 
 
@@ -127,24 +128,28 @@ class ProblemStack:
     order.  ``Problem.stack`` is a problem's batch of one.
 
     ``ipsd`` and ``use`` are :func:`interference_psd` and :func:`g2` as maps
-    of the flat ``x = w p`` (``use`` gives a ``(B, 1)`` column), and
-    ``levels(w, x)`` is every member's row of cell loads (their max is
-    :func:`g1`) and transmitter uses (their max is :func:`g2`).
+    of the flat ``x = w p`` (``use`` gives a ``(B, 1)`` column), ``load`` is
+    :func:`g1` of the flat ``w``, and ``levels(w, x)`` is every member's row
+    of cell loads (their max is :func:`g1`) and transmitter uses (their max
+    is :func:`g2`).
     """
 
     def __init__(self, problems):
-        self.problems = problems = tuple(problems)
+        problems = tuple(problems)
+        # weak: a problem caches its own stack, which must not keep it alive
+        self._problems = tuple(weakref.ref(pr) for pr in problems)
         first, b = problems[0], len(problems)
         if len({(pr.noise_psd, pr.rb_count, pr.rb_bandwidth) for pr in problems}) > 1:
             raise ModelError("stacked problems must share the noise PSD and the band")
         (n_rx, n_tx), self.k, self.n_bs = first.rows.shape, first.assoc.n_ue, first.assoc.n_bs
         n_bs = self.n_bs
         stride = n_bs + n_tx  # a member's bins in levels: its cells, then its transmitters
-        flat = lambda name, size, shift=0: np.concatenate(
+        join = lambda parts: parts[0] if b == 1 else np.concatenate(parts)
+        flat = lambda name, size, shift=0: join(
             [getattr(pr.assoc, name) + (shift + i * size) for i, pr in enumerate(problems)])
         tx, rx, self.b_dl = flat("tx", n_tx), flat("rx", n_rx), flat("b_dl", n_bs)
         both = np.concatenate([flat("serving", stride), flat("tx", stride, n_bs)])
-        self.d_diag, self.demands = (np.concatenate([getattr(pr, name) for pr in problems])
+        self.d_diag, self.demands = (join([getattr(pr, name) for pr in problems])
                                      for name in ("d_diag", "demands"))
         p_ext_max = np.array([pr.p_ext_max for pr in problems])
         scale = np.concatenate([np.ones((b, n_bs)), p_ext_max], axis=1).ravel()
@@ -159,6 +164,8 @@ class ProblemStack:
                                + noise) / d_diag
         self.use = lambda x: high(np.bincount(tx, x, b * n_tx).reshape(b, n_tx) / p_ext_max,
                                   axis=1, keepdims=True) * rb_count
+        serving = flat("serving", n_bs)
+        self.load = lambda w: high(np.bincount(serving, w, b * n_bs).reshape(b, n_bs), axis=1)
 
         def levels(w, x):  # each bin adds its entries in order, as g1's and g2's counts do
             out = (np.bincount(both, np.concatenate([w, x]), b * stride) / scale).reshape(b, -1)
@@ -166,9 +173,13 @@ class ProblemStack:
             return out
         self.levels = levels
 
+    @property
+    def problems(self) -> tuple:
+        return tuple(ref() for ref in self._problems)
+
     def qos(self, w, p):
         """:func:`qos_levels` of the flat ``w`` and ``p``."""
-        rates = self.rb_bandwidth * np.log2(1.0 + p / self.ipsd(p * w))
+        rates = spectral_efficiency(p / self.ipsd(p * w), self.rb_bandwidth)
         return self.rb_count * w * rates / self.demands
 
     def expand(self, p_bar):
@@ -267,8 +278,7 @@ def f_load(w, p_fixed, problem: Problem):
 def g1(w, problem: Problem) -> float:
     """Per-cell load constraint functional ``||A w||_inf``; ``A w`` sums each
     cell's served links."""
-    w = np.asarray(w, dtype=float)
-    return float(problem.stack.levels(w, w)[0, :problem.assoc.n_bs].max())
+    return float(problem.stack.load(np.asarray(w, dtype=float))[0])
 
 
 def g2(w, p, problem: Problem) -> float:

@@ -245,23 +245,27 @@ def step2_power_scaling(problem: Problem, w0, x0, opts: SolveOptions = SolveOpti
     subproblem.  The utility after each round increases strictly until
     ``g1(w) = 1``.  Returns the input unchanged when the band is already full.
     """
-    expand = power_maps(problem.stack, opts.power_mode)[0]
+    stack = problem.stack
+    expand, n_bs = power_maps(stack, opts.power_mode)[0], stack.n_bs
     w = np.asarray(w0, dtype=float)
     x = np.asarray(x0, dtype=float)
     p = expand(x[None])[0]
+    levels = lambda: stack.levels(w, w * p)[0]  # g1: the max of the first n_bs, g2: the rest
     rounds = 0
     last = None
-    while g1(w, problem) < 1.0 - TOL_OUTER and rounds < MAX_SCALING_ROUNDS:
-        x = g1(w, problem) * x
+    while (load := stack.load(w)[0]) < 1.0 - TOL_OUTER and rounds < MAX_SCALING_ROUNDS:
+        x = load * x
         p = expand(x[None])[0]
-        last = step1_update_bandwidth(problem, p, opts, w_start=w, trace=trace)
+        last = stage1_bandwidth(stack, p[None], opts, w[None],
+                                None if trace is None else [trace]).member(0)
         w, lam = last.w, last.lam
         rounds += 1
         if trace is not None:
-            trace.record("s2", rounds, lam, g1(w, problem), g2(w, p, problem),
+            now = levels()
+            trace.record("s2", rounds, lam, now[:n_bs].max(), now[n_bs:].max(),
                          last.fixed_point.residual, boundary=True)
     if last is None:  # no round: S1's utility at its fixed point ``w``
-        f, g = load_maps(problem.stack, p[None])
+        f, g = load_maps(stack, p[None])
         lam = 1.0 / g(f(w[None]))[0, 0]
     return StepResult(w=w, p=p, lam=lam, fixed_point=last.fixed_point if last else None,
                       x=x, rounds=rounds)
