@@ -23,17 +23,18 @@ for every ``alpha > 1``).  Two iterations are provided:
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-try:  # np.linalg.solve's LAPACK kernel: its bits without its per-call set-up, which
-    # would cost an accelerated step of a small problem a fifth of its time
-    from numpy.linalg._umath_linalg import solve as _lapack_solve
-except ImportError:  # pragma: no cover
-    _lapack_solve = None
+# np.linalg.solve's LAPACK kernel: its bits without its per-call set-up, which
+# would cost an accelerated step of a small problem a fifth of its time.  A
+# singular system gives NaN (silently: the accelerated loop ignores invalid-value
+# warnings), which no extrapolation accepts.
+from numpy.linalg._umath_linalg import solve as _lapack_solve
 
 DEFAULT_TOL = 1e-7
 DEFAULT_MAX_ITER = 10_000
@@ -42,6 +43,7 @@ DIVERGENCE_WINDOW = 50  # growing Yates residuals before "likely infeasible"
 # point u * g(f(x)) tends to 1 exactly, and without slack rounding alone
 # would decide between the extrapolated and the plain step.
 ANDERSON_SLACK = 1e-12
+_identity = functools.cache(np.eye)  # shared: read, never written
 
 
 @dataclass
@@ -82,9 +84,7 @@ def normalized_fixed_point(
     This is the batch of one of :func:`normalized_fixed_points`.
     """
     solo = None if callback is None else (lambda b, t, x, residual: callback(t, x, residual))
-    return normalized_fixed_points(lambda x: f(x[0])[None],
-                                   lambda y: np.array([[g(y[0])]], dtype=float),
-                                   np.asarray(x0, dtype=float)[None], tol, max_iter, solo,
+    return normalized_fixed_points(f, g, np.asarray(x0, dtype=float), tol, max_iter, solo,
                                    memory)[0]
 
 
@@ -95,13 +95,15 @@ def normalized_fixed_points(f, g, x0, tol: float = DEFAULT_TOL,
     the rows of ``x0``: one result per member.
 
     ``f`` maps the ``(B, n)`` stacked states to their images and ``g`` the
-    images to a ``(B, 1)`` column, member by member.  Each member has its own
-    stop rule and Anderson history, and leaves the active set once the next
-    evaluation has given its eigenvalue; the maps still see its last point.
-    So each member's iterates are bit for bit those of its batch of one.
-    The history always has ``memory`` rows, zero where unused (the identity
-    in the Gram matrix), so that BLAS sees the same shapes in any batch.
-    ``callback(b, t, x, residual)`` is member ``b``'s callback.
+    images to a ``(B, 1)`` column, member by member.  A batch of one may also
+    run on its vector, ``g`` giving a float: the same steps on arrays without
+    the member axis.  Each member has its own stop rule and Anderson history,
+    and leaves the active set once the next evaluation has given its
+    eigenvalue; the maps still see its last point.  So each member's iterates
+    are bit for bit those of its batch of one.  The history always has
+    ``memory`` rows, zero where unused (the identity in the Gram matrix), so
+    that BLAS sees the same shapes in any batch.  ``callback(b, t, x,
+    residual)`` is member ``b``'s callback.
     """
     with np.errstate(invalid="ignore") if memory else contextlib.nullcontext():
         return _iterate(f, g, x0, tol, max_iter, callback, memory)
@@ -109,15 +111,22 @@ def normalized_fixed_points(f, g, x0, tol: float = DEFAULT_TOL,
 
 def _iterate(f, g, x0, tol, max_iter, callback, memory):
     x = every = np.array(x0, dtype=float)  # every row a finite point, for the maps
-    ids, out, stopped, t = list(range(len(x))), [None] * len(x), None, 0
-    res = [math.inf] * len(x)  # per-member scalars are lists: a batch of one pays no masks
+    solo = x.ndim == 1  # a batch of one on its vector: a member's row is the array itself
+    size = 1 if solo else len(x)
+    # per-member scalars are lists of Python numbers (a batch of one pays no masks and no
+    # numpy scalar arithmetic): of g, or of a reduction over the last axis
+    each = (lambda a: [float(a)]) if solo else (lambda a: a.ravel().tolist())
+    row = (lambda a, i: a) if solo else (lambda a, i: a[i])
+    ids, out, stopped, t, res = list(range(size)), [None] * size, None, 0, [math.inf] * size
     if memory:  # the last plain point (the fallback) and step, the histories of points and
         # steps, their Gram matrix, the utility, and whether the next point is extrapolated
-        eye, floor, ceiling = np.eye(memory), 1 - ANDERSON_SLACK, 1 + ANDERSON_SLACK
-        last_x, last_r, d_g, d_r = x, x, *np.zeros((2, len(x), memory, x.shape[1]))
-        gram, u_last, has_fb = np.repeat(eye[None], len(x), 0), res, [False] * len(x)
+        eye, floor, ceiling = _identity(memory), 1 - ANDERSON_SLACK, 1 + ANDERSON_SLACK
+        last_x, last_r, d_g, d_r = x, x, *np.zeros((2,) + x.shape[:-1] + (memory, x.shape[-1]))
+        gram = np.zeros(x.shape[:-1] + eye.shape)
+        gram[...] = eye
+        u_last, has_fb = res, [False] * size
     while True:
-        if len(ids) < len(every):  # the maps see every member, the stopped at their last point
+        if len(ids) < size:  # the maps see every member, the stopped at their last point
             every[active] = x
             fx = f(every)
             fx, gf = fx[active], g(fx)[active]
@@ -127,9 +136,10 @@ def _iterate(f, g, x0, tol, max_iter, callback, memory):
         if stopped is not None:  # settle, then drop, the members that stopped last step
             for i, b in enumerate(ids):
                 if stopped[i] and out[b].converged:
-                    out[b].eigenvalue = 1.0 / float(gf[i, 0])
+                    out[b].eigenvalue = 1.0 / float(each(gf)[i])
             if False not in stopped:
                 return out
+            every[ids] = x  # the stopped members' last points stay in every
             keep = [not s for s in stopped]
             pick = lambda *lists: ([v for v, k in zip(a, keep) if k] for a in lists)
             (ids, res), x, fx, gf = pick(ids, res), x[keep], fx[keep], gf[keep]
@@ -140,24 +150,25 @@ def _iterate(f, g, x0, tol, max_iter, callback, memory):
         t += 1
         x_next, back = fx / gf, [False]
         if memory:
-            u = np.minimum.reduce(x / fx, axis=1).tolist()
+            u = each(np.minimum.reduce(x / fx, axis=-1))
             back = [h and not (v >= v_last * floor and v * gv <= ceiling)
-                    for h, v, v_last, gv in zip(has_fb, u, u_last, gf.ravel().tolist())]
+                    for h, v, v_last, gv in zip(has_fb, u, u_last, each(gf))]
         if False not in back:  # every member goes back to its fallback, with no history
-            new, step_res, has_fb = last_x, res, [False] * len(x)
+            new, step_res, has_fb = last_x, res, [False] * len(ids)
             d_g[:], d_r[:], gram[:] = 0.0, 0.0, eye
         else:
             r = x_next - x
-            new, step_res = x_next, np.maximum.reduce(np.abs(r), axis=1).tolist()
+            new, step_res = x_next, each(np.maximum.reduce(np.abs(r), axis=-1))
         if memory and False in back:
             if t > 1:  # every member's step goes to slot j of its history
                 j = (t - 2) % memory
-                np.subtract(x_next, last_x, out=d_g[:, j])
-                np.subtract(r, last_r, out=d_r[:, j])
-                row = d_r @ d_r[:, j, :, None]
-                gram[:, :, j:j + 1], gram[:, j] = row, row[..., 0]
-                x_acc = x_next - (_solve(gram, d_r @ r[..., None]).transpose(0, 2, 1) @ d_g)[:, 0]
-                has_fb = (np.minimum.reduce(x_acc, axis=1) > 0).tolist()
+                np.subtract(x_next, last_x, out=d_g[..., j, :])
+                np.subtract(r, last_r, out=d_r[..., j, :])
+                gram_row = d_r @ d_r[..., j, :, None]
+                gram[..., j:j + 1], gram[..., j, :] = gram_row, gram_row[..., 0]
+                coef = _lapack_solve(gram, d_r @ r[..., None], signature="dd->d")
+                x_acc = x_next - (coef.swapaxes(-1, -2) @ d_g)[..., 0, :]
+                has_fb = each(np.minimum.reduce(x_acc, axis=-1) > 0)
                 if True in has_fb:
                     new = x_acc if False not in has_fb else np.where(
                         np.array(has_fb)[:, None], x_acc, x_next)
@@ -175,41 +186,28 @@ def _iterate(f, g, x0, tol, max_iter, callback, memory):
         if callback is not None:
             for i, b in enumerate(ids):
                 if not back[i % len(back)]:
-                    callback(b, t, (x if memory else x_next)[i].copy(), res[i])
+                    callback(b, t, row(x if memory else x_next, i).copy(), res[i])
         if not (min(res) >= tol and math.isfinite(sum(res))) or t == max_iter:
             stopped = [not tol <= v < math.inf for v in res]
             for i, b in enumerate(ids):
                 finite = math.isfinite(res[i])
                 if stopped[i]:  # converged (eigenvalue next evaluation) or non-finite
-                    out[b] = FixedPointResult(x_next[i].copy(), None if finite else math.nan, t,
-                                              res[i], finite,
+                    out[b] = FixedPointResult(row(x_next, i).copy(), None if finite else math.nan,
+                                              t, float(res[i]), finite,
                                               "converged" if finite else "non-finite")
                 elif t == max_iter:
-                    out[b] = FixedPointResult(new[i].copy(), 1.0 / float(gf[i, 0]) if gf[i, 0]
-                                              else None, t, res[i], False, "max_iter exceeded")
+                    gv = float(each(gf)[i])
+                    out[b] = FixedPointResult(row(new, i).copy(), 1.0 / gv if gv else None, t,
+                                              float(res[i]), False, "max_iter exceeded")
             # evaluated next: a converged member's last iterate (for its eigenvalue), a
             # non-finite member's last finite point
             done = (x_next if all(map(math.isfinite, res))
                     else np.where(np.isfinite(x_next), x_next, x))
-            new = done if False not in stopped else np.where(np.array(stopped)[:, None], done, new)
+            if True in stopped:
+                new = done if False not in stopped else np.where(np.array(stopped)[:, None], done,
+                                                                 new)
             stopped = [True] * len(ids) if t == max_iter else stopped
         x = new
-
-
-def _solve(a, b):
-    """``np.linalg.solve`` of every member; a singular member's solution is
-    NaN (silently: the accelerated loop ignores invalid-value warnings), which
-    no extrapolation accepts."""
-    if _lapack_solve is not None:
-        return _lapack_solve(a, b, signature="dd->d")
-    try:
-        return np.linalg.solve(a, b)
-    except np.linalg.LinAlgError:
-        out = np.full(b.shape, np.nan)
-        for i in range(len(a)):
-            with contextlib.suppress(np.linalg.LinAlgError):
-                out[i] = np.linalg.solve(a[i], b[i])
-        return out
 
 
 def yates_iteration(

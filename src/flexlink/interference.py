@@ -127,11 +127,12 @@ class ProblemStack:
     BLAS runs one product per member, and a bin adds its own entries in
     order.  ``Problem.stack`` is a problem's batch of one.
 
-    ``ipsd`` and ``use`` are :func:`interference_psd` and :func:`g2` as maps
-    of the flat ``x = w p`` (``use`` gives a ``(B, 1)`` column), ``load`` is
-    :func:`g1` of the flat ``w``, and ``levels(w, x)`` is every member's row
-    of cell loads (their max is :func:`g1`) and transmitter uses (their max
-    is :func:`g2`).
+    ``ipsd`` is :func:`interference_psd` as a map of the flat ``x = w p``;
+    ``loads`` of the flat ``w`` and ``uses`` of the flat ``x`` are every
+    member's row of cell loads (:func:`g1` is their max) and of transmitter
+    uses (:func:`g2` is ``rb_count`` times their max), and ``largest`` gives
+    each member's largest entry of such rows.  :meth:`state_maps` turns maps
+    of flat vectors into maps of member states.
     """
 
     def __init__(self, problems):
@@ -142,40 +143,39 @@ class ProblemStack:
         if len({(pr.noise_psd, pr.rb_count, pr.rb_bandwidth) for pr in problems}) > 1:
             raise ModelError("stacked problems must share the noise PSD and the band")
         (n_rx, n_tx), self.k, self.n_bs = first.rows.shape, first.assoc.n_ue, first.assoc.n_bs
-        n_bs = self.n_bs
-        stride = n_bs + n_tx  # a member's bins in levels: its cells, then its transmitters
+        n_bs, noise, self.size = self.n_bs, first.noise_psd, b
         join = lambda parts: parts[0] if b == 1 else np.concatenate(parts)
-        flat = lambda name, size, shift=0: join(
-            [getattr(pr.assoc, name) + (shift + i * size) for i, pr in enumerate(problems)])
-        tx, rx, self.b_dl = flat("tx", n_tx), flat("rx", n_rx), flat("b_dl", n_bs)
-        both = np.concatenate([flat("serving", stride), flat("tx", stride, n_bs)])
+        flat = lambda name, size: join(
+            [getattr(pr.assoc, name) + i * size if i else getattr(pr.assoc, name)
+             for i, pr in enumerate(problems)])
+        tx, rx, serving, self.b_dl = (flat(name, size) for name, size in (
+            ("tx", n_tx), ("rx", n_rx), ("serving", n_bs), ("b_dl", n_bs)))
         self.d_diag, self.demands = (join([getattr(pr, name) for pr in problems])
                                      for name in ("d_diag", "demands"))
         p_ext_max = np.array([pr.p_ext_max for pr in problems])
-        scale = np.concatenate([np.ones((b, n_bs)), p_ext_max], axis=1).ravel()
-        noise, self.rb_count = first.noise_psd, first.rb_count
+        self.rb_count = first.rb_count
         self.rb_bandwidth = first.rb_bandwidth
         rows = first.rows if b == 1 else np.array([pr.rows for pr in problems])
         product = rows.__matmul__ if b == 1 else (
             lambda s: (rows @ s.reshape(b, n_tx, 1)).reshape(-1))
-        d_diag, rb_count, high = self.d_diag, self.rb_count, np.maximum.reduce
-        self.sums = lambda index, x, size: np.bincount(index, x, b * size).reshape(b, size)
-        self.ipsd = lambda x: (product(np.bincount(tx, weights=x, minlength=b * n_tx))[rx]
-                               + noise) / d_diag
-        self.use = lambda x: high(np.bincount(tx, x, b * n_tx).reshape(b, n_tx) / p_ext_max,
-                                  axis=1, keepdims=True) * rb_count
-        serving = flat("serving", n_bs)
-        self.load = lambda w: high(np.bincount(serving, w, b * n_bs).reshape(b, n_bs), axis=1)
-
-        def levels(w, x):  # each bin adds its entries in order, as g1's and g2's counts do
-            out = (np.bincount(both, np.concatenate([w, x]), b * stride) / scale).reshape(b, -1)
-            out[:, n_bs:] *= rb_count
-            return out
-        self.levels = levels
+        d_diag = self.d_diag
+        self.ipsd = lambda x: (product(np.bincount(tx, x, b * n_tx))[rx] + noise) / d_diag
+        self.loads = lambda w: np.bincount(serving, w, b * n_bs).reshape(b, n_bs)
+        self.uses = lambda x: np.bincount(tx, x, b * n_tx).reshape(b, n_tx) / p_ext_max
+        high = np.maximum.reduce  # a member's largest entry: a (B, 1) column, or one's float
+        self.largest = ((lambda rows: float(high(rows, None))) if b == 1
+                        else (lambda rows: high(rows, 1, keepdims=True)))
 
     @property
     def problems(self) -> tuple:
         return tuple(ref() for ref in self._problems)
+
+    def state_maps(self, f, g):
+        """``f`` and ``g`` of flat per-link vectors as maps of member states:
+        a stack's take ``(B, n)`` states, a batch of one's take its vector."""
+        if self.size == 1:
+            return f, g
+        return (lambda x: f(x.reshape(-1)).reshape(x.shape)), (lambda x: g(x.reshape(-1)))
 
     def qos(self, w, p):
         """:func:`qos_levels` of the flat ``w`` and ``p``."""
@@ -183,36 +183,39 @@ class ProblemStack:
         return self.rb_count * w * rates / self.demands
 
     def expand(self, p_bar):
-        """:func:`expand_psd` of every member's row of ``p_bar``."""
-        k = self.k
-        return np.concatenate([p_bar[:, :k], p_bar[:, k:].reshape(-1)[self.b_dl].reshape(-1, k)], 1)
+        """:func:`expand_psd` of every member's row of ``p_bar``, or of a
+        batch of one's vector."""
+        k, dl = self.k, p_bar[..., self.k:]
+        dl = dl[..., self.b_dl] if self.size == 1 else dl.reshape(-1)[self.b_dl].reshape(-1, k)
+        return np.concatenate([p_bar[..., :k], dl], axis=-1)
 
 
 def _cell_mean(stack: ProblemStack, w_fixed):
     """:func:`f_power_cell`'s per-transmitter demands from per-link ones."""
-    k, n_bs = stack.k, stack.n_bs
-    w_dl = np.asarray(w_fixed, dtype=float)[:, k:]
-    nu = stack.sums(stack.b_dl, w_dl.reshape(-1), n_bs)
-    has_dl, floor = nu > 0, np.full(nu.shape, EPS_NO_DL)
+    k, n_bs, b_dl, size = stack.k, stack.n_bs, stack.b_dl, stack.size * stack.n_bs
+    w_dl = np.asarray(w_fixed, dtype=float).reshape(stack.size, -1)[:, k:].reshape(-1)
+    nu = np.bincount(b_dl, w_dl, size)
+    has_dl, floor = nu > 0, np.full(size, EPS_NO_DL)
 
     def mean(f):
         dl = floor.copy()
-        np.divide(stack.sums(stack.b_dl, (w_dl * f[:, k:]).reshape(-1), n_bs), nu, out=dl,
-                  where=has_dl)
-        return np.concatenate([f[:, :k], dl], axis=1)
+        np.divide(np.bincount(b_dl, w_dl * f[..., k:].reshape(-1), size), nu, out=dl, where=has_dl)
+        return np.concatenate([f[..., :k], dl.reshape(f.shape[:-1] + (n_bs,))], axis=-1)
     return mean
 
 
 def load_maps(stack: ProblemStack, p_fixed):
     """S1's maps ``f_load(., p_fixed)`` and ``max{g1, g2(., p_fixed)}`` of
-    every member, on ``(B, 2K)`` bandwidths."""
+    every member (:meth:`ProblemStack.state_maps`)."""
     p = np.asarray(p_fixed, dtype=float).reshape(-1)
     if (p <= 0).any():
         raise DomainError("f_load requires strictly positive fixed power")
     d, rb_count, rb_bandwidth, ipsd = stack.demands, stack.rb_count, stack.rb_bandwidth, stack.ipsd
-    f = lambda w: (d / (rb_count * (rb_bandwidth * np.log2(1.0 + p / ipsd(p * w.reshape(-1))))))
-    g = lambda w: np.maximum.reduce(stack.levels(w, w * p), axis=1, keepdims=True)
-    return (lambda w: f(w).reshape(w.shape)), (lambda w: g(w.reshape(-1)))
+    loads, uses, largest = stack.loads, stack.uses, stack.largest
+    higher = max if stack.size == 1 else np.maximum
+    f = lambda w: d / (rb_count * (rb_bandwidth * np.log2(1.0 + p / ipsd(p * w))))
+    g = lambda w: higher(largest(loads(w)), largest(uses(w * p)) * rb_count)
+    return stack.state_maps(f, g)
 
 
 def link_power_maps(stack: ProblemStack, w_fixed):
@@ -224,7 +227,8 @@ def link_power_maps(stack: ProblemStack, w_fixed):
         raise DomainError("f_power requires strictly positive fixed bandwidth")
     d, rb_count, rb_bandwidth, ipsd = stack.demands, stack.rb_count, stack.rb_bandwidth, stack.ipsd
     f = lambda p: (p / w) * d / (rb_count * (rb_bandwidth * np.log2(1.0 + p / ipsd(p * w))))
-    return (lambda p: f(p.reshape(-1)).reshape(p.shape)), (lambda p: stack.use(w * p.reshape(-1)))
+    uses, largest = stack.uses, stack.largest
+    return stack.state_maps(f, lambda p: largest(uses(w * p)) * rb_count)
 
 
 def cell_power_maps(stack: ProblemStack, w_fixed):
@@ -271,21 +275,22 @@ def f_load(w, p_fixed, problem: Problem):
     A standard interference function of ``w`` for any strictly positive fixed
     power (rates stay positive, interference grows with occupancy).
     """
-    return load_maps(problem.stack, np.asarray(p_fixed, dtype=float)[None])[0](
-        np.asarray(w, dtype=float)[None])[0]
+    return load_maps(problem.stack, p_fixed)[0](np.asarray(w, dtype=float))
 
 
 def g1(w, problem: Problem) -> float:
     """Per-cell load constraint functional ``||A w||_inf``; ``A w`` sums each
     cell's served links."""
-    return float(problem.stack.load(np.asarray(w, dtype=float))[0])
+    stack = problem.stack
+    return float(stack.largest(stack.loads(np.asarray(w, dtype=float))))
 
 
 def g2(w, p, problem: Problem) -> float:
     """Per-transmitter power constraint functional
     ``W0 ||diag(p_ext_max)^-1 A_ext diag(w) p||_inf``; ``A_ext x`` sums each
     transmitter's links: its UE's uplink, or its cell's downlinks."""
-    return float(problem.stack.use(np.asarray(w, dtype=float) * np.asarray(p, dtype=float))[0, 0])
+    stack, x = problem.stack, np.asarray(w, dtype=float) * np.asarray(p, dtype=float)
+    return float(stack.largest(stack.uses(x)) * stack.rb_count)
 
 
 def expand_psd(p_bar, assoc: Association) -> np.ndarray:
@@ -311,7 +316,7 @@ def f_power(p, w_fixed, problem: Problem):
     """
     p = np.asarray(p, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = link_power_maps(problem.stack, np.asarray(w_fixed, dtype=float)[None])[0](p[None])[0]
+        out = link_power_maps(problem.stack, w_fixed)[0](p)
     zero = ~(p > 0)
     if zero.any():
         d, w = problem.demands[zero], np.asarray(w_fixed, dtype=float)[zero]
@@ -332,4 +337,4 @@ def f_power_cell(p_bar, w_fixed, problem: Problem):
     a valid SIF; those entries never bind.
     """
     f = f_power(expand_psd(p_bar, problem.assoc), w_fixed, problem)
-    return _cell_mean(problem.stack, np.asarray(w_fixed, dtype=float)[None])(f[None])[0]
+    return _cell_mean(problem.stack, w_fixed)(f)

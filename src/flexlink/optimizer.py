@@ -37,7 +37,8 @@ import numpy as np
 
 from .association import associate
 from .errors import DomainError, InfeasibleError
-from .fixedpoint import FixedPointResult, normalized_fixed_points, yates_iteration
+from .fixedpoint import (FixedPointResult, normalized_fixed_point, normalized_fixed_points,
+                         yates_iteration)
 from .interference import (Problem, ProblemStack, cell_power_maps, f_power, g1, g2,
                            link_power_maps, load_maps, utility)
 from .io import write_csv
@@ -114,11 +115,6 @@ class StepResult:
     fixed_point: Optional[FixedPointResult] = None
     x: Optional[np.ndarray] = None  # power state; p = expand(x)
     rounds: int = 0
-
-    def member(self, b) -> "StepResult":
-        """Member ``b`` of a result whose fields have a leading member axis."""
-        return StepResult(w=self.w[b], p=self.p[b], lam=float(self.lam[b]),
-                          fixed_point=self.fixed_point[b], x=None if self.x is None else self.x[b])
 
 
 @dataclass
@@ -202,10 +198,20 @@ def power_maps(stack: ProblemStack, power_mode: str):
     return (lambda x: x), link_power_maps
 
 
+def _fixed_points(f, g, x0, callback, memory=0) -> list:
+    """:func:`normalized_fixed_points` of a stack's maps from the rows of
+    ``x0``.  A batch of one runs through :func:`normalized_fixed_point`, the
+    single-problem entry point, on its vector, which its maps take."""
+    if len(x0) > 1:
+        return normalized_fixed_points(f, g, x0, callback=callback, memory=memory)
+    solo = None if callback is None else (lambda t, x, residual: callback(0, t, x, residual))
+    return [normalized_fixed_point(f, g, x0[0], callback=solo, memory=memory)]
+
+
 def stage1_bandwidth(stack: ProblemStack, p_fixed, opts: SolveOptions = SolveOptions(),
-                     w_start=None, traces=None) -> StepResult:
-    """:func:`step1_update_bandwidth` of every member of ``stack`` at once;
-    the result's fields have a leading member axis."""
+                     w_start=None, traces=None) -> list:
+    """:func:`step1_update_bandwidth` of every member of ``stack`` at once,
+    from the rows of ``p_fixed``: one result per member."""
     p = np.asarray(p_fixed, dtype=float)
     callback = None
     if traces is not None and opts.trace_mode == "full":
@@ -214,11 +220,10 @@ def stage1_bandwidth(stack: ProblemStack, p_fixed, opts: SolveOptions = SolveOpt
             traces[b].record("s1", t, utility(w_t, p[b], problem),
                              g1(w_t, problem), g2(w_t, p[b], problem), residual)
 
-    res = normalized_fixed_points(*load_maps(stack, p),
-                                  np.zeros(p.shape) if w_start is None else w_start,
-                                  callback=callback)
-    return StepResult(w=np.array([r.x for r in res]), p=p,
-                      lam=np.array([r.eigenvalue for r in res], dtype=float), fixed_point=res)
+    res = _fixed_points(*load_maps(stack, p), np.zeros(p.shape) if w_start is None else w_start,
+                        callback)
+    return [StepResult(w=r.x, p=p[b], lam=float(r.eigenvalue), fixed_point=r)
+            for b, r in enumerate(res)]
 
 
 def step1_update_bandwidth(problem: Problem, p_fixed, opts: SolveOptions = SolveOptions(),
@@ -232,8 +237,8 @@ def step1_update_bandwidth(problem: Problem, p_fixed, opts: SolveOptions = Solve
     :func:`stage1_bandwidth`.
     """
     return stage1_bandwidth(problem.stack, np.asarray(p_fixed, dtype=float)[None], opts,
-                            None if w_start is None else np.asarray(w_start)[None],
-                            None if trace is None else [trace]).member(0)
+                            None if w_start is None else np.asarray(w_start, dtype=float)[None],
+                            None if trace is None else [trace])[0]
 
 
 def step2_power_scaling(problem: Problem, w0, x0, opts: SolveOptions = SolveOptions(),
@@ -245,35 +250,32 @@ def step2_power_scaling(problem: Problem, w0, x0, opts: SolveOptions = SolveOpti
     subproblem.  The utility after each round increases strictly until
     ``g1(w) = 1``.  Returns the input unchanged when the band is already full.
     """
-    stack = problem.stack
-    expand, n_bs = power_maps(stack, opts.power_mode)[0], stack.n_bs
+    expand = power_maps(problem.stack, opts.power_mode)[0]
     w = np.asarray(w0, dtype=float)
     x = np.asarray(x0, dtype=float)
-    p = expand(x[None])[0]
-    levels = lambda: stack.levels(w, w * p)[0]  # g1: the max of the first n_bs, g2: the rest
+    p = expand(x)
     rounds = 0
     last = None
-    while (load := stack.load(w)[0]) < 1.0 - TOL_OUTER and rounds < MAX_SCALING_ROUNDS:
+    while (load := g1(w, problem)) < 1.0 - TOL_OUTER and rounds < MAX_SCALING_ROUNDS:
         x = load * x
-        p = expand(x[None])[0]
-        last = stage1_bandwidth(stack, p[None], opts, w[None],
-                                None if trace is None else [trace]).member(0)
+        p = expand(x)
+        last = step1_update_bandwidth(problem, p, opts, w_start=w, trace=trace)
         w, lam = last.w, last.lam
         rounds += 1
         if trace is not None:
-            now = levels()
-            trace.record("s2", rounds, lam, now[:n_bs].max(), now[n_bs:].max(),
+            trace.record("s2", rounds, lam, g1(w, problem), g2(w, p, problem),
                          last.fixed_point.residual, boundary=True)
     if last is None:  # no round: S1's utility at its fixed point ``w``
-        f, g = load_maps(stack, p[None])
-        lam = 1.0 / g(f(w[None]))[0, 0]
+        f, g = load_maps(problem.stack, p)
+        lam = 1.0 / float(g(f(w)))
     return StepResult(w=w, p=p, lam=lam, fixed_point=last.fixed_point if last else None,
                       x=x, rounds=rounds)
 
 
 def stage3_power(stack: ProblemStack, w_fixed, x0, opts: SolveOptions = SolveOptions(),
-                 traces=None) -> StepResult:
-    """:func:`step3_update_power` of every member of ``stack`` at once."""
+                 traces=None) -> list:
+    """:func:`step3_update_power` of every member of ``stack`` at once, from
+    the rows of ``w_fixed`` and ``x0``: one result per member."""
     w = np.maximum(np.asarray(w_fixed, dtype=float), W_FLOOR)
     expand, build = power_maps(stack, opts.power_mode)
 
@@ -281,16 +283,16 @@ def stage3_power(stack: ProblemStack, w_fixed, x0, opts: SolveOptions = SolveOpt
     if traces is not None and opts.trace_mode == "full":
         def callback(b, t, x_t, residual):
             problem = stack.problems[b]
-            p_t = power_maps(problem.stack, opts.power_mode)[0](x_t[None])[0]
+            p_t = power_maps(problem.stack, opts.power_mode)[0](x_t)
             traces[b].record("s3", t, utility(w[b], p_t, problem),
                              g1(w[b], problem), g2(w[b], p_t, problem), residual)
 
     with np.errstate(divide="ignore", invalid="ignore"):  # f_power's, entered once per stage
-        res = normalized_fixed_points(*build(stack, w), np.asarray(x0, dtype=float),
-                                      callback=callback, memory=ANDERSON_MEMORY)
-    x = np.array([r.x for r in res])
-    return StepResult(w=w, p=expand(x), lam=np.array([r.eigenvalue for r in res], dtype=float),
-                      fixed_point=res, x=x)
+        res = _fixed_points(*build(stack, w), np.asarray(x0, dtype=float), callback,
+                            ANDERSON_MEMORY)
+    p = expand(np.array([r.x for r in res]))
+    return [StepResult(w=w[b], p=p[b], lam=float(r.eigenvalue), fixed_point=r, x=r.x)
+            for b, r in enumerate(res)]
 
 
 def step3_update_power(problem: Problem, w_fixed, x0, opts: SolveOptions = SolveOptions(),
@@ -306,7 +308,7 @@ def step3_update_power(problem: Problem, w_fixed, x0, opts: SolveOptions = Solve
     """
     return stage3_power(problem.stack, np.asarray(w_fixed, dtype=float)[None],
                         np.asarray(x0, dtype=float)[None], opts,
-                        None if trace is None else [trace]).member(0)
+                        None if trace is None else [trace])[0]
 
 
 def solve_problems(problems, opts: SolveOptions = SolveOptions(), labels=None) -> list:
@@ -317,7 +319,9 @@ def solve_problems(problems, opts: SolveOptions = SolveOptions(), labels=None) -
     all members, S2 for each member whose power constraint binds first, and
     S3 for the members whose band fills with power to spare.  Any state with
     both constraints tight is terminal (local optimum).  A member's
-    ``Solution`` is bit for bit its batch of one, :func:`optimize`.
+    ``Solution`` is bit for bit its batch of one, :func:`optimize`.  A stage
+    of one member runs through the single-problem stage function, so that
+    profilers and tracers see a solo solve's stages by their names.
     """
     if not problems:
         return []
@@ -330,14 +334,16 @@ def solve_problems(problems, opts: SolveOptions = SolveOptions(), labels=None) -
         trace.record("init", 0, 0.0, 0.0, 0.0, math.nan, boundary=True)
 
     def constraints():  # g1 and g2 of every member
-        levels = stack.levels(w.reshape(-1), (w * p).reshape(-1))
-        return list(zip(levels[:, :stack.n_bs].max(axis=1), levels[:, stack.n_bs:].max(axis=1)))
+        return list(zip(stack.loads(w.reshape(-1)).max(axis=1).tolist(),
+                        (stack.uses((w * p).reshape(-1)).max(axis=1) * stack.rb_count).tolist()))
     tight = lambda v: v >= 1.0 - TIGHT_TOL
 
-    s1 = stage1_bandwidth(stack, p, opts, traces=traces)
-    w, lam, steps = s1.w, s1.lam, ["s1"] * len(problems)
-    converged, values = [fp.converged for fp in s1.fixed_point], constraints()
-    for b, (fp, (load, use)) in enumerate(zip(s1.fixed_point, values)):
+    s1 = (stage1_bandwidth(stack, p, opts, traces=traces) if len(problems) > 1
+          else [step1_update_bandwidth(problems[0], p[0], opts, trace=traces[0])])
+    w, lam, steps = np.array([r.w for r in s1]), [r.lam for r in s1], ["s1"] * len(problems)
+    converged, values = [r.fixed_point.converged for r in s1], constraints()
+    for b, (r, (load, use)) in enumerate(zip(s1, values)):
+        fp = r.fixed_point
         traces[b].record("s1", fp.iterations, lam[b], load, use, fp.residual, boundary=True)
         if converged[b] and not tight(load) and tight(use):
             s2 = step2_power_scaling(problems[b], w[b], x[b], opts, trace=traces[b])
@@ -349,21 +355,27 @@ def solve_problems(problems, opts: SolveOptions = SolveOptions(), labels=None) -
 
     members = [b for b, (load, use) in enumerate(values)
                if converged[b] and tight(load) and not tight(use)]
-    if members:
+    if len(members) == 1:
+        b = members[0]
+        s3 = [step3_update_power(problems[b], w[b], x[b], opts, trace=traces[b])]
+    elif members:
         sub = (stack if len(members) == len(problems)
                else ProblemStack([problems[b] for b in members]))
         s3 = stage3_power(sub, w[members], x[members], opts, [traces[b] for b in members])
-        lam[members], x[members], p[members] = s3.lam, s3.x, s3.p
+    if members:
+        for b, r in zip(members, s3):
+            lam[b], x[b], p[b] = r.lam, r.x, r.p
         values = constraints()
-        for b, fp in zip(members, s3.fixed_point):
+        for b, r in zip(members, s3):
+            fp = r.fixed_point
             converged[b], steps[b] = converged[b] and fp.converged, "s3"
             traces[b].record("s3", fp.iterations, lam[b], *values[b], fp.residual, boundary=True)
 
     qos, k = stack.qos(w.reshape(-1), p.reshape(-1)).reshape(w.shape), stack.k
     return [Solution(w=w[b].copy(), p=p[b].copy(), lam=float(qos[b].min()),
                      lam_ul=float(qos[b, :k].min()), lam_dl=float(qos[b, k:].min()),
-                     lam_solver=float(lam[b]), step=steps[b], g1=float(values[b][0]),
-                     g2=float(values[b][1]), converged=converged[b], trace=traces[b],
+                     lam_solver=lam[b], step=steps[b], g1=values[b][0],
+                     g2=values[b][1], converged=converged[b], trace=traces[b],
                      p_bar=x[b].copy() if opts.power_mode == "cell_specific" else None,
                      policy_label="custom" if labels is None else labels[b], theta=opts.theta)
             for b in range(len(problems))]

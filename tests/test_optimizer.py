@@ -363,18 +363,22 @@ def test_stage_maps_equal_the_per_call_forms_on_solver_iterates(monkeypatch):
         def build_checked(stack, fixed):
             f, g = build(stack, fixed)
 
+            # a batch of one's maps take its vector, and its g gives a float
+            rows = lambda a: np.reshape(a, (len(stack.problems), -1))
+
             def f_checked(x):
                 out = f(x)
                 for b, problem in enumerate(stack.problems):
-                    assert np.array_equal(out[b], f_ref(x[b], fixed[b], problem)), stage
+                    member = rows(x)[b], rows(fixed)[b]
+                    assert np.array_equal(rows(out)[b], f_ref(*member, problem)), stage
                     calls[stage] += 1
-                    last.append((stage, problem, fixed[b], x[b]))
+                    last.append((stage, problem, member[1], member[0]))
                 return out
 
             def g_checked(x):
                 out = g(x)
                 for b, problem in enumerate(stack.problems):
-                    assert out[b, 0] == g_ref(x[b], fixed[b], problem), stage
+                    assert rows(out)[b, 0] == g_ref(rows(x)[b], rows(fixed)[b], problem), stage
                 return out
             return f_checked, g_checked
         return build_checked
@@ -439,12 +443,13 @@ def test_batch_members_equal_their_batch_of_one(seed):
 
 
 def test_plain_stages_run_the_reference_loop(monkeypatch):
-    """S1 and S2 call ``normalized_fixed_points`` with ``memory=0``, which is
-    the plain loop as it read before Anderson acceleration: running each
-    member of each batch through that loop alone instead leaves every
-    solution and every full-trace row (iterates, residuals, iteration counts)
-    of every distinct problem of study seed 3 bit-identical, in both power
-    modes, at a budget that reaches S2."""
+    """S1 and S2 call ``normalized_fixed_points`` (a batch of one,
+    ``normalized_fixed_point``) with ``memory=0``, which is the plain loop as
+    it read before Anderson acceleration: running each member of each batch
+    through that loop alone instead leaves every solution and every
+    full-trace row (iterates, residuals, iteration counts) of every distinct
+    problem of study seed 3 bit-identical, in both power modes, at a budget
+    that reaches S2."""
     scenario = generate(STUDY_CONFIG, 3)
     partial = uniform_overlap(scenario.n_bs, DEFAULT_HISTORY_UL, DEFAULT_HISTORY_DL)
 
@@ -473,9 +478,19 @@ def test_plain_stages_run_the_reference_loop(monkeypatch):
                 callback=solo, **kw))
         return out
 
+    solo = optimizer.normalized_fixed_point
+
+    def routed_one(f, g, x0, memory=0, callback=None, **kw):
+        calls[memory, "solo"] += 1
+        if memory:
+            return solo(f, g, x0, memory=memory, callback=callback, **kw)
+        return normalized_fixed_point_ref(f, g, 1.0, x0, callback=callback, **kw)
+
     monkeypatch.setattr(optimizer, "normalized_fixed_points", routed)
+    monkeypatch.setattr(optimizer, "normalized_fixed_point", routed_one)
     assert list(map(_solution_digest, solve_all())) == list(map(_solution_digest, plain))
     assert calls[0] > 50 and calls[optimizer.ANDERSON_MEMORY] > 40, calls
+    assert calls[0, "solo"] > 0, calls  # S2's re-solves
 
 
 def test_s3_lambda_does_not_depend_on_numbering():
@@ -501,7 +516,7 @@ def test_accelerated_s3_takes_fewer_iterations_at_plain_accuracy(monkeypatch):
 
     def recorded(stack, w_fixed, x0, opts=OPTS, traces=None):
         out = stage3(stack, w_fixed, x0, opts, traces)
-        entries.extend((problem, out.w[b], x0[b], opts.power_mode, out.member(b))
+        entries.extend((problem, out[b].w, x0[b], opts.power_mode, out[b])
                        for b, problem in enumerate(stack.problems))
         return out
 
@@ -516,8 +531,7 @@ def test_accelerated_s3_takes_fewer_iterations_at_plain_accuracy(monkeypatch):
 
     iterations = collections.Counter()
     for problem, w, x0, mode, fast in entries:
-        f_b, g_b = optimizer.power_maps(problem.stack, mode)[1](problem.stack, w[None])
-        f, g = (lambda x: f_b(x[None])[0]), (lambda y: float(g_b(y[None])[0, 0]))
+        f, g = optimizer.power_maps(problem.stack, mode)[1](problem.stack, w)
         with np.errstate(divide="ignore", invalid="ignore"):
             plain = normalized_fixed_point(f, g, x0)
             tight = normalized_fixed_point(f, g, x0, tol=1e-13)
