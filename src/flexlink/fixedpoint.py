@@ -22,7 +22,6 @@ for every ``alpha > 1``).  Two iterations are provided:
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -105,19 +104,22 @@ def normalized_fixed_points(f, g, x0, tol: float = DEFAULT_TOL,
     that BLAS sees the same shapes in any batch.  ``callback(b, t, x,
     residual)`` is member ``b``'s callback.
     """
-    with np.errstate(invalid="ignore") if memory else contextlib.nullcontext():
+    if not memory:
+        return _iterate(f, g, x0, tol, max_iter, callback, memory)
+    with np.errstate(invalid="ignore"):
         return _iterate(f, g, x0, tol, max_iter, callback, memory)
 
 
 def _iterate(f, g, x0, tol, max_iter, callback, memory):
     x = every = np.array(x0, dtype=float)  # every row a finite point, for the maps
-    solo = x.ndim == 1  # a batch of one on its vector: a member's row is the array itself
+    solo = x.ndim == 1  # a batch of one on its vector: a member's array is the array itself
     size = 1 if solo else len(x)
     # per-member scalars are lists of Python numbers (a batch of one pays no masks and no
     # numpy scalar arithmetic): of g, or of a reduction over the last axis
     each = (lambda a: [float(a)]) if solo else (lambda a: a.ravel().tolist())
-    row = (lambda a, i: a) if solo else (lambda a, i: a[i])
+    row = (lambda a, i: a) if solo else (lambda a, i: a[i].copy())
     ids, out, stopped, t, res = list(range(size)), [None] * size, None, 0, [math.inf] * size
+    active = None  # after a member stops: the indices of the others
     if memory:  # the last plain point (the fallback) and step, the histories of points and
         # steps, their Gram matrix, the utility, and whether the next point is extrapolated
         eye, floor, ceiling = _identity(memory), 1 - ANDERSON_SLACK, 1 + ANDERSON_SLACK
@@ -126,7 +128,7 @@ def _iterate(f, g, x0, tol, max_iter, callback, memory):
         gram[...] = eye
         u_last, has_fb = res, [False] * size
     while True:
-        if len(ids) < size:  # the maps see every member, the stopped at their last point
+        if active is not None:  # the maps see every member, the stopped at their last point
             every[active] = x
             fx = f(every)
             fx, gf = fx[active], g(fx)[active]
@@ -148,7 +150,7 @@ def _iterate(f, g, x0, tol, max_iter, callback, memory):
                 u_last, has_fb = pick(u_last, has_fb)
                 last_x, last_r, d_g, d_r, gram = (a[keep] for a in (last_x, last_r, d_g, d_r, gram))
         t += 1
-        x_next, back = fx / gf, [False]
+        x_next, back = fx / gf, (False,)  # back: whether each member takes its fallback
         if memory:
             u = each(np.minimum.reduce(x / fx, axis=-1))
             back = [h and not (v >= v_last * floor and v * gv <= ceiling)
@@ -186,18 +188,18 @@ def _iterate(f, g, x0, tol, max_iter, callback, memory):
         if callback is not None:
             for i, b in enumerate(ids):
                 if not back[i % len(back)]:
-                    callback(b, t, row(x if memory else x_next, i).copy(), res[i])
+                    callback(b, t, row(x if memory else x_next, i), res[i])
         if not (min(res) >= tol and math.isfinite(sum(res))) or t == max_iter:
             stopped = [not tol <= v < math.inf for v in res]
             for i, b in enumerate(ids):
                 finite = math.isfinite(res[i])
                 if stopped[i]:  # converged (eigenvalue next evaluation) or non-finite
-                    out[b] = FixedPointResult(row(x_next, i).copy(), None if finite else math.nan,
+                    out[b] = FixedPointResult(row(x_next, i), None if finite else math.nan,
                                               t, float(res[i]), finite,
                                               "converged" if finite else "non-finite")
                 elif t == max_iter:
                     gv = float(each(gf)[i])
-                    out[b] = FixedPointResult(row(new, i).copy(), 1.0 / gv if gv else None, t,
+                    out[b] = FixedPointResult(row(new, i), 1.0 / gv if gv else None, t,
                                               float(res[i]), False, "max_iter exceeded")
             # evaluated next: a converged member's last iterate (for its eigenvalue), a
             # non-finite member's last finite point
