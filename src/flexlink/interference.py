@@ -185,9 +185,11 @@ class ProblemStack:
     def expand(self, p_bar):
         """:func:`expand_psd` of every member's row of ``p_bar``, or of a
         batch of one's vector."""
-        k, dl = self.k, p_bar[..., self.k:]
-        dl = dl[..., self.b_dl] if self.size == 1 else dl.reshape(-1)[self.b_dl].reshape(-1, k)
-        return np.concatenate([p_bar[..., :k], dl], axis=-1)
+        k = self.k
+        if p_bar.ndim == 1:
+            return np.concatenate([p_bar[:k], p_bar[k:][self.b_dl]])
+        dl = p_bar[:, k:].reshape(-1)[self.b_dl].reshape(-1, k)
+        return np.concatenate([p_bar[:, :k], dl], 1)
 
 
 def _cell_mean(stack: ProblemStack, w_fixed):
@@ -200,7 +202,9 @@ def _cell_mean(stack: ProblemStack, w_fixed):
     def mean(f):
         dl = floor.copy()
         np.divide(np.bincount(b_dl, w_dl * f[..., k:].reshape(-1), size), nu, out=dl, where=has_dl)
-        return np.concatenate([f[..., :k], dl.reshape(f.shape[:-1] + (n_bs,))], axis=-1)
+        if f.ndim == 1:  # a batch of one's vector
+            return np.concatenate([f[:k], dl])
+        return np.concatenate([f[:, :k], dl.reshape(-1, n_bs)], 1)
     return mean
 
 
