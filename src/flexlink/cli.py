@@ -14,22 +14,16 @@ import os
 import sys
 
 import click
-import numpy as np
 
 from . import __version__, experiments, io
 from .association import Policy, associate
 from .errors import ConfigError, FlexlinkError
-from .interference import Problem
-from .model import OVERLAP_PAIRWISE, OVERLAP_SPECIFIC, Association
 from .optimizer import SolveOptions, minimize_power, optimize
-from .scenario import generate, uniform_overlap
+from .scenario import generate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NOT_CONVERGED = 2
-
-OVERLAP_CHOICES = {"none": None, "pairwise": OVERLAP_PAIRWISE,
-                   "specific": OVERLAP_SPECIFIC}  # none: full overlap, no model
 
 
 def parse_offsets(text: str) -> list[float]:
@@ -68,34 +62,6 @@ def parse_offsets(text: str) -> list[float]:
     return out
 
 
-def _overlap_model(name, n_bs, load_ul, load_dl):
-    scheme = OVERLAP_CHOICES[name]
-    if scheme is None:
-        return None
-    return uniform_overlap(n_bs, load_ul, load_dl, scheme=scheme)
-
-
-def _link_vector(value, key, n_links):
-    """A solution's per-link ``value`` as finite non-negative floats, else a
-    ``ConfigError``."""
-    try:
-        vec = np.array(value, dtype=float)
-        if vec.shape == (n_links,) and np.all(np.isfinite(vec) & (vec >= 0)):
-            return vec
-    except (TypeError, ValueError):
-        pass
-    raise ConfigError(f"solution key {key!r} must be a list of {n_links} non-negative numbers")
-
-
-def _read_scenario(path):
-    """The scenario document at ``path``, its scenario, and the ``seed`` and
-    ``config_hash`` meta that every output derived from it carries."""
-    doc = io.read_json(path, "scenario")
-    source = io.as_object(doc.get("meta", {}), "scenario key 'meta'")
-    return doc, io.scenario_from_dict(doc), {"seed": source.get("seed"),
-                                             "config_hash": source.get("config_hash")}
-
-
 @click.group()
 @click.version_option(version=__version__)
 def cli():
@@ -120,7 +86,7 @@ def cmd_generate(config_path, seed, out_path):
 @click.option("--policy", "policy_text", required=True)
 @click.option("--cell-specific", is_flag=True, default=False)
 @click.option("--theta", type=float, default=1.0, show_default=True)
-@click.option("--overlap", type=click.Choice(sorted(OVERLAP_CHOICES)), default="none",
+@click.option("--overlap", type=click.Choice(sorted(io.OVERLAP_CHOICES)), default="none",
               show_default=True)
 @click.option("--overlap-load-ul", type=float, default=experiments.DEFAULT_HISTORY_UL,
               show_default=True)
@@ -130,10 +96,10 @@ def cmd_generate(config_path, seed, out_path):
 def cmd_solve(scenario_path, policy_text, cell_specific, theta, overlap,
               overlap_load_ul, overlap_load_dl, out_dir):
     """Run the three-step optimizer on a stored scenario."""
-    scenario_doc, scenario, source = _read_scenario(scenario_path)
+    scenario_doc, scenario, source = io.read_scenario(scenario_path)
     policy = Policy.parse(policy_text)
     assoc = associate(policy, scenario)
-    overlap_model = _overlap_model(overlap, scenario.n_bs, overlap_load_ul, overlap_load_dl)
+    overlap_model = io.overlap_model(overlap, scenario.n_bs, overlap_load_ul, overlap_load_dl)
     opts = SolveOptions(power_mode="cell_specific" if cell_specific else "per_link",
                         theta=theta)
 
@@ -155,16 +121,16 @@ def cmd_solve(scenario_path, policy_text, cell_specific, theta, overlap,
 @cli.command("sweep")
 @click.option("--scenario", "scenario_path", required=True, type=click.Path(exists=True))
 @click.option("--offsets", "offsets_text", default="0,1,3..51", show_default=True)
-@click.option("--overlap", type=click.Choice(sorted(OVERLAP_CHOICES)), default="pairwise",
+@click.option("--overlap", type=click.Choice(sorted(io.OVERLAP_CHOICES)), default="pairwise",
               show_default=True)
 @click.option("--overlap-load-ul", type=float, default=experiments.DEFAULT_HISTORY_UL)
 @click.option("--overlap-load-dl", type=float, default=experiments.DEFAULT_HISTORY_DL)
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def cmd_sweep(scenario_path, offsets_text, overlap, overlap_load_ul, overlap_load_dl, out_dir):
     """Sweep cell-selection offsets on one scenario; report the top three."""
-    _, scenario, source = _read_scenario(scenario_path)
+    _, scenario, source = io.read_scenario(scenario_path)
     offsets = parse_offsets(offsets_text)
-    overlap_model = _overlap_model(overlap, scenario.n_bs, overlap_load_ul, overlap_load_dl)
+    overlap_model = io.overlap_model(overlap, scenario.n_bs, overlap_load_ul, overlap_load_dl)
     opts = SolveOptions(trace_mode="boundary")
 
     policies = [Policy("deud_o", offset_db=off) for off in offsets]
@@ -225,7 +191,7 @@ def cmd_montecarlo(config_path, trials, seed_base, workers, out_dir):
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def cmd_compare_pf(scenario_path, policy_text, split, out_dir):
     """Joint optimizer versus the QoS-based proportional fairness baseline."""
-    _, scenario, source = _read_scenario(scenario_path)
+    _, scenario, source = io.read_scenario(scenario_path)
     policy = Policy.parse(policy_text)
     try:
         ul_rbs, dl_rbs = (int(x) for x in split.split(":"))
@@ -251,42 +217,12 @@ def cmd_compare_pf(scenario_path, policy_text, split, out_dir):
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def cmd_minimize_power(solution_path, out_dir):
     """Shrink a strictly feasible solution's power to the utility-1 minimum."""
-    doc = io.read_json(solution_path, "solution")
-    with io.reading("solution"):
-        scenario_doc, assoc_doc, solved = (io.as_object(doc[key], f"solution key {key!r}")
-                                           for key in ("scenario", "association", "solution"))
-        assoc = Association(b_ul=np.array(assoc_doc["b_ul"]), b_dl=np.array(assoc_doc["b_dl"]),
-                            n_bs=assoc_doc["n_bs"])
-        scenario = io.scenario_from_dict(scenario_doc)
-        w_star = _link_vector(solved["w"], "w", scenario.n_links)
-        p_star = _link_vector(solved["p"], "p", scenario.n_links)
-        theta = float(solved.get("theta", 1.0))
-        solve_meta = io.as_object(doc.get("meta", {}), "solution key 'meta'")
-        overlap = solve_meta.get("overlap", "none")
-        loads = (solve_meta.get("overlap_load_ul"), solve_meta.get("overlap_load_dl"))
-        if overlap not in OVERLAP_CHOICES:
-            raise ConfigError(f"unknown overlap {overlap!r} in the solution meta")
-        if overlap != "none" and None in loads:
-            raise ConfigError(f"the solution meta names overlap {overlap!r} but not its loads")
-        overlap_model = _overlap_model(overlap, scenario.n_bs, *loads)
-        problem = Problem.from_scenario(scenario, assoc, overlap=overlap_model, theta=theta)
-
+    problem, w_star, p_star, source = io.load_solution(solution_path)
     result = minimize_power(problem, w_star, p_star)
 
     os.makedirs(out_dir, exist_ok=True)
-    out = {
-        "p_min": result.p_min.tolist(),
-        "lambda": result.lam,
-        "psi_before": result.psi_before,
-        "psi_after": result.psi_after,
-        "saving_ratio": result.saving_ratio,
-        "meta": {"tool_version": __version__,
-                 "scenario_hash": io.canonical_hash(scenario_doc),
-                 "seed": solve_meta.get("seed"),
-                 "config_hash": solve_meta.get("config_hash")},
-    }
-    io.write_json(out, os.path.join(out_dir, "minpower.json"))
-    click.echo(f"lambda={result.lam:.6g} saving_ratio={result.saving_ratio:.4f}")
+    io.write_json(io.power_min_to_dict(result, source), os.path.join(out_dir, "minpower.json"))
+    click.echo(f"lambda={result.lam:.6g} saving_ratio={result.saving_ratio:.6g}")
     return EXIT_OK if result.fixed_point.converged else EXIT_NOT_CONVERGED
 
 

@@ -12,20 +12,25 @@ import contextlib
 import dataclasses
 import hashlib
 import json
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
 from . import __version__
 from .errors import ConfigError, FlexlinkError
-from .model import BaseStation, Scenario, UserTerminal
-from .scenario import ScenarioConfig, _finite
+from .interference import Problem
+from .model import (OVERLAP_PAIRWISE, OVERLAP_SPECIFIC, Association, BaseStation, Scenario,
+                    UserTerminal)
+from .scenario import ScenarioConfig, _finite, uniform_overlap
 from .units import dbm_to_watt, linear_to_db, watt_to_dbm
 
 SCENARIO_SCHEMA_VERSION = 1
 SOLUTION_SCHEMA_VERSION = 1
 
 REQUIRED_CONFIG_KEYS = ("macro_rows", "macro_cols", "n_pico", "n_ue")
+
+OVERLAP_CHOICES = {"none": None, "pairwise": OVERLAP_PAIRWISE,
+                   "specific": OVERLAP_SPECIFIC}  # none: full overlap, no model
 
 
 def canonical_hash(doc) -> str:
@@ -56,7 +61,7 @@ def reading(what: str):
         raise ConfigError(f"missing required {what} key: {exc.args[0]}") from exc
     except FlexlinkError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # overflow: a huge integer
         raise ConfigError(f"malformed {what}: {exc}") from exc
 
 
@@ -86,10 +91,8 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
 
 
 def config_to_dict(config: ScenarioConfig) -> dict:
-    out = dataclasses.asdict(config)
-    out["service_mix"] = list(config.service_mix)
-    out["pico_ring"] = list(config.pico_ring)
-    return out
+    return {key: list(v) if isinstance(v, tuple) else v
+            for key, v in dataclasses.asdict(config).items()}
 
 
 def scenario_to_dict(scenario: Scenario, meta: dict | None = None) -> dict:
@@ -130,13 +133,10 @@ def scenario_to_dict(scenario: Scenario, meta: dict | None = None) -> dict:
     return doc
 
 
-def scenario_from_dict(doc: dict) -> Scenario:
-    version = doc.get("schema_version")
-    if type(version) is bool or version != SCENARIO_SCHEMA_VERSION:
-        raise ConfigError(f"scenario key 'schema_version' must be {SCENARIO_SCHEMA_VERSION}, "
-                          f"got {json.dumps(version)}")
-    with reading("scenario"):
-        return _scenario_from_doc(doc)
+def _check_version(doc: dict, what: str, version: int):
+    got = doc.get("schema_version")
+    if type(got) is not int or got != version:
+        raise ConfigError(f"{what} key 'schema_version' must be {version}, got {json.dumps(got)}")
 
 
 def _number(node: dict, key: str, integer: bool = False):
@@ -151,54 +151,118 @@ def _number(node: dict, key: str, integer: bool = False):
     return value
 
 
-def _scenario_from_doc(doc: dict) -> Scenario:
-    bs_list = [
-        BaseStation(
-            position=tuple(b["position_m"]),
-            kind=b["kind"],
-            max_power_w=float(dbm_to_watt(_number(b, "max_power_dbm"))),
-        )
-        for b in doc["base_stations"]
-    ]
-    ue_list = [
-        UserTerminal(
-            position=tuple(u["position_m"]),
-            service_class=_number(u, "service_class", integer=True),
-            max_power_w=float(dbm_to_watt(_number(u, "max_power_dbm"))),
-        )
-        for u in doc["user_terminals"]
-    ]
-    demands = np.array([[_number(u, f"demand_{d}_mbps") for u in doc["user_terminals"]]
-                        for d in ("ul", "dl")]).ravel() * 1e6
-    pl = doc["pathloss_db"]
-    to_gain = lambda m: 10.0 ** (-np.asarray(m, dtype=float) / 10.0)
-    return Scenario(
-        bs_list=bs_list,
-        ue_list=ue_list,
-        h0=to_gain(pl["bs_to_ue"]),
-        h1=to_gain(pl["bs_to_bs"]),
-        h2=to_gain(pl["ue_to_ue"]),
-        demands=demands,
-        rb_count=_number(doc, "rb_count", integer=True),
-        rb_bandwidth=float(_number(doc, "rb_bandwidth_hz")),
-        noise_psd=float(dbm_to_watt(_number(doc, "noise_psd_dbm"))),
-    )
+def _numbers(node: dict, key: str, shape: tuple, finite: bool = True) -> np.ndarray:
+    """``node[key]`` as a float array of ``shape`` whose entries pass ``_number``'s
+    rule, else a ``TypeError`` naming the key.  Without ``finite``, NaN and
+    infinity pass too: a BS index's value is the ``Association``'s to check."""
+    array = np.array(node[key], dtype=object)
+    if array.shape == shape and all(issubclass(kind, Real) and kind is not bool
+                                    for kind in set(map(type, array.flat))):
+        array = array.astype(float)
+        if not finite or np.isfinite(array).all():
+            return array
+    raise TypeError(f"key {key!r} must be {' x '.join(map(str, shape))} "
+                    f"{'finite ' if finite else ''}numbers")
 
 
-def save_scenario(scenario: Scenario, path, meta: dict | None = None) -> dict:
-    doc = scenario_to_dict(scenario, meta=meta)
-    write_json(doc, path)
-    return doc
+def scenario_from_dict(doc: dict) -> Scenario:
+    _check_version(doc, "scenario", SCENARIO_SCHEMA_VERSION)
+    with reading("scenario"):
+        bs_list = [
+            BaseStation(
+                position=tuple(_numbers(b, "position_m", (2,)).tolist()),
+                kind=b["kind"],
+                max_power_w=float(dbm_to_watt(_number(b, "max_power_dbm"))),
+            )
+            for b in doc["base_stations"]
+        ]
+        ue_list = [
+            UserTerminal(
+                position=tuple(_numbers(u, "position_m", (2,)).tolist()),
+                service_class=_number(u, "service_class", integer=True),
+                max_power_w=float(dbm_to_watt(_number(u, "max_power_dbm"))),
+            )
+            for u in doc["user_terminals"]
+        ]
+        demands = np.array([[_number(u, f"demand_{d}_mbps") for u in doc["user_terminals"]]
+                            for d in ("ul", "dl")]).ravel() * 1e6
+        pl, n, k = doc["pathloss_db"], len(bs_list), len(ue_list)
+        to_gain = lambda key, shape: 10.0 ** (-_numbers(pl, key, shape) / 10.0)
+        return Scenario(
+            bs_list=bs_list,
+            ue_list=ue_list,
+            h0=to_gain("bs_to_ue", (n, k)),
+            h1=to_gain("bs_to_bs", (n, n)),
+            h2=to_gain("ue_to_ue", (k, k)),
+            demands=demands,
+            rb_count=_number(doc, "rb_count", integer=True),
+            rb_bandwidth=float(_number(doc, "rb_bandwidth_hz")),
+            noise_psd=float(dbm_to_watt(_number(doc, "noise_psd_dbm"))),
+        )
+
+
+def save_scenario(scenario: Scenario, path, meta: dict | None = None):
+    write_json(scenario_to_dict(scenario, meta=meta), path)
 
 
 def load_scenario(path) -> Scenario:
-    return scenario_from_dict(read_json(path, "scenario"))
+    return read_scenario(path)[1]
 
 
 def write_json(doc: dict, path):
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def read_scenario(path):
+    """The scenario document at ``path``, its scenario and its outputs' provenance."""
+    doc = read_json(path, "scenario")
+    meta = as_object(doc.get("meta", {}), "scenario key 'meta'")
+    return doc, scenario_from_dict(doc), {key: meta.get(key) for key in ("seed", "config_hash")}
+
+
+def overlap_model(name: str, n_bs: int, *loads):
+    """The ``OVERLAP_CHOICES`` model ``name`` with UL and DL ``loads`` in every cell."""
+    scheme = OVERLAP_CHOICES[name]
+    return None if scheme is None else uniform_overlap(n_bs, *loads, scheme=scheme)
+
+
+def load_solution(path):
+    """The problem, ``w``, ``p`` and outputs' provenance of the solution at ``path``."""
+    doc = read_json(path, "solution")
+    _check_version(doc, "solution", SOLUTION_SCHEMA_VERSION)
+    with reading("solution"):
+        scenario_doc, assoc_doc, solved = (as_object(doc[key], f"solution key {key!r}")
+                                           for key in ("scenario", "association", "solution"))
+        meta = as_object(doc.get("meta", {}), "solution key 'meta'")
+        scenario = scenario_from_dict(scenario_doc)
+        assoc = Association(*(_numbers(assoc_doc, key, (scenario.n_ue,), finite=False)
+                              for key in ("b_ul", "b_dl")), n_bs=assoc_doc["n_bs"])
+        n, links = scenario.n_links, {}
+        for key in ("w", "p"):  # a malformed vector and a negative entry read alike
+            with contextlib.suppress(TypeError):
+                links[key] = _numbers(solved, key, (n,))
+            if key not in links or np.any(links[key] < 0):
+                raise ConfigError(f"solution key {key!r} must be a list of {n} "
+                                  "non-negative numbers")
+        overlap = meta.get("overlap", "none")
+        if overlap not in OVERLAP_CHOICES:
+            raise ConfigError(f"unknown overlap {overlap!r} in the solution meta")
+        loads = [f"overlap_load_{d}" for d in ("ul", "dl")] if overlap != "none" else []
+        if not all(key in meta for key in loads):
+            raise ConfigError(f"the solution meta names overlap {overlap!r} but not its loads")
+        problem = Problem.from_scenario(
+            scenario, assoc, theta=_number(solved, "theta") if "theta" in solved else 1.0,
+            overlap=overlap_model(overlap, scenario.n_bs, *(_number(meta, key) for key in loads)))
+    return problem, links["w"], links["p"], {"scenario_hash": canonical_hash(scenario_doc),
+                                              **{k: meta.get(k) for k in ("seed", "config_hash")}}
+
+
+def power_min_to_dict(result, meta: dict) -> dict:
+    return {"p_min": result.p_min.tolist(), "lambda": result.lam,
+            "psi_before": result.psi_before, "psi_after": result.psi_after,
+            "saving_ratio": result.saving_ratio, "meta": {"tool_version": __version__, **meta}}
 
 
 def solution_to_dict(solution, assoc, scenario_doc: dict, meta: dict | None = None) -> dict:

@@ -288,7 +288,7 @@ def test_unknown_flag_is_usage_error(tmp_path):
 
 # The bad-input contract, over every document a subcommand reads: each key
 # and the first element of each list of a valid document, under each mutation.
-MUTATIONS = ("delete", '"x"', "null", "[]", "{}", "NaN", "-1", "0", "true", "2.5")
+MUTATIONS = ("delete", '"x"', "null", "[]", "{}", "NaN", "-1", "0", "true", "2.5", '"1"')
 # the first command reads the document; the others must reject what it rejects
 COMMANDS = {
     "config": (["generate", "--seed", "3"], ["montecarlo", "--trials", "1", "--seed-base", "3"]),
@@ -317,6 +317,17 @@ PINNED = {
         "error: malformed scenario: key 'service_class' must be an integer, got 2.5",
     ("scenario", "schema_version", "true"):
         "error: scenario key 'schema_version' must be 1, got true",
+    # solution numbers and pathloss matrices follow the same rule
+    ("scenario", "pathloss_db.bs_to_ue.0.0", "true"):
+        "error: malformed scenario: key 'bs_to_ue' must be 9 x 4 finite numbers",
+    ("solution", "association.b_ul.0", '"1"'):
+        "error: malformed solution: key 'b_ul' must be 4 numbers",
+    ("solution", "solution.theta", "true"):
+        "error: malformed solution: key 'theta' must be a finite number, got true",
+    ("solution", "solution.w.0", '"1"'):
+        "error: solution key 'w' must be a list of 8 non-negative numbers",
+    ("solution", "meta.overlap_load_ul", '"1"'):
+        "error: malformed solution: key 'overlap_load_ul' must be a finite number, got \"1\"",
 }
 
 
@@ -337,10 +348,11 @@ def documents(tmp_path_factory):
 
 
 def _paths(node, prefix=""):
-    """Every key, and the first element of every list, under ``node``."""
+    """Every key, and the first element of every list, under ``node``, with
+    its value."""
     items = node.items() if isinstance(node, dict) else [("0", node[0])] if node else []
     for key, value in items:
-        yield prefix + key
+        yield prefix + key, value
         if isinstance(value, (dict, list)):
             yield from _paths(value, f"{prefix}{key}.")
 
@@ -421,17 +433,25 @@ def test_bad_document_keeps_the_contract(tmp_path, capsys, documents, document):
     """Every mutated document through every command that reads it: exit 0, 1
     or 2, no traceback and no warning.  On exit 1: one ``error:`` line, the
     same from every command, no output, and for a config the line names the
-    mutated field.  On exit 0 or 2: every number computed is finite."""
-    cases = [(path, mutation) for path in _paths(json.loads(documents[document]))
-             for mutation in MUTATIONS]
-    breaches = []
+    mutated field.  On exit 0 or 2: every number computed is finite.
+
+    The field rule: where the valid value is a JSON number and ``"x"`` is
+    refused, ``true`` and ``"1"`` are refused too."""
+    paths = dict(_paths(json.loads(documents[document])))
+    cases = [(path, mutation) for path in paths for mutation in MUTATIONS]
+    breaches, lines = [], {}
     for case in cases:
         line, found = _through_readers(documents, document, *case, tmp_path, capsys)
+        lines[case] = line
         want = PINNED.get((document, *case))
         if want and not (line == want or want.endswith(" ") and str(line).startswith(want)):
             found.append(f"printed {line!r}, not {want!r}")
         breaches += [f"{case}: {breach}" for breach in found]
-    assert len(cases) >= {"config": 190, "scenario": 340, "solution": 650}[document]
+    numbers = [path for path, value in paths.items() if type(value) in (int, float)]
+    breaches += [f"{(path, mutation)}: accepted, but '\"x\"' is refused"
+                 for path in numbers if lines[path, '"x"'] is not None
+                 for mutation in ("true", '"1"') if lines[path, mutation] is None]
+    assert len(cases) >= {"config": 209, "scenario": 374, "solution": 715}[document]
     assert not breaches, "\n".join(breaches)
 
 
@@ -539,6 +559,26 @@ def test_minimize_power_non_integral_association_is_one_line_error(tmp_path, cap
     # _rejection fails on any warning, such as a cast warning before the line
     assert _rejection(documents, tmp_path, capsys, "solution", f"association.{key}.{index}",
                       value) == f"error: {key} must hold integer BS indices in [0, 9)"
+
+
+@pytest.mark.parametrize("document, path, value, line", [
+    ("solution", "schema_version", 2, "error: solution key 'schema_version' must be 1, got 2"),
+    ("solution", "schema_version", "delete",
+     "error: solution key 'schema_version' must be 1, got null"),
+    ("scenario", "base_stations.0.position_m.0", "x",
+     "error: malformed scenario: key 'position_m' must be 2 finite numbers"),
+    ("solution", "solution.theta", 10 ** 400,
+     "error: malformed solution: int too large to convert to float"),
+    ("scenario", "pathloss_db.bs_to_ue.0.0", 10 ** 400,
+     "error: malformed scenario: int too large to convert to float"),
+], ids=["solution-schema_version-2", "solution-schema_version-delete",
+        "scenario-position_m.0-x", "solution-theta-1e400", "scenario-pathloss-1e400"])
+def test_field_outside_the_grid_rule_is_one_line_error(tmp_path, capsys, documents, document,
+                                                       path, value, line):
+    """Inputs the grid's field rule cannot see, because ``"x"`` there was
+    accepted too (a solution's schema version, a position entry), and JSON
+    integers too large for a float."""
+    assert _rejection(documents, tmp_path, capsys, document, path, value) == line
 
 
 @pytest.fixture()
