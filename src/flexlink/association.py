@@ -84,26 +84,32 @@ def rsrp(scenario: Scenario) -> np.ndarray:
     return ref_dbm[:, None] + linear_to_db(scenario.h0)
 
 
-def _ul_offsets_db(policy: Policy, scenario: Scenario) -> np.ndarray:
-    off = np.zeros(scenario.n_bs)
-    if policy.kind == DEUD_O:
-        for n, bs in enumerate(scenario.bs_list):
-            if bs.kind == PICO:
-                off[n] = policy.offset_db
-    return off
+def associate_all(policies, scenario: Scenario) -> list[Association]:
+    """Bind each policy to a scenario, producing serving maps for both directions.
+
+    ``rsrp`` and the downlink map are computed once, and every offset's
+    uplink map comes from one ``argmax`` over ``rs + offsets`` (the additions
+    of one policy alone).  Policies with equal maps share one ``Association``.
+    """
+    rs = rsrp(scenario)
+    b_dl = np.argmax(rs, axis=0)
+    pico = np.array([bs.kind == PICO for bs in scenario.bs_list])
+    offsets = np.array([[pol.offset_db] for pol in policies if pol.kind == DEUD_O])
+    b_ul_o = iter(np.argmax(rs + np.where(pico, offsets, 0.0)[:, :, None], axis=1)
+                  if offsets.size else ())
+    # DEUD_P: the best uplink channel, i.e. the least attenuation
+    maps = [b_dl if pol.kind == COUD else next(b_ul_o) if pol.kind == DEUD_O
+            else np.argmax(scenario.h0, axis=0) for pol in policies]
+    shared = {}  # uplink map -> its Association
+    for m in maps:
+        if m.tobytes() not in shared:
+            shared[m.tobytes()] = Association(b_ul=m, b_dl=b_dl, n_bs=scenario.n_bs)
+    return [shared[m.tobytes()] for m in maps]
 
 
 def associate(policy: Policy, scenario: Scenario) -> Association:
-    """Bind a policy to a scenario, producing serving maps for both directions."""
-    rs = rsrp(scenario)
-    b_dl = np.argmax(rs, axis=0)
-    if policy.kind == COUD:
-        b_ul = b_dl
-    elif policy.kind == DEUD_O:
-        b_ul = np.argmax(rs + _ul_offsets_db(policy, scenario)[:, None], axis=0)
-    else:  # DEUD_P: best uplink channel, i.e. least attenuation
-        b_ul = np.argmax(scenario.h0, axis=0)
-    return Association(b_ul=b_ul, b_dl=b_dl, n_bs=scenario.n_bs)
+    """``associate_all`` of one policy."""
+    return associate_all([policy], scenario)[0]
 
 
 def policy_sweep() -> list[Policy]:

@@ -14,7 +14,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .association import COUD, DEUD_O, DEUD_P, Policy, associate, policy_sweep
+from .association import COUD, DEUD_O, DEUD_P, Policy, associate, associate_all, policy_sweep
 from .errors import ConfigError
 from .interference import Problem
 from .model import Scenario
@@ -45,17 +45,18 @@ STUDY_CONFIG = ScenarioConfig(
 
 
 def solve_policies(scenario: Scenario, policies, opts: SolveOptions,
-                   overlap=None) -> list[Solution]:
+                   overlap=None, assocs=None) -> list[Solution]:
     """``optimize`` for each policy on one scenario, one ``Solution`` per policy.
 
     A policy only shapes the problem through its association, and the solver
     is deterministic, so each distinct ``(b_ul, b_dl)`` is solved once, and
     the distinct problems are solved as one batch (``solve_problems``).  A
     policy that repeats an earlier association gets that solution relabelled
-    with its own policy; the copies share their arrays.
+    with its own policy; the copies share their arrays.  ``assocs`` are the
+    policies' associations, ``associate_all``'s when not given.
     """
     first = {}  # association key -> index of the first policy with it
-    assocs = [associate(pol, scenario) for pol in policies]
+    assocs = associate_all(policies, scenario) if assocs is None else assocs
     keys = [(a.b_ul.tobytes(), a.b_dl.tobytes()) for a in assocs]
     for i, key in enumerate(keys):
         first.setdefault(key, i)
@@ -87,12 +88,13 @@ def run_trial(config: ScenarioConfig, seed: int) -> dict:
 
     labels = ("coud", "deud_p", "best")
     references = (Policy(COUD), Policy(DEUD_P), Policy(DEUD_O, offset_db=float(best_offset)))
-    full = {label: sol.lam
-            for label, sol in zip(labels, solve_policies(scenario, references, MC_OPTS))}
+    assocs = associate_all(references, scenario)
+    full = {label: sol.lam for label, sol in
+            zip(labels, solve_policies(scenario, references, MC_OPTS, assocs=assocs))}
 
     pf = {}
-    for label, pol in (("coud", Policy(COUD)), ("deud_p", Policy(DEUD_P))):
-        alloc = pf_allocate(scenario, associate(pol, scenario), split=DEFAULT_PF_SPLIT)
+    for label, assoc in zip(labels[:2], assocs):  # the baseline under CoUD and DeUD_P
+        alloc = pf_allocate(scenario, assoc, split=DEFAULT_PF_SPLIT)
         pf[label] = {"lam_ul": alloc.lam_ul, "lam_dl": alloc.lam_dl, "lam": alloc.lam}
 
     return {"seed": seed, "partial": partial, "best_offset": best_offset,

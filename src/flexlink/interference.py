@@ -76,11 +76,11 @@ class Problem:
         self.d_diag.setflags(write=False)
         object.__setattr__(self, "demands", _readonly(self.demands))
         object.__setattr__(self, "p_ext_max", _readonly(self.p_ext_max))
-        if not np.all(self.d_diag > 0):
+        if not (self.d_diag > 0).all():
             raise ModelError("direct link gains must be strictly positive")
         if not self.noise_psd > 0:
             raise ModelError("noise PSD must be strictly positive")
-        if not np.all((self.p_ext_max > 0) & (self.p_ext_max < np.inf)):
+        if not ((self.p_ext_max > 0) & (self.p_ext_max < np.inf)).all():
             raise DomainError("power budgets must be strictly positive")
 
     @classmethod

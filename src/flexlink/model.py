@@ -16,6 +16,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import logging
 from dataclasses import dataclass, field
 from numbers import Integral
@@ -191,7 +192,7 @@ class Association:
         if self.b_ul.ndim != 1 or self.b_ul.shape != self.b_dl.shape:
             raise ModelError("b_ul and b_dl must be 1-d and equally sized")
         for b in (self.b_ul, self.b_dl):
-            if np.any(b < 0) or np.any(b >= self.n_bs):
+            if (b < 0).any() or (b >= self.n_bs).any():
                 raise ModelError("serving BS index out of range")
         ue = np.arange(self.n_ue)
         for name, links in (("serving", (self.b_ul, self.b_dl)),  # every link, uplink first
@@ -259,6 +260,11 @@ class OverlapModel:
         for v in (self.load_ul, self.load_dl):
             if not np.all((v >= 0) & (v <= 1)):
                 raise ModelError("historical loads must lie in [0, 1]")
+
+    @functools.cached_property
+    def pairwise_factors(self) -> tuple:
+        """``pairwise_overlap_factors`` of the loads, computed on first use."""
+        return tuple(map(_readonly, pairwise_overlap_factors(self.load_ul, self.load_dl)))
 
 
 def build_coupling(scenario: Scenario, assoc: Association) -> np.ndarray:
@@ -348,7 +354,7 @@ def apply_overlap(rows: np.ndarray, overlap: OverlapModel, assoc: Association) -
     b_ul, b_dl = assoc.b_ul, assoc.b_dl
 
     if overlap.scheme == OVERLAP_PAIRWISE:
-        ul_dl, dl_ul = pairwise_overlap_factors(overlap.load_ul, overlap.load_dl)
+        ul_dl, dl_ul = overlap.pairwise_factors
         # DL<-UL lifted by A_dl^T O A_ul: entry (k, j) is O[b_dl[k], b_ul[j]]
         rows[:n, k:] *= ul_dl
         rows[n:, :k] *= dl_ul[np.ix_(b_dl, b_ul)]

@@ -7,7 +7,10 @@ cell and direction, RBs are handed out one at a time to the link with the
 largest marginal gain of QoS satisfaction relative to what it already has
 (the classic PF ratio with the rate replaced by the QoS satisfaction level),
 at a fixed open-loop PSD.  This greedy single-shot rule *is* the baseline
-definition; there is no time-domain averaging window.
+definition; there is no time-domain averaging window.  A link's ratio only
+falls as it gains RBs, so the greedy rule is one sort: each cell and direction
+takes the first RBs of its links' ratios at their 1st, 2nd, ... RB, ordered by
+falling ratio and then by link index (the greedy tie-break: the lowest wins).
 """
 
 from __future__ import annotations
@@ -78,19 +81,17 @@ def pf_allocate(scenario: Scenario, assoc: Association, split=(9, 16)) -> PfAllo
     p = initial_psd(problem)
     demands = scenario.demands
 
-    budgets = (ul_rbs, dl_rbs)
     gain = _pf_rates(problem, p, np.zeros(2 * k), split) / demands  # QoS per RB
-    counts = np.zeros(2 * k)
-    for cell in range(n):
-        for direction, served in enumerate((assoc.b_ul, assoc.b_dl)):
-            links = np.flatnonzero(served == cell) + direction * k
-            if links.size == 0:
-                continue
-            qos = np.zeros(links.size)
-            for _rb in range(budgets[direction]):
-                pick = int(np.argmax(gain[links] / (qos + EPS_PF)))
-                counts[links[pick]] += 1
-                qos[pick] += gain[links[pick]]
+    rbs = max(split)
+    held = np.zeros((2 * k, rbs))  # QoS a link holds before its c-th RB
+    np.cumsum(np.broadcast_to(gain[:, None], (2 * k, rbs - 1)), axis=1, out=held[:, 1:])
+    priority = (gain[:, None] / (held + EPS_PF)).ravel()
+    link = np.repeat(np.arange(2 * k), rbs)
+    group = (assoc.serving + n * (np.arange(2 * k) >= k))[link]  # UL cells, then DL
+    order = np.lexsort((link, -priority, group))
+    link, group = link[order], group[order]
+    taken = np.arange(link.size) - np.searchsorted(group, group) < np.repeat(split, n)[group]
+    counts = np.bincount(link[taken], minlength=2 * k)
 
     rates = _pf_rates(problem, p, counts, split)
     qos = counts * rates / demands

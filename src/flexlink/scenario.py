@@ -10,7 +10,7 @@ the seed.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass, fields
 from numbers import Integral, Real
 
@@ -98,7 +98,9 @@ class ScenarioConfig:
 
 
 def _finite(value) -> bool:
-    return isinstance(value, Real) and not isinstance(value, bool) and math.isfinite(value)
+    # also false for an integer too large for a float, which isfinite cannot take
+    return (isinstance(value, Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
 
 
 def macro_ue_pathloss_db(d_m, min_dist_m=35.0):

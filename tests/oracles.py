@@ -12,7 +12,8 @@ before Anderson acceleration, kept to check that ``memory=0`` is that loop.
 ``check_sif_axioms`` samples the SIF axioms (Yates 1995);
 ``linear_reformulation_check`` recovers the power-update utility through the
 O((2K)^3) linear-in-power route; ``run_trial_loop`` is the Monte Carlo trial
-with one ``optimize`` per policy.
+with one ``optimize`` per policy; ``pf_greedy_ref`` is the PF baseline's
+greedy hand-out as the per-RB loop that ``pf_allocate``'s one sort replaced.
 """
 
 import math
@@ -24,10 +25,11 @@ from flexlink.association import COUD, DEUD_O, DEUD_P, Policy, associate, policy
 from flexlink.errors import DomainError, ModelError
 from flexlink.experiments import DEFAULT_HISTORY_DL, DEFAULT_HISTORY_UL, DEFAULT_PF_SPLIT, MC_OPTS
 from flexlink.fixedpoint import DEFAULT_MAX_ITER, DEFAULT_TOL, FixedPointResult
-from flexlink.interference import EPS_NO_DL, LN2, expand_psd, g1, g2, interference_psd, utility
+from flexlink.interference import (EPS_NO_DL, LN2, Problem, expand_psd, g1, g2,
+                                   interference_psd, utility)
 from flexlink.model import OVERLAP_PAIRWISE, pairwise_overlap_factors
-from flexlink.optimizer import W_FLOOR, optimize
-from flexlink.pf_baseline import pf_allocate
+from flexlink.optimizer import W_FLOOR, initial_psd, optimize
+from flexlink.pf_baseline import EPS_PF, _pf_rates, _split_band, pf_allocate
 from flexlink.scenario import generate, uniform_overlap
 
 
@@ -554,3 +556,24 @@ def run_trial_loop(config, seed) -> dict:
 
     return {"seed": seed, "partial": partial, "best_offset": best_offset,
             "full": full, "pf": pf}
+
+
+def pf_greedy_ref(scenario, assoc, split) -> np.ndarray:
+    """``pf_allocate``'s RB counts by its greedy rule, one RB at a time: each
+    cell and direction gives its next RB to the link with the largest
+    ``gain / (qos + EPS_PF)``, the first such link on a tie."""
+    k = scenario.n_ue
+    problem = _split_band(Problem.from_scenario(scenario, assoc))
+    gain = _pf_rates(problem, initial_psd(problem), np.zeros(2 * k), split) / scenario.demands
+    counts = np.zeros(2 * k, dtype=int)
+    for cell in range(scenario.n_bs):
+        for direction, served in enumerate((assoc.b_ul, assoc.b_dl)):
+            links = np.flatnonzero(served == cell) + direction * k
+            if links.size == 0:
+                continue
+            qos = np.zeros(links.size)
+            for _rb in range(split[direction]):
+                pick = int(np.argmax(gain[links] / (qos + EPS_PF)))
+                counts[links[pick]] += 1
+                qos[pick] += gain[links[pick]]
+    return counts

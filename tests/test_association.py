@@ -5,12 +5,15 @@ import pytest
 
 from flexlink.association import (
     DEUD_P_EQUIVALENT_OFFSET_DB,
+    PICO,
     Policy,
     associate,
+    associate_all,
     policy_sweep,
     rsrp,
 )
 from flexlink.errors import ConfigError
+from flexlink.experiments import STUDY_CONFIG
 from flexlink.scenario import ScenarioConfig, generate
 from flexlink.units import dbm_to_watt
 
@@ -95,6 +98,34 @@ def test_deud_p_downlink_is_coud_downlink():
         sc = generate(ScenarioConfig(macro_rows=2, macro_cols=2, n_pico=2, n_ue=12), seed=seed)
         assert np.array_equal(associate(Policy("deud_p"), sc).b_dl,
                               associate(Policy("coud"), sc).b_dl)
+
+
+@pytest.mark.parametrize("config, seed", [(STUDY_CONFIG, s) for s in range(6)]
+                         + [(ScenarioConfig(n_ue=300), 1)],
+                         ids=[f"study-{s}" for s in range(6)] + ["k300-1"])
+def test_associate_all_equals_one_policy_at_a_time(config, seed):
+    sc = generate(config, seed)
+    policies = [Policy("coud"), *policy_sweep(), Policy("deud_p"),
+                Policy("deud_o", offset_db=60.0), Policy("deud_o", offset_db=2.5),
+                Policy("coud")]
+    batch = associate_all(policies, sc)
+    rs, pico = rsrp(sc), np.array([bs.kind == PICO for bs in sc.bs_list])
+    for pol, assoc in zip(policies, batch):
+        alone = associate(pol, sc)
+        assert (assoc.b_ul.tolist(), assoc.b_dl.tolist(), assoc.n_bs) == \
+            (alone.b_ul.tolist(), alone.b_dl.tolist(), alone.n_bs)
+        # the per-policy formula: the pico offset added to the reference signals
+        ul = (np.argmax(rs + np.where(pico, pol.offset_db, 0.0)[:, None], axis=0)
+              if pol.kind == "deud_o" else np.argmax(sc.h0 if pol.kind == "deud_p" else rs, axis=0))
+        assert np.array_equal(assoc.b_ul, ul) and np.array_equal(assoc.b_dl, np.argmax(rs, axis=0))
+    # equal maps share one object, and only equal maps do
+    for a in batch:
+        for b in batch:
+            assert (a is b) == np.array_equal(a.b_ul, b.b_ul)
+    if config is STUDY_CONFIG:
+        by_label = dict(zip((pol.label for pol in policies), batch))
+        assert by_label["deud-o:0"] is by_label["coud"]
+        assert by_label["deud-o:13"] is by_label["deud-p"]
 
 
 def test_policy_sweep_contents():

@@ -568,11 +568,13 @@ def test_minimize_power_non_integral_association_is_one_line_error(tmp_path, cap
     ("scenario", "base_stations.0.position_m.0", "x",
      "error: malformed scenario: key 'position_m' must be 2 finite numbers"),
     ("solution", "solution.theta", 10 ** 400,
-     "error: malformed solution: int too large to convert to float"),
+     f"error: malformed solution: key 'theta' must be a finite number, got {10 ** 400}"),
     ("scenario", "pathloss_db.bs_to_ue.0.0", 10 ** 400,
      "error: malformed scenario: int too large to convert to float"),
+    ("config", "isd_m", 10 ** 400, f"error: isd_m must be a finite number, got {10 ** 400}"),
 ], ids=["solution-schema_version-2", "solution-schema_version-delete",
-        "scenario-position_m.0-x", "solution-theta-1e400", "scenario-pathloss-1e400"])
+        "scenario-position_m.0-x", "solution-theta-1e400", "scenario-pathloss-1e400",
+        "config-isd_m-1e400"])
 def test_field_outside_the_grid_rule_is_one_line_error(tmp_path, capsys, documents, document,
                                                        path, value, line):
     """Inputs the grid's field rule cannot see, because ``"x"`` there was

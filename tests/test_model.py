@@ -157,6 +157,21 @@ def test_zero_historical_load_gives_zero_factor_and_diagnostic(caplog):
     assert any("overlap factor set to 0" in r.message for r in caplog.records)
 
 
+def test_zero_load_diagnostic_once_per_model(caplog):
+    """A model computes its pairwise factors once, so every problem built on
+    it shares them and the zero-load warning is logged once per model."""
+    sc = two_cell_scenario()
+    assoc = coud_assoc(sc)
+    overlap = OverlapModel(scheme="cell_pairwise", load_ul=[0.0, 0.5], load_dl=[0.6, 0.6])
+    with caplog.at_level(logging.WARNING, logger="flexlink.model"):
+        first = Problem.from_scenario(sc, assoc, overlap=overlap)
+        second = Problem.from_scenario(sc, assoc, overlap=overlap)
+    assert np.array_equal(first.rows, second.rows)
+    assert [r.message for r in caplog.records].count(
+        "zero historical ul load in 1 cell(s); overlap factor set to 0") == 1
+    assert len(caplog.records) == 1
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000),
        scheme=st.sampled_from(["cell_pairwise", "cell_specific"]))

@@ -3,15 +3,19 @@
 import numpy as np
 import pytest
 
+from flexlink.association import Policy, associate
 from flexlink.errors import ConfigError
-from flexlink.experiments import MC_OPTS, compare_pf
+from flexlink.experiments import MC_OPTS, STUDY_CONFIG, compare_pf
 from flexlink.interference import Problem, qos_levels
 from flexlink.model import Association
 from flexlink.optimizer import optimize
-from flexlink.pf_baseline import _pf_rates, _split_band, pf_allocate
+from flexlink.pf_baseline import EPS_PF, _pf_rates, _split_band, pf_allocate
+from flexlink.scenario import ScenarioConfig, generate
 
 from .helpers import make_scenario, random_problem, random_scenario, two_cell_scenario, coud_assoc
-from .oracles import dense_coupling
+from .oracles import dense_coupling, pf_greedy_ref
+
+SPLITS = ((9, 16), (1, 24), (24, 1), (12, 13))
 
 
 def test_single_link_per_direction_gets_whole_split():
@@ -36,6 +40,42 @@ def test_identical_links_share_within_one_rb():
     assert abs(alloc.rb_counts[2] - alloc.rb_counts[3]) <= 1
     assert alloc.rb_counts[:2].sum() == 9
     assert alloc.rb_counts[2:].sum() == 16
+
+
+@pytest.mark.parametrize("config", [STUDY_CONFIG, ScenarioConfig(n_ue=7),
+                                    ScenarioConfig(n_ue=100)], ids=["study", "k7", "k100"])
+def test_sort_equals_the_greedy_loop(config):
+    for seed in range(6):
+        scenario = generate(config, seed)
+        for policy in ("coud", "deud-p"):
+            assoc = associate(Policy.parse(policy), scenario)
+            for split in SPLITS:
+                assert np.array_equal(pf_allocate(scenario, assoc, split).rb_counts,
+                                      pf_greedy_ref(scenario, assoc, split)), (seed, policy, split)
+
+
+@pytest.mark.parametrize("demands, want", [
+    # gains so small that qos + EPS_PF rounds to EPS_PF: every priority of
+    # every link is equal, and the first link of each cell and direction wins all
+    ([1e30] * 6, [9, 0, 0, 16, 0, 0]),
+    # two tied tiny links beside one ordinary link in each direction
+    ([1e30, 2e6, 1e30, 5e6, 1e30, 1e30], None),
+    # identical ordinary links: equal priorities across links at every count
+    ([2e6] * 3 + [5e6] * 3, [3, 3, 3, 6, 5, 5]),
+])
+@pytest.mark.parametrize("split", SPLITS)
+def test_sort_breaks_ties_as_the_greedy_loop(demands, want, split):
+    sc = make_scenario(np.array([[1e-8] * 3]), np.array([[1.0]]), np.eye(3) * 0.5 + 0.5,
+                       demands)
+    assoc = Association(b_ul=[0] * 3, b_dl=[0] * 3, n_bs=1)
+    alloc = pf_allocate(sc, assoc, split=split)
+    assert np.array_equal(alloc.rb_counts, pf_greedy_ref(sc, assoc, split))
+    if want is not None and split == (9, 16):
+        assert alloc.rb_counts.tolist() == want
+    problem = _split_band(Problem.from_scenario(sc, assoc))
+    gain = _pf_rates(problem, alloc.p, np.zeros(6), split) / sc.demands  # QoS per RB
+    tiny = sc.demands == 1e30
+    assert np.all(gain[tiny] * max(split) + EPS_PF == EPS_PF) and np.all(gain[~tiny] > 1e-6)
 
 
 def test_per_cell_budgets_respected():
@@ -105,9 +145,6 @@ def test_joint_optimizer_beats_pf_min_direction(seed):
 
 
 def test_compare_pf_reports_both_sides():
-    from flexlink.association import Policy
-    from flexlink.scenario import ScenarioConfig, generate
-
     sc = generate(ScenarioConfig(macro_rows=1, macro_cols=2, n_pico=1, n_ue=6,
                                  isd_m=100.0), seed=2)
     out = compare_pf(sc, Policy("coud"))
