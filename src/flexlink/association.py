@@ -3,8 +3,9 @@
 Downlink association always follows the strongest reference signal (RSRP).
 Uplink association may differ: ``deud_o`` adds a cell-selection offset to the
 reference signals of pico cells in UL, ``deud_p`` picks the uplink server by
-best channel gain (smallest pathloss).  Ties break to the lowest BS index so
-results are reproducible.
+best channel gain (smallest pathloss): ``deud_o`` at the venue's macro-pico
+power gap (``equivalent``).  Ties break to the lowest BS index so results
+are reproducible.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .model import PICO, Association, Scenario
+from .model import MACRO, PICO, Association, Scenario
 from .units import linear_to_db, watt_to_dbm
 
 COUD = "coud"
@@ -24,10 +25,6 @@ DEUD_P = "deud_p"
 
 # Pico UL cell-selection offsets swept in the policy study (dB).
 SWEEP_OFFSETS_DB = (0,) + tuple(range(1, 52, 2))
-
-# Offset equal to the macro/pico transmit power gap makes deud_o coincide
-# with deud_p (43 dBm - 30 dBm with the default powers).
-DEUD_P_EQUIVALENT_OFFSET_DB = 13.0
 
 
 @dataclass(frozen=True)
@@ -46,16 +43,6 @@ class Policy:
         if self.kind == DEUD_O:
             return f"deud-o:{self.offset_db:g}"
         return self.kind.replace("_", "-")
-
-    def equivalent_to(self):
-        """Policy this offset reduces to under the default 13 dB power gap."""
-        if self.kind != DEUD_O:
-            return None
-        if self.offset_db == 0:
-            return COUD
-        if self.offset_db == DEUD_P_EQUIVALENT_OFFSET_DB:
-            return DEUD_P
-        return None
 
     @classmethod
     def parse(cls, text: str) -> "Policy":
@@ -110,6 +97,21 @@ def associate_all(policies, scenario: Scenario) -> list[Association]:
 def associate(policy: Policy, scenario: Scenario) -> Association:
     """``associate_all`` of one policy."""
     return associate_all([policy], scenario)[0]
+
+
+def equivalent(policy: Policy, scenario: Scenario):
+    """The reference kind ``policy`` reduces to on ``scenario``, or None.
+    ``deud_o`` at offset 0 is ``coud``; at the macro-pico transmit power gap
+    (13 dB with the default powers; it exists when each kind has one power)
+    the offset cancels the gap in every pico's RSRP, so it is ``deud_p``."""
+    if policy.kind != DEUD_O:
+        return None
+    if policy.offset_db == 0:
+        return COUD
+    macro, pico = ({float(watt_to_dbm(b.max_power_w)) for b in scenario.bs_list if b.kind == kind}
+                   for kind in (MACRO, PICO))
+    gap = macro.pop() - pico.pop() if len(macro) == len(pico) == 1 else math.nan
+    return DEUD_P if math.isclose(policy.offset_db, gap, abs_tol=1e-9) else None
 
 
 def policy_sweep() -> list[Policy]:

@@ -16,9 +16,10 @@ import sys
 import click
 
 from . import __version__, experiments, io
-from .association import Policy, associate
+from .association import DEUD_O, Policy, associate, equivalent, policy_sweep
 from .errors import ConfigError, FlexlinkError
 from .optimizer import SolveOptions, minimize_power, optimize
+from .pf_baseline import DEFAULT_PF_SPLIT
 from .scenario import generate
 
 EXIT_OK = 0
@@ -30,33 +31,20 @@ def parse_offsets(text: str) -> list[float]:
     """Parse ``0,1,3..51`` style offset lists; ``a..b`` steps by 2 by default,
     ``a..b:s`` by ``s``."""
     out: list[float] = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        if ".." in token:
-            lo_txt, rest = token.split("..", 1)
-            step_txt = "2"
-            if ":" in rest:
-                rest, step_txt = rest.split(":", 1)
-            try:
-                lo, hi, step = float(lo_txt), float(rest), float(step_txt)
-            except ValueError as exc:
-                raise ConfigError(f"bad offset range {token!r}") from exc
-            if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
-                raise ConfigError(f"bad offset range {token!r}")
-            val = lo
-            while val <= hi + 1e-9:
-                out.append(val)
-                val += step
-        else:
-            try:
-                val = float(token)
-            except ValueError as exc:
-                raise ConfigError(f"bad offset {token!r}") from exc
-            if not math.isfinite(val):
-                raise ConfigError(f"bad offset {token!r}")
-            out.append(val)
+    for token in filter(None, (t.strip() for t in text.split(","))):
+        lo_txt, dots, rest = token.partition("..")
+        hi_txt, colon, step_txt = rest.partition(":")
+        bad = f"bad offset{' range' if dots else ''} {token!r}"
+        try:
+            lo, hi, step = map(float, (lo_txt, hi_txt if dots else lo_txt,
+                                       step_txt if colon else 2))
+        except ValueError as exc:
+            raise ConfigError(bad) from exc
+        if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
+            raise ConfigError(bad)
+        while lo <= hi + 1e-9:
+            out.append(lo)
+            lo += step
     if not out:
         raise ConfigError(f"no offsets in {text!r}")
     return out
@@ -120,7 +108,8 @@ def cmd_solve(scenario_path, policy_text, cell_specific, theta, overlap,
 
 @cli.command("sweep")
 @click.option("--scenario", "scenario_path", required=True, type=click.Path(exists=True))
-@click.option("--offsets", "offsets_text", default="0,1,3..51", show_default=True)
+@click.option("--offsets", "offsets_text", show_default="SWEEP_OFFSETS_DB",
+              help="Offsets in dB, as in 0,1,3..51 (a..b steps by 2, a..b:s by s).")
 @click.option("--overlap", type=click.Choice(sorted(io.OVERLAP_CHOICES)), default="pairwise",
               show_default=True)
 @click.option("--overlap-load-ul", type=float, default=experiments.DEFAULT_HISTORY_UL)
@@ -129,14 +118,13 @@ def cmd_solve(scenario_path, policy_text, cell_specific, theta, overlap,
 def cmd_sweep(scenario_path, offsets_text, overlap, overlap_load_ul, overlap_load_dl, out_dir):
     """Sweep cell-selection offsets on one scenario; report the top three."""
     _, scenario, source = io.read_scenario(scenario_path)
-    offsets = parse_offsets(offsets_text)
+    policies = (policy_sweep() if offsets_text is None else
+                [Policy(DEUD_O, offset_db=off) for off in parse_offsets(offsets_text)])
     overlap_model = io.overlap_model(overlap, scenario.n_bs, overlap_load_ul, overlap_load_dl)
-    opts = SolveOptions(trace_mode="boundary")
 
-    policies = [Policy("deud_o", offset_db=off) for off in offsets]
-    solutions = experiments.solve_policies(scenario, policies, opts, overlap_model)
+    solutions = experiments.solve_policies(scenario, policies, experiments.MC_OPTS, overlap_model)
     rows = [(pol.offset_db, sol.lam, sol.g1, sol.g2, sol.step, int(sol.converged),
-             pol.equivalent_to() or "") for pol, sol in zip(policies, solutions)]
+             equivalent(pol, scenario) or "") for pol, sol in zip(policies, solutions)]
     all_converged = all(sol.converged for sol in solutions)
 
     os.makedirs(out_dir, exist_ok=True)
@@ -186,7 +174,7 @@ def cmd_montecarlo(config_path, trials, seed_base, workers, out_dir):
 @cli.command("compare-pf")
 @click.option("--scenario", "scenario_path", required=True, type=click.Path(exists=True))
 @click.option("--policy", "policy_text", required=True)
-@click.option("--split", default="9:16", show_default=True,
+@click.option("--split", default="%d:%d" % DEFAULT_PF_SPLIT, show_default=True,
               help="UL:DL resource block split for the PF baseline.")
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def cmd_compare_pf(scenario_path, policy_text, split, out_dir):

@@ -1,10 +1,11 @@
 """Monte Carlo campaigns and parameter studies built on the optimizer.
 
 The policy study reproduces the experiment layout of the evaluation: for
-each seeded trial it sweeps the cell-selection offset policy set under
-partial band overlap, re-runs the reference policies under full overlap, and
-runs the QoS-based PF baseline for comparison.  Aggregates are deterministic
-given the base seed regardless of the worker count.
+each seeded trial it solves the cell-selection offset policy set and the
+``REFERENCES`` (CoUD, DeUD-P) under partial band overlap, re-runs the
+references and the best offset under full overlap, and runs the QoS-based PF
+baseline under each reference.  Aggregates are deterministic given the base
+seed regardless of the worker count.
 """
 
 from __future__ import annotations
@@ -14,13 +15,13 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .association import COUD, DEUD_O, DEUD_P, Policy, associate, associate_all, policy_sweep
+from .association import COUD, DEUD_P, Policy, associate, associate_all, policy_sweep
 from .errors import ConfigError
 from .interference import Problem
 from .model import Scenario
 from .optimizer import (Solution, SolveOptions, initial_power_state, optimize,
                         solve_problems, step3_update_power)
-from .pf_baseline import pf_allocate
+from .pf_baseline import DEFAULT_PF_SPLIT, pf_allocate
 from .scenario import ScenarioConfig, generate, uniform_overlap
 from .units import dbm_to_watt
 
@@ -28,9 +29,10 @@ from .units import dbm_to_watt
 DEFAULT_HISTORY_UL = 0.35
 DEFAULT_HISTORY_DL = 0.75
 
-DEFAULT_PF_SPLIT = (9, 16)
-
 MC_OPTS = SolveOptions(trace_mode="boundary")
+
+# The study's reference policies, keyed as a trial records them.
+REFERENCES = {"coud": Policy(COUD), "deud_p": Policy(DEUD_P)}
 
 # Reference Monte Carlo setting: a dense hotspot venue (6 macros + 3 picos
 # covering a small floor, 30 terminals, a few heavy uplink-centric users over
@@ -69,35 +71,35 @@ def solve_policies(scenario: Scenario, policies, opts: SolveOptions,
 
 
 def run_trial(config: ScenarioConfig, seed: int) -> dict:
-    """One Monte Carlo trial: offset sweep (partial overlap at the default
-    historical loads), full-overlap reference runs, and the PF baseline at
-    the default split under CoUD and DeUD_P, all solved with ``MC_OPTS``."""
+    """One Monte Carlo trial with ``MC_OPTS``: the offset sweep and the
+    ``REFERENCES`` under partial overlap at the default historical loads, the
+    references and the best offset under full overlap, and the PF baseline."""
     scenario = generate(config, seed)
     overlap = uniform_overlap(scenario.n_bs, DEFAULT_HISTORY_UL, DEFAULT_HISTORY_DL)
 
-    sweep = policy_sweep()
+    arms = {f"{pol.offset_db:g}": pol for pol in policy_sweep()} | REFERENCES
+    assocs = dict(zip(arms, associate_all(list(arms.values()), scenario)))
+    solved = dict(zip(arms, solve_policies(scenario, list(arms.values()), MC_OPTS, overlap,
+                                           list(assocs.values()))))
     partial = {
-        f"{pol.offset_db:g}": {
-            "lam": sol.lam, "lam_ul": sol.lam_ul, "lam_dl": sol.lam_dl,
-            "step": sol.step, "converged": sol.converged,
-        }
-        for pol, sol in zip(sweep, solve_policies(scenario, sweep, MC_OPTS, overlap))
+        off: {"lam": sol.lam, "lam_ul": sol.lam_ul, "lam_dl": sol.lam_dl,
+              "step": sol.step, "converged": sol.converged}
+        for off, sol in solved.items() if off not in REFERENCES
     }
-
     best_offset = max(partial, key=lambda o: partial[o]["lam"])
 
-    labels = ("coud", "deud_p", "best")
-    references = (Policy(COUD), Policy(DEUD_P), Policy(DEUD_O, offset_db=float(best_offset)))
-    assocs = associate_all(references, scenario)
-    full = {label: sol.lam for label, sol in
-            zip(labels, solve_policies(scenario, references, MC_OPTS, assocs=assocs))}
+    full_arm = {**REFERENCES, "best": arms[best_offset]}
+    full = {label: sol.lam for label, sol in zip(full_arm, solve_policies(
+        scenario, list(full_arm.values()), MC_OPTS,
+        assocs=[assocs[label] for label in (*REFERENCES, best_offset)]))}
 
     pf = {}
-    for label, assoc in zip(labels[:2], assocs):  # the baseline under CoUD and DeUD_P
-        alloc = pf_allocate(scenario, assoc, split=DEFAULT_PF_SPLIT)
+    for label in REFERENCES:
+        alloc = pf_allocate(scenario, assocs[label], split=DEFAULT_PF_SPLIT)
         pf[label] = {"lam_ul": alloc.lam_ul, "lam_dl": alloc.lam_dl, "lam": alloc.lam}
 
     return {"seed": seed, "partial": partial, "best_offset": best_offset,
+            "references": {label: solved[label].lam for label in REFERENCES},
             "full": full, "pf": pf}
 
 
@@ -135,9 +137,9 @@ def aggregate_policy_study(results: list[dict]) -> dict:
         mean, half = mean_ci(lams)
         per_offset[off] = {"mean_lam": mean, "ci_halfwidth": half}
 
-    best = [max(r["partial"][o]["lam"] for o in offsets) for r in results]
-    coud = [r["partial"]["0"]["lam"] for r in results]
-    deud_p = [r["partial"]["13"]["lam"] for r in results]
+    # per trial, under partial overlap: each reference's utility and the best offset's
+    partial = {label: [r["references"][label] for r in results] for label in REFERENCES}
+    partial["best"] = [max(r["partial"][o]["lam"] for o in offsets) for r in results]
 
     # how often each offset lands in the per-trial top three
     top3 = {off: 0 for off in offsets}
@@ -146,33 +148,24 @@ def aggregate_policy_study(results: list[dict]) -> dict:
         for off in ranked[:3]:
             top3[off] += 1
 
-    partial_full = {
-        label: {
-            "mean_partial": float(np.mean(vals_p)),
-            "mean_full": float(np.mean(vals_f)),
-            "ratio": float(np.mean(vals_p) / np.mean(vals_f)),
-        }
-        for label, vals_p, vals_f in (
-            ("coud", coud, [r["full"]["coud"] for r in results]),
-            ("deud_p", deud_p, [r["full"]["deud_p"] for r in results]),
-            ("best", best, [r["full"]["best"] for r in results]),
-        )
-    }
+    partial_full = {}
+    for label, vals in partial.items():
+        full = [r["full"][label] for r in results]
+        partial_full[label] = {"mean_partial": float(np.mean(vals)),
+                               "mean_full": float(np.mean(full)),
+                               "ratio": float(np.mean(vals) / np.mean(full))}
 
-    pf_wins = {}
-    for label in ("coud", "deud_p"):
-        opt = [r["partial"]["0" if label == "coud" else "13"]["lam"] for r in results]
-        base = [min(r["pf"][label]["lam_ul"], r["pf"][label]["lam_dl"]) for r in results]
-        pf_wins[label] = float(np.mean([o > b for o, b in zip(opt, base)]))
+    pf_wins = {label: float(np.mean([r["references"][label] > r["pf"][label]["lam"]
+                                     for r in results])) for label in REFERENCES}
 
-    mean_best, ci_best = mean_ci(best)
-    mean_coud, ci_coud = mean_ci(coud)
+    mean_best, ci_best = mean_ci(partial["best"])
+    mean_coud, ci_coud = mean_ci(partial["coud"])
     return {
         "per_offset": per_offset,
         "top3_counts": top3,
         "mean_best": mean_best, "ci_best": ci_best,
         "mean_coud": mean_coud, "ci_coud": ci_coud,
-        "mean_deud_p": float(np.mean(deud_p)),
+        "mean_deud_p": float(np.mean(partial["deud_p"])),
         "best_over_coud": mean_best / mean_coud if mean_coud else float("inf"),
         "partial_over_full": partial_full,
         "pf_win_fraction": pf_wins,

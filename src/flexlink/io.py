@@ -12,7 +12,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
@@ -20,8 +20,8 @@ from . import __version__
 from .errors import ConfigError, FlexlinkError
 from .interference import Problem
 from .model import (OVERLAP_PAIRWISE, OVERLAP_SPECIFIC, Association, BaseStation, Scenario,
-                    UserTerminal)
-from .scenario import ScenarioConfig, _finite, uniform_overlap
+                    UserTerminal, _breach)
+from .scenario import ScenarioConfig, uniform_overlap
 from .units import dbm_to_watt, linear_to_db, watt_to_dbm
 
 SCENARIO_SCHEMA_VERSION = 1
@@ -61,7 +61,7 @@ def reading(what: str):
         raise ConfigError(f"missing required {what} key: {exc.args[0]}") from exc
     except FlexlinkError:
         raise
-    except (TypeError, ValueError, OverflowError) as exc:  # overflow: a huge integer
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed {what}: {exc}") from exc
 
 
@@ -140,13 +140,12 @@ def _check_version(doc: dict, what: str, version: int):
 
 
 def _number(node: dict, key: str, integer: bool = False):
-    """``node[key]`` if it is a number by ``ScenarioConfig``'s rule (finite,
-    and for ``integer`` an ``Integral``; never a ``bool``), else a
+    """``node[key]`` if it is a number by ``ScenarioConfig``'s rule (finite as
+    a float, and for ``integer`` an ``Integral``; never a ``bool``), else a
     ``TypeError`` naming the key (``reading`` turns it into a ``ConfigError``)."""
     value = node[key]
-    if not (isinstance(value, Integral) and type(value) is not bool if integer
-            else _finite(value)):
-        what = "an integer" if integer else "a finite number"
+    what = _breach(value, integer)
+    if what:
         raise TypeError(f"key {key!r} must be {what}, got {json.dumps(value)}")
     return value
 
@@ -158,9 +157,10 @@ def _numbers(node: dict, key: str, shape: tuple, finite: bool = True) -> np.ndar
     array = np.array(node[key], dtype=object)
     if array.shape == shape and all(issubclass(kind, Real) and kind is not bool
                                     for kind in set(map(type, array.flat))):
-        array = array.astype(float)
-        if not finite or np.isfinite(array).all():
-            return array
+        with contextlib.suppress(OverflowError):  # an integer too large for a float
+            array = array.astype(float)
+            if not finite or np.isfinite(array).all():
+                return array
     raise TypeError(f"key {key!r} must be {' x '.join(map(str, shape))} "
                     f"{'finite ' if finite else ''}numbers")
 

@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import functools
 import logging
+import sys
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -33,6 +34,16 @@ PICO = "pico"
 OVERLAP_PAIRWISE = "cell_pairwise"
 OVERLAP_SPECIFIC = "cell_specific"
 OVERLAP_SCHEMES = (OVERLAP_PAIRWISE, OVERLAP_SPECIFIC)
+
+
+def _breach(value, integer: bool = False):
+    """What a number field must be and ``value`` is not, or None: a number
+    (for ``integer`` an integer), never a bool, finite as a float (``abs``
+    takes an integer too large for a float; ``isfinite`` raises)."""
+    if integer and (not isinstance(value, Integral) or isinstance(value, bool)):
+        return "an integer"
+    ok = isinstance(value, Real) and not isinstance(value, bool)
+    return None if ok and abs(value) <= sys.float_info.max else "a finite number"
 
 
 def _readonly(a, dtype=float):
@@ -181,8 +192,9 @@ class Association:
     tx: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.n_bs, Integral) or isinstance(self.n_bs, bool) or self.n_bs < 1:
-            raise ModelError(f"n_bs must be an integer >= 1, got {self.n_bs!r}")
+        what = _breach(self.n_bs, integer=True)
+        if what or self.n_bs < 1:
+            raise ModelError(f"n_bs must be {what or 'an integer'} >= 1, got {self.n_bs!r}")
         for name in ("b_ul", "b_dl"):
             b = np.asarray(getattr(self, name))
             # checked before the cast, which would truncate 1.7 and warn on NaN

@@ -1,8 +1,9 @@
 """QoS-based proportional-fairness baseline with a fixed UL/DL band split.
 
-The band is split globally into disjoint UL and DL sub-bands (default 9:16 of
-25 RBs), so uplinks and downlinks never interfere; the cross-direction blocks
-of the coupling are zeroed in this baseline's SINR evaluation.  Within each
+The band is split globally into disjoint UL and DL sub-bands (by default
+``DEFAULT_PF_SPLIT``, 9:16 of 25 RBs), so uplinks and downlinks never
+interfere; the cross-direction blocks of the coupling are zeroed in this
+baseline's SINR evaluation.  Within each
 cell and direction, RBs are handed out one at a time to the link with the
 largest marginal gain of QoS satisfaction relative to what it already has
 (the classic PF ratio with the rate replaced by the QoS satisfaction level),
@@ -25,6 +26,7 @@ from .model import Association, Scenario
 from .optimizer import initial_psd
 
 EPS_PF = 1e-3  # smoothing constant in the PF priority ratio
+DEFAULT_PF_SPLIT = (9, 16)  # (UL RBs, DL RBs) of the study's 25
 
 
 @dataclass
@@ -62,7 +64,7 @@ def _pf_rates(problem: Problem, p, counts, split):
     return link_rates(p, counts / band, problem)
 
 
-def pf_allocate(scenario: Scenario, assoc: Association, split=(9, 16)) -> PfAllocation:
+def pf_allocate(scenario: Scenario, assoc: Association, split=DEFAULT_PF_SPLIT) -> PfAllocation:
     """Allocate the split band greedily per cell and direction.
 
     ``split`` is (UL RBs, DL RBs); each direction gets at least one RB and

@@ -5,25 +5,25 @@ user terminals uniformly over the playground.  Pathloss follows standard
 log-distance models (3GPP-style urban macro/pico curves for BS-UE links, a
 2 GHz free-space anchor with exponent 3.0 for BS-BS and UE-UE links) with
 optional unit-mean Rayleigh power fading.  Everything is deterministic given
-the seed.
+the seed; the counts are capped (``COUNT_RANGES``).
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, fields
-from numbers import Integral, Real
 
 import numpy as np
 
 from .errors import ConfigError
 from .model import (
     MACRO,
+    OVERLAP_PAIRWISE,
     PICO,
     BaseStation,
     OverlapModel,
     Scenario,
     UserTerminal,
+    _breach,
 )
 from .units import db_to_linear, dbm_to_watt
 
@@ -34,6 +34,11 @@ SERVICE_CLASSES_UL_MBPS = (50.0, 50.0, 25.0, 10.0, 0.01)
 # log-distance pathloss at 2 GHz: free-space at the 1 m anchor plus exponent 3
 FS_1M_DB = 38.46
 SITE_EXPONENT = 3.0
+
+# The count fields' ranges.  The caps keep a venue's dense K x K and N x K
+# arrays to a few hundred MB, so a huge count fails before ``generate`` runs.
+COUNT_RANGES = {"macro_rows": (1, 30), "macro_cols": (1, 30), "n_pico": (0, 1000),
+                "n_ue": (1, 5000)}
 
 
 @dataclass(frozen=True)
@@ -64,25 +69,24 @@ class ScenarioConfig:
     min_dist_site_m: float = 10.0
 
     def __post_init__(self):
-        # every field has the type of its default; a tuple also its length
+        # every field has the type of its default (a number finite as a
+        # float); a tuple also its length
         for f in fields(self):
             value = getattr(self, f.name)
             kind = type(f.default)
             if kind is tuple:
-                ok = (isinstance(value, tuple) and len(value) == len(f.default)
-                      and all(map(_finite, value)))
-                what = f"{len(f.default)} finite numbers"
-            elif kind is float:
-                ok, what = _finite(value), "a finite number"
-            elif kind is int:
-                ok, what = isinstance(value, Integral) and type(value) is not bool, "an integer"
+                ok = isinstance(value, tuple) and len(value) == len(f.default)
+                what = None if ok and not any(map(_breach, value)) else \
+                    f"{len(f.default)} finite numbers"
+            elif kind is bool:
+                what = None if isinstance(value, bool) else "true or false"
             else:
-                ok, what = isinstance(value, bool), "true or false"
-            if not ok:
+                what = _breach(value, integer=kind is int)
+            if what:
                 raise ConfigError(f"{f.name} must be {what}, got {value!r}")
-        for name, low in (("macro_rows", 1), ("macro_cols", 1), ("n_pico", 0), ("n_ue", 1)):
-            if getattr(self, name) < low:
-                raise ConfigError(f"{name} must be >= {low}")
+        for name, (low, high) in COUNT_RANGES.items():
+            if not low <= getattr(self, name) <= high:
+                raise ConfigError(f"{name} must be in [{low}, {high}], got {getattr(self, name)}")
         if abs(sum(self.service_mix) - 1.0) > 1e-9 or min(self.service_mix) < 0:
             raise ConfigError("service_mix must be a probability vector")
         if not (0 < self.pico_ring[0] <= self.pico_ring[1] <= 1.0):
@@ -95,12 +99,6 @@ class ScenarioConfig:
     @property
     def playground(self) -> tuple:
         return (self.macro_cols * self.isd_m, self.macro_rows * self.isd_m)
-
-
-def _finite(value) -> bool:
-    # also false for an integer too large for a float, which isfinite cannot take
-    return (isinstance(value, Real) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max)
 
 
 def macro_ue_pathloss_db(d_m, min_dist_m=35.0):
@@ -199,7 +197,7 @@ def generate(config: ScenarioConfig, seed: int) -> Scenario:
 
 
 def uniform_overlap(n_bs: int, load_ul: float, load_dl: float,
-                    scheme: str = "cell_pairwise") -> OverlapModel:
+                    scheme: str = OVERLAP_PAIRWISE) -> OverlapModel:
     """Overlap model with the same historical loads in every cell."""
     return OverlapModel(scheme=scheme,
                         load_ul=np.full(n_bs, load_ul),

@@ -23,13 +23,13 @@ import numpy as np
 
 from flexlink.association import COUD, DEUD_O, DEUD_P, Policy, associate, policy_sweep
 from flexlink.errors import DomainError, ModelError
-from flexlink.experiments import DEFAULT_HISTORY_DL, DEFAULT_HISTORY_UL, DEFAULT_PF_SPLIT, MC_OPTS
+from flexlink.experiments import DEFAULT_HISTORY_DL, DEFAULT_HISTORY_UL, MC_OPTS
 from flexlink.fixedpoint import DEFAULT_MAX_ITER, DEFAULT_TOL, FixedPointResult
 from flexlink.interference import (EPS_NO_DL, LN2, Problem, expand_psd, g1, g2,
                                    interference_psd, utility)
 from flexlink.model import OVERLAP_PAIRWISE, pairwise_overlap_factors
 from flexlink.optimizer import W_FLOOR, initial_psd, optimize
-from flexlink.pf_baseline import EPS_PF, _pf_rates, _split_band, pf_allocate
+from flexlink.pf_baseline import DEFAULT_PF_SPLIT, EPS_PF, _pf_rates, _split_band, pf_allocate
 from flexlink.scenario import generate, uniform_overlap
 
 
@@ -543,6 +543,8 @@ def run_trial_loop(config, seed) -> dict:
             "step": sol.step, "converged": sol.converged,
         }
     best_offset = max(partial, key=lambda o: partial[o]["lam"])
+    references = {label: optimize(scenario, pol, MC_OPTS, overlap=overlap).lam
+                  for label, pol in (("coud", Policy(COUD)), ("deud_p", Policy(DEUD_P)))}
 
     full = {}
     for label, pol in (("coud", Policy(COUD)), ("deud_p", Policy(DEUD_P)),
@@ -555,7 +557,7 @@ def run_trial_loop(config, seed) -> dict:
         pf[label] = {"lam_ul": alloc.lam_ul, "lam_dl": alloc.lam_dl, "lam": alloc.lam}
 
     return {"seed": seed, "partial": partial, "best_offset": best_offset,
-            "full": full, "pf": pf}
+            "references": references, "full": full, "pf": pf}
 
 
 def pf_greedy_ref(scenario, assoc, split) -> np.ndarray:

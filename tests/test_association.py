@@ -1,14 +1,16 @@
 """Association policies, RSRP and the offset sweep."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from flexlink.association import (
-    DEUD_P_EQUIVALENT_OFFSET_DB,
     PICO,
     Policy,
     associate,
     associate_all,
+    equivalent,
     policy_sweep,
     rsrp,
 )
@@ -66,12 +68,31 @@ def test_deud_o_zero_offset_equals_coud():
 
 
 def test_deud_o_13db_equals_deud_p_at_13db_power_gap():
+    # the default powers: 43 dBm macros, 30 dBm picos
     for seed in range(5):
         sc = generate(ScenarioConfig(macro_rows=1, macro_cols=2, n_pico=2, n_ue=10), seed=seed)
-        o = associate(Policy("deud_o", offset_db=DEUD_P_EQUIVALENT_OFFSET_DB), sc)
+        o = associate(Policy("deud_o", offset_db=13.0), sc)
         p = associate(Policy("deud_p"), sc)
         assert np.array_equal(o.b_ul, p.b_ul)
         assert np.array_equal(o.b_dl, p.b_dl)
+
+
+def test_deud_p_equivalent_offset_is_the_venue_power_gap():
+    """With 33 dBm picos the gap is 10 dB: deud-o:10 is deud-p, deud-o:13 is
+    not, and its uplink map differs from deud-p's on every seed here."""
+    config = dataclasses.replace(STUDY_CONFIG, pico_power_dbm=33.0)
+    for seed in range(5):
+        sc = generate(config, seed=seed)
+        assert [equivalent(Policy("deud_o", offset_db=o), sc) for o in (0.0, 10.0, 13.0)] == \
+            ["coud", "deud_p", None]
+        assert equivalent(Policy("deud_p"), sc) is None
+        o10, o13, p = (associate(Policy.parse(t), sc)
+                       for t in ("deud-o:10", "deud-o:13", "deud-p"))
+        assert np.array_equal(o10.b_ul, p.b_ul)
+        assert not np.array_equal(o13.b_ul, p.b_ul)
+    # without one power per kind there is no gap, so no offset is deud-p
+    sc = generate(ScenarioConfig(macro_rows=1, macro_cols=2, n_pico=0, n_ue=4), seed=0)
+    assert equivalent(Policy("deud_o", offset_db=13.0), sc) is None
 
 
 def test_tie_breaks_to_lowest_index():
@@ -135,8 +156,9 @@ def test_policy_sweep_contents():
     assert offsets[0] == 0.0
     assert 13.0 in offsets
     assert offsets == sorted(offsets)
-    assert sweep[0].equivalent_to() == "coud"
-    assert next(p for p in sweep if p.offset_db == 13.0).equivalent_to() == "deud_p"
+    sc = generate(STUDY_CONFIG, 0)  # the default 13 dB power gap
+    assert {p.offset_db: equivalent(p, sc) for p in sweep if equivalent(p, sc)} == \
+        {0.0: "coud", 13.0: "deud_p"}
 
 
 def test_policy_parse_and_label():

@@ -16,7 +16,7 @@ from flexlink.experiments import DEFAULT_HISTORY_DL
 from flexlink.interference import Problem
 from flexlink.io import load_scenario
 from flexlink.optimizer import SolveTrace, minimize_power
-from flexlink.scenario import ScenarioConfig, uniform_overlap
+from flexlink.scenario import COUNT_RANGES, ScenarioConfig, uniform_overlap
 
 CONFIG = {
     "macro_rows": 2,
@@ -157,6 +157,23 @@ def test_sweep_rows_equal_separate_solves(tmp_path, scenario_file):
             str(int(solved["converged"]))]
 
 
+def test_sweep_labels_the_venue_power_gap_deud_p(tmp_path):
+    """With 33 dBm picos the macro-pico gap is 10 dB: offset 10 is deud-p
+    (its row equals a deud-p solve) and offset 13 is no reference."""
+    config, scen, out = tmp_path / "config.json", tmp_path / "s.json", tmp_path / "sweep"
+    config.write_text(json.dumps(dict(CONFIG, pico_power_dbm=33.0)))
+    assert main(["generate", "--config", str(config), "--seed", "7", "--out", str(scen)]) == 0
+    assert main(["sweep", "--scenario", str(scen), "--offsets", "0,10,13", "--out", str(out)]) == 0
+    lines = (out / "sweep.csv").read_text().splitlines()
+    rows = [dict(zip(lines[1].split(","), line.split(","))) for line in lines[2:]]
+    assert [(r["offset_db"], r["equivalent"]) for r in rows] == \
+        [("0.0", "coud"), ("10.0", "deud_p"), ("13.0", "")]
+    assert main(["solve", "--scenario", str(scen), "--policy", "deud-p", "--overlap", "pairwise",
+                 "--out", str(tmp_path / "dp")]) == 0
+    solved = json.loads((tmp_path / "dp" / "solution.json").read_text())["solution"]
+    assert rows[1]["lam"] == repr(solved["lambda"])
+
+
 def test_montecarlo_single_trial_equals_solve(tmp_path, config_file):
     out = tmp_path / "mc"
     assert main(["montecarlo", "--config", str(config_file), "--trials", "1",
@@ -286,9 +303,12 @@ def test_unknown_flag_is_usage_error(tmp_path):
     assert main(["no-such-command"]) == 1
 
 
-# The bad-input contract, over every document a subcommand reads: each key
-# and the first element of each list of a valid document, under each mutation.
-MUTATIONS = ("delete", '"x"', "null", "[]", "{}", "NaN", "-1", "0", "true", "2.5", '"1"')
+# The bad-input contract, over every document a subcommand reads: each key,
+# every entry of each short list of numbers and the first element of each
+# other list of a valid document, under each mutation.
+SHORT = 8
+HUGE = str(10 ** 400)  # a JSON integer too large for a float
+MUTATIONS = ("delete", '"x"', "null", "[]", "{}", "NaN", "-1", "0", "true", "2.5", '"1"', HUGE)
 # the first command reads the document; the others must reject what it rejects
 COMMANDS = {
     "config": (["generate", "--seed", "3"], ["montecarlo", "--trials", "1", "--seed-base", "3"]),
@@ -348,9 +368,12 @@ def documents(tmp_path_factory):
 
 
 def _paths(node, prefix=""):
-    """Every key, and the first element of every list, under ``node``, with
-    its value."""
-    items = node.items() if isinstance(node, dict) else [("0", node[0])] if node else []
+    """Every key, every entry of a list of at most ``SHORT`` numbers and the
+    first element of any other list, under ``node``, with its value."""
+    vector = isinstance(node, list) and len(node) <= SHORT and all(
+        type(value) in (int, float) for value in node)
+    items = (node.items() if isinstance(node, dict) else
+             [(str(i), value) for i, value in enumerate(node if vector else node[:1])])
     for key, value in items:
         yield prefix + key, value
         if isinstance(value, (dict, list)):
@@ -451,7 +474,7 @@ def test_bad_document_keeps_the_contract(tmp_path, capsys, documents, document):
     breaches += [f"{(path, mutation)}: accepted, but '\"x\"' is refused"
                  for path in numbers if lines[path, '"x"'] is not None
                  for mutation in ("true", '"1"') if lines[path, mutation] is None]
-    assert len(cases) >= {"config": 209, "scenario": 374, "solution": 715}[document]
+    assert len(cases) >= {"config": 288, "scenario": 504, "solution": 1116}[document]
     assert not breaches, "\n".join(breaches)
 
 
@@ -570,17 +593,35 @@ def test_minimize_power_non_integral_association_is_one_line_error(tmp_path, cap
     ("solution", "solution.theta", 10 ** 400,
      f"error: malformed solution: key 'theta' must be a finite number, got {10 ** 400}"),
     ("scenario", "pathloss_db.bs_to_ue.0.0", 10 ** 400,
-     "error: malformed scenario: int too large to convert to float"),
+     "error: malformed scenario: key 'bs_to_ue' must be 9 x 4 finite numbers"),
     ("config", "isd_m", 10 ** 400, f"error: isd_m must be a finite number, got {10 ** 400}"),
+    ("config", "rb_count", 10 ** 400, f"error: rb_count must be a finite number, got {10 ** 400}"),
+    ("scenario", "rb_count", 10 ** 400,
+     f"error: malformed scenario: key 'rb_count' must be a finite number, got {10 ** 400}"),
+    ("solution", "association.n_bs", 10 ** 400,
+     f"error: n_bs must be a finite number >= 1, got {10 ** 400}"),
+    ("solution", "association.b_ul.1", 10 ** 400,
+     "error: malformed solution: key 'b_ul' must be 4 numbers"),
 ], ids=["solution-schema_version-2", "solution-schema_version-delete",
         "scenario-position_m.0-x", "solution-theta-1e400", "scenario-pathloss-1e400",
-        "config-isd_m-1e400"])
+        "config-isd_m-1e400", "config-rb_count-1e400", "scenario-rb_count-1e400",
+        "solution-n_bs-1e400", "solution-b_ul.1-1e400"])
 def test_field_outside_the_grid_rule_is_one_line_error(tmp_path, capsys, documents, document,
                                                        path, value, line):
     """Inputs the grid's field rule cannot see, because ``"x"`` there was
     accepted too (a solution's schema version, a position entry), and JSON
     integers too large for a float."""
     assert _rejection(documents, tmp_path, capsys, document, path, value) == line
+
+
+@pytest.mark.parametrize("key", sorted(COUNT_RANGES))
+def test_config_count_outside_its_range_is_one_line_error(tmp_path, capsys, documents, key):
+    """The count fields' documented ranges; a count above its cap fails
+    before ``generate`` draws anything."""
+    low, high = COUNT_RANGES[key]
+    for value in (low - 1, high + 1):
+        assert _rejection(documents, tmp_path, capsys, "config", key, value) == \
+            f"error: {key} must be in [{low}, {high}], got {value}"
 
 
 @pytest.fixture()

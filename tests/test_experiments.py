@@ -9,6 +9,7 @@ import flexlink.experiments as experiments
 from flexlink.association import Policy, associate, policy_sweep
 from flexlink.interference import Problem
 from flexlink.optimizer import optimize, solve_problems
+from flexlink.pf_baseline import pf_allocate
 from flexlink.scenario import ScenarioConfig, generate, uniform_overlap
 
 from .oracles import run_trial_loop
@@ -86,6 +87,29 @@ def test_solve_policies_relabels_repeats(monkeypatch):
     for pol, sol in zip(policies, sols):
         alone = optimize(scenario, pol, experiments.MC_OPTS, overlap=overlap)
         assert sol.to_dict() == alone.to_dict()
+
+
+def test_deud_p_figures_come_from_the_deud_p_solves():
+    """With 33 dBm picos the macro-pico gap is 10 dB, so offset 13 is not
+    DeUD-P: the study's DeUD-P figures are those of ``Policy(DEUD_P)`` solved
+    under partial overlap (trials 0-2: mean 0.069598; offset 13 gives 0.069792)."""
+    config = dataclasses.replace(experiments.STUDY_CONFIG, pico_power_dbm=33.0)
+    agg = experiments.run_policy_study(config, trials=3, seed_base=0)["aggregate"]
+    partial, full, wins = [], [], []
+    for seed in range(3):
+        scenario = generate(config, seed)
+        overlap = uniform_overlap(scenario.n_bs, experiments.DEFAULT_HISTORY_UL,
+                                  experiments.DEFAULT_HISTORY_DL)
+        sol = optimize(scenario, Policy("deud_p"), experiments.MC_OPTS, overlap=overlap)
+        pf = pf_allocate(scenario, associate(Policy("deud_p"), scenario))
+        partial.append(sol.lam)
+        full.append(optimize(scenario, Policy("deud_p"), experiments.MC_OPTS).lam)
+        wins.append(sol.lam > min(pf.lam_ul, pf.lam_dl))
+    assert agg["mean_deud_p"] == float(np.mean(partial)) == pytest.approx(0.069598, abs=5e-7)
+    assert agg["partial_over_full"]["deud_p"] == {
+        "mean_partial": float(np.mean(partial)), "mean_full": float(np.mean(full)),
+        "ratio": float(np.mean(partial) / np.mean(full))}
+    assert agg["pf_win_fraction"]["deud_p"] == float(np.mean(wins))
 
 
 def test_study_deterministic_given_seed_base():
