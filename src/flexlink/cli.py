@@ -16,7 +16,7 @@ import sys
 import click
 
 from . import __version__, experiments, io
-from .association import DEUD_O, Policy, associate, equivalent, policy_sweep
+from .association import DEUD_O, SWEEP_OFFSETS_DB, Policy, associate, equivalent
 from .errors import ConfigError, FlexlinkError
 from .optimizer import SolveOptions, minimize_power, optimize
 from .pf_baseline import DEFAULT_PF_SPLIT
@@ -41,6 +41,11 @@ def parse_offsets(text: str) -> list[float]:
         except ValueError as exc:
             raise ConfigError(bad) from exc
         if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
+            raise ConfigError(bad)
+        if not dots:
+            out.append(lo)
+            continue
+        if lo + step == lo or hi + step == hi:  # a step lost in rounding never advances
             raise ConfigError(bad)
         while lo <= hi + 1e-9:
             out.append(lo)
@@ -108,7 +113,8 @@ def cmd_solve(scenario_path, policy_text, cell_specific, theta, overlap,
 
 @cli.command("sweep")
 @click.option("--scenario", "scenario_path", required=True, type=click.Path(exists=True))
-@click.option("--offsets", "offsets_text", show_default="SWEEP_OFFSETS_DB",
+@click.option("--offsets", "offsets_text", default=",".join(map(str, SWEEP_OFFSETS_DB)),
+              show_default=True,
               help="Offsets in dB, as in 0,1,3..51 (a..b steps by 2, a..b:s by s).")
 @click.option("--overlap", type=click.Choice(sorted(io.OVERLAP_CHOICES)), default="pairwise",
               show_default=True)
@@ -118,8 +124,7 @@ def cmd_solve(scenario_path, policy_text, cell_specific, theta, overlap,
 def cmd_sweep(scenario_path, offsets_text, overlap, overlap_load_ul, overlap_load_dl, out_dir):
     """Sweep cell-selection offsets on one scenario; report the top three."""
     _, scenario, source = io.read_scenario(scenario_path)
-    policies = (policy_sweep() if offsets_text is None else
-                [Policy(DEUD_O, offset_db=off) for off in parse_offsets(offsets_text)])
+    policies = [Policy(DEUD_O, offset_db=off) for off in parse_offsets(offsets_text)]
     overlap_model = io.overlap_model(overlap, scenario.n_bs, overlap_load_ul, overlap_load_dl)
 
     solutions = experiments.solve_policies(scenario, policies, experiments.MC_OPTS, overlap_model)

@@ -53,7 +53,9 @@ def test_parse_offsets_paper_set():
     assert offs == [0.0] + [float(o) for o in range(1, 52, 2)]
     assert len(offs) == 27
     assert parse_offsets("2..10:4") == [2.0, 6.0, 10.0]
-    for bad in ("5..1", "nan", "inf", "0,-inf", "nan..5", "0..5:inf", "0..nan"):
+    assert parse_offsets("1e17,-1e17") == [1e17, -1e17]
+    for bad in ("5..1", "nan", "inf", "0,-inf", "nan..5", "0..5:inf", "0..nan",
+                "1e17..1e17", "-1e17..0", "0..1e17", "0..5:1e-300"):
         with pytest.raises(ConfigError, match="bad offset"):
             parse_offsets(bad)
 
