@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: ``generate``, ``solve``, ``sweep``, ``montecarlo``,
-``compare-pf``, ``minimize-power``.  Exit codes: 0 on success, 1 on usage or
-configuration errors, 2 when a solve did not converge.  All outputs embed the
+``compare-pf``, ``minimize-power``, ``theta-sweep``.  Exit codes: 0 on
+success, 1 on usage or configuration errors, 2 when a solve did not converge.  All outputs embed the
 config hash, the seed and the tool version; CSV files carry them in a leading
 comment line.
 """
@@ -25,6 +25,7 @@ from .scenario import generate
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NOT_CONVERGED = 2
+MAX_OFFSETS = 1000  # entries of one offset list; the paper's set has 27
 
 
 def parse_offsets(text: str) -> list[float]:
@@ -40,13 +41,14 @@ def parse_offsets(text: str) -> list[float]:
                                        step_txt if colon else 2))
         except ValueError as exc:
             raise ConfigError(bad) from exc
-        if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo:
+        if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo or \
+                dots and (lo + step == lo or hi + step == hi):  # a step lost in rounding
             raise ConfigError(bad)
+        if len(out) + (hi - lo + 1e-9) / step >= MAX_OFFSETS:  # counted before it is built
+            raise ConfigError(f"more than {MAX_OFFSETS} offsets at {token!r}")
         if not dots:
             out.append(lo)
             continue
-        if lo + step == lo or hi + step == hi:  # a step lost in rounding never advances
-            raise ConfigError(bad)
         while lo <= hi + 1e-9:
             out.append(lo)
             lo += step
@@ -63,7 +65,7 @@ def cli():
 
 @cli.command("generate")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
-@click.option("--seed", required=True, type=int)
+@click.option("--seed", required=True, type=click.IntRange(min=0))
 @click.option("--out", "out_path", required=True, type=click.Path())
 def cmd_generate(config_path, seed, out_path):
     """Draw a scenario from a config file and write it as JSON."""
@@ -118,8 +120,10 @@ def cmd_solve(scenario_path, policy_text, cell_specific, theta, overlap,
               help="Offsets in dB, as in 0,1,3..51 (a..b steps by 2, a..b:s by s).")
 @click.option("--overlap", type=click.Choice(sorted(io.OVERLAP_CHOICES)), default="pairwise",
               show_default=True)
-@click.option("--overlap-load-ul", type=float, default=experiments.DEFAULT_HISTORY_UL)
-@click.option("--overlap-load-dl", type=float, default=experiments.DEFAULT_HISTORY_DL)
+@click.option("--overlap-load-ul", type=float, default=experiments.DEFAULT_HISTORY_UL,
+              show_default=True)
+@click.option("--overlap-load-dl", type=float, default=experiments.DEFAULT_HISTORY_DL,
+              show_default=True)
 @click.option("--out", "out_dir", required=True, type=click.Path())
 def cmd_sweep(scenario_path, offsets_text, overlap, overlap_load_ul, overlap_load_dl, out_dir):
     """Sweep cell-selection offsets on one scenario; report the top three."""
@@ -148,7 +152,7 @@ def cmd_sweep(scenario_path, offsets_text, overlap, overlap_load_ul, overlap_loa
 @cli.command("montecarlo")
 @click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 @click.option("--trials", required=True, type=int)
-@click.option("--seed-base", required=True, type=int)
+@click.option("--seed-base", required=True, type=click.IntRange(min=0))
 @click.option("--workers", type=int, default=1, show_default=True,
               help="Parallel trial workers.")
 @click.option("--out", "out_dir", required=True, type=click.Path())
@@ -217,6 +221,31 @@ def cmd_minimize_power(solution_path, out_dir):
     io.write_json(io.power_min_to_dict(result, source), os.path.join(out_dir, "minpower.json"))
     click.echo(f"lambda={result.lam:.6g} saving_ratio={result.saving_ratio:.6g}")
     return EXIT_OK if result.fixed_point.converged else EXIT_NOT_CONVERGED
+
+
+@cli.command("theta-sweep")
+@click.option("--scenario", "scenario_path", required=True, type=click.Path(exists=True))
+@click.option("--policy", "policy_text", required=True)
+@click.option("--theta", "thetas", type=float, multiple=True,
+              default=experiments.THETA_SWEEP_THETAS, show_default=True,
+              help="Power budget scale; repeat the flag for a grid.")
+@click.option("--noise-dbm", "noises_dbm", type=float, multiple=True,
+              default=experiments.THETA_SWEEP_NOISE_DBM, show_default=True,
+              help="Noise floor in dBm per RB; repeat the flag for several.")
+@click.option("--out", "out_dir", required=True, type=click.Path())
+def cmd_theta_sweep(scenario_path, policy_text, thetas, noises_dbm, out_dir):
+    """Power-budget study: the power stage's utility per budget scale and noise floor."""
+    _, scenario, source = io.read_scenario(scenario_path)
+    policy = Policy.parse(policy_text)
+    rows = experiments.run_theta_sweep(scenario, policy, thetas, noises_dbm)
+
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, "theta_sweep.csv")
+    io.write_csv(path, ("noise_dbm", "theta", "lam", "converged"),
+                 [(r["noise_dbm"], r["theta"], r["lam"], int(r["converged"])) for r in rows],
+                 meta={"tool_version": __version__, "policy": policy.label, **source})
+    click.echo(f"wrote {len(rows)} rows to {path}")
+    return EXIT_OK if all(r["converged"] for r in rows) else EXIT_NOT_CONVERGED
 
 
 def main(argv=None) -> int:

@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .association import COUD, DEUD_P, Policy, associate, associate_all, policy_sweep
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .interference import Problem
 from .model import Scenario
 from .optimizer import (Solution, SolveOptions, initial_power_state, optimize,
@@ -44,6 +44,10 @@ STUDY_CONFIG = ScenarioConfig(
     service_mix=(0.0, 0.2, 0.0, 0.1, 0.7),
     noise_psd_dbm=-112.0,
 )
+
+# The power-budget study's grid, from interference- to noise-dominant floors.
+THETA_SWEEP_THETAS = tuple(round(0.01 + 0.05 * i, 2) for i in range(21))
+THETA_SWEEP_NOISE_DBM = (-70.0, -80.0, -100.0, -121.45)
 
 
 def solve_policies(scenario: Scenario, policies, opts: SolveOptions,
@@ -184,6 +188,8 @@ def run_theta_sweep(scenario: Scenario, policy: Policy, thetas,
     is nondecreasing in ``theta`` because the feasible set only grows with
     the budget.
     """
+    if not all(0 < theta < np.inf for theta in thetas):
+        raise DomainError("theta must be positive")
     rows = []
     for noise_dbm in noise_dbm_list:
         sc = dataclasses.replace(scenario, noise_psd=float(dbm_to_watt(noise_dbm)))

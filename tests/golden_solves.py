@@ -12,11 +12,16 @@ A change that moves outputs on purpose regenerates the file, from the
 repository root:
 
     PYTHONPATH=src python -m tests.golden_solves
+
+Regeneration keeps every committed record that the check accepts, so only
+the records a change moved beyond the tolerance (or added) are rewritten,
+whatever the host's last digits.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 
 import numpy as np
@@ -28,6 +33,7 @@ from flexlink.optimizer import SolveOptions, minimize_power, optimize
 from flexlink.scenario import ScenarioConfig, generate, uniform_overlap
 
 PATH = pathlib.Path(__file__).resolve().parent / "golden" / "solves.json"
+RTOL = 1e-12
 MODES = ("per_link", "cell_specific")
 STUDY_SEEDS = range(6)
 STUDY_POLICIES = ("coud", "deud-p", "deud-o:21", "deud-o:49")
@@ -109,13 +115,49 @@ def _min_power(text, seed) -> dict:
             "iterations": res.fixed_point.iterations, "sum_p": float(res.p_min.sum())}
 
 
+def mismatches(path, want, got) -> list[str]:
+    """Where ``got`` differs from the record ``want``: keys, lengths, types,
+    steps, flags and counts exactly, floats beyond ``RTOL`` relative."""
+    if isinstance(want, dict) and isinstance(got, dict):
+        if sorted(want) != sorted(got):
+            return [f"{path}: keys {sorted(want)} != {sorted(got)}"]
+        return [m for key in want for m in mismatches(f"{path}.{key}", want[key], got[key])]
+    if isinstance(want, list) and isinstance(got, (list, tuple)):
+        if len(want) != len(got):
+            return [f"{path}: length {len(want)} != {len(got)}"]
+        return [m for i, (a, b) in enumerate(zip(want, got))
+                for m in mismatches(f"{path}[{i}]", a, b)]
+    if isinstance(want, float) and not isinstance(got, (bool, str)):
+        same = (math.isnan(want) and math.isnan(got)) or want == got \
+            or abs(got - want) <= RTOL * abs(want)
+        return [] if same else [f"{path}: {got!r} != {want!r}"]
+    return [] if want == got and type(want) is type(got) else [f"{path}: {got!r} != {want!r}"]
+
+
+def computed_records() -> dict:
+    """Every case's record, as the file stores it."""
+    return {name: json.loads(json.dumps(compute())) for name, compute in cases()}
+
+
+def merged(committed: dict, computed: dict) -> dict:
+    """``computed``, keeping each committed record the check accepts."""
+    return {name: committed[name] if name in committed
+            and not mismatches(name, committed[name], rec) else rec
+            for name, rec in computed.items()}
+
+
+def render(records: dict) -> str:
+    return "{\n" + ",\n".join(f"{json.dumps(name)}: {json.dumps(rec, sort_keys=True)}"
+                               for name, rec in records.items()) + "\n}\n"
+
+
 def main():
-    records = {name: compute() for name, compute in cases()}
+    committed = json.loads(PATH.read_text()) if PATH.exists() else {}
+    records = merged(committed, computed_records())
     PATH.parent.mkdir(exist_ok=True)
-    with open(PATH, "w") as fh:
-        fh.write("{\n" + ",\n".join(f"{json.dumps(name)}: {json.dumps(rec, sort_keys=True)}"
-                                     for name, rec in records.items()) + "\n}\n")
-    print(f"wrote {len(records)} cases to {PATH}")
+    PATH.write_text(render(records))
+    moved = sum(records[name] is not committed.get(name) for name in records)
+    print(f"wrote {len(records)} cases to {PATH}, {moved} new or moved")
 
 
 if __name__ == "__main__":

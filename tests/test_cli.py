@@ -8,11 +8,11 @@ import warnings
 import numpy as np
 import pytest
 
-from flexlink import io
+from flexlink import __version__, io
 from flexlink.association import Policy, associate
-from flexlink.cli import main, parse_offsets
+from flexlink.cli import MAX_OFFSETS, main, parse_offsets
 from flexlink.errors import ConfigError
-from flexlink.experiments import DEFAULT_HISTORY_DL
+from flexlink.experiments import DEFAULT_HISTORY_DL, run_theta_sweep
 from flexlink.interference import Problem
 from flexlink.io import load_scenario
 from flexlink.optimizer import SolveTrace, minimize_power
@@ -58,6 +58,15 @@ def test_parse_offsets_paper_set():
                 "1e17..1e17", "-1e17..0", "0..1e17", "0..5:1e-300"):
         with pytest.raises(ConfigError, match="bad offset"):
             parse_offsets(bad)
+
+
+def test_parse_offsets_refuses_a_list_over_the_cap():
+    assert len(parse_offsets(f"0..{MAX_OFFSETS - 1}:1")) == MAX_OFFSETS
+    # counted before the list is built: the last three would fill memory
+    for too_long in ("0..2000:1", ",".join(["0"] * (MAX_OFFSETS + 1)), "0..1e12",
+                     "0..1e-300:1e-310", "0..0:1e-300"):
+        with pytest.raises(ConfigError, match=f"more than {MAX_OFFSETS} offsets"):
+            parse_offsets(too_long)
 
 
 def test_generate_is_deterministic_by_file_hash(tmp_path, config_file):
@@ -197,6 +206,23 @@ def test_montecarlo_single_trial_equals_solve(tmp_path, config_file):
     assert summary["aggregate"]["mean_coud"] == pytest.approx(lam_solve, rel=1e-12)
 
 
+def test_theta_sweep_csv_and_provenance(tmp_path, scenario_file):
+    out = tmp_path / "theta"
+    assert main(["theta-sweep", "--scenario", str(scenario_file), "--policy", "deud-p",
+                 "--theta", "0.1", "--theta", "1", "--noise-dbm", "-80", "--noise-dbm", "-112",
+                 "--out", str(out)]) == 0
+    meta, header, *rows = (out / "theta_sweep.csv").read_text().splitlines()
+    scenario_meta = json.loads(scenario_file.read_text())["meta"]
+    assert meta == (f"# tool_version={__version__} policy=deud-p seed=7 "
+                    f"config_hash={scenario_meta['config_hash']}")
+    assert header == "noise_dbm,theta,lam,converged"
+    expected = run_theta_sweep(load_scenario(scenario_file), Policy.parse("deud-p"),
+                               (0.1, 1.0), (-80.0, -112.0))
+    assert rows == [f"{r['noise_dbm']!r},{r['theta']!r},{r['lam']!r},{int(r['converged'])}"
+                    for r in expected]
+    assert len(rows) == 4
+
+
 def test_compare_pf_csv(tmp_path, scenario_file):
     out = tmp_path / "pf"
     assert main(["compare-pf", "--scenario", str(scenario_file), "--policy", "coud",
@@ -314,7 +340,8 @@ MUTATIONS = ("delete", '"x"', "null", "[]", "{}", "NaN", "-1", "0", "true", "2.5
 # the first command reads the document; the others must reject what it rejects
 COMMANDS = {
     "config": (["generate", "--seed", "3"], ["montecarlo", "--trials", "1", "--seed-base", "3"]),
-    "scenario": (["solve", "--policy", "coud"], ["sweep"], ["compare-pf", "--policy", "coud"]),
+    "scenario": (["solve", "--policy", "coud"], ["sweep"], ["compare-pf", "--policy", "coud"],
+                 ["theta-sweep", "--policy", "coud", "--theta", "0.5", "--noise-dbm", "-100"]),
     "solution": (["minimize-power"],),
 }
 # (document, path, mutation) of the grid: the error line, or its prefix when
@@ -633,7 +660,8 @@ def bad_flag(tmp_path, capsys, config_file, scenario_file):
     flag given before it."""
     def run(args):
         command, *flags = args
-        inputs = {"montecarlo": ["--config", str(config_file), "--trials", "1",
+        inputs = {"generate": ["--config", str(config_file), "--seed", "7"],
+                  "montecarlo": ["--config", str(config_file), "--trials", "1",
                                  "--seed-base", "7"],
                   "sweep": ["--scenario", str(scenario_file)]}
         argv = [command,
@@ -646,6 +674,22 @@ def bad_flag(tmp_path, capsys, config_file, scenario_file):
 def test_solve_non_positive_theta_is_one_line_error(bad_flag):
     for theta in ("0", "inf", "nan"):
         assert bad_flag(["solve", "--theta", theta]) == ("error: theta must be positive", [])
+
+
+@pytest.mark.parametrize("theta", ["0", "inf", "nan"])
+def test_theta_sweep_non_positive_theta_is_one_line_error(bad_flag, theta):
+    assert bad_flag(["theta-sweep", "--theta", theta]) == ("error: theta must be positive", [])
+
+
+def test_theta_sweep_nan_noise_is_one_line_error(bad_flag):
+    assert bad_flag(["theta-sweep", "--noise-dbm", "nan"]) == (
+        "error: rb_bandwidth and noise_psd must be positive", [])
+
+
+@pytest.mark.parametrize("command, flag", [("generate", "--seed"), ("montecarlo", "--seed-base")])
+def test_negative_seed_is_one_line_error(bad_flag, command, flag):
+    assert bad_flag([command, flag, "-1"]) == (
+        f"error: Invalid value for '{flag}': -1 is not in the range x>=0.", [])
 
 
 @pytest.mark.parametrize("scheme", ["pairwise", "specific"])
@@ -664,6 +708,11 @@ def test_solve_nan_overlap_load_is_one_line_error(bad_flag, scheme, direction):
 ], ids=[f"args{i}" for i in range(5)])
 def test_non_finite_offset_is_one_line_error(bad_flag, args, line):
     assert bad_flag(args) == (line, [])
+
+
+def test_sweep_offsets_over_the_cap_is_one_line_error(bad_flag):
+    assert bad_flag(["sweep", "--offsets", "0..2000:1"]) == (
+        f"error: more than {MAX_OFFSETS} offsets at '0..2000:1'", [])
 
 
 @pytest.mark.parametrize("flag, value", [("--trials", "0"), ("--workers", "0"),
