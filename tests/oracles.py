@@ -8,7 +8,9 @@ coupling matrices that the problem's receiver/transmitter rows replaced.
 The ``*_ref`` functionals are the per-call forms that the stage-built maps
 replaced, kept to check those maps for exact equality;
 ``normalized_fixed_point_ref`` is the plain normalized iteration as it read
-before Anderson acceleration, kept to check that ``memory=0`` is that loop.
+before Anderson acceleration, kept to check that ``memory=0`` is that loop;
+``anderson_fixed_point_ref`` is the accelerated loop of one problem written
+from ``normalized_fixed_point``'s docstring, to pin its iterates bit for bit.
 ``check_sif_axioms`` samples the SIF axioms (Yates 1995);
 ``linear_reformulation_check`` recovers the power-update utility through the
 O((2K)^3) linear-in-power route; ``run_trial_loop`` is the Monte Carlo trial
@@ -20,11 +22,12 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve as _lapack_solve
 
 from flexlink.association import COUD, DEUD_O, DEUD_P, Policy, associate, policy_sweep
 from flexlink.errors import DomainError, ModelError
 from flexlink.experiments import DEFAULT_HISTORY_DL, DEFAULT_HISTORY_UL, MC_OPTS
-from flexlink.fixedpoint import DEFAULT_MAX_ITER, DEFAULT_TOL, FixedPointResult
+from flexlink.fixedpoint import ANDERSON_SLACK, DEFAULT_MAX_ITER, DEFAULT_TOL, FixedPointResult
 from flexlink.interference import (EPS_NO_DL, LN2, Problem, expand_psd, g1, g2,
                                    interference_psd, utility)
 from flexlink.model import OVERLAP_PAIRWISE, pairwise_overlap_factors
@@ -276,6 +279,62 @@ def normalized_fixed_point_ref(f, g, theta, x0, tol=DEFAULT_TOL, max_iter=DEFAUL
         x=x, eigenvalue=(theta / float(gf) if gf else None), iterations=max_iter,
         residual=residual, converged=False, note="max_iter exceeded",
     )
+
+
+def anderson_fixed_point_ref(f, g, x0, memory, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER,
+                             callback=None) -> FixedPointResult:
+    """``normalized_fixed_point`` with ``memory > 0`` as its docstring states
+    it, one problem in plain Python: each plain step ``x_next = f(x) /
+    g(f(x))`` goes to slot ``(t - 2) % memory`` of the histories of point and
+    step differences, whose Gram matrix (the identity where a row is unused)
+    gives the extrapolation.  The extrapolated point is taken when positive,
+    and the next step keeps it only if its utility ``min x / f(x)`` has not
+    fallen and ``g(f(x))`` has not risen above 1 (both within
+    ``ANDERSON_SLACK``); otherwise the run goes back to the last plain point
+    with a cleared history.  A converged run's eigenvalue is ``1 / g`` of
+    the next evaluation."""
+    x = np.array(x0, dtype=float)
+    eye = np.eye(memory)
+    d_g, d_r, gram = np.zeros((memory, len(x))), np.zeros((memory, len(x))), eye.copy()
+    plain, last_step, u_last, extrapolated, residual = x, x, math.inf, False, math.inf
+    with np.errstate(invalid="ignore", over="ignore"):  # a singular or huge Gram gives NaN
+        fx = f(x)
+        gf = float(g(fx))
+        for t in range(1, max_iter + 1):
+            x_next = fx / gf
+            u = float(np.min(x / fx))
+            if extrapolated and not (u >= u_last * (1 - ANDERSON_SLACK)
+                                     and u * gf <= 1 + ANDERSON_SLACK):
+                new = x_next = plain
+                extrapolated = False
+                d_g[:], d_r[:], gram = 0.0, 0.0, eye.copy()
+            else:
+                step = x_next - x
+                residual = float(np.max(np.abs(step)))
+                new = x_next
+                if t > 1:
+                    j = (t - 2) % memory
+                    d_g[j], d_r[j] = x_next - plain, step - last_step
+                    column = d_r @ d_r[j, :, None]
+                    gram[:, j], gram[j, :] = column[:, 0], column[:, 0]
+                    coef = _lapack_solve(gram, d_r @ step[:, None], signature="dd->d")
+                    x_acc = x_next - (coef.T @ d_g)[0]
+                    extrapolated = bool(np.min(x_acc) > 0)
+                    new = x_acc if extrapolated else x_next
+                plain, last_step, u_last = x_next, step, u
+                if callback is not None:
+                    callback(t, x, residual)
+            if not math.isfinite(residual):
+                return FixedPointResult(x_next, math.nan, t, residual, False, "non-finite")
+            if residual < tol:
+                return FixedPointResult(x_next, 1.0 / float(g(f(x_next))), t, residual, True,
+                                        "converged")
+            if t == max_iter:
+                return FixedPointResult(new, 1.0 / gf if gf else None, t, residual, False,
+                                        "max_iter exceeded")
+            x = new
+            fx = f(x)
+            gf = float(g(fx))
 
 
 def interference_psd_ref(p, w, problem):

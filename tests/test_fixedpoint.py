@@ -1,5 +1,7 @@
 """Normalized and plain fixed-point iterations, SIF axiom checks."""
 
+import collections
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from flexlink.interference import f_load, f_power
 
 from .helpers import random_problem, random_wp, yates_iterates
 from .oracles import (
+    anderson_fixed_point_ref,
     check_sif_axioms,
     dense_conditional_eigen_2d,
     grid_conditional_eigen,
@@ -146,6 +149,43 @@ def test_stacked_members_match_their_runs_alone(monkeypatch):
                                     tol=1e-12, memory=3) for i in range(len(x0))]
     assert list(map(digest, stacked)) == list(map(digest, alone))
     assert len({r.iterations for r in stacked}) > 1 and sum(singular)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+@pytest.mark.parametrize("memory", [3, 5])
+@pytest.mark.parametrize("max_iter", [7, fixedpoint.DEFAULT_MAX_ITER])
+def test_stacked_members_follow_the_anderson_reference(k, memory, max_iter):
+    """Every member of a stack of affine SIFs, one of them NaN, gives the
+    results and the callback arguments of the one-problem loop of
+    ``anderson_fixed_point_ref`` bit for bit, cut at ``max_iter`` or not.
+    From three links on some members go back to their last plain point (a
+    step without a callback)."""
+    rng = np.random.default_rng(k)
+    m = rng.uniform(0.0, 1.0, size=(12, k, k)) ** 3
+    b = rng.uniform(0.1, 1.0, size=(12, k)) ** 2
+    b[4, 0] = np.nan
+    x0 = rng.uniform(0.01, 5.0, size=(12, k))
+    seen = {i: [] for i in range(12)}
+    stacked = fixedpoint.normalized_fixed_points(
+        lambda x: (m @ x[..., None])[..., 0] + b, lambda y: y.max(axis=1, keepdims=True), x0,
+        tol=1e-12, max_iter=max_iter, memory=memory,
+        callback=lambda i, t, x, residual: seen[i].append((t, x.tobytes(), repr(residual))))
+    digest = lambda r: (r.x.tobytes(), repr(r.eigenvalue), r.iterations, repr(r.residual),
+                        r.converged, r.note)  # repr: NaN equals NaN
+    for i, fast in enumerate(stacked):
+        calls = []
+        ref = anderson_fixed_point_ref(
+            lambda x: (m[i] @ x[..., None])[..., 0] + b[i], MAXNORM, x0[i], memory, tol=1e-12,
+            max_iter=max_iter, callback=lambda t, x, residual: calls.append(
+                (t, x.tobytes(), repr(residual))))
+        assert digest(fast) == digest(ref), i
+        assert seen[i] == calls, i
+    notes = collections.Counter(r.note for r in stacked)
+    cut = "converged" if max_iter == fixedpoint.DEFAULT_MAX_ITER else "max_iter exceeded"
+    assert notes["non-finite"] == 1 and cut in notes, notes
+    fallbacks = sum(b - a > 1 for calls in seen.values() for (a, *_), (b, *_) in
+                    zip(calls, calls[1:]))
+    assert k == 2 or fallbacks, fallbacks
 
 
 def test_max_iter_exceeded_is_flagged_not_raised():

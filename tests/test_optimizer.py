@@ -28,8 +28,8 @@ from flexlink.optimizer import (
 from flexlink.scenario import ScenarioConfig, generate, uniform_overlap
 
 from .helpers import random_problem, renumber, single_link_scenario, yates_iterates
-from .oracles import (f_load_ref, f_power_cell_ref, f_power_ref, g2_ref,
-                      linear_reformulation_check, max_min_bandwidth_grid,
+from .oracles import (anderson_fixed_point_ref, f_load_ref, f_power_cell_ref, f_power_ref,
+                      g2_ref, linear_reformulation_check, max_min_bandwidth_grid,
                       normalized_fixed_point_ref)
 
 OPTS = SolveOptions(trace_mode="boundary")
@@ -491,6 +491,36 @@ def test_plain_stages_run_the_reference_loop(monkeypatch):
     assert list(map(_solution_digest, solve_all())) == list(map(_solution_digest, plain))
     assert calls[0] > 50 and calls[optimizer.ANDERSON_MEMORY] > 40, calls
     assert calls[0, "solo"] > 0, calls  # S2's re-solves
+
+
+def test_s3_follows_the_anderson_reference(monkeypatch):
+    """Every S3 fixed point of the study solves of seed 3, in both power
+    modes and batched with the trial's other associations, is bit for bit
+    the one-problem accelerated loop of ``anderson_fixed_point_ref`` on that
+    member's stage maps."""
+    entries = []
+    stage3 = optimizer.stage3_power
+
+    def recorded(stack, w_fixed, x0, opts=OPTS, traces=None):
+        out = stage3(stack, w_fixed, x0, opts, traces)
+        entries.extend((problem, out[b].w, x0[b], opts.power_mode, out[b].fixed_point)
+                       for b, problem in enumerate(stack.problems))
+        return out
+
+    monkeypatch.setattr(optimizer, "stage3_power", recorded)
+    scenario = generate(STUDY_CONFIG, 3)
+    partial = uniform_overlap(scenario.n_bs, DEFAULT_HISTORY_UL, DEFAULT_HISTORY_DL)
+    for mode in ("per_link", "cell_specific"):
+        solve_policies(scenario, policy_sweep(), dataclasses.replace(OPTS, power_mode=mode),
+                       partial)
+    assert {mode for *_, mode, _ in entries} == {"per_link", "cell_specific"}
+    digest = lambda r: (r.x.tobytes(), r.eigenvalue, r.iterations, r.residual, r.converged,
+                        r.note)
+    for problem, w, x0, mode, fast in entries:
+        f, g = optimizer.power_maps(problem.stack, mode)[1](problem.stack, w)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ref = anderson_fixed_point_ref(f, g, x0, optimizer.ANDERSON_MEMORY)
+        assert digest(fast) == digest(ref), mode
 
 
 def test_s3_lambda_does_not_depend_on_numbering():
