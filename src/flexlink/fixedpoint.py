@@ -42,6 +42,7 @@ DIVERGENCE_WINDOW = 50  # growing Yates residuals before "likely infeasible"
 # point u * g(f(x)) tends to 1 exactly, and without slack rounding alone
 # would decide between the extrapolated and the plain step.
 ANDERSON_SLACK = 1e-12
+_FLOOR, _CEILING = 1 - ANDERSON_SLACK, 1 + ANDERSON_SLACK
 _identity = functools.cache(np.eye)  # shared: read, never written
 
 
@@ -55,15 +56,8 @@ class FixedPointResult:
     note: str  # converged, non-finite, max_iter exceeded or likely infeasible
 
 
-def normalized_fixed_point(
-    f,
-    g,
-    x0,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    callback=None,
-    memory: int = 0,
-) -> FixedPointResult:
+def normalized_fixed_point(f, g, x0, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
+                           callback=None, memory: int = 0) -> FixedPointResult:
     """Iterate ``x <- G(x) = f(x) / g(f(x))`` until the sup-norm step
     ``|G(x) - x|`` is < tol, then return ``G(x)``.
 
@@ -83,8 +77,7 @@ def normalized_fixed_point(
     This is the batch of one of :func:`normalized_fixed_points`.
     """
     solo = None if callback is None else (lambda b, t, x, residual: callback(t, x, residual))
-    return normalized_fixed_points(f, g, np.asarray(x0, dtype=float), tol, max_iter, solo,
-                                   memory)[0]
+    return normalized_fixed_points(f, g, x0, tol, max_iter, solo, memory)[0]
 
 
 def normalized_fixed_points(f, g, x0, tol: float = DEFAULT_TOL,
@@ -99,15 +92,73 @@ def normalized_fixed_points(f, g, x0, tol: float = DEFAULT_TOL,
     the member axis.  Each member has its own stop rule and Anderson history,
     and leaves the active set once the next evaluation has given its
     eigenvalue; the maps still see its last point.  So each member's iterates
-    are bit for bit those of its batch of one.  The history always has
-    ``memory`` rows, zero where unused (the identity in the Gram matrix), so
-    that BLAS sees the same shapes in any batch.  ``callback(b, t, x,
+    are bit for bit those of its batch of one.  ``callback(b, t, x,
     residual)`` is member ``b``'s callback.
     """
     if not memory:
         return _iterate(f, g, x0, tol, max_iter, callback, memory)
     with np.errstate(invalid="ignore"):
         return _iterate(f, g, x0, tol, max_iter, callback, memory)
+
+
+def _kept(keep, *members):
+    """Each of ``members``, a list or an array over the members, without those ``keep`` drops."""
+    return [a[keep] if isinstance(a, np.ndarray) else [v for v, k in zip(a, keep) if k]
+            for a in members]
+
+
+class _Anderson:
+    """Anderson steps for a stack's members, each with its own last plain point
+    (the fallback) and step, ``memory`` rows of plain point and step differences
+    with their Gram matrix (zero rows and the identity where unused, so that BLAS
+    sees the same shapes in any batch), utility, and whether it extrapolates."""
+
+    def __init__(self, x, size, memory, each):
+        self.each, self.eye = each, _identity(memory)
+        self.last_x = self.last_r = x
+        self.d_g, self.d_r = np.zeros((2,) + x.shape[:-1] + (memory, x.shape[-1]))
+        self.gram = np.zeros(x.shape[:-1] + self.eye.shape)
+        self.gram[...] = self.eye
+        self.u_last, self.has_fb = [math.inf] * size, [False] * size
+
+    def keep(self, keep):
+        (self.u_last, self.has_fb, self.last_x, self.last_r, self.d_g, self.d_r,
+         self.gram) = _kept(keep, self.u_last, self.has_fb, self.last_x, self.last_r, self.d_g,
+                            self.d_r, self.gram)
+
+    def step(self, t, x, fx, gf, x_next, r):
+        """``(new, x_next, r, back)`` after the plain step ``x_next = x + r``:
+        a member whose extrapolated ``x`` lowered the utility ``min x / f(x)``,
+        or whose ``g(f(x))`` exceeds 1, goes back (``back``) to its last plain
+        point and step (so its residual repeats) and forgets its history; the
+        others extrapolate ``x_next`` to ``new`` where that stays positive."""
+        u, new = self.each(np.minimum.reduce(x / fx, axis=-1)), x_next
+        back = [h and not (v >= v_last * _FLOOR and v * gv <= _CEILING)
+                for h, v, v_last, gv in zip(self.has_fb, u, self.u_last, self.each(gf))]
+        if t > 1 and False in back:  # every member's step goes to slot j of its history
+            j = (t - 2) % len(self.eye)
+            np.subtract(x_next, self.last_x, out=self.d_g[..., j, :])
+            np.subtract(r, self.last_r, out=self.d_r[..., j, :])
+            gram_row = self.d_r @ self.d_r[..., j, :, None]
+            self.gram[..., j:j + 1], self.gram[..., j, :] = gram_row, gram_row[..., 0]
+            coef = _lapack_solve(self.gram, self.d_r @ r[..., None], signature="dd->d")
+            x_acc = x_next - (coef.swapaxes(-1, -2) @ self.d_g)[..., 0, :]
+            self.has_fb = self.each(np.minimum.reduce(x_acc, axis=-1) > 0)
+            if True in self.has_fb:
+                new = x_acc if False not in self.has_fb else np.where(
+                    np.array(self.has_fb)[:, None], x_acc, x_next)
+        if True in back:  # the fallback, for any subset of the members
+            mask = slice(None) if False not in back else np.array(back)
+            self.has_fb = [h and not b for h, b in zip(self.has_fb, back)]
+            for a, value in ((self.d_g, 0.0), (self.d_r, 0.0), (self.gram, self.eye)):
+                a[mask] = value
+            if False not in back:  # all of them: their last plain point and step stand
+                return self.last_x, self.last_x, self.last_r, back
+            new, x_next, r = (np.where(mask[:, None], old, now) for old, now in (
+                (self.last_x, new), (self.last_x, x_next), (self.last_r, r)))
+            u = [old if b else now for b, old, now in zip(back, self.u_last, u)]
+        self.last_x, self.last_r, self.u_last = x_next, r, u
+        return new, x_next, r, back
 
 
 def _iterate(f, g, x0, tol, max_iter, callback, memory):
@@ -118,15 +169,8 @@ def _iterate(f, g, x0, tol, max_iter, callback, memory):
     # numpy scalar arithmetic): of g, or of a reduction over the last axis
     each = (lambda a: [float(a)]) if solo else (lambda a: a.ravel().tolist())
     row = (lambda a, i: a) if solo else (lambda a, i: a[i].copy())
-    ids, out, stopped, t, res = list(range(size)), [None] * size, None, 0, [math.inf] * size
-    active = None  # after a member stops: the indices of the others
-    if memory:  # the last plain point (the fallback) and step, the histories of points and
-        # steps, their Gram matrix, the utility, and whether the next point is extrapolated
-        eye, floor, ceiling = _identity(memory), 1 - ANDERSON_SLACK, 1 + ANDERSON_SLACK
-        last_x, last_r, d_g, d_r = x, x, *np.zeros((2,) + x.shape[:-1] + (memory, x.shape[-1]))
-        gram = np.zeros(x.shape[:-1] + eye.shape)
-        gram[...] = eye
-        u_last, has_fb = res, [False] * size
+    ids, out, stopped, t, res = list(range(size)), [None] * size, [], 0, [math.inf] * size
+    anderson, active = _Anderson(x, size, memory, each) if memory else None, None
     while True:
         if active is not None:  # the maps see every member, the stopped at their last point
             every[active] = x
@@ -135,74 +179,41 @@ def _iterate(f, g, x0, tol, max_iter, callback, memory):
         else:
             fx = f(x)
             gf = g(fx)
-        if stopped is not None:  # settle, then drop, the members that stopped last step
+        if True in stopped:  # settle, then drop, the members that stopped last step
             for i, b in enumerate(ids):
                 if stopped[i] and out[b].converged:
-                    out[b].eigenvalue = 1.0 / float(each(gf)[i])
+                    out[b].eigenvalue = 1.0 / each(gf)[i]
             if False not in stopped:
                 return out
             every[ids] = x  # the stopped members' last points stay in every
             keep = [not s for s in stopped]
-            pick = lambda *lists: ([v for v, k in zip(a, keep) if k] for a in lists)
-            (ids, res), x, fx, gf = pick(ids, res), x[keep], fx[keep], gf[keep]
-            active = np.array(ids)
-            if memory:
-                u_last, has_fb = pick(u_last, has_fb)
-                last_x, last_r, d_g, d_r, gram = (a[keep] for a in (last_x, last_r, d_g, d_r, gram))
+            ids, res, x, fx, gf = _kept(keep, ids, res, x, fx, gf)
+            active = np.array(ids)  # the indices of the members still running
+            if anderson is not None:
+                anderson.keep(keep)
         t += 1
-        x_next, back = fx / gf, (False,)  # back: whether each member takes its fallback
-        if memory:
-            u = each(np.minimum.reduce(x / fx, axis=-1))
-            back = [h and not (v >= v_last * floor and v * gv <= ceiling)
-                    for h, v, v_last, gv in zip(has_fb, u, u_last, each(gf))]
-        if False not in back:  # every member goes back to its fallback, with no history
-            new, step_res, has_fb = last_x, res, [False] * len(ids)
-            d_g[:], d_r[:], gram[:] = 0.0, 0.0, eye
-        else:
-            r = x_next - x
-            new, step_res = x_next, each(np.maximum.reduce(np.abs(r), axis=-1))
-        if memory and False in back:
-            if t > 1:  # every member's step goes to slot j of its history
-                j = (t - 2) % memory
-                np.subtract(x_next, last_x, out=d_g[..., j, :])
-                np.subtract(r, last_r, out=d_r[..., j, :])
-                gram_row = d_r @ d_r[..., j, :, None]
-                gram[..., j:j + 1], gram[..., j, :] = gram_row, gram_row[..., 0]
-                coef = _lapack_solve(gram, d_r @ r[..., None], signature="dd->d")
-                x_acc = x_next - (coef.swapaxes(-1, -2) @ d_g)[..., 0, :]
-                has_fb = each(np.minimum.reduce(x_acc, axis=-1) > 0)
-                if True in has_fb:
-                    new = x_acc if False not in has_fb else np.where(
-                        np.array(has_fb)[:, None], x_acc, x_next)
-            if True in back:  # some members go back to their fallback, with no history
-                mask = np.array(back)
-                where = lambda old, now: np.where(mask[:, None], old, now)
-                new, x_next, r = where(last_x, new), where(last_x, x_next), where(last_r, r)
-                step_res, u = (np.where(mask, old, now).tolist()
-                               for old, now in ((res, step_res), (u_last, u)))
-                has_fb = [h and not b for h, b in zip(has_fb, back)]
-                for a, value in ((d_g, 0.0), (d_r, 0.0), (gram, eye)):
-                    np.copyto(a, value, where=mask[:, None, None])
-            last_x, last_r, u_last = x_next, r, u
-        res, stopped = step_res, None
-        if callback is not None:
+        x_next = fx / gf  # the plain step
+        new, r, back = x_next, x_next - x, None
+        if anderson is not None:
+            new, x_next, r, back = anderson.step(t, x, fx, gf, x_next, r)
+        res = each(np.maximum.reduce(np.abs(r), axis=-1))
+        if callback is not None:  # with memory the point just evaluated, else the next one
             for i, b in enumerate(ids):
-                if not back[i % len(back)]:
+                if back is None or not back[i]:
                     callback(b, t, row(x if memory else x_next, i), res[i])
-        if not (min(res) >= tol and math.isfinite(sum(res))) or t == max_iter:
-            stopped = [not tol <= v < math.inf for v in res]
+        stopped = [not tol <= v < math.inf for v in res]  # the stop test
+        if True in stopped or t == max_iter:
             for i, b in enumerate(ids):
                 finite = math.isfinite(res[i])
                 if stopped[i]:  # converged (eigenvalue next evaluation) or non-finite
                     out[b] = FixedPointResult(row(x_next, i), None if finite else math.nan,
-                                              t, float(res[i]), finite,
+                                              t, res[i], finite,
                                               "converged" if finite else "non-finite")
                 elif t == max_iter:
-                    gv = float(each(gf)[i])
+                    gv = each(gf)[i]
                     out[b] = FixedPointResult(row(new, i), 1.0 / gv if gv else None, t,
-                                              float(res[i]), False, "max_iter exceeded")
-            # evaluated next: a converged member's last iterate (for its eigenvalue), a
-            # non-finite member's last finite point
+                                              res[i], False, "max_iter exceeded")
+            # evaluated next: converged members' last iterates, non-finite ones' last finite points
             done = (x_next if all(map(math.isfinite, res))
                     else np.where(np.isfinite(x_next), x_next, x))
             if True in stopped:
@@ -212,12 +223,8 @@ def _iterate(f, g, x0, tol, max_iter, callback, memory):
         x = new
 
 
-def yates_iteration(
-    f,
-    x0,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-) -> FixedPointResult:
+def yates_iteration(f, x0, tol: float = DEFAULT_TOL,
+                    max_iter: int = DEFAULT_MAX_ITER) -> FixedPointResult:
     """Iterate ``x <- f(x)`` until both the sup-norm step and the largest
     componentwise relative step are < tol.
 
@@ -229,33 +236,25 @@ def yates_iteration(
     at once with the note "non-finite".
     """
     x = np.array(x0, dtype=float)
-    residual = np.inf
-    growing = 0
+    residual, growing, note = np.inf, 0, "max_iter exceeded"
     for t in range(1, max_iter + 1):
         x_next = f(x)
-        prev_residual = residual
         step = np.abs(x_next - x)
-        residual = float(step.max())
+        residual, prev_residual = float(step.max()), residual
         done = (residual < tol
                 and float((step / np.maximum(np.abs(x_next), 1e-300)).max()) < tol)
         x = x_next
-        if not math.isfinite(residual):
-            return FixedPointResult(
-                x=x, eigenvalue=None, iterations=t, residual=residual,
-                converged=False, note="non-finite",
-            )
-        if done:
-            return FixedPointResult(
-                x=x, eigenvalue=None, iterations=t, residual=residual,
-                converged=True, note="converged",
-            )
         growing = growing + 1 if residual > prev_residual else 0
-        if growing >= DIVERGENCE_WINDOW:
-            return FixedPointResult(
-                x=x, eigenvalue=None, iterations=t, residual=residual,
-                converged=False, note="likely infeasible",
-            )
-    return FixedPointResult(
-        x=x, eigenvalue=None, iterations=max_iter, residual=residual,
-        converged=False, note="max_iter exceeded",
-    )
+        if not math.isfinite(residual):
+            note = "non-finite"
+        elif done:
+            note = "converged"
+        elif growing >= DIVERGENCE_WINDOW:
+            note = "likely infeasible"
+        else:
+            continue
+        break
+    else:  # every step taken, or none (max_iter < 1)
+        t = max_iter
+    return FixedPointResult(x=x, eigenvalue=None, iterations=t, residual=residual,
+                            converged=note == "converged", note=note)
