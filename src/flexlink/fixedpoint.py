@@ -31,8 +31,9 @@ import numpy as np
 
 # np.linalg.solve's LAPACK kernel: its bits without its per-call set-up, which
 # would cost an accelerated step of a small problem a fifth of its time.  A
-# singular system gives NaN (silently: the accelerated loop ignores invalid-value
-# warnings), which no extrapolation accepts.
+# singular system, or a Gram matrix that overflows at a huge budget, gives a
+# non-finite extrapolation (silently: the accelerated loop ignores invalid-value
+# and overflow warnings), which the positivity test refuses.
 from numpy.linalg._umath_linalg import solve as _lapack_solve
 
 DEFAULT_TOL = 1e-7
@@ -97,7 +98,7 @@ def normalized_fixed_points(f, g, x0, tol: float = DEFAULT_TOL,
     """
     if not memory:
         return _iterate(f, g, x0, tol, max_iter, callback, memory)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         return _iterate(f, g, x0, tol, max_iter, callback, memory)
 
 

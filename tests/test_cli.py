@@ -128,6 +128,17 @@ def test_solve_theta_monotone(tmp_path, scenario_file):
     assert lams["0.5"] <= lams["1.0"]
 
 
+@pytest.mark.parametrize("mode", [[], ["--cell-specific"]], ids=["per-link", "cell-specific"])
+@pytest.mark.parametrize("theta", ["1e200", "1e300"])
+def test_solve_at_a_huge_budget_warns_nothing(tmp_path, scenario_file, theta, mode):
+    """S3 cannot meet its absolute step test at this scale and exits 2, but
+    the Anderson Gram matrix that overflows there raises no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["solve", "--scenario", str(scenario_file), "--policy", "coud",
+                     "--theta", theta, *mode, "--out", str(tmp_path / "huge")]) == 2
+
+
 def test_sweep_csv_and_ranking(tmp_path, scenario_file):
     out = tmp_path / "sweep"
     assert main(["sweep", "--scenario", str(scenario_file), "--out", str(out)]) == 0

@@ -1,6 +1,7 @@
 """Normalized and plain fixed-point iterations, SIF axiom checks."""
 
 import collections
+import warnings
 
 import numpy as np
 import pytest
@@ -186,6 +187,20 @@ def test_stacked_members_follow_the_anderson_reference(k, memory, max_iter):
     fallbacks = sum(b - a > 1 for calls in seen.values() for (a, *_), (b, *_) in
                     zip(calls, calls[1:]))
     assert k == 2 or fallbacks, fallbacks
+
+
+def test_accelerated_run_at_a_huge_budget_warns_nothing():
+    """Under a budget of 1e300 the Gram matrix of the Anderson history
+    overflows; the non-finite extrapolation is refused without a warning, and
+    the run goes on with plain steps (the absolute step test cannot pass at
+    that scale)."""
+    m, b = random_affine_sif(7, 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = normalized_fixed_point(lambda x: m @ x + b, lambda y: MAXNORM(y) / 1e300,
+                                     np.ones(3), max_iter=50, memory=3)
+    assert res.note == "max_iter exceeded" and np.isfinite(res.x).all()
+    assert MAXNORM(res.x) == pytest.approx(1e300, rel=1e-9)
 
 
 def test_max_iter_exceeded_is_flagged_not_raised():
