@@ -44,12 +44,12 @@ def parse_offsets(text: str) -> list[float]:
         if not all(map(math.isfinite, (lo, hi, step))) or step <= 0 or hi < lo or \
                 dots and (lo + step == lo or hi + step == hi):  # a step lost in rounding
             raise ConfigError(bad)
-        if len(out) + (hi - lo + 1e-9) / step >= MAX_OFFSETS:  # counted before it is built
+        if len(out) + (hi - lo) / step + 1e-9 >= MAX_OFFSETS:  # counted before it is built
             raise ConfigError(f"more than {MAX_OFFSETS} offsets at {token!r}")
         if not dots:
             out.append(lo)
             continue
-        while lo <= hi + 1e-9:
+        while lo <= hi + 1e-9 * step:  # a billionth of a step past hi: the sum's rounding
             out.append(lo)
             lo += step
     if not out:

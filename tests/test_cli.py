@@ -54,6 +54,10 @@ def test_parse_offsets_paper_set():
     assert len(offs) == 27
     assert parse_offsets("2..10:4") == [2.0, 6.0, 10.0]
     assert parse_offsets("1e17,-1e17") == [1e17, -1e17]
+    # a range ends within a billionth of its step past the bound, however small the step
+    tiny = parse_offsets("0..1e-8:1e-10")
+    assert len(tiny) == 101 and tiny[-1] == pytest.approx(1e-8, rel=1e-12)
+    assert parse_offsets("0..0:1e-300") == [0.0]
     for bad in ("5..1", "nan", "inf", "0,-inf", "nan..5", "0..5:inf", "0..nan",
                 "1e17..1e17", "-1e17..0", "0..1e17", "0..5:1e-300"):
         with pytest.raises(ConfigError, match="bad offset"):
@@ -64,7 +68,7 @@ def test_parse_offsets_refuses_a_list_over_the_cap():
     assert len(parse_offsets(f"0..{MAX_OFFSETS - 1}:1")) == MAX_OFFSETS
     # counted before the list is built: the last three would fill memory
     for too_long in ("0..2000:1", ",".join(["0"] * (MAX_OFFSETS + 1)), "0..1e12",
-                     "0..1e-300:1e-310", "0..0:1e-300"):
+                     "0..1e-300:1e-310"):
         with pytest.raises(ConfigError, match=f"more than {MAX_OFFSETS} offsets"):
             parse_offsets(too_long)
 
