@@ -184,19 +184,20 @@ def run_theta_sweep(scenario: Scenario, policy: Policy, thetas,
     For each noise level the bandwidth is first shaped by a full reference
     solve; the power subproblem is then re-solved from the open-loop PSD
     (per transmitter in cell-specific mode) for every ``theta``, on one
-    coupling per noise level with only the power budgets rescaled.  The utility
+    coupling with only the noise and the power budgets replaced.  The utility
     is nondecreasing in ``theta`` because the feasible set only grows with
     the budget.
     """
     if not all(0 < theta < np.inf for theta in thetas):
         raise DomainError("theta must be positive")
     rows = []
+    coupled = Problem.from_scenario(scenario, associate(policy, scenario))
+    x0 = initial_power_state(coupled, opts.power_mode)
     for noise_dbm in noise_dbm_list:
         sc = dataclasses.replace(scenario, noise_psd=float(dbm_to_watt(noise_dbm)))
-        assoc = associate(policy, sc)
-        ref = optimize(sc, policy, opts, assoc=assoc)
-        base = Problem.from_scenario(sc, assoc)
-        x0 = initial_power_state(base, opts.power_mode)
+        base = dataclasses.replace(coupled, noise_psd=sc.noise_psd)
+        ref = solve_problems([dataclasses.replace(base, p_ext_max=base.p_ext_max * opts.theta)],
+                             opts)[0]
         for theta in thetas:
             problem = dataclasses.replace(base, p_ext_max=base.p_ext_max * theta)
             step = step3_update_power(problem, ref.w, x0, opts)

@@ -171,6 +171,9 @@ def _iterate(f, g, x0, tol, max_iter, callback, memory):
     each = (lambda a: [float(a)]) if solo else (lambda a: a.ravel().tolist())
     row = (lambda a, i: a) if solo else (lambda a, i: a[i].copy())
     ids, out, stopped, t, res = list(range(size)), [None] * size, [], 0, [math.inf] * size
+    if max_iter < 1:  # no step allowed: every member stays at its start
+        return [FixedPointResult(row(x, i), None, 0, math.inf, False, "max_iter exceeded")
+                for i in ids]
     anderson, active = _Anderson(x, size, memory, each) if memory else None, None
     while True:
         if active is not None:  # the maps see every member, the stopped at their last point

@@ -4,8 +4,10 @@ Macros sit on a regular grid, picos on an annulus near the macro cell edge,
 user terminals uniformly over the playground.  Pathloss follows standard
 log-distance models (3GPP-style urban macro/pico curves for BS-UE links, a
 2 GHz free-space anchor with exponent 3.0 for BS-BS and UE-UE links) with
-optional unit-mean Rayleigh power fading.  Everything is deterministic given
-the seed; the counts are capped (``COUNT_RANGES``).
+optional unit-mean Rayleigh power fading.  The BS-BS and UE-UE distances are
+exactly symmetric (a pair's squared coordinate differences are the same
+numbers in either order), so their gains need no symmetrizing.  Everything is
+deterministic given the seed; the counts are capped (``COUNT_RANGES``).
 """
 
 from __future__ import annotations
@@ -113,17 +115,24 @@ def pico_ue_pathloss_db(d_m, min_dist_m=10.0):
 
 def site_pathloss_db(d_m, min_dist_m=10.0):
     """BS-BS and UE-UE links: free-space 1 m anchor plus exponent 3."""
-    d = np.maximum(np.asarray(d_m, dtype=float), min_dist_m)
-    return FS_1M_DB + 10.0 * SITE_EXPONENT * np.log10(d)
+    pl = np.array(d_m, dtype=float)  # one fresh array, updated in place
+    np.log10(np.maximum(pl, min_dist_m, out=pl), out=pl)
+    pl *= 10.0 * SITE_EXPONENT
+    return np.add(pl, FS_1M_DB, out=pl)[()]  # a scalar for a scalar
 
 
 def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
+    """``np.linalg.norm``'s bits without its (A, B, 2) difference array."""
+    d, dy = (np.subtract.outer(a[:, i], b[:, i]) for i in (0, 1))
+    return np.sqrt(np.add(np.square(d, out=d), np.square(dy, out=dy), out=d), out=d)
 
 
 def _symmetric_fading(rng, n):
+    """An (n, n) exponential draw with its upper triangle mirrored below the diagonal."""
     f = rng.exponential(1.0, size=(n, n))
-    return np.triu(f, 1) + np.triu(f, 1).T + np.diag(np.diag(f))
+    for i in range(1, n):
+        f[i, :i] = f[:i, i]
+    return f
 
 
 def generate(config: ScenarioConfig, seed: int) -> Scenario:
@@ -156,9 +165,9 @@ def generate(config: ScenarioConfig, seed: int) -> Scenario:
 
     ue_xy = rng.uniform([0.0, 0.0], [width, height], size=(config.n_ue, 2))
     classes = rng.choice(len(config.service_mix), size=config.n_ue, p=config.service_mix)
-    ue_list = [UserTerminal(position=(float(x), float(y)), service_class=int(c),
-                            max_power_w=float(dbm_to_watt(config.ue_power_dbm)))
-               for (x, y), c in zip(ue_xy, classes)]
+    ue_power = float(dbm_to_watt(config.ue_power_dbm))
+    ue_list = [UserTerminal(position=(x, y), service_class=c, max_power_w=ue_power)
+               for (x, y), c in zip(ue_xy.tolist(), classes.tolist())]
 
     bs_xy = np.array([b.position for b in bs_list])
     is_macro = np.array([b.kind == MACRO for b in bs_list])
@@ -167,27 +176,21 @@ def generate(config: ScenarioConfig, seed: int) -> Scenario:
     pl0 = np.where(is_macro[:, None],
                    macro_ue_pathloss_db(d_bs_ue, config.min_dist_macro_ue_m),
                    pico_ue_pathloss_db(d_bs_ue, config.min_dist_pico_ue_m))
-    pl1 = site_pathloss_db(_distances(bs_xy, bs_xy), config.min_dist_site_m)
-    pl2 = site_pathloss_db(_distances(ue_xy, ue_xy), config.min_dist_site_m)
-
-    h0 = db_to_linear(-pl0)
-    h1 = db_to_linear(-(pl1 + pl1.T) / 2.0)
-    h2 = db_to_linear(-(pl2 + pl2.T) / 2.0)
+    h0, h1, h2 = (db_to_linear(np.negative(pl, out=pl)) for pl in (
+        pl0, site_pathloss_db(_distances(bs_xy, bs_xy), config.min_dist_site_m),
+        site_pathloss_db(_distances(ue_xy, ue_xy), config.min_dist_site_m)))
     if config.rayleigh_fading:
-        h0 = h0 * rng.exponential(1.0, size=h0.shape)
-        h1 = h1 * _symmetric_fading(rng, h1.shape[0])
-        h2 = h2 * _symmetric_fading(rng, h2.shape[0])
-    h0 = np.minimum(h0, 1.0)
+        h0 *= rng.exponential(1.0, size=h0.shape)
+        h1 *= _symmetric_fading(rng, h1.shape[0])
+        h2 *= _symmetric_fading(rng, h2.shape[0])
     # self-gain entries are stored but never read (masked as intra-cell)
     np.fill_diagonal(h1, 1.0)
     np.fill_diagonal(h2, 1.0)
-    h1 = np.minimum(h1, 1.0)
-    h2 = np.minimum(h2, 1.0)
+    for h in (h0, h1, h2):
+        np.minimum(h, 1.0, out=h)
 
-    demands = np.concatenate([
-        np.array([SERVICE_CLASSES_UL_MBPS[c] for c in classes]) * 1e6,
-        np.array([SERVICE_CLASSES_DL_MBPS[c] for c in classes]) * 1e6,
-    ])
+    demands = np.concatenate([np.array(SERVICE_CLASSES_UL_MBPS)[classes] * 1e6,
+                              np.array(SERVICE_CLASSES_DL_MBPS)[classes] * 1e6])
 
     return Scenario(
         bs_list=bs_list, ue_list=ue_list, h0=h0, h1=h1, h2=h2, demands=demands,

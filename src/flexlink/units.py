@@ -8,7 +8,8 @@ import numpy as np
 
 
 def db_to_linear(x_db):
-    return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
+    x = np.asarray(x_db, dtype=float) / 10.0
+    return np.power(10.0, x, out=x) if x.ndim else 10.0 ** x
 
 
 def linear_to_db(x):

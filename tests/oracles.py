@@ -15,7 +15,10 @@ from ``normalized_fixed_point``'s docstring, to pin its iterates bit for bit.
 ``linear_reformulation_check`` recovers the power-update utility through the
 O((2K)^3) linear-in-power route; ``run_trial_loop`` is the Monte Carlo trial
 with one ``optimize`` per policy; ``pf_greedy_ref`` is the PF baseline's
-greedy hand-out as the per-RB loop that ``pf_allocate``'s one sort replaced.
+greedy hand-out as the per-RB loop that ``pf_allocate``'s one sort replaced;
+``generate_ref`` draws a venue as ``generate`` did before it built each dense
+array once in place (``np.linalg.norm`` distances, averaged pathloss
+transposes, a fading matrix summed from two triangles and a diagonal).
 """
 
 import math
@@ -30,10 +33,14 @@ from flexlink.experiments import DEFAULT_HISTORY_DL, DEFAULT_HISTORY_UL, MC_OPTS
 from flexlink.fixedpoint import ANDERSON_SLACK, DEFAULT_MAX_ITER, DEFAULT_TOL, FixedPointResult
 from flexlink.interference import (EPS_NO_DL, LN2, Problem, expand_psd, g1, g2,
                                    interference_psd, utility)
-from flexlink.model import OVERLAP_PAIRWISE, pairwise_overlap_factors
+from flexlink.model import (MACRO, OVERLAP_PAIRWISE, PICO, BaseStation, Scenario, UserTerminal,
+                            pairwise_overlap_factors)
 from flexlink.optimizer import W_FLOOR, initial_psd, optimize
 from flexlink.pf_baseline import DEFAULT_PF_SPLIT, EPS_PF, _pf_rates, _split_band, pf_allocate
-from flexlink.scenario import generate, uniform_overlap
+from flexlink.scenario import (FS_1M_DB, SERVICE_CLASSES_DL_MBPS, SERVICE_CLASSES_UL_MBPS,
+                               SITE_EXPONENT, generate, macro_ue_pathloss_db,
+                               pico_ue_pathloss_db, uniform_overlap)
+from flexlink.units import dbm_to_watt
 
 
 def v_tilde(problem):
@@ -638,3 +645,91 @@ def pf_greedy_ref(scenario, assoc, split) -> np.ndarray:
                 counts[links[pick]] += 1
                 qos[pick] += gain[links[pick]]
     return counts
+
+
+def _db_to_linear_ref(x_db):
+    return 10.0 ** (np.asarray(x_db, dtype=float) / 10.0)
+
+
+def _site_pathloss_db_ref(d_m, min_dist_m=10.0):
+    d = np.maximum(np.asarray(d_m, dtype=float), min_dist_m)
+    return FS_1M_DB + 10.0 * SITE_EXPONENT * np.log10(d)
+
+
+def _distances_ref(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.linalg.norm(a[:, None, :] - b[None, :, :], axis=-1)
+
+
+def _symmetric_fading_ref(rng, n):
+    f = rng.exponential(1.0, size=(n, n))
+    return np.triu(f, 1) + np.triu(f, 1).T + np.diag(np.diag(f))
+
+
+def generate_ref(config, seed: int) -> Scenario:
+    """Draw one scenario. Same (config, seed) always yields the same object."""
+    rng = np.random.default_rng(seed)
+    width, height = config.playground
+    cell_radius = config.isd_m / 2.0
+
+    macro_pos = [
+        ((c + 0.5) * config.isd_m, (r + 0.5) * config.isd_m)
+        for r in range(config.macro_rows)
+        for c in range(config.macro_cols)
+    ]
+    # attach picos to every other macro so each macro cell is pico-adjacent
+    stride = 2 if config.n_pico <= len(macro_pos) // 2 else 1
+    pico_pos = []
+    for i in range(config.n_pico):
+        cx, cy = macro_pos[(stride * i + 1) % len(macro_pos)]
+        radius = cell_radius * rng.uniform(*config.pico_ring)
+        angle = rng.uniform(0.0, 2.0 * np.pi)
+        pico_pos.append((float(np.clip(cx + radius * np.cos(angle), 0.0, width)),
+                         float(np.clip(cy + radius * np.sin(angle), 0.0, height))))
+
+    bs_list = [BaseStation(position=p, kind=MACRO,
+                           max_power_w=float(dbm_to_watt(config.macro_power_dbm)))
+               for p in macro_pos]
+    bs_list += [BaseStation(position=p, kind=PICO,
+                            max_power_w=float(dbm_to_watt(config.pico_power_dbm)))
+                for p in pico_pos]
+
+    ue_xy = rng.uniform([0.0, 0.0], [width, height], size=(config.n_ue, 2))
+    classes = rng.choice(len(config.service_mix), size=config.n_ue, p=config.service_mix)
+    ue_list = [UserTerminal(position=(float(x), float(y)), service_class=int(c),
+                            max_power_w=float(dbm_to_watt(config.ue_power_dbm)))
+               for (x, y), c in zip(ue_xy, classes)]
+
+    bs_xy = np.array([b.position for b in bs_list])
+    is_macro = np.array([b.kind == MACRO for b in bs_list])
+
+    d_bs_ue = _distances_ref(bs_xy, ue_xy)
+    pl0 = np.where(is_macro[:, None],
+                   macro_ue_pathloss_db(d_bs_ue, config.min_dist_macro_ue_m),
+                   pico_ue_pathloss_db(d_bs_ue, config.min_dist_pico_ue_m))
+    pl1 = _site_pathloss_db_ref(_distances_ref(bs_xy, bs_xy), config.min_dist_site_m)
+    pl2 = _site_pathloss_db_ref(_distances_ref(ue_xy, ue_xy), config.min_dist_site_m)
+
+    h0 = _db_to_linear_ref(-pl0)
+    h1 = _db_to_linear_ref(-(pl1 + pl1.T) / 2.0)
+    h2 = _db_to_linear_ref(-(pl2 + pl2.T) / 2.0)
+    if config.rayleigh_fading:
+        h0 = h0 * rng.exponential(1.0, size=h0.shape)
+        h1 = h1 * _symmetric_fading_ref(rng, h1.shape[0])
+        h2 = h2 * _symmetric_fading_ref(rng, h2.shape[0])
+    h0 = np.minimum(h0, 1.0)
+    # self-gain entries are stored but never read (masked as intra-cell)
+    np.fill_diagonal(h1, 1.0)
+    np.fill_diagonal(h2, 1.0)
+    h1 = np.minimum(h1, 1.0)
+    h2 = np.minimum(h2, 1.0)
+
+    demands = np.concatenate([
+        np.array([SERVICE_CLASSES_UL_MBPS[c] for c in classes]) * 1e6,
+        np.array([SERVICE_CLASSES_DL_MBPS[c] for c in classes]) * 1e6,
+    ])
+
+    return Scenario(
+        bs_list=bs_list, ue_list=ue_list, h0=h0, h1=h1, h2=h2, demands=demands,
+        rb_count=config.rb_count, rb_bandwidth=config.rb_bandwidth_hz,
+        noise_psd=float(dbm_to_watt(config.noise_psd_dbm)),
+    )

@@ -213,6 +213,33 @@ def test_max_iter_exceeded_is_flagged_not_raised():
     assert res.note == "max_iter exceeded"
 
 
+@pytest.mark.parametrize("memory", [0, 3])
+@pytest.mark.parametrize("max_iter", [0, -3])
+def test_no_step_allowed_ends_at_the_start(max_iter, memory):
+    """A cap below one ends the run unconverged at its start, as
+    ``yates_iteration`` does; a map that raises after 10 calls turns an
+    uncapped run into a failure instead of a hang."""
+    m = np.array([[0.0, 1.0], [1.0, 0.0]])
+    b = np.array([1e-9, 3e-9])
+    calls = []
+
+    def f(x):
+        calls.append(1)
+        if len(calls) > 10:
+            raise RuntimeError("max_iter below one did not stop the run")
+        return x @ m.T + b
+
+    g = lambda y: np.max(y, axis=-1, keepdims=True)
+    x0 = np.array([0.3, 1.0])
+    solo = normalized_fixed_point(f, MAXNORM, x0, tol=1e-12, max_iter=max_iter, memory=memory)
+    batch = fixedpoint.normalized_fixed_points(f, g, np.array([x0, 2.0 * x0]), tol=1e-12,
+                                               max_iter=max_iter, memory=memory)
+    for res, start in zip([solo] + batch, [x0, x0, 2.0 * x0]):
+        assert not res.converged and res.note == "max_iter exceeded"
+        assert res.iterations == 0 and np.array_equal(res.x, start)
+    assert yates_iteration(f, x0, max_iter=max_iter).note == "max_iter exceeded"
+
+
 # Yates iteration
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from flexlink import io
 from flexlink.errors import ConfigError
-from flexlink.experiments import MC_OPTS
+from flexlink.experiments import MC_OPTS, STUDY_CONFIG
 from flexlink.optimizer import optimize
 from flexlink.scenario import (
     ScenarioConfig,
@@ -17,6 +17,8 @@ from flexlink.scenario import (
     site_pathloss_db,
     uniform_overlap,
 )
+
+from .oracles import generate_ref
 
 
 def test_same_seed_same_scenario():
@@ -52,6 +54,27 @@ def test_generated_scenario_satisfies_model_invariants():
         assert np.array_equal(sc.h1, sc.h1.T)
         assert np.array_equal(sc.h2, sc.h2.T)
         assert np.all(sc.demands > 0)
+
+
+VENUE = dict(macro_rows=3, macro_cols=4, n_pico=6)
+
+
+@pytest.mark.parametrize("config, seed", [(STUDY_CONFIG, s) for s in range(10)] + [
+    (ScenarioConfig(n_ue=1, n_pico=0), 4),
+    (ScenarioConfig(n_ue=12, rayleigh_fading=False), 5),
+    (ScenarioConfig(n_ue=20, n_pico=5), 6),  # more picos than half the macros: stride 1
+    (ScenarioConfig(n_ue=300, **VENUE), 0),
+    (ScenarioConfig(n_ue=1000, **VENUE), 1),
+])
+def test_generate_equals_its_reference_bit_for_bit(config, seed):
+    """``generate`` builds each dense array once in place; every output is
+    the reference's, bit for bit."""
+    sc, ref = generate(config, seed), generate_ref(config, seed)
+    for name in ("h0", "h1", "h2", "demands"):
+        assert np.array_equal(getattr(sc, name), getattr(ref, name)), name
+    assert sc.bs_list == ref.bs_list and sc.ue_list == ref.ue_list
+    assert (sc.noise_psd, sc.rb_count, sc.rb_bandwidth) == \
+        (ref.noise_psd, ref.rb_count, ref.rb_bandwidth)
 
 
 def test_lone_messaging_ue_is_comfortably_feasible():
