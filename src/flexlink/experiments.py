@@ -194,6 +194,7 @@ def run_theta_sweep(scenario: Scenario, policy: Policy, thetas,
     coupled = Problem.from_scenario(scenario, associate(policy, scenario))
     x0 = initial_power_state(coupled, opts.power_mode)
     for noise_dbm in noise_dbm_list:
+        # the scenario's checks refuse a non-finite or non-positive floor
         sc = dataclasses.replace(scenario, noise_psd=float(dbm_to_watt(noise_dbm)))
         base = dataclasses.replace(coupled, noise_psd=sc.noise_psd)
         ref = solve_problems([dataclasses.replace(base, p_ext_max=base.p_ext_max * opts.theta)],
