@@ -4,8 +4,8 @@ The policy study reproduces the experiment layout of the evaluation: for
 each seeded trial it solves the cell-selection offset policy set and the
 ``REFERENCES`` (CoUD, DeUD-P) under partial band overlap, re-runs the
 references and the best offset under full overlap, and runs the QoS-based PF
-baseline under each reference.  Aggregates are deterministic given the base
-seed regardless of the worker count.
+baseline under each reference.  Results are deterministic given the base
+seed regardless of the worker count and of how trials are batched.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from .association import COUD, DEUD_P, Policy, associate, associate_all, policy_sweep
 from .errors import ConfigError, DomainError
 from .interference import Problem
-from .model import Scenario
+from .model import Scenario, check_band
 from .optimizer import (Solution, SolveOptions, initial_power_state, optimize,
                         solve_problems, step3_update_power)
 from .pf_baseline import DEFAULT_PF_SPLIT, pf_allocate
@@ -30,6 +30,10 @@ DEFAULT_HISTORY_UL = 0.35
 DEFAULT_HISTORY_DL = 0.75
 
 MC_OPTS = SolveOptions(trace_mode="boundary")
+
+# Bytes of stacked couplings a chunk of Monte Carlo trials may solve as one batch,
+# a trial's 29 partial-overlap arms counted as distinct: 5 trials of the study.
+CHUNK_COUPLING_BYTES = 2 << 20
 
 # The study's reference policies, keyed as a trial records them.
 REFERENCES = {"coud": Policy(COUD), "deud_p": Policy(DEUD_P)}
@@ -61,65 +65,88 @@ def solve_policies(scenario: Scenario, policies, opts: SolveOptions,
     with its own policy; the copies share their arrays.  ``assocs`` are the
     policies' associations, ``associate_all``'s when not given.
     """
-    first = {}  # association key -> index of the first policy with it
     assocs = associate_all(policies, scenario) if assocs is None else assocs
-    keys = [(a.b_ul.tobytes(), a.b_dl.tobytes()) for a in assocs]
-    for i, key in enumerate(keys):
-        first.setdefault(key, i)
+    return _solve_cases([(scenario, policies, assocs)], opts, overlap)[0]
+
+
+def _solve_cases(cases, opts: SolveOptions, overlap=None) -> list:
+    """``solve_policies`` of each ``(scenario, policies, assocs)`` case: every
+    case's distinct problems in one batch, viewing one stack of couplings."""
+    first, keys = {}, []  # (case, b_ul, b_dl) -> its case's first policy with it
+    for c, (scenario, policies, assocs) in enumerate(cases):
+        keys.append([(c, a.b_ul.tobytes(), a.b_dl.tobytes()) for a in assocs])
+        for i, key in enumerate(keys[-1]):
+            first.setdefault(key, (i, scenario, assocs[i], policies[i].label))
+    n, k = cases[0][0].n_bs, cases[0][0].n_ue
+    rows = np.empty((len(first), n + k, k + n))
+    problems = [Problem.from_scenario(scenario, assoc, overlap, opts.theta, out=out)
+                for (_, scenario, assoc, _), out in zip(first.values(), rows)]
     solved = dict(zip(first, solve_problems(
-        [Problem.from_scenario(scenario, assocs[i], overlap=overlap, theta=opts.theta)
-         for i in first.values()], opts, [policies[i].label for i in first.values()])))
-    return [solved[key] if first[key] == i else
-            dataclasses.replace(solved[key], policy_label=pol.label)
-            for i, (pol, key) in enumerate(zip(policies, keys))]
+        problems, opts, [label for *_, label in first.values()], rows)))
+    return [[solved[key] if first[key][0] == i else
+             dataclasses.replace(solved[key], policy_label=pol.label)
+             for i, (pol, key) in enumerate(zip(policies, case_keys))]
+            for (_, policies, _), case_keys in zip(cases, keys)]
+
+
+def trials_per_chunk(config: ScenarioConfig) -> int:
+    """The trials of ``config`` that fit ``CHUNK_COUPLING_BYTES``, at least one."""
+    arms = len(policy_sweep()) + len(REFERENCES)  # at most a trial's distinct couplings
+    side = config.macro_rows * config.macro_cols + config.n_pico + config.n_ue
+    return max(1, CHUNK_COUPLING_BYTES // (arms * side * side * 8))
 
 
 def run_trial(config: ScenarioConfig, seed: int) -> dict:
-    """One Monte Carlo trial with ``MC_OPTS``: the offset sweep and the
+    """The trial of ``seed``: the batch of one of ``run_trials``."""
+    return run_trials(config, [seed])[0]
+
+
+def run_trials(config: ScenarioConfig, seeds) -> list[dict]:
+    """A Monte Carlo trial with ``MC_OPTS`` per seed: the offset sweep and the
     ``REFERENCES`` under partial overlap at the default historical loads, the
-    references and the best offset under full overlap, and the PF baseline."""
-    scenario = generate(config, seed)
-    overlap = uniform_overlap(scenario.n_bs, DEFAULT_HISTORY_UL, DEFAULT_HISTORY_DL)
-
+    references and the best offset under full overlap, and the PF baseline;
+    each overlap's problems of every trial form one batch."""
+    scenarios = [generate(config, seed) for seed in seeds]
+    overlap = uniform_overlap(scenarios[0].n_bs, DEFAULT_HISTORY_UL, DEFAULT_HISTORY_DL)
     arms = {f"{pol.offset_db:g}": pol for pol in policy_sweep()} | REFERENCES
-    assocs = dict(zip(arms, associate_all(list(arms.values()), scenario)))
-    solved = dict(zip(arms, solve_policies(scenario, list(arms.values()), MC_OPTS, overlap,
-                                           list(assocs.values()))))
-    partial = {
-        off: {"lam": sol.lam, "lam_ul": sol.lam_ul, "lam_dl": sol.lam_dl,
-              "step": sol.step, "converged": sol.converged}
-        for off, sol in solved.items() if off not in REFERENCES
-    }
-    best_offset = max(partial, key=lambda o: partial[o]["lam"])
-
-    full_arm = {**REFERENCES, "best": arms[best_offset]}
-    full = {label: sol.lam for label, sol in zip(full_arm, solve_policies(
-        scenario, list(full_arm.values()), MC_OPTS,
-        assocs=[assocs[label] for label in (*REFERENCES, best_offset)]))}
-
-    pf = {}
-    for label in REFERENCES:
-        alloc = pf_allocate(scenario, assocs[label], split=DEFAULT_PF_SPLIT)
-        pf[label] = {"lam_ul": alloc.lam_ul, "lam_dl": alloc.lam_dl, "lam": alloc.lam}
-
-    return {"seed": seed, "partial": partial, "best_offset": best_offset,
-            "references": {label: solved[label].lam for label in REFERENCES},
-            "full": full, "pf": pf}
+    assocs = [dict(zip(arms, associate_all(list(arms.values()), sc))) for sc in scenarios]
+    solved = [dict(zip(arms, sols)) for sols in _solve_cases(
+        [(sc, list(arms.values()), list(a.values())) for sc, a in zip(scenarios, assocs)],
+        MC_OPTS, overlap)]
+    bests = [max((off for off in s if off not in REFERENCES), key=lambda off: s[off].lam)
+             for s in solved]
+    fulls = _solve_cases([(sc, [*REFERENCES.values(), arms[best]],
+                           [a[label] for label in (*REFERENCES, best)])
+                          for sc, a, best in zip(scenarios, assocs, bests)], MC_OPTS)
+    results = []
+    for seed, sc, a, s, best, full in zip(seeds, scenarios, assocs, solved, bests, fulls):
+        pf = {label: pf_allocate(sc, a[label], split=DEFAULT_PF_SPLIT) for label in REFERENCES}
+        partial = {off: {"lam": sol.lam, "lam_ul": sol.lam_ul, "lam_dl": sol.lam_dl,
+                         "step": sol.step, "converged": sol.converged}
+                   for off, sol in s.items() if off not in REFERENCES}
+        results.append({"seed": seed, "partial": partial, "best_offset": best,
+                        "references": {label: s[label].lam for label in REFERENCES},
+                        "full": dict(zip((*REFERENCES, "best"), (sol.lam for sol in full))),
+                        "pf": {label: {"lam_ul": x.lam_ul, "lam_dl": x.lam_dl, "lam": x.lam}
+                               for label, x in pf.items()}})
+    return results
 
 
 def run_policy_study(config: ScenarioConfig, trials: int, seed_base: int,
                      workers: int = 1) -> dict:
-    """Run ``trials`` independent seeded trials and aggregate."""
+    """Run ``trials`` seeded trials, ``trials_per_chunk`` a chunk, and aggregate."""
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     if workers < 1:
         raise ConfigError("workers must be >= 1")
-    seeds = range(seed_base, seed_base + trials)
+    seeds, size = range(seed_base, seed_base + trials), trials_per_chunk(config)
+    chunks = [seeds[i:i + size] for i in range(0, trials, size)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_trial, [config] * trials, seeds))
+            done = list(pool.map(run_trials, [config] * len(chunks), chunks))
     else:
-        results = list(map(run_trial, [config] * trials, seeds))
+        done = list(map(run_trials, [config] * len(chunks), chunks))
+    results = [trial for chunk in done for trial in chunk]
     return {"config": dataclasses.asdict(config), "seed_base": seed_base,
             "trials": results, "aggregate": aggregate_policy_study(results)}
 
@@ -194,9 +221,9 @@ def run_theta_sweep(scenario: Scenario, policy: Policy, thetas,
     coupled = Problem.from_scenario(scenario, associate(policy, scenario))
     x0 = initial_power_state(coupled, opts.power_mode)
     for noise_dbm in noise_dbm_list:
-        # the scenario's checks refuse a non-finite or non-positive floor
-        sc = dataclasses.replace(scenario, noise_psd=float(dbm_to_watt(noise_dbm)))
-        base = dataclasses.replace(coupled, noise_psd=sc.noise_psd)
+        noise_psd = float(dbm_to_watt(noise_dbm))
+        check_band(scenario.rb_bandwidth, noise_psd)  # a scenario's checks of the floor
+        base = dataclasses.replace(coupled, noise_psd=noise_psd)
         ref = solve_problems([dataclasses.replace(base, p_ext_max=base.p_ext_max * opts.theta)],
                              opts)[0]
         for theta in thetas:

@@ -14,12 +14,12 @@ Every functional (``interference_psd``, ``sinr``, ``link_rates``,
 The solver's fixed-point stages iterate maps built once per stage, at the
 stage's fixed power or bandwidth: :func:`load_maps` (S1),
 :func:`link_power_maps` and :func:`cell_power_maps` (S3).  They evaluate a
-:class:`ProblemStack`, problems of one venue on a leading member axis, so
-that one call serves a whole batch (``Problem.stack`` is a problem's batch
-of one).  The conversions, domain checks and problem constants are taken
-there, not per iteration.  ``f_load``, ``f_power``, ``f_power_cell``,
-``interference_psd``, ``g1``, ``g2`` and ``g2_bar`` call those same maps on
-a batch of one, so each map has one definition.
+:class:`ProblemStack`, problems sharing a noise PSD and band on a leading
+member axis, so that one call serves a whole batch (``Problem.stack`` is a
+problem's batch of one).  The conversions, domain checks and problem
+constants are taken there, not per iteration.  ``f_load``, ``f_power``,
+``f_power_cell``, ``interference_psd``, ``g1``, ``g2`` and ``g2_bar`` call
+those same maps on a batch of one, so each map has one definition.
 """
 
 from __future__ import annotations
@@ -85,15 +85,18 @@ class Problem:
 
     @classmethod
     def from_scenario(cls, scenario: Scenario, assoc: Association,
-                      overlap=None, theta: float = 1.0) -> "Problem":
+                      overlap=None, theta: float = 1.0, out=None) -> "Problem":
         """The problem of ``scenario`` under ``assoc``, with the overlap
         adjustment applied (``None``: full overlap) and every power budget
-        scaled by ``theta``."""
+        scaled by ``theta``; the coupling goes to ``out`` when given, which
+        the problem then views."""
         if not 0 < theta < np.inf:
             raise DomainError("theta must be positive")
         rows = build_coupling(scenario, assoc)
         if overlap is not None:
             rows = apply_overlap(rows, overlap, assoc)
+        if out is not None:
+            out[...], rows = rows, out
         return cls(
             rows=rows,
             d_diag=scenario.h0[assoc.serving, np.tile(np.arange(assoc.n_ue), 2)],
@@ -116,16 +119,18 @@ class Problem:
 
 
 class ProblemStack:
-    """Problems of one venue (one noise PSD and band) on a leading member
-    axis, so that the stage maps evaluate ``B`` members at once.
+    """Problems sharing a noise PSD and band (one venue's associations, or a
+    chunk of trials) on a leading member axis, so that the stage maps
+    evaluate ``B`` members at once.
 
     The couplings are stacked ``(B, N+K, K+N)``: one ``matmul`` runs every
     member's matrix-vector product (a batch of one keeps the plain 2-D
-    product, the same BLAS call).  Per-link vectors are flat, member after
-    member, and the index vectors are offset by member, so one ``bincount``
-    sums every member.  A member's values are bit for bit its values alone:
-    BLAS runs one product per member, and a bin adds its own entries in
-    order.  ``Problem.stack`` is a problem's batch of one.
+    product, the same BLAS call), on ``rows`` if the members' couplings view
+    it (``Problem.from_scenario``'s ``out``), else on a copy.  Per-link
+    vectors are flat, member after member, and the index vectors are offset
+    by member, so one ``bincount`` sums every member.  A member's values are
+    bit for bit its values alone: BLAS runs one product per member, and a
+    bin adds its own entries in order.  ``Problem.stack`` is a problem's batch of one.
 
     ``ipsd`` is :func:`interference_psd` as a map of the flat ``x = w p``;
     ``loads`` of the flat ``w`` and ``uses`` of the flat ``x`` are every
@@ -135,7 +140,7 @@ class ProblemStack:
     of flat vectors into maps of member states.
     """
 
-    def __init__(self, problems):
+    def __init__(self, problems, rows=None):
         problems = tuple(problems)
         # weak: a problem caches its own stack, which must not keep it alive
         self._problems = tuple(weakref.ref(pr) for pr in problems)
@@ -155,7 +160,8 @@ class ProblemStack:
         p_ext_max = np.array([pr.p_ext_max for pr in problems])
         self.rb_count = first.rb_count
         self.rb_bandwidth = first.rb_bandwidth
-        rows = first.rows if b == 1 else np.array([pr.rows for pr in problems])
+        if rows is None or b == 1:
+            rows = first.rows if b == 1 else np.array([pr.rows for pr in problems])
         product = rows.__matmul__ if b == 1 else (
             lambda s: (rows @ s.reshape(b, n_tx, 1)).reshape(-1))
         d_diag = self.d_diag

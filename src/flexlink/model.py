@@ -82,6 +82,14 @@ class UserTerminal:
             raise ModelError("user terminal max power must be positive")
 
 
+def check_band(rb_bandwidth, noise_psd):
+    """Refuse an RB bandwidth or a noise PSD that is not positive and finite."""
+    if not rb_bandwidth > 0 or not noise_psd > 0:
+        raise ModelError("rb_bandwidth and noise_psd must be positive")
+    if not np.isfinite(rb_bandwidth) or not np.isfinite(noise_psd):
+        raise ModelError("rb_bandwidth and noise_psd must be finite")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Static snapshot of the network.
@@ -138,10 +146,7 @@ class Scenario:
             raise ModelError("demands must be finite")
         if int(self.rb_count) < 1:
             raise ModelError("rb_count must be >= 1")
-        if not self.rb_bandwidth > 0 or not self.noise_psd > 0:
-            raise ModelError("rb_bandwidth and noise_psd must be positive")
-        if not np.isfinite(self.rb_bandwidth) or not np.isfinite(self.noise_psd):
-            raise ModelError("rb_bandwidth and noise_psd must be finite")
+        check_band(self.rb_bandwidth, self.noise_psd)
 
     @property
     def n_bs(self) -> int:

@@ -21,8 +21,8 @@ problem restricted to ``p = Lambda p_bar``.  :func:`power_maps` is the one
 place that decides the mode: it returns the expansion to per-link PSDs and
 the builder of the power-demand map and power constraint on the state.
 
-:func:`solve_problems` solves a batch of problems of one venue (a trial's
-distinct associations) at once: S1 and S3 iterate their members together
+:func:`solve_problems` solves a batch of problems sharing a noise PSD and
+band at once: S1 and S3 iterate their members together
 (:func:`stage1_bandwidth`, :func:`stage3_power`), S2 runs member by member.
 :func:`optimize` and the single-problem stages are batches of one.
 """
@@ -311,9 +311,10 @@ def step3_update_power(problem: Problem, w_fixed, x0, opts: SolveOptions = Solve
                         None if trace is None else [trace])[0]
 
 
-def solve_problems(problems, opts: SolveOptions = SolveOptions(), labels=None) -> list:
-    """Run the full three-step solve for every problem in ``problems`` (one
-    venue, as under several associations) as one batch.
+def solve_problems(problems, opts: SolveOptions = SolveOptions(), labels=None, rows=None) -> list:
+    """Run the full three-step solve for every problem in ``problems``
+    (sharing a noise PSD and band: one venue's associations, or a chunk of
+    trials; ``rows`` their stacked couplings, if they view one) as one batch.
 
     Each member starts from the open-loop PSD and ``w = 0``.  S1 runs for
     all members, S2 for each member whose power constraint binds first, and
@@ -325,7 +326,7 @@ def solve_problems(problems, opts: SolveOptions = SolveOptions(), labels=None) -
     """
     if not problems:
         return []
-    stack = problems[0].stack if len(problems) == 1 else ProblemStack(problems)
+    stack = problems[0].stack if len(problems) == 1 else ProblemStack(problems, rows)
     expand = power_maps(stack, opts.power_mode)[0]
     x = np.array([initial_power_state(problem, opts.power_mode) for problem in problems])
     p = expand(x)

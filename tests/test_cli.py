@@ -696,9 +696,11 @@ def test_theta_sweep_non_positive_theta_is_one_line_error(bad_flag, theta):
     assert bad_flag(["theta-sweep", "--theta", theta]) == ("error: theta must be positive", [])
 
 
-def test_theta_sweep_nan_noise_is_one_line_error(bad_flag):
-    assert bad_flag(["theta-sweep", "--noise-dbm", "nan"]) == (
-        "error: rb_bandwidth and noise_psd must be positive", [])
+@pytest.mark.parametrize("noise, breach", [("nan", "positive"), ("-1e400", "positive"),
+                                           ("1e400", "finite")])
+def test_theta_sweep_nan_noise_is_one_line_error(bad_flag, noise, breach):
+    assert bad_flag(["theta-sweep", "--noise-dbm", noise]) == (
+        f"error: rb_bandwidth and noise_psd must be {breach}", [])
 
 
 @pytest.mark.parametrize("command, flag", [("generate", "--seed"), ("montecarlo", "--seed-base")])

@@ -40,9 +40,9 @@ def _counting_solves(monkeypatch):
     of batches it is called with, each a list of problems."""
     calls = []
 
-    def counted(problems, opts, labels=None):
+    def counted(problems, *args):
         calls.append(list(problems))
-        return solve_problems(problems, opts, labels)
+        return solve_problems(problems, *args)
 
     monkeypatch.setattr(experiments, "solve_problems", counted)
     return calls
@@ -70,6 +70,48 @@ def test_trial_solves_each_association_once_per_arm(monkeypatch, seed):
                     for a in (associate(pol, scenario) for pol in policies)}
         assert {c[:2] for c in solved if c[2] == partial} == distinct
     assert sum(c[2] for c in solved) < len(arms[True])  # the sweep does repeat
+
+
+def test_chunk_solves_each_arm_as_one_batch(monkeypatch):
+    """A chunk of trials makes two solves: every trial's distinct partial-overlap
+    problems, once each and trial after trial, then every trial's full-overlap
+    problems."""
+    calls = _counting_solves(monkeypatch)
+    seeds = range(3, 3 + experiments.trials_per_chunk(experiments.STUDY_CONFIG))
+    res = experiments.run_policy_study(experiments.STUDY_CONFIG, trials=len(seeds),
+                                       seed_base=seeds[0])["trials"]
+    expected = [[], []]
+    for seed, trial in zip(seeds, res):
+        scenario = generate(experiments.STUDY_CONFIG, seed)
+        overlap = uniform_overlap(scenario.n_bs, experiments.DEFAULT_HISTORY_UL,
+                                  experiments.DEFAULT_HISTORY_DL)
+        best = Policy("deud_o", offset_db=float(trial["best_offset"]))
+        for arm, (policies, model) in enumerate((
+                (policy_sweep() + list(experiments.REFERENCES.values()), overlap),
+                ([Policy("coud"), Policy("deud_p"), best], None))):
+            distinct = {}
+            for pol in policies:
+                assoc = associate(pol, scenario)
+                distinct.setdefault((assoc.b_ul.tobytes(), assoc.b_dl.tobytes()), assoc)
+            expected[arm] += [Problem.from_scenario(scenario, a, model).rows.tobytes()
+                              for a in distinct.values()]
+    assert [[pr.rows.tobytes() for pr in batch] for batch in calls] == expected
+
+
+def test_chunk_sizing():
+    """The K=30 study stacks several trials into a batch; a K=300 venue one."""
+    assert experiments.trials_per_chunk(experiments.STUDY_CONFIG) > 1
+    large = dataclasses.replace(experiments.STUDY_CONFIG, n_ue=300)
+    assert experiments.trials_per_chunk(large) == 1
+
+
+def test_study_does_not_depend_on_chunking():
+    """Seven trials: a full chunk and a ragged one, each trial equal to one
+    solve per policy."""
+    study = experiments.run_policy_study(experiments.STUDY_CONFIG, trials=7, seed_base=20)
+    assert experiments.trials_per_chunk(experiments.STUDY_CONFIG) < 7
+    assert study["trials"] == [run_trial_loop(experiments.STUDY_CONFIG, seed)
+                               for seed in range(20, 27)]
 
 
 def test_solve_policies_relabels_repeats(monkeypatch):
@@ -159,7 +201,12 @@ def test_theta_sweep_rows_cover_grid():
             assert lams[1] >= lams[0] - 1e-12
 
 
-def test_workers_do_not_change_results():
-    a = experiments.run_policy_study(TINY, trials=2, seed_base=5, workers=1)
-    b = experiments.run_policy_study(TINY, trials=2, seed_base=5, workers=2)
+def test_workers_do_not_change_results(monkeypatch):
+    a = experiments.run_policy_study(TINY, trials=5, seed_base=5, workers=1)
+    # chunks of two trials of 29 arms of 9 x 9 couplings: the pool maps three
+    # chunks, the last one ragged
+    monkeypatch.setattr(experiments, "CHUNK_COUPLING_BYTES", 2 * 29 * 9 * 9 * 8)
+    assert experiments.trials_per_chunk(TINY) == 2
+    b = experiments.run_policy_study(TINY, trials=5, seed_base=5, workers=2)
+    assert a["trials"] == b["trials"]
     assert a["aggregate"] == b["aggregate"]
