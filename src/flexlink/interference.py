@@ -126,11 +126,11 @@ class ProblemStack:
     The couplings are stacked ``(B, N+K, K+N)``: one ``matmul`` runs every
     member's matrix-vector product (a batch of one keeps the plain 2-D
     product, the same BLAS call), on ``rows`` if the members' couplings view
-    it (``Problem.from_scenario``'s ``out``), else on a copy.  Per-link
-    vectors are flat, member after member, and the index vectors are offset
-    by member, so one ``bincount`` sums every member.  A member's values are
-    bit for bit its values alone: BLAS runs one product per member, and a
-    bin adds its own entries in order.  ``Problem.stack`` is a problem's batch of one.
+    it, else on a copy.  Per-link vectors are flat, member after member, and
+    the index vectors are offset by member, so one ``bincount`` sums every
+    member.  A member's values are bit for bit its values alone: BLAS runs
+    one product per member, and a bin adds its own entries in order.
+    ``Problem.stack`` is a problem's batch of one.
 
     ``ipsd`` is :func:`interference_psd` as a map of the flat ``x = w p``;
     ``loads`` of the flat ``w`` and ``uses`` of the flat ``x`` are every
