@@ -66,25 +66,24 @@ def solve_policies(scenario: Scenario, policies, opts: SolveOptions,
     policies' associations, ``associate_all``'s when not given.
     """
     assocs = associate_all(policies, scenario) if assocs is None else assocs
-    return _solve_cases([(scenario, policies, assocs)], opts, overlap)[0]
+    return [sol for sol, _ in _solve_cases([(scenario, policies, assocs)], opts, overlap)[0]]
 
 
 def _solve_cases(cases, opts: SolveOptions, overlap=None) -> list:
-    """``solve_policies`` of each ``(scenario, policies, assocs)`` case: every
-    case's distinct problems in one batch, viewing one stack of couplings."""
+    """``solve_policies`` of each ``(scenario, policies, assocs)`` case, each
+    policy's solution with its problem: every case's distinct problems in one
+    batch, viewing one stack of couplings (``Problem.batch``)."""
     first, keys = {}, []  # (case, b_ul, b_dl) -> its case's first policy with it
     for c, (scenario, policies, assocs) in enumerate(cases):
         keys.append([(c, a.b_ul.tobytes(), a.b_dl.tobytes()) for a in assocs])
         for i, key in enumerate(keys[-1]):
             first.setdefault(key, (i, scenario, assocs[i], policies[i].label))
-    n, k = cases[0][0].n_bs, cases[0][0].n_ue
-    rows = np.empty((len(first), n + k, k + n))
-    problems = [Problem.from_scenario(scenario, assoc, overlap, opts.theta, out=out)
-                for (_, scenario, assoc, _), out in zip(first.values(), rows)]
-    solved = dict(zip(first, solve_problems(
-        problems, opts, [label for *_, label in first.values()], rows)))
+    problems, rows = Problem.batch([(sc, assoc) for _, sc, assoc, _ in first.values()],
+                                   overlap, opts.theta) if first else ([], None)
+    solved = dict(zip(first, zip(solve_problems(
+        problems, opts, [label for *_, label in first.values()], rows), problems)))
     return [[solved[key] if first[key][0] == i else
-             dataclasses.replace(solved[key], policy_label=pol.label)
+             (dataclasses.replace(solved[key][0], policy_label=pol.label), solved[key][1])
              for i, (pol, key) in enumerate(zip(policies, case_keys))]
             for (_, policies, _), case_keys in zip(cases, keys)]
 
@@ -110,7 +109,7 @@ def run_trials(config: ScenarioConfig, seeds) -> list[dict]:
     overlap = uniform_overlap(scenarios[0].n_bs, DEFAULT_HISTORY_UL, DEFAULT_HISTORY_DL)
     arms = {f"{pol.offset_db:g}": pol for pol in policy_sweep()} | REFERENCES
     assocs = [dict(zip(arms, associate_all(list(arms.values()), sc))) for sc in scenarios]
-    solved = [dict(zip(arms, sols)) for sols in _solve_cases(
+    solved = [{arm: sol for arm, (sol, _) in zip(arms, case)} for case in _solve_cases(
         [(sc, list(arms.values()), list(a.values())) for sc, a in zip(scenarios, assocs)],
         MC_OPTS, overlap)]
     bests = [max((off for off in s if off not in REFERENCES), key=lambda off: s[off].lam)
@@ -119,14 +118,16 @@ def run_trials(config: ScenarioConfig, seeds) -> list[dict]:
                            [a[label] for label in (*REFERENCES, best)])
                           for sc, a, best in zip(scenarios, assocs, bests)], MC_OPTS)
     results = []
-    for seed, sc, a, s, best, full in zip(seeds, scenarios, assocs, solved, bests, fulls):
-        pf = {label: pf_allocate(sc, a[label], split=DEFAULT_PF_SPLIT) for label in REFERENCES}
+    for seed, s, best, full in zip(seeds, solved, bests, fulls):
+        # the full-overlap references at theta 1 are the problems of their PF baselines
+        pf = {label: pf_allocate(problem, split=DEFAULT_PF_SPLIT)
+              for label, (_, problem) in zip(REFERENCES, full)}
         partial = {off: {"lam": sol.lam, "lam_ul": sol.lam_ul, "lam_dl": sol.lam_dl,
                          "step": sol.step, "converged": sol.converged}
                    for off, sol in s.items() if off not in REFERENCES}
         results.append({"seed": seed, "partial": partial, "best_offset": best,
                         "references": {label: s[label].lam for label in REFERENCES},
-                        "full": dict(zip((*REFERENCES, "best"), (sol.lam for sol in full))),
+                        "full": dict(zip((*REFERENCES, "best"), (sol.lam for sol, _ in full))),
                         "pf": {label: {"lam_ul": x.lam_ul, "lam_dl": x.lam_dl, "lam": x.lam}
                                for label, x in pf.items()}})
     return results
@@ -240,7 +241,7 @@ def compare_pf(scenario: Scenario, policy: Policy, split=DEFAULT_PF_SPLIT) -> di
     assoc = associate(policy, scenario)
     overlap = uniform_overlap(scenario.n_bs, DEFAULT_HISTORY_UL, DEFAULT_HISTORY_DL)
     sol = optimize(scenario, policy, MC_OPTS, overlap=overlap, assoc=assoc)
-    pf = pf_allocate(scenario, assoc, split=split)
+    pf = pf_allocate(Problem.from_scenario(scenario, assoc), split=split)
     return {
         "policy": policy.label,
         "optimizer": {"lam": sol.lam, "lam_ul": sol.lam_ul, "lam_dl": sol.lam_dl,

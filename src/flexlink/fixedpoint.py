@@ -83,7 +83,7 @@ def normalized_fixed_point(f, g, x0, tol: float = DEFAULT_TOL, max_iter: int = D
 
 def normalized_fixed_points(f, g, x0, tol: float = DEFAULT_TOL,
                             max_iter: int = DEFAULT_MAX_ITER, callback=None,
-                            memory: int = 0) -> list:
+                            memory: int = 0, take=None) -> list:
     """:func:`normalized_fixed_point` of the ``B`` problems whose starts are
     the rows of ``x0``: one result per member.
 
@@ -91,15 +91,16 @@ def normalized_fixed_points(f, g, x0, tol: float = DEFAULT_TOL,
     images to a ``(B, 1)`` column, member by member.  A batch of one may also
     run on its vector, ``g`` giving a float: the same steps on arrays without
     the member axis.  Each member has its own stop rule and Anderson history,
-    and leaves the active set once the next evaluation has given its
-    eigenvalue; the maps still see its last point.  So each member's iterates
-    are bit for bit those of its batch of one.  ``callback(b, t, x,
-    residual)`` is member ``b``'s callback.
+    and stops once the next evaluation has given its eigenvalue; the maps see
+    its last point until the running members are at most half of their rows,
+    when ``take(members)``, the maps of the members at those indices alone,
+    replaces them.  So each member's iterates are bit for bit those of its
+    batch of one.  ``callback(b, t, x, residual)`` is member ``b``'s callback.
     """
     if not memory:
-        return _iterate(f, g, x0, tol, max_iter, callback, memory)
+        return _iterate(f, g, x0, tol, max_iter, callback, memory, take)
     with np.errstate(invalid="ignore", over="ignore"):
-        return _iterate(f, g, x0, tol, max_iter, callback, memory)
+        return _iterate(f, g, x0, tol, max_iter, callback, memory, take)
 
 
 def _kept(keep, *members):
@@ -162,8 +163,8 @@ class _Anderson:
         return new, x_next, r, back
 
 
-def _iterate(f, g, x0, tol, max_iter, callback, memory):
-    x = every = np.array(x0, dtype=float)  # every row a finite point, for the maps
+def _iterate(f, g, x0, tol, max_iter, callback, memory, take):
+    x = np.array(x0, dtype=float)
     solo = x.ndim == 1  # a batch of one on its vector: a member's array is the array itself
     size = 1 if solo else len(x)
     # per-member scalars are lists of Python numbers (a batch of one pays no masks and no
@@ -176,9 +177,9 @@ def _iterate(f, g, x0, tol, max_iter, callback, memory):
                 for i in ids]
     anderson, active = _Anderson(x, size, memory, each) if memory else None, None
     while True:
-        if active is not None:  # the maps see every member, the stopped at their last point
-            every[active] = x
-            fx = f(every)
+        if active is not None:  # the maps' rows (mapped) hold stopped members' last points
+            mapped[active] = x
+            fx = f(mapped)
             fx, gf = fx[active], g(fx)[active]
         else:
             fx = f(x)
@@ -189,12 +190,14 @@ def _iterate(f, g, x0, tol, max_iter, callback, memory):
                     out[b].eigenvalue = 1.0 / each(gf)[i]
             if False not in stopped:
                 return out
-            every[ids] = x  # the stopped members' last points stay in every
             keep = [not s for s in stopped]
-            ids, res, x, fx, gf = _kept(keep, ids, res, x, fx, gf)
-            active = np.array(ids)  # the indices of the members still running
+            if active is None:  # where the running members sit among the maps' rows
+                mapped, active = x, np.arange(len(x))
+            ids, res, x, fx, gf, active = _kept(keep, ids, res, x, fx, gf, active)
             if anderson is not None:
                 anderson.keep(keep)
+            if take is not None and 2 * len(ids) <= len(mapped):
+                (f, g), active = take(ids), None
         t += 1
         x_next = fx / gf  # the plain step
         new, r, back = x_next, x_next - x, None

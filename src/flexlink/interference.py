@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ModelError
-from .model import Association, Scenario, _readonly, apply_overlap, build_coupling
+from .model import Association, Scenario, _readonly, build_couplings
 
 LN2 = float(np.log(2.0))
 
@@ -85,28 +85,31 @@ class Problem:
 
     @classmethod
     def from_scenario(cls, scenario: Scenario, assoc: Association,
-                      overlap=None, theta: float = 1.0, out=None) -> "Problem":
+                      overlap=None, theta: float = 1.0) -> "Problem":
         """The problem of ``scenario`` under ``assoc``, with the overlap
         adjustment applied (``None``: full overlap) and every power budget
-        scaled by ``theta``; the coupling goes to ``out`` when given, which
-        the problem then views."""
+        scaled by ``theta``: the batch of one of :meth:`batch`."""
+        return cls.batch([(scenario, assoc)], overlap, theta)[0][0]
+
+    @classmethod
+    def batch(cls, cases, overlap=None, theta: float = 1.0):
+        """``(problems, rows)``: the problem of each ``(scenario, assoc)`` of
+        ``cases`` and the stacked couplings they view (``build_couplings``);
+        a venue's problems share its demands and one budget array."""
         if not 0 < theta < np.inf:
             raise DomainError("theta must be positive")
-        rows = build_coupling(scenario, assoc)
-        if overlap is not None:
-            rows = apply_overlap(rows, overlap, assoc)
-        if out is not None:
-            out[...], rows = rows, out
-        return cls(
-            rows=rows,
-            d_diag=scenario.h0[assoc.serving, np.tile(np.arange(assoc.n_ue), 2)],
-            noise_psd=scenario.noise_psd,
-            assoc=assoc,
-            demands=scenario.demands,
-            p_ext_max=np.concatenate([scenario.ue_max_powers(), scenario.bs_max_powers()]) * theta,
-            rb_count=scenario.rb_count,
-            rb_bandwidth=scenario.rb_bandwidth,
-        )
+        rows = build_couplings(cases, overlap)
+        rows.setflags(write=False)  # and so every problem's view of it
+        venues = {id(scenario): scenario for scenario, _ in cases}
+        budgets = {key: _readonly(np.concatenate([sc.ue_max_powers(), sc.bs_max_powers()]) * theta)
+                   for key, sc in venues.items()}
+        ue = np.tile(np.arange(cases[0][1].n_ue), 2)
+        problems = [cls(rows=coupling, d_diag=scenario.h0[assoc.serving, ue],
+                        noise_psd=scenario.noise_psd, assoc=assoc, demands=scenario.demands,
+                        p_ext_max=budgets[id(scenario)], rb_count=scenario.rb_count,
+                        rb_bandwidth=scenario.rb_bandwidth)
+                    for (scenario, assoc), coupling in zip(cases, rows)]
+        return problems, rows
 
     @property
     def n_links(self) -> int:
@@ -123,14 +126,14 @@ class ProblemStack:
     chunk of trials) on a leading member axis, so that the stage maps
     evaluate ``B`` members at once.
 
-    The couplings are stacked ``(B, N+K, K+N)``: one ``matmul`` runs every
-    member's matrix-vector product (a batch of one keeps the plain 2-D
-    product, the same BLAS call), on ``rows`` if the members' couplings view
-    it, else on a copy.  Per-link vectors are flat, member after member, and
-    the index vectors are offset by member, so one ``bincount`` sums every
-    member.  A member's values are bit for bit its values alone: BLAS runs
-    one product per member, and a bin adds its own entries in order.
-    ``Problem.stack`` is a problem's batch of one.
+    ``rows`` are the couplings stacked ``(B, N+K, K+N)``: the problems may
+    view them (:meth:`Problem.batch`), members may share one (a broadcast
+    view).  One ``matmul`` runs every member's matrix-vector product; without
+    ``rows``, ``Problem.stack`` (a batch of one) maps vectors by the plain 2-D
+    product.  Per-link vectors are flat, member after member, and the index
+    vectors are offset by member, so one ``bincount`` sums every member.  A
+    member's values are bit for bit its values alone: BLAS runs one product
+    per member, and a bin adds its own entries in order.
 
     ``ipsd`` is :func:`interference_psd` as a map of the flat ``x = w p``;
     ``loads`` of the flat ``w`` and ``uses`` of the flat ``x`` are every
@@ -147,6 +150,10 @@ class ProblemStack:
         first, b = problems[0], len(problems)
         if len({(pr.noise_psd, pr.rb_count, pr.rb_bandwidth) for pr in problems}) > 1:
             raise ModelError("stacked problems must share the noise PSD and the band")
+        if rows is None and b > 1:
+            raise ModelError("a stack of several problems needs their stacked couplings")
+        self.solo = rows is None
+        rows = self.rows = first.rows if self.solo else rows
         (n_rx, n_tx), self.k, self.n_bs = first.rows.shape, first.assoc.n_ue, first.assoc.n_bs
         n_bs, noise, self.size = self.n_bs, first.noise_psd, b
         join = lambda parts: parts[0] if b == 1 else np.concatenate(parts)
@@ -160,17 +167,19 @@ class ProblemStack:
         p_ext_max = np.array([pr.p_ext_max for pr in problems])
         self.rb_count = first.rb_count
         self.rb_bandwidth = first.rb_bandwidth
-        if rows is None or b == 1:
-            rows = first.rows if b == 1 else np.array([pr.rows for pr in problems])
-        product = rows.__matmul__ if b == 1 else (
+        product = rows.__matmul__ if self.solo else (
             lambda s: (rows @ s.reshape(b, n_tx, 1)).reshape(-1))
         d_diag = self.d_diag
         self.ipsd = lambda x: (product(np.bincount(tx, x, b * n_tx))[rx] + noise) / d_diag
         self.loads = lambda w: np.bincount(serving, w, b * n_bs).reshape(b, n_bs)
         self.uses = lambda x: np.bincount(tx, x, b * n_tx).reshape(b, n_tx) / p_ext_max
         high = np.maximum.reduce  # a member's largest entry: a (B, 1) column, or one's float
-        self.largest = ((lambda rows: float(high(rows, None))) if b == 1
+        self.largest = ((lambda rows: float(high(rows, None))) if self.solo
                         else (lambda rows: high(rows, 1, keepdims=True)))
+
+    def take(self, members) -> "ProblemStack":
+        """The members at the indices ``members``, over one copy of their couplings."""
+        return ProblemStack([self._problems[b]() for b in members], self.rows[members])
 
     @property
     def problems(self) -> tuple:
@@ -179,7 +188,7 @@ class ProblemStack:
     def state_maps(self, f, g):
         """``f`` and ``g`` of flat per-link vectors as maps of member states:
         a stack's take ``(B, n)`` states, a batch of one's take its vector."""
-        if self.size == 1:
+        if self.solo:
             return f, g
         return (lambda x: f(x.reshape(-1)).reshape(x.shape)), (lambda x: g(x.reshape(-1)))
 
@@ -222,7 +231,7 @@ def load_maps(stack: ProblemStack, p_fixed):
         raise DomainError("f_load requires strictly positive fixed power")
     d, rb_count, rb_bandwidth, ipsd = stack.demands, stack.rb_count, stack.rb_bandwidth, stack.ipsd
     loads, uses, largest = stack.loads, stack.uses, stack.largest
-    higher = max if stack.size == 1 else np.maximum
+    higher = max if stack.solo else np.maximum
     f = lambda w: d / (rb_count * (rb_bandwidth * np.log2(1.0 + p / ipsd(p * w))))
     g = lambda w: higher(largest(loads(w)), largest(uses(w * p)) * rb_count)
     return stack.state_maps(f, g)

@@ -47,6 +47,10 @@ def _breach(value, integer: bool = False):
 
 
 def _readonly(a, dtype=float):
+    """A read-only ``dtype`` copy of ``a``, or ``a`` if it is one owning its data."""
+    if isinstance(a, np.ndarray) and a.dtype == dtype and a.flags.owndata \
+            and not a.flags.writeable:
+        return a
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
@@ -302,24 +306,35 @@ def build_coupling(scenario: Scenario, assoc: Association) -> np.ndarray:
     a propagation channel and is never read.  The same UE's UL<-DL entry
     stays (a real BS-to-BS path when the association is decoupled).
     """
-    n, k = scenario.n_bs, scenario.n_ue
-    if assoc.n_ue != k or assoc.n_bs != n:
+    return build_couplings([(scenario, assoc)])[0]
+
+
+def build_couplings(cases, overlap=None) -> np.ndarray:
+    """The couplings of the ``(scenario, assoc)`` pairs of ``cases`` stacked
+    ``(B, N+K, K+N)``, each bit for bit :func:`build_coupling` (and with an
+    ``overlap`` model :func:`apply_overlap`): venue blocks copied to their
+    members, own-cell entries cleared by member index, one overlap scaling."""
+    first = cases[0][0]
+    n, k = first.n_bs, first.n_ue
+    if any(a.n_ue != k or a.n_bs != n or sc.n_ue != k or sc.n_bs != n for sc, a in cases):
         raise ModelError("association does not match scenario dimensions")
-
-    b_ul, b_dl = assoc.b_ul, assoc.b_dl
-    ue_idx, bs_idx = np.arange(k), np.arange(n)
-
-    rows = np.empty((n + k, k + n))
-    rows[:n, :k] = scenario.h0                        # UE j -> BS n
-    rows[:n, k:] = scenario.h1                        # BS m -> BS n
-    rows[b_ul, ue_idx] = 0.0                          # UL j at its own BS
-    rows[bs_idx, k + bs_idx] = 0.0                    # DL of BS n at BS n
-    dl_rows = rows[n:]
-    dl_rows[:, :k] = scenario.h2                      # UE j -> UE k
-    dl_rows[:, k:] = scenario.h0.T                    # BS m -> UE k
-    np.copyto(dl_rows[:, :k], 0.0, where=b_dl[:, None] == b_ul[None, :])
-    dl_rows[ue_idx, k + b_dl] = 0.0                   # DL k from its own BS
-    dl_rows[ue_idx, ue_idx] = 0.0  # own-UL into own-DL: h2 self-gain, never read
+    b_ul, b_dl = (np.array([getattr(a, name) for _, a in cases]) for name in ("b_ul", "b_dl"))
+    rows = np.empty((len(cases), n + k, k + n))
+    for scenario in {id(sc): sc for sc, _ in cases}.values():
+        members = [b for b, (sc, _) in enumerate(cases) if sc is scenario]
+        rows[members, :n, :k] = scenario.h0                # UE j -> BS n
+        rows[members, :n, k:] = scenario.h1                # BS m -> BS n
+        rows[members, n:, :k] = scenario.h2                # UE j -> UE k
+        rows[members, n:, k:] = scenario.h0.T              # BS m -> UE k
+    member, ue, bs = np.arange(len(cases))[:, None], np.arange(k), np.arange(n)
+    rows[member, b_ul, ue] = 0.0                      # UL j at its own BS
+    rows[:, bs, k + bs] = 0.0                         # DL of BS n at BS n
+    dl_rows = rows[:, n:]
+    np.copyto(dl_rows[..., :k], 0.0, where=b_dl[:, :, None] == b_ul[:, None, :])
+    dl_rows[member, ue, k + b_dl] = 0.0               # DL k from its own BS
+    dl_rows[:, ue, ue] = 0.0  # own-UL into own-DL: h2 self-gain, never read
+    if overlap is not None:
+        _scale_cross(rows, overlap, b_ul, b_dl)
     return rows
 
 
@@ -362,21 +377,22 @@ def apply_overlap(rows: np.ndarray, overlap: OverlapModel, assoc: Association) -
     and sending cell, so the N x N factors scale it as they stand.
     Same-direction blocks are unchanged (factor 1).
     """
-    n = assoc.n_bs
+    rows = np.array(rows)
+    _scale_cross(rows[None], overlap, assoc.b_ul[None], assoc.b_dl[None])
+    return rows
+
+
+def _scale_cross(rows, overlap: OverlapModel, b_ul, b_dl):
+    """:func:`apply_overlap` in place on the stacked ``rows`` of the maps ``b_ul``, ``b_dl``."""
+    n, k = rows.shape[1] - b_ul.shape[1], b_ul.shape[1]
     if overlap.load_ul.shape[0] != n or overlap.load_dl.shape[0] != n:
         raise ModelError("overlap loads must have one entry per BS")
-
-    k = assoc.n_ue
-    rows = np.array(rows)
-    b_ul, b_dl = assoc.b_ul, assoc.b_dl
-
     if overlap.scheme == OVERLAP_PAIRWISE:
         ul_dl, dl_ul = overlap.pairwise_factors
         # DL<-UL lifted by A_dl^T O A_ul: entry (k, j) is O[b_dl[k], b_ul[j]]
-        rows[:n, k:] *= ul_dl
-        rows[n:, :k] *= dl_ul[np.ix_(b_dl, b_ul)]
+        rows[:, :n, k:] *= ul_dl
+        rows[:, n:, :k] *= dl_ul[b_dl[:, :, None], b_ul[:, None, :]]
     else:  # cell_specific
         c_ul, c_dl = overlap.load_ul, overlap.load_dl
-        rows[:n, k:] *= np.outer(c_ul, c_dl)
-        rows[n:, :k] *= np.outer(c_dl[b_dl], c_ul[b_ul])
-    return rows
+        rows[:, :n, k:] *= np.outer(c_ul, c_dl)
+        rows[:, n:, :k] *= c_dl[b_dl][:, :, None] * c_ul[b_ul][:, None, :]

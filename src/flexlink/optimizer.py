@@ -198,12 +198,14 @@ def power_maps(stack: ProblemStack, power_mode: str):
     return (lambda x: x), link_power_maps
 
 
-def _fixed_points(f, g, x0, callback, memory=0) -> list:
-    """:func:`normalized_fixed_points` of a stack's maps from the rows of
-    ``x0``.  A batch of one runs through :func:`normalized_fixed_point`, the
-    single-problem entry point, on its vector, which its maps take."""
+def _fixed_points(build, stack, fixed, x0, callback, memory=0) -> list:
+    """:func:`normalized_fixed_points` of the maps ``build(stack, fixed)``
+    from the rows of ``x0``, built again on running members (``take``).  A
+    batch of one runs through :func:`normalized_fixed_point` on its vector."""
+    f, g = build(stack, fixed)
     if len(x0) > 1:
-        return normalized_fixed_points(f, g, x0, callback=callback, memory=memory)
+        take = lambda members: build(stack.take(members), fixed[members])
+        return normalized_fixed_points(f, g, x0, callback=callback, memory=memory, take=take)
     solo = None if callback is None else (lambda t, x, residual: callback(0, t, x, residual))
     return [normalized_fixed_point(f, g, x0[0], callback=solo, memory=memory)]
 
@@ -220,7 +222,7 @@ def stage1_bandwidth(stack: ProblemStack, p_fixed, opts: SolveOptions = SolveOpt
             traces[b].record("s1", t, utility(w_t, p[b], problem),
                              g1(w_t, problem), g2(w_t, p[b], problem), residual)
 
-    res = _fixed_points(*load_maps(stack, p), np.zeros(p.shape) if w_start is None else w_start,
+    res = _fixed_points(load_maps, stack, p, np.zeros(p.shape) if w_start is None else w_start,
                         callback)
     return [StepResult(w=r.x, p=p[b], lam=float(r.eigenvalue), fixed_point=r)
             for b, r in enumerate(res)]
@@ -288,7 +290,7 @@ def stage3_power(stack: ProblemStack, w_fixed, x0, opts: SolveOptions = SolveOpt
                              g1(w[b], problem), g2(w[b], p_t, problem), residual)
 
     with np.errstate(divide="ignore", invalid="ignore"):  # f_power's, entered once per stage
-        res = _fixed_points(*build(stack, w), np.asarray(x0, dtype=float), callback,
+        res = _fixed_points(build, stack, w, np.asarray(x0, dtype=float), callback,
                             ANDERSON_MEMORY)
     p = expand(np.array([r.x for r in res]))
     return [StepResult(w=w[b], p=p[b], lam=float(r.eigenvalue), fixed_point=r, x=r.x)
@@ -314,7 +316,7 @@ def step3_update_power(problem: Problem, w_fixed, x0, opts: SolveOptions = Solve
 def solve_problems(problems, opts: SolveOptions = SolveOptions(), labels=None, rows=None) -> list:
     """Run the full three-step solve for every problem in ``problems``
     (sharing a noise PSD and band: one venue's associations, or a chunk of
-    trials; ``rows`` their stacked couplings, if they view one) as one batch.
+    trials; ``rows`` their stacked couplings from ``Problem.batch``) as one batch.
 
     Each member starts from the open-loop PSD and ``w = 0``.  S1 runs for
     all members, S2 for each member whose power constraint binds first, and
@@ -360,8 +362,7 @@ def solve_problems(problems, opts: SolveOptions = SolveOptions(), labels=None, r
         b = members[0]
         s3 = [step3_update_power(problems[b], w[b], x[b], opts, trace=traces[b])]
     elif members:
-        sub = (stack if len(members) == len(problems)
-               else ProblemStack([problems[b] for b in members]))
+        sub = stack if len(members) == len(problems) else stack.take(members)
         s3 = stage3_power(sub, w[members], x[members], opts, [traces[b] for b in members])
     if members:
         for b, r in zip(members, s3):

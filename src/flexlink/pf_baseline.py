@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .interference import Problem, link_rates
-from .model import Association, Scenario
 from .optimizer import initial_psd
 
 EPS_PF = 1e-3  # smoothing constant in the PF priority ratio
@@ -64,24 +63,25 @@ def _pf_rates(problem: Problem, p, counts, split):
     return link_rates(p, counts / band, problem)
 
 
-def pf_allocate(scenario: Scenario, assoc: Association, split=DEFAULT_PF_SPLIT) -> PfAllocation:
-    """Allocate the split band greedily per cell and direction.
+def pf_allocate(problem: Problem, split=DEFAULT_PF_SPLIT) -> PfAllocation:
+    """Allocate the split band of ``problem`` greedily per cell and direction.
 
     ``split`` is (UL RBs, DL RBs); each direction gets at least one RB and
-    the two sum to the scenario's RB count.
+    the two sum to the problem's RB count; the problem's overlap adjustment
+    and budgets play no part.
     The per-RB gains come from the rates at zero occupancy (no inter-cell
     interference yet); the returned QoS levels use the rates of the final
     allocation.
     """
     ul_rbs, dl_rbs = split
-    if ul_rbs + dl_rbs != scenario.rb_count or ul_rbs < 1 or dl_rbs < 1:
+    if ul_rbs + dl_rbs != problem.rb_count or ul_rbs < 1 or dl_rbs < 1:
         raise ConfigError(f"split {split} must give each direction at least one "
-                          f"of the {scenario.rb_count} RBs")
+                          f"of the {problem.rb_count} RBs")
 
-    k, n = scenario.n_ue, scenario.n_bs
-    problem = _split_band(Problem.from_scenario(scenario, assoc))
+    assoc, problem = problem.assoc, _split_band(problem)
+    k, n = assoc.n_ue, assoc.n_bs
     p = initial_psd(problem)
-    demands = scenario.demands
+    demands = problem.demands
 
     gain = _pf_rates(problem, p, np.zeros(2 * k), split) / demands  # QoS per RB
     rbs = max(split)
@@ -98,7 +98,7 @@ def pf_allocate(scenario: Scenario, assoc: Association, split=DEFAULT_PF_SPLIT) 
     rates = _pf_rates(problem, p, counts, split)
     qos = counts * rates / demands
     return PfAllocation(
-        w=counts / scenario.rb_count,
+        w=counts / problem.rb_count,
         p=p,
         rb_counts=counts.astype(int),
         lam_ul=float(np.min(qos[:k])),

@@ -14,7 +14,8 @@ from ``normalized_fixed_point``'s docstring, to pin its iterates bit for bit.
 ``check_sif_axioms`` samples the SIF axioms (Yates 1995);
 ``linear_reformulation_check`` recovers the power-update utility through the
 O((2K)^3) linear-in-power route; ``run_trial_loop`` is the Monte Carlo trial
-with one ``optimize`` per policy; ``pf_greedy_ref`` is the PF baseline's
+with one ``optimize`` per policy; ``pf_allocate_ref`` is ``pf_allocate`` as
+it read when it built its own problem; ``pf_greedy_ref`` is the PF baseline's
 greedy hand-out as the per-RB loop that ``pf_allocate``'s one sort replaced;
 ``generate_ref`` draws a venue as ``generate`` did before it built each dense
 array once in place (``np.linalg.norm`` distances, averaged pathloss
@@ -36,7 +37,7 @@ from flexlink.interference import (EPS_NO_DL, LN2, Problem, expand_psd, g1, g2,
 from flexlink.model import (MACRO, OVERLAP_PAIRWISE, PICO, BaseStation, Scenario, UserTerminal,
                             pairwise_overlap_factors)
 from flexlink.optimizer import W_FLOOR, initial_psd, optimize
-from flexlink.pf_baseline import DEFAULT_PF_SPLIT, EPS_PF, _pf_rates, _split_band, pf_allocate
+from flexlink.pf_baseline import DEFAULT_PF_SPLIT, EPS_PF, PfAllocation, _pf_rates, _split_band
 from flexlink.scenario import (FS_1M_DB, SERVICE_CLASSES_DL_MBPS, SERVICE_CLASSES_UL_MBPS,
                                SITE_EXPONENT, generate, macro_ue_pathloss_db,
                                pico_ue_pathloss_db, uniform_overlap)
@@ -619,11 +620,37 @@ def run_trial_loop(config, seed) -> dict:
 
     pf = {}
     for label, pol in (("coud", Policy(COUD)), ("deud_p", Policy(DEUD_P))):
-        alloc = pf_allocate(scenario, associate(pol, scenario), split=DEFAULT_PF_SPLIT)
+        alloc = pf_allocate_ref(scenario, associate(pol, scenario), split=DEFAULT_PF_SPLIT)
         pf[label] = {"lam_ul": alloc.lam_ul, "lam_dl": alloc.lam_dl, "lam": alloc.lam}
 
     return {"seed": seed, "partial": partial, "best_offset": best_offset,
             "references": references, "full": full, "pf": pf}
+
+
+def pf_allocate_ref(scenario, assoc, split=DEFAULT_PF_SPLIT) -> PfAllocation:
+    """``pf_allocate`` as it read when it took a scenario and an association
+    and built their full-overlap problem itself."""
+    k, n = scenario.n_ue, scenario.n_bs
+    problem = _split_band(Problem.from_scenario(scenario, assoc))
+    p = initial_psd(problem)
+    demands = scenario.demands
+
+    gain = _pf_rates(problem, p, np.zeros(2 * k), split) / demands  # QoS per RB
+    rbs = max(split)
+    held = np.zeros((2 * k, rbs))  # QoS a link holds before its c-th RB
+    np.cumsum(np.broadcast_to(gain[:, None], (2 * k, rbs - 1)), axis=1, out=held[:, 1:])
+    priority = (gain[:, None] / (held + EPS_PF)).ravel()
+    link = np.repeat(np.arange(2 * k), rbs)
+    group = (assoc.serving + n * (np.arange(2 * k) >= k))[link]  # UL cells, then DL
+    order = np.lexsort((link, -priority, group))
+    link, group = link[order], group[order]
+    taken = np.arange(link.size) - np.searchsorted(group, group) < np.repeat(split, n)[group]
+    counts = np.bincount(link[taken], minlength=2 * k)
+
+    rates = _pf_rates(problem, p, counts, split)
+    qos = counts * rates / demands
+    return PfAllocation(w=counts / scenario.rb_count, p=p, rb_counts=counts.astype(int),
+                        lam_ul=float(np.min(qos[:k])), lam_dl=float(np.min(qos[k:])), qos=qos)
 
 
 def pf_greedy_ref(scenario, assoc, split) -> np.ndarray:

@@ -129,6 +129,7 @@ def test_solve_policies_relabels_repeats(monkeypatch):
     for pol, sol in zip(policies, sols):
         alone = optimize(scenario, pol, experiments.MC_OPTS, overlap=overlap)
         assert sol.to_dict() == alone.to_dict()
+    assert experiments.solve_policies(scenario, [], experiments.MC_OPTS, overlap) == []
 
 
 def test_deud_p_figures_come_from_the_deud_p_solves():
@@ -143,7 +144,7 @@ def test_deud_p_figures_come_from_the_deud_p_solves():
         overlap = uniform_overlap(scenario.n_bs, experiments.DEFAULT_HISTORY_UL,
                                   experiments.DEFAULT_HISTORY_DL)
         sol = optimize(scenario, Policy("deud_p"), experiments.MC_OPTS, overlap=overlap)
-        pf = pf_allocate(scenario, associate(Policy("deud_p"), scenario))
+        pf = pf_allocate(Problem.from_scenario(scenario, associate(Policy("deud_p"), scenario)))
         partial.append(sol.lam)
         full.append(optimize(scenario, Policy("deud_p"), experiments.MC_OPTS).lam)
         wins.append(sol.lam > min(pf.lam_ul, pf.lam_dl))

@@ -152,6 +152,42 @@ def test_stacked_members_match_their_runs_alone(monkeypatch):
     assert len({r.iterations for r in stacked}) > 1 and sum(singular)
 
 
+@pytest.mark.parametrize("memory", [0, 3])
+def test_stopped_members_leave_the_maps(memory):
+    """A stack of affine SIFs in which member 0 (a cyclic map) needs about
+    2,000 plain steps and the others at most 65: with ``take`` the loop
+    rebuilds its maps on the running members, so the rows its maps evaluate
+    total at most twice the members' own evaluations (each step's and the
+    eigenvalue's) plus B, against B times the slowest member's without it;
+    every member still gives its solo result bit for bit."""
+    rng = np.random.default_rng(11)
+    size, k = 12, 4
+    m = rng.uniform(0.0, 1.0, size=(size, k, k)) ** 3
+    b = rng.uniform(0.1, 1.0, size=(size, k)) ** 2
+    m[0], b[0] = np.roll(np.eye(k), 1, axis=1) + 0.01 * m[0], 0.01 * b[0]
+    x0 = rng.uniform(0.01, 5.0, size=(size, k))
+    rows = []
+
+    def maps(members):
+        m_at, b_at = m[members], b[members]
+
+        def f(x):
+            rows.append(len(x))
+            return (m_at @ x[..., None])[..., 0] + b_at
+        return f, lambda y: y.max(axis=1, keepdims=True)
+
+    stacked = fixedpoint.normalized_fixed_points(*maps(list(range(size))), x0, tol=1e-12,
+                                                 memory=memory, take=maps)
+    alone = [normalized_fixed_point(lambda x, i=i: m[i] @ x + b[i], MAXNORM, x0[i],
+                                    tol=1e-12, memory=memory) for i in range(size)]
+    digest = lambda r: (r.x.tobytes(), r.eigenvalue, r.iterations, r.residual, r.note)
+    assert list(map(digest, stacked)) == list(map(digest, alone))
+    own = sum(r.iterations + 1 for r in stacked)
+    assert sum(rows) <= 2 * own + size, (sum(rows), own)
+    slowest = max(r.iterations for r in stacked)
+    assert memory or size * (slowest + 1) > 2 * own + size
+
+
 @pytest.mark.parametrize("k", [2, 3, 5])
 @pytest.mark.parametrize("memory", [3, 5])
 @pytest.mark.parametrize("max_iter", [7, fixedpoint.DEFAULT_MAX_ITER])

@@ -13,14 +13,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flexlink.association import Policy, associate
 from flexlink.errors import ModelError
+from flexlink.experiments import STUDY_CONFIG
 from flexlink.interference import Problem, interference_psd
 from flexlink.model import (
+    OVERLAP_PAIRWISE,
+    OVERLAP_SPECIFIC,
     Association,
     OverlapModel,
+    apply_overlap,
     build_coupling,
+    build_couplings,
     pairwise_overlap_factors,
 )
+from flexlink.scenario import generate
 
 from .helpers import make_scenario, two_cell_scenario, coud_assoc, random_scenario
 from .oracles import dense_coupling, dense_overlap, v_tilde
@@ -231,6 +238,36 @@ def test_cell_row_coupling_matches_dense_reference(case):
     p = 10 ** rng.uniform(-6, -1, 2 * k)
     expected = (dense.v_tilde @ (p * w) + dense.sigma_vec) / dense.d_diag
     assert np.allclose(interference_psd(p, w, problem), expected, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("scheme", [None, OVERLAP_PAIRWISE, OVERLAP_SPECIFIC])
+def test_stacked_build_equals_one_problem_at_a_time(scheme):
+    """``build_couplings`` of members from two study venues, taken in turn (so
+    a venue's members are not consecutive), gives each member's
+    ``build_coupling`` and ``apply_overlap`` and the dense reference bit for
+    bit.  ``Problem.batch``'s problems view that stack and equal their
+    ``from_scenario``; a venue's problems share its demands and budgets."""
+    venues = [generate(STUDY_CONFIG, seed) for seed in (0, 1)]
+    rng = np.random.default_rng(5)
+    overlap = None if scheme is None else OverlapModel(
+        scheme, load_ul=rng.uniform(0.1, 1, venues[0].n_bs),
+        load_dl=rng.uniform(0.1, 1, venues[0].n_bs))
+    cases = [(sc, associate(Policy.parse(label), sc))
+             for label in ("coud", "deud-p", "deud-o:7") for sc in venues]
+    rows = build_couplings(cases, overlap)
+    problems, stacked = Problem.batch(cases, overlap, theta=0.5)
+    assert stacked.tobytes() == rows.tobytes()
+    for (sc, assoc), coupling, problem in zip(cases, rows, problems):
+        alone = build_coupling(sc, assoc)
+        alone = alone if overlap is None else apply_overlap(alone, overlap, assoc)
+        assert coupling.tobytes() == alone.tobytes()
+        dense = dense_overlap(dense_coupling(sc, assoc), overlap, assoc)
+        assert np.array_equal(v_tilde(problem), dense.v_tilde)
+        one = Problem.from_scenario(sc, assoc, overlap, theta=0.5)
+        for name in ("rows", "d_diag", "demands", "p_ext_max"):
+            assert getattr(problem, name).tobytes() == getattr(one, name).tobytes(), name
+        assert np.shares_memory(problem.rows, stacked) and problem.demands is sc.demands
+    assert problems[0].p_ext_max is problems[2].p_ext_max is not problems[1].p_ext_max
 
 
 def test_coupling_arrays_are_read_only():

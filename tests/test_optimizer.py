@@ -463,10 +463,10 @@ def test_plain_stages_run_the_reference_loop(monkeypatch):
     calls = collections.Counter()
     batched = optimizer.normalized_fixed_points
 
-    def routed(f, g, x0, memory=0, callback=None, **kw):
+    def routed(f, g, x0, memory=0, callback=None, take=None, **kw):
         calls[memory] += len(x0)  # member fixed points
         if memory:
-            return batched(f, g, x0, memory=memory, callback=callback, **kw)
+            return batched(f, g, x0, memory=memory, callback=callback, take=take, **kw)
         out, fx0 = [], f(x0)
         for b in range(len(x0)):  # each member alone, the others held at their start
             put = lambda rows, v, b=b: np.concatenate([rows[:b], v[None], rows[b + 1:]])

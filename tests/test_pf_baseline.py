@@ -3,17 +3,18 @@
 import numpy as np
 import pytest
 
-from flexlink.association import Policy, associate
+from flexlink.association import Policy, associate, policy_sweep
 from flexlink.errors import ConfigError
-from flexlink.experiments import MC_OPTS, STUDY_CONFIG, compare_pf
+from flexlink.experiments import (DEFAULT_HISTORY_DL, DEFAULT_HISTORY_UL, MC_OPTS, REFERENCES,
+                                  STUDY_CONFIG, compare_pf, run_trial)
 from flexlink.interference import Problem, qos_levels
 from flexlink.model import Association
 from flexlink.optimizer import optimize
 from flexlink.pf_baseline import EPS_PF, _pf_rates, _split_band, pf_allocate
-from flexlink.scenario import ScenarioConfig, generate
+from flexlink.scenario import ScenarioConfig, generate, uniform_overlap
 
 from .helpers import make_scenario, random_problem, random_scenario, two_cell_scenario, coud_assoc
-from .oracles import dense_coupling, pf_greedy_ref
+from .oracles import dense_coupling, pf_allocate_ref, pf_greedy_ref
 
 SPLITS = ((9, 16), (1, 24), (24, 1), (12, 13))
 
@@ -21,7 +22,7 @@ SPLITS = ((9, 16), (1, 24), (24, 1), (12, 13))
 def test_single_link_per_direction_gets_whole_split():
     sc = two_cell_scenario()
     assoc = coud_assoc(sc)  # one UL and one DL per cell
-    alloc = pf_allocate(sc, assoc, split=(9, 16))
+    alloc = pf_allocate(Problem.from_scenario(sc, assoc), split=(9, 16))
     k = sc.n_ue
     assert np.all(alloc.rb_counts[:k] == 9)
     assert np.all(alloc.rb_counts[k:] == 16)
@@ -35,7 +36,7 @@ def test_identical_links_share_within_one_rb():
     sc = make_scenario(h0, np.array([[1.0]]), np.eye(2) * 0.5 + 0.5,
                        [2e6, 2e6, 5e6, 5e6])
     assoc = Association(b_ul=[0, 0], b_dl=[0, 0], n_bs=1)
-    alloc = pf_allocate(sc, assoc, split=(9, 16))
+    alloc = pf_allocate(Problem.from_scenario(sc, assoc), split=(9, 16))
     assert abs(alloc.rb_counts[0] - alloc.rb_counts[1]) <= 1
     assert abs(alloc.rb_counts[2] - alloc.rb_counts[3]) <= 1
     assert alloc.rb_counts[:2].sum() == 9
@@ -50,7 +51,8 @@ def test_sort_equals_the_greedy_loop(config):
         for policy in ("coud", "deud-p"):
             assoc = associate(Policy.parse(policy), scenario)
             for split in SPLITS:
-                assert np.array_equal(pf_allocate(scenario, assoc, split).rb_counts,
+                problem = Problem.from_scenario(scenario, assoc)
+                assert np.array_equal(pf_allocate(problem, split).rb_counts,
                                       pf_greedy_ref(scenario, assoc, split)), (seed, policy, split)
 
 
@@ -68,7 +70,7 @@ def test_sort_breaks_ties_as_the_greedy_loop(demands, want, split):
     sc = make_scenario(np.array([[1e-8] * 3]), np.array([[1.0]]), np.eye(3) * 0.5 + 0.5,
                        demands)
     assoc = Association(b_ul=[0] * 3, b_dl=[0] * 3, n_bs=1)
-    alloc = pf_allocate(sc, assoc, split=split)
+    alloc = pf_allocate(Problem.from_scenario(sc, assoc), split=split)
     assert np.array_equal(alloc.rb_counts, pf_greedy_ref(sc, assoc, split))
     if want is not None and split == (9, 16):
         assert alloc.rb_counts.tolist() == want
@@ -79,8 +81,8 @@ def test_sort_breaks_ties_as_the_greedy_loop(demands, want, split):
 
 
 def test_per_cell_budgets_respected():
-    scenario, assoc, _ = random_problem(5, n_ue=6, n_bs=2)
-    alloc = pf_allocate(scenario, assoc, split=(9, 16))
+    scenario, assoc, problem = random_problem(5, n_ue=6, n_bs=2)
+    alloc = pf_allocate(problem, split=(9, 16))
     k = scenario.n_ue
     for cell in range(scenario.n_bs):
         ul = alloc.rb_counts[:k][assoc.b_ul == cell].sum()
@@ -115,18 +117,18 @@ def test_split_band_rates_match_dense_reference(seed):
 
 def test_bad_split_rejected():
     sc = two_cell_scenario()
-    assoc = coud_assoc(sc)
+    problem = Problem.from_scenario(sc, coud_assoc(sc))
     with pytest.raises(ConfigError):
-        pf_allocate(sc, assoc, split=(9, 17))
+        pf_allocate(problem, split=(9, 17))
     for split in ((-1, 26), (0, 25), (25, 0)):
         with pytest.raises(ConfigError):
-            pf_allocate(sc, assoc, split=split)
+            pf_allocate(problem, split=split)
 
 
 def test_deterministic():
-    scenario, assoc, _ = random_problem(6, n_ue=5, n_bs=2)
-    a = pf_allocate(scenario, assoc)
-    b = pf_allocate(scenario, assoc)
+    scenario, assoc, problem = random_problem(6, n_ue=5, n_bs=2)
+    a = pf_allocate(problem)
+    b = pf_allocate(Problem.from_scenario(scenario, assoc))
     assert np.array_equal(a.rb_counts, b.rb_counts)
     assert a.lam_ul == b.lam_ul and a.lam_dl == b.lam_dl
 
@@ -134,7 +136,7 @@ def test_deterministic():
 @pytest.mark.parametrize("seed", [201, 202, 203, 204])
 def test_joint_optimizer_beats_pf_min_direction(seed):
     scenario, assoc, problem = random_problem(seed, n_ue=4, n_bs=2, coud=True)
-    pf = pf_allocate(scenario, assoc)
+    pf = pf_allocate(problem)
     sol = optimize(scenario, None, MC_OPTS, assoc=assoc)
     # the per-direction utilities split the QoS vector the solution's lam is taken from
     qos = qos_levels(sol.w, sol.p, problem)
@@ -142,6 +144,28 @@ def test_joint_optimizer_beats_pf_min_direction(seed):
     assert (sol.lam_ul, sol.lam_dl) == (float(np.min(qos[:k])), float(np.min(qos[k:])))
     assert sol.lam == min(sol.lam_ul, sol.lam_dl)
     assert min(sol.lam_ul, sol.lam_dl) >= pf.lam
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pf_of_a_problem_equals_the_scenario_path(seed):
+    """``pf_allocate(problem)`` gives bit for bit what ``pf_allocate(scenario,
+    assoc)`` gave, on the study venues for every sweep association, whatever
+    the problem's overlap and budgets; a trial's PF figures are those of its
+    references."""
+    scenario = generate(STUDY_CONFIG, seed)
+    overlap = uniform_overlap(scenario.n_bs, DEFAULT_HISTORY_UL, DEFAULT_HISTORY_DL)
+    digest = lambda a: (a.w.tobytes(), a.p.tobytes(), a.rb_counts.tobytes(), a.lam_ul,
+                        a.lam_dl, a.qos.tobytes())
+    for policy in policy_sweep():
+        assoc = associate(policy, scenario)
+        want = digest(pf_allocate_ref(scenario, assoc))
+        for model, theta in ((None, 1.0), (overlap, 0.3)):
+            assert digest(pf_allocate(Problem.from_scenario(scenario, assoc, model, theta))) == \
+                want, policy.label
+    trial = run_trial(STUDY_CONFIG, seed)["pf"]
+    for label, policy in REFERENCES.items():
+        ref = pf_allocate_ref(scenario, associate(policy, scenario))
+        assert trial[label] == {"lam_ul": ref.lam_ul, "lam_dl": ref.lam_dl, "lam": ref.lam}
 
 
 def test_compare_pf_reports_both_sides():
