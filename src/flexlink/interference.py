@@ -5,11 +5,12 @@ fraction of the band's ``rb_count`` resource blocks, ``p`` the per-link PSD in
 watts per RB, and ``p_bar`` the per-transmitter PSD (K uplink entries followed
 by N cell-specific downlink entries).
 
-Every functional (``interference_psd``, ``sinr``, ``link_rates``,
-``f_load``, ``f_power``, ``f_power_cell``, ``g1``, ``g2``, ``g2_bar``,
-``qos_levels``, ``utility``) takes its math arguments followed by the
-:class:`Problem` it is evaluated on; ``spectral_efficiency`` and
-``expand_psd`` need only a bandwidth or an association.
+Every functional (``interference_psd``, ``f_load``, ``f_power``,
+``f_power_cell``, ``g1``, ``g2``, ``g2_bar``, ``qos_levels``, ``utility``)
+takes its math arguments followed by the :class:`Problem` it is evaluated
+on; ``spectral_efficiency`` needs only a bandwidth.  The per-RB rate, the
+``g1``/``g2`` maxima and ``Lambda p_bar`` are each defined once, as the
+:class:`ProblemStack` maps ``rates``, ``g1``, ``g2`` and ``expand``.
 
 The solver's fixed-point stages iterate maps built once per stage, at the
 stage's fixed power or bandwidth: :func:`load_maps` (S1),
@@ -135,12 +136,12 @@ class ProblemStack:
     member's values are bit for bit its values alone: BLAS runs one product
     per member, and a bin adds its own entries in order.
 
-    ``ipsd`` is :func:`interference_psd` as a map of the flat ``x = w p``;
-    ``loads`` of the flat ``w`` and ``uses`` of the flat ``x`` are every
-    member's row of cell loads (:func:`g1` is their max) and of transmitter
-    uses (:func:`g2` is ``rb_count`` times their max), and ``largest`` gives
-    each member's largest entry of such rows.  :meth:`state_maps` turns maps
-    of flat vectors into maps of member states.
+    ``ipsd`` is :func:`interference_psd` as a map of the flat ``x = w p``
+    and ``rates(p, w)`` the per-RB rate, :func:`spectral_efficiency` of the
+    SINR ``p / ipsd(p w)``.  ``g1`` of the flat ``w`` is each member's
+    largest cell load and ``g2`` of the flat ``x`` ``rb_count`` times its
+    largest transmitter use: a ``(B, 1)`` column, or a batch of one's float.
+    :meth:`state_maps` turns maps of flat vectors into maps of member states.
     """
 
     def __init__(self, problems, rows=None):
@@ -165,17 +166,20 @@ class ProblemStack:
         self.d_diag, self.demands = (join([getattr(pr, name) for pr in problems])
                                      for name in ("d_diag", "demands"))
         p_ext_max = np.array([pr.p_ext_max for pr in problems])
-        self.rb_count = first.rb_count
-        self.rb_bandwidth = first.rb_bandwidth
+        rb_count = self.rb_count = first.rb_count
+        rb_bandwidth = self.rb_bandwidth = first.rb_bandwidth
         product = rows.__matmul__ if self.solo else (
             lambda s: (rows @ s.reshape(b, n_tx, 1)).reshape(-1))
-        d_diag = self.d_diag
-        self.ipsd = lambda x: (product(np.bincount(tx, x, b * n_tx))[rx] + noise) / d_diag
-        self.loads = lambda w: np.bincount(serving, w, b * n_bs).reshape(b, n_bs)
-        self.uses = lambda x: np.bincount(tx, x, b * n_tx).reshape(b, n_tx) / p_ext_max
+        d_diag = self.d_diag  # the maps close over locals: ``self`` would make a cycle
+        ipsd = self.ipsd = lambda x: (product(np.bincount(tx, x, b * n_tx))[rx] + noise) / d_diag
+        loads = lambda w: np.bincount(serving, w, b * n_bs).reshape(b, n_bs)
+        uses = lambda x: np.bincount(tx, x, b * n_tx).reshape(b, n_tx) / p_ext_max
         high = np.maximum.reduce  # a member's largest entry: a (B, 1) column, or one's float
-        self.largest = ((lambda rows: float(high(rows, None))) if self.solo
-                        else (lambda rows: high(rows, 1, keepdims=True)))
+        largest = ((lambda rows: float(high(rows, None))) if self.solo
+                   else (lambda rows: high(rows, 1, keepdims=True)))
+        self.rates = lambda p, w: spectral_efficiency(p / ipsd(p * w), rb_bandwidth)
+        self.g1 = lambda w: largest(loads(w))
+        self.g2 = lambda x: largest(uses(x)) * rb_count
 
     def take(self, members) -> "ProblemStack":
         """The members at the indices ``members``, over one copy of their couplings."""
@@ -194,12 +198,11 @@ class ProblemStack:
 
     def qos(self, w, p):
         """:func:`qos_levels` of the flat ``w`` and ``p``."""
-        rates = spectral_efficiency(p / self.ipsd(p * w), self.rb_bandwidth)
-        return self.rb_count * w * rates / self.demands
+        return self.rb_count * w * self.rates(p, w) / self.demands
 
     def expand(self, p_bar):
-        """:func:`expand_psd` of every member's row of ``p_bar``, or of a
-        batch of one's vector."""
+        """Every member's per-link PSD ``Lambda p_bar`` (a batch of one's, of
+        its vector): uplinks keep their UE's entry, downlinks their cell's."""
         k = self.k
         if p_bar.ndim == 1:
             return np.concatenate([p_bar[:k], p_bar[k:][self.b_dl]])
@@ -229,12 +232,10 @@ def load_maps(stack: ProblemStack, p_fixed):
     p = np.asarray(p_fixed, dtype=float).reshape(-1)
     if (p <= 0).any():
         raise DomainError("f_load requires strictly positive fixed power")
-    d, rb_count, rb_bandwidth, ipsd = stack.demands, stack.rb_count, stack.rb_bandwidth, stack.ipsd
-    loads, uses, largest = stack.loads, stack.uses, stack.largest
+    d, rb_count, rates, g1, g2 = stack.demands, stack.rb_count, stack.rates, stack.g1, stack.g2
     higher = max if stack.solo else np.maximum
-    f = lambda w: d / (rb_count * (rb_bandwidth * np.log2(1.0 + p / ipsd(p * w))))
-    g = lambda w: higher(largest(loads(w)), largest(uses(w * p)) * rb_count)
-    return stack.state_maps(f, g)
+    return stack.state_maps(lambda w: d / (rb_count * rates(p, w)),
+                            lambda w: higher(g1(w), g2(w * p)))
 
 
 def link_power_maps(stack: ProblemStack, w_fixed):
@@ -244,10 +245,9 @@ def link_power_maps(stack: ProblemStack, w_fixed):
     w = np.asarray(w_fixed, dtype=float).reshape(-1)
     if (w <= 0).any():
         raise DomainError("f_power requires strictly positive fixed bandwidth")
-    d, rb_count, rb_bandwidth, ipsd = stack.demands, stack.rb_count, stack.rb_bandwidth, stack.ipsd
-    f = lambda p: (p / w) * d / (rb_count * (rb_bandwidth * np.log2(1.0 + p / ipsd(p * w))))
-    uses, largest = stack.uses, stack.largest
-    return stack.state_maps(f, lambda p: largest(uses(w * p)) * rb_count)
+    d, rb_count, rates, g2 = stack.demands, stack.rb_count, stack.rates, stack.g2
+    return stack.state_maps(lambda p: (p / w) * d / (rb_count * rates(p, w)),
+                            lambda p: g2(w * p))
 
 
 def cell_power_maps(stack: ProblemStack, w_fixed):
@@ -264,18 +264,9 @@ def interference_psd(p, w, problem: Problem):
     return problem.stack.ipsd(np.asarray(p, dtype=float) * np.asarray(w, dtype=float))
 
 
-def sinr(p, w, problem: Problem):
-    """Per-RB SINR of every link; zero power gives zero SINR."""
-    return np.asarray(p) / interference_psd(p, w, problem)
-
-
 def spectral_efficiency(sinr_values, rb_bandwidth: float):
     """Achievable rate per RB, ``B log2(1 + SINR)`` in bit/s."""
     return rb_bandwidth * np.log2(1.0 + np.asarray(sinr_values))
-
-
-def link_rates(p, w, problem: Problem):
-    return spectral_efficiency(sinr(p, w, problem), problem.rb_bandwidth)
 
 
 def qos_levels(w, p, problem: Problem):
@@ -300,29 +291,19 @@ def f_load(w, p_fixed, problem: Problem):
 def g1(w, problem: Problem) -> float:
     """Per-cell load constraint functional ``||A w||_inf``; ``A w`` sums each
     cell's served links."""
-    stack = problem.stack
-    return float(stack.largest(stack.loads(np.asarray(w, dtype=float))))
+    return problem.stack.g1(np.asarray(w, dtype=float))
 
 
 def g2(w, p, problem: Problem) -> float:
     """Per-transmitter power constraint functional
     ``W0 ||diag(p_ext_max)^-1 A_ext diag(w) p||_inf``; ``A_ext x`` sums each
     transmitter's links: its UE's uplink, or its cell's downlinks."""
-    stack, x = problem.stack, np.asarray(w, dtype=float) * np.asarray(p, dtype=float)
-    return float(stack.largest(stack.uses(x)) * stack.rb_count)
-
-
-def expand_psd(p_bar, assoc: Association) -> np.ndarray:
-    """Per-link PSD ``Lambda p_bar`` of a per-transmitter PSD: uplinks keep
-    their UE's entry, downlinks take their serving cell's."""
-    p_bar = np.asarray(p_bar, dtype=float)
-    k = assoc.n_ue
-    return np.concatenate([p_bar[:k], p_bar[k:][assoc.b_dl]])
+    return problem.stack.g2(np.asarray(w, dtype=float) * np.asarray(p, dtype=float))
 
 
 def g2_bar(w, p_bar, problem: Problem) -> float:
     """Power constraint on the per-transmitter PSD, ``g2(w, Lambda p_bar)``."""
-    return g2(w, expand_psd(p_bar, problem.assoc), problem)
+    return g2(w, problem.stack.expand(np.asarray(p_bar, dtype=float)), problem)
 
 
 def f_power(p, w_fixed, problem: Problem):
@@ -355,5 +336,5 @@ def f_power_cell(p_bar, w_fixed, problem: Problem):
     Cells serving no downlink get a tiny positive constant so the map stays
     a valid SIF; those entries never bind.
     """
-    f = f_power(expand_psd(p_bar, problem.assoc), w_fixed, problem)
+    f = f_power(problem.stack.expand(np.asarray(p_bar, dtype=float)), w_fixed, problem)
     return _cell_mean(problem.stack, w_fixed)(f)

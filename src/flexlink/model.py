@@ -181,7 +181,7 @@ class Association:
     ``N + arange(K)`` for downlinks) and ``tx`` to its transmitter column
     (``arange(K)`` for uplinks, ``K + b_dl`` for downlinks).  The solver
     applies the paper's selection operators through these index vectors only
-    (see ``g1``, ``g2`` and ``expand_psd`` in :mod:`flexlink.interference`).
+    (see ``ProblemStack`` in :mod:`flexlink.interference`).
 
     The dense properties are the paper-notation reference forms, built anew
     on every access.  The package never reads them; they stay only for the
@@ -219,7 +219,8 @@ class Association:
         for name, links in (("serving", (self.b_ul, self.b_dl)),  # every link, uplink first
                             ("rx", (self.b_ul, self.n_bs + ue)),
                             ("tx", (ue, self.n_ue + self.b_dl))):
-            object.__setattr__(self, name, _readonly(np.concatenate(links), dtype=int))
+            object.__setattr__(self, name, np.concatenate(links, dtype=int))
+            getattr(self, name).setflags(write=False)  # in place: no caller holds it
 
     @property
     def n_ue(self) -> int:

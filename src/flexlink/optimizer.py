@@ -337,8 +337,8 @@ def solve_problems(problems, opts: SolveOptions = SolveOptions(), labels=None, r
         trace.record("init", 0, 0.0, 0.0, 0.0, math.nan, boundary=True)
 
     def constraints():  # g1 and g2 of every member
-        return list(zip(stack.loads(w.reshape(-1)).max(axis=1).tolist(),
-                        (stack.uses((w * p).reshape(-1)).max(axis=1) * stack.rb_count).tolist()))
+        return list(zip(np.ravel(stack.g1(w.reshape(-1))).tolist(),
+                        np.ravel(stack.g2((w * p).reshape(-1))).tolist()))
     tight = lambda v: v >= 1.0 - TIGHT_TOL
 
     s1 = (stage1_bandwidth(stack, p, opts, traces=traces) if len(problems) > 1

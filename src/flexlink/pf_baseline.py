@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError
-from .interference import Problem, link_rates
+from .interference import Problem, interference_psd, spectral_efficiency
 from .optimizer import initial_psd
 
 EPS_PF = 1e-3  # smoothing constant in the PF priority ratio
@@ -60,7 +60,8 @@ def _pf_rates(problem: Problem, p, counts, split):
     """
     k = problem.assoc.n_ue
     band = np.concatenate([np.full(k, split[0]), np.full(k, split[1])]).astype(float)
-    return link_rates(p, counts / band, problem)
+    sinr = p / interference_psd(p, counts / band, problem)
+    return spectral_efficiency(sinr, problem.rb_bandwidth)
 
 
 def pf_allocate(problem: Problem, split=DEFAULT_PF_SPLIT) -> PfAllocation:

@@ -32,8 +32,7 @@ from flexlink.association import COUD, DEUD_O, DEUD_P, Policy, associate, policy
 from flexlink.errors import DomainError, ModelError
 from flexlink.experiments import DEFAULT_HISTORY_DL, DEFAULT_HISTORY_UL, MC_OPTS
 from flexlink.fixedpoint import ANDERSON_SLACK, DEFAULT_MAX_ITER, DEFAULT_TOL, FixedPointResult
-from flexlink.interference import (EPS_NO_DL, LN2, Problem, expand_psd, g1, g2,
-                                   interference_psd, utility)
+from flexlink.interference import EPS_NO_DL, LN2, Problem, g1, g2, interference_psd, utility
 from flexlink.model import (MACRO, OVERLAP_PAIRWISE, PICO, BaseStation, Scenario, UserTerminal,
                             pairwise_overlap_factors)
 from flexlink.optimizer import W_FLOOR, initial_psd, optimize
@@ -353,6 +352,15 @@ def interference_psd_ref(p, w, problem):
     return ((problem.rows @ sent)[assoc.rx] + problem.noise_psd) / problem.d_diag
 
 
+def expand_psd_ref(p_bar, assoc) -> np.ndarray:
+    """The per-link PSD ``Lambda p_bar`` of a per-transmitter PSD, as the
+    functional ``expand_psd`` read: uplinks keep their UE's entry, downlinks
+    take their serving cell's."""
+    p_bar = np.asarray(p_bar, dtype=float)
+    k = assoc.n_ue
+    return np.concatenate([p_bar[:k], p_bar[k:][assoc.b_dl]])
+
+
 def f_load_ref(w, p_fixed, problem):
     """``f_load`` as it read before the stage-built maps, with ``link_rates``
     written out."""
@@ -395,7 +403,7 @@ def f_power_cell_ref(p_bar, w_fixed, problem):
     """``f_power_cell`` as it read before the stage-built maps."""
     assoc = problem.assoc
     w_fixed = np.asarray(w_fixed, dtype=float)
-    f = f_power_ref(expand_psd(p_bar, assoc), w_fixed, problem)
+    f = f_power_ref(expand_psd_ref(p_bar, assoc), w_fixed, problem)
     k, n_bs, b_dl = assoc.n_ue, assoc.n_bs, assoc.b_dl
     load_f = np.bincount(b_dl, weights=w_fixed[k:] * f[k:], minlength=n_bs)
     nu = np.bincount(b_dl, weights=w_fixed[k:], minlength=n_bs)

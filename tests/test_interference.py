@@ -1,25 +1,30 @@
 """SINR, rates, demand maps and constraint functionals."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from flexlink import interference
 from flexlink.errors import DomainError
 from flexlink.interference import (
     EPS_NO_DL,
     Problem,
-    expand_psd,
+    ProblemStack,
+    cell_power_maps,
     f_load,
     f_power,
     f_power_cell,
     g1,
     g2,
     g2_bar,
+    interference_psd,
+    link_power_maps,
+    load_maps,
     qos_levels,
-    sinr,
     spectral_efficiency,
 )
 from flexlink.model import Association
@@ -47,7 +52,7 @@ def _two_cell():
 def test_sinr_zero_load_is_noise_only():
     sc, assoc, problem = _two_cell()
     p = np.array([1e-3, 2e-3, 5e-2, 8e-2])
-    out = sinr(p, np.zeros(4), problem)
+    out = p / interference_psd(p, np.zeros(4), problem)
     assert np.allclose(out, p * problem.d_diag / sc.noise_psd)
 
 
@@ -57,7 +62,7 @@ def test_sinr_single_cell_ignores_load():
     problem = Problem.from_scenario(sc, assoc)
     p = np.array([2e-3, 1e-2])
     for w in (np.zeros(2), np.array([0.4, 0.6]), np.ones(2)):
-        assert np.allclose(sinr(p, w, problem), p * problem.d_diag / sc.noise_psd)
+        assert np.allclose(p / interference_psd(p, w, problem), p * problem.d_diag / sc.noise_psd)
 
 
 def test_sinr_matches_hand_formulas_on_two_cell_instance():
@@ -65,7 +70,7 @@ def test_sinr_matches_hand_formulas_on_two_cell_instance():
     h0, h1, h2, s2 = sc.h0, sc.h1, sc.h2, sc.noise_psd
     w = np.array([0.3, 0.5, 0.6, 0.2])
     p = np.array([1e-3, 2e-3, 5e-2, 8e-2])
-    out = sinr(p, w, problem)
+    out = p / interference_psd(p, w, problem)
 
     # uplink of UE0, served by BS0: hears UE1's UL and BS1's DL
     ul0 = p[0] * h0[0, 0] / (h0[0, 1] * w[1] * p[1] + h1[0, 1] * w[3] * p[3] + s2)
@@ -80,7 +85,8 @@ def test_sinr_jointly_scale_invariant():
     w, p = random_wp(2, 4)
     alpha = 7.5
     scaled = dataclasses.replace(problem, noise_psd=alpha * sc.noise_psd)
-    assert np.allclose(sinr(alpha * p, w, scaled), sinr(p, w, problem), rtol=1e-12)
+    assert np.allclose(alpha * p / interference_psd(alpha * p, w, scaled),
+                       p / interference_psd(p, w, problem), rtol=1e-12)
 
 
 def test_spectral_efficiency_reference_points():
@@ -107,7 +113,7 @@ def test_f_load_matches_hand_two_link_evaluation():
     sc, assoc, problem = _two_cell()
     w, p = random_wp(4, 4)
     out = f_load(w, p, problem)
-    s = sinr(p, w, problem)
+    s = p / interference_psd(p, w, problem)
     for l in range(4):
         expected = sc.demands[l] / (sc.rb_count * sc.rb_bandwidth * np.log2(1.0 + s[l]))
         assert out[l] == pytest.approx(expected, rel=1e-12)
@@ -240,7 +246,7 @@ def test_f_power_cell_single_downlink_reduces_to_per_link():
     problem = Problem.from_scenario(sc, assoc)
     w = np.array([0.3, 0.7])
     p_bar = np.array([1e-3, 2e-2])  # UE PSD, cell DL PSD
-    p = expand_psd(p_bar, assoc)
+    p = assoc.lambda_map @ p_bar
     per_link = f_power(p, w, problem)
     per_cell = f_power_cell(p_bar, w, problem)
     assert per_cell[0] == pytest.approx(per_link[0], rel=1e-12)
@@ -254,7 +260,7 @@ def test_f_power_cell_matches_weighted_substitution_oracle():
     w, _ = random_wp(31, 2 * k)
     rng = np.random.default_rng(31)
     p_bar = 10 ** rng.uniform(-4, -2, size=k + n)
-    p = expand_psd(p_bar, assoc)
+    p = assoc.lambda_map @ p_bar
     per_link = f_power(p, w, problem)
     out = f_power_cell(p_bar, w, problem)
     assert np.allclose(out[:k], per_link[:k], rtol=1e-12)
@@ -290,7 +296,7 @@ def test_g2_bar_equals_g2_after_expansion():
     w, _ = random_wp(41, 6)
     rng = np.random.default_rng(41)
     p_bar = 10 ** rng.uniform(-4, -2, size=5)
-    expanded = expand_psd(p_bar, assoc)
+    expanded = assoc.lambda_map @ p_bar
     assert g2_bar(w, p_bar, problem) == g2(w, expanded, problem)
     assert g2_bar(w, np.zeros(5), problem) == 0.0
     # scaling to exact budget saturation mirrors the g2 construction
@@ -331,7 +337,7 @@ def test_index_selection_matches_dense_matrices(assoc, seed):
     problem = dataclasses.replace(assoc_problem(assoc, seed),
                                   p_ext_max=10 ** rng.uniform(-2, 1.5, size=k + n))
 
-    assert np.array_equal(expand_psd(p_bar, assoc), assoc.lambda_map @ p_bar)
+    assert np.array_equal(problem.stack.expand(p_bar), assoc.lambda_map @ p_bar)
     assert g1(w, problem) == pytest.approx(float(np.max(assoc.a @ w)), rel=1e-12)
     dense_g2 = RB_COUNT * np.max(assoc.a_ext @ (w * p) / problem.p_ext_max)
     assert g2(w, p, problem) == pytest.approx(dense_g2, rel=1e-12)
@@ -343,3 +349,36 @@ def test_index_selection_matches_dense_matrices(assoc, seed):
     np.testing.assert_allclose(out, f_power_cell_loop(p_bar, w, problem), rtol=1e-12, atol=0)
     no_dl = np.bincount(assoc.b_dl, minlength=n) == 0
     assert np.all(out[k:][no_dl] == EPS_NO_DL)
+
+
+def test_every_rate_evaluation_calls_spectral_efficiency_once(monkeypatch):
+    """The per-RB rate has one definition: each evaluation of S1's and S3's
+    demand maps and of the QoS levels, on a batch of one and on a stack of
+    two, calls ``spectral_efficiency`` exactly once and returns its values."""
+    scenario, assoc, problem = random_problem(61, n_ue=3, n_bs=2)
+    other = Association(b_ul=assoc.b_dl, b_dl=assoc.b_ul, n_bs=2)
+    members, rows = Problem.batch([(scenario, assoc), (scenario, other)])
+    w, p = random_wp(61, 6)
+    p_bar = np.array([1e-3, 2e-3, 3e-3, 1e-2, 2e-2])
+    maps = (lambda s, w, p, x: load_maps(s, p)[0](w),
+            lambda s, w, p, x: link_power_maps(s, w)[0](p),
+            lambda s, w, p, x: cell_power_maps(s, w)[0](x),
+            lambda s, w, p, x: s.qos(w.reshape(-1), p.reshape(-1)))
+    two = [np.tile(v, (2, 1)) for v in (w, p, p_bar)]
+    cases = [lambda: qos_levels(w, p, problem)]
+    for stack, args in ((problem.stack, (w, p, p_bar)), (ProblemStack(members, rows), two)):
+        cases += [functools.partial(f, stack, *args) for f in maps]
+    expected = [case() for case in cases]
+
+    calls = []
+    real = interference.spectral_efficiency
+
+    def counting(sinr_values, rb_bandwidth):
+        calls.append(rb_bandwidth)
+        return real(sinr_values, rb_bandwidth)
+
+    monkeypatch.setattr(interference, "spectral_efficiency", counting)
+    for case, values in zip(cases, expected):
+        calls.clear()
+        assert np.array_equal(case(), values)
+        assert calls == [scenario.rb_bandwidth]

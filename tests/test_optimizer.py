@@ -12,8 +12,7 @@ from flexlink.errors import InfeasibleError
 from flexlink.experiments import (DEFAULT_HISTORY_DL, DEFAULT_HISTORY_UL, STUDY_CONFIG,
                                   solve_policies)
 from flexlink.fixedpoint import normalized_fixed_point
-from flexlink.interference import (Problem, expand_psd, f_load, f_power, f_power_cell, g1, g2,
-                                   utility)
+from flexlink.interference import Problem, f_load, f_power, f_power_cell, g1, g2, utility
 from flexlink.model import Association
 from flexlink.optimizer import (
     SolveOptions,
@@ -28,8 +27,8 @@ from flexlink.optimizer import (
 from flexlink.scenario import ScenarioConfig, generate, uniform_overlap
 
 from .helpers import random_problem, renumber, single_link_scenario, yates_iterates
-from .oracles import (anderson_fixed_point_ref, f_load_ref, f_power_cell_ref, f_power_ref,
-                      g2_ref, linear_reformulation_check, max_min_bandwidth_grid,
+from .oracles import (anderson_fixed_point_ref, expand_psd_ref, f_load_ref, f_power_cell_ref,
+                      f_power_ref, g2_ref, linear_reformulation_check, max_min_bandwidth_grid,
                       normalized_fixed_point_ref)
 
 OPTS = SolveOptions(trace_mode="boundary")
@@ -242,7 +241,7 @@ def _both_tight_after_s1_theta(scenario, assoc):
     """Budget scale at which the cell-specific S1 fixed point has
     ``g1 = g2 = 1``, so the solve ends in S1."""
     problem = Problem.from_scenario(scenario, assoc)
-    p0 = expand_psd(initial_power_state(problem, "cell_specific"), assoc)
+    p0 = expand_psd_ref(initial_power_state(problem, "cell_specific"), assoc)
     w = step1_update_bandwidth(problem, p0, CELL_OPTS).w
     return g2(w, p0, problem) / g1(w, problem)
 
@@ -253,7 +252,7 @@ def test_cell_specific_power_is_the_expanded_state():
                         (1e-6, "s2"), (1.0, "s3")):
         sol = optimize(scenario, None, dataclasses.replace(CELL_OPTS, theta=theta), assoc=assoc)
         assert (sol.step, sol.converged) == (step, True)
-        assert np.array_equal(sol.p, expand_psd(sol.p_bar, assoc))
+        assert np.array_equal(sol.p, expand_psd_ref(sol.p_bar, assoc))
     assert optimize(scenario, None, OPTS, assoc=assoc).p_bar is None
 
 
@@ -390,7 +389,7 @@ def test_stage_maps_equal_the_per_call_forms_on_solver_iterates(monkeypatch):
         "s3", optimizer.link_power_maps, f_power_ref, lambda p, w, pr: g2_ref(w, p, pr)))
     monkeypatch.setattr(optimizer, "cell_power_maps", checked(
         "s3 cell", optimizer.cell_power_maps, f_power_cell_ref,
-        lambda pb, w, pr: g2_ref(w, expand_psd(pb, pr.assoc), pr)))
+        lambda pb, w, pr: g2_ref(w, expand_psd_ref(pb, pr.assoc), pr)))
 
     scenario = generate(STUDY_CONFIG, 3)
     partial = uniform_overlap(scenario.n_bs, DEFAULT_HISTORY_UL, DEFAULT_HISTORY_DL)
