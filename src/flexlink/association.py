@@ -80,6 +80,7 @@ def associate_all(policies, scenario: Scenario) -> list[Association]:
     """
     rs = rsrp(scenario)
     b_dl = np.argmax(rs, axis=0)
+    b_dl.setflags(write=False)  # read-only once: every Association shares it uncopied
     pico = np.array([bs.kind == PICO for bs in scenario.bs_list])
     offsets = np.array([[pol.offset_db] for pol in policies if pol.kind == DEUD_O])
     b_ul_o = iter(np.argmax(rs + np.where(pico, offsets, 0.0)[:, :, None], axis=1)

@@ -72,7 +72,7 @@ def cmd_generate(config_path, seed, out_path):
     config = io.load_config(config_path)
     scenario = generate(config, seed)
     meta = {"seed": seed, "config_hash": io.canonical_hash(io.config_to_dict(config))}
-    io.save_scenario(scenario, out_path, meta=meta)
+    io.write_json(io.scenario_to_dict(scenario, meta=meta), out_path)
     click.echo(f"wrote {out_path}")
 
 
@@ -107,7 +107,7 @@ def cmd_solve(scenario_path, policy_text, cell_specific, theta, overlap,
     loads = {"overlap_load_ul": overlap_load_ul, "overlap_load_dl": overlap_load_dl}
     doc = io.solution_to_dict(solution, assoc, scenario_doc, meta=meta | loads)
     io.write_json(doc, os.path.join(out_dir, "solution.json"))
-    solution.trace.to_csv(os.path.join(out_dir, "trace.csv"), meta=meta)
+    io.write_trace(solution.trace, os.path.join(out_dir, "trace.csv"), meta=meta)
     click.echo(f"lambda={solution.lam:.6g} step={solution.step} "
                f"g1={solution.g1:.6f} g2={solution.g2:.6f} converged={solution.converged}")
     return EXIT_OK if solution.converged else EXIT_NOT_CONVERGED

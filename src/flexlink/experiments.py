@@ -55,27 +55,27 @@ THETA_SWEEP_NOISE_DBM = (-70.0, -80.0, -100.0, -121.45)
 
 
 def solve_policies(scenario: Scenario, policies, opts: SolveOptions,
-                   overlap=None, assocs=None) -> list[Solution]:
+                   overlap=None) -> list[Solution]:
     """``optimize`` for each policy on one scenario, one ``Solution`` per policy.
 
     A policy only shapes the problem through its association, and the solver
     is deterministic, so each distinct ``(b_ul, b_dl)`` is solved once, and
     the distinct problems are solved as one batch (``solve_problems``).  A
     policy that repeats an earlier association gets that solution relabelled
-    with its own policy; the copies share their arrays.  ``assocs`` are the
-    policies' associations, ``associate_all``'s when not given.
+    with its own policy; the copies share their arrays.
     """
-    assocs = associate_all(policies, scenario) if assocs is None else assocs
-    return [sol for sol, _ in _solve_cases([(scenario, policies, assocs)], opts, overlap)[0]]
+    cases = [(scenario, policies, associate_all(policies, scenario))]
+    return [sol for sol, _ in _solve_cases(cases, opts, overlap)[0]]
 
 
 def _solve_cases(cases, opts: SolveOptions, overlap=None) -> list:
     """``solve_policies`` of each ``(scenario, policies, assocs)`` case, each
     policy's solution with its problem: every case's distinct problems in one
-    batch, viewing one stack of couplings (``Problem.batch``)."""
-    first, keys = {}, []  # (case, b_ul, b_dl) -> its case's first policy with it
+    batch, viewing one stack of couplings (``Problem.batch``).  A case's
+    ``assocs`` come from one ``associate_all``, so equal maps are one object."""
+    first, keys = {}, []  # (case, association) -> its case's first policy with it
     for c, (scenario, policies, assocs) in enumerate(cases):
-        keys.append([(c, a.b_ul.tobytes(), a.b_dl.tobytes()) for a in assocs])
+        keys.append([(c, id(a)) for a in assocs])
         for i, key in enumerate(keys[-1]):
             first.setdefault(key, (i, scenario, assocs[i], policies[i].label))
     problems, rows = Problem.batch([(sc, assoc) for _, sc, assoc, _ in first.values()],

@@ -1,4 +1,5 @@
-"""Serialization: scenario/solution JSON documents and plot-ready CSV.
+"""Serialization, the one place a file format is written or read: the
+scenario and solution JSON documents, the solve trace and plot-ready CSV.
 
 Boundary-unit conventions: positions in meters, powers in dBm, channel gains
 as dB pathloss, demands in Mbit/s.  Everything is converted to linear SI units
@@ -201,14 +202,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
         )
 
 
-def save_scenario(scenario: Scenario, path, meta: dict | None = None):
-    write_json(scenario_to_dict(scenario, meta=meta), path)
-
-
-def load_scenario(path) -> Scenario:
-    return read_scenario(path)[1]
-
-
 def write_json(doc: dict, path):
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -266,10 +259,17 @@ def power_min_to_dict(result, meta: dict) -> dict:
 
 
 def solution_to_dict(solution, assoc, scenario_doc: dict, meta: dict | None = None) -> dict:
+    solved = {"w": solution.w.tolist(), "p": solution.p.tolist(), "lambda": solution.lam,
+              "lambda_solver": solution.lam_solver, "step": solution.step, "g1": solution.g1,
+              "g2": solution.g2, "converged": solution.converged,
+              "policy": solution.policy_label, "theta": solution.theta}
+    if solution.p_bar is not None:  # cell-specific mode only
+        solved["p_bar"] = solution.p_bar.tolist()
     doc = {
         "schema_version": SOLUTION_SCHEMA_VERSION,
-        "solution": solution.to_dict(),
-        "association": assoc.to_dict(),
+        "solution": solved,
+        "association": {"b_ul": assoc.b_ul.tolist(), "b_dl": assoc.b_dl.tolist(),
+                        "n_bs": assoc.n_bs},
         "scenario": scenario_doc,
         "meta": dict(meta or {}),
     }
@@ -286,6 +286,11 @@ def write_csv(path, header_cols, rows, meta: dict | None = None):
         fh.write(",".join(header_cols) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def write_trace(trace, path, meta: dict | None = None):
+    """A solve's ``SolveTrace`` as CSV: its ``COLUMNS``, ``boundary`` as 0/1."""
+    write_csv(path, trace.COLUMNS, [row[:6] + (int(row[6]),) for row in trace.rows], meta=meta)
 
 
 def _fmt(v):

@@ -257,9 +257,6 @@ class Association:
         bot = np.hstack([np.zeros((k, k)), self.a_dl.T])
         return np.vstack([top, bot])
 
-    def to_dict(self) -> dict:
-        return {"b_ul": self.b_ul.tolist(), "b_dl": self.b_dl.tolist(), "n_bs": self.n_bs}
-
 
 @dataclass(frozen=True)
 class OverlapModel:
@@ -284,9 +281,15 @@ class OverlapModel:
                 raise ModelError("historical loads must lie in [0, 1]")
 
     @functools.cached_property
-    def pairwise_factors(self) -> tuple:
-        """``pairwise_overlap_factors`` of the loads, computed on first use."""
-        return tuple(map(_readonly, pairwise_overlap_factors(self.load_ul, self.load_dl)))
+    def factors(self) -> tuple:
+        """The N x N cross-direction factors ``(ul_dl, dl_ul)``, computed on
+        first use: ``pairwise_overlap_factors`` of the loads, or for
+        ``cell_specific`` the receiving cell's load times the sending cell's."""
+        if self.scheme == OVERLAP_PAIRWISE:
+            pair = pairwise_overlap_factors(self.load_ul, self.load_dl)
+        else:
+            pair = np.outer(self.load_ul, self.load_dl), np.outer(self.load_dl, self.load_ul)
+        return tuple(map(_readonly, pair))
 
 
 def build_coupling(scenario: Scenario, assoc: Association) -> np.ndarray:
@@ -370,13 +373,11 @@ def pairwise_overlap_factors(load_ul, load_dl):
 def apply_overlap(rows: np.ndarray, overlap: OverlapModel, assoc: Association) -> np.ndarray:
     """A copy of the coupling ``rows`` with its cross-direction entries scaled.
 
-    ``cell_pairwise`` lifts the N x N directional factors to links via
-    ``A_x^T O A_y`` and multiplies elementwise; ``cell_specific`` scales the
-    UL<-DL block by ``c_ul[b_ul[k]] * c_dl[b_dl[j]]`` and the DL<-UL block by
-    ``c_dl[b_dl[k]] * c_ul[b_ul[j]]``, with the c vectors taken from the
-    historical loads.  The UL<-DL block of ``rows`` is indexed by receiving
-    and sending cell, so the N x N factors scale it as they stand.
-    Same-direction blocks are unchanged (factor 1).
+    Either scheme's N x N directional factors ``O`` (``OverlapModel.factors``)
+    are lifted to links via ``A_x^T O A_y`` and multiply elementwise.  The
+    UL<-DL block of ``rows`` is indexed by receiving and sending cell, so the
+    N x N factors scale it as they stand.  Same-direction blocks are
+    unchanged (factor 1).
     """
     rows = np.array(rows)
     _scale_cross(rows[None], overlap, assoc.b_ul[None], assoc.b_dl[None])
@@ -388,12 +389,7 @@ def _scale_cross(rows, overlap: OverlapModel, b_ul, b_dl):
     n, k = rows.shape[1] - b_ul.shape[1], b_ul.shape[1]
     if overlap.load_ul.shape[0] != n or overlap.load_dl.shape[0] != n:
         raise ModelError("overlap loads must have one entry per BS")
-    if overlap.scheme == OVERLAP_PAIRWISE:
-        ul_dl, dl_ul = overlap.pairwise_factors
-        # DL<-UL lifted by A_dl^T O A_ul: entry (k, j) is O[b_dl[k], b_ul[j]]
-        rows[:, :n, k:] *= ul_dl
-        rows[:, n:, :k] *= dl_ul[b_dl[:, :, None], b_ul[:, None, :]]
-    else:  # cell_specific
-        c_ul, c_dl = overlap.load_ul, overlap.load_dl
-        rows[:, :n, k:] *= np.outer(c_ul, c_dl)
-        rows[:, n:, :k] *= c_dl[b_dl][:, :, None] * c_ul[b_ul][:, None, :]
+    ul_dl, dl_ul = overlap.factors
+    # DL<-UL lifted by A_dl^T O A_ul: entry (k, j) is O[b_dl[k], b_ul[j]]
+    rows[:, :n, k:] *= ul_dl
+    rows[:, n:, :k] *= dl_ul[b_dl[:, :, None], b_ul[:, None, :]]

@@ -41,7 +41,6 @@ from .fixedpoint import (FixedPointResult, normalized_fixed_point, normalized_fi
                          yates_iteration)
 from .interference import (Problem, ProblemStack, cell_power_maps, f_power, g1, g2,
                            link_power_maps, load_maps, utility)
-from .io import write_csv
 from .model import Association, Scenario
 from .units import dbm_to_watt, linear_to_db
 
@@ -103,9 +102,6 @@ class SolveTrace:
     def boundary_lambdas(self):
         return [r[2] for r in self.rows if r[6]]
 
-    def to_csv(self, path, meta: Optional[dict] = None):
-        write_csv(path, self.COLUMNS, [row[:6] + (int(row[6]),) for row in self.rows], meta=meta)
-
 
 @dataclass
 class StepResult:
@@ -143,23 +139,6 @@ class Solution:
     p_bar: Optional[np.ndarray] = None
     policy_label: str = ""
     theta: float = 1.0
-
-    def to_dict(self) -> dict:
-        out = {
-            "w": self.w.tolist(),
-            "p": self.p.tolist(),
-            "lambda": self.lam,
-            "lambda_solver": self.lam_solver,
-            "step": self.step,
-            "g1": self.g1,
-            "g2": self.g2,
-            "converged": self.converged,
-            "policy": self.policy_label,
-            "theta": self.theta,
-        }
-        if self.p_bar is not None:
-            out["p_bar"] = self.p_bar.tolist()
-        return out
 
 
 def initial_psd(problem: Problem) -> np.ndarray:
@@ -351,9 +330,9 @@ def solve_problems(problems, opts: SolveOptions = SolveOptions(), labels=None, r
         if converged[b] and not tight(load) and tight(use):
             s2 = step2_power_scaling(problems[b], w[b], x[b], opts, trace=traces[b])
             w[b], p[b], lam[b], x[b] = s2.w, s2.p, s2.lam, s2.x
-            steps[b] = "s2" if s2.rounds else "s1"
-            converged[b] = not s2.rounds or ((s2.fixed_point is None or s2.fixed_point.converged)
-                                             and tight(g1(w[b], problems[b])))
+            # load < 1 - TIGHT_TOL < 1 - TOL_OUTER: S2 takes at least one round
+            steps[b] = "s2"
+            converged[b] = s2.fixed_point.converged and tight(g1(w[b], problems[b]))
     values = constraints() if "s2" in steps else values
 
     members = [b for b, (load, use) in enumerate(values)

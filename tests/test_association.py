@@ -149,6 +149,16 @@ def test_associate_all_equals_one_policy_at_a_time(config, seed):
         assert by_label["deud-o:13"] is by_label["deud-p"]
 
 
+def test_associations_of_a_venue_share_one_downlink_map():
+    """``associate_all`` freezes the venue's downlink map once, so no
+    ``Association`` copies it: every distinct one holds the same array."""
+    batch = associate_all(policy_sweep() + [Policy("coud"), Policy("deud_p")],
+                          generate(STUDY_CONFIG, 1))
+    assert len({id(a) for a in batch}) > 1
+    assert all(a.b_dl is batch[0].b_dl for a in batch)
+    assert not batch[0].b_dl.flags.writeable
+
+
 def test_policy_sweep_contents():
     sweep = policy_sweep()
     assert len(sweep) == 27

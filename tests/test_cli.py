@@ -14,7 +14,6 @@ from flexlink.cli import MAX_OFFSETS, main, parse_offsets
 from flexlink.errors import ConfigError
 from flexlink.experiments import DEFAULT_HISTORY_DL, run_theta_sweep
 from flexlink.interference import Problem
-from flexlink.io import load_scenario
 from flexlink.optimizer import SolveTrace, minimize_power
 from flexlink.scenario import COUNT_RANGES, ScenarioConfig, uniform_overlap
 
@@ -85,7 +84,7 @@ def test_generate_is_deterministic_by_file_hash(tmp_path, config_file):
 
 
 def test_generated_file_round_trips_through_load(scenario_file):
-    sc = io.load_scenario(scenario_file)
+    sc = io.read_scenario(scenario_file)[1]
     assert sc.n_ue == CONFIG["n_ue"]
     assert sc.n_bs == 9
 
@@ -231,7 +230,7 @@ def test_theta_sweep_csv_and_provenance(tmp_path, scenario_file):
     assert meta == (f"# tool_version={__version__} policy=deud-p seed=7 "
                     f"config_hash={scenario_meta['config_hash']}")
     assert header == "noise_dbm,theta,lam,converged"
-    expected = run_theta_sweep(load_scenario(scenario_file), Policy.parse("deud-p"),
+    expected = run_theta_sweep(io.read_scenario(scenario_file)[1], Policy.parse("deud-p"),
                                (0.1, 1.0), (-80.0, -112.0))
     assert rows == [f"{r['noise_dbm']!r},{r['theta']!r},{r['lam']!r},{int(r['converged'])}"
                     for r in expected]
@@ -293,7 +292,7 @@ def test_minimize_power_uses_the_solve_overlap(tmp_path):
                  "--out", str(out)]) == 0
 
     # the same minimization on the coupling the solve used
-    scenario = load_scenario(scen)
+    scenario = io.read_scenario(scen)[1]
     overlap = uniform_overlap(scenario.n_bs, 0.3, DEFAULT_HISTORY_DL)
     problem = Problem.from_scenario(scenario, associate(Policy.parse("deud-o:21"), scenario),
                                     overlap=overlap)
@@ -334,7 +333,7 @@ def test_trace_csv_text_is_pinned(tmp_path):
     trace.record("init", 0, 0.0, 0.0, 0.0, float("nan"), boundary=True)
     trace.record("s1", 7, 1.25, 0.5, 1.0, 3e-08)
     path = tmp_path / "trace.csv"
-    trace.to_csv(path, meta={"policy": "coud", "theta": 1.0})
+    io.write_trace(trace, path, meta={"policy": "coud", "theta": 1.0})
     assert path.read_text() == ("# policy=coud theta=1.0\n"
                                 "step,iteration,lam,g1,g2,residual,boundary\n"
                                 "init,0,0.0,0.0,0.0,nan,1\n"

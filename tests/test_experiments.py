@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import flexlink.experiments as experiments
+from flexlink import io
 from flexlink.association import Policy, associate, policy_sweep
 from flexlink.interference import Problem
 from flexlink.optimizer import optimize, solve_problems
@@ -128,7 +129,8 @@ def test_solve_policies_relabels_repeats(monkeypatch):
     assert sols[2].lam == sols[3].lam
     for pol, sol in zip(policies, sols):
         alone = optimize(scenario, pol, experiments.MC_OPTS, overlap=overlap)
-        assert sol.to_dict() == alone.to_dict()
+        assoc = associate(pol, scenario)
+        assert io.solution_to_dict(sol, assoc, {}) == io.solution_to_dict(alone, assoc, {})
     assert experiments.solve_policies(scenario, [], experiments.MC_OPTS, overlap) == []
 
 

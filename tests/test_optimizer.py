@@ -409,6 +409,10 @@ def test_stage_maps_equal_the_per_call_forms_on_solver_iterates(monkeypatch):
         assert np.array_equal(f(zeroed, fixed, problem), f_ref(zeroed, fixed, problem))
 
 
+def _maps(assoc):
+    return assoc.b_ul.tobytes(), assoc.b_dl.tobytes()
+
+
 def _solution_digest(sol):
     return repr((sol.w.tobytes(), sol.p.tobytes(), sol.lam, sol.lam_ul, sol.lam_dl,
                  sol.lam_solver, sol.step, sol.g1, sol.g2, sol.converged, sol.trace.rows))
@@ -430,7 +434,7 @@ def test_batch_members_equal_their_batch_of_one(seed):
             for overlap in (partial, None):
                 batch = solve_policies(scenario, policy_sweep(), opts, overlap)
                 # the first policy of each association (a repeat shares its solution)
-                firsts = {repr(associate(pol, scenario).to_dict()): (pol, sol)
+                firsts = {_maps(associate(pol, scenario)): (pol, sol)
                           for pol, sol in reversed(list(zip(policy_sweep(), batch)))}
                 for pol, sol in firsts.values():
                     alone = optimize(scenario, pol, opts, overlap=overlap)
@@ -439,6 +443,33 @@ def test_batch_members_equal_their_batch_of_one(seed):
                     assert sol.p_bar is None or np.array_equal(sol.p_bar, alone.p_bar)
                     steps[sol.step] += 1
     assert steps["s3"] > 0 and (steps["s2"] > 0 or seed == 2), steps  # seed 2 has no S2
+
+
+def test_s2_takes_a_round_whenever_it_is_entered():
+    """A member enters S2 when its S1 boundary row has a load below
+    ``1 - TIGHT_TOL`` and a tight power constraint.  That load is below S2's
+    loop bound ``1 - TOL_OUTER``, so S2 always scales at least once: exactly
+    those members have an ``s2`` boundary row.  Study seeds 0-9, the study
+    policies, partial overlap, both power modes, at a budget that reaches S2
+    and at the full budget."""
+    tight = lambda v: v >= 1.0 - optimizer.TIGHT_TOL
+    assert optimizer.TIGHT_TOL > optimizer.TOL_OUTER
+    policies = [Policy("coud"), Policy(DEUD_P)] + policy_sweep()
+    entered = 0
+    for seed in range(10):
+        scenario = generate(STUDY_CONFIG, seed)
+        overlap = uniform_overlap(scenario.n_bs, DEFAULT_HISTORY_UL, DEFAULT_HISTORY_DL)
+        for mode in ("per_link", "cell_specific"):
+            for theta in (1.0, 3.16e-5):
+                opts = SolveOptions(power_mode=mode, theta=theta, trace_mode="boundary")
+                for sol in solve_policies(scenario, policies, opts, overlap):
+                    rows = [row for row in sol.trace.rows if row[6]]
+                    step, _, _, load, use = rows[1][:5]
+                    assert step == "s1"
+                    enters = not tight(load) and tight(use)
+                    assert enters == any(row[0] == "s2" for row in rows), (seed, mode, theta)
+                    entered += enters
+    assert entered > 0
 
 
 def test_plain_stages_run_the_reference_loop(monkeypatch):

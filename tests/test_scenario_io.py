@@ -90,8 +90,8 @@ def test_scenario_json_round_trip(tmp_path):
     cfg = ScenarioConfig(n_ue=6)
     sc = generate(cfg, seed=11)
     path = tmp_path / "scenario.json"
-    io.save_scenario(sc, path, meta={"seed": 11})
-    back = io.load_scenario(path)
+    io.write_json(io.scenario_to_dict(sc, meta={"seed": 11}), path)
+    back = io.read_scenario(path)[1]
     assert np.allclose(back.h0, sc.h0, rtol=1e-12)
     assert np.allclose(back.h1, sc.h1, rtol=1e-12)
     assert np.allclose(back.h2, sc.h2, rtol=1e-12)
