@@ -60,32 +60,24 @@ def solve_policies(scenario: Scenario, policies, opts: SolveOptions,
 
     A policy only shapes the problem through its association, and the solver
     is deterministic, so each distinct ``(b_ul, b_dl)`` is solved once, and
-    the distinct problems are solved as one batch (``solve_problems``).  A
-    policy that repeats an earlier association gets that solution relabelled
-    with its own policy; the copies share their arrays.
+    the distinct problems are solved as one batch (``solve_problems``).
+    Policies that share an association share its ``Solution``.
     """
-    cases = [(scenario, policies, associate_all(policies, scenario))]
+    cases = [(scenario, associate_all(policies, scenario))]
     return [sol for sol, _ in _solve_cases(cases, opts, overlap)[0]]
 
 
 def _solve_cases(cases, opts: SolveOptions, overlap=None) -> list:
-    """``solve_policies`` of each ``(scenario, policies, assocs)`` case, each
-    policy's solution with its problem: every case's distinct problems in one
-    batch, viewing one stack of couplings (``Problem.batch``).  A case's
-    ``assocs`` come from one ``associate_all``, so equal maps are one object."""
-    first, keys = {}, []  # (case, association) -> its case's first policy with it
-    for c, (scenario, policies, assocs) in enumerate(cases):
-        keys.append([(c, id(a)) for a in assocs])
-        for i, key in enumerate(keys[-1]):
-            first.setdefault(key, (i, scenario, assocs[i], policies[i].label))
-    problems, rows = Problem.batch([(sc, assoc) for _, sc, assoc, _ in first.values()],
-                                   overlap, opts.theta) if first else ([], None)
-    solved = dict(zip(first, zip(solve_problems(
-        problems, opts, [label for *_, label in first.values()], rows), problems)))
-    return [[solved[key] if first[key][0] == i else
-             (dataclasses.replace(solved[key][0], policy_label=pol.label), solved[key][1])
-             for i, (pol, key) in enumerate(zip(policies, case_keys))]
-            for (_, policies, _), case_keys in zip(cases, keys)]
+    """Each ``(scenario, assocs)`` case's ``(solution, problem)`` per association:
+    every case's distinct problems in one batch, viewing one stack of couplings
+    (``Problem.batch``).  A case's ``assocs`` come from one ``associate_all``,
+    so equal maps are one object; every scenario and association lives for
+    the whole call, so their ids key the distinct problems."""
+    distinct = {(id(sc), id(a)): (sc, a) for sc, assocs in cases for a in assocs}
+    problems, rows = (Problem.batch(list(distinct.values()), overlap, opts.theta)
+                      if distinct else ([], None))
+    solved = dict(zip(distinct, zip(solve_problems(problems, opts, rows), problems)))
+    return [[solved[id(sc), id(a)] for a in assocs] for sc, assocs in cases]
 
 
 def trials_per_chunk(config: ScenarioConfig) -> int:
@@ -110,12 +102,10 @@ def run_trials(config: ScenarioConfig, seeds) -> list[dict]:
     arms = {f"{pol.offset_db:g}": pol for pol in policy_sweep()} | REFERENCES
     assocs = [dict(zip(arms, associate_all(list(arms.values()), sc))) for sc in scenarios]
     solved = [{arm: sol for arm, (sol, _) in zip(arms, case)} for case in _solve_cases(
-        [(sc, list(arms.values()), list(a.values())) for sc, a in zip(scenarios, assocs)],
-        MC_OPTS, overlap)]
+        [(sc, list(a.values())) for sc, a in zip(scenarios, assocs)], MC_OPTS, overlap)]
     bests = [max((off for off in s if off not in REFERENCES), key=lambda off: s[off].lam)
              for s in solved]
-    fulls = _solve_cases([(sc, [*REFERENCES.values(), arms[best]],
-                           [a[label] for label in (*REFERENCES, best)])
+    fulls = _solve_cases([(sc, [a[label] for label in (*REFERENCES, best)])
                           for sc, a, best in zip(scenarios, assocs, bests)], MC_OPTS)
     results = []
     for seed, s, best, full in zip(seeds, solved, bests, fulls):
@@ -142,6 +132,7 @@ def run_policy_study(config: ScenarioConfig, trials: int, seed_base: int,
         raise ConfigError("workers must be >= 1")
     seeds, size = range(seed_base, seed_base + trials), trials_per_chunk(config)
     chunks = [seeds[i:i + size] for i in range(0, trials, size)]
+    workers = min(workers, len(chunks))  # a pool starts all its workers at once
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(run_trials, [config] * len(chunks), chunks))

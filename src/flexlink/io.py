@@ -13,6 +13,7 @@ import contextlib
 import dataclasses
 import hashlib
 import json
+import re
 from numbers import Real
 
 import numpy as np
@@ -212,7 +213,21 @@ def read_scenario(path):
     """The scenario document at ``path``, its scenario and its outputs' provenance."""
     doc = read_json(path, "scenario")
     meta = as_object(doc.get("meta", {}), "scenario key 'meta'")
-    return doc, scenario_from_dict(doc), {key: meta.get(key) for key in ("seed", "config_hash")}
+    return doc, scenario_from_dict(doc), _provenance(meta, "scenario")
+
+
+def _provenance(meta: dict, what: str) -> dict:
+    """The ``seed`` and ``config_hash`` of a ``what`` document's ``meta``, which
+    every output repeats: each absent, null or as ``generate`` writes it, else
+    a ``ConfigError`` naming ``what`` and the key."""
+    rules = {"seed": ("a non-negative integer", lambda v: not _breach(v, integer=True) and v >= 0),
+             "config_hash": ("16 lowercase hex digits",
+                             lambda v: isinstance(v, str) and re.fullmatch("[0-9a-f]{16}", v))}
+    for key, (rule, ok) in rules.items():
+        if meta.get(key) is not None and not ok(meta[key]):
+            raise ConfigError(f"{what} meta key {key!r} must be {rule} or null, "
+                              f"got {json.dumps(meta[key])}")
+    return {key: meta.get(key) for key in rules}
 
 
 def overlap_model(name: str, n_bs: int, *loads):
@@ -249,7 +264,7 @@ def load_solution(path):
             scenario, assoc, theta=_number(solved, "theta") if "theta" in solved else 1.0,
             overlap=overlap_model(overlap, scenario.n_bs, *(_number(meta, key) for key in loads)))
     return problem, links["w"], links["p"], {"scenario_hash": canonical_hash(scenario_doc),
-                                              **{k: meta.get(k) for k in ("seed", "config_hash")}}
+                                              **_provenance(meta, "solution")}
 
 
 def power_min_to_dict(result, meta: dict) -> dict:
@@ -258,11 +273,12 @@ def power_min_to_dict(result, meta: dict) -> dict:
             "saving_ratio": result.saving_ratio, "meta": {"tool_version": __version__, **meta}}
 
 
-def solution_to_dict(solution, assoc, scenario_doc: dict, meta: dict | None = None) -> dict:
+def solution_to_dict(solution, assoc, scenario_doc: dict, meta: dict) -> dict:
+    """The solution document; its ``policy`` and ``theta`` are ``meta``'s."""
     solved = {"w": solution.w.tolist(), "p": solution.p.tolist(), "lambda": solution.lam,
               "lambda_solver": solution.lam_solver, "step": solution.step, "g1": solution.g1,
               "g2": solution.g2, "converged": solution.converged,
-              "policy": solution.policy_label, "theta": solution.theta}
+              "policy": meta["policy"], "theta": meta["theta"]}
     if solution.p_bar is not None:  # cell-specific mode only
         solved["p_bar"] = solution.p_bar.tolist()
     doc = {
@@ -271,7 +287,7 @@ def solution_to_dict(solution, assoc, scenario_doc: dict, meta: dict | None = No
         "association": {"b_ul": assoc.b_ul.tolist(), "b_dl": assoc.b_dl.tolist(),
                         "n_bs": assoc.n_bs},
         "scenario": scenario_doc,
-        "meta": dict(meta or {}),
+        "meta": dict(meta),
     }
     doc["meta"].setdefault("tool_version", __version__)
     doc["meta"].setdefault("scenario_hash", canonical_hash(scenario_doc))

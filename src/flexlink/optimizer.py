@@ -137,8 +137,6 @@ class Solution:
     converged: bool
     trace: SolveTrace
     p_bar: Optional[np.ndarray] = None
-    policy_label: str = ""
-    theta: float = 1.0
 
 
 def initial_psd(problem: Problem) -> np.ndarray:
@@ -292,7 +290,7 @@ def step3_update_power(problem: Problem, w_fixed, x0, opts: SolveOptions = Solve
                         None if trace is None else [trace])[0]
 
 
-def solve_problems(problems, opts: SolveOptions = SolveOptions(), labels=None, rows=None) -> list:
+def solve_problems(problems, opts: SolveOptions = SolveOptions(), rows=None) -> list:
     """Run the full three-step solve for every problem in ``problems``
     (sharing a noise PSD and band: one venue's associations, or a chunk of
     trials; ``rows`` their stacked couplings from ``Problem.batch``) as one batch.
@@ -357,8 +355,7 @@ def solve_problems(problems, opts: SolveOptions = SolveOptions(), labels=None, r
                      lam_ul=float(qos[b, :k].min()), lam_dl=float(qos[b, k:].min()),
                      lam_solver=lam[b], step=steps[b], g1=values[b][0],
                      g2=values[b][1], converged=converged[b], trace=traces[b],
-                     p_bar=x[b].copy() if opts.power_mode == "cell_specific" else None,
-                     policy_label="custom" if labels is None else labels[b], theta=opts.theta)
+                     p_bar=x[b].copy() if opts.power_mode == "cell_specific" else None)
             for b in range(len(problems))]
 
 
@@ -371,8 +368,7 @@ def optimize(scenario: Scenario, policy=None, opts: SolveOptions = SolveOptions(
             raise DomainError("either a policy or an association is required")
         assoc = associate(policy, scenario)
     problem = Problem.from_scenario(scenario, assoc, overlap=overlap, theta=opts.theta)
-    label = policy.label if policy is not None else "custom"
-    return solve_problems([problem], opts, [label])[0]
+    return solve_problems([problem], opts)[0]
 
 
 @dataclass

@@ -131,6 +131,22 @@ def test_solve_theta_monotone(tmp_path, scenario_file):
     assert lams["0.5"] <= lams["1.0"]
 
 
+def test_solve_writes_the_policy_and_theta_of_its_meta(tmp_path, scenario_file):
+    """The solver does not know the policy or the budget scale: the solution
+    block takes them from the meta, and ``load_solution`` rebuilds the budgets."""
+    out = tmp_path / "sol"
+    assert main(["solve", "--scenario", str(scenario_file), "--policy", "deud-o:5",
+                 "--theta", "0.5", "--out", str(out)]) == 0
+    doc = json.loads((out / "solution.json").read_text())
+    assert (doc["solution"]["policy"], doc["solution"]["theta"]) == \
+        (doc["meta"]["policy"], doc["meta"]["theta"]) == ("deud-o:5", 0.5)
+    scenario = io.read_scenario(scenario_file)[1]
+    expected = Problem.from_scenario(scenario, associate(Policy.parse("deud-o:5"), scenario),
+                                     theta=0.5)
+    assert io.load_solution(out / "solution.json")[0].p_ext_max.tolist() == \
+        expected.p_ext_max.tolist()
+
+
 @pytest.mark.parametrize("mode", [[], ["--cell-specific"]], ids=["per-link", "cell-specific"])
 def test_solve_at_a_huge_budget_warns_nothing(tmp_path, scenario_file, mode):
     """S3 cannot meet its absolute step test at a budget scale of 1e300 and
@@ -655,6 +671,28 @@ def test_field_outside_the_grid_rule_is_one_line_error(tmp_path, capsys, documen
     accepted too (a solution's schema version, a position entry), and JSON
     integers too large for a float."""
     assert _rejection(documents, tmp_path, capsys, document, path, value) == line
+
+
+@pytest.mark.parametrize("document", ["scenario", "solution"])
+@pytest.mark.parametrize("key, value, rule", [
+    ("config_hash", "x\nfake,row", '16 lowercase hex digits or null, got "x\\nfake,row"'),
+    ("seed", {"a": [1, 2]}, 'a non-negative integer or null, got {"a": [1, 2]}'),
+], ids=["config_hash-newline", "seed-object"])
+def test_bad_provenance_is_one_line_error(tmp_path, capsys, documents, document, key, value,
+                                          rule):
+    """A document's seed and config hash reach the meta of every output and a
+    CSV's comment line, so a value ``generate`` cannot write is refused."""
+    assert _rejection(documents, tmp_path, capsys, document, f"meta.{key}", value) == \
+        f"error: {document} meta key {key!r} must be {rule}"
+
+
+@pytest.mark.parametrize("document", ["scenario", "solution"])
+@pytest.mark.parametrize("key, mutation", [("seed", "delete"), ("seed", "null"), ("seed", "0"),
+                                           ("config_hash", "delete"), ("config_hash", "null")])
+def test_absent_or_null_provenance_is_accepted(tmp_path, capsys, documents, document, key,
+                                               mutation):
+    assert _through_readers(documents, document, f"meta.{key}", mutation, tmp_path,
+                            capsys) == (None, [])
 
 
 @pytest.mark.parametrize("key", sorted(COUNT_RANGES))

@@ -1,13 +1,14 @@
 """Monte Carlo harness: determinism, aggregation, confidence intervals."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
 import flexlink.experiments as experiments
 from flexlink import io
-from flexlink.association import Policy, associate, policy_sweep
+from flexlink.association import Policy, associate, associate_all, policy_sweep
 from flexlink.interference import Problem
 from flexlink.optimizer import optimize, solve_problems
 from flexlink.pf_baseline import pf_allocate
@@ -124,14 +125,28 @@ def test_solve_policies_relabels_repeats(monkeypatch):
     policies = [Policy.parse(t) for t in ("coud", "deud-o:0", "deud-o:13", "deud-p", "coud")]
     sols = experiments.solve_policies(scenario, policies, experiments.MC_OPTS, overlap)
     assert [len(batch) for batch in calls] == [2]
-    assert [s.policy_label for s in sols] == ["coud", "deud-o:0", "deud-o:13", "deud-p", "coud"]
+    assert sols[0] is sols[1] is sols[4] and sols[2] is sols[3]
     assert sols[0].lam == sols[1].lam == sols[4].lam
     assert sols[2].lam == sols[3].lam
     for pol, sol in zip(policies, sols):
         alone = optimize(scenario, pol, experiments.MC_OPTS, overlap=overlap)
         assoc = associate(pol, scenario)
-        assert io.solution_to_dict(sol, assoc, {}) == io.solution_to_dict(alone, assoc, {})
+        meta = {"policy": pol.label, "theta": 1.0}
+        assert io.solution_to_dict(sol, assoc, {}, meta) == \
+            io.solution_to_dict(alone, assoc, {}, meta)
     assert experiments.solve_policies(scenario, [], experiments.MC_OPTS, overlap) == []
+
+
+def test_policies_sharing_an_association_share_its_solution():
+    """The solver sees associations, not policies: one ``Solution`` per
+    distinct association, the same object for every policy that maps to it."""
+    scenario = generate(experiments.STUDY_CONFIG, 1)
+    policies = policy_sweep() + [Policy.parse("coud"), Policy.parse("deud-p")]
+    assocs = associate_all(policies, scenario)
+    sols = experiments.solve_policies(scenario, policies, experiments.MC_OPTS)
+    for i, j in itertools.combinations(range(len(policies)), 2):
+        assert (sols[i] is sols[j]) == (assocs[i] is assocs[j]), (policies[i], policies[j])
+    assert len(set(map(id, sols))) == len(set(map(id, assocs))) < len(policies)
 
 
 def test_deud_p_figures_come_from_the_deud_p_solves():
@@ -213,3 +228,32 @@ def test_workers_do_not_change_results(monkeypatch):
     b = experiments.run_policy_study(TINY, trials=5, seed_base=5, workers=2)
     assert a["trials"] == b["trials"]
     assert a["aggregate"] == b["aggregate"]
+
+
+def test_pool_starts_at_most_one_worker_per_chunk(monkeypatch):
+    """A process pool starts all its workers at its first task, so the study
+    asks for no more than it has chunks, and a one-chunk study runs in-process."""
+    pools = []
+
+    class InProcessPool:  # records the pool size, starts no process
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+    assert experiments.trials_per_chunk(experiments.STUDY_CONFIG) == 5
+    two = experiments.run_policy_study(experiments.STUDY_CONFIG, trials=7, seed_base=20,
+                                       workers=64)
+    assert pools == [2]
+    one = experiments.run_policy_study(experiments.STUDY_CONFIG, trials=3, seed_base=20,
+                                       workers=2)
+    assert pools == [2]
+    assert one["trials"] == two["trials"][:3]
