@@ -31,8 +31,8 @@ DEFAULT_HISTORY_DL = 0.75
 
 MC_OPTS = SolveOptions(trace_mode="boundary")
 
-# Bytes of stacked couplings a chunk of Monte Carlo trials may solve as one batch,
-# a trial's 29 partial-overlap arms counted as distinct: 5 trials of the study.
+# Bytes of stacked couplings in one batch (a sweep's or a chunk's), and a chunk's
+# size with a trial's 29 partial-overlap arms counted as distinct: 5 study trials.
 CHUNK_COUPLING_BYTES = 2 << 20
 
 # The study's reference policies, keyed as a trial records them.
@@ -59,24 +59,28 @@ def solve_policies(scenario: Scenario, policies, opts: SolveOptions,
     """``optimize`` for each policy on one scenario, one ``Solution`` per policy.
 
     A policy only shapes the problem through its association, and the solver
-    is deterministic, so each distinct ``(b_ul, b_dl)`` is solved once, and
-    the distinct problems are solved as one batch (``solve_problems``).
+    is deterministic, so each distinct ``(b_ul, b_dl)`` is solved once, in
+    batches of at most ``CHUNK_COUPLING_BYTES`` of couplings (``_solve_cases``).
     Policies that share an association share its ``Solution``.
     """
     cases = [(scenario, associate_all(policies, scenario))]
-    return [sol for sol, _ in _solve_cases(cases, opts, overlap)[0]]
+    return _solve_cases(cases, opts, overlap)[0]
 
 
-def _solve_cases(cases, opts: SolveOptions, overlap=None) -> list:
-    """Each ``(scenario, assocs)`` case's ``(solution, problem)`` per association:
-    every case's distinct problems in one batch, viewing one stack of couplings
-    (``Problem.batch``).  A case's ``assocs`` come from one ``associate_all``,
-    so equal maps are one object; every scenario and association lives for
-    the whole call, so their ids key the distinct problems."""
+def _solve_cases(cases, opts: SolveOptions, overlap=None, problems=False) -> list:
+    """Each ``(scenario, assocs)`` case's solution per association, ``(solution,
+    problem)`` where ``problems``: every case's distinct problems in consecutive
+    batches of at most ``CHUNK_COUPLING_BYTES`` of couplings (at least one member),
+    each viewing one stack (``Problem.batch``) that only a kept problem holds on to.
+    A case's ``assocs`` come from one ``associate_all``, so equal maps are one object;
+    every scenario and association lives for the whole call, so ids key the problems."""
     distinct = {(id(sc), id(a)): (sc, a) for sc, assocs in cases for a in assocs}
-    problems, rows = (Problem.batch(list(distinct.values()), overlap, opts.theta)
-                      if distinct else ([], None))
-    solved = dict(zip(distinct, zip(solve_problems(problems, opts, rows), problems)))
+    keys, pairs, solved = list(distinct), list(distinct.values()), {}
+    size = max(1, CHUNK_COUPLING_BYTES // ((cases[0][0].n_bs + cases[0][0].n_ue) ** 2 * 8))
+    for i in range(0, len(pairs), size):
+        batch, rows = Problem.batch(pairs[i:i + size], overlap, opts.theta)
+        sols = solve_problems(batch, opts, rows)
+        solved |= zip(keys[i:i + size], zip(sols, batch) if problems else sols)
     return [[solved[id(sc), id(a)] for a in assocs] for sc, assocs in cases]
 
 
@@ -101,12 +105,12 @@ def run_trials(config: ScenarioConfig, seeds) -> list[dict]:
     overlap = uniform_overlap(scenarios[0].n_bs, DEFAULT_HISTORY_UL, DEFAULT_HISTORY_DL)
     arms = {f"{pol.offset_db:g}": pol for pol in policy_sweep()} | REFERENCES
     assocs = [dict(zip(arms, associate_all(list(arms.values()), sc))) for sc in scenarios]
-    solved = [{arm: sol for arm, (sol, _) in zip(arms, case)} for case in _solve_cases(
+    solved = [dict(zip(arms, case)) for case in _solve_cases(
         [(sc, list(a.values())) for sc, a in zip(scenarios, assocs)], MC_OPTS, overlap)]
     bests = [max((off for off in s if off not in REFERENCES), key=lambda off: s[off].lam)
              for s in solved]
-    fulls = _solve_cases([(sc, [a[label] for label in (*REFERENCES, best)])
-                          for sc, a, best in zip(scenarios, assocs, bests)], MC_OPTS)
+    fulls = _solve_cases([(sc, [a[label] for label in (*REFERENCES, best)]) for sc, a, best
+                          in zip(scenarios, assocs, bests)], MC_OPTS, problems=True)
     results = []
     for seed, s, best, full in zip(seeds, solved, bests, fulls):
         # the full-overlap references at theta 1 are the problems of their PF baselines
@@ -144,10 +148,10 @@ def run_policy_study(config: ScenarioConfig, trials: int, seed_base: int,
 
 
 def mean_ci(values, z: float = 1.96):
-    """Mean and normal-approximation 95% CI halfwidth."""
+    """Mean and normal-approximation 95% CI halfwidth (``None`` below two values)."""
     arr = np.asarray(values, dtype=float)
     if arr.size < 2:
-        return float(arr.mean()) if arr.size else float("nan"), float("nan")
+        return float(arr.mean()) if arr.size else float("nan"), None
     half = z * arr.std(ddof=1) / np.sqrt(arr.size)
     return float(arr.mean()), float(half)
 
@@ -211,7 +215,7 @@ def run_theta_sweep(scenario: Scenario, policy: Policy, thetas,
         raise DomainError("theta must be positive")
     rows = []
     coupled = Problem.from_scenario(scenario, associate(policy, scenario))
-    x0 = initial_power_state(coupled, opts.power_mode)
+    x0 = initial_power_state(coupled.stack, opts.power_mode)[0]
     for noise_dbm in noise_dbm_list:
         noise_psd = float(dbm_to_watt(noise_dbm))
         check_band(scenario.rb_bandwidth, noise_psd)  # a scenario's checks of the floor

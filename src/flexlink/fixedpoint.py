@@ -91,11 +91,12 @@ def normalized_fixed_points(f, g, x0, tol: float = DEFAULT_TOL,
     images to a ``(B, 1)`` column, member by member.  A batch of one may also
     run on its vector, ``g`` giving a float: the same steps on arrays without
     the member axis.  Each member has its own stop rule and Anderson history,
-    and stops once the next evaluation has given its eigenvalue; the maps see
-    its last point until the running members are at most half of their rows,
-    when ``take(members)``, the maps of the members at those indices alone,
-    replaces them.  So each member's iterates are bit for bit those of its
-    batch of one.  ``callback(b, t, x, residual)`` is member ``b``'s callback.
+    and stops once the next evaluation has given its eigenvalue; its row (in the
+    maps and the loop's arrays) stays at its last point until the running members
+    are at most half of the rows, when the loop keeps the running rows alone and
+    ``take(members)``, the maps of the members at those indices, replaces the maps.
+    So each member's iterates are bit for bit those of its batch of one.
+    ``callback(b, t, x, residual)`` is member ``b``'s callback.
     """
     if not memory:
         return _iterate(f, g, x0, tol, max_iter, callback, memory, take)
@@ -103,41 +104,36 @@ def normalized_fixed_points(f, g, x0, tol: float = DEFAULT_TOL,
         return _iterate(f, g, x0, tol, max_iter, callback, memory, take)
 
 
-def _kept(keep, *members):
-    """Each of ``members``, a list or an array over the members, without those ``keep`` drops."""
-    return [a[keep] if isinstance(a, np.ndarray) else [v for v, k in zip(a, keep) if k]
-            for a in members]
-
-
 class _Anderson:
-    """Anderson steps for a stack's members, each with its own last plain point
-    (the fallback) and step, ``memory`` rows of plain point and step differences
-    with their Gram matrix (zero rows and the identity where unused, so that BLAS
-    sees the same shapes in any batch), utility, and whether it extrapolates."""
+    """Anderson steps for the ``size`` rows of a stack, each with its own last plain
+    point (the fallback) and step, ``memory`` rows of plain point and step differences
+    with their Gram matrix (zero rows and the identity where unused, so that BLAS sees
+    the same shapes in any batch), utility, and whether it extrapolates."""
 
-    def __init__(self, x, size, memory, each):
-        self.each, self.eye = each, _identity(memory)
+    def __init__(self, x, memory, per_row, count):
+        self.eye, self.per_row, self.count = _identity(memory), per_row, count
         self.last_x = self.last_r = x
         self.d_g, self.d_r = np.zeros((2,) + x.shape[:-1] + (memory, x.shape[-1]))
-        self.gram = np.zeros(x.shape[:-1] + self.eye.shape)
-        self.gram[...] = self.eye
-        self.u_last, self.has_fb = [math.inf] * size, [False] * size
+        self.gram = np.broadcast_to(self.eye, x.shape[:-1] + self.eye.shape).copy()
+        self.size = 1 if x.ndim == 1 else len(x)
+        self.u_last, self.has_fb = ((math.inf, False) if x.ndim == 1 else  # a batch of one: scalars
+                                    (np.full(self.size, math.inf), np.zeros(self.size, bool)))
 
-    def keep(self, keep):
-        (self.u_last, self.has_fb, self.last_x, self.last_r, self.d_g, self.d_r,
-         self.gram) = _kept(keep, self.u_last, self.has_fb, self.last_x, self.last_r, self.d_g,
-                            self.d_r, self.gram)
+    def keep(self, rows):
+        self.size = len(rows)
+        for name in ("last_x", "last_r", "d_g", "d_r", "gram", "u_last", "has_fb"):
+            setattr(self, name, getattr(self, name)[rows])
 
-    def step(self, t, x, fx, gf, x_next, r):
-        """``(new, x_next, r, back)`` after the plain step ``x_next = x + r``:
-        a member whose extrapolated ``x`` lowered the utility ``min x / f(x)``,
-        or whose ``g(f(x))`` exceeds 1, goes back (``back``) to its last plain
-        point and step (so its residual repeats) and forgets its history; the
-        others extrapolate ``x_next`` to ``new`` where that stays positive."""
-        u, new = self.each(np.minimum.reduce(x / fx, axis=-1)), x_next
-        back = [h and not (v >= v_last * _FLOOR and v * gv <= _CEILING)
-                for h, v, v_last, gv in zip(self.has_fb, u, self.u_last, self.each(gf))]
-        if t > 1 and False in back:  # every member's step goes to slot j of its history
+    def step(self, t, x, fx, gv, x_next, r):
+        """``(new, x_next, r, back)`` after the plain step ``x_next = x + r`` (fresh
+        arrays), ``gv = g(f(x))``: a member whose extrapolated ``x`` lowered the
+        utility ``min x / f(x)``, or whose ``g(f(x))`` exceeds 1, goes back (``back``)
+        to its last plain point and step (so its residual repeats) and forgets its
+        history; the others extrapolate ``x_next`` to ``new`` where that stays positive."""
+        u, new = self.per_row(np.minimum, x / fx), x_next
+        back = self.has_fb > ((u >= self.u_last * _FLOOR) & (u * gv <= _CEILING))
+        n_back = self.count(back)
+        if t > 1 and n_back < self.size:  # every member's step goes to slot j of its history
             j = (t - 2) % len(self.eye)
             np.subtract(x_next, self.last_x, out=self.d_g[..., j, :])
             np.subtract(r, self.last_r, out=self.d_r[..., j, :])
@@ -145,20 +141,21 @@ class _Anderson:
             self.gram[..., j:j + 1], self.gram[..., j, :] = gram_row, gram_row[..., 0]
             coef = _lapack_solve(self.gram, self.d_r @ r[..., None], signature="dd->d")
             x_acc = x_next - (coef.swapaxes(-1, -2) @ self.d_g)[..., 0, :]
-            self.has_fb = self.each(np.minimum.reduce(x_acc, axis=-1) > 0)
-            if True in self.has_fb:
-                new = x_acc if False not in self.has_fb else np.where(
-                    np.array(self.has_fb)[:, None], x_acc, x_next)
-        if True in back:  # the fallback, for any subset of the members
-            mask = slice(None) if False not in back else np.array(back)
-            self.has_fb = [h and not b for h, b in zip(self.has_fb, back)]
+            self.has_fb = self.per_row(np.minimum, x_acc) > 0
+            n_fb = self.count(self.has_fb)
+            if n_fb:
+                new = x_acc if n_fb == self.size else np.where(self.has_fb[:, None], x_acc, x_next)
+        if n_back:  # the fallback, for any subset of the members
+            self.has_fb = self.has_fb > back
+            rows = ... if n_back == self.size else np.flatnonzero(back)
             for a, value in ((self.d_g, 0.0), (self.d_r, 0.0), (self.gram, self.eye)):
-                a[mask] = value
-            if False not in back:  # all of them: their last plain point and step stand
+                a[rows] = value
+            if rows is ...:  # their last plain points and steps stand
                 return self.last_x, self.last_x, self.last_r, back
-            new, x_next, r = (np.where(mask[:, None], old, now) for old, now in (
-                (self.last_x, new), (self.last_x, x_next), (self.last_r, r)))
-            u = [old if b else now for b, old, now in zip(back, self.u_last, u)]
+            x_next[rows] = self.last_x[rows]  # fresh arrays: written in place
+            if new is not x_next:
+                new[rows] = self.last_x[rows]
+            r[rows], u[rows] = self.last_r[rows], self.u_last[rows]
         self.last_x, self.last_r, self.u_last = x_next, r, u
         return new, x_next, r, back
 
@@ -166,67 +163,71 @@ class _Anderson:
 def _iterate(f, g, x0, tol, max_iter, callback, memory, take):
     x = np.array(x0, dtype=float)
     solo = x.ndim == 1  # a batch of one on its vector: a member's array is the array itself
-    size = 1 if solo else len(x)
-    # per-member scalars are lists of Python numbers (a batch of one pays no masks and no
-    # numpy scalar arithmetic): of g, or of a reduction over the last axis
+    # per-member values are arrays over the rows (a batch of one's Python scalars), of g or
+    # ``per_row`` of each row (from its first entry, ``starts``); ``each`` lists them
+    starts = np.arange(0, x.size, x.shape[-1])
+    per_row = ((lambda ufunc, a: float(ufunc.reduce(a, axis=-1))) if solo
+               else (lambda ufunc, a: ufunc.reduceat(a.reshape(-1), starts)))
     each = (lambda a: [float(a)]) if solo else (lambda a: a.ravel().tolist())
+    count = int if solo else np.count_nonzero
     row = (lambda a, i: a) if solo else (lambda a, i: a[i].copy())
-    ids, out, stopped, t, res = list(range(size)), [None] * size, [], 0, [math.inf] * size
+    ids = np.arange(1 if solo else len(x))  # the member at each row
+    out = [None] * len(ids)
     if max_iter < 1:  # no step allowed: every member stays at its start
         return [FixedPointResult(row(x, i), None, 0, math.inf, False, "max_iter exceeded")
                 for i in ids]
-    anderson, active = _Anderson(x, size, memory, each) if memory else None, None
+    anderson = _Anderson(x, memory, per_row, count) if memory else None
+    live, running, settle, t = True if solo else np.ones(len(ids), bool), len(ids), None, 0
     while True:
-        if active is not None:  # the maps' rows (mapped) hold stopped members' last points
-            mapped[active] = x
-            fx = f(mapped)
-            fx, gf = fx[active], g(fx)[active]
-        else:
-            fx = f(x)
-            gf = g(fx)
-        if True in stopped:  # settle, then drop, the members that stopped last step
-            for i, b in enumerate(ids):
-                if stopped[i] and out[b].converged:
-                    out[b].eigenvalue = 1.0 / each(gf)[i]
-            if False not in stopped:
+        fx = f(x)
+        gf = g(fx)
+        if settle is not None:  # some members stopped last step: settle the converged ones
+            values = each(gf)
+            for i in settle:
+                out[ids[i]].eigenvalue = 1.0 / values[i]
+            if not running:
                 return out
-            keep = [not s for s in stopped]
-            if active is None:  # where the running members sit among the maps' rows
-                mapped, active = x, np.arange(len(x))
-            ids, res, x, fx, gf, active = _kept(keep, ids, res, x, fx, gf, active)
-            if anderson is not None:
-                anderson.keep(keep)
-            if take is not None and 2 * len(ids) <= len(mapped):
-                (f, g), active = take(ids), None
+            if take is not None and 2 * running <= len(ids):  # leave the running rows alone
+                keep = np.flatnonzero(live)
+                ids, x, fx, gf, live = ids[keep], x[keep], fx[keep], gf[keep], live[keep]
+                starts = starts[:len(keep)]
+                if anderson is not None:
+                    anderson.keep(keep)
+                f, g = take(ids)
+            settle = None
         t += 1
         x_next = fx / gf  # the plain step
         new, r, back = x_next, x_next - x, None
         if anderson is not None:
-            new, x_next, r, back = anderson.step(t, x, fx, gf, x_next, r)
-        res = each(np.maximum.reduce(np.abs(r), axis=-1))
+            new, x_next, r, back = anderson.step(t, x, fx, gf if solo else gf[:, 0], x_next, r)
+        res = per_row(np.maximum, np.abs(r))
         if callback is not None:  # with memory the point just evaluated, else the next one
-            for i, b in enumerate(ids):
-                if back is None or not back[i]:
-                    callback(b, t, row(x if memory else x_next, i), res[i])
-        stopped = [not tol <= v < math.inf for v in res]  # the stop test
-        if True in stopped or t == max_iter:
-            for i, b in enumerate(ids):
-                finite = math.isfinite(res[i])
-                if stopped[i]:  # converged (eigenvalue next evaluation) or non-finite
-                    out[b] = FixedPointResult(row(x_next, i), None if finite else math.nan,
-                                              t, res[i], finite,
-                                              "converged" if finite else "non-finite")
-                elif t == max_iter:
-                    gv = each(gf)[i]
-                    out[b] = FixedPointResult(row(new, i), 1.0 / gv if gv else None, t,
-                                              res[i], False, "max_iter exceeded")
-            # evaluated next: converged members' last iterates, non-finite ones' last finite points
-            done = (x_next if all(map(math.isfinite, res))
-                    else np.where(np.isfinite(x_next), x_next, x))
-            if True in stopped:
-                new = done if False not in stopped else np.where(np.array(stopped)[:, None], done,
-                                                                 new)
-            stopped = [True] * len(ids) if t == max_iter else stopped
+            values = each(res)
+            for i in np.flatnonzero(live if back is None else live > back).tolist():
+                callback(int(ids[i]), t, row(x if memory else x_next, i), values[i])
+        if running < len(ids):  # stopped members' rows stay at their last points
+            new = np.where(live[:, None], new, x)
+        stop = live > ((tol <= res) & (res < math.inf))  # the stop test, on running rows
+        n_stop = count(stop)
+        if n_stop or t == max_iter:
+            settle, values, limits = [], each(res), each(gf)
+            for i in np.flatnonzero(stop).tolist():  # converged (eigenvalue next) or non-finite
+                finite = math.isfinite(values[i])
+                out[ids[i]] = FixedPointResult(row(x_next, i), None if finite else math.nan, t,
+                                               values[i], finite,
+                                               "converged" if finite else "non-finite")
+                if finite:
+                    settle.append(i)
+            if t == max_iter:
+                for i in np.flatnonzero(live > stop).tolist():
+                    out[ids[i]] = FixedPointResult(row(new, i), 1.0 / limits[i] if limits[i]
+                                                   else None, t, values[i], False,
+                                                   "max_iter exceeded")
+            if n_stop:  # evaluated next: last iterates, or non-finite ones' last finite points
+                done = (x_next if len(settle) == n_stop  # every stopped row is finite
+                        else np.where(np.isfinite(x_next), x_next, x))
+                new = done if n_stop == len(ids) else np.where(stop[:, None], done, new)
+            live, running = live > stop, running - n_stop if t < max_iter else 0
         x = new
 
 

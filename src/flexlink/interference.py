@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import weakref
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -146,44 +147,55 @@ class ProblemStack:
 
     def __init__(self, problems, rows=None):
         problems = tuple(problems)
-        # weak: a problem caches its own stack, which must not keep it alive
-        self._problems = tuple(weakref.ref(pr) for pr in problems)
-        first, b = problems[0], len(problems)
+        first = problems[0]
         if len({(pr.noise_psd, pr.rb_count, pr.rb_bandwidth) for pr in problems}) > 1:
             raise ModelError("stacked problems must share the noise PSD and the band")
-        if rows is None and b > 1:
+        if rows is None and len(problems) > 1:
             raise ModelError("a stack of several problems needs their stacked couplings")
-        self.solo = rows is None
-        rows = self.rows = first.rows if self.solo else rows
-        (n_rx, n_tx), self.k, self.n_bs = first.rows.shape, first.assoc.n_ue, first.assoc.n_bs
+        # member-major parts (a batch of one's vectors): index vectors (not offset) and values
+        part = ((lambda name: attrgetter(name)(first)) if rows is None
+                else (lambda name: np.array(list(map(attrgetter(name), problems)))))
+        parts = {name.split(".")[-1]: part(name) for name in (
+            "assoc.tx", "assoc.rx", "assoc.serving", "assoc.b_dl", "d_diag", "demands")}
+        parts["p_ext_max"] = np.array([pr.p_ext_max for pr in problems])
+        # weak: a problem caches its own stack, which must not keep it alive
+        self._build(tuple(map(weakref.ref, problems)), first.rows if rows is None else rows, parts)
+
+    def _build(self, refs, rows, parts):
+        self._problems, self.rows, self._parts, first = refs, rows, parts, refs[0]()
+        self.solo = solo = rows.ndim == 2  # a batch of one maps vectors by the 2-D product
+        (n_rx, n_tx), b, self.k, self.n_bs = (rows.shape[-2:], len(refs), first.assoc.n_ue,
+                                              first.assoc.n_bs)
         n_bs, noise, self.size = self.n_bs, first.noise_psd, b
-        join = lambda parts: parts[0] if b == 1 else np.concatenate(parts)
-        flat = lambda name, size: join(
-            [getattr(pr.assoc, name) + i * size if i else getattr(pr.assoc, name)
-             for i, pr in enumerate(problems)])
-        tx, rx, serving, self.b_dl = (flat(name, size) for name, size in (
-            ("tx", n_tx), ("rx", n_rx), ("serving", n_bs), ("b_dl", n_bs)))
-        self.d_diag, self.demands = (join([getattr(pr, name) for pr in problems])
-                                     for name in ("d_diag", "demands"))
-        p_ext_max = np.array([pr.p_ext_max for pr in problems])
+        # each member's first receiver row, transmitter and cell in the flat vectors
+        rx0, tx0, cell0 = (np.arange(0, b * size, size) for size in (n_rx, n_tx, n_bs))
+        flat = ((lambda name, offset: parts[name]) if solo else
+                (lambda name, offset: (parts[name] + offset[:, None]).ravel()))
+        tx, rx, serving, self.b_dl = (flat(name, offset) for name, offset in (
+            ("tx", tx0), ("rx", rx0), ("serving", cell0), ("b_dl", cell0)))
+        self.d_diag, self.demands = (parts[name].ravel() for name in ("d_diag", "demands"))
+        p_ext_max = parts["p_ext_max"].ravel()
         rb_count = self.rb_count = first.rb_count
         rb_bandwidth = self.rb_bandwidth = first.rb_bandwidth
-        product = rows.__matmul__ if self.solo else (
+        product = rows.__matmul__ if solo else (
             lambda s: (rows @ s.reshape(b, n_tx, 1)).reshape(-1))
         d_diag = self.d_diag  # the maps close over locals: ``self`` would make a cycle
         ipsd = self.ipsd = lambda x: (product(np.bincount(tx, x, b * n_tx))[rx] + noise) / d_diag
-        loads = lambda w: np.bincount(serving, w, b * n_bs).reshape(b, n_bs)
-        uses = lambda x: np.bincount(tx, x, b * n_tx).reshape(b, n_tx) / p_ext_max
-        high = np.maximum.reduce  # a member's largest entry: a (B, 1) column, or one's float
-        largest = ((lambda rows: float(high(rows, None))) if self.solo
-                   else (lambda rows: high(rows, 1, keepdims=True)))
+        loads = lambda w: np.bincount(serving, w, b * n_bs)
+        uses = lambda x: np.bincount(tx, x, b * n_tx) / p_ext_max
+        # a member's largest entry, from each one's first: a (B, 1) column, or one's float
+        largest = ((lambda flat, offset: float(np.maximum.reduce(flat, None))) if solo else
+                   (lambda flat, offset: np.maximum.reduceat(flat, offset)[:, None]))
         self.rates = lambda p, w: spectral_efficiency(p / ipsd(p * w), rb_bandwidth)
-        self.g1 = lambda w: largest(loads(w))
-        self.g2 = lambda x: largest(uses(x)) * rb_count
+        self.g1 = lambda w: largest(loads(w), cell0)
+        self.g2 = lambda x: largest(uses(x), tx0) * rb_count
 
     def take(self, members) -> "ProblemStack":
-        """The members at the indices ``members``, over one copy of their couplings."""
-        return ProblemStack([self._problems[b]() for b in members], self.rows[members])
+        """The members at the indices ``members``: rows of the member-major parts and couplings."""
+        sub = object.__new__(ProblemStack)
+        sub._build(tuple(self._problems[b] for b in members), self.rows[members],
+                   {name: part[members] for name, part in self._parts.items()})
+        return sub
 
     @property
     def problems(self) -> tuple:

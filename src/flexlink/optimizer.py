@@ -143,26 +143,24 @@ def initial_psd(problem: Problem) -> np.ndarray:
     """Open-loop initial PSD per link (watts/RB).
 
     ``PSD_l = min{PSD_max, SNR_target + P_noise + alpha * PL_l}`` in dBm,
-    with ``PL_l`` the pathloss of the serving link.
+    with ``PL_l`` the pathloss of the serving link (of a stack: every member's).
     """
     pl_db = -linear_to_db(problem.d_diag)
     psd_dbm = np.minimum(PSD_MAX_DBM, SNR_TARGET_DB + NOISE_FLOOR_DBM + PL_ALPHA * pl_db)
     return dbm_to_watt(psd_dbm)
 
 
-def initial_power_state(problem: Problem, power_mode: str) -> np.ndarray:
-    """Initial power state of ``power_mode``: the open-loop per-link PSD, or
-    per transmitter its UE entries and one shared DL entry per cell (the
-    largest open-loop PSD among its downlinks, so the weakest served link
-    still meets its target)."""
-    p0 = initial_psd(problem)
+def initial_power_state(stack: ProblemStack, power_mode: str) -> np.ndarray:
+    """Initial power state of ``power_mode`` of every member of ``stack``,
+    one row each: the open-loop per-link PSD, or per transmitter its UE
+    entries and one shared DL entry per cell (the largest open-loop PSD among
+    its downlinks, so the weakest served link still meets its target)."""
+    p0 = initial_psd(stack).reshape(stack.size, -1)
     if power_mode != "cell_specific":
         return p0
-    assoc = problem.assoc
-    k = assoc.n_ue
-    q = np.zeros(assoc.n_bs)
-    np.maximum.at(q, assoc.b_dl, p0[k:])
-    return np.concatenate([p0[:k], q])
+    k, q = stack.k, np.zeros(stack.size * stack.n_bs)
+    np.maximum.at(q, stack.b_dl, p0[:, k:].reshape(-1))
+    return np.concatenate([p0[:, :k], q.reshape(stack.size, -1)], 1)
 
 
 def power_maps(stack: ProblemStack, power_mode: str):
@@ -307,7 +305,7 @@ def solve_problems(problems, opts: SolveOptions = SolveOptions(), rows=None) -> 
         return []
     stack = problems[0].stack if len(problems) == 1 else ProblemStack(problems, rows)
     expand = power_maps(stack, opts.power_mode)[0]
-    x = np.array([initial_power_state(problem, opts.power_mode) for problem in problems])
+    x = initial_power_state(stack, opts.power_mode)
     p = expand(x)
     traces = [SolveTrace() for _ in problems]
     for trace in traces:
@@ -351,12 +349,12 @@ def solve_problems(problems, opts: SolveOptions = SolveOptions(), rows=None) -> 
             traces[b].record("s3", fp.iterations, lam[b], *values[b], fp.residual, boundary=True)
 
     qos, k = stack.qos(w.reshape(-1), p.reshape(-1)).reshape(w.shape), stack.k
-    return [Solution(w=w[b].copy(), p=p[b].copy(), lam=float(qos[b].min()),
-                     lam_ul=float(qos[b, :k].min()), lam_dl=float(qos[b, k:].min()),
+    lams = zip(*(q.min(1).tolist() for q in (qos, qos[:, :k], qos[:, k:])))
+    return [Solution(w=w[b].copy(), p=p[b].copy(), lam=lam_b, lam_ul=lam_ul, lam_dl=lam_dl,
                      lam_solver=lam[b], step=steps[b], g1=values[b][0],
                      g2=values[b][1], converged=converged[b], trace=traces[b],
                      p_bar=x[b].copy() if opts.power_mode == "cell_specific" else None)
-            for b in range(len(problems))]
+            for b, (lam_b, lam_ul, lam_dl) in enumerate(lams)]
 
 
 def optimize(scenario: Scenario, policy=None, opts: SolveOptions = SolveOptions(),

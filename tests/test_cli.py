@@ -236,6 +236,25 @@ def test_montecarlo_single_trial_equals_solve(tmp_path, config_file):
     assert summary["aggregate"]["mean_coud"] == pytest.approx(lam_solve, rel=1e-12)
 
 
+def test_one_trial_summary_is_strict_json(tmp_path):
+    """A one-trial study has no confidence interval: its half-widths are JSON
+    ``null``, so the summary parses with NaN and Infinity refused."""
+    from flexlink.experiments import STUDY_CONFIG
+
+    config = tmp_path / "study.json"
+    config.write_text(json.dumps(io.config_to_dict(STUDY_CONFIG)))
+    out = tmp_path / "mc"
+    assert main(["montecarlo", "--config", str(config), "--trials", "1", "--seed-base", "0",
+                 "--out", str(out)]) == 0
+
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+    aggregate = json.loads((out / "summary.json").read_text(), parse_constant=refuse)["aggregate"]
+    assert aggregate["ci_best"] is None and aggregate["ci_coud"] is None
+    assert all(v["ci_halfwidth"] is None for v in aggregate["per_offset"].values())
+    assert aggregate["mean_best"] > 0
+
+
 def test_theta_sweep_csv_and_provenance(tmp_path, scenario_file):
     out = tmp_path / "theta"
     assert main(["theta-sweep", "--scenario", str(scenario_file), "--policy", "deud-p",

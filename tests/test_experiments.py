@@ -100,6 +100,27 @@ def test_chunk_solves_each_arm_as_one_batch(monkeypatch):
     assert [[pr.rows.tobytes() for pr in batch] for batch in calls] == expected
 
 
+@pytest.mark.parametrize("members", [1, 2])
+def test_batches_hold_at_most_the_coupling_cap(monkeypatch, members):
+    """Every batch holds at most ``CHUNK_COUPLING_BYTES`` of stacked couplings:
+    under a cap of one or two members' couplings a K=30 sweep solves its
+    distinct associations in consecutive groups of that size, and every
+    ``Solution`` equals the uncapped batch's bit for bit."""
+    scenario = generate(experiments.STUDY_CONFIG, 2)
+    digest = lambda sol: repr((sol.w.tobytes(), sol.p.tobytes(), sol.lam, sol.lam_ul,
+                               sol.lam_dl, sol.lam_solver, sol.step, sol.g1, sol.g2,
+                               sol.converged, sol.trace.rows))
+    whole = experiments.solve_policies(scenario, policy_sweep(), experiments.MC_OPTS)
+    distinct = len({id(sol) for sol in whole})
+    side = scenario.n_bs + scenario.n_ue
+    monkeypatch.setattr(experiments, "CHUNK_COUPLING_BYTES", members * side * side * 8 + 7)
+    calls = _counting_solves(monkeypatch)
+    capped = experiments.solve_policies(scenario, policy_sweep(), experiments.MC_OPTS)
+    assert [len(batch) for batch in calls] == \
+        [members] * (distinct // members) + [distinct % members] * (distinct % members > 0)
+    assert list(map(digest, capped)) == list(map(digest, whole))
+
+
 def test_chunk_sizing():
     """The K=30 study stacks several trials into a batch; a K=300 venue one."""
     assert experiments.trials_per_chunk(experiments.STUDY_CONFIG) > 1

@@ -188,6 +188,44 @@ def test_stopped_members_leave_the_maps(memory):
     assert memory or size * (slowest + 1) > 2 * own + size
 
 
+def test_accelerated_stack_with_take_follows_each_member_alone():
+    """A stack of affine SIFs with ``memory=5``, ``take`` and a callback, whose
+    members stop at many different iterations: the loop keeps stopped members'
+    rows until the running ones are at most half of them, then leaves them to
+    the maps of the running members; every result and every callback argument
+    is still the member's solo run bit for bit."""
+    rng = np.random.default_rng(5)
+    size, k = 16, 4
+    m = rng.uniform(0.0, 1.0, size=(size, k, k)) ** 3
+    b = rng.uniform(0.1, 1.0, size=(size, k)) ** 2
+    for i in range(0, size, 3):  # near-cyclic members converge slowly, each at its own pace
+        m[i] = np.roll(np.eye(k), 1, axis=1) + (0.002 * (i + 1)) * m[i]
+        b[i] *= 0.002 * (i + 1)
+    x0 = rng.uniform(0.01, 5.0, size=(size, k))
+    taken, seen = [], collections.defaultdict(list)
+
+    def maps(members):
+        taken.append(list(members))
+        m_at, b_at = m[members], b[members]
+        return (lambda x: (m_at @ x[..., None])[..., 0] + b_at,
+                lambda y: y.max(axis=1, keepdims=True))
+
+    stacked = fixedpoint.normalized_fixed_points(
+        *maps(list(range(size))), x0, tol=1e-12, memory=5, take=maps,
+        callback=lambda i, t, x, residual: seen[i].append((t, x.tobytes(), repr(residual))))
+    digest = lambda r: (r.x.tobytes(), repr(r.eigenvalue), r.iterations, repr(r.residual),
+                        r.converged, r.note)
+    for i in range(size):
+        calls = []
+        alone = normalized_fixed_point(
+            lambda x, i=i: m[i] @ x + b[i], MAXNORM, x0[i], tol=1e-12, memory=5,
+            callback=lambda t, x, residual: calls.append((t, x.tobytes(), repr(residual))))
+        assert digest(stacked[i]) == digest(alone), i
+        assert seen[i] == calls, i
+    assert len({r.iterations for r in stacked}) >= 5
+    assert len(taken) >= 3 and all(len(a) > len(b) for a, b in zip(taken, taken[1:]))
+
+
 @pytest.mark.parametrize("k", [2, 3, 5])
 @pytest.mark.parametrize("memory", [3, 5])
 @pytest.mark.parametrize("max_iter", [7, fixedpoint.DEFAULT_MAX_ITER])

@@ -382,3 +382,23 @@ def test_every_rate_evaluation_calls_spectral_efficiency_once(monkeypatch):
         calls.clear()
         assert np.array_equal(case(), values)
         assert calls == [scenario.rb_bandwidth]
+
+
+def test_take_of_a_take_evaluates_as_a_fresh_stack():
+    """``ProblemStack.take`` slices the parent stack's member-major arrays; a
+    take of a take evaluates ``ipsd``, ``g1``, ``g2``, ``qos`` and ``expand``
+    exactly as a stack built afresh from the same members."""
+    scenario, _, _ = random_problem(71, n_ue=5, n_bs=3)
+    rng = np.random.default_rng(71)
+    assocs = [Association(b_ul=rng.integers(0, 3, 5), b_dl=rng.integers(0, 3, 5), n_bs=3)
+              for _ in range(6)]
+    problems, rows = Problem.batch([(scenario, a) for a in assocs])
+    taken = ProblemStack(problems, rows).take(np.array([0, 2, 3, 5])).take(np.array([1, 3]))
+    fresh = ProblemStack([problems[2], problems[5]], rows[[2, 5]])
+    w, x = rng.uniform(0.01, 0.3, 20), rng.uniform(1e-4, 1e-2, 20)
+    p_bar = rng.uniform(1e-4, 1e-2, (2, 8))
+    assert taken.problems == fresh.problems and taken.size == fresh.size == 2
+    for a, b in ((taken.ipsd(x), fresh.ipsd(x)), (taken.g1(w), fresh.g1(w)),
+                 (taken.g2(x), fresh.g2(x)), (taken.qos(w, x), fresh.qos(w, x)),
+                 (taken.expand(p_bar), fresh.expand(p_bar))):
+        assert a.tobytes() == b.tobytes()

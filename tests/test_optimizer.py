@@ -241,7 +241,7 @@ def _both_tight_after_s1_theta(scenario, assoc):
     """Budget scale at which the cell-specific S1 fixed point has
     ``g1 = g2 = 1``, so the solve ends in S1."""
     problem = Problem.from_scenario(scenario, assoc)
-    p0 = expand_psd_ref(initial_power_state(problem, "cell_specific"), assoc)
+    p0 = expand_psd_ref(initial_power_state(problem.stack, "cell_specific")[0], assoc)
     w = step1_update_bandwidth(problem, p0, CELL_OPTS).w
     return g2(w, p0, problem) / g1(w, problem)
 
@@ -261,7 +261,7 @@ def test_step3_cell_specific_from_the_per_transmitter_state():
     sol = optimize(scenario, None, CELL_OPTS, assoc=assoc)
     # init, S1 and S3 boundary rows only: S3 started from the initial state
     assert sol.step == "s3" and len(sol.trace.rows) == 3
-    s3 = step3_update_power(problem, sol.w, initial_power_state(problem, "cell_specific"),
+    s3 = step3_update_power(problem, sol.w, initial_power_state(problem.stack, "cell_specific")[0],
                             CELL_OPTS)
     assert s3.lam == sol.lam_solver
     assert np.array_equal(s3.p, sol.p)
