@@ -80,7 +80,6 @@ def associate_all(policies, scenario: Scenario) -> list[Association]:
     """
     rs = rsrp(scenario)
     b_dl = np.argmax(rs, axis=0)
-    b_dl.setflags(write=False)  # read-only once: every Association shares it uncopied
     pico = np.array([bs.kind == PICO for bs in scenario.bs_list])
     offsets = np.array([[pol.offset_db] for pol in policies if pol.kind == DEUD_O])
     b_ul_o = iter(np.argmax(rs + np.where(pico, offsets, 0.0)[:, :, None], axis=1)
@@ -88,11 +87,10 @@ def associate_all(policies, scenario: Scenario) -> list[Association]:
     # DEUD_P: the best uplink channel, i.e. the least attenuation
     maps = [b_dl if pol.kind == COUD else next(b_ul_o) if pol.kind == DEUD_O
             else np.argmax(scenario.h0, axis=0) for pol in policies]
-    shared = {}  # uplink map -> its Association
-    for m in maps:
-        if m.tobytes() not in shared:
-            shared[m.tobytes()] = Association(b_ul=m, b_dl=b_dl, n_bs=scenario.n_bs)
-    return [shared[m.tobytes()] for m in maps]
+    distinct = {m.tobytes(): m for m in maps}  # equal maps once, checked as one batch
+    built = dict(zip(distinct, Association.batch(
+        np.array([*distinct.values()]).reshape(len(distinct), scenario.n_ue), b_dl, scenario.n_bs)))
+    return [built[m.tobytes()] for m in maps]
 
 
 def associate(policy: Policy, scenario: Scenario) -> Association:

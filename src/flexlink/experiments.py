@@ -32,8 +32,9 @@ DEFAULT_HISTORY_DL = 0.75
 MC_OPTS = SolveOptions(trace_mode="boundary")
 
 # Bytes of stacked couplings in one batch (a sweep's or a chunk's), and a chunk's
-# size with a trial's 29 partial-overlap arms counted as distinct: 5 study trials.
+# size with a trial's couplings counted as ``TRIAL_COUPLINGS``: 10 study trials.
 CHUNK_COUPLING_BYTES = 2 << 20
+TRIAL_COUPLINGS = 16  # a study trial's 13.1 distinct partial-overlap (of 29) and 3 full-overlap
 
 # The study's reference policies, keyed as a trial records them.
 REFERENCES = {"coud": Policy(COUD), "deud_p": Policy(DEUD_P)}
@@ -85,10 +86,9 @@ def _solve_cases(cases, opts: SolveOptions, overlap=None, problems=False) -> lis
 
 
 def trials_per_chunk(config: ScenarioConfig) -> int:
-    """The trials of ``config`` that fit ``CHUNK_COUPLING_BYTES``, at least one."""
-    arms = len(policy_sweep()) + len(REFERENCES)  # at most a trial's distinct couplings
+    """The trials of ``config`` whose ``TRIAL_COUPLINGS`` fit ``CHUNK_COUPLING_BYTES`` (>= 1)."""
     side = config.macro_rows * config.macro_cols + config.n_pico + config.n_ue
-    return max(1, CHUNK_COUPLING_BYTES // (arms * side * side * 8))
+    return max(1, CHUNK_COUPLING_BYTES // (TRIAL_COUPLINGS * side * side * 8))
 
 
 def run_trial(config: ScenarioConfig, seed: int) -> dict:
@@ -220,10 +220,11 @@ def run_theta_sweep(scenario: Scenario, policy: Policy, thetas,
         noise_psd = float(dbm_to_watt(noise_dbm))
         check_band(scenario.rb_bandwidth, noise_psd)  # a scenario's checks of the floor
         base = dataclasses.replace(coupled, noise_psd=noise_psd)
-        ref = solve_problems([dataclasses.replace(base, p_ext_max=base.p_ext_max * opts.theta)],
-                             opts)[0]
-        for theta in thetas:
-            problem = dataclasses.replace(base, p_ext_max=base.p_ext_max * theta)
+        with np.errstate(over="ignore"):  # a budget past the largest float is refused, not warned
+            ref, *problems = [dataclasses.replace(base, p_ext_max=base.p_ext_max * theta)
+                              for theta in (opts.theta, *thetas)]
+        ref = solve_problems([ref], opts)[0]
+        for theta, problem in zip(thetas, problems):
             step = step3_update_power(problem, ref.w, x0, opts)
             rows.append({"noise_dbm": float(noise_dbm), "theta": float(theta),
                          "lam": step.lam, "converged": step.fixed_point.converged})

@@ -33,13 +33,26 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import DomainError, ModelError
-from .model import Association, Scenario, _readonly, build_couplings
+from .model import Association, Scenario, _built, _readonly, build_couplings
 
 LN2 = float(np.log(2.0))
 
 # Positivity floor for the downlink entry of cells serving no downlinks: the
 # SIF codomain must stay strictly positive, but such entries never constrain.
 EPS_NO_DL = 1e-15
+
+
+def _vetted(d_diag, noise_psd, p_ext_max):
+    """Read-only ``p_ext_max`` after one test each: gains ``d_diag`` (frozen), noise, budgets."""
+    d_diag.setflags(write=False)
+    p_ext_max = _readonly(p_ext_max)
+    if not (d_diag > 0).all():
+        raise ModelError("direct link gains must be strictly positive")
+    if not np.all(noise_psd > 0):
+        raise ModelError("noise PSD must be strictly positive")
+    if not ((p_ext_max > 0) & (p_ext_max < np.inf)).all():
+        raise DomainError("power budgets must be strictly positive and finite")
+    return p_ext_max
 
 
 @dataclass(frozen=True)
@@ -75,15 +88,8 @@ class Problem:
 
     def __post_init__(self):
         self.rows.setflags(write=False)
-        self.d_diag.setflags(write=False)
         object.__setattr__(self, "demands", _readonly(self.demands))
-        object.__setattr__(self, "p_ext_max", _readonly(self.p_ext_max))
-        if not (self.d_diag > 0).all():
-            raise ModelError("direct link gains must be strictly positive")
-        if not self.noise_psd > 0:
-            raise ModelError("noise PSD must be strictly positive")
-        if not ((self.p_ext_max > 0) & (self.p_ext_max < np.inf)).all():
-            raise DomainError("power budgets must be strictly positive")
+        object.__setattr__(self, "p_ext_max", _vetted(self.d_diag, self.noise_psd, self.p_ext_max))
 
     @classmethod
     def from_scenario(cls, scenario: Scenario, assoc: Association,
@@ -97,20 +103,22 @@ class Problem:
     def batch(cls, cases, overlap=None, theta: float = 1.0):
         """``(problems, rows)``: the problem of each ``(scenario, assoc)`` of
         ``cases`` and the stacked couplings they view (``build_couplings``);
-        a venue's problems share its demands and one budget array."""
+        a venue's problems share its demands and one budget array, checked once."""
         if not 0 < theta < np.inf:
             raise DomainError("theta must be positive")
         rows = build_couplings(cases, overlap)
         rows.setflags(write=False)  # and so every problem's view of it
-        venues = {id(scenario): scenario for scenario, _ in cases}
-        budgets = {key: _readonly(np.concatenate([sc.ue_max_powers(), sc.bs_max_powers()]) * theta)
-                   for key, sc in venues.items()}
+        venues = list({id(scenario): scenario for scenario, _ in cases}.values())
         ue = np.tile(np.arange(cases[0][1].n_ue), 2)
-        problems = [cls(rows=coupling, d_diag=scenario.h0[assoc.serving, ue],
-                        noise_psd=scenario.noise_psd, assoc=assoc, demands=scenario.demands,
-                        p_ext_max=budgets[id(scenario)], rb_count=scenario.rb_count,
-                        rb_bandwidth=scenario.rb_bandwidth)
-                    for (scenario, assoc), coupling in zip(cases, rows)]
+        d_diag = np.array([scenario.h0[assoc.serving, ue] for scenario, assoc in cases])
+        noise, budgets = np.array([v.noise_psd for v in venues]), np.array(
+            [np.concatenate([v.ue_max_powers(), v.bs_max_powers()]) for v in venues])
+        with np.errstate(over="ignore"):  # a budget past the largest float is refused, not warned
+            budgets = dict(zip(map(id, venues), _vetted(d_diag, noise, budgets * theta)))
+        problems = [_built(cls, rows=coupling, d_diag=d, noise_psd=scenario.noise_psd, assoc=assoc,
+                           demands=scenario.demands, p_ext_max=budgets[id(scenario)],
+                           rb_count=scenario.rb_count, rb_bandwidth=scenario.rb_bandwidth)
+                    for (scenario, assoc), coupling, d in zip(cases, rows, d_diag)]
         return problems, rows
 
     @property
@@ -155,9 +163,8 @@ class ProblemStack:
         # member-major parts (a batch of one's vectors): index vectors (not offset) and values
         part = ((lambda name: attrgetter(name)(first)) if rows is None
                 else (lambda name: np.array(list(map(attrgetter(name), problems)))))
-        parts = {name.split(".")[-1]: part(name) for name in (
-            "assoc.tx", "assoc.rx", "assoc.serving", "assoc.b_dl", "d_diag", "demands")}
-        parts["p_ext_max"] = np.array([pr.p_ext_max for pr in problems])
+        parts = {name.split(".")[-1]: part(name) for name in ("assoc.tx", "assoc.rx",
+                 "assoc.serving", "assoc.b_dl", "d_diag", "demands", "p_ext_max")}
         # weak: a problem caches its own stack, which must not keep it alive
         self._build(tuple(map(weakref.ref, problems)), first.rows if rows is None else rows, parts)
 

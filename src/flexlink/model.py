@@ -56,6 +56,12 @@ def _readonly(a, dtype=float):
     return out
 
 
+def _built(cls, **fields):
+    """A ``cls`` holding ``fields`` as they are: a batch member, checked with its batch."""
+    vars(obj := object.__new__(cls)).update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class BaseStation:
     """A transmitter/receiver site. ``max_power_w`` is the total DL budget
@@ -201,35 +207,38 @@ class Association:
     tx: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        what = _breach(self.n_bs, integer=True)
-        if what or self.n_bs < 1:
-            raise ModelError(f"n_bs must be {what or 'an integer'} >= 1, got {self.n_bs!r}")
-        for name in ("b_ul", "b_dl"):
-            b = np.asarray(getattr(self, name))
+        vars(self).update(vars(self.batch(np.asarray(self.b_ul)[None], self.b_dl, self.n_bs)[0]))
+
+    @classmethod
+    def batch(cls, b_ul, b_dl, n_bs) -> list:
+        """One association per row of the (M, K) uplink maps ``b_ul``, checked at once: each views
+        its row of one ``b_ul``, ``serving``, ``rx`` and ``tx``.  ``Association(...)`` is M = 1."""
+        what = _breach(n_bs, integer=True)
+        if what or n_bs < 1:
+            raise ModelError(f"n_bs must be {what or 'an integer'} >= 1, got {n_bs!r}")
+        maps = [np.asarray(b) for b in (b_ul, b_dl)]
+        for name, b in zip(("b_ul", "b_dl"), maps):
             # checked before the cast, which would truncate 1.7 and warn on NaN
-            if b.dtype.kind == "f" and not np.all((b == np.floor(b)) & (b >= 0) & (b < self.n_bs)):
-                raise ModelError(f"{name} must hold integer BS indices in [0, {self.n_bs})")
-            object.__setattr__(self, name, _readonly(b, dtype=int))
-        if self.b_ul.ndim != 1 or self.b_ul.shape != self.b_dl.shape:
+            whole = b == np.floor(b) if b.dtype.kind == "f" else True
+            if not np.all(whole & (b >= 0) & (b < n_bs)):
+                raise ModelError(f"{name} must hold integer BS indices in [0, {n_bs})")
+        b_ul, b_dl = (_readonly(b, dtype=int) for b in maps)
+        if b_ul.ndim != 2 or b_ul.shape[1:] != b_dl.shape:
             raise ModelError("b_ul and b_dl must be 1-d and equally sized")
-        for b in (self.b_ul, self.b_dl):
-            if (b < 0).any() or (b >= self.n_bs).any():
-                raise ModelError("serving BS index out of range")
-        ue = np.arange(self.n_ue)
-        for name, links in (("serving", (self.b_ul, self.b_dl)),  # every link, uplink first
-                            ("rx", (self.b_ul, self.n_bs + ue)),
-                            ("tx", (ue, self.n_ue + self.b_dl))):
-            object.__setattr__(self, name, np.concatenate(links, dtype=int))
-            getattr(self, name).setflags(write=False)  # in place: no caller holds it
+        ue, k = np.arange(b_dl.size), b_dl.size
+        links = np.empty((3, len(b_ul), 2 * k), int)  # serving, rx, tx: every link, uplink first
+        links[:2, :, :k], links[0, :, k:], links[1, :, k:] = b_ul, b_dl, n_bs + ue
+        links[2] = np.concatenate([ue, k + b_dl])
+        links.setflags(write=False)  # in place: no caller holds it
+        return [_built(cls, b_ul=u, b_dl=b_dl, n_bs=n_bs, serving=s, rx=r, tx=t)
+                for u, s, r, t in zip(b_ul, *links)]
 
     @property
     def n_ue(self) -> int:
         return self.b_ul.shape[0]
 
     def _onehot(self, b) -> np.ndarray:
-        m = np.zeros((self.n_bs, self.n_ue))
-        m[b, np.arange(self.n_ue)] = 1.0
-        return m
+        return np.eye(self.n_bs)[:, b]
 
     @property
     def a_ul(self) -> np.ndarray:
@@ -246,16 +255,11 @@ class Association:
     @property
     def a_ext(self) -> np.ndarray:
         k, n = self.n_ue, self.n_bs
-        top = np.hstack([np.eye(k), np.zeros((k, k))])
-        bot = np.hstack([np.zeros((n, k)), self.a_dl])
-        return np.vstack([top, bot])
+        return np.block([[np.eye(k), np.zeros((k, k))], [np.zeros((n, k)), self.a_dl]])
 
     @property
     def lambda_map(self) -> np.ndarray:
-        k, n = self.n_ue, self.n_bs
-        top = np.hstack([np.eye(k), np.zeros((k, n))])
-        bot = np.hstack([np.zeros((k, k)), self.a_dl.T])
-        return np.vstack([top, bot])
+        return self.a_ext.T
 
 
 @dataclass(frozen=True)

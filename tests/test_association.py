@@ -16,6 +16,7 @@ from flexlink.association import (
 )
 from flexlink.errors import ConfigError
 from flexlink.experiments import STUDY_CONFIG
+from flexlink.model import Association
 from flexlink.scenario import ScenarioConfig, generate
 from flexlink.units import dbm_to_watt
 
@@ -150,13 +151,36 @@ def test_associate_all_equals_one_policy_at_a_time(config, seed):
 
 
 def test_associations_of_a_venue_share_one_downlink_map():
-    """``associate_all`` freezes the venue's downlink map once, so no
-    ``Association`` copies it: every distinct one holds the same array."""
+    """``associate_all`` checks and freezes the venue's downlink map once, so
+    no ``Association`` copies it: every distinct one holds the same array."""
     batch = associate_all(policy_sweep() + [Policy("coud"), Policy("deud_p")],
                           generate(STUDY_CONFIG, 1))
     assert len({id(a) for a in batch}) > 1
     assert all(a.b_dl is batch[0].b_dl for a in batch)
     assert not batch[0].b_dl.flags.writeable
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_associations_of_a_venue_view_one_array(seed):
+    """The distinct uplink maps of one ``associate_all`` are read-only rows of
+    one array, and so are their ``serving``, ``rx`` and ``tx`` links.  Each
+    equals its ``Association`` built alone."""
+    sc = generate(STUDY_CONFIG, seed)
+    batch = associate_all(policy_sweep() + [Policy("coud"), Policy("deud_p")], sc)
+    distinct = list({id(a): a for a in batch}.values())
+    assert len(distinct) > 2
+    for name in ("b_ul", "serving", "rx", "tx"):
+        stacked = getattr(distinct[0], name).base  # the array every association's row views
+        assert stacked is not None and not stacked.flags.writeable, name
+        for a in distinct:
+            view = getattr(a, name)
+            assert view.base is stacked and np.shares_memory(view, stacked), name
+            assert not view.flags.writeable, name
+    for a in distinct:
+        alone = Association(b_ul=a.b_ul.tolist(), b_dl=a.b_dl.tolist(), n_bs=sc.n_bs)
+        for name in ("b_ul", "b_dl", "serving", "rx", "tx"):
+            assert np.array_equal(getattr(alone, name), getattr(a, name)), name
+            assert getattr(alone, name).dtype == getattr(a, name).dtype, name
 
 
 def test_policy_sweep_contents():

@@ -752,6 +752,14 @@ def test_theta_sweep_non_positive_theta_is_one_line_error(bad_flag, theta):
     assert bad_flag(["theta-sweep", "--theta", theta]) == ("error: theta must be positive", [])
 
 
+@pytest.mark.parametrize("command", ["solve", "theta-sweep"])
+def test_overflowing_budget_scale_is_one_line_error(bad_flag, command):
+    """A finite ``--theta`` that scales a budget past the largest float: no
+    overflow warning before the line (pytest turns it into an error)."""
+    assert bad_flag([command, "--theta", "1e308"]) == (
+        "error: power budgets must be strictly positive and finite", [])
+
+
 @pytest.mark.parametrize("noise, breach", [("nan", "positive"), ("-1e400", "positive"),
                                            ("1e400", "finite")])
 def test_theta_sweep_nan_noise_is_one_line_error(bad_flag, noise, breach):

@@ -129,12 +129,12 @@ def test_chunk_sizing():
 
 
 def test_study_does_not_depend_on_chunking():
-    """Seven trials: a full chunk and a ragged one, each trial equal to one
+    """A full chunk and a ragged one of two trials, each trial equal to one
     solve per policy."""
-    study = experiments.run_policy_study(experiments.STUDY_CONFIG, trials=7, seed_base=20)
-    assert experiments.trials_per_chunk(experiments.STUDY_CONFIG) < 7
+    trials = experiments.trials_per_chunk(experiments.STUDY_CONFIG) + 2
+    study = experiments.run_policy_study(experiments.STUDY_CONFIG, trials=trials, seed_base=20)
     assert study["trials"] == [run_trial_loop(experiments.STUDY_CONFIG, seed)
-                               for seed in range(20, 27)]
+                               for seed in range(20, 20 + trials)]
 
 
 def test_solve_policies_relabels_repeats(monkeypatch):
@@ -242,9 +242,10 @@ def test_theta_sweep_rows_cover_grid():
 
 def test_workers_do_not_change_results(monkeypatch):
     a = experiments.run_policy_study(TINY, trials=5, seed_base=5, workers=1)
-    # chunks of two trials of 29 arms of 9 x 9 couplings: the pool maps three
-    # chunks, the last one ragged
-    monkeypatch.setattr(experiments, "CHUNK_COUPLING_BYTES", 2 * 29 * 9 * 9 * 8)
+    # chunks of two trials of TRIAL_COUPLINGS 9 x 9 couplings: the pool maps
+    # three chunks, the last one ragged
+    monkeypatch.setattr(experiments, "CHUNK_COUPLING_BYTES",
+                        2 * experiments.TRIAL_COUPLINGS * 9 * 9 * 8)
     assert experiments.trials_per_chunk(TINY) == 2
     b = experiments.run_policy_study(TINY, trials=5, seed_base=5, workers=2)
     assert a["trials"] == b["trials"]
@@ -270,11 +271,11 @@ def test_pool_starts_at_most_one_worker_per_chunk(monkeypatch):
             return map(fn, *iterables)
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
-    assert experiments.trials_per_chunk(experiments.STUDY_CONFIG) == 5
-    two = experiments.run_policy_study(experiments.STUDY_CONFIG, trials=7, seed_base=20,
+    size = experiments.trials_per_chunk(experiments.STUDY_CONFIG)
+    two = experiments.run_policy_study(experiments.STUDY_CONFIG, trials=size + 2, seed_base=20,
                                        workers=64)
     assert pools == [2]
-    one = experiments.run_policy_study(experiments.STUDY_CONFIG, trials=3, seed_base=20,
+    one = experiments.run_policy_study(experiments.STUDY_CONFIG, trials=size, seed_base=20,
                                        workers=2)
     assert pools == [2]
-    assert one["trials"] == two["trials"][:3]
+    assert one["trials"] == two["trials"][:size]
