@@ -21,7 +21,7 @@ from .interference import Problem
 from .model import Scenario, check_band
 from .optimizer import (Solution, SolveOptions, initial_power_state, optimize,
                         solve_problems, step3_update_power)
-from .pf_baseline import DEFAULT_PF_SPLIT, pf_allocate
+from .pf_baseline import DEFAULT_PF_SPLIT, pf_allocate, pf_allocate_all
 from .scenario import ScenarioConfig, generate, uniform_overlap
 from .units import dbm_to_watt
 
@@ -111,11 +111,11 @@ def run_trials(config: ScenarioConfig, seeds) -> list[dict]:
              for s in solved]
     fulls = _solve_cases([(sc, [a[label] for label in (*REFERENCES, best)]) for sc, a, best
                           in zip(scenarios, assocs, bests)], MC_OPTS, problems=True)
+    # the full-overlap references at theta 1 are the problems of their PF baselines: one batch
+    pfs = iter(pf_allocate_all([pr for full in fulls for _, pr in full[:len(REFERENCES)]]))
     results = []
     for seed, s, best, full in zip(seeds, solved, bests, fulls):
-        # the full-overlap references at theta 1 are the problems of their PF baselines
-        pf = {label: pf_allocate(problem, split=DEFAULT_PF_SPLIT)
-              for label, (_, problem) in zip(REFERENCES, full)}
+        pf = dict(zip(REFERENCES, pfs))  # the trial's next ``REFERENCES`` of the batch
         partial = {off: {"lam": sol.lam, "lam_ul": sol.lam_ul, "lam_dl": sol.lam_dl,
                          "step": sol.step, "converged": sol.converged}
                    for off, sol in s.items() if off not in REFERENCES}

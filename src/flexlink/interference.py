@@ -160,28 +160,31 @@ class ProblemStack:
             raise ModelError("stacked problems must share the noise PSD and the band")
         if rows is None and len(problems) > 1:
             raise ModelError("a stack of several problems needs their stacked couplings")
-        # member-major parts (a batch of one's vectors): index vectors (not offset) and values
+        # member-major parts (a batch of one's vectors), the index vectors offset by member
         part = ((lambda name: attrgetter(name)(first)) if rows is None
                 else (lambda name: np.array(list(map(attrgetter(name), problems)))))
         parts = {name.split(".")[-1]: part(name) for name in ("assoc.tx", "assoc.rx",
                  "assoc.serving", "assoc.b_dl", "d_diag", "demands", "p_ext_max")}
         # weak: a problem caches its own stack, which must not keep it alive
-        self._build(tuple(map(weakref.ref, problems)), first.rows if rows is None else rows, parts)
+        self._build(tuple(map(weakref.ref, problems)), first.rows if rows is None else rows, parts,
+                    None if rows is None else np.arange(len(problems)))
 
-    def _build(self, refs, rows, parts):
+    def _build(self, refs, rows, parts, moves):
+        """``moves``: by how many members each member's index vectors shift (one's: None)."""
         self._problems, self.rows, self._parts, first = refs, rows, parts, refs[0]()
         self.solo = solo = rows.ndim == 2  # a batch of one maps vectors by the 2-D product
         (n_rx, n_tx), b, self.k, self.n_bs = (rows.shape[-2:], len(refs), first.assoc.n_ue,
                                               first.assoc.n_bs)
         n_bs, noise, self.size = self.n_bs, first.noise_psd, b
-        # each member's first receiver row, transmitter and cell in the flat vectors
-        rx0, tx0, cell0 = (np.arange(0, b * size, size) for size in (n_rx, n_tx, n_bs))
-        flat = ((lambda name, offset: parts[name]) if solo else
-                (lambda name, offset: (parts[name] + offset[:, None]).ravel()))
-        tx, rx, serving, self.b_dl = (flat(name, offset) for name, offset in (
-            ("tx", tx0), ("rx", rx0), ("serving", cell0), ("b_dl", cell0)))
-        self.d_diag, self.demands = (parts[name].ravel() for name in ("d_diag", "demands"))
-        p_ext_max = parts["p_ext_max"].ravel()
+        names = ("tx", "rx", "serving", "b_dl")
+        if moves is not None:  # in place: the parts are this stack's own
+            shifts = np.multiply.outer(moves, (n_tx, n_rx, n_bs, n_bs))
+            for column, name in enumerate(names):
+                parts[name] += shifts[:, column, None]
+        # each member's first transmitter and cell in the flat vectors
+        tx0, cell0 = (np.arange(0, b * size, size) for size in (n_tx, n_bs))
+        tx, rx, serving, self.b_dl, self.d_diag, self.demands, p_ext_max = (
+            parts[name].ravel() for name in (*names, "d_diag", "demands", "p_ext_max"))
         rb_count = self.rb_count = first.rb_count
         rb_bandwidth = self.rb_bandwidth = first.rb_bandwidth
         product = rows.__matmul__ if solo else (
@@ -198,10 +201,12 @@ class ProblemStack:
         self.g2 = lambda x: largest(uses(x), tx0) * rb_count
 
     def take(self, members) -> "ProblemStack":
-        """The members at the indices ``members``: rows of the member-major parts and couplings."""
-        sub = object.__new__(ProblemStack)
-        sub._build(tuple(self._problems[b] for b in members), self.rows[members],
-                   {name: part[members] for name, part in self._parts.items()})
+        """The members at the indices ``members``: rows of the member-major parts and couplings,
+        each index vector moved from its old member's offset to its new one."""
+        sub, members = object.__new__(ProblemStack), np.asarray(members)
+        sub._build(tuple(self._problems[b] for b in members), self.rows.take(members, 0),
+                   {name: part.take(members, 0) for name, part in self._parts.items()},
+                   np.arange(members.size) - members)
         return sub
 
     @property

@@ -15,7 +15,8 @@ from ``normalized_fixed_point``'s docstring, to pin its iterates bit for bit.
 ``linear_reformulation_check`` recovers the power-update utility through the
 O((2K)^3) linear-in-power route; ``run_trial_loop`` is the Monte Carlo trial
 with one ``optimize`` per policy; ``pf_allocate_ref`` is ``pf_allocate`` as
-it read when it built its own problem; ``pf_greedy_ref`` is the PF baseline's
+it read when it built its own problem, on the split-band problem of
+``_split_band`` and its rates ``_pf_rates``; ``pf_greedy_ref`` is the PF baseline's
 greedy hand-out as the per-RB loop that ``pf_allocate``'s one sort replaced;
 ``generate_ref`` draws a venue as ``generate`` did before it built each dense
 array once in place (``np.linalg.norm`` distances, averaged pathloss
@@ -32,11 +33,12 @@ from flexlink.association import COUD, DEUD_O, DEUD_P, Policy, associate, policy
 from flexlink.errors import DomainError, ModelError
 from flexlink.experiments import DEFAULT_HISTORY_DL, DEFAULT_HISTORY_UL, MC_OPTS
 from flexlink.fixedpoint import ANDERSON_SLACK, DEFAULT_MAX_ITER, DEFAULT_TOL, FixedPointResult
-from flexlink.interference import EPS_NO_DL, LN2, Problem, g1, g2, interference_psd, utility
+from flexlink.interference import (EPS_NO_DL, LN2, Problem, g1, g2, interference_psd,
+                                   spectral_efficiency, utility)
 from flexlink.model import (MACRO, OVERLAP_PAIRWISE, PICO, BaseStation, Scenario, UserTerminal,
                             pairwise_overlap_factors)
 from flexlink.optimizer import W_FLOOR, initial_psd, optimize
-from flexlink.pf_baseline import DEFAULT_PF_SPLIT, EPS_PF, PfAllocation, _pf_rates, _split_band
+from flexlink.pf_baseline import DEFAULT_PF_SPLIT, EPS_PF, PfAllocation
 from flexlink.scenario import (FS_1M_DB, SERVICE_CLASSES_DL_MBPS, SERVICE_CLASSES_UL_MBPS,
                                SITE_EXPONENT, generate, macro_ue_pathloss_db,
                                pico_ue_pathloss_db, uniform_overlap)
@@ -633,6 +635,28 @@ def run_trial_loop(config, seed) -> dict:
 
     return {"seed": seed, "partial": partial, "best_offset": best_offset,
             "references": references, "full": full, "pf": pf}
+
+
+def _split_band(problem: Problem) -> Problem:
+    """The problem under disjoint UL and DL sub-bands: no cross-direction
+    coupling, since uplinks and downlinks never share an RB."""
+    k, n = problem.assoc.n_ue, problem.assoc.n_bs
+    rows = np.array(problem.rows)
+    rows[:n, k:] = 0.0
+    rows[n:, :k] = 0.0
+    return replace(problem, rows=rows)
+
+
+def _pf_rates(problem: Problem, p, counts, split):
+    """Per-RB rates on the split-band problem.
+
+    A same-direction interferer occupies its RBs within its direction's
+    sub-band, so the collision probability is ``count / direction_band``.
+    """
+    k = problem.assoc.n_ue
+    band = np.concatenate([np.full(k, split[0]), np.full(k, split[1])]).astype(float)
+    sinr = p / interference_psd(p, counts / band, problem)
+    return spectral_efficiency(sinr, problem.rb_bandwidth)
 
 
 def pf_allocate_ref(scenario, assoc, split=DEFAULT_PF_SPLIT) -> PfAllocation:

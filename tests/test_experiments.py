@@ -100,6 +100,35 @@ def test_chunk_solves_each_arm_as_one_batch(monkeypatch):
     assert [[pr.rows.tobytes() for pr in batch] for batch in calls] == expected
 
 
+def test_chunk_runs_its_pf_baselines_as_one_batch(monkeypatch):
+    """A chunk's PF baselines are one ``pf_allocate_all`` call over its trials'
+    full-overlap references, and no ``Problem`` is built through
+    ``Problem.__post_init__`` (``dataclasses.replace``) on the way."""
+    batches, post_inits = [], []
+    real_batch, real_post_init = experiments.pf_allocate_all, Problem.__post_init__
+
+    def batched(problems, *args):
+        batches.append(list(problems))
+        return real_batch(problems, *args)
+
+    def post_init(problem):
+        post_inits.append(problem)
+        real_post_init(problem)
+
+    monkeypatch.setattr(experiments, "pf_allocate_all", batched)
+    monkeypatch.setattr(Problem, "__post_init__", post_init)
+    seeds = range(40, 40 + experiments.trials_per_chunk(experiments.STUDY_CONFIG))
+    res = experiments.run_trials(experiments.STUDY_CONFIG, seeds)
+    assert [len(batch) for batch in batches] == [2 * len(seeds)] and post_inits == []
+    maps = lambda assocs: [(a.b_ul.tolist(), a.b_dl.tolist()) for a in assocs]
+    for trial, pair in zip(res, zip(*[iter(batches[0])] * 2)):  # each trial's references
+        scenario = generate(experiments.STUDY_CONFIG, trial["seed"])
+        assert maps(pr.assoc for pr in pair) == \
+            maps(associate_all(list(experiments.REFERENCES.values()), scenario))
+    dataclasses.replace(batches[0][0])  # the counter sees a derived problem
+    assert len(post_inits) == 1
+
+
 @pytest.mark.parametrize("members", [1, 2])
 def test_batches_hold_at_most_the_coupling_cap(monkeypatch, members):
     """Every batch holds at most ``CHUNK_COUPLING_BYTES`` of stacked couplings:

@@ -10,13 +10,19 @@ from flexlink.experiments import (DEFAULT_HISTORY_DL, DEFAULT_HISTORY_UL, MC_OPT
 from flexlink.interference import Problem, qos_levels
 from flexlink.model import Association
 from flexlink.optimizer import optimize
-from flexlink.pf_baseline import EPS_PF, _pf_rates, _split_band, pf_allocate
+from flexlink.pf_baseline import EPS_PF, pf_allocate, pf_allocate_all
 from flexlink.scenario import ScenarioConfig, generate, uniform_overlap
 
 from .helpers import make_scenario, random_problem, random_scenario, two_cell_scenario, coud_assoc
-from .oracles import dense_coupling, pf_allocate_ref, pf_greedy_ref
+from .oracles import _pf_rates, _split_band, dense_coupling, pf_allocate_ref, pf_greedy_ref
 
 SPLITS = ((9, 16), (1, 24), (24, 1), (12, 13))
+
+
+def digest(alloc):
+    """Every field of a ``PfAllocation``, bytes and dtypes of its arrays."""
+    return (alloc.w.tobytes(), alloc.p.tobytes(), alloc.rb_counts.dtype,
+            alloc.rb_counts.tobytes(), alloc.lam_ul, alloc.lam_dl, alloc.qos.tobytes())
 
 
 def test_single_link_per_direction_gets_whole_split():
@@ -115,14 +121,34 @@ def test_split_band_rates_match_dense_reference(seed):
     assert np.allclose(_pf_rates(problem, p, counts, split), expected, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("split", SPLITS[:3])
+def test_batch_equals_each_problem_alone(split):
+    """``pf_allocate_all`` of a batch that mixes two venues, one problem with an
+    overlap and a budget scale, and one problem twice gives each member bit for
+    bit what ``pf_allocate`` gives it alone and what ``pf_allocate_ref`` gives."""
+    cases = [(generate(STUDY_CONFIG, seed), Policy.parse(policy))
+             for seed in (0, 1) for policy in ("coud", "deud-p", "deud-o:7")]
+    cases = [(scenario, associate(policy, scenario)) for scenario, policy in cases]
+    problems = Problem.batch(cases)[0]
+    overlap = uniform_overlap(cases[4][0].n_bs, DEFAULT_HISTORY_UL, DEFAULT_HISTORY_DL)
+    problems[4] = Problem.from_scenario(*cases[4], overlap, theta=0.3)
+    batch = pf_allocate_all([*problems, problems[2]], split)
+    assert len(batch) == len(problems) + 1
+    for alloc, problem, case in zip(batch, [*problems, problems[2]], [*cases, cases[2]]):
+        assert digest(alloc) == digest(pf_allocate(problem, split)) == \
+            digest(pf_allocate_ref(*case, split))
+
+
 def test_bad_split_rejected():
+    """A bad split is one ``ConfigError`` line, for one problem and through a batch."""
     sc = two_cell_scenario()
     problem = Problem.from_scenario(sc, coud_assoc(sc))
-    with pytest.raises(ConfigError):
-        pf_allocate(problem, split=(9, 17))
-    for split in ((-1, 26), (0, 25), (25, 0)):
-        with pytest.raises(ConfigError):
+    for split in ((9, 17), (-1, 26), (0, 25), (25, 0)):
+        with pytest.raises(ConfigError) as alone:
             pf_allocate(problem, split=split)
+        with pytest.raises(ConfigError) as batch:
+            pf_allocate_all([problem, problem], split=split)
+        assert str(batch.value) == str(alone.value) and "\n" not in str(alone.value)
 
 
 def test_deterministic():
@@ -154,8 +180,6 @@ def test_pf_of_a_problem_equals_the_scenario_path(seed):
     references."""
     scenario = generate(STUDY_CONFIG, seed)
     overlap = uniform_overlap(scenario.n_bs, DEFAULT_HISTORY_UL, DEFAULT_HISTORY_DL)
-    digest = lambda a: (a.w.tobytes(), a.p.tobytes(), a.rb_counts.tobytes(), a.lam_ul,
-                        a.lam_dl, a.qos.tobytes())
     for policy in policy_sweep():
         assoc = associate(policy, scenario)
         want = digest(pf_allocate_ref(scenario, assoc))
