@@ -18,7 +18,8 @@ import click
 from . import __version__, experiments, io
 from .association import DEUD_O, SWEEP_OFFSETS_DB, Policy, associate, equivalent
 from .errors import ConfigError, FlexlinkError
-from .optimizer import SolveOptions, minimize_power, optimize
+from .interference import Problem
+from .optimizer import SolveOptions, minimize_power, solve_problems
 from .pf_baseline import DEFAULT_PF_SPLIT
 from .scenario import generate
 
@@ -98,7 +99,8 @@ def cmd_solve(scenario_path, policy_text, cell_specific, theta, overlap,
     opts = SolveOptions(power_mode="cell_specific" if cell_specific else "per_link",
                         theta=theta)
 
-    solution = optimize(scenario, policy, opts, overlap=overlap_model, assoc=assoc)
+    solution = solve_problems([Problem.from_scenario(scenario, assoc, overlap_model, theta)],
+                              opts)[0]
 
     os.makedirs(out_dir, exist_ok=True)
     meta = {"policy": policy.label, "theta": theta, "overlap": overlap,
@@ -252,7 +254,7 @@ def main(argv=None) -> int:
     """Entry point with the documented exit-code contract."""
     try:
         rv = cli.main(args=argv, standalone_mode=False)
-    except FlexlinkError as exc:
+    except (FlexlinkError, OSError) as exc:  # OSError: a file it cannot read or write
         click.echo(f"error: {exc}", err=True)
         return EXIT_USAGE
     except click.ClickException as exc:  # usage errors too: one line, not click's four

@@ -19,8 +19,8 @@ from .association import COUD, DEUD_P, Policy, associate, associate_all, policy_
 from .errors import ConfigError, DomainError
 from .interference import Problem
 from .model import Scenario, check_band
-from .optimizer import (Solution, SolveOptions, initial_power_state, optimize,
-                        solve_problems, step3_update_power)
+from .optimizer import (Solution, SolveOptions, initial_power_state, solve_problems,
+                        step3_update_power)
 from .pf_baseline import DEFAULT_PF_SPLIT, pf_allocate, pf_allocate_all
 from .scenario import ScenarioConfig, generate, uniform_overlap
 from .units import dbm_to_watt
@@ -53,6 +53,8 @@ STUDY_CONFIG = ScenarioConfig(
 # The power-budget study's grid, from interference- to noise-dominant floors.
 THETA_SWEEP_THETAS = tuple(round(0.01 + 0.05 * i, 2) for i in range(21))
 THETA_SWEEP_NOISE_DBM = (-70.0, -80.0, -100.0, -121.45)
+
+CI_Z = 1.96  # the normal quantile of a two-sided 95% confidence interval
 
 
 def solve_policies(scenario: Scenario, policies, opts: SolveOptions,
@@ -147,12 +149,12 @@ def run_policy_study(config: ScenarioConfig, trials: int, seed_base: int,
             "trials": results, "aggregate": aggregate_policy_study(results)}
 
 
-def mean_ci(values, z: float = 1.96):
+def mean_ci(values):
     """Mean and normal-approximation 95% CI halfwidth (``None`` below two values)."""
     arr = np.asarray(values, dtype=float)
     if arr.size < 2:
         return float(arr.mean()) if arr.size else float("nan"), None
-    half = z * arr.std(ddof=1) / np.sqrt(arr.size)
+    half = CI_Z * arr.std(ddof=1) / np.sqrt(arr.size)
     return float(arr.mean()), float(half)
 
 
@@ -236,7 +238,7 @@ def compare_pf(scenario: Scenario, policy: Policy, split=DEFAULT_PF_SPLIT) -> di
     versus the QoS-based PF baseline on one scenario."""
     assoc = associate(policy, scenario)
     overlap = uniform_overlap(scenario.n_bs, DEFAULT_HISTORY_UL, DEFAULT_HISTORY_DL)
-    sol = optimize(scenario, policy, MC_OPTS, overlap=overlap, assoc=assoc)
+    sol = solve_problems([Problem.from_scenario(scenario, assoc, overlap)], MC_OPTS)[0]
     pf = pf_allocate(Problem.from_scenario(scenario, assoc), split=split)
     return {
         "policy": policy.label,

@@ -128,7 +128,7 @@ class Problem:
     @functools.cached_property
     def stack(self) -> "ProblemStack":
         """This problem as a batch of one, built on first use."""
-        return ProblemStack((self,))
+        return ProblemStack((self,), self.rows)
 
 
 class ProblemStack:
@@ -138,10 +138,11 @@ class ProblemStack:
 
     ``rows`` are the couplings stacked ``(B, N+K, K+N)``: the problems may
     view them (:meth:`Problem.batch`), members may share one (a broadcast
-    view).  One ``matmul`` runs every member's matrix-vector product; without
-    ``rows``, ``Problem.stack`` (a batch of one) maps vectors by the plain 2-D
-    product.  Per-link vectors are flat, member after member, and the index
-    vectors are offset by member, so one ``bincount`` sums every member.  A
+    view).  One ``matmul`` runs every member's matrix-vector product; a solo
+    stack, one problem over its own 2-D ``rows`` (``Problem.stack``), maps
+    vectors by the plain 2-D product.  Per-link vectors are flat, member
+    after member, and the index vectors are offset by member, so one
+    ``bincount`` sums every member.  A
     member's values are bit for bit its values alone: BLAS runs one product
     per member, and a bin adds its own entries in order.
 
@@ -149,30 +150,30 @@ class ProblemStack:
     and ``rates(p, w)`` the per-RB rate, :func:`spectral_efficiency` of the
     SINR ``p / ipsd(p w)``.  ``g1`` of the flat ``w`` is each member's
     largest cell load and ``g2`` of the flat ``x`` ``rb_count`` times its
-    largest transmitter use: a ``(B, 1)`` column, or a batch of one's float.
+    largest transmitter use: a ``(B, 1)`` column, or a solo stack's float.
     :meth:`state_maps` turns maps of flat vectors into maps of member states.
     """
 
-    def __init__(self, problems, rows=None):
-        problems = tuple(problems)
+    def __init__(self, problems, rows):
+        problems, solo = tuple(problems), np.ndim(rows) == 2
         first = problems[0]
         if len({(pr.noise_psd, pr.rb_count, pr.rb_bandwidth) for pr in problems}) > 1:
             raise ModelError("stacked problems must share the noise PSD and the band")
-        if rows is None and len(problems) > 1:
+        if len(problems) > 1 and np.ndim(rows) != 3:
             raise ModelError("a stack of several problems needs their stacked couplings")
-        # member-major parts (a batch of one's vectors), the index vectors offset by member
-        part = ((lambda name: attrgetter(name)(first)) if rows is None
+        # member-major parts (a solo stack's vectors), the index vectors offset by member
+        part = ((lambda name: attrgetter(name)(first)) if solo
                 else (lambda name: np.array(list(map(attrgetter(name), problems)))))
         parts = {name.split(".")[-1]: part(name) for name in ("assoc.tx", "assoc.rx",
                  "assoc.serving", "assoc.b_dl", "d_diag", "demands", "p_ext_max")}
         # weak: a problem caches its own stack, which must not keep it alive
-        self._build(tuple(map(weakref.ref, problems)), first.rows if rows is None else rows, parts,
-                    None if rows is None else np.arange(len(problems)))
+        self._build(tuple(map(weakref.ref, problems)), rows, parts,
+                    None if solo else np.arange(len(problems)))
 
     def _build(self, refs, rows, parts, moves):
-        """``moves``: by how many members each member's index vectors shift (one's: None)."""
+        """``moves``: by how many members each member's index vectors shift (solo: None)."""
         self._problems, self.rows, self._parts, first = refs, rows, parts, refs[0]()
-        self.solo = solo = rows.ndim == 2  # a batch of one maps vectors by the 2-D product
+        self.solo = solo = rows.ndim == 2  # maps vectors by the 2-D product
         (n_rx, n_tx), b, self.k, self.n_bs = (rows.shape[-2:], len(refs), first.assoc.n_ue,
                                               first.assoc.n_bs)
         n_bs, noise, self.size = self.n_bs, first.noise_psd, b
@@ -193,7 +194,7 @@ class ProblemStack:
         ipsd = self.ipsd = lambda x: (product(np.bincount(tx, x, b * n_tx))[rx] + noise) / d_diag
         loads = lambda w: np.bincount(serving, w, b * n_bs)
         uses = lambda x: np.bincount(tx, x, b * n_tx) / p_ext_max
-        # a member's largest entry, from each one's first: a (B, 1) column, or one's float
+        # a member's largest entry, from each one's first: a (B, 1) column, or solo a float
         largest = ((lambda flat, offset: float(np.maximum.reduce(flat, None))) if solo else
                    (lambda flat, offset: np.maximum.reduceat(flat, offset)[:, None]))
         self.rates = lambda p, w: spectral_efficiency(p / ipsd(p * w), rb_bandwidth)
@@ -215,7 +216,7 @@ class ProblemStack:
 
     def state_maps(self, f, g):
         """``f`` and ``g`` of flat per-link vectors as maps of member states:
-        a stack's take ``(B, n)`` states, a batch of one's take its vector."""
+        a stack's take ``(B, n)`` states, a solo stack's take its vector."""
         if self.solo:
             return f, g
         return (lambda x: f(x.reshape(-1)).reshape(x.shape)), (lambda x: g(x.reshape(-1)))
@@ -225,7 +226,7 @@ class ProblemStack:
         return self.rb_count * w * self.rates(p, w) / self.demands
 
     def expand(self, p_bar):
-        """Every member's per-link PSD ``Lambda p_bar`` (a batch of one's, of
+        """Every member's per-link PSD ``Lambda p_bar`` (a solo stack's, of
         its vector): uplinks keep their UE's entry, downlinks their cell's."""
         k = self.k
         if p_bar.ndim == 1:
@@ -244,7 +245,7 @@ def _cell_mean(stack: ProblemStack, w_fixed):
     def mean(f):
         dl = floor.copy()
         np.divide(np.bincount(b_dl, w_dl * f[..., k:].reshape(-1), size), nu, out=dl, where=has_dl)
-        if f.ndim == 1:  # a batch of one's vector
+        if f.ndim == 1:  # a solo stack's vector
             return np.concatenate([f[:k], dl])
         return np.concatenate([f[:, :k], dl.reshape(-1, n_bs)], 1)
     return mean

@@ -46,7 +46,7 @@ def read_json(path, what: str = "document") -> dict:
     with open(path) as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # undecodable bytes too
             raise ConfigError(f"{what} is not valid JSON: {exc}") from exc
     return as_object(doc, what)
 

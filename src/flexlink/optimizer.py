@@ -41,7 +41,7 @@ from .fixedpoint import (FixedPointResult, normalized_fixed_point, normalized_fi
                          yates_iteration)
 from .interference import (Problem, ProblemStack, cell_power_maps, f_power, g1, g2,
                            link_power_maps, load_maps, utility)
-from .model import Association, Scenario
+from .model import Scenario
 from .units import dbm_to_watt, linear_to_db
 
 W_FLOOR = 1e-12  # bandwidth clamp before dividing in the power-demand map
@@ -98,9 +98,6 @@ class SolveTrace:
     def record(self, step, iteration, lam, g1_val, g2_val, residual, boundary=False):
         self.rows.append((step, int(iteration), float(lam), float(g1_val),
                           float(g2_val), float(residual), bool(boundary)))
-
-    def boundary_lambdas(self):
-        return [r[2] for r in self.rows if r[6]]
 
 
 @dataclass
@@ -176,13 +173,13 @@ def power_maps(stack: ProblemStack, power_mode: str):
 def _fixed_points(build, stack, fixed, x0, callback, memory=0) -> list:
     """:func:`normalized_fixed_points` of the maps ``build(stack, fixed)``
     from the rows of ``x0``, built again on running members (``take``).  A
-    batch of one runs through :func:`normalized_fixed_point` on its vector."""
+    solo stack runs through :func:`normalized_fixed_point` on its vector."""
     f, g = build(stack, fixed)
-    if len(x0) > 1:
-        take = lambda members: build(stack.take(members), fixed[members])
-        return normalized_fixed_points(f, g, x0, callback=callback, memory=memory, take=take)
-    solo = None if callback is None else (lambda t, x, residual: callback(0, t, x, residual))
-    return [normalized_fixed_point(f, g, x0[0], callback=solo, memory=memory)]
+    if stack.solo:
+        solo = None if callback is None else (lambda t, x, residual: callback(0, t, x, residual))
+        return [normalized_fixed_point(f, g, x0[0], callback=solo, memory=memory)]
+    take = lambda members: build(stack.take(members), fixed[members])
+    return normalized_fixed_points(f, g, x0, callback=callback, memory=memory, take=take)
 
 
 def stage1_bandwidth(stack: ProblemStack, p_fixed, opts: SolveOptions = SolveOptions(),
@@ -297,9 +294,10 @@ def solve_problems(problems, opts: SolveOptions = SolveOptions(), rows=None) -> 
     all members, S2 for each member whose power constraint binds first, and
     S3 for the members whose band fills with power to spare.  Any state with
     both constraints tight is terminal (local optimum).  A member's
-    ``Solution`` is bit for bit its batch of one, :func:`optimize`.  A stage
-    of one member runs through the single-problem stage function, so that
-    profilers and tracers see a solo solve's stages by their names.
+    ``Solution`` is bit for bit its batch of one.  A solo stack
+    (``ProblemStack.solo``) runs its stages through the single-problem stage
+    functions, so that profilers and tracers see a solo solve's stages by
+    their names.
     """
     if not problems:
         return []
@@ -316,8 +314,8 @@ def solve_problems(problems, opts: SolveOptions = SolveOptions(), rows=None) -> 
                         np.ravel(stack.g2((w * p).reshape(-1))).tolist()))
     tight = lambda v: v >= 1.0 - TIGHT_TOL
 
-    s1 = (stage1_bandwidth(stack, p, opts, traces=traces) if len(problems) > 1
-          else [step1_update_bandwidth(problems[0], p[0], opts, trace=traces[0])])
+    s1 = ([step1_update_bandwidth(problems[0], p[0], opts, trace=traces[0])] if stack.solo
+          else stage1_bandwidth(stack, p, opts, traces=traces))
     w, lam, steps = np.array([r.w for r in s1]), [r.lam for r in s1], ["s1"] * len(problems)
     converged, values = [r.fixed_point.converged for r in s1], constraints()
     for b, (r, (load, use)) in enumerate(zip(s1, values)):
@@ -333,13 +331,10 @@ def solve_problems(problems, opts: SolveOptions = SolveOptions(), rows=None) -> 
 
     members = [b for b, (load, use) in enumerate(values)
                if converged[b] and tight(load) and not tight(use)]
-    if len(members) == 1:
-        b = members[0]
-        s3 = [step3_update_power(problems[b], w[b], x[b], opts, trace=traces[b])]
-    elif members:
-        sub = stack if len(members) == len(problems) else stack.take(members)
-        s3 = stage3_power(sub, w[members], x[members], opts, [traces[b] for b in members])
     if members:
+        sub = stack if len(members) == len(problems) else stack.take(members)
+        s3 = ([step3_update_power(problems[0], w[0], x[0], opts, trace=traces[0])] if stack.solo
+              else stage3_power(sub, w[members], x[members], opts, [traces[b] for b in members]))
         for b, r in zip(members, s3):
             lam[b], x[b], p[b] = r.lam, r.x, r.p
         values = constraints()
@@ -357,15 +352,13 @@ def solve_problems(problems, opts: SolveOptions = SolveOptions(), rows=None) -> 
             for b, (lam_b, lam_ul, lam_dl) in enumerate(lams)]
 
 
-def optimize(scenario: Scenario, policy=None, opts: SolveOptions = SolveOptions(),
-             overlap=None, assoc: Optional[Association] = None) -> Solution:
+def optimize(scenario: Scenario, policy, opts: SolveOptions = SolveOptions(),
+             overlap=None) -> Solution:
     """Run the full three-step solve for one scenario and policy: the batch
-    of one of :func:`solve_problems`."""
-    if assoc is None:
-        if policy is None:
-            raise DomainError("either a policy or an association is required")
-        assoc = associate(policy, scenario)
-    problem = Problem.from_scenario(scenario, assoc, overlap=overlap, theta=opts.theta)
+    of one of :func:`solve_problems`.  A given association ``assoc`` is solved
+    as ``solve_problems([Problem.from_scenario(scenario, assoc, overlap, theta)], opts)[0]``."""
+    problem = Problem.from_scenario(scenario, associate(policy, scenario), overlap=overlap,
+                                    theta=opts.theta)
     return solve_problems([problem], opts)[0]
 
 

@@ -4,6 +4,7 @@ import numpy as np
 
 from flexlink.interference import Problem
 from flexlink.model import Association, BaseStation, Scenario, UserTerminal
+from flexlink.optimizer import SolveOptions, solve_problems
 
 RB_COUNT = 25
 RB_BW = 180e3
@@ -73,6 +74,16 @@ def random_problem(seed, n_ue=4, n_bs=2, coud=False, **kw):
         b_dl = rng.integers(0, n_bs, size=n_ue)
     assoc = Association(b_ul=b_ul, b_dl=b_dl, n_bs=n_bs)
     return scenario, assoc, Problem.from_scenario(scenario, assoc)
+
+
+def solve_assoc(scenario, assoc, opts=SolveOptions(), overlap=None):
+    """The solution of ``scenario`` under the given association ``assoc``."""
+    return solve_problems([Problem.from_scenario(scenario, assoc, overlap, opts.theta)], opts)[0]
+
+
+def boundary_lambdas(trace):
+    """The utilities of a ``SolveTrace``'s stage-boundary rows, in order."""
+    return [row[2] for row in trace.rows if row[6]]
 
 
 def assoc_problem(assoc, seed=0):

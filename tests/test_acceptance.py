@@ -25,7 +25,7 @@ from flexlink.optimizer import (
 )
 from flexlink.scenario import ScenarioConfig, generate
 
-from .helpers import random_problem, random_wp
+from .helpers import boundary_lambdas, random_problem, random_wp, solve_assoc
 from .oracles import check_sif_axioms, grid_conditional_eigen, linear_reformulation_check
 from .test_optimizer import _power_bound_problem
 
@@ -112,7 +112,7 @@ def test_criterion_3_monotone_utility_chain():
                        SolveOptions(trace_mode="full", theta=theta))
         assert sol.converged
         steps[sol.step] += 1
-        lams = sol.trace.boundary_lambdas()
+        lams = boundary_lambdas(sol.trace)
         assert all(b >= a - 1e-9 for a, b in zip(lams, lams[1:])), f"trial {t}"
         # per-iteration rows inside each fixed-point solve are monotone too
         prev_lam, prev_step = None, None
@@ -189,7 +189,7 @@ def test_criterion_6_energy_minimization():
     for seed in (131, 132, 134, 137, 140):
         scenario, assoc, problem = random_problem(seed, n_ue=3, n_bs=2,
                                                   demand_scale=3e5)
-        sol = optimize(scenario, None, OPTS, assoc=assoc)
+        sol = solve_assoc(scenario, assoc, OPTS)
         if sol.lam <= 1.0:
             continue
         res = minimize_power(problem, sol.w, sol.p)
@@ -231,8 +231,8 @@ def test_criterion_7_policy_identities():
                 b = associate(ref_policy, sc)
                 assert np.array_equal(a.b_ul, b.b_ul)
                 assert np.array_equal(a.b_dl, b.b_dl)
-                sol_a = optimize(sc, None, OPTS, assoc=a)
-                sol_b = optimize(sc, None, OPTS, assoc=b)
+                sol_a = solve_assoc(sc, a, OPTS)
+                sol_b = solve_assoc(sc, b, OPTS)
                 assert sol_a.lam == sol_b.lam
                 assert np.array_equal(sol_a.w, sol_b.w)
                 count += 1

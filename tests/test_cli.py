@@ -477,6 +477,7 @@ def _mutated(text, path, mutation):
 def _run(argv, out, capsys):
     """``main`` on ``argv`` writing to ``out``: its error line (None unless it
     exits 1) and every breach of the bad-input contract."""
+    existed = out.exists()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
@@ -487,7 +488,7 @@ def _run(argv, out, capsys):
     breaches = [f"warned {w.category.__name__}: {w.message}" for w in caught]
     if code == 1:
         lines = err.splitlines()
-        if len(lines) != 1 or not lines[0].startswith("error: ") or out.exists():
+        if len(lines) != 1 or not lines[0].startswith("error: ") or out.exists() > existed:
             breaches.append(f"exit 1 with stderr {err!r}, out written: {out.exists()}")
         return (lines or [""])[0], breaches
     if code not in (0, 2) or "Traceback" in err:
@@ -556,24 +557,43 @@ def test_bad_document_keeps_the_contract(tmp_path, capsys, documents, document):
     assert not breaches, "\n".join(breaches)
 
 
-@pytest.mark.parametrize("usage", ["unknown flag", "missing option", "missing path"])
+@pytest.mark.parametrize("usage", ["unknown flag", "missing option", "missing path",
+                                   "directory", "not UTF-8", "out under a file"])
 @pytest.mark.parametrize("document, argv", [(doc, cmd) for doc, cmds in COMMANDS.items()
                                             for cmd in cmds], ids=lambda v: " ".join(v)
                          if isinstance(v, list) else v)
 def test_usage_error_is_one_line(tmp_path, capsys, documents, usage, document, argv):
-    """Click's usage errors through every command: an unknown flag, its
-    document option left out, or a document path that does not exist."""
+    """Usage errors through every command: an unknown flag, its document
+    option left out, a document path that does not exist or names a
+    directory, a document that is not UTF-8, or an ``--out`` under an
+    existing file."""
     source = tmp_path / "doc.json"
-    source.write_text(documents[document])
-    flags = {"unknown flag": [f"--{document}", str(source), "--bogus"],
-             "missing option": [],
-             "missing path": [f"--{document}", str(tmp_path / "absent.json")]}[usage]
-    line, breaches = _run([*argv, *flags], tmp_path / "out", capsys)
+    source.write_bytes((b"\xff" if usage == "not UTF-8" else b"") + documents[document].encode())
+    path = {"missing path": tmp_path / "absent.json", "directory": tmp_path}.get(usage, source)
+    flags = [] if usage == "missing option" else [f"--{document}", str(path)]
+    flags += ["--bogus"] if usage == "unknown flag" else []
+    out = source / "out" if usage == "out under a file" else tmp_path / "out"
+    line, breaches = _run([*argv, *flags], out, capsys)
     assert not breaches, breaches
     want = {"unknown flag": "error: No such option '--bogus'",
             "missing option": f"error: Missing option '--{document}'",
-            "missing path": f"error: Invalid value for '--{document}': Path "}[usage]
+            "missing path": f"error: Invalid value for '--{document}': Path ",
+            "directory": "error: [Errno 21] Is a directory: ",
+            "not UTF-8": f"error: {document} is not valid JSON: ",
+            "out under a file": "error: [Errno 20] Not a directory: "}[usage]
     assert line is not None and line.startswith(want), line
+
+
+def test_generate_out_directory_is_one_line(tmp_path, capsys, documents):
+    """``generate --out`` naming a directory: one error line, nothing written."""
+    source = tmp_path / "config.json"
+    source.write_text(documents["config"])
+    out = tmp_path / "out"
+    out.mkdir()
+    line, breaches = _run(["generate", "--seed", "3", "--config", str(source)], out, capsys)
+    assert not breaches, breaches
+    assert line is not None and line.startswith("error: [Errno 21] Is a directory: "), line
+    assert not any(out.iterdir())
 
 
 def test_generate_missing_key_names_it(tmp_path, capsys, documents):

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flexlink import interference
-from flexlink.errors import DomainError
+from flexlink.errors import DomainError, ModelError
 from flexlink.interference import (
     EPS_NO_DL,
     Problem,
@@ -382,6 +382,16 @@ def test_every_rate_evaluation_calls_spectral_efficiency_once(monkeypatch):
         calls.clear()
         assert np.array_equal(case(), values)
         assert calls == [scenario.rb_bandwidth]
+
+
+def test_several_problems_stack_only_over_their_stacked_couplings():
+    """A stack of several problems is refused without their ``(B, N+K, K+N)``
+    couplings, and over one problem's own 2-D coupling (a solo stack's)."""
+    scenario, assoc, _ = random_problem(71, n_ue=5, n_bs=3)
+    problems, rows = Problem.batch([(scenario, assoc)] * 2)
+    for bad in (None, rows[0]):
+        with pytest.raises(ModelError, match="stacked couplings"):
+            ProblemStack(problems, bad)
 
 
 def test_take_of_a_take_evaluates_as_a_fresh_stack():

@@ -12,7 +12,8 @@ from flexlink.errors import InfeasibleError
 from flexlink.experiments import (DEFAULT_HISTORY_DL, DEFAULT_HISTORY_UL, STUDY_CONFIG,
                                   solve_policies)
 from flexlink.fixedpoint import normalized_fixed_point
-from flexlink.interference import Problem, f_load, f_power, f_power_cell, g1, g2, utility
+from flexlink.interference import (Problem, ProblemStack, f_load, f_power, f_power_cell, g1, g2,
+                                   utility)
 from flexlink.model import Association
 from flexlink.optimizer import (
     SolveOptions,
@@ -20,13 +21,17 @@ from flexlink.optimizer import (
     initial_psd,
     minimize_power,
     optimize,
+    power_maps,
+    stage1_bandwidth,
+    stage3_power,
     step1_update_bandwidth,
     step2_power_scaling,
     step3_update_power,
 )
 from flexlink.scenario import ScenarioConfig, generate, uniform_overlap
 
-from .helpers import random_problem, renumber, single_link_scenario, yates_iterates
+from .helpers import (boundary_lambdas, random_problem, renumber, single_link_scenario,
+                      solve_assoc, yates_iterates)
 from .oracles import (anderson_fixed_point_ref, expand_psd_ref, f_load_ref, f_power_cell_ref,
                       f_power_ref, g2_ref, linear_reformulation_check, max_min_bandwidth_grid,
                       normalized_fixed_point_ref)
@@ -134,7 +139,7 @@ def test_step2_reaches_full_load_with_increasing_utility():
     s2 = step2_power_scaling(problem, s1.w, p0, OPTS, trace=trace)
     assert g1(s2.w, problem) == pytest.approx(1.0, abs=1e-6)
     assert g2(s2.w, s2.p, problem) <= 1.0 + 1e-9
-    lams = [s1.lam] + trace.boundary_lambdas()
+    lams = [s1.lam] + boundary_lambdas(trace)
     assert all(b > a - 1e-12 for a, b in zip(lams, lams[1:]))
     assert s2.lam > s1.lam
 
@@ -194,9 +199,9 @@ def test_step3_single_cell_closed_form_saturates_budget():
 def test_optimize_monotone_boundaries_and_tight_termination():
     for seed in (0, 1, 2, 3):
         scenario, assoc, _ = random_problem(seed, n_ue=4, n_bs=2)
-        sol = optimize(scenario, None, OPTS, assoc=assoc)
+        sol = solve_assoc(scenario, assoc, OPTS)
         assert sol.converged
-        lams = sol.trace.boundary_lambdas()
+        lams = boundary_lambdas(sol.trace)
         assert all(b >= a - 1e-9 for a, b in zip(lams, lams[1:]))
         assert abs(max(sol.g1, sol.g2) - 1.0) <= 1e-5
         # terminal feasibility w >= lam f(w) within 10 tol
@@ -206,8 +211,8 @@ def test_optimize_monotone_boundaries_and_tight_termination():
 
 def test_optimize_deterministic_bit_identical():
     scenario, assoc, _ = random_problem(7, n_ue=4, n_bs=2)
-    a = optimize(scenario, None, OPTS, assoc=assoc)
-    b = optimize(scenario, None, OPTS, assoc=assoc)
+    a = solve_assoc(scenario, assoc, OPTS)
+    b = solve_assoc(scenario, assoc, OPTS)
     assert np.array_equal(a.w, b.w)
     assert np.array_equal(a.p, b.p)
     assert a.lam == b.lam
@@ -216,8 +221,8 @@ def test_optimize_deterministic_bit_identical():
 def test_cell_specific_never_beats_per_link():
     for seed in (11, 12, 13):
         scenario, assoc, _ = random_problem(seed, n_ue=4, n_bs=2, coud=True)
-        per_link = optimize(scenario, None, OPTS, assoc=assoc)
-        cell = optimize(scenario, None, CELL_OPTS, assoc=assoc)
+        per_link = solve_assoc(scenario, assoc, OPTS)
+        cell = solve_assoc(scenario, assoc, CELL_OPTS)
         assert cell.lam <= per_link.lam * (1.0 + 1e-6)
         assert cell.p_bar is not None
         # expanded PSD is shared within each cell's downlinks
@@ -230,10 +235,10 @@ def test_cell_specific_never_beats_per_link():
 
 def test_optimize_cell_specific_terminates_tight():
     scenario, assoc, _ = random_problem(17, n_ue=4, n_bs=2, coud=True)
-    sol = optimize(scenario, None, CELL_OPTS, assoc=assoc)
+    sol = solve_assoc(scenario, assoc, CELL_OPTS)
     assert sol.converged
     assert abs(max(sol.g1, sol.g2) - 1.0) <= 1e-5
-    lams = sol.trace.boundary_lambdas()
+    lams = boundary_lambdas(sol.trace)
     assert all(b >= a - 1e-9 for a, b in zip(lams, lams[1:]))
 
 
@@ -250,15 +255,15 @@ def test_cell_specific_power_is_the_expanded_state():
     scenario, assoc, _ = random_problem(0, n_ue=4, n_bs=2, coud=True)
     for theta, step in ((_both_tight_after_s1_theta(scenario, assoc), "s1"),
                         (1e-6, "s2"), (1.0, "s3")):
-        sol = optimize(scenario, None, dataclasses.replace(CELL_OPTS, theta=theta), assoc=assoc)
+        sol = solve_assoc(scenario, assoc, dataclasses.replace(CELL_OPTS, theta=theta))
         assert (sol.step, sol.converged) == (step, True)
         assert np.array_equal(sol.p, expand_psd_ref(sol.p_bar, assoc))
-    assert optimize(scenario, None, OPTS, assoc=assoc).p_bar is None
+    assert solve_assoc(scenario, assoc, OPTS).p_bar is None
 
 
 def test_step3_cell_specific_from_the_per_transmitter_state():
     scenario, assoc, problem = random_problem(0, n_ue=4, n_bs=2, coud=True)
-    sol = optimize(scenario, None, CELL_OPTS, assoc=assoc)
+    sol = solve_assoc(scenario, assoc, CELL_OPTS)
     # init, S1 and S3 boundary rows only: S3 started from the initial state
     assert sol.step == "s3" and len(sol.trace.rows) == 3
     s3 = step3_update_power(problem, sol.w, initial_power_state(problem.stack, "cell_specific")[0],
@@ -273,7 +278,7 @@ def test_step3_cell_specific_from_the_per_transmitter_state():
 
 def test_minimize_power_single_link_closed_form():
     sc, assoc, problem = _single_link_problem(demand_ul=1e6, demand_dl=2e6)
-    sol = optimize(sc, None, OPTS, assoc=assoc)
+    sol = solve_assoc(sc, assoc, OPTS)
     assert sol.lam > 1.0
     res = minimize_power(problem, sol.w, sol.p)
     expected = (2.0 ** (sc.demands / (sc.rb_count * sol.w * sc.rb_bandwidth)) - 1.0) \
@@ -298,7 +303,7 @@ def _feasible_candidates(problem, w_star, p_min, count=100, seed=0):
 
 def test_minimize_power_yates_minimality_against_feasible_points():
     scenario, assoc, problem = random_problem(131, n_ue=3, n_bs=2, demand_scale=3e5)
-    sol = optimize(scenario, None, OPTS, assoc=assoc)
+    sol = solve_assoc(scenario, assoc, OPTS)
     assert sol.lam > 1.0, "instance must be strictly feasible"
     res = minimize_power(problem, sol.w, sol.p)
     assert res.lam == pytest.approx(1.0, abs=1e-4)
@@ -311,7 +316,7 @@ def test_minimize_power_yates_minimality_against_feasible_points():
 
 def test_minimize_power_nonincreasing_from_feasible_start():
     scenario, assoc, problem = random_problem(131, n_ue=3, n_bs=2, demand_scale=3e5)
-    sol = optimize(scenario, None, OPTS, assoc=assoc)
+    sol = solve_assoc(scenario, assoc, OPTS)
     from flexlink.fixedpoint import yates_iteration
 
     f = lambda p: f_power(p, sol.w, problem)
@@ -326,7 +331,7 @@ def test_minimize_power_nonincreasing_from_feasible_start():
 
 def test_minimize_power_requires_strict_feasibility():
     scenario, assoc, problem = random_problem(141, n_ue=4, n_bs=2, demand_scale=1e8)
-    sol = optimize(scenario, None, OPTS, assoc=assoc)
+    sol = solve_assoc(scenario, assoc, OPTS)
     assert sol.lam <= 1.0
     with pytest.raises(InfeasibleError):
         minimize_power(problem, sol.w, sol.p)
@@ -443,6 +448,36 @@ def test_batch_members_equal_their_batch_of_one(seed):
                     assert sol.p_bar is None or np.array_equal(sol.p_bar, alone.p_bar)
                     steps[sol.step] += 1
     assert steps["s3"] > 0 and (steps["s2"] > 0 or seed == 2), steps  # seed 2 has no S2
+
+
+def _step_digest(r):
+    fp = r.fixed_point
+    return repr((r.w.tobytes(), r.p.tobytes(), None if r.x is None else r.x.tobytes(), r.lam,
+                 fp.iterations, fp.residual, fp.converged))
+
+
+@pytest.mark.parametrize("opts", [OPTS, CELL_OPTS], ids=lambda opts: opts.power_mode)
+def test_one_member_stack_runs_the_solo_stages(opts):
+    """S1 and S3 on a one-member stacked batch, built from a problem's own
+    coupling or taken from a larger stack, are bit for bit the single-problem
+    stages on that problem: ``w``, ``p``, power state, utility, iterations,
+    residual and convergence."""
+    scenario = generate(STUDY_CONFIG, 0)
+    overlap = uniform_overlap(scenario.n_bs, DEFAULT_HISTORY_UL, DEFAULT_HISTORY_DL)
+    problems, rows = Problem.batch([(scenario, associate(Policy(label), scenario))
+                                    for label in ("coud", DEUD_P)], overlap)
+    b, problem = 1, problems[1]
+    x0 = initial_power_state(problem.stack, opts.power_mode)
+    p0 = power_maps(problem.stack, opts.power_mode)[0](x0)
+    s1 = step1_update_bandwidth(problem, p0[0], opts)
+    s3 = step3_update_power(problem, s1.w, x0[0], opts)
+    for stack in (ProblemStack([problem], problem.rows[None]),
+                  ProblemStack(problems, rows).take([b])):
+        assert not stack.solo and stack.size == 1
+        [s1_stacked] = stage1_bandwidth(stack, p0, opts)
+        [s3_stacked] = stage3_power(stack, s1_stacked.w[None], x0, opts)
+        assert _step_digest(s1_stacked) == _step_digest(s1)
+        assert _step_digest(s3_stacked) == _step_digest(s3)
 
 
 def test_s2_takes_a_round_whenever_it_is_entered():

@@ -9,11 +9,11 @@ from flexlink.experiments import (DEFAULT_HISTORY_DL, DEFAULT_HISTORY_UL, MC_OPT
                                   STUDY_CONFIG, compare_pf, run_trial)
 from flexlink.interference import Problem, qos_levels
 from flexlink.model import Association
-from flexlink.optimizer import optimize
 from flexlink.pf_baseline import EPS_PF, pf_allocate, pf_allocate_all
 from flexlink.scenario import ScenarioConfig, generate, uniform_overlap
 
-from .helpers import make_scenario, random_problem, random_scenario, two_cell_scenario, coud_assoc
+from .helpers import (make_scenario, random_problem, random_scenario, solve_assoc,
+                      two_cell_scenario, coud_assoc)
 from .oracles import _pf_rates, _split_band, dense_coupling, pf_allocate_ref, pf_greedy_ref
 
 SPLITS = ((9, 16), (1, 24), (24, 1), (12, 13))
@@ -163,7 +163,7 @@ def test_deterministic():
 def test_joint_optimizer_beats_pf_min_direction(seed):
     scenario, assoc, problem = random_problem(seed, n_ue=4, n_bs=2, coud=True)
     pf = pf_allocate(problem)
-    sol = optimize(scenario, None, MC_OPTS, assoc=assoc)
+    sol = solve_assoc(scenario, assoc, MC_OPTS)
     # the per-direction utilities split the QoS vector the solution's lam is taken from
     qos = qos_levels(sol.w, sol.p, problem)
     k = scenario.n_ue

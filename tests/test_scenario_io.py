@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from flexlink import io
+from flexlink.association import Policy
 from flexlink.errors import ConfigError
 from flexlink.experiments import MC_OPTS, STUDY_CONFIG
 from flexlink.optimizer import optimize
@@ -81,8 +82,7 @@ def test_lone_messaging_ue_is_comfortably_feasible():
     # class 4 (index 4): 0.01 Mbit/s in both directions
     cfg = ScenarioConfig(n_ue=1, service_mix=(0.0, 0.0, 0.0, 0.0, 1.0), n_pico=0)
     sc = generate(cfg, seed=5)
-    sol = optimize(sc, None, MC_OPTS, assoc=__import__("flexlink").associate(
-        __import__("flexlink").Policy("coud"), sc))
+    sol = optimize(sc, Policy("coud"), MC_OPTS)
     assert sol.lam > 100.0
 
 
