@@ -9,6 +9,7 @@ comment line.
 
 from __future__ import annotations
 
+import errno
 import math
 import os
 import sys
@@ -58,6 +59,17 @@ def parse_offsets(text: str) -> list[float]:
     return out
 
 
+def _out_dir(ctx, param, path):
+    """``--out``, refused before any work unless its nearest existing ancestor
+    (itself, if it exists) is a directory; the check creates nothing."""
+    probe = os.path.abspath(path)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
+    return path
+
+
 @click.group()
 @click.version_option(version=__version__)
 def cli():
@@ -88,7 +100,7 @@ def cmd_generate(config_path, seed, out_path):
               show_default=True)
 @click.option("--overlap-load-dl", type=float, default=experiments.DEFAULT_HISTORY_DL,
               show_default=True)
-@click.option("--out", "out_dir", required=True, type=click.Path())
+@click.option("--out", "out_dir", required=True, type=click.Path(), callback=_out_dir)
 def cmd_solve(scenario_path, policy_text, cell_specific, theta, overlap,
               overlap_load_ul, overlap_load_dl, out_dir):
     """Run the three-step optimizer on a stored scenario."""
@@ -126,7 +138,7 @@ def cmd_solve(scenario_path, policy_text, cell_specific, theta, overlap,
               show_default=True)
 @click.option("--overlap-load-dl", type=float, default=experiments.DEFAULT_HISTORY_DL,
               show_default=True)
-@click.option("--out", "out_dir", required=True, type=click.Path())
+@click.option("--out", "out_dir", required=True, type=click.Path(), callback=_out_dir)
 def cmd_sweep(scenario_path, offsets_text, overlap, overlap_load_ul, overlap_load_dl, out_dir):
     """Sweep cell-selection offsets on one scenario; report the top three."""
     _, scenario, source = io.read_scenario(scenario_path)
@@ -157,7 +169,7 @@ def cmd_sweep(scenario_path, offsets_text, overlap, overlap_load_ul, overlap_loa
 @click.option("--seed-base", required=True, type=click.IntRange(min=0))
 @click.option("--workers", type=int, default=1, show_default=True,
               help="Parallel trial workers.")
-@click.option("--out", "out_dir", required=True, type=click.Path())
+@click.option("--out", "out_dir", required=True, type=click.Path(), callback=_out_dir)
 def cmd_montecarlo(config_path, trials, seed_base, workers, out_dir):
     """Seeded Monte Carlo policy study: offset sweep, overlap arms, PF baseline."""
     config = io.load_config(config_path)
@@ -187,7 +199,7 @@ def cmd_montecarlo(config_path, trials, seed_base, workers, out_dir):
 @click.option("--policy", "policy_text", required=True)
 @click.option("--split", default="%d:%d" % DEFAULT_PF_SPLIT, show_default=True,
               help="UL:DL resource block split for the PF baseline.")
-@click.option("--out", "out_dir", required=True, type=click.Path())
+@click.option("--out", "out_dir", required=True, type=click.Path(), callback=_out_dir)
 def cmd_compare_pf(scenario_path, policy_text, split, out_dir):
     """Joint optimizer versus the QoS-based proportional fairness baseline."""
     _, scenario, source = io.read_scenario(scenario_path)
@@ -213,7 +225,7 @@ def cmd_compare_pf(scenario_path, policy_text, split, out_dir):
 
 @cli.command("minimize-power")
 @click.option("--solution", "solution_path", required=True, type=click.Path(exists=True))
-@click.option("--out", "out_dir", required=True, type=click.Path())
+@click.option("--out", "out_dir", required=True, type=click.Path(), callback=_out_dir)
 def cmd_minimize_power(solution_path, out_dir):
     """Shrink a strictly feasible solution's power to the utility-1 minimum."""
     problem, w_star, p_star, source = io.load_solution(solution_path)
@@ -234,7 +246,7 @@ def cmd_minimize_power(solution_path, out_dir):
 @click.option("--noise-dbm", "noises_dbm", type=float, multiple=True,
               default=experiments.THETA_SWEEP_NOISE_DBM, show_default=True,
               help="Noise floor in dBm per RB; repeat the flag for several.")
-@click.option("--out", "out_dir", required=True, type=click.Path())
+@click.option("--out", "out_dir", required=True, type=click.Path(), callback=_out_dir)
 def cmd_theta_sweep(scenario_path, policy_text, thetas, noises_dbm, out_dir):
     """Power-budget study: the power stage's utility per budget scale and noise floor."""
     _, scenario, source = io.read_scenario(scenario_path)

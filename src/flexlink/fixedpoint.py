@@ -15,7 +15,7 @@ for every ``alpha > 1``).  Two iterations are provided:
   constraint ``g / theta``.  With ``memory > 0`` each step is
   extrapolated from the last ``memory`` steps (Anderson acceleration) under
   a safeguard that keeps the utility ``min x / f(x)`` from falling.
-  ``normalized_fixed_points`` runs it for a stack of problems at once, each
+  ``normalized_fixed_points`` is the one loop for any batch of problems, each
   with its own stop rule and history; ``normalized_fixed_point`` is its
   batch of one.
 """
@@ -45,6 +45,15 @@ DIVERGENCE_WINDOW = 50  # growing Yates residuals before "likely infeasible"
 ANDERSON_SLACK = 1e-12
 _FLOOR, _CEILING = 1 - ANDERSON_SLACK, 1 + ANDERSON_SLACK
 _identity = functools.cache(np.eye)  # shared: read, never written
+_FIRST = np.zeros(1, np.intp)  # per_member's one start: each whole row
+_rows = lambda a: a.reshape(-1, a.shape[-1])  # the members' rows of states (a vector's: one)
+_values = lambda a: np.asarray(a).ravel().tolist()  # per-member values as Python floats
+
+
+def per_member(ufunc, a):
+    """``ufunc`` (max or min) over the last axis of ``a``, a numpy scalar for a vector:
+    ``reduce`` without the per-call set-up that costs a small step more than its work."""
+    return ufunc.reduceat(a, _FIRST, -1).T[0]
 
 
 @dataclass
@@ -75,28 +84,29 @@ def normalized_fixed_point(f, g, x0, tol: float = DEFAULT_TOL, max_iter: int = D
     residual)`` gets the next plain iterate, or with ``memory`` the point
     just evaluated, so the utility along its points never falls.
 
-    This is the batch of one of :func:`normalized_fixed_points`.
+    This is the batch of one of :func:`normalized_fixed_points`: ``x0`` is a
+    vector and ``g`` gives a float.
     """
-    solo = None if callback is None else (lambda b, t, x, residual: callback(t, x, residual))
-    return normalized_fixed_points(f, g, x0, tol, max_iter, solo, memory)[0]
+    one = None if callback is None else (lambda b, t, x, residual: callback(t, x, residual))
+    return normalized_fixed_points(f, g, x0, tol, max_iter, one, memory)[0]
 
 
 def normalized_fixed_points(f, g, x0, tol: float = DEFAULT_TOL,
                             max_iter: int = DEFAULT_MAX_ITER, callback=None,
                             memory: int = 0, take=None) -> list:
-    """:func:`normalized_fixed_point` of the ``B`` problems whose starts are
-    the rows of ``x0``: one result per member.
+    """:func:`normalized_fixed_point` of the problems whose starts are the
+    rows of ``x0``: one result per member.
 
-    ``f`` maps the ``(B, n)`` stacked states to their images and ``g`` the
-    images to a ``(B, 1)`` column, member by member.  A batch of one may also
-    run on its vector, ``g`` giving a float: the same steps on arrays without
-    the member axis.  Each member has its own stop rule and Anderson history,
-    and stops once the next evaluation has given its eigenvalue; its row (in the
-    maps and the loop's arrays) stays at its last point until the running members
-    are at most half of the rows, when the loop keeps the running rows alone and
-    ``take(members)``, the maps of the members at those indices, replaces the maps.
-    So each member's iterates are bit for bit those of its batch of one.
-    ``callback(b, t, x, residual)`` is member ``b``'s callback.
+    ``f`` maps the states ``(..., n)`` to their images and ``g`` the images to
+    one value per member: a ``(B,)`` array for ``(B, n)`` states, a scalar for
+    a vector (a batch of one).  Each member has its own stop rule and Anderson
+    history, and stops once the next evaluation has given its eigenvalue; its
+    row (in the maps and the loop's arrays) stays at its last point until the
+    running members are at most half of the rows, when the loop keeps the
+    running rows alone and ``take(members)``, the maps of the members at those
+    indices, replaces the maps.  So each member's iterates are bit for bit
+    those of its batch of one.  ``callback(b, t, x, residual)`` is member
+    ``b``'s callback.
     """
     if not memory:
         return _iterate(f, g, x0, tol, max_iter, callback, memory, take)
@@ -105,22 +115,20 @@ def normalized_fixed_points(f, g, x0, tol: float = DEFAULT_TOL,
 
 
 class _Anderson:
-    """Anderson steps for the ``size`` rows of a stack, each with its own last plain
-    point (the fallback) and step, ``memory`` rows of plain point and step differences
-    with their Gram matrix (zero rows and the identity where unused, so that BLAS sees
-    the same shapes in any batch), utility, and whether it extrapolates."""
+    """Anderson steps for the rows of a stack, each with its own last plain point
+    (the fallback) and step, ``memory`` rows of plain point and step differences
+    with their Gram matrix (zero rows and the identity where unused, so that BLAS
+    sees the same shapes in any batch), utility, and whether it extrapolates."""
 
-    def __init__(self, x, memory, per_row, count):
-        self.eye, self.per_row, self.count = _identity(memory), per_row, count
+    def __init__(self, x, memory):
+        members, self.eye = x.shape[:-1], _identity(memory)
         self.last_x = self.last_r = x
-        self.d_g, self.d_r = np.zeros((2,) + x.shape[:-1] + (memory, x.shape[-1]))
-        self.gram = np.broadcast_to(self.eye, x.shape[:-1] + self.eye.shape).copy()
-        self.size = 1 if x.ndim == 1 else len(x)
-        self.u_last, self.has_fb = ((math.inf, False) if x.ndim == 1 else  # a batch of one: scalars
-                                    (np.full(self.size, math.inf), np.zeros(self.size, bool)))
+        self.d_g, self.d_r = np.zeros((2,) + members + (memory, x.shape[-1]))
+        self.gram = np.broadcast_to(self.eye, members + self.eye.shape).copy()
+        # per-member values (numpy scalars for a vector); the first step sets ``u_last``'s
+        self.u_last, self.has_fb = math.inf, np.zeros(members, bool)[()]
 
     def keep(self, rows):
-        self.size = len(rows)
         for name in ("last_x", "last_r", "d_g", "d_r", "gram", "u_last", "has_fb"):
             setattr(self, name, getattr(self, name)[rows])
 
@@ -130,10 +138,11 @@ class _Anderson:
         utility ``min x / f(x)``, or whose ``g(f(x))`` exceeds 1, goes back (``back``)
         to its last plain point and step (so its residual repeats) and forgets its
         history; the others extrapolate ``x_next`` to ``new`` where that stays positive."""
-        u, new = self.per_row(np.minimum, x / fx), x_next
-        back = self.has_fb > ((u >= self.u_last * _FLOOR) & (u * gv <= _CEILING))
-        n_back = self.count(back)
-        if t > 1 and n_back < self.size:  # every member's step goes to slot j of its history
+        u, new = per_member(np.minimum, x / fx), x_next
+        kept = (u >= self.u_last * _FLOOR) & (u * gv <= _CEILING)
+        back = self.has_fb ^ (self.has_fb & kept)  # extrapolated, and kept nothing
+        backs = any(back.flat)
+        if t > 1 and not (backs and all(back.flat)):  # each member's step goes to slot j
             j = (t - 2) % len(self.eye)
             np.subtract(x_next, self.last_x, out=self.d_g[..., j, :])
             np.subtract(r, self.last_r, out=self.d_r[..., j, :])
@@ -141,13 +150,14 @@ class _Anderson:
             self.gram[..., j:j + 1], self.gram[..., j, :] = gram_row, gram_row[..., 0]
             coef = _lapack_solve(self.gram, self.d_r @ r[..., None], signature="dd->d")
             x_acc = x_next - (coef.swapaxes(-1, -2) @ self.d_g)[..., 0, :]
-            self.has_fb = self.per_row(np.minimum, x_acc) > 0
-            n_fb = self.count(self.has_fb)
-            if n_fb:
-                new = x_acc if n_fb == self.size else np.where(self.has_fb[:, None], x_acc, x_next)
-        if n_back:  # the fallback, for any subset of the members
-            self.has_fb = self.has_fb > back
-            rows = ... if n_back == self.size else np.flatnonzero(back)
+            self.has_fb = per_member(np.minimum, x_acc) > 0
+            if all(self.has_fb.flat):
+                new = x_acc
+            elif any(self.has_fb.flat):
+                new = np.where(self.has_fb[..., None], x_acc, x_next)
+        if backs:  # the fallback, for any subset of the members
+            self.has_fb = self.has_fb ^ (self.has_fb & back)
+            rows = ... if all(back.flat) else np.flatnonzero(back)
             for a, value in ((self.d_g, 0.0), (self.d_r, 0.0), (self.gram, self.eye)):
                 a[rows] = value
             if rows is ...:  # their last plain points and steps stand
@@ -162,27 +172,19 @@ class _Anderson:
 
 def _iterate(f, g, x0, tol, max_iter, callback, memory, take):
     x = np.array(x0, dtype=float)
-    solo = x.ndim == 1  # a batch of one on its vector: a member's array is the array itself
-    # per-member values are arrays over the rows (a batch of one's Python scalars), of g or
-    # ``per_row`` of each row (from its first entry, ``starts``); ``each`` lists them
-    starts = np.arange(0, x.size, x.shape[-1])
-    per_row = ((lambda ufunc, a: float(ufunc.reduce(a, axis=-1))) if solo
-               else (lambda ufunc, a: ufunc.reduceat(a.reshape(-1), starts)))
-    each = (lambda a: [float(a)]) if solo else (lambda a: a.ravel().tolist())
-    count = int if solo else np.count_nonzero
-    row = (lambda a, i: a) if solo else (lambda a, i: a[i].copy())
-    ids = np.arange(1 if solo else len(x))  # the member at each row
-    out = [None] * len(ids)
+    ids = np.arange(len(_rows(x)))  # the member at each row
     if max_iter < 1:  # no step allowed: every member stays at its start
-        return [FixedPointResult(row(x, i), None, 0, math.inf, False, "max_iter exceeded")
-                for i in ids]
-    anderson = _Anderson(x, memory, per_row, count) if memory else None
-    live, running, settle, t = True if solo else np.ones(len(ids), bool), len(ids), None, 0
+        return [FixedPointResult(row.copy(), None, 0, math.inf, False, "max_iter exceeded")
+                for row in _rows(x)]
+    out = [None] * len(ids)
+    anderson = _Anderson(x, memory) if memory else None
+    # per-member values have the shape of g's (numpy scalars for a vector)
+    live, running, settle, t = np.ones(x.shape[:-1], bool)[()], len(ids), None, 0
     while True:
         fx = f(x)
         gf = g(fx)
         if settle is not None:  # some members stopped last step: settle the converged ones
-            values = each(gf)
+            values = _values(gf)
             for i in settle:
                 out[ids[i]].eigenvalue = 1.0 / values[i]
             if not running:
@@ -190,44 +192,44 @@ def _iterate(f, g, x0, tol, max_iter, callback, memory, take):
             if take is not None and 2 * running <= len(ids):  # leave the running rows alone
                 keep = np.flatnonzero(live)
                 ids, x, fx, gf, live = ids[keep], x[keep], fx[keep], gf[keep], live[keep]
-                starts = starts[:len(keep)]
                 if anderson is not None:
                     anderson.keep(keep)
                 f, g = take(ids)
             settle = None
         t += 1
-        x_next = fx / gf  # the plain step
+        x_next = (fx.T / gf).T  # the plain step: each member's image over its own g
         new, r, back = x_next, x_next - x, None
         if anderson is not None:
-            new, x_next, r, back = anderson.step(t, x, fx, gf if solo else gf[:, 0], x_next, r)
-        res = per_row(np.maximum, np.abs(r))
+            new, x_next, r, back = anderson.step(t, x, fx, gf, x_next, r)
+        res = per_member(np.maximum, np.abs(r))
         if callback is not None:  # with memory the point just evaluated, else the next one
-            values = each(res)
+            values, at = _values(res), _rows(x if memory else x_next)
             for i in np.flatnonzero(live if back is None else live > back).tolist():
-                callback(int(ids[i]), t, row(x if memory else x_next, i), values[i])
+                callback(int(ids[i]), t, at[i].copy(), values[i])
         if running < len(ids):  # stopped members' rows stay at their last points
-            new = np.where(live[:, None], new, x)
-        stop = live > ((tol <= res) & (res < math.inf))  # the stop test, on running rows
-        n_stop = count(stop)
+            new = np.where(live[..., None], new, x)
+        go = live & (tol <= res) & (res < math.inf)  # the running rows that step on
+        n_stop = 0 if all(go.flat) else np.count_nonzero(live ^ go)  # the common step: one test
         if n_stop or t == max_iter:
-            settle, values, limits = [], each(res), each(gf)
-            for i in np.flatnonzero(stop).tolist():  # converged (eigenvalue next) or non-finite
+            stop, settle, values = live ^ go, [], _values(res)  # converged (eigenvalue next)
+            for i in np.flatnonzero(stop).tolist():
                 finite = math.isfinite(values[i])
-                out[ids[i]] = FixedPointResult(row(x_next, i), None if finite else math.nan, t,
-                                               values[i], finite,
-                                               "converged" if finite else "non-finite")
+                out[ids[i]] = FixedPointResult(_rows(x_next)[i].copy(),
+                                               None if finite else math.nan, t, values[i],
+                                               finite, "converged" if finite else "non-finite")
                 if finite:
                     settle.append(i)
             if t == max_iter:
-                for i in np.flatnonzero(live > stop).tolist():
-                    out[ids[i]] = FixedPointResult(row(new, i), 1.0 / limits[i] if limits[i]
-                                                   else None, t, values[i], False,
+                limits = _values(gf)
+                for i in np.flatnonzero(go).tolist():
+                    out[ids[i]] = FixedPointResult(_rows(new)[i].copy(), 1.0 / limits[i]
+                                                   if limits[i] else None, t, values[i], False,
                                                    "max_iter exceeded")
             if n_stop:  # evaluated next: last iterates, or non-finite ones' last finite points
                 done = (x_next if len(settle) == n_stop  # every stopped row is finite
                         else np.where(np.isfinite(x_next), x_next, x))
-                new = done if n_stop == len(ids) else np.where(stop[:, None], done, new)
-            live, running = live > stop, running - n_stop if t < max_iter else 0
+                new = done if n_stop == len(ids) else np.where(stop[..., None], done, new)
+            live, running = go, running - n_stop if t < max_iter else 0
         x = new
 
 

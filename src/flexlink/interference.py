@@ -16,11 +16,12 @@ The solver's fixed-point stages iterate maps built once per stage, at the
 stage's fixed power or bandwidth: :func:`load_maps` (S1),
 :func:`link_power_maps` and :func:`cell_power_maps` (S3).  They evaluate a
 :class:`ProblemStack`, problems sharing a noise PSD and band on a leading
-member axis, so that one call serves a whole batch (``Problem.stack`` is a
-problem's batch of one).  The conversions, domain checks and problem
-constants are taken there, not per iteration.  ``f_load``, ``f_power``,
-``f_power_cell``, ``interference_psd``, ``g1``, ``g2`` and ``g2_bar`` call
-those same maps on a batch of one, so each map has one definition.
+member axis, so that one call serves a whole batch; ``Problem.stack``, one
+problem over its own coupling, is a batch of one on vectors.  The
+conversions, domain checks and problem constants are taken there, not per
+iteration.  ``f_load``, ``f_power``, ``f_power_cell``, ``interference_psd``,
+``g1``, ``g2`` and ``g2_bar`` call those same maps on a batch of one, so
+each map has one definition.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import DomainError, ModelError
+from .fixedpoint import per_member
 from .model import Association, Scenario, _built, _readonly, build_couplings
 
 LN2 = float(np.log(2.0))
@@ -138,68 +140,65 @@ class ProblemStack:
 
     ``rows`` are the couplings stacked ``(B, N+K, K+N)``: the problems may
     view them (:meth:`Problem.batch`), members may share one (a broadcast
-    view).  One ``matmul`` runs every member's matrix-vector product; a solo
-    stack, one problem over its own 2-D ``rows`` (``Problem.stack``), maps
-    vectors by the plain 2-D product.  Per-link vectors are flat, member
-    after member, and the index vectors are offset by member, so one
-    ``bincount`` sums every member.  A
+    view).  One problem may also stand over its own 2-D coupling
+    (``Problem.stack``).  ``shape`` is a per-member value's: ``(B,)``, or
+    ``()`` over a 2-D coupling, whose values are then numpy scalars.  A state
+    is ``shape + (n,)``, member-major rows of per-link (or per-transmitter)
+    values, and so are the per-link arrays; the maps take and give states.
+    The index vectors are offset by member, so one ``bincount`` sums every
+    member and one ``matmul`` runs every member's matrix-vector product.  A
     member's values are bit for bit its values alone: BLAS runs one product
     per member, and a bin adds its own entries in order.
 
-    ``ipsd`` is :func:`interference_psd` as a map of the flat ``x = w p``
-    and ``rates(p, w)`` the per-RB rate, :func:`spectral_efficiency` of the
-    SINR ``p / ipsd(p w)``.  ``g1`` of the flat ``w`` is each member's
-    largest cell load and ``g2`` of the flat ``x`` ``rb_count`` times its
-    largest transmitter use: a ``(B, 1)`` column, or a solo stack's float.
-    :meth:`state_maps` turns maps of flat vectors into maps of member states.
+    ``ipsd`` is :func:`interference_psd` as a map of ``x = w p`` and
+    ``rates(p, w)`` the per-RB rate, :func:`spectral_efficiency` of the SINR
+    ``p / ipsd(p w)``.  ``g1`` of ``w`` is each member's largest cell load,
+    ``g2`` of ``x`` ``rb_count`` times its largest transmitter use, and
+    ``g12(w, x)`` the larger of the two.
     """
 
     def __init__(self, problems, rows):
-        problems, solo = tuple(problems), np.ndim(rows) == 2
-        first = problems[0]
+        problems, shape = tuple(problems), np.shape(rows)[:-2]
         if len({(pr.noise_psd, pr.rb_count, pr.rb_bandwidth) for pr in problems}) > 1:
             raise ModelError("stacked problems must share the noise PSD and the band")
-        if len(problems) > 1 and np.ndim(rows) != 3:
+        if shape != (len(problems),) and (shape or len(problems) > 1):
             raise ModelError("a stack of several problems needs their stacked couplings")
-        # member-major parts (a solo stack's vectors), the index vectors offset by member
-        part = ((lambda name: attrgetter(name)(first)) if solo
-                else (lambda name: np.array(list(map(attrgetter(name), problems)))))
-        parts = {name.split(".")[-1]: part(name) for name in ("assoc.tx", "assoc.rx",
-                 "assoc.serving", "assoc.b_dl", "d_diag", "demands", "p_ext_max")}
+        # member-major parts, the index vectors offset by member
+        parts = {name.split(".")[-1]: np.array(list(map(attrgetter(name), problems))).reshape(
+            shape + (-1,)) for name in ("assoc.tx", "assoc.rx", "assoc.serving", "assoc.b_dl",
+                                        "d_diag", "demands", "p_ext_max")}
         # weak: a problem caches its own stack, which must not keep it alive
-        self._build(tuple(map(weakref.ref, problems)), rows, parts,
-                    None if solo else np.arange(len(problems)))
+        self._build(tuple(map(weakref.ref, problems)), rows, parts, np.arange(len(problems)))
 
     def _build(self, refs, rows, parts, moves):
-        """``moves``: by how many members each member's index vectors shift (solo: None)."""
+        """``moves``: by how many members each member's index vectors shift."""
         self._problems, self.rows, self._parts, first = refs, rows, parts, refs[0]()
-        self.solo = solo = rows.ndim == 2  # maps vectors by the 2-D product
-        (n_rx, n_tx), b, self.k, self.n_bs = (rows.shape[-2:], len(refs), first.assoc.n_ue,
-                                              first.assoc.n_bs)
-        n_bs, noise, self.size = self.n_bs, first.noise_psd, b
-        names = ("tx", "rx", "serving", "b_dl")
-        if moves is not None:  # in place: the parts are this stack's own
-            shifts = np.multiply.outer(moves, (n_tx, n_rx, n_bs, n_bs))
-            for column, name in enumerate(names):
-                parts[name] += shifts[:, column, None]
-        # each member's first transmitter and cell in the flat vectors
-        tx0, cell0 = (np.arange(0, b * size, size) for size in (n_tx, n_bs))
-        tx, rx, serving, self.b_dl, self.d_diag, self.demands, p_ext_max = (
-            parts[name].ravel() for name in (*names, "d_diag", "demands", "p_ext_max"))
+        (n_rx, n_tx), b, shape = rows.shape[-2:], len(refs), rows.shape[:-2]
+        self.k, self.n_bs, self.size, self.shape = first.assoc.n_ue, first.assoc.n_bs, b, shape
+        n_bs, noise = self.n_bs, first.noise_psd
+        shifts = np.multiply.outer(moves, (n_tx, n_rx, n_bs, n_bs)).reshape(shape + (1, 4))
+        for column, name in enumerate(("tx", "rx", "serving", "b_dl")):  # in place: our own
+            parts[name] += shifts[..., column]
+        tx, serving, self.b_dl = (parts[name].ravel() for name in ("tx", "serving", "b_dl"))
+        self._tx, rx, self.d_diag, self.demands, p_ext_max = (
+            parts[name] for name in ("tx", "rx", "d_diag", "demands", "p_ext_max"))
         rb_count = self.rb_count = first.rb_count
         rb_bandwidth = self.rb_bandwidth = first.rb_bandwidth
-        product = rows.__matmul__ if solo else (
-            lambda s: (rows @ s.reshape(b, n_tx, 1)).reshape(-1))
-        d_diag = self.d_diag  # the maps close over locals: ``self`` would make a cycle
-        ipsd = self.ipsd = lambda x: (product(np.bincount(tx, x, b * n_tx))[rx] + noise) / d_diag
-        loads = lambda w: np.bincount(serving, w, b * n_bs)
-        uses = lambda x: np.bincount(tx, x, b * n_tx) / p_ext_max
-        # a member's largest entry, from each one's first: a (B, 1) column, or solo a float
-        largest = ((lambda flat, offset: float(np.maximum.reduce(flat, None))) if solo else
-                   (lambda flat, offset: np.maximum.reduceat(flat, offset)[:, None]))
+        # each member's transmitter sums as matmul takes them, and its cells and transmitters
+        column, cells, transmitters = (shape + (n_tx,) + (1,) * len(shape), shape + (n_bs,),
+                                       shape + (n_tx,))
+        n_cell, n_sum, d_diag = b * n_bs, b * n_tx, self.d_diag  # locals: ``self`` makes a cycle
+        ipsd = self.ipsd = lambda x: ((rows @ np.bincount(tx, x.ravel(), n_sum).reshape(
+            column)).ravel()[rx] + noise) / d_diag
         self.rates = lambda p, w: spectral_efficiency(p / ipsd(p * w), rb_bandwidth)
-        self.g1 = lambda w: largest(loads(w), cell0)
-        self.g2 = lambda x: largest(uses(x), tx0) * rb_count
+        loads = lambda w: np.bincount(serving, w.ravel(), n_cell).reshape(cells)
+        uses = lambda x: np.bincount(tx, x.ravel(), n_sum).reshape(transmitters) / p_ext_max
+        self.g1 = lambda w: per_member(np.maximum, loads(w))
+        self.g2 = lambda x: per_member(np.maximum, uses(x)) * rb_count
+        # ``max{g1(w), g2(x)}`` as one maximum: ``rb_count > 0`` scales each use, rounding and all,
+        # without changing which is largest
+        self.g12 = lambda w, x: per_member(
+            np.maximum, np.concatenate([loads(w), uses(x) * rb_count], -1))
 
     def take(self, members) -> "ProblemStack":
         """The members at the indices ``members``: rows of the member-major parts and couplings,
@@ -214,65 +213,50 @@ class ProblemStack:
     def problems(self) -> tuple:
         return tuple(ref() for ref in self._problems)
 
-    def state_maps(self, f, g):
-        """``f`` and ``g`` of flat per-link vectors as maps of member states:
-        a stack's take ``(B, n)`` states, a solo stack's take its vector."""
-        if self.solo:
-            return f, g
-        return (lambda x: f(x.reshape(-1)).reshape(x.shape)), (lambda x: g(x.reshape(-1)))
-
     def qos(self, w, p):
-        """:func:`qos_levels` of the flat ``w`` and ``p``."""
+        """:func:`qos_levels` of ``w`` and ``p``."""
         return self.rb_count * w * self.rates(p, w) / self.demands
 
     def expand(self, p_bar):
-        """Every member's per-link PSD ``Lambda p_bar`` (a solo stack's, of
-        its vector): uplinks keep their UE's entry, downlinks their cell's."""
-        k = self.k
-        if p_bar.ndim == 1:
-            return np.concatenate([p_bar[:k], p_bar[k:][self.b_dl]])
-        dl = p_bar[:, k:].reshape(-1)[self.b_dl].reshape(-1, k)
-        return np.concatenate([p_bar[:, :k], dl], 1)
+        """Every member's per-link PSD ``Lambda p_bar``, in the rows of
+        ``p_bar``: each link takes its transmitter's entry (an uplink its UE's,
+        a downlink its cell's)."""
+        return p_bar.ravel()[self._tx].reshape(p_bar.shape[:-1] + (-1,))
 
 
 def _cell_mean(stack: ProblemStack, w_fixed):
     """:func:`f_power_cell`'s per-transmitter demands from per-link ones."""
-    k, n_bs, b_dl, size = stack.k, stack.n_bs, stack.b_dl, stack.size * stack.n_bs
-    w_dl = np.asarray(w_fixed, dtype=float).reshape(stack.size, -1)[:, k:].reshape(-1)
-    nu = np.bincount(b_dl, w_dl, size)
+    k, b_dl, size = stack.k, stack.b_dl, stack.size * stack.n_bs
+    w_dl = np.asarray(w_fixed, dtype=float).reshape(stack.shape + (-1,))[..., k:].ravel()
+    nu, cells = np.bincount(b_dl, w_dl, size), stack.shape + (stack.n_bs,)
     has_dl, floor = nu > 0, np.full(size, EPS_NO_DL)
 
     def mean(f):
         dl = floor.copy()
-        np.divide(np.bincount(b_dl, w_dl * f[..., k:].reshape(-1), size), nu, out=dl, where=has_dl)
-        if f.ndim == 1:  # a solo stack's vector
-            return np.concatenate([f[:k], dl])
-        return np.concatenate([f[:, :k], dl.reshape(-1, n_bs)], 1)
+        np.divide(np.bincount(b_dl, w_dl * f[..., k:].ravel(), size), nu, out=dl, where=has_dl)
+        return np.concatenate([f[..., :k], dl.reshape(cells)], -1)
     return mean
 
 
 def load_maps(stack: ProblemStack, p_fixed):
     """S1's maps ``f_load(., p_fixed)`` and ``max{g1, g2(., p_fixed)}`` of
-    every member (:meth:`ProblemStack.state_maps`)."""
-    p = np.asarray(p_fixed, dtype=float).reshape(-1)
+    every member, on states of ``stack``."""
+    p = np.asarray(p_fixed, dtype=float).reshape(stack.shape + (-1,))
     if (p <= 0).any():
         raise DomainError("f_load requires strictly positive fixed power")
-    d, rb_count, rates, g1, g2 = stack.demands, stack.rb_count, stack.rates, stack.g1, stack.g2
-    higher = max if stack.solo else np.maximum
-    return stack.state_maps(lambda w: d / (rb_count * rates(p, w)),
-                            lambda w: higher(g1(w), g2(w * p)))
+    d, rb_count, rates, g12 = stack.demands, stack.rb_count, stack.rates, stack.g12
+    return (lambda w: d / (rb_count * rates(p, w))), (lambda w: g12(w, w * p))
 
 
 def link_power_maps(stack: ProblemStack, w_fixed):
     """S3's maps ``f_power(., w_fixed)`` and ``g2(w_fixed, .)`` of every
     member on ``p > 0`` (the normalized iteration stays positive; a zero PSD
     gives NaN here)."""
-    w = np.asarray(w_fixed, dtype=float).reshape(-1)
+    w = np.asarray(w_fixed, dtype=float).reshape(stack.shape + (-1,))
     if (w <= 0).any():
         raise DomainError("f_power requires strictly positive fixed bandwidth")
     d, rb_count, rates, g2 = stack.demands, stack.rb_count, stack.rates, stack.g2
-    return stack.state_maps(lambda p: (p / w) * d / (rb_count * rates(p, w)),
-                            lambda p: g2(w * p))
+    return (lambda p: (p / w) * d / (rb_count * rates(p, w))), (lambda p: g2(w * p))
 
 
 def cell_power_maps(stack: ProblemStack, w_fixed):
@@ -291,7 +275,7 @@ def interference_psd(p, w, problem: Problem):
 
 def spectral_efficiency(sinr_values, rb_bandwidth: float):
     """Achievable rate per RB, ``B log2(1 + SINR)`` in bit/s."""
-    return rb_bandwidth * np.log2(1.0 + np.asarray(sinr_values))
+    return rb_bandwidth * np.log2(1.0 + sinr_values)
 
 
 def qos_levels(w, p, problem: Problem):
@@ -316,14 +300,14 @@ def f_load(w, p_fixed, problem: Problem):
 def g1(w, problem: Problem) -> float:
     """Per-cell load constraint functional ``||A w||_inf``; ``A w`` sums each
     cell's served links."""
-    return problem.stack.g1(np.asarray(w, dtype=float))
+    return float(problem.stack.g1(np.asarray(w, dtype=float)))
 
 
 def g2(w, p, problem: Problem) -> float:
     """Per-transmitter power constraint functional
     ``W0 ||diag(p_ext_max)^-1 A_ext diag(w) p||_inf``; ``A_ext x`` sums each
     transmitter's links: its UE's uplink, or its cell's downlinks."""
-    return problem.stack.g2(np.asarray(w, dtype=float) * np.asarray(p, dtype=float))
+    return float(problem.stack.g2(np.asarray(w, dtype=float) * np.asarray(p, dtype=float)))
 
 
 def g2_bar(w, p_bar, problem: Problem) -> float:

@@ -24,7 +24,9 @@ the builder of the power-demand map and power constraint on the state.
 :func:`solve_problems` solves a batch of problems sharing a noise PSD and
 band at once: S1 and S3 iterate their members together
 (:func:`stage1_bandwidth`, :func:`stage3_power`), S2 runs member by member.
-:func:`optimize` and the single-problem stages are batches of one.
+Every batch, one problem's included, runs the one fixed-point loop on the
+one set of stage maps of its stack; :func:`optimize` and the single-problem
+stages are batches of one.
 """
 
 from __future__ import annotations
@@ -37,8 +39,7 @@ import numpy as np
 
 from .association import associate
 from .errors import DomainError, InfeasibleError
-from .fixedpoint import (FixedPointResult, normalized_fixed_point, normalized_fixed_points,
-                         yates_iteration)
+from .fixedpoint import FixedPointResult, normalized_fixed_points, yates_iteration
 from .interference import (Problem, ProblemStack, cell_power_maps, f_power, g1, g2,
                            link_power_maps, load_maps, utility)
 from .model import Scenario
@@ -172,14 +173,12 @@ def power_maps(stack: ProblemStack, power_mode: str):
 
 def _fixed_points(build, stack, fixed, x0, callback, memory=0) -> list:
     """:func:`normalized_fixed_points` of the maps ``build(stack, fixed)``
-    from the rows of ``x0``, built again on running members (``take``).  A
-    solo stack runs through :func:`normalized_fixed_point` on its vector."""
+    from the rows of ``x0`` as states of ``stack``, built again on running
+    members (``take``)."""
     f, g = build(stack, fixed)
-    if stack.solo:
-        solo = None if callback is None else (lambda t, x, residual: callback(0, t, x, residual))
-        return [normalized_fixed_point(f, g, x0[0], callback=solo, memory=memory)]
     take = lambda members: build(stack.take(members), fixed[members])
-    return normalized_fixed_points(f, g, x0, callback=callback, memory=memory, take=take)
+    return normalized_fixed_points(f, g, x0.reshape(stack.shape + (-1,)), callback=callback,
+                                   memory=memory, take=take)
 
 
 def stage1_bandwidth(stack: ProblemStack, p_fixed, opts: SolveOptions = SolveOptions(),
@@ -294,10 +293,9 @@ def solve_problems(problems, opts: SolveOptions = SolveOptions(), rows=None) -> 
     all members, S2 for each member whose power constraint binds first, and
     S3 for the members whose band fills with power to spare.  Any state with
     both constraints tight is terminal (local optimum).  A member's
-    ``Solution`` is bit for bit its batch of one.  A solo stack
-    (``ProblemStack.solo``) runs its stages through the single-problem stage
-    functions, so that profilers and tracers see a solo solve's stages by
-    their names.
+    ``Solution`` is bit for bit its batch of one.  A one-problem solve runs
+    its stages through the single-problem stage functions, so that profilers
+    and tracers see them by their names.
     """
     if not problems:
         return []
@@ -310,11 +308,11 @@ def solve_problems(problems, opts: SolveOptions = SolveOptions(), rows=None) -> 
         trace.record("init", 0, 0.0, 0.0, 0.0, math.nan, boundary=True)
 
     def constraints():  # g1 and g2 of every member
-        return list(zip(np.ravel(stack.g1(w.reshape(-1))).tolist(),
-                        np.ravel(stack.g2((w * p).reshape(-1))).tolist()))
+        return list(zip(np.ravel(stack.g1(w)).tolist(), np.ravel(stack.g2(w * p)).tolist()))
     tight = lambda v: v >= 1.0 - TIGHT_TOL
 
-    s1 = ([step1_update_bandwidth(problems[0], p[0], opts, trace=traces[0])] if stack.solo
+    one = len(problems) == 1
+    s1 = ([step1_update_bandwidth(problems[0], p[0], opts, trace=traces[0])] if one
           else stage1_bandwidth(stack, p, opts, traces=traces))
     w, lam, steps = np.array([r.w for r in s1]), [r.lam for r in s1], ["s1"] * len(problems)
     converged, values = [r.fixed_point.converged for r in s1], constraints()
@@ -333,7 +331,7 @@ def solve_problems(problems, opts: SolveOptions = SolveOptions(), rows=None) -> 
                if converged[b] and tight(load) and not tight(use)]
     if members:
         sub = stack if len(members) == len(problems) else stack.take(members)
-        s3 = ([step3_update_power(problems[0], w[0], x[0], opts, trace=traces[0])] if stack.solo
+        s3 = ([step3_update_power(problems[0], w[0], x[0], opts, trace=traces[0])] if one
               else stage3_power(sub, w[members], x[members], opts, [traces[b] for b in members]))
         for b, r in zip(members, s3):
             lam[b], x[b], p[b] = r.lam, r.x, r.p
@@ -343,7 +341,7 @@ def solve_problems(problems, opts: SolveOptions = SolveOptions(), rows=None) -> 
             converged[b], steps[b] = converged[b] and fp.converged, "s3"
             traces[b].record("s3", fp.iterations, lam[b], *values[b], fp.residual, boundary=True)
 
-    qos, k = stack.qos(w.reshape(-1), p.reshape(-1)).reshape(w.shape), stack.k
+    qos, k = stack.qos(w, p), stack.k
     lams = zip(*(q.min(1).tolist() for q in (qos, qos[:, :k], qos[:, k:])))
     return [Solution(w=w[b].copy(), p=p[b].copy(), lam=lam_b, lam_ul=lam_ul, lam_dl=lam_dl,
                      lam_solver=lam[b], step=steps[b], g1=values[b][0],

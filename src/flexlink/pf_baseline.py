@@ -73,8 +73,8 @@ def pf_allocate_all(problems, split=DEFAULT_PF_SPLIT) -> list[PfAllocation]:
     rows[:, :n, k:] = 0.0  # uplinks and downlinks never share an RB
     rows[:, n:, :k] = 0.0
     stack = ProblemStack(problems, rows)
-    p, band = initial_psd(stack), np.tile(np.repeat(np.array(split, dtype=float), k), b)
-    gain = (stack.rates(p, np.zeros(2 * k * b)) / stack.demands).reshape(b, 2 * k)  # QoS per RB
+    p, band = initial_psd(stack), np.tile(np.repeat(np.array(split, dtype=float), k), (b, 1))
+    gain = stack.rates(p, np.zeros(p.shape)) / stack.demands  # QoS per RB
 
     rbs = max(split)
     held = np.zeros((b, 2 * k, rbs))  # QoS a link holds before its c-th RB
@@ -91,10 +91,10 @@ def pf_allocate_all(problems, split=DEFAULT_PF_SPLIT) -> list[PfAllocation]:
     quota, slot = np.tile(np.repeat(split, n), b), np.arange(rbs)
     size = np.bincount((cell + 2 * n * np.arange(b)[:, None]).ravel(), minlength=2 * n * b) * quota
     taken = ((np.cumsum(size) - size)[:, None] + slot)[slot < np.minimum(quota, size)[:, None]]
-    counts = np.bincount(link[order[taken]] + 2 * k * (taken // link.size), minlength=2 * k * b)
+    counts = np.bincount(link[order[taken]] + 2 * k * (taken // link.size),
+                         minlength=2 * k * b).reshape(b, -1)
 
-    qos = counts * stack.rates(p, counts / band) / stack.demands
-    w, p, counts, qos = (x.reshape(b, -1) for x in (counts / first.rb_count, p, counts, qos))
+    qos, w = counts * stack.rates(p, counts / band) / stack.demands, counts / first.rb_count
     lam_ul, lam_dl = qos[:, :k].min(1), qos[:, k:].min(1)
     return [PfAllocation(w=w[i], p=p[i], rb_counts=counts[i], lam_ul=float(lam_ul[i]),
                          lam_dl=float(lam_dl[i]), qos=qos[i]) for i in range(b)]

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from flexlink import __version__, io
+from flexlink import __version__, cli, experiments, io
 from flexlink.association import Policy, associate
 from flexlink.cli import MAX_OFFSETS, main, parse_offsets
 from flexlink.errors import ConfigError
@@ -562,11 +562,20 @@ def test_bad_document_keeps_the_contract(tmp_path, capsys, documents, document):
 @pytest.mark.parametrize("document, argv", [(doc, cmd) for doc, cmds in COMMANDS.items()
                                             for cmd in cmds], ids=lambda v: " ".join(v)
                          if isinstance(v, list) else v)
-def test_usage_error_is_one_line(tmp_path, capsys, documents, usage, document, argv):
+def test_usage_error_is_one_line(tmp_path, capsys, monkeypatch, documents, usage, document,
+                                argv):
     """Usage errors through every command: an unknown flag, its document
     option left out, a document path that does not exist or names a
     directory, a document that is not UTF-8, or an ``--out`` under an
-    existing file."""
+    existing file, which a command that writes a directory refuses before
+    its computation."""
+    if usage == "out under a file":
+        def computed(*args, **kwargs):
+            raise AssertionError("computed before --out was checked")
+        for owner, name in ((cli, "solve_problems"), (cli, "minimize_power"),
+                            (experiments, "solve_policies"), (experiments, "run_policy_study"),
+                            (experiments, "compare_pf"), (experiments, "run_theta_sweep")):
+            monkeypatch.setattr(owner, name, computed)
     source = tmp_path / "doc.json"
     source.write_bytes((b"\xff" if usage == "not UTF-8" else b"") + documents[document].encode())
     path = {"missing path": tmp_path / "absent.json", "directory": tmp_path}.get(usage, source)

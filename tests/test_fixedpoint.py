@@ -135,7 +135,7 @@ def test_stacked_members_match_their_runs_alone(monkeypatch):
     cases = [case for case in (_uneven_affine(seed) for seed in range(100)) if len(case[2]) == 2]
     m, b, x0 = (np.array(parts) for parts in zip(*cases))
     f = lambda x: (m @ x[..., None])[..., 0] + b
-    g = lambda y: y.max(axis=1, keepdims=True)
+    g = lambda y: y.max(axis=-1)
     digest = lambda r: (r.x.tobytes(), r.eigenvalue, r.iterations, r.residual, r.note)
     singular, kernel = [], fixedpoint._lapack_solve
 
@@ -174,7 +174,7 @@ def test_stopped_members_leave_the_maps(memory):
         def f(x):
             rows.append(len(x))
             return (m_at @ x[..., None])[..., 0] + b_at
-        return f, lambda y: y.max(axis=1, keepdims=True)
+        return f, lambda y: y.max(axis=-1)
 
     stacked = fixedpoint.normalized_fixed_points(*maps(list(range(size))), x0, tol=1e-12,
                                                  memory=memory, take=maps)
@@ -208,7 +208,7 @@ def test_accelerated_stack_with_take_follows_each_member_alone():
         taken.append(list(members))
         m_at, b_at = m[members], b[members]
         return (lambda x: (m_at @ x[..., None])[..., 0] + b_at,
-                lambda y: y.max(axis=1, keepdims=True))
+                lambda y: y.max(axis=-1))
 
     stacked = fixedpoint.normalized_fixed_points(
         *maps(list(range(size))), x0, tol=1e-12, memory=5, take=maps,
@@ -242,7 +242,7 @@ def test_stacked_members_follow_the_anderson_reference(k, memory, max_iter):
     x0 = rng.uniform(0.01, 5.0, size=(12, k))
     seen = {i: [] for i in range(12)}
     stacked = fixedpoint.normalized_fixed_points(
-        lambda x: (m @ x[..., None])[..., 0] + b, lambda y: y.max(axis=1, keepdims=True), x0,
+        lambda x: (m @ x[..., None])[..., 0] + b, lambda y: y.max(axis=-1), x0,
         tol=1e-12, max_iter=max_iter, memory=memory,
         callback=lambda i, t, x, residual: seen[i].append((t, x.tobytes(), repr(residual))))
     digest = lambda r: (r.x.tobytes(), repr(r.eigenvalue), r.iterations, repr(r.residual),
@@ -303,7 +303,7 @@ def test_no_step_allowed_ends_at_the_start(max_iter, memory):
             raise RuntimeError("max_iter below one did not stop the run")
         return x @ m.T + b
 
-    g = lambda y: np.max(y, axis=-1, keepdims=True)
+    g = lambda y: np.max(y, axis=-1)
     x0 = np.array([0.3, 1.0])
     solo = normalized_fixed_point(f, MAXNORM, x0, tol=1e-12, max_iter=max_iter, memory=memory)
     batch = fixedpoint.normalized_fixed_points(f, g, np.array([x0, 2.0 * x0]), tol=1e-12,

@@ -363,7 +363,7 @@ def test_every_rate_evaluation_calls_spectral_efficiency_once(monkeypatch):
     maps = (lambda s, w, p, x: load_maps(s, p)[0](w),
             lambda s, w, p, x: link_power_maps(s, w)[0](p),
             lambda s, w, p, x: cell_power_maps(s, w)[0](x),
-            lambda s, w, p, x: s.qos(w.reshape(-1), p.reshape(-1)))
+            lambda s, w, p, x: s.qos(w, p))
     two = [np.tile(v, (2, 1)) for v in (w, p, p_bar)]
     cases = [lambda: qos_levels(w, p, problem)]
     for stack, args in ((problem.stack, (w, p, p_bar)), (ProblemStack(members, rows), two)):
@@ -386,10 +386,11 @@ def test_every_rate_evaluation_calls_spectral_efficiency_once(monkeypatch):
 
 def test_several_problems_stack_only_over_their_stacked_couplings():
     """A stack of several problems is refused without their ``(B, N+K, K+N)``
-    couplings, and over one problem's own 2-D coupling (a solo stack's)."""
+    couplings, over one problem's own 2-D coupling (``Problem.stack``'s), and
+    over stacked couplings of another member count."""
     scenario, assoc, _ = random_problem(71, n_ue=5, n_bs=3)
     problems, rows = Problem.batch([(scenario, assoc)] * 2)
-    for bad in (None, rows[0]):
+    for bad in (None, rows[0], rows[:1], np.concatenate([rows, rows])):
         with pytest.raises(ModelError, match="stacked couplings"):
             ProblemStack(problems, bad)
 
@@ -405,7 +406,7 @@ def test_take_of_a_take_evaluates_as_a_fresh_stack():
     problems, rows = Problem.batch([(scenario, a) for a in assocs])
     taken = ProblemStack(problems, rows).take(np.array([0, 2, 3, 5])).take(np.array([1, 3]))
     fresh = ProblemStack([problems[2], problems[5]], rows[[2, 5]])
-    w, x = rng.uniform(0.01, 0.3, 20), rng.uniform(1e-4, 1e-2, 20)
+    w, x = rng.uniform(0.01, 0.3, (2, 10)), rng.uniform(1e-4, 1e-2, (2, 10))
     p_bar = rng.uniform(1e-4, 1e-2, (2, 8))
     assert taken.problems == fresh.problems and taken.size == fresh.size == 2
     for a, b in ((taken.ipsd(x), fresh.ipsd(x)), (taken.g1(w), fresh.g1(w)),

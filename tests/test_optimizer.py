@@ -458,22 +458,37 @@ def _step_digest(r):
 
 @pytest.mark.parametrize("opts", [OPTS, CELL_OPTS], ids=lambda opts: opts.power_mode)
 def test_one_member_stack_runs_the_solo_stages(opts):
-    """S1 and S3 on a one-member stacked batch, built from a problem's own
-    coupling or taken from a larger stack, are bit for bit the single-problem
-    stages on that problem: ``w``, ``p``, power state, utility, iterations,
-    residual and convergence."""
+    """S1 and S3 of one problem run one loop whatever its stack: the
+    problem's own (``Problem.stack``, vector states), a one-member stacked
+    batch built from its coupling, or one taken from a larger stack.  Each
+    is bit for bit the single-problem stages and the reference loops
+    (``normalized_fixed_point_ref`` for S1, ``anderson_fixed_point_ref`` for
+    S3) on the problem's own stage maps: ``w``, ``p``, power state, utility,
+    iterations, residual and convergence."""
     scenario = generate(STUDY_CONFIG, 0)
     overlap = uniform_overlap(scenario.n_bs, DEFAULT_HISTORY_UL, DEFAULT_HISTORY_DL)
     problems, rows = Problem.batch([(scenario, associate(Policy(label), scenario))
                                     for label in ("coud", DEUD_P)], overlap)
     b, problem = 1, problems[1]
     x0 = initial_power_state(problem.stack, opts.power_mode)
-    p0 = power_maps(problem.stack, opts.power_mode)[0](x0)
+    expand, build = power_maps(problem.stack, opts.power_mode)
+    p0 = expand(x0)
     s1 = step1_update_bandwidth(problem, p0[0], opts)
     s3 = step3_update_power(problem, s1.w, x0[0], opts)
-    for stack in (ProblemStack([problem], problem.rows[None]),
-                  ProblemStack(problems, rows).take([b])):
-        assert not stack.solo and stack.size == 1
+    fixed_point = lambda r: (r.x.tobytes(), r.eigenvalue, r.iterations, r.residual, r.converged)
+    s1_ref = normalized_fixed_point_ref(*optimizer.load_maps(problem.stack, p0[0]), 1.0,
+                                        np.zeros(problem.n_links))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s3_ref = anderson_fixed_point_ref(*build(problem.stack, s1.w), x0[0],
+                                          optimizer.ANDERSON_MEMORY)
+    assert fixed_point(s1.fixed_point) == fixed_point(s1_ref)
+    assert fixed_point(s3.fixed_point) == fixed_point(s3_ref)
+    assert s1.lam == s1_ref.eigenvalue and s3.lam == s3_ref.eigenvalue
+    stacks = (problem.stack, ProblemStack([problem], problem.rows[None]),
+              ProblemStack(problems, rows).take([b]))
+    assert [stack.shape for stack in stacks] == [(), (1,), (1,)]
+    for stack in stacks:
+        assert stack.size == 1
         [s1_stacked] = stage1_bandwidth(stack, p0, opts)
         [s3_stacked] = stage3_power(stack, s1_stacked.w[None], x0, opts)
         assert _step_digest(s1_stacked) == _step_digest(s1)
@@ -508,13 +523,13 @@ def test_s2_takes_a_round_whenever_it_is_entered():
 
 
 def test_plain_stages_run_the_reference_loop(monkeypatch):
-    """S1 and S2 call ``normalized_fixed_points`` (a batch of one,
-    ``normalized_fixed_point``) with ``memory=0``, which is the plain loop as
-    it read before Anderson acceleration: running each member of each batch
-    through that loop alone instead leaves every solution and every
-    full-trace row (iterates, residuals, iteration counts) of every distinct
-    problem of study seed 3 bit-identical, in both power modes, at a budget
-    that reaches S2."""
+    """S1 and S2 call ``normalized_fixed_points`` with ``memory=0``, on a
+    batch's ``(B, n)`` states or on one problem's vector, and that is the
+    plain loop as it read before Anderson acceleration: running each member
+    of each batch through that loop alone instead leaves every solution and
+    every full-trace row (iterates, residuals, iteration counts) of every
+    distinct problem of study seed 3 bit-identical, in both power modes, at a
+    budget that reaches S2."""
     scenario = generate(STUDY_CONFIG, 3)
     partial = uniform_overlap(scenario.n_bs, DEFAULT_HISTORY_UL, DEFAULT_HISTORY_DL)
 
@@ -529,33 +544,28 @@ def test_plain_stages_run_the_reference_loop(monkeypatch):
     batched = optimizer.normalized_fixed_points
 
     def routed(f, g, x0, memory=0, callback=None, take=None, **kw):
-        calls[memory] += len(x0)  # member fixed points
+        calls[memory, x0.ndim] += len(x0) if x0.ndim == 2 else 1  # member fixed points
         if memory:
             return batched(f, g, x0, memory=memory, callback=callback, take=take, **kw)
+        if x0.ndim == 1:  # one problem's vector
+            one = None if callback is None else (
+                lambda t, x, residual: callback(0, t, x, residual))
+            return [normalized_fixed_point_ref(f, g, 1.0, x0, callback=one, **kw)]
         out, fx0 = [], f(x0)
         for b in range(len(x0)):  # each member alone, the others held at their start
             put = lambda rows, v, b=b: np.concatenate([rows[:b], v[None], rows[b + 1:]])
-            solo = None if callback is None else (
+            one = None if callback is None else (
                 lambda t, x, residual, b=b: callback(b, t, x, residual))
             out.append(normalized_fixed_point_ref(
                 lambda x, b=b, put=put: f(put(x0, x))[b],
-                lambda y, b=b, put=put: float(g(put(fx0, y))[b, 0]), 1.0, x0[b],
-                callback=solo, **kw))
+                lambda y, b=b, put=put: float(g(put(fx0, y))[b]), 1.0, x0[b],
+                callback=one, **kw))
         return out
 
-    solo = optimizer.normalized_fixed_point
-
-    def routed_one(f, g, x0, memory=0, callback=None, **kw):
-        calls[memory, "solo"] += 1
-        if memory:
-            return solo(f, g, x0, memory=memory, callback=callback, **kw)
-        return normalized_fixed_point_ref(f, g, 1.0, x0, callback=callback, **kw)
-
     monkeypatch.setattr(optimizer, "normalized_fixed_points", routed)
-    monkeypatch.setattr(optimizer, "normalized_fixed_point", routed_one)
     assert list(map(_solution_digest, solve_all())) == list(map(_solution_digest, plain))
-    assert calls[0] > 50 and calls[optimizer.ANDERSON_MEMORY] > 40, calls
-    assert calls[0, "solo"] > 0, calls  # S2's re-solves
+    assert calls[0, 2] > 50 and calls[optimizer.ANDERSON_MEMORY, 2] > 40, calls
+    assert calls[0, 1] > 0, calls  # S2's re-solves
 
 
 def test_s3_follows_the_anderson_reference(monkeypatch):
