@@ -17,10 +17,9 @@ import numpy as np
 
 from .association import COUD, DEUD_P, Policy, associate, associate_all, policy_sweep
 from .errors import ConfigError, DomainError
-from .interference import Problem
+from .interference import Problem, ProblemStack
 from .model import Scenario, check_band
-from .optimizer import (Solution, SolveOptions, initial_power_state, solve_problems,
-                        step3_update_power)
+from .optimizer import Solution, SolveOptions, initial_power_state, solve_problems, stage3_power
 from .pf_baseline import DEFAULT_PF_SPLIT, pf_allocate, pf_allocate_all
 from .scenario import ScenarioConfig, generate, uniform_overlap
 from .units import dbm_to_watt
@@ -154,27 +153,23 @@ def mean_ci(values):
     arr = np.asarray(values, dtype=float)
     if arr.size < 2:
         return float(arr.mean()) if arr.size else float("nan"), None
-    half = CI_Z * arr.std(ddof=1) / np.sqrt(arr.size)
-    return float(arr.mean()), float(half)
+    return float(arr.mean()), float(CI_Z * arr.std(ddof=1) / np.sqrt(arr.size))
 
 
 def aggregate_policy_study(results: list[dict]) -> dict:
     offsets = sorted(results[0]["partial"], key=float)
-    per_offset = {}
-    for off in offsets:
-        lams = [r["partial"][off]["lam"] for r in results]
-        mean, half = mean_ci(lams)
-        per_offset[off] = {"mean_lam": mean, "ci_halfwidth": half}
+    per_offset = {off: dict(zip(("mean_lam", "ci_halfwidth"),
+                                mean_ci([r["partial"][off]["lam"] for r in results])))
+                  for off in offsets}
 
     # per trial, under partial overlap: each reference's utility and the best offset's
     partial = {label: [r["references"][label] for r in results] for label in REFERENCES}
     partial["best"] = [max(r["partial"][o]["lam"] for o in offsets) for r in results]
 
     # how often each offset lands in the per-trial top three
-    top3 = {off: 0 for off in offsets}
+    top3 = dict.fromkeys(offsets, 0)
     for r in results:
-        ranked = sorted(offsets, key=lambda o: r["partial"][o]["lam"], reverse=True)
-        for off in ranked[:3]:
+        for off in sorted(offsets, key=lambda o: r["partial"][o]["lam"], reverse=True)[:3]:
             top3[off] += 1
 
     partial_full = {}
@@ -208,16 +203,17 @@ def run_theta_sweep(scenario: Scenario, policy: Policy, thetas,
 
     For each noise level the bandwidth is first shaped by a full reference
     solve; the power subproblem is then re-solved from the open-loop PSD
-    (per transmitter in cell-specific mode) for every ``theta``, on one
-    coupling with only the noise and the power budgets replaced.  The utility
-    is nondecreasing in ``theta`` because the feasible set only grows with
-    the budget.
+    (per transmitter in cell-specific mode) for every ``theta`` as one
+    ``stage3_power`` batch on the floor's one coupling, each row bit for bit
+    its own solve and converged only with the reference.  The utility is
+    nondecreasing in ``theta``: the feasible set only grows with the budget.
     """
+    thetas, rows = list(thetas), []
     if not all(0 < theta < np.inf for theta in thetas):
         raise DomainError("theta must be positive")
-    rows = []
-    coupled = Problem.from_scenario(scenario, associate(policy, scenario))
-    x0 = initial_power_state(coupled.stack, opts.power_mode)[0]
+    coupled, b = Problem.from_scenario(scenario, associate(policy, scenario)), len(thetas)
+    x0 = np.tile(initial_power_state(coupled.stack, opts.power_mode), (b, 1))
+    shared = np.broadcast_to(coupled.rows, (b,) + coupled.rows.shape)
     for noise_dbm in noise_dbm_list:
         noise_psd = float(dbm_to_watt(noise_dbm))
         check_band(scenario.rb_bandwidth, noise_psd)  # a scenario's checks of the floor
@@ -226,10 +222,11 @@ def run_theta_sweep(scenario: Scenario, policy: Policy, thetas,
             ref, *problems = [dataclasses.replace(base, p_ext_max=base.p_ext_max * theta)
                               for theta in (opts.theta, *thetas)]
         ref = solve_problems([ref], opts)[0]
-        for theta, problem in zip(thetas, problems):
-            step = step3_update_power(problem, ref.w, x0, opts)
-            rows.append({"noise_dbm": float(noise_dbm), "theta": float(theta),
-                         "lam": step.lam, "converged": step.fixed_point.converged})
+        steps = stage3_power(ProblemStack(problems, shared), np.tile(ref.w, (b, 1)), x0,
+                             opts) if thetas else []
+        rows += [{"noise_dbm": float(noise_dbm), "theta": float(theta), "lam": step.lam,
+                  "converged": ref.converged and step.fixed_point.converged}
+                 for theta, step in zip(thetas, steps)]
     return rows
 
 

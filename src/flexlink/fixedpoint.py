@@ -102,11 +102,11 @@ def normalized_fixed_points(f, g, x0, tol: float = DEFAULT_TOL,
     a vector (a batch of one).  Each member has its own stop rule and Anderson
     history, and stops once the next evaluation has given its eigenvalue; its
     row (in the maps and the loop's arrays) stays at its last point until the
-    running members are at most half of the rows, when the loop keeps the
-    running rows alone and ``take(members)``, the maps of the members at those
-    indices, replaces the maps.  So each member's iterates are bit for bit
-    those of its batch of one.  ``callback(b, t, x, residual)`` is member
-    ``b``'s callback.
+    running members are at most half of the rows, or the stopped rows have
+    cost one evaluation of all the rows (about what a cut costs); then the
+    loop keeps the running rows alone and ``take(members)``, their maps,
+    replaces the maps.  So each member's iterates are bit for bit those of its
+    batch of one.  ``callback(b, t, x, residual)`` is member ``b``'s callback.
     """
     if not memory:
         return _iterate(f, g, x0, tol, max_iter, callback, memory, take)
@@ -179,23 +179,24 @@ def _iterate(f, g, x0, tol, max_iter, callback, memory, take):
     out = [None] * len(ids)
     anderson = _Anderson(x, memory) if memory else None
     # per-member values have the shape of g's (numpy scalars for a vector)
-    live, running, settle, t = np.ones(x.shape[:-1], bool)[()], len(ids), None, 0
+    live, running, settle, t, idle = np.ones(x.shape[:-1], bool)[()], len(ids), None, 0, 0
     while True:
         fx = f(x)
         gf = g(fx)
+        idle += len(ids) - running  # rows evaluated for no running member
         if settle is not None:  # some members stopped last step: settle the converged ones
             values = _values(gf)
             for i in settle:
                 out[ids[i]].eigenvalue = 1.0 / values[i]
             if not running:
                 return out
-            if take is not None and 2 * running <= len(ids):  # leave the running rows alone
-                keep = np.flatnonzero(live)
-                ids, x, fx, gf, live = ids[keep], x[keep], fx[keep], gf[keep], live[keep]
-                if anderson is not None:
-                    anderson.keep(keep)
-                f, g = take(ids)
             settle = None
+        if take is not None and (2 * running <= len(ids) or idle >= len(ids)):
+            keep = np.flatnonzero(live)  # leave the running rows alone
+            ids, x, fx, gf, live = ids[keep], x[keep], fx[keep], gf[keep], live[keep]
+            if anderson is not None:
+                anderson.keep(keep)
+            f, g, idle = *take(ids), 0
         t += 1
         x_next = (fx.T / gf).T  # the plain step: each member's image over its own g
         new, r, back = x_next, x_next - x, None

@@ -138,17 +138,17 @@ class ProblemStack:
     chunk of trials) on a leading member axis, so that the stage maps
     evaluate ``B`` members at once.
 
-    ``rows`` are the couplings stacked ``(B, N+K, K+N)``: the problems may
-    view them (:meth:`Problem.batch`), members may share one (a broadcast
-    view).  One problem may also stand over its own 2-D coupling
-    (``Problem.stack``).  ``shape`` is a per-member value's: ``(B,)``, or
-    ``()`` over a 2-D coupling, whose values are then numpy scalars.  A state
-    is ``shape + (n,)``, member-major rows of per-link (or per-transmitter)
-    values, and so are the per-link arrays; the maps take and give states.
-    The index vectors are offset by member, so one ``bincount`` sums every
-    member and one ``matmul`` runs every member's matrix-vector product.  A
-    member's values are bit for bit its values alone: BLAS runs one product
-    per member, and a bin adds its own entries in order.
+    ``rows`` are the couplings stacked ``(B, N+K, K+N)``: the problems may view
+    them (:meth:`Problem.batch`), members may share one (a broadcast view,
+    which :meth:`take` keeps shared).  One problem may also stand over its own
+    2-D coupling and arrays (``Problem.stack``).  ``shape`` is a per-member
+    value's: ``(B,)``, or ``()`` over a 2-D coupling, whose values are then
+    numpy scalars.  A state is ``shape + (n,)``, member-major rows of per-link
+    (or per-transmitter) values, and so are the per-link arrays; the maps take
+    and give states.  The index vectors are offset by member, so one bincount
+    sums every member and one matmul runs every member's matrix-vector
+    product.  A member's values are bit for bit its values alone: BLAS runs
+    one product per member, and a bin adds its own entries in order.
 
     ``ipsd`` is :func:`interference_psd` as a map of ``x = w p`` and
     ``rates(p, w)`` the per-RB rate, :func:`spectral_efficiency` of the SINR
@@ -163,10 +163,10 @@ class ProblemStack:
             raise ModelError("stacked problems must share the noise PSD and the band")
         if shape != (len(problems),) and (shape or len(problems) > 1):
             raise ModelError("a stack of several problems needs their stacked couplings")
-        # member-major parts, the index vectors offset by member
+        # member-major parts, the index vectors offset by member (a lone problem's own arrays)
         parts = {name.split(".")[-1]: np.array(list(map(attrgetter(name), problems))).reshape(
-            shape + (-1,)) for name in ("assoc.tx", "assoc.rx", "assoc.serving", "assoc.b_dl",
-                                        "d_diag", "demands", "p_ext_max")}
+            shape + (-1,)) if shape else attrgetter(name)(problems[0]) for name in (
+            "assoc.tx", "assoc.rx", "assoc.serving", "assoc.b_dl", "d_diag", "demands", "p_ext_max")}
         # weak: a problem caches its own stack, which must not keep it alive
         self._build(tuple(map(weakref.ref, problems)), rows, parts, np.arange(len(problems)))
 
@@ -176,9 +176,10 @@ class ProblemStack:
         (n_rx, n_tx), b, shape = rows.shape[-2:], len(refs), rows.shape[:-2]
         self.k, self.n_bs, self.size, self.shape = first.assoc.n_ue, first.assoc.n_bs, b, shape
         n_bs, noise = self.n_bs, first.noise_psd
-        shifts = np.multiply.outer(moves, (n_tx, n_rx, n_bs, n_bs)).reshape(shape + (1, 4))
-        for column, name in enumerate(("tx", "rx", "serving", "b_dl")):  # in place: our own
-            parts[name] += shifts[..., column]
+        if moves.any():  # in place: our own copies
+            shifts = np.multiply.outer(moves, (n_tx, n_rx, n_bs, n_bs)).reshape(shape + (1, 4))
+            for column, name in enumerate(("tx", "rx", "serving", "b_dl")):
+                parts[name] += shifts[..., column]
         tx, serving, self.b_dl = (parts[name].ravel() for name in ("tx", "serving", "b_dl"))
         self._tx, rx, self.d_diag, self.demands, p_ext_max = (
             parts[name] for name in ("tx", "rx", "d_diag", "demands", "p_ext_max"))
@@ -201,10 +202,11 @@ class ProblemStack:
             np.maximum, np.concatenate([loads(w), uses(x) * rb_count], -1))
 
     def take(self, members) -> "ProblemStack":
-        """The members at the indices ``members``: rows of the member-major parts and couplings,
-        each index vector moved from its old member's offset to its new one."""
-        sub, members = object.__new__(ProblemStack), np.asarray(members)
-        sub._build(tuple(self._problems[b] for b in members), self.rows.take(members, 0),
+        """The members at the indices ``members``: rows of the member-major parts and couplings
+        (one view of a shared coupling), each index vector moved to its new member's offset."""
+        sub, members, rows = object.__new__(ProblemStack), np.asarray(members), self.rows
+        sub._build(tuple(self._problems[b] for b in members),
+                   rows[:members.size] if rows.strides[0] == 0 else rows.take(members, 0),
                    {name: part.take(members, 0) for name, part in self._parts.items()},
                    np.arange(members.size) - members)
         return sub

@@ -14,7 +14,8 @@ from ``normalized_fixed_point``'s docstring, to pin its iterates bit for bit.
 ``check_sif_axioms`` samples the SIF axioms (Yates 1995);
 ``linear_reformulation_check`` recovers the power-update utility through the
 O((2K)^3) linear-in-power route; ``run_trial_loop`` is the Monte Carlo trial
-with one ``optimize`` per policy; ``pf_allocate_ref`` is ``pf_allocate`` as
+with one ``optimize`` per policy; ``theta_sweep_ref`` is the power-budget
+study with one ``step3_update_power`` per budget scale; ``pf_allocate_ref`` is ``pf_allocate`` as
 it read when it built its own problem, on the split-band problem of
 ``_split_band`` and its rates ``_pf_rates``; ``pf_greedy_ref`` is the PF baseline's
 greedy hand-out as the per-RB loop that ``pf_allocate``'s one sort replaced;
@@ -37,7 +38,8 @@ from flexlink.interference import (EPS_NO_DL, LN2, Problem, g1, g2, interference
                                    spectral_efficiency, utility)
 from flexlink.model import (MACRO, OVERLAP_PAIRWISE, PICO, BaseStation, Scenario, UserTerminal,
                             pairwise_overlap_factors)
-from flexlink.optimizer import W_FLOOR, initial_psd, optimize
+from flexlink.optimizer import (W_FLOOR, initial_power_state, initial_psd, optimize,
+                                solve_problems, step3_update_power)
 from flexlink.pf_baseline import DEFAULT_PF_SPLIT, EPS_PF, PfAllocation
 from flexlink.scenario import (FS_1M_DB, SERVICE_CLASSES_DL_MBPS, SERVICE_CLASSES_UL_MBPS,
                                SITE_EXPONENT, generate, macro_ue_pathloss_db,
@@ -635,6 +637,24 @@ def run_trial_loop(config, seed) -> dict:
 
     return {"seed": seed, "partial": partial, "best_offset": best_offset,
             "references": references, "full": full, "pf": pf}
+
+
+def theta_sweep_ref(scenario, policy, thetas, noise_dbm_list, opts=MC_OPTS) -> list[dict]:
+    """``experiments.run_theta_sweep`` as a plain loop: per noise floor one
+    reference solve, then one ``step3_update_power`` per ``theta`` on its own
+    problem; a row is converged when its S3 and the reference both are."""
+    rows = []
+    coupled = Problem.from_scenario(scenario, associate(policy, scenario))
+    x0 = initial_power_state(coupled.stack, opts.power_mode)[0]
+    for noise_dbm in noise_dbm_list:
+        base = replace(coupled, noise_psd=float(dbm_to_watt(noise_dbm)))
+        ref = solve_problems([replace(base, p_ext_max=base.p_ext_max * opts.theta)], opts)[0]
+        for theta in thetas:
+            problem = replace(base, p_ext_max=base.p_ext_max * theta)
+            step = step3_update_power(problem, ref.w, x0, opts)
+            rows.append({"noise_dbm": float(noise_dbm), "theta": float(theta), "lam": step.lam,
+                         "converged": ref.converged and step.fixed_point.converged})
+    return rows
 
 
 def _split_band(problem: Problem) -> Problem:

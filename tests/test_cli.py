@@ -1,5 +1,6 @@
 """Command-line interface: files, determinism, exit codes."""
 
+import dataclasses
 import hashlib
 import json
 import shutil
@@ -270,6 +271,22 @@ def test_theta_sweep_csv_and_provenance(tmp_path, scenario_file):
     assert rows == [f"{r['noise_dbm']!r},{r['theta']!r},{r['lam']!r},{int(r['converged'])}"
                     for r in expected]
     assert len(rows) == 4
+
+
+def test_theta_rows_read_their_floor_reference(monkeypatch, tmp_path, scenario_file):
+    """A floor whose reference solve stops unconverged leaves each of its rows
+    unconverged, however its S3 ends, and ``theta-sweep`` exits 2."""
+    solve = experiments.solve_problems
+    monkeypatch.setattr(experiments, "solve_problems", lambda problems, opts: [
+        dataclasses.replace(sol, converged=False) for sol in solve(problems, opts)])
+    scenario = io.read_scenario(scenario_file)[1]
+    rows = run_theta_sweep(scenario, Policy.parse("deud-p"), (0.1, 1.0), (-80.0,))
+    assert [r["converged"] for r in rows] == [False, False]
+    out = tmp_path / "theta"
+    assert main(["theta-sweep", "--scenario", str(scenario_file), "--policy", "deud-p",
+                 "--theta", "0.1", "--theta", "1", "--noise-dbm", "-80", "--out", str(out)]) == 2
+    lines = (out / "theta_sweep.csv").read_text().splitlines()[2:]
+    assert [line.rsplit(",", 1)[1] for line in lines] == ["0", "0"]
 
 
 def test_compare_pf_csv(tmp_path, scenario_file):

@@ -9,12 +9,12 @@ import pytest
 import flexlink.experiments as experiments
 from flexlink import io
 from flexlink.association import Policy, associate, associate_all, policy_sweep
-from flexlink.interference import Problem
+from flexlink.interference import Problem, ProblemStack
 from flexlink.optimizer import optimize, solve_problems
 from flexlink.pf_baseline import pf_allocate
 from flexlink.scenario import ScenarioConfig, generate, uniform_overlap
 
-from .oracles import run_trial_loop
+from .oracles import run_trial_loop, theta_sweep_ref
 
 TINY = ScenarioConfig(macro_rows=1, macro_cols=2, n_pico=1, n_ue=6,
                       isd_m=20.0, service_mix=(0.0, 0.2, 0.0, 0.1, 0.7),
@@ -267,6 +267,35 @@ def test_theta_sweep_rows_cover_grid():
         for noise in (-100.0, -121.45):
             lams = [r["lam"] for r in rows if r["noise_dbm"] == noise]
             assert lams[1] >= lams[0] - 1e-12
+
+
+@pytest.mark.parametrize("power_mode", ["per_link", "cell_specific"])
+@pytest.mark.parametrize("config, seed", [
+    (experiments.STUDY_CONFIG, 0),
+    (ScenarioConfig(macro_rows=2, macro_cols=3, n_pico=3, n_ue=60), 2)])
+def test_theta_sweep_equals_one_s3_per_theta(monkeypatch, config, seed, power_mode):
+    """A floor's budget scales are one S3 batch on one shared coupling, each
+    row bit for bit its own ``step3_update_power``.  Its members stop
+    iterations apart (theta 1e-5 within a few steps), so stopped rows stay
+    frozen and the batch is cut down by ``take``."""
+    takes, take = [], ProblemStack.take
+    monkeypatch.setattr(ProblemStack, "take",
+                        lambda stack, members: takes.append(len(members)) or take(stack, members))
+    args = (generate(config, seed), Policy("deud_p"), (1e-5, 1e-3, 0.06, 0.5, 1.0),
+            (-80.0, -121.45), dataclasses.replace(experiments.MC_OPTS, power_mode=power_mode))
+    rows = experiments.run_theta_sweep(*args)
+    assert takes and rows == theta_sweep_ref(*args)
+    assert all(r["converged"] for r in rows)
+
+
+def test_theta_sweep_without_points_builds_no_stack(monkeypatch):
+    built = []
+    monkeypatch.setattr(experiments, "ProblemStack",
+                        lambda problems, rows: built.append(problems) or ProblemStack(problems, rows))
+    sc = generate(TINY, seed=1)
+    assert experiments.run_theta_sweep(sc, Policy("deud_p"), [], [-100.0]) == []
+    assert experiments.run_theta_sweep(sc, Policy("deud_p"), [0.5], []) == []
+    assert built == []
 
 
 def test_workers_do_not_change_results(monkeypatch):

@@ -395,10 +395,25 @@ def test_several_problems_stack_only_over_their_stacked_couplings():
             ProblemStack(problems, bad)
 
 
+def test_one_problem_stack_views_its_own_arrays():
+    """``Problem.stack`` stands on the problem's own index vectors and arrays,
+    moved by no member offset: they stay read-only and unchanged."""
+    _, assoc, problem = random_problem(71, n_ue=5, n_bs=3)
+    own = {"tx": assoc.tx, "rx": assoc.rx, "serving": assoc.serving, "b_dl": assoc.b_dl,
+           "d_diag": problem.d_diag, "demands": problem.demands, "p_ext_max": problem.p_ext_max}
+    before = {name: a.copy() for name, a in own.items()}
+    parts = problem.stack._parts
+    for name, a in own.items():
+        assert parts[name] is a and not a.flags.writeable
+        assert a.tobytes() == before[name].tobytes()
+
+
 def test_take_of_a_take_evaluates_as_a_fresh_stack():
     """``ProblemStack.take`` slices the parent stack's member-major arrays; a
     take of a take evaluates ``ipsd``, ``g1``, ``g2``, ``qos`` and ``expand``
-    exactly as a stack built afresh from the same members."""
+    exactly as a stack built afresh from the same members.  Members over one
+    shared coupling (a broadcast view) stay over that coupling, uncopied, and
+    evaluate ``ipsd`` and ``rates`` as a fresh stack over copies of it."""
     scenario, _, _ = random_problem(71, n_ue=5, n_bs=3)
     rng = np.random.default_rng(71)
     assocs = [Association(b_ul=rng.integers(0, 3, 5), b_dl=rng.integers(0, 3, 5), n_bs=3)
@@ -412,4 +427,13 @@ def test_take_of_a_take_evaluates_as_a_fresh_stack():
     for a, b in ((taken.ipsd(x), fresh.ipsd(x)), (taken.g1(w), fresh.g1(w)),
                  (taken.g2(x), fresh.g2(x)), (taken.qos(w, x), fresh.qos(w, x)),
                  (taken.expand(p_bar), fresh.expand(p_bar))):
+        assert a.tobytes() == b.tobytes()
+    budgets = [dataclasses.replace(problems[1], p_ext_max=problems[1].p_ext_max * scale)
+               for scale in (0.5, 1.0, 2.0, 4.0)]
+    shared = ProblemStack(budgets, np.broadcast_to(rows[1], (4,) + rows.shape[1:]))
+    taken = shared.take(np.array([0, 2, 3])).take(np.array([0, 2]))
+    fresh = ProblemStack([budgets[0], budgets[3]], rows[[1, 1]])
+    assert taken.problems == fresh.problems and np.shares_memory(taken.rows, rows)
+    for a, b in ((taken.ipsd(x), fresh.ipsd(x)), (taken.rates(x, w), fresh.rates(x, w)),
+                 (taken.g2(x), fresh.g2(x))):
         assert a.tobytes() == b.tobytes()
