@@ -60,8 +60,10 @@ def parse_offsets(text: str) -> list[float]:
 
 
 def _out_dir(ctx, param, path):
-    """``--out``, refused before any work unless its nearest existing ancestor
-    (itself, if it exists) is a directory; the check creates nothing."""
+    """``--out``, refused before any work if it is empty or its nearest existing
+    ancestor (itself, if it exists) is not a directory; the check creates nothing."""
+    if not path:  # ``abspath`` would read it as the working directory
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     probe = os.path.abspath(path)
     while not os.path.exists(probe):
         probe = os.path.dirname(probe)

@@ -62,17 +62,19 @@ class Problem:
     """One problem instance: everything the functionals evaluate.
 
     The paper's 2K x 2K coupling (receiver link by transmitter link) is
-    ``V~ = rows[np.ix_(assoc.rx, assoc.tx)]``.  ``rows`` is (N+K) x (K+N):
-    one uplink receiver row per cell, then one downlink receiver row per UE;
-    one uplink transmitter column per UE, then one downlink transmitter
-    column per cell.  This is exact because an uplink's row of ``V~``
-    depends only on its serving cell and a downlink's column only on its
-    sending cell (see :func:`flexlink.model.build_coupling`), so ``rows``
-    holds about a quarter of the entries of ``V~`` and ``V~ diag(p) w`` is
-    ``rows`` times the per-transmitter sums of ``w p``.  Cross-direction
-    entries carry any overlap adjustment.
+    ``V~ = rows[np.ix_(rx, tx)]``.  ``rows`` is (N+K) x (K+N): one uplink
+    receiver row per cell, then one downlink receiver row per UE; one uplink
+    transmitter column per UE, then one downlink transmitter column per cell.
+    So each link's row and column are functions of ``assoc``'s maps:
+    ``rx = [b_ul, N + arange(K)]`` and ``tx = [arange(K), K + b_dl]``.  This
+    is exact because an uplink's row of ``V~`` depends only on its serving
+    cell and a downlink's column only on its sending cell (see
+    :func:`flexlink.model.build_coupling`), so ``rows`` holds about a quarter
+    of the entries of ``V~`` and ``V~ diag(p) w`` is ``rows`` times the
+    per-transmitter sums of ``w p``.  Cross-direction entries carry any
+    overlap adjustment.
 
-    ``d_diag`` is each link's direct gain ``h0[serving, ue]``, ``noise_psd``
+    ``d_diag`` is each link's direct gain ``h0[[b_ul, b_dl], ue]``, ``noise_psd``
     the receiver noise per RB and ``p_ext_max`` the per-transmitter power
     budgets over the whole band (``[p_max^UL; q_max^DL]``, UEs then BSs).
     ``rows`` and ``d_diag`` are made read-only in place, not copied, because
@@ -112,7 +114,8 @@ class Problem:
         rows.setflags(write=False)  # and so every problem's view of it
         venues = list({id(scenario): scenario for scenario, _ in cases}.values())
         ue = np.tile(np.arange(cases[0][1].n_ue), 2)
-        d_diag = np.array([scenario.h0[assoc.serving, ue] for scenario, assoc in cases])
+        d_diag = np.array([scenario.h0[np.concatenate([assoc.b_ul, assoc.b_dl]), ue]
+                           for scenario, assoc in cases])
         noise, budgets = np.array([v.noise_psd for v in venues]), np.array(
             [np.concatenate([v.ue_max_powers(), v.bs_max_powers()]) for v in venues])
         with np.errstate(over="ignore"):  # a budget past the largest float is refused, not warned
@@ -145,7 +148,9 @@ class ProblemStack:
     value's: ``(B,)``, or ``()`` over a 2-D coupling, whose values are then
     numpy scalars.  A state is ``shape + (n,)``, member-major rows of per-link
     (or per-transmitter) values, and so are the per-link arrays; the maps take
-    and give states.  The index vectors are offset by member, so one bincount
+    and give states.  Each link's serving cell, receiver row ``rx`` and
+    transmitter column ``tx`` (see :class:`Problem`) are derived from its
+    member's ``b_ul`` and ``b_dl`` and offset by member, so one bincount
     sums every member and one matmul runs every member's matrix-vector
     product.  A member's values are bit for bit its values alone: BLAS runs
     one product per member, and a bin adds its own entries in order.
@@ -163,26 +168,27 @@ class ProblemStack:
             raise ModelError("stacked problems must share the noise PSD and the band")
         if shape != (len(problems),) and (shape or len(problems) > 1):
             raise ModelError("a stack of several problems needs their stacked couplings")
-        # member-major parts, the index vectors offset by member (a lone problem's own arrays)
+        # member-major parts (a lone problem's own arrays)
         parts = {name.split(".")[-1]: np.array(list(map(attrgetter(name), problems))).reshape(
             shape + (-1,)) if shape else attrgetter(name)(problems[0]) for name in (
-            "assoc.tx", "assoc.rx", "assoc.serving", "assoc.b_dl", "d_diag", "demands", "p_ext_max")}
+            "assoc.b_ul", "assoc.b_dl", "d_diag", "demands", "p_ext_max")}
         # weak: a problem caches its own stack, which must not keep it alive
-        self._build(tuple(map(weakref.ref, problems)), rows, parts, np.arange(len(problems)))
+        self._build(tuple(map(weakref.ref, problems)), rows, parts)
 
-    def _build(self, refs, rows, parts, moves):
-        """``moves``: by how many members each member's index vectors shift."""
+    def _build(self, refs, rows, parts):
         self._problems, self.rows, self._parts, first = refs, rows, parts, refs[0]()
         (n_rx, n_tx), b, shape = rows.shape[-2:], len(refs), rows.shape[:-2]
-        self.k, self.n_bs, self.size, self.shape = first.assoc.n_ue, first.assoc.n_bs, b, shape
-        n_bs, noise = self.n_bs, first.noise_psd
-        if moves.any():  # in place: our own copies
-            shifts = np.multiply.outer(moves, (n_tx, n_rx, n_bs, n_bs)).reshape(shape + (1, 4))
-            for column, name in enumerate(("tx", "rx", "serving", "b_dl")):
-                parts[name] += shifts[..., column]
-        tx, serving, self.b_dl = (parts[name].ravel() for name in ("tx", "serving", "b_dl"))
-        self._tx, rx, self.d_diag, self.demands, p_ext_max = (
-            parts[name] for name in ("tx", "rx", "d_diag", "demands", "p_ext_max"))
+        b_ul, b_dl, self.d_diag, self.demands, p_ext_max = parts.values()
+        k, n_bs, noise = b_dl.shape[-1], first.assoc.n_bs, first.noise_psd
+        self.k, self.n_bs, self.size, self.shape = k, n_bs, b, shape
+        # every link's serving cell, receiver row and transmitter column, offset by member
+        links, ue = np.empty((3,) + shape + (2 * k,), int), np.arange(k)
+        links[:2, ..., :k], links[0, ..., k:], links[1, ..., k:] = b_ul, b_dl, n_bs + ue
+        links[2, ..., :k], links[2, ..., k:] = ue, k + b_dl
+        if shape:
+            links += np.multiply.outer((n_bs, n_rx, n_tx), np.arange(b))[..., None]
+        serving, rx, self._tx = links
+        tx, serving, self.b_dl = self._tx.ravel(), serving.ravel(), serving[..., k:].ravel()
         rb_count = self.rb_count = first.rb_count
         rb_bandwidth = self.rb_bandwidth = first.rb_bandwidth
         # each member's transmitter sums as matmul takes them, and its cells and transmitters
@@ -203,12 +209,11 @@ class ProblemStack:
 
     def take(self, members) -> "ProblemStack":
         """The members at the indices ``members``: rows of the member-major parts and couplings
-        (one view of a shared coupling), each index vector moved to its new member's offset."""
+        (one view of a shared coupling)."""
         sub, members, rows = object.__new__(ProblemStack), np.asarray(members), self.rows
         sub._build(tuple(self._problems[b] for b in members),
                    rows[:members.size] if rows.strides[0] == 0 else rows.take(members, 0),
-                   {name: part.take(members, 0) for name, part in self._parts.items()},
-                   np.arange(members.size) - members)
+                   {name: part.take(members, 0) for name, part in self._parts.items()})
         return sub
 
     @property

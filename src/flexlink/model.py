@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import logging
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral, Real
 
 import numpy as np
@@ -181,13 +181,11 @@ class Scenario:
 class Association:
     """Serving-BS maps for both directions.
 
-    ``b_ul``/``b_dl`` give the serving BS of each UE's uplink and downlink;
-    ``serving`` concatenates them over the 2K links.  ``rx`` maps each link
-    to its receiver row of the coupling (``b_ul`` for uplinks,
-    ``N + arange(K)`` for downlinks) and ``tx`` to its transmitter column
-    (``arange(K)`` for uplinks, ``K + b_dl`` for downlinks).  The solver
-    applies the paper's selection operators through these index vectors only
-    (see ``ProblemStack`` in :mod:`flexlink.interference`).
+    ``b_ul``/``b_dl`` give the serving BS of each UE's uplink and downlink.
+    The solver applies the paper's selection operators through these two
+    maps only: ``ProblemStack`` in :mod:`flexlink.interference` derives each
+    link's serving cell and its receiver row and transmitter column of the
+    coupling from them.
 
     The dense properties are the paper-notation reference forms, built anew
     on every access.  The package never reads them; they stay only for the
@@ -202,9 +200,6 @@ class Association:
     b_ul: np.ndarray
     b_dl: np.ndarray
     n_bs: int
-    serving: np.ndarray = field(init=False, repr=False, compare=False)
-    rx: np.ndarray = field(init=False, repr=False, compare=False)
-    tx: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vars(self).update(vars(self.batch(np.asarray(self.b_ul)[None], self.b_dl, self.n_bs)[0]))
@@ -212,7 +207,7 @@ class Association:
     @classmethod
     def batch(cls, b_ul, b_dl, n_bs) -> list:
         """One association per row of the (M, K) uplink maps ``b_ul``, checked at once: each views
-        its row of one ``b_ul``, ``serving``, ``rx`` and ``tx``.  ``Association(...)`` is M = 1."""
+        its row of one ``b_ul`` and shares ``b_dl``.  ``Association(...)`` is M = 1."""
         what = _breach(n_bs, integer=True)
         if what or n_bs < 1:
             raise ModelError(f"n_bs must be {what or 'an integer'} >= 1, got {n_bs!r}")
@@ -225,13 +220,7 @@ class Association:
         b_ul, b_dl = (_readonly(b, dtype=int) for b in maps)
         if b_ul.ndim != 2 or b_ul.shape[1:] != b_dl.shape:
             raise ModelError("b_ul and b_dl must be 1-d and equally sized")
-        ue, k = np.arange(b_dl.size), b_dl.size
-        links = np.empty((3, len(b_ul), 2 * k), int)  # serving, rx, tx: every link, uplink first
-        links[:2, :, :k], links[0, :, k:], links[1, :, k:] = b_ul, b_dl, n_bs + ue
-        links[2] = np.concatenate([ue, k + b_dl])
-        links.setflags(write=False)  # in place: no caller holds it
-        return [_built(cls, b_ul=u, b_dl=b_dl, n_bs=n_bs, serving=s, rx=r, tx=t)
-                for u, s, r, t in zip(b_ul, *links)]
+        return [_built(cls, b_ul=u, b_dl=b_dl, n_bs=n_bs) for u in b_ul]
 
     @property
     def n_ue(self) -> int:

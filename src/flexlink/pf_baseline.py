@@ -82,7 +82,7 @@ def pf_allocate_all(problems, split=DEFAULT_PF_SPLIT) -> list[PfAllocation]:
     # a link's ratio at each RB up to its direction's quota (it can take no more)
     link, rb = np.nonzero(np.arange(rbs) < np.repeat(split, k)[:, None])
     ratio = (gain[..., None] / (held + EPS_PF)).reshape(b, -1).take(link * rbs + rb, 1)
-    cell = np.array([problem.assoc.serving for problem in problems]) + n * (np.arange(2 * k) >= k)
+    cell = np.array([np.concatenate([pr.assoc.b_ul, pr.assoc.b_dl + n]) for pr in problems])
     # each member's by cell and direction (UL cells, then DL; a narrow key sorts by
     # radix), falling ratio and link: the candidates run by link and the sort is stable
     keys = cell.astype(np.min_scalar_type(2 * n))[:, link]

@@ -130,8 +130,8 @@ def _distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _symmetric_fading(rng, n):
     """An (n, n) exponential draw with its upper triangle mirrored below the diagonal."""
     f = rng.exponential(1.0, size=(n, n))
-    for i in range(1, n):
-        f[i, :i] = f[:i, i]
+    lower = np.tri(n, k=-1, dtype=bool)
+    f[lower] = f.T[lower]
     return f
 
 

@@ -47,8 +47,19 @@ from flexlink.scenario import (FS_1M_DB, SERVICE_CLASSES_DL_MBPS, SERVICE_CLASSE
 from flexlink.units import dbm_to_watt
 
 
+def links_ref(assoc):
+    """``(serving, rx, tx)`` of every link, uplinks first: its serving cell,
+    its receiver row of the coupling (an uplink's cell, a downlink's UE after
+    the N cell rows) and its transmitter column (an uplink's UE, a downlink's
+    cell after the K UE columns)."""
+    k, n, ue = assoc.n_ue, assoc.n_bs, np.arange(assoc.n_ue)
+    return (np.concatenate([assoc.b_ul, assoc.b_dl]), np.concatenate([assoc.b_ul, n + ue]),
+            np.concatenate([ue, k + assoc.b_dl]))
+
+
 def v_tilde(problem):
-    return problem.rows[np.ix_(problem.assoc.rx, problem.assoc.tx)]  # the dense 2K x 2K V~
+    _, rx, tx = links_ref(problem.assoc)
+    return problem.rows[np.ix_(rx, tx)]  # the dense 2K x 2K V~
 
 
 def grid_conditional_eigen(m, b, resolution=1e-4, coarse=0.05, shrink=5.0):
@@ -350,10 +361,9 @@ def anderson_fixed_point_ref(f, g, x0, memory, tol=DEFAULT_TOL, max_iter=DEFAULT
 
 def interference_psd_ref(p, w, problem):
     """``interference_psd`` as it read before the stage-built maps."""
-    assoc = problem.assoc
-    sent = np.bincount(assoc.tx, weights=np.asarray(p) * np.asarray(w),
-                       minlength=problem.rows.shape[1])
-    return ((problem.rows @ sent)[assoc.rx] + problem.noise_psd) / problem.d_diag
+    _, rx, tx = links_ref(problem.assoc)
+    sent = np.bincount(tx, weights=np.asarray(p) * np.asarray(w), minlength=problem.rows.shape[1])
+    return ((problem.rows @ sent)[rx] + problem.noise_psd) / problem.d_diag
 
 
 def expand_psd_ref(p_bar, assoc) -> np.ndarray:
@@ -448,7 +458,7 @@ def dense_coupling(scenario, assoc) -> DenseCoupling:
 
     d_diag = np.concatenate([scenario.h0[b_ul, ue_idx], scenario.h0[b_dl, ue_idx]])
 
-    serving = assoc.serving
+    serving = links_ref(assoc)[0]
     same_bs = serving[:, None] == serving[None, :]
     v_tilde = np.where(same_bs, 0.0, v)
     v_tilde[k + ue_idx, ue_idx] = 0.0  # own-UL into own-DL: h2 self-gain, never read
@@ -693,7 +703,7 @@ def pf_allocate_ref(scenario, assoc, split=DEFAULT_PF_SPLIT) -> PfAllocation:
     np.cumsum(np.broadcast_to(gain[:, None], (2 * k, rbs - 1)), axis=1, out=held[:, 1:])
     priority = (gain[:, None] / (held + EPS_PF)).ravel()
     link = np.repeat(np.arange(2 * k), rbs)
-    group = (assoc.serving + n * (np.arange(2 * k) >= k))[link]  # UL cells, then DL
+    group = (links_ref(assoc)[0] + n * (np.arange(2 * k) >= k))[link]  # UL cells, then DL
     order = np.lexsort((link, -priority, group))
     link, group = link[order], group[order]
     taken = np.arange(link.size) - np.searchsorted(group, group) < np.repeat(split, n)[group]

@@ -163,13 +163,12 @@ def test_associations_of_a_venue_share_one_downlink_map():
 @pytest.mark.parametrize("seed", [1, 2])
 def test_associations_of_a_venue_view_one_array(seed):
     """The distinct uplink maps of one ``associate_all`` are read-only rows of
-    one array, and so are their ``serving``, ``rx`` and ``tx`` links.  Each
-    equals its ``Association`` built alone."""
+    one array.  Each equals its ``Association`` built alone."""
     sc = generate(STUDY_CONFIG, seed)
     batch = associate_all(policy_sweep() + [Policy("coud"), Policy("deud_p")], sc)
     distinct = list({id(a): a for a in batch}.values())
     assert len(distinct) > 2
-    for name in ("b_ul", "serving", "rx", "tx"):
+    for name in ("b_ul",):
         stacked = getattr(distinct[0], name).base  # the array every association's row views
         assert stacked is not None and not stacked.flags.writeable, name
         for a in distinct:
@@ -178,7 +177,7 @@ def test_associations_of_a_venue_view_one_array(seed):
             assert not view.flags.writeable, name
     for a in distinct:
         alone = Association(b_ul=a.b_ul.tolist(), b_dl=a.b_dl.tolist(), n_bs=sc.n_bs)
-        for name in ("b_ul", "b_dl", "serving", "rx", "tx"):
+        for name in ("b_ul", "b_dl"):
             assert np.array_equal(getattr(alone, name), getattr(a, name)), name
             assert getattr(alone, name).dtype == getattr(a, name).dtype, name
 

@@ -574,6 +574,16 @@ def test_bad_document_keeps_the_contract(tmp_path, capsys, documents, document):
     assert not breaches, "\n".join(breaches)
 
 
+def _forbid_computation(monkeypatch):
+    """Make the computation of every command that writes a directory raise."""
+    def computed(*args, **kwargs):
+        raise AssertionError("computed before --out was checked")
+    for owner, name in ((cli, "solve_problems"), (cli, "minimize_power"),
+                        (experiments, "solve_policies"), (experiments, "run_policy_study"),
+                        (experiments, "compare_pf"), (experiments, "run_theta_sweep")):
+        monkeypatch.setattr(owner, name, computed)
+
+
 @pytest.mark.parametrize("usage", ["unknown flag", "missing option", "missing path",
                                    "directory", "not UTF-8", "out under a file"])
 @pytest.mark.parametrize("document, argv", [(doc, cmd) for doc, cmds in COMMANDS.items()
@@ -587,12 +597,7 @@ def test_usage_error_is_one_line(tmp_path, capsys, monkeypatch, documents, usage
     existing file, which a command that writes a directory refuses before
     its computation."""
     if usage == "out under a file":
-        def computed(*args, **kwargs):
-            raise AssertionError("computed before --out was checked")
-        for owner, name in ((cli, "solve_problems"), (cli, "minimize_power"),
-                            (experiments, "solve_policies"), (experiments, "run_policy_study"),
-                            (experiments, "compare_pf"), (experiments, "run_theta_sweep")):
-            monkeypatch.setattr(owner, name, computed)
+        _forbid_computation(monkeypatch)
     source = tmp_path / "doc.json"
     source.write_bytes((b"\xff" if usage == "not UTF-8" else b"") + documents[document].encode())
     path = {"missing path": tmp_path / "absent.json", "directory": tmp_path}.get(usage, source)
@@ -608,6 +613,23 @@ def test_usage_error_is_one_line(tmp_path, capsys, monkeypatch, documents, usage
             "not UTF-8": f"error: {document} is not valid JSON: ",
             "out under a file": "error: [Errno 20] Not a directory: "}[usage]
     assert line is not None and line.startswith(want), line
+
+
+@pytest.mark.parametrize("document, argv", [(doc, cmd) for doc, cmds in COMMANDS.items()
+                                            for cmd in cmds if cmd[0] != "generate"],
+                         ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_empty_out_is_refused_before_the_work(tmp_path, capsys, monkeypatch, documents, document,
+                                              argv):
+    """An empty ``--out``: every command that writes a directory prints the
+    one error line ``os.makedirs("")`` would raise, before its computation,
+    and creates nothing in the working directory."""
+    _forbid_computation(monkeypatch)
+    source = tmp_path / "doc.json"
+    source.write_text(documents[document])
+    monkeypatch.chdir(tmp_path)
+    assert main([*argv, f"--{document}", str(source), "--out", ""]) == 1
+    assert capsys.readouterr().err == "error: [Errno 2] No such file or directory: ''\n"
+    assert [path.name for path in tmp_path.iterdir()] == ["doc.json"]
 
 
 def test_generate_out_directory_is_one_line(tmp_path, capsys, documents):

@@ -40,7 +40,7 @@ from .helpers import (
     single_link_scenario,
     two_cell_scenario,
 )
-from .oracles import f_power_cell_loop
+from .oracles import expand_psd_ref, f_power_cell_loop, interference_psd_ref
 
 
 def _two_cell():
@@ -396,11 +396,11 @@ def test_several_problems_stack_only_over_their_stacked_couplings():
 
 
 def test_one_problem_stack_views_its_own_arrays():
-    """``Problem.stack`` stands on the problem's own index vectors and arrays,
-    moved by no member offset: they stay read-only and unchanged."""
+    """``Problem.stack`` stands on the problem's own maps and arrays: they
+    stay read-only and unchanged."""
     _, assoc, problem = random_problem(71, n_ue=5, n_bs=3)
-    own = {"tx": assoc.tx, "rx": assoc.rx, "serving": assoc.serving, "b_dl": assoc.b_dl,
-           "d_diag": problem.d_diag, "demands": problem.demands, "p_ext_max": problem.p_ext_max}
+    own = {"b_ul": assoc.b_ul, "b_dl": assoc.b_dl, "d_diag": problem.d_diag,
+           "demands": problem.demands, "p_ext_max": problem.p_ext_max}
     before = {name: a.copy() for name, a in own.items()}
     parts = problem.stack._parts
     for name, a in own.items():
@@ -411,7 +411,9 @@ def test_one_problem_stack_views_its_own_arrays():
 def test_take_of_a_take_evaluates_as_a_fresh_stack():
     """``ProblemStack.take`` slices the parent stack's member-major arrays; a
     take of a take evaluates ``ipsd``, ``g1``, ``g2``, ``qos`` and ``expand``
-    exactly as a stack built afresh from the same members.  Members over one
+    exactly as a stack built afresh from the same members, and each member's
+    ``ipsd`` and ``expand`` exactly as the references of ``tests/oracles.py``,
+    whose link indices ``links_ref`` derives alone.  Members over one
     shared coupling (a broadcast view) stay over that coupling, uncopied, and
     evaluate ``ipsd`` and ``rates`` as a fresh stack over copies of it."""
     scenario, _, _ = random_problem(71, n_ue=5, n_bs=3)
@@ -428,6 +430,9 @@ def test_take_of_a_take_evaluates_as_a_fresh_stack():
                  (taken.g2(x), fresh.g2(x)), (taken.qos(w, x), fresh.qos(w, x)),
                  (taken.expand(p_bar), fresh.expand(p_bar))):
         assert a.tobytes() == b.tobytes()
+    for b, problem in enumerate(taken.problems):
+        assert taken.ipsd(x)[b].tobytes() == interference_psd_ref(x[b], 1.0, problem).tobytes()
+        assert taken.expand(p_bar)[b].tobytes() == expand_psd_ref(p_bar[b], problem.assoc).tobytes()
     budgets = [dataclasses.replace(problems[1], p_ext_max=problems[1].p_ext_max * scale)
                for scale in (0.5, 1.0, 2.0, 4.0)]
     shared = ProblemStack(budgets, np.broadcast_to(rows[1], (4,) + rows.shape[1:]))

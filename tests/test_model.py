@@ -276,7 +276,7 @@ def test_coupling_arrays_are_read_only():
     sc = two_cell_scenario()
     assoc = coud_assoc(sc)
     problem = Problem.from_scenario(sc, assoc)
-    for arr in (problem.rows, problem.d_diag, assoc.rx, assoc.tx):
+    for arr in (problem.rows, problem.d_diag):
         with pytest.raises(ValueError):
             arr[0] = 0
     # marked in place, not copied: a derived problem shares the caller's arrays
